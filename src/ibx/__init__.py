@@ -22,6 +22,7 @@ from .kernel import (
     increment,
     iterate,
     iterate_bijection,
+    iterate_map,
     pack_fields,
     unpack_fields,
 )

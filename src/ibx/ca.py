@@ -20,6 +20,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .kernel import iterate_map
+
 
 class CaError(ValueError):
     pass
@@ -156,15 +158,19 @@ def margolus_step(
     return MargolusGrid(new, 1 - grid.phase)
 
 
+def _undo_step(step, grid: MargolusGrid, rule: MargolusRule, *args) -> MargolusGrid:
+    """Undo one blocked update made by ``step``: the inverse table, anchored
+    at the phase the forward step used."""
+    pre_phase = 1 - grid.phase
+    stepped = step(MargolusGrid(grid.cells, pre_phase), rule.inverse(), *args)
+    return MargolusGrid(stepped.cells, pre_phase)
+
+
 def margolus_step_back(
     grid: MargolusGrid, rule: MargolusRule, threads: int = 1
 ) -> MargolusGrid:
-    """Undo one margolus_step: the inverse table, anchored at the phase the
-    forward step used."""
-    inv = rule.inverse()
-    pre_phase = 1 - grid.phase
-    stepped = margolus_step(MargolusGrid(grid.cells, pre_phase), inv, threads)
-    return MargolusGrid(stepped.cells, pre_phase)
+    """Undo one margolus_step."""
+    return _undo_step(margolus_step, grid, rule, threads)
 
 
 def simulate_bbm(
@@ -173,14 +179,14 @@ def simulate_bbm(
     rule: Optional[MargolusRule] = None,
     threads: int = 1,
 ) -> MargolusGrid:
+    """Run ``n`` toroidal steps (negative ``n`` runs backwards)."""
     r = rule if rule is not None else bbm_rule()
-    if n >= 0:
-        for _ in range(n):
-            grid = margolus_step(grid, r, threads)
-    else:
-        for _ in range(-n):
-            grid = margolus_step_back(grid, r, threads)
-    return grid
+    return iterate_map(
+        lambda g: margolus_step(g, r, threads),
+        n,
+        grid,
+        lambda g: margolus_step_back(g, r, threads),
+    )
 
 
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
@@ -225,10 +231,7 @@ def margolus_step_back_helical(
     grid: MargolusGrid, rule: MargolusRule
 ) -> MargolusGrid:
     """Undo one margolus_step_helical."""
-    inv = rule.inverse()
-    pre_phase = 1 - grid.phase
-    stepped = margolus_step_helical(MargolusGrid(grid.cells, pre_phase), inv)
-    return MargolusGrid(stepped.cells, pre_phase)
+    return _undo_step(margolus_step_helical, grid, rule)
 
 
 def simulate_helical(
@@ -236,13 +239,12 @@ def simulate_helical(
 ) -> MargolusGrid:
     """Run ``n`` helical-boundary steps (negative ``n`` runs backwards)."""
     r = rule if rule is not None else bbm_rule()
-    if n >= 0:
-        for _ in range(n):
-            grid = margolus_step_helical(grid, r)
-    else:
-        for _ in range(-n):
-            grid = margolus_step_back_helical(grid, r)
-    return grid
+    return iterate_map(
+        lambda g: margolus_step_helical(g, r),
+        n,
+        grid,
+        lambda g: margolus_step_back_helical(g, r),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +356,11 @@ def _paired_cell_map(parts: StrobeParts) -> dict:
     return mapping
 
 
+@lru_cache(maxsize=64)
+def _inverse_cell_map(parts: StrobeParts) -> dict:
+    return {v: k for k, v in _paired_cell_map(parts).items()}
+
+
 @dataclass(frozen=True)
 class StrobeAutomaton:
     """Six tracks: (top_l, top_c, top_r, bot_l, bot_c, bot_r).
@@ -375,42 +382,30 @@ class StrobeAutomaton:
     def lit(self, cfg: TrackedConfig1D) -> bool:
         return all(self.parts.firing(c[1]) for c in cfg.cells)
 
-    def _swap_tops(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        p = cfg.ring
-        tr, tl = list(cfg.track(2)), list(cfg.track(0))
-        for x in range(0, p - 1, 2):
-            tr[x], tl[x + 1] = tl[x + 1], tr[x]
-        return _with_tracks(cfg, {0: tl, 2: tr}, cfg.step)
+    def _swap_pair(self, cfg: TrackedConfig1D, here: int, there: int) -> TrackedConfig1D:
+        """Exchange track ``here`` of each even cell with track ``there`` of
+        its right neighbor: the partition swap coupling adjacent cells."""
+        a, b = list(cfg.track(here)), list(cfg.track(there))
+        for x in range(0, cfg.ring - 1, 2):
+            a[x], b[x + 1] = b[x + 1], a[x]
+        return _with_tracks(cfg, {here: a, there: b}, cfg.step)
 
-    def _swap_bottoms(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        p = cfg.ring
-        bl, br = list(cfg.track(3)), list(cfg.track(5))
-        for x in range(0, p - 1, 2):
-            bl[x], br[x + 1] = br[x + 1], bl[x]
-        return _with_tracks(cfg, {3: bl, 5: br}, cfg.step)
-
-    def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        table = _paired_cell_map(self.parts)
-        cfg = self._swap_tops(cfg)
+    def _advance(self, cfg, table: dict, first, last, d: int) -> TrackedConfig1D:
+        """One step either way: swap the ``first`` track pair, map every
+        (top_c, bot_c) counter pair through ``table``, swap ``last``."""
+        cfg = self._swap_pair(cfg, *first)
         cells = []
         for c in cfg.cells:
             a, b = table[(c[1], c[4])]
             cells.append((c[0], a, c[2], c[3], b, c[5]))
-        cfg = TrackedConfig1D(tuple(cells), cfg.step)
-        cfg = self._swap_bottoms(cfg)
-        return TrackedConfig1D(cfg.cells, cfg.step + 1)
+        cfg = self._swap_pair(TrackedConfig1D(tuple(cells), cfg.step), *last)
+        return TrackedConfig1D(cfg.cells, cfg.step + d)
+
+    def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
+        return self._advance(cfg, _paired_cell_map(self.parts), (2, 0), (3, 5), 1)
 
     def step_back(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        table = _paired_cell_map(self.parts)
-        inverse = {v: k for k, v in table.items()}
-        cfg = self._swap_bottoms(cfg)
-        cells = []
-        for c in cfg.cells:
-            a, b = inverse[(c[1], c[4])]
-            cells.append((c[0], a, c[2], c[3], b, c[5]))
-        cfg = TrackedConfig1D(tuple(cells), cfg.step)
-        cfg = self._swap_tops(cfg)
-        return TrackedConfig1D(cfg.cells, cfg.step - 1)
+        return self._advance(cfg, _inverse_cell_map(self.parts), (3, 5), (2, 0), -1)
 
 
 def strobe_wrap(
@@ -487,43 +482,35 @@ class DimReduxAutomaton:
             raise CaError(f"grid must be {self.rows}x{self.c}")
         if grid.phase != n % 2:
             raise CaError("grid phase inconsistent with step count")
-        half = self.c // 2
         cells = []
         for x in range(self.p):
-            pair, col = divmod(x, self.c)
-            if n % 2 == 0:
-                top = int(grid.cells[(2 * pair) % h, col])
-                bottom = int(grid.cells[(2 * pair + 1) % h, col])
-            else:
-                xs = (x - half) % self.p
-                pair_s, col_s = divmod(xs, self.c)
-                top = int(grid.cells[(2 * pair_s + 1) % h, col_s])
-                xs = (x + half) % self.p
-                pair_s, col_s = divmod(xs, self.c)
-                bottom = int(grid.cells[(2 * pair_s) % h, col_s])
-            cells.append((top, bottom, (x + n * self.t) % 2, 0))
+            top, bottom = self._home(x, n % 2)
+            cells.append(
+                (int(grid.cells[top]), int(grid.cells[bottom]), (x + n * self.t) % 2, 0)
+            )
         return TrackedConfig1D(tuple(cells), n * self.t)
 
     def extract(self, cfg: TrackedConfig1D, n: int) -> MargolusGrid:
         """Inverse of embed: rebuild the 2D grid from a lit configuration."""
         if cfg.ring != self.p:
             raise CaError("ring length mismatch")
-        half = self.c // 2
         arr = np.zeros((self.rows, self.c), dtype=np.uint8)
         for x in range(self.p):
-            top, bottom = cfg.cells[x][0], cfg.cells[x][1]
-            if n % 2 == 0:
-                pair, col = divmod(x, self.c)
-                arr[2 * pair, col] = top
-                arr[2 * pair + 1, col] = bottom
-            else:
-                xs = (x - half) % self.p
-                pair, col = divmod(xs, self.c)
-                arr[2 * pair + 1, col] = top
-                xs = (x + half) % self.p
-                pair, col = divmod(xs, self.c)
-                arr[2 * pair, col] = bottom
+            top, bottom = self._home(x, n % 2)
+            arr[top], arr[bottom] = cfg.cells[x][0], cfg.cells[x][1]
         return MargolusGrid(arr, n % 2)
+
+    def _home(self, x: int, odd: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Grid (row, col) of ring cell x's top and bottom track values after
+        an even or odd number of 2D steps; odd counts leave the tracks slid
+        c/2 cells apart with the rows of each pair exchanged."""
+        if not odd:
+            pair, col = divmod(x, self.c)
+            return (2 * pair, col), (2 * pair + 1, col)
+        half = self.c // 2
+        pair_t, col_t = divmod((x - half) % self.p, self.c)
+        pair_b, col_b = divmod((x + half) % self.p, self.c)
+        return (2 * pair_t + 1, col_t), (2 * pair_b, col_b)
 
     # -- stepping -----------------------------------------------------
 
@@ -538,8 +525,10 @@ class DimReduxAutomaton:
         return ctr, par0
 
     def _blocked_update(self, cfg: TrackedConfig1D, inverse: bool) -> TrackedConfig1D:
-        table = self.rule.table if not inverse else self.rule.inverse().table
-        top, bottom = list(cfg.track(0)), list(cfg.track(1))
+        # the inverse reads the exchanged tracks back as the block's rows
+        upper, lower = (1, 0) if inverse else (0, 1)
+        table = self.rule.inverse().table if inverse else self.rule.table
+        top, bottom = list(cfg.track(upper)), list(cfg.track(lower))
         starts = [x for x in range(cfg.ring) if cfg.cells[x][2] == 0]
         if len(starts) * 2 != cfg.ring:
             raise CaError("parity track does not split the ring into pairs")
@@ -547,17 +536,10 @@ class DimReduxAutomaton:
             y = (x + 1) % cfg.ring
             if cfg.cells[y][2] != 1:
                 raise CaError("parity track does not alternate at a block")
-            if not inverse:
-                block = top[x] * 8 + top[y] * 4 + bottom[x] * 2 + bottom[y]
-                out = table[block]
-                top[x], top[y] = (out >> 1) & 1, out & 1
-                bottom[x], bottom[y] = (out >> 3) & 1, (out >> 2) & 1
-            else:
-                block = bottom[x] * 8 + bottom[y] * 4 + top[x] * 2 + top[y]
-                out = table[block]
-                top[x], top[y] = (out >> 3) & 1, (out >> 2) & 1
-                bottom[x], bottom[y] = (out >> 1) & 1, out & 1
-        return _with_tracks(cfg, {0: top, 1: bottom}, cfg.step)
+            out = table[top[x] * 8 + top[y] * 4 + bottom[x] * 2 + bottom[y]]
+            top[x], top[y] = (out >> 1) & 1, out & 1
+            bottom[x], bottom[y] = (out >> 3) & 1, (out >> 2) & 1
+        return _with_tracks(cfg, {upper: top, lower: bottom}, cfg.step)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
         if cfg.ring != self.p:
@@ -596,13 +578,7 @@ def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
 def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     """n forward steps (negative n steps backward) of any automaton with
     step/step_back."""
-    if n >= 0:
-        for _ in range(n):
-            cfg = automaton.step(cfg)
-    else:
-        for _ in range(-n):
-            cfg = automaton.step_back(cfg)
-    return cfg
+    return iterate_map(automaton.step, n, cfg, automaton.step_back)
 
 
 def dim_redux_verify(
@@ -617,7 +593,5 @@ def dim_redux_verify(
     """
     cfg = automaton.embed(grid, 0)
     cfg = simulate_1d(automaton, cfg, n * automaton.t)
-    g2 = grid
-    for _ in range(n):
-        g2 = margolus_step_helical(g2, automaton.rule)
+    g2 = simulate_helical(grid, n, automaton.rule)
     return cfg.cells == automaton.embed(g2, n).cells

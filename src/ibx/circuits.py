@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .kernel import Bijection, Bitstring, WidthMismatchError, iterate_bijection
+from .kernel import Bijection, Bitstring, WidthMismatchError, cycle_lengths, iterate_bijection
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 
@@ -151,16 +151,7 @@ def parity(perm: Sequence[int]) -> str:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
+    cycles = sum(1 for _ in cycle_lengths(perm.__getitem__, n))
     return "even" if (n - cycles) % 2 == 0 else "odd"
 
 

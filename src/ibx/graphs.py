@@ -369,6 +369,24 @@ def _walk_states(
     raise GraphError("lollipop walk exceeded its budget")
 
 
+def _pinned_path(
+    cycle: Sequence[int], fixed_edge: Tuple[int, int], orientation: int
+) -> Tuple[int, ...]:
+    """The cycle oriented to run along fixed_edge (reversed when
+    ``orientation`` is 1) and rotated to start at the edge's first vertex."""
+    a, b = fixed_edge[::-1] if orientation else fixed_edge
+    cyc = tuple(cycle)
+    directed = set(zip(cyc, cyc[1:] + cyc[:1]))
+    if (a, b) in directed:
+        oriented = cyc
+    elif (b, a) in directed:
+        oriented = cyc[::-1]
+    else:
+        raise GraphError("fixed edge is not on the cycle")
+    i = oriented.index(a)
+    return oriented[i:] + oriented[:i]
+
+
 def second_hamiltonian(
     g: CubicGraph,
     cycle: Sequence[int],
@@ -389,63 +407,24 @@ def second_hamiltonian(
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if b not in adj[a]:
             raise GraphError("cycle uses a non-edge")
-    a, b = fixed_edge
-    if orientation:
-        a, b = b, a
-    n = len(cyc)
-    directed = set(zip(cyc, cyc[1:] + cyc[:1]))
-    if (a, b) in directed:
-        oriented = cyc
-    elif (b, a) in directed:
-        oriented = cyc[::-1]
-    else:
-        raise GraphError("fixed edge is not on the cycle")
-    i = oriented.index(a)
-    start = LollipopState(oriented[i:] + oriented[:i])
-    final = _walk_states(g, start)
+    final = _walk_states(g, LollipopState(_pinned_path(cyc, fixed_edge, orientation)))
     if not g.has_edge(final.path[-1], final.path[0]):
         raise GraphError("walk ended at a state that closes no cycle")
     return final.path
 
 
 def count_ham_cycles_through_edge(g: CubicGraph, edge: Tuple[int, int]) -> int:
-    """Exact count of Hamiltonian cycles using the given edge.
-
-    Depth-first over simple paths that begin with the directed edge; each
-    undirected cycle through the edge is met exactly once this way.
-    """
-    if g.vertex_count > 14:
-        raise GraphError("graph too large for exhaustive counting")
-    a, b = edge
-    if not g.has_edge(a, b):
-        raise GraphError("no such edge")
-    adj = g.adjacency()
-    n = g.vertex_count
-    count = 0
-    visited = [False] * n
-    visited[a] = visited[b] = True
-
-    def extend(v: int, used: int) -> None:
-        nonlocal count
-        if used == n:
-            if a in adj[v]:
-                count += 1
-            return
-        for w in adj[v]:
-            if not visited[w]:
-                visited[w] = True
-                extend(w, used + 1)
-                visited[w] = False
-
-    extend(b, 2)
-    return count
+    """Exact count of Hamiltonian cycles using the given edge."""
+    return len(hamiltonian_cycles_through_edge(g, edge))
 
 
 def hamiltonian_cycles_through_edge(
     g: CubicGraph, edge: Tuple[int, int]
 ) -> List[Tuple[int, ...]]:
     """All Hamiltonian cycles through the edge, as vertex tuples starting
-    a, b.  Brute force; same size cap as the counter."""
+    a, b.  Brute force, capped at 14 vertices: depth-first over simple paths
+    that begin with the directed edge, so each undirected cycle through the
+    edge is met exactly once."""
     if g.vertex_count > 14:
         raise GraphError("graph too large for exhaustive counting")
     a, b = edge
@@ -525,19 +504,7 @@ def lollipop_instance(
     """LeafInstance whose walk reproduces second_hamiltonian, plus the
     vertex field width."""
     family, w = lollipop_family(g)
-    a, b = fixed_edge
-    if orientation:
-        a, b = b, a
-    cyc = tuple(cycle)
-    directed = set(zip(cyc, cyc[1:] + cyc[:1]))
-    if (a, b) in directed:
-        oriented = cyc
-    elif (b, a) in directed:
-        oriented = cyc[::-1]
-    else:
-        raise GraphError("fixed edge is not on the cycle")
-    i = oriented.index(a)
-    path = oriented[i:] + oriented[:i]
+    path = _pinned_path(cycle, fixed_edge, orientation)
     start = Bitstring(pack_fields([(p, w) for p in path]), g.vertex_count * w)
-    instance = Bitstring(pack_fields([(a, w), (b, w)]), 2 * w)
+    instance = Bitstring(pack_fields([(path[0], w), (path[1], w)]), 2 * w)
     return LeafInstance(family, instance, start), w

@@ -1,5 +1,9 @@
 """Fixed-width bitstrings, invertible maps on them, and the iteration engine.
 
+``iterate_map`` is the package's one n-step engine: every stepper, from
+circuits to block automata, runs through it.  ``iterate`` is the literal
+loop it is tested against.
+
 Conventions used across the package:
 
 * Bit index 0 is the least significant bit.  The text form of a bitstring is
@@ -16,9 +20,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
+
+T = TypeVar("T")
 
 
 class WidthMismatchError(ValueError):
@@ -140,11 +146,10 @@ class IterationProblem:
 
 
 def iterate(problem: IterationProblem) -> Bitstring:
-    """Reference engine: literally loop n times.
+    """Reference loop: literally apply f n times.
 
-    This is the ground truth the rest of the package is measured against, so
-    it stays a plain loop.  Callers with astronomically large n want one of
-    the structure-aware solvers instead.
+    This is the ground truth ``iterate_map`` is tested against, so it stays
+    a plain loop with no shortcuts.
     """
     value = problem.x.value
     fwd = problem.f.forward
@@ -153,8 +158,51 @@ def iterate(problem: IterationProblem) -> Bitstring:
     return Bitstring(value, problem.f.width)
 
 
+def iterate_map(
+    step: Callable[[T], T], n: int, x: T, back: Optional[Callable[[T], T]] = None
+) -> T:
+    """Apply ``step`` n times to x; a negative n applies ``back`` -n times.
+
+    Stops at the first return to x and finishes with n modulo that return
+    time.  This is exact for any deterministic step, because from a return
+    on the orbit repeats, so an astronomically large n costs fewer than two
+    orbit lengths of steps.
+    """
+    if n < 0:
+        if back is None:
+            raise ValueError("a negative iteration count needs a backward map")
+        step, n = back, -n
+    y = x
+    for done in range(1, n + 1):
+        y = step(y)
+        if y == x:
+            return iterate_map(step, n % done, x)
+    return y
+
+
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
-    return iterate(IterationProblem(f, n, x))
+    """f applied n times to x (f's backward map -n times when n < 0)."""
+    if x.width != f.width:
+        raise WidthMismatchError(
+            f"input width {x.width} does not match bijection width {f.width}"
+        )
+    return Bitstring(iterate_map(f.forward, n, x.value, f.backward), f.width)
+
+
+def cycle_lengths(step: Callable[[int], int], size: int) -> Iterator[int]:
+    """Length of each cycle of a permutation of [0, size), one per cycle,
+    found by walking every cycle once."""
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = step(x)
+            length += 1
+        yield length
 
 
 @dataclass(frozen=True)

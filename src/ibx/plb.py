@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .circuits import ReversibleCircuit
-from .kernel import Bitstring
+from .kernel import cycle_lengths, iterate_map
 
 # Documented piece-count constant for bit_permute: a k-bit program moving
 # |C| bits spends at most (k-1) full rotations (2 pieces each) plus (k-2)
@@ -225,12 +225,11 @@ def apply_plb_inverse(t: PiecewiseLinearBijection, y: int) -> int:
 
 
 def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
-    """Literal n-fold application; the reference engine."""
-    if n < 0:
-        raise PlbError("iteration count must be nonnegative")
-    for _ in range(n):
-        x = apply_plb(t, x)
-    return x
+    """T applied n times to x through the kernel engine; a negative n
+    applies the inverse -n times."""
+    return iterate_map(
+        lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y)
+    )
 
 
 class _Evaluator:
@@ -249,18 +248,8 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
     """Multiplicative order of the map, via cycle lengths.  Desk-scale N."""
     if t.domain > 1 << 20:
         raise PlbError("domain too large for order computation")
-    step = _Evaluator(t)
-    seen = [False] * t.domain
     order = 1
-    for start in range(t.domain):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = step(x)
-            length += 1
+    for length in cycle_lengths(_Evaluator(t), t.domain):
         order = lcm(order, length)
     return order
 

@@ -89,6 +89,41 @@ class Schedule:
             raise WidthMismatchError("schedule start width does not match its bijection")
 
 
+PayloadAction = Callable[[int, int, Tuple[int, ...], bool], Tuple[int, ...]]
+
+
+def _clocked(codec: ClockedCodec, act: PayloadAction, label: str) -> Bijection:
+    """The clocked bijection over ``codec``'s states.
+
+    Forward ticks c2, carrying into c1 on wraparound, and transforms the
+    payload by ``act(c1, c2, payload, False)`` keyed by the hands the step
+    began with.  Backward unticks first, then undoes the action with
+    ``act(c1, c2, payload, True)`` keyed by the same hands.
+    """
+    m_big, m_small = codec.m_big, codec.m_small
+
+    def fwd(v: int) -> int:
+        st = codec.decode(v)
+        if st is None:
+            return v
+        payload = act(st.c1, st.c2, st.payload, False)
+        c1, c2 = st.c1, st.c2 + 1
+        if c2 == m_small:
+            c1, c2 = (c1 + 1) % m_big, 0
+        return codec.encode(ClockedState(c1, c2, payload))
+
+    def back(v: int) -> int:
+        st = codec.decode(v)
+        if st is None:
+            return v
+        c1, c2 = st.c1, st.c2 - 1
+        if c2 < 0:
+            c1, c2 = (c1 - 1) % m_big, m_small - 1
+        return codec.encode(ClockedState(c1, c2, act(c1, c2, st.payload, True)))
+
+    return Bijection(codec.width, fwd, back, label=label)
+
+
 def run_schedule(schedule: Schedule) -> Bitstring:
     final = iterate_bijection(schedule.g, schedule.total_iterations, schedule.start)
     return schedule.extract(final)
@@ -171,58 +206,21 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     codec = ClockedCodec(m_big, m_small, (k, k, k))
     sweep_end = size + 2
 
-    def action(c2: int, a: int, b: int, c: int) -> Tuple[int, int, int]:
+    def act(c1: int, c2: int, payload: Tuple[int, ...], reverse: bool) -> Tuple[int, ...]:
+        a, b, c = payload
         if c2 == 0:
             return a, b ^ f.forward(a), c
         if c2 == 1:
             return a ^ b, b, c
-        if 1 < c2 < sweep_end:
+        if c2 < sweep_end:
+            if reverse:
+                c = (c - 1) & mask
             if f.forward(c) == b:
                 a ^= c
-            return a, b, (c + 1) & mask
-        if c2 == sweep_end:
-            return a, b ^ a, c
-        return a, b, c
+            return a, b, c if reverse else (c + 1) & mask
+        return a, b ^ a, c  # c2 == sweep_end, the last little-hand value
 
-    def unaction(c2: int, a: int, b: int, c: int) -> Tuple[int, int, int]:
-        if c2 == 0:
-            return a, b ^ f.forward(a), c
-        if c2 == 1:
-            return a ^ b, b, c
-        if 1 < c2 < sweep_end:
-            c = (c - 1) & mask
-            if f.forward(c) == b:
-                a ^= c
-            return a, b, c
-        if c2 == sweep_end:
-            return a, b ^ a, c
-        return a, b, c
-
-    def fwd(v: int) -> int:
-        st = codec.decode(v)
-        if st is None:
-            return v
-        a, b, c = action(st.c2, *st.payload)
-        c2 = st.c2 + 1
-        c1 = st.c1
-        if c2 == m_small:
-            c2 = 0
-            c1 = (c1 + 1) % m_big
-        return codec.encode(ClockedState(c1, c2, (a, b, c)))
-
-    def back(v: int) -> int:
-        st = codec.decode(v)
-        if st is None:
-            return v
-        c2 = st.c2 - 1
-        c1 = st.c1
-        if c2 < 0:
-            c2 = m_small - 1
-            c1 = (c1 - 1) % m_big
-        a, b, c = unaction(c2, *st.payload)
-        return codec.encode(ClockedState(c1, c2, (a, b, c)))
-
-    g = Bijection(codec.width, fwd, back, label=f"clock[{f.label}]")
+    g = _clocked(codec, act, f"clock[{f.label}]")
     start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
 
     def extract(final: Bitstring) -> Bitstring:
@@ -374,50 +372,27 @@ def compile_oracle_circuit(
             vec = (vec & ~(1 << pos[w])) | (bit << pos[w])
         return vec
 
-    def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
+    def act(c1: int, c2: int, payload: Tuple[int, ...], reverse: bool) -> Tuple[int, ...]:
+        (vec,) = payload
         if c1 >= len(oc.gates):
-            return vec
+            return payload
         g = oc.gates[c1]
         if isinstance(g, ClassicalGate):
             if c2 == 0:
                 val = _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args))
                 vec ^= val << pos[g.out]
-            return vec
+            return (vec,)
         count = read(vec, g.n_wires)
         if c2 == 0:
             vec ^= write(0, g.t_wires, read(vec, g.s_wires))
-            return vec
+            return (vec,)
         if 0 < c2 <= count:
             t = read(vec, g.t_wires)
             t2 = backward_oracle(t) if reverse else g_oracle.forward(t)
             vec = write(vec, g.t_wires, t2)
-        return vec
+        return (vec,)
 
-    def fwd(v: int) -> int:
-        st = codec.decode(v)
-        if st is None:
-            return v
-        vec = act(st.c1, st.c2, st.payload[0], reverse=False)
-        c2 = st.c2 + 1
-        c1 = st.c1
-        if c2 == m_small:
-            c2 = 0
-            c1 = (c1 + 1) % m_big
-        return codec.encode(ClockedState(c1, c2, (vec,)))
-
-    def back(v: int) -> int:
-        st = codec.decode(v)
-        if st is None:
-            return v
-        c2 = st.c2 - 1
-        c1 = st.c1
-        if c2 < 0:
-            c2 = m_small - 1
-            c1 = (c1 - 1) % m_big
-        vec = act(c1, c2, st.payload[0], reverse=True)
-        return codec.encode(ClockedState(c1, c2, (vec,)))
-
-    h = Bijection(codec.width, fwd, back, label="oracle-clock")
+    h = _clocked(codec, act, "oracle-clock")
 
     vec0 = 0
     for i in range(oc.inputs):

@@ -180,6 +180,27 @@ def test_forward_backward_round_trip(rng):
     assert simulate_bbm(g, -500) == start
 
 
+def test_simulate_bbm_matches_the_literal_loop_past_the_orbit(rng):
+    # 4x4 billiard-ball grids and 2x2 grids under random rules return to
+    # their start within a few dozen steps, so n runs well past the return
+    cases = [(4, bbm_rule())] * 3 + [(2, random_bijective_rule(rng)) for _ in range(3)]
+    for side, rule in cases:
+        start = grid_of(random_cells(rng, side, side))
+        g, back = start, start
+        for n in range(1, 121):
+            g = margolus_step(g, rule)
+            back = margolus_step_back(back, rule)
+            if n % 7 == 0:
+                assert simulate_bbm(start, n, rule) == g
+                assert simulate_bbm(start, -n, rule) == back
+
+
+def test_simulate_bbm_huge_n_on_an_empty_grid_returns_at_once():
+    empty = grid_of(np.zeros((8, 8)))
+    assert simulate_bbm(empty, 10**20) == empty
+    assert simulate_bbm(empty, 10**20 + 1) == grid_of(np.zeros((8, 8)), phase=1)
+
+
 def test_step_back_undoes_step(rng):
     rule = random_bijective_rule(rng)
     for phase in (0, 1):

@@ -7,11 +7,14 @@ payload out, exit codes, the JSON report.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import ibx
 from ibx import ca, circuits, cli, formats, graphs, iet, kernel, plb
 
 FIG_IET = "iet 15\npiece 0 4 11\npiece 4 6 -4\npiece 6 7 4\npiece 7 15 -5\n"
@@ -57,6 +60,27 @@ def test_circuit_iterate(tmp_path, capsys):
     c = formats.parse_circuit(path.read_text())
     expect = circuits.iterate_circuit(c, 5, kernel.Bitstring.from_text("01"))
     assert out.strip() == expect.to_text()
+
+
+def test_circuit_iterate_huge_n_stops_at_the_orbit_return(tmp_path):
+    path = tmp_path / "c.rc"
+    path.write_text("wires 3\ntoffoli 0 1 2\ncnot 2 0\nnot 1\n")
+    n = 10**20
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ibx.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ibx.cli", "circuit", "iterate", "--file", str(path),
+         "--input", "101", "--n", str(n)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    f = formats.parse_circuit(path.read_text()).as_bijection()
+    x = kernel.Bitstring.from_text("101")
+    orbit = 1
+    while kernel.iterate(kernel.IterationProblem(f, orbit, x)) != x:
+        orbit += 1
+    assert orbit <= 8
+    want = kernel.iterate(kernel.IterationProblem(f, n % orbit, x))
+    assert done.stdout.strip() == want.to_text()
 
 
 def test_circuit_parity(tmp_path, capsys):
@@ -298,6 +322,22 @@ def test_plb_iterate_recovers_identity(tmp_path, capsys):
         assert rc == 0 and out.strip() == str(x)
 
 
+def test_plb_iterate_negative_n_undoes_positive(tmp_path, capsys):
+    t = plb.riffle(13)
+    path = tmp_path / "r.plb"
+    path.write_text(formats.write_plb(t.domain, t.pieces))
+    for x, k in ((3, 5), (12, 1), (0, 7)):
+        rc, out, _ = run_cli(
+            capsys, "plb", "iterate", "--file", str(path), "--x", str(x), "--n", str(k)
+        )
+        assert rc == 0
+        rc, back, _ = run_cli(
+            capsys, "plb", "iterate", "--file", str(path), "--x", out.strip(),
+            "--n", str(-k),
+        )
+        assert rc == 0 and back.strip() == str(x)
+
+
 def test_plb_riffle_payload(capsys):
     rc, out, _ = run_cli(capsys, "plb", "riffle", "--n", "13")
     assert rc == 0
@@ -431,6 +471,14 @@ def test_missing_file_is_an_error(capsys):
     rc, _, err = run_cli(capsys, "circuit", "parity", "--file", "no-such-file.rc")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_circuit_parity_huge_width_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "wide.rc"
+    path.write_text("wires 99999999999\nnot 0\n")
+    rc, out, err = run_cli(capsys, "circuit", "parity", "--file", str(path), "--report")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_2():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ibx.kernel import (
     Bijection,
     Bitstring,
+    IterationProblem,
     WidthMismatchError,
     add_const,
     builtin_bijections,
@@ -17,7 +18,9 @@ from ibx.kernel import (
     from_permutation,
     identity,
     increment,
+    iterate,
     iterate_bijection,
+    iterate_map,
     pack_fields,
     rotate_left,
     unpack_fields,
@@ -90,6 +93,57 @@ def test_iterate_zero_is_identity():
 def test_iterate_width_mismatch():
     with pytest.raises(WidthMismatchError):
         iterate_bijection(identity(3), 1, Bitstring(0, 4))
+
+
+def _literal(f, n, x):
+    return iterate(IterationProblem(f, n, x))
+
+
+def _cycle_length(f, x):
+    y, length = f.forward(x.value), 1
+    while y != x.value:
+        y, length = f.forward(y), length + 1
+    return length
+
+
+def test_engine_matches_literal_loop_on_random_tables(rng):
+    for _ in range(40):
+        w = rng.randint(0, 6)
+        table = list(range(1 << w))
+        rng.shuffle(table)
+        f = from_permutation(table, w)
+        x = Bitstring(rng.randrange(1 << w), w)
+        for n in [rng.randint(-3 << w, 3 << w) for _ in range(12)]:
+            want = _literal(f, n, x) if n >= 0 else _literal(f.inverse(), -n, x)
+            assert iterate_bijection(f, n, x) == want, (table, n, x)
+
+
+def test_engine_huge_n_reduces_by_the_return_time(rng):
+    for _ in range(20):
+        w = rng.randint(1, 6)
+        table = list(range(1 << w))
+        rng.shuffle(table)
+        f = from_permutation(table, w)
+        x = Bitstring(rng.randrange(1 << w), w)
+        n = 10**20
+        want = _literal(f, n % _cycle_length(f, x), x)
+        assert iterate_bijection(f, n, x) == want
+        back = _literal(f.inverse(), n % _cycle_length(f, x), x)
+        assert iterate_bijection(f, -n, x) == back
+
+
+def test_engine_counts_exactly_on_maps_that_are_not_bijections():
+    # 0 -> 1 -> 2 -> 3 -> 2: x = 0 never returns, so every step is taken
+    step = [1, 2, 3, 2].__getitem__
+    assert [iterate_map(step, n, 0) for n in range(6)] == [0, 1, 2, 3, 2, 3]
+    assert iterate_map(step, 10**6 + 1, 2) == 3
+
+
+def test_engine_negative_n_needs_a_backward_map():
+    f = Bijection(3, lambda v: (v + 1) % 8, None, "forward-only")
+    assert iterate_bijection(f, 10**20, Bitstring(5, 3)) == Bitstring((5 + 10**20) % 8, 3)
+    with pytest.raises(ValueError):
+        iterate_bijection(f, -1, Bitstring(5, 3))
 
 
 def test_check_identity():

@@ -121,6 +121,18 @@ def test_iterate_zero_and_rotation_order():
         assert iterate_plb(t, 3, x) == x
 
 
+def test_negative_iterate_undoes_forward(rng):
+    compiled, _ = circuit_to_plb(ReversibleCircuit(3, (gate("toffoli", 0, 1, 2), gate("not", 0))))
+    for t in (riffle(13), circular_shift(4), compiled):
+        for _ in range(10):
+            x, k = rng.randrange(t.domain), rng.randint(0, 200)
+            y = x
+            for _ in range(k):
+                y = apply_plb(t, y)
+            assert iterate_plb(t, k, x) == y
+            assert iterate_plb(t, -k, y) == x
+
+
 def test_riffle_52_has_order_eight(rng):
     t = riffle(52)
     assert permutation_order(t) == 8
