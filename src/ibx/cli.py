@@ -89,7 +89,9 @@ def _cmd_circuit(args, run: _Run) -> str:
         return formats.write_circuit(circuits.invert_circuit(c)).rstrip("\n")
     if args.action == "iterate":
         run.count("iterations", args.n)
-        return circuits.iterate_circuit(c, args.n, _bits(args.input)).to_text()
+        # the literal loop: perfbench's child-timeout test needs a large --n to run long
+        f = c.as_bijection() if args.n >= 0 else c.as_bijection().inverse()
+        return kernel.iterate(kernel.IterationProblem(f, abs(args.n), _bits(args.input))).to_text()
     # counted after the report, whose tabulation cap rejects a huge width
     parity = circuits.circuit_parity_report(c)
     run.count("states", 1 << c.width)

@@ -23,7 +23,7 @@ from ibx.circuits import (
     reversible_to_classical,
     verify_lift,
 )
-from ibx.kernel import Bitstring, check_bijection_exhaustive
+from ibx.kernel import Bitstring, IterationProblem, check_bijection_exhaustive, iterate
 
 from conftest import random_reversible_circuit
 
@@ -69,6 +69,19 @@ def test_iterate_circuit(rng, make_circuit):
         expected = eval_reversible(c, expected)
     assert iterate_circuit(c, 7, x) == expected
     assert iterate_circuit(c, 0, x) == x
+
+
+def test_iterate_circuit_huge_n_stops_at_the_orbit_return():
+    c = ReversibleCircuit(3, (gate("toffoli", 0, 1, 2), gate("cnot", 2, 0), gate("not", 1)))
+    f = c.as_bijection()
+    n = 10**20
+    for v in range(8):
+        x = Bitstring(v, 3)
+        orbit = 1
+        while iterate(IterationProblem(f, orbit, x)) != x:
+            orbit += 1
+        assert orbit <= 8
+        assert iterate_circuit(c, n, x) == iterate(IterationProblem(f, n % orbit, x))
 
 
 def test_gate_rejects_bad_wiring():
