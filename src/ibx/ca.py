@@ -577,7 +577,8 @@ def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
 
 def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     """n forward steps (negative n steps backward) of any automaton with
-    step/step_back."""
+    step/step_back.  The config's step counter keeps it from returning to
+    the start, so the engine never shortcuts here; it only shares the loop."""
     return iterate_map(automaton.step, n, cfg, automaton.step_back)
 
 

@@ -127,10 +127,6 @@ def invert_circuit(circuit: ReversibleCircuit) -> ReversibleCircuit:
 
 
 def iterate_circuit(circuit: ReversibleCircuit, n: int, a: Bitstring) -> Bitstring:
-    if a.width != circuit.width:
-        raise WidthMismatchError(
-            f"assignment width {a.width} does not match circuit width {circuit.width}"
-        )
     return iterate_bijection(circuit.as_bijection(), n, a)
 
 

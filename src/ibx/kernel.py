@@ -166,7 +166,9 @@ def iterate_map(
     Stops at the first return to x and finishes with n modulo that return
     time.  This is exact for any deterministic step, because from a return
     on the orbit repeats, so an astronomically large n costs fewer than two
-    orbit lengths of steps.
+    orbit lengths of steps.  A state that carries a step counter, such as
+    the 1D rings' ``TrackedConfig1D``, never returns, so there the engine
+    runs all n steps.
     """
     if n < 0:
         if back is None:
