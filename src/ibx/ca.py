@@ -123,16 +123,23 @@ def _step_even_anchored(cells: np.ndarray, lut: np.ndarray, rows: slice) -> np.n
     return res
 
 
-def margolus_step(
-    grid: MargolusGrid, rule: MargolusRule, threads: int = 1
-) -> MargolusGrid:
-    """One blocked update; the phase toggles.  ``threads`` > 1 splits block
-    rows across a thread pool with bit-identical results."""
+@lru_cache(maxsize=64)
+def _rule_luts(rule: MargolusRule) -> Tuple[np.ndarray, np.ndarray]:
+    """The rule's forward and inverse lookup tables, built once per rule."""
     if not rule_is_bijective(rule):
         raise CaError("refusing to step a non-bijective rule")
-    lut = np.array(rule.table, dtype=np.uint8)
-    cells = grid.cells
-    if grid.phase == 1:
+    return np.array(rule.table, dtype=np.uint8), np.array(rule.inverse().table, dtype=np.uint8)
+
+
+def _blocked(cells_step, grid: MargolusGrid, rule: MargolusRule, back: bool, *args) -> MargolusGrid:
+    """One blocked update by ``cells_step``; with ``back``, its undo: the
+    inverse table, anchored at the phase the forward step used."""
+    cells = cells_step(grid.cells, _rule_luts(rule)[back], grid.phase ^ back, *args)
+    return MargolusGrid(cells, 1 - grid.phase)
+
+
+def _toroidal_cells(cells: np.ndarray, lut: np.ndarray, phase: int, threads: int) -> np.ndarray:
+    if phase == 1:
         cells = np.roll(cells, (-1, -1), (0, 1))
     h = cells.shape[0]
     if threads <= 1 or h < 4:
@@ -153,24 +160,24 @@ def margolus_step(
             }
             for job, (a, b) in jobs.items():
                 new[a:b, :] = job.result()
-    if grid.phase == 1:
+    if phase == 1:
         new = np.roll(new, (1, 1), (0, 1))
-    return MargolusGrid(new, 1 - grid.phase)
+    return new
 
 
-def _undo_step(step, grid: MargolusGrid, rule: MargolusRule, *args) -> MargolusGrid:
-    """Undo one blocked update made by ``step``: the inverse table, anchored
-    at the phase the forward step used."""
-    pre_phase = 1 - grid.phase
-    stepped = step(MargolusGrid(grid.cells, pre_phase), rule.inverse(), *args)
-    return MargolusGrid(stepped.cells, pre_phase)
+def margolus_step(
+    grid: MargolusGrid, rule: MargolusRule, threads: int = 1
+) -> MargolusGrid:
+    """One blocked update; the phase toggles.  ``threads`` > 1 splits block
+    rows across a thread pool with bit-identical results."""
+    return _blocked(_toroidal_cells, grid, rule, False, threads)
 
 
 def margolus_step_back(
     grid: MargolusGrid, rule: MargolusRule, threads: int = 1
 ) -> MargolusGrid:
     """Undo one margolus_step."""
-    return _undo_step(margolus_step, grid, rule, threads)
+    return _blocked(_toroidal_cells, grid, rule, True, threads)
 
 
 def simulate_bbm(
@@ -189,6 +196,30 @@ def simulate_bbm(
     )
 
 
+def _helical_cells(cells: np.ndarray, lut: np.ndarray, phase: int) -> np.ndarray:
+    if phase == 0:
+        return _toroidal_cells(cells, lut, 0, 1)
+    h, w = cells.shape
+    p = h * w // 2
+    top = cells[0::2, :].reshape(p).copy()
+    bottom = cells[1::2, :].reshape(p).copy()
+    u = np.arange(1, p, 2)
+    lo = (u + w) % p
+    tl = bottom[u]
+    tr = bottom[(u + 1) % p]
+    bl = top[lo]
+    br = top[(lo + 1) % p]
+    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
+    bottom[u] = (out >> 3) & 1
+    bottom[(u + 1) % p] = (out >> 2) & 1
+    top[lo] = (out >> 1) & 1
+    top[(lo + 1) % p] = out & 1
+    new = np.empty_like(cells)
+    new[0::2, :] = top.reshape(h // 2, w)
+    new[1::2, :] = bottom.reshape(h // 2, w)
+    return new
+
+
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
     """One blocked update under helical (screw) vertical connections.
 
@@ -201,37 +232,14 @@ def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGri
     instead of wrapping level.  Patterns that never touch the seam step
     identically to margolus_step.
     """
-    if not rule_is_bijective(rule):
-        raise CaError("refusing to step a non-bijective rule")
-    if grid.phase == 0:
-        return margolus_step(grid, rule)
-    lut = np.array(rule.table, dtype=np.uint8)
-    h, w = grid.shape
-    p = h * w // 2
-    top = grid.cells[0::2, :].reshape(p).copy()
-    bottom = grid.cells[1::2, :].reshape(p).copy()
-    u = np.arange(1, p, 2)
-    lo = (u + w) % p
-    tl = bottom[u]
-    tr = bottom[(u + 1) % p]
-    bl = top[lo]
-    br = top[(lo + 1) % p]
-    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
-    bottom[u] = (out >> 3) & 1
-    bottom[(u + 1) % p] = (out >> 2) & 1
-    top[lo] = (out >> 1) & 1
-    top[(lo + 1) % p] = out & 1
-    cells = np.empty_like(grid.cells)
-    cells[0::2, :] = top.reshape(h // 2, w)
-    cells[1::2, :] = bottom.reshape(h // 2, w)
-    return MargolusGrid(cells, 0)
+    return _blocked(_helical_cells, grid, rule, False)
 
 
 def margolus_step_back_helical(
     grid: MargolusGrid, rule: MargolusRule
 ) -> MargolusGrid:
     """Undo one margolus_step_helical."""
-    return _undo_step(margolus_step_helical, grid, rule)
+    return _blocked(_helical_cells, grid, rule, True)
 
 
 def simulate_helical(

@@ -10,10 +10,13 @@ involution, so a circuit is inverted by reversing its gate list.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .kernel import Bijection, Bitstring, WidthMismatchError, cycle_lengths, iterate_bijection
+import numpy as np
+
+from .kernel import MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths, iterate_bijection
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 
@@ -49,36 +52,26 @@ class ReversibleGate:
         if any(w < 0 for w in self.wires):
             raise CircuitError("wire indices must be nonnegative")
 
-    @property
-    def arity(self) -> int:
-        return len(self.wires)
 
-
-def _apply_gate(gate: ReversibleGate, state: int, width: int) -> int:
+def _apply_gate(gate: ReversibleGate, state, width: int):
+    """One gate on an int state, or elementwise on an integer array of states:
+    a conditional XOR, with swap and fredkin flipping both wires where they differ."""
     pos = [width - 1 - w for w in gate.wires]
     kind = gate.kind
     if kind == "not":
         return state ^ (1 << pos[0])
-    if kind == "swap":
-        a, b = pos
-        if ((state >> a) ^ (state >> b)) & 1:
-            state ^= (1 << a) | (1 << b)
-        return state
     if kind == "cnot":
         c, t = pos
-        if (state >> c) & 1:
-            state ^= 1 << t
-        return state
+        return state ^ (((state >> c) & 1) << t)
     if kind == "toffoli":
         c1, c2, t = pos
-        if (state >> c1) & (state >> c2) & 1:
-            state ^= 1 << t
-        return state
-    # fredkin
-    c, a, b = pos
-    if (state >> c) & 1 and ((state >> a) ^ (state >> b)) & 1:
-        state ^= (1 << a) | (1 << b)
-    return state
+        return state ^ (((state >> c1) & (state >> c2) & 1) << t)
+    a, b = pos[-2:]
+    flip = (state >> a) ^ (state >> b)
+    if kind == "fredkin":
+        flip = flip & (state >> pos[0])
+    flip = flip & 1
+    return state ^ (flip << a) ^ (flip << b)
 
 
 @dataclass(frozen=True)
@@ -93,12 +86,13 @@ class ReversibleCircuit:
             if max(g.wires, default=-1) >= self.width:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
 
-    def eval_int(self, value: int) -> int:
+    def eval_int(self, value):
+        """The circuit on an int, or elementwise on an array of states."""
         for g in self.gates:
             value = _apply_gate(g, value, self.width)
         return value
 
-    def eval_int_reversed(self, value: int) -> int:
+    def eval_int_reversed(self, value):
         for g in reversed(self.gates):
             value = _apply_gate(g, value, self.width)
         return value
@@ -111,6 +105,19 @@ class ReversibleCircuit:
 
 def gate(kind: str, *wires: int) -> ReversibleGate:
     return ReversibleGate(kind, tuple(wires))
+
+
+# Exhaustive walks evaluate this many states per array, so memory stays near
+# 32 KiB per live wire at any input width.  States are int64 up to 62 bits,
+# where a shifted bit never reaches the sign bit, and Python ints above.
+STATE_CHUNK = 1 << 12
+
+
+def _state_chunks(count: int, width: int) -> Iterator[np.ndarray]:
+    """States 0 .. count-1 in ascending arrays of at most STATE_CHUNK."""
+    dtype = np.int64 if width <= 62 else object
+    for lo in range(0, count, STATE_CHUNK):
+        yield np.arange(lo, min(count, lo + STATE_CHUNK), dtype=dtype)
 
 
 def eval_reversible(circuit: ReversibleCircuit, a: Bitstring) -> Bitstring:
@@ -139,7 +146,7 @@ def permutation_of(circuit: ReversibleCircuit) -> List[int]:
         raise CircuitError(
             f"width {circuit.width} exceeds permutation tabulation cap {MAX_PERMUTATION_WIDTH}"
         )
-    return [circuit.eval_int(x) for x in range(1 << circuit.width)]
+    return circuit.eval_int(np.arange(1 << circuit.width)).tolist()
 
 
 def parity(perm: Sequence[int]) -> str:
@@ -225,19 +232,34 @@ _BOOL_FN = {
 }
 
 
+def _pack_bits(bits: Iterable):
+    """Bits (ints or arrays), most significant first, packed into one value."""
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+def _read_wires(state, width: int, wires: Sequence[int]):
+    """The listed wires of a ``width``-wire state, packed first wire highest."""
+    return _pack_bits((state >> (width - 1 - w)) & 1 for w in wires)
+
+
+def _eval_classical(circuit: ClassicalCircuit, x):
+    """The packed output for an int input, or elementwise for an array."""
+    k = circuit.inputs
+    values = {i: (x >> (k - 1 - i)) & 1 for i in range(k)}
+    for g in circuit.gates:
+        values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
+    return _pack_bits(values[w] for w in circuit.outputs)
+
+
 def eval_classical(circuit: ClassicalCircuit, x: Bitstring) -> Bitstring:
     if x.width != circuit.inputs:
         raise WidthMismatchError(
             f"input width {x.width} does not match circuit inputs {circuit.inputs}"
         )
-    k = circuit.inputs
-    values: Dict[int, int] = {i: x.bit(k - 1 - i) for i in range(k)}
-    for g in circuit.gates:
-        values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
-    out = 0
-    for w in circuit.outputs:
-        out = (out << 1) | values[w]
-    return Bitstring(out, len(circuit.outputs))
+    return Bitstring(_eval_classical(circuit, x.value), len(circuit.outputs))
 
 
 @dataclass(frozen=True)
@@ -246,16 +268,27 @@ class LiftResult:
 
     The circuit acts on ``pad_len`` leading zero wires followed by the
     payload.  ``embed`` pads an input; ``extract`` reads the designated
-    output off a final assignment.  ``garbage_wires`` lists the wires that
-    end up holding junk intermediate values (empty for the exact lift).
+    output, the wires ``out_wires`` in order, off a final assignment.
+    ``garbage_wires`` lists the wires that end up holding junk intermediate
+    values (empty for the exact lift).
     """
 
     circuit: ReversibleCircuit
     pad_len: int
     payload_width: int
     garbage_wires: Tuple[int, ...]
-    embed: Callable[[Bitstring], Bitstring]
-    extract: Callable[[Bitstring], Bitstring]
+    out_wires: Tuple[int, ...]
+
+    def embed(self, x: Bitstring) -> Bitstring:
+        if x.width != self.payload_width:
+            raise WidthMismatchError(f"payload width {x.width}, expected {self.payload_width}")
+        return Bitstring(x.value, self.circuit.width)
+
+    def extract(self, final: Bitstring) -> Bitstring:
+        width = self.circuit.width
+        if final.width != width:
+            raise WidthMismatchError(f"assignment width {final.width}, expected {width}")
+        return Bitstring(_read_wires(final.value, width, self.out_wires), len(self.out_wires))
 
 
 def _lift_gate_sequence(
@@ -318,33 +351,13 @@ def bennett_lift(circuit: ClassicalCircuit) -> LiftResult:
         wire_of[i] = pad + i
 
     lifted = ReversibleCircuit(width, tuple(_lift_gate_sequence(circuit, wire_of)))
-    out_wires = tuple(wire_of[w] for w in circuit.outputs)
-    out_width = len(circuit.outputs)
-
-    def embed(x: Bitstring) -> Bitstring:
-        if x.width != k:
-            raise WidthMismatchError(f"payload width {x.width}, expected {k}")
-        return Bitstring(x.value, width)
-
-    def extract(final: Bitstring) -> Bitstring:
-        if final.width != width:
-            raise WidthMismatchError(f"assignment width {final.width}, expected {width}")
-        value = 0
-        for w in out_wires:
-            value = (value << 1) | final.bit(width - 1 - w)
-        return Bitstring(value, out_width)
-
     return LiftResult(
         circuit=lifted,
         pad_len=pad,
         payload_width=k,
         garbage_wires=tuple(range(len(garbage_src))),
-        embed=embed,
-        extract=extract,
+        out_wires=tuple(wire_of[w] for w in circuit.outputs),
     )
-
-
-MAX_INVERSE_VALIDATION_WIDTH = 12
 
 
 def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
@@ -363,19 +376,16 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     k = cf.inputs
     if cfi.inputs != k or len(cf.outputs) != k or len(cfi.outputs) != k:
         raise CircuitError("both circuits must map k bits to k bits")
-    if k <= MAX_INVERSE_VALIDATION_WIDTH:
-        for v in range(1 << k):
-            x = Bitstring(v, k)
-            if eval_classical(cfi, eval_classical(cf, x)) != x:
-                raise CircuitError(f"circuits are not mutually inverse at input {x.to_text()}")
+    if k <= MAX_EXHAUSTIVE_WIDTH:
+        batches: Iterable[np.ndarray] = _state_chunks(1 << k, k)
     else:
-        import random
-
         rng = random.Random(0)
-        for _ in range(1000):
-            x = Bitstring(rng.randrange(1 << k), k)
-            if eval_classical(cfi, eval_classical(cf, x)) != x:
-                raise CircuitError(f"circuits are not mutually inverse at input {x.to_text()}")
+        batches = [np.array([rng.randrange(1 << k) for _ in range(1000)], dtype=object)]
+    for x in batches:
+        bad = x[_eval_classical(cfi, _eval_classical(cf, x)) != x]
+        if bad.size:
+            first = Bitstring(int(bad.min()), k).to_text()
+            raise CircuitError(f"circuits are not mutually inverse at input {first}")
 
     anc_f = len(cf.gates)
     anc_i = len(cfi.gates)
@@ -411,26 +421,12 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     gates += reversed(sim_i)
     gates += xor_into_scratch()
 
-    lifted = ReversibleCircuit(width, tuple(gates))
-    pad = width - k
-
-    def embed(x: Bitstring) -> Bitstring:
-        if x.width != k:
-            raise WidthMismatchError(f"payload width {x.width}, expected {k}")
-        return Bitstring(x.value, width)
-
-    def extract(final: Bitstring) -> Bitstring:
-        if final.width != width:
-            raise WidthMismatchError(f"assignment width {final.width}, expected {width}")
-        return Bitstring(final.value & ((1 << k) - 1), k)
-
     return LiftResult(
-        circuit=lifted,
-        pad_len=pad,
+        circuit=ReversibleCircuit(width, tuple(gates)),
+        pad_len=width - k,
         payload_width=k,
         garbage_wires=(),
-        embed=embed,
-        extract=extract,
+        out_wires=tuple(payload),
     )
 
 
@@ -473,12 +469,17 @@ def circuit_parity_report(circuit: ReversibleCircuit) -> str:
 
 
 def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
-    """Exhaustively check a lift against its boolean circuit (small inputs)."""
-    if circuit.inputs > 10:
-        raise ValueError("exhaustive lift verification capped at 10 input bits")
-    for v in range(1 << circuit.inputs):
-        x = Bitstring(v, circuit.inputs)
-        final = eval_reversible(lift.circuit, lift.embed(x))
-        if lift.extract(final) != eval_classical(circuit, x):
+    """Exhaustively check a lift against its boolean circuit, every input at once."""
+    k = circuit.inputs
+    if k > MAX_EXHAUSTIVE_WIDTH:
+        raise ValueError(f"exhaustive lift verification capped at {MAX_EXHAUSTIVE_WIDTH} input bits")
+    if k != lift.payload_width:
+        raise WidthMismatchError(f"payload width {k}, expected {lift.payload_width}")
+    if len(lift.out_wires) != len(circuit.outputs):
+        return False
+    width = lift.circuit.width
+    for x in _state_chunks(1 << k, max(width, len(circuit.outputs))):
+        got = _read_wires(lift.circuit.eval_int(x), width, lift.out_wires)
+        if not np.all(got == _eval_classical(circuit, x)):
             return False
     return True

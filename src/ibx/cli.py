@@ -222,7 +222,7 @@ def _cmd_ca(args, run: _Run) -> str:
         grid = formats.parse_grid(run.read(args.file))
         n = args.n if args.action == "bbm-run" else -args.n
         run.count("steps", abs(n))
-        out = ca.simulate_bbm(grid, n, threads=args.threads)
+        out = ca.simulate_bbm(grid, n)
         return formats.write_grid(out).rstrip("\n")
     if args.action in ("dimredux-run", "dimredux-verify"):
         grid = formats.parse_grid(run.read(args.file))
@@ -498,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="harness RNG seed")
     common.add_argument("--report", action="store_true", help="JSON run report on stderr")
-    common.add_argument("--threads", type=int, default=1, help="block-row parallelism")
 
     top = argparse.ArgumentParser(prog="ibx", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

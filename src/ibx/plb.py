@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .circuits import ReversibleCircuit
+import numpy as np
+
+from .circuits import ReversibleCircuit, ReversibleGate
 from .kernel import cycle_lengths, iterate_map
 
 # Documented piece-count constant for bit_permute: a k-bit program moving
@@ -434,35 +436,6 @@ def bit_permute(positions: Iterable[int], k: int) -> BitPermutation:
 # Reversible circuit -> single PLB.
 
 
-def _gate_block_permutation(kind: str, local_bits: Sequence[int], block_width: int) -> List[int]:
-    """Truth table of a gate acting inside a block of block_width bits.
-
-    local_bits[i] is the block-internal bit position of the gate's i-th
-    wire; positions count from the block's least significant bit.
-    """
-    table = []
-    for t in range(1 << block_width):
-        bits = [(t >> local_bits[i]) & 1 for i in range(len(local_bits))]
-        if kind == "not":
-            bits[0] ^= 1
-        elif kind == "swap":
-            bits[0], bits[1] = bits[1], bits[0]
-        elif kind == "cnot":
-            bits[1] ^= bits[0]
-        elif kind == "toffoli":
-            bits[2] ^= bits[0] & bits[1]
-        elif kind == "fredkin":
-            if bits[0]:
-                bits[1], bits[2] = bits[2], bits[1]
-        else:
-            raise PlbError(f"unknown gate kind {kind!r}")
-        out = t
-        for i, pos in enumerate(local_bits):
-            out = (out & ~(1 << pos)) | (bits[i] << pos)
-        table.append(out)
-    return table
-
-
 def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection, int]:
     """Compile a reversible circuit into (T, s) with T^(s) = one circuit
     evaluation on [0, 2^k), hence T^(n*s) = n circuit iterations.
@@ -485,7 +458,9 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
         local = [perm.placement[p] - base for p in c_positions]
         if any(not 0 <= b < c for b in local):
             raise PlbError("bit permutation failed to reach the top block")
-        table = _gate_block_permutation(g.kind, local, c)
+        # The gate alone on its c-bit block, local bit b on wire c-1-b.
+        block_gate = ReversibleGate(g.kind, tuple(c - 1 - b for b in local))
+        table = ReversibleCircuit(c, (block_gate,)).eval_int(np.arange(1 << c)).tolist()
         block = 1 << base
         block_pieces = [
             (i * block, (i + 1) * block, 1, (table[i] - i) * block)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .circuits import ClassicalCircuit, ClassicalGate, _BOOL_FN
+from .circuits import ClassicalCircuit, ClassicalGate, _BOOL_FN, _pack_bits
 from .kernel import (
     Bijection,
     Bitstring,
@@ -308,21 +308,14 @@ def eval_oracle_circuit(oc: OracleCircuit, g_oracle: Bijection, x: Bitstring) ->
         if isinstance(g, ClassicalGate):
             values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
         else:
-            count = 0
-            for w in g.n_wires:
-                count = (count << 1) | values[w]
-            s = Bitstring(
-                pack_fields([(values[w], 1) for w in g.s_wires]), len(g.s_wires)
-            )
+            count = _pack_bits(values[w] for w in g.n_wires)
+            s = Bitstring(_pack_bits(values[w] for w in g.s_wires), len(g.s_wires))
             if g_oracle.width != len(g.s_wires):
                 raise WidthMismatchError("oracle width does not match s wires")
             t = iterate_bijection(g_oracle, count, s)
             for idx, w in enumerate(g.t_wires):
                 values[w] = t.bit(len(g.t_wires) - 1 - idx)
-    out = 0
-    for w in oc.outputs:
-        out = (out << 1) | values[w]
-    return Bitstring(out, len(oc.outputs))
+    return Bitstring(_pack_bits(values[w] for w in oc.outputs), len(oc.outputs))
 
 
 def _inverse_via_table(f: Bijection) -> Callable[[int], int]:
@@ -361,10 +354,7 @@ def compile_oracle_circuit(
     backward_oracle = g_oracle.backward or _inverse_via_table(g_oracle)
 
     def read(vec: int, ws: Sequence[int]) -> int:
-        out = 0
-        for w in ws:
-            out = (out << 1) | ((vec >> pos[w]) & 1)
-        return out
+        return _pack_bits((vec >> pos[w]) & 1 for w in ws)
 
     def write(vec: int, ws: Sequence[int], value: int) -> int:
         for idx, w in enumerate(reversed(ws)):
@@ -394,19 +384,13 @@ def compile_oracle_circuit(
 
     h = _clocked(codec, act, "oracle-clock")
 
-    vec0 = 0
-    for i in range(oc.inputs):
-        vec0 |= x.bit(oc.inputs - 1 - i) << pos[i]
+    vec0 = write(0, range(oc.inputs), x.value)
     start = Bitstring(codec.encode(ClockedState(0, 0, (vec0,))), codec.width)
 
     def extract(final: Bitstring) -> Bitstring:
         st = codec.decode(final.value)
         if st is None:
             raise ReductionError("final state decodes out of range")
-        vec = st.payload[0]
-        out = 0
-        for w in oc.outputs:
-            out = (out << 1) | ((vec >> pos[w]) & 1)
-        return Bitstring(out, len(oc.outputs))
+        return Bitstring(read(st.payload[0], oc.outputs), len(oc.outputs))
 
     return Schedule(h, m_big * m_small, start, extract, codec=codec)

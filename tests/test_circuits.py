@@ -1,5 +1,9 @@
 """Reversible gate sets, parity, boolean circuits, and the two lifts."""
 
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 
 from ibx.circuits import (
@@ -91,6 +95,40 @@ def test_gate_rejects_bad_wiring():
         gate("nand", 0, 1)
     with pytest.raises(CircuitError):
         ReversibleCircuit(2, (gate("not", 5),))
+
+
+def _eval_by_wires(c, v):
+    """Reference semantics: each gate rewrites a list of wire values."""
+    bits = [(v >> (c.width - 1 - w)) & 1 for w in range(c.width)]
+    for g in c.gates:
+        w = g.wires
+        if g.kind == "not":
+            bits[w[0]] ^= 1
+        elif g.kind == "swap":
+            bits[w[0]], bits[w[1]] = bits[w[1]], bits[w[0]]
+        elif g.kind == "cnot":
+            bits[w[1]] ^= bits[w[0]]
+        elif g.kind == "toffoli":
+            bits[w[2]] ^= bits[w[0]] & bits[w[1]]
+        elif bits[w[0]]:
+            bits[w[1]], bits[w[2]] = bits[w[2]], bits[w[1]]
+    return sum(b << (c.width - 1 - w) for w, b in enumerate(bits))
+
+
+def test_array_eval_matches_scalar_eval_and_wire_semantics(rng):
+    for width in range(13):
+        kinds = [k for k, a in GATE_ARITY.items() if a <= width]
+        gates = []
+        for _ in range(rng.randint(0, 30) if kinds else 0):
+            kind = rng.choice(kinds)
+            gates.append(gate(kind, *rng.sample(range(width), GATE_ARITY[kind])))
+        c = ReversibleCircuit(width, tuple(gates))
+        states = range(1 << width)
+        scalar = [c.eval_int(v) for v in states]
+        assert scalar == [_eval_by_wires(c, v) for v in states], width
+        assert c.eval_int(np.arange(1 << width)).tolist() == scalar
+        assert permutation_of(c) == scalar
+        assert c.eval_int_reversed(np.array(scalar)).tolist() == list(states)
 
 
 def test_permutation_of_identity():
@@ -254,6 +292,58 @@ def test_exact_lift_pure_wiring_rotation(rng):
         final = eval_reversible(lift.circuit, lift.embed(x))
         want = eval_classical(cf, x)
         assert final.to_text() == "0" * pad + want.to_text()
+
+
+def test_exact_lift_rejects_a_pair_inverse_at_all_but_one_14_bit_input():
+    k = 14
+    odd_one = Bitstring.from_text("10110011100101")
+    # cfi is the identity, except that it flips the last bit at odd_one.
+    gates, match, fresh = [], None, k
+    for i in range(k):
+        literal = i
+        if not odd_one.bit(k - 1 - i):
+            gates.append(ClassicalGate("not", fresh, (i,)))
+            literal, fresh = fresh, fresh + 1
+        if match is not None:
+            gates.append(ClassicalGate("and", fresh, (match, literal)))
+            literal, fresh = fresh, fresh + 1
+        match = literal
+    gates.append(ClassicalGate("xor", fresh, (k - 1, match)))
+    cfi = ClassicalCircuit(k, tuple(gates), tuple(range(k - 1)) + (fresh,))
+    identity = ClassicalCircuit(k, (), tuple(range(k)))
+    assert eval_classical(cfi, odd_one) != odd_one
+    with pytest.raises(CircuitError, match="mutually inverse at input 10110011100101$"):
+        exact_lift(identity, cfi)
+
+
+def test_exact_lift_samples_wide_pairs():
+    k = 70
+    cf = ClassicalCircuit(k, (), tuple(range(1, k)) + (0,))
+    cfi = ClassicalCircuit(k, (), (k - 1,) + tuple(range(k - 1)))
+    lift = exact_lift(cf, cfi)
+    sample = random.Random(1)
+    for _ in range(20):
+        x = Bitstring(sample.randrange(1 << k), k)
+        final = eval_reversible(lift.circuit, lift.embed(x))
+        assert lift.extract(final) == eval_classical(cf, x)
+    with pytest.raises(CircuitError, match="not mutually inverse"):
+        exact_lift(cf, cf)
+
+
+def test_verify_lift_on_a_lift_wider_than_62_wires(rng, make_circuit):
+    c = make_circuit(rng, 6, 40, min_gates=40)
+    cf = reversible_to_classical(c)
+    lift = exact_lift(cf, reversible_to_classical(invert_circuit(c)))
+    assert lift.circuit.width > 62
+    assert verify_lift(lift, cf)
+    for v in range(64):
+        x = Bitstring(v, 6)
+        assert lift.extract(eval_reversible(lift.circuit, lift.embed(x))) == eval_reversible(c, x)
+    # The last gate clears a scratch wire; flipping an output wire instead
+    # changes every answer.
+    gates = lift.circuit.gates[:-1] + (gate("not", lift.out_wires[-1]),)
+    broken = dataclasses.replace(lift, circuit=ReversibleCircuit(lift.circuit.width, gates))
+    assert not verify_lift(broken, cf)
 
 
 def test_reversible_to_classical_round_trip(rng, make_circuit):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ibx.circuits import ReversibleCircuit, gate, iterate_circuit
+from ibx.circuits import GATE_ARITY, ReversibleCircuit, gate, iterate_circuit, permutation_of
 from ibx.kernel import Bitstring
 from ibx.plb import (
     MAX_CIRCUIT_PLB_WIDTH,
@@ -235,6 +235,16 @@ def test_circuit_to_plb_random_circuit_iterated(rng):
     for x in range(16):
         want = iterate_circuit(c, 7, Bitstring(x, 4)).value
         assert iterate_plb(t, 7 * s, x) == want
+
+
+def test_circuit_to_plb_one_gate_of_each_kind(rng):
+    for width in range(3, 6):
+        for kind, arity in GATE_ARITY.items():
+            for _ in range(3):
+                c = ReversibleCircuit(width, (gate(kind, *rng.sample(range(width), arity)),))
+                t, s = circuit_to_plb(c)
+                want = permutation_of(c)
+                assert [iterate_plb(t, s, x) for x in range(1 << width)] == want, c
 
 
 def test_circuit_to_plb_width_cap():
