@@ -5,10 +5,14 @@ Block encoding throughout: a 2x2 block (tl, tr, bl, br) reads as the 4-bit
 value tl*8 + tr*4 + bl*2 + br.  Even-phase blocks anchor at even (row, col),
 odd phase at odd coordinates, both toroidal.
 
+One kernel serves all three geometries: the toroidal blocked update,
+_toroidal_cells.  A helical odd step is the toroidal odd step of the grid's
+two-row strip, and a ring's blocked update is the toroidal even step of its
+(top, bottom) tracks; rings hold their tracks in numpy arrays too.
+
 The 1D side pins one geometry: ring cell x covers grid column x mod c and
-row pair x // c, its two data tracks holding the upper and lower row.  With
-the ring length a multiple of the circumference this helical gluing has no
-shear, so the reference 2D simulation runs on an ordinary torus.
+row pair x // c, its two data tracks holding the upper and lower row, so
+the reference 2D simulation has helical vertical connections.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,14 +112,11 @@ class MargolusGrid:
         return int(self.cells.sum())
 
 
-def _step_even_anchored(cells: np.ndarray, lut: np.ndarray, rows: slice) -> np.ndarray:
-    tl = cells[rows, :][0::2, 0::2].astype(np.uint8)
-    tr = cells[rows, :][0::2, 1::2]
-    bl = cells[rows, :][1::2, 0::2]
-    br = cells[rows, :][1::2, 1::2]
-    idx = (tl << 3) | (tr << 2) | (bl << 1) | br
-    out = lut[idx]
-    res = np.empty_like(cells[rows, :])
+def _step_even_anchored(cells: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    tl, tr = cells[0::2, 0::2], cells[0::2, 1::2]
+    bl, br = cells[1::2, 0::2], cells[1::2, 1::2]
+    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
+    res = np.empty_like(cells)
     res[0::2, 0::2] = (out >> 3) & 1
     res[0::2, 1::2] = (out >> 2) & 1
     res[1::2, 0::2] = (out >> 1) & 1
@@ -139,27 +140,19 @@ def _blocked(cells_step, grid: MargolusGrid, rule: MargolusRule, back: bool, *ar
 
 
 def _toroidal_cells(cells: np.ndarray, lut: np.ndarray, phase: int, threads: int) -> np.ndarray:
+    """The blocked update of a toroidal grid: the one kernel every automaton
+    here runs.  ``threads`` > 1 splits block rows across a thread pool."""
     if phase == 1:
         cells = np.roll(cells, (-1, -1), (0, 1))
-    h = cells.shape[0]
-    if threads <= 1 or h < 4:
-        new = _step_even_anchored(cells, lut, slice(0, h))
+    block_rows = cells.shape[0] // 2
+    bands = min(threads, block_rows)
+    if bands <= 1:
+        new = _step_even_anchored(cells, lut)
     else:
-        block_rows = h // 2
-        bands = min(threads, block_rows)
-        bounds = [
-            (2 * (block_rows * i // bands), 2 * (block_rows * (i + 1) // bands))
-            for i in range(bands)
-        ]
-        new = np.empty_like(cells)
+        cuts = [2 * (block_rows * i // bands) for i in range(bands + 1)]
         with ThreadPoolExecutor(max_workers=bands) as pool:
-            jobs = {
-                pool.submit(_step_even_anchored, cells, lut, slice(a, b)): (a, b)
-                for a, b in bounds
-                if a < b
-            }
-            for job, (a, b) in jobs.items():
-                new[a:b, :] = job.result()
+            stepped = pool.map(lambda a, b: _step_even_anchored(cells[a:b], lut), cuts, cuts[1:])
+            new = np.vstack(list(stepped))
     if phase == 1:
         new = np.roll(new, (1, 1), (0, 1))
     return new
@@ -196,28 +189,26 @@ def simulate_bbm(
     )
 
 
+def _strip(cells: np.ndarray) -> np.ndarray:
+    """The grid's row pairs read as one two-cell-tall strip, as a 2 x (h*w/2)
+    array: strip position u = (row pair) * width + column."""
+    return np.stack([cells[0::2].reshape(-1), cells[1::2].reshape(-1)])
+
+
+def _unstrip(strip: np.ndarray, h: int, w: int) -> np.ndarray:
+    return strip.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
+
+
 def _helical_cells(cells: np.ndarray, lut: np.ndarray, phase: int) -> np.ndarray:
     if phase == 0:
         return _toroidal_cells(cells, lut, 0, 1)
     h, w = cells.shape
-    p = h * w // 2
-    top = cells[0::2, :].reshape(p).copy()
-    bottom = cells[1::2, :].reshape(p).copy()
-    u = np.arange(1, p, 2)
-    lo = (u + w) % p
-    tl = bottom[u]
-    tr = bottom[(u + 1) % p]
-    bl = top[lo]
-    br = top[(lo + 1) % p]
-    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
-    bottom[u] = (out >> 3) & 1
-    bottom[(u + 1) % p] = (out >> 2) & 1
-    top[lo] = (out >> 1) & 1
-    top[(lo + 1) % p] = out & 1
-    new = np.empty_like(cells)
-    new[0::2, :] = top.reshape(h // 2, w)
-    new[1::2, :] = bottom.reshape(h // 2, w)
-    return new
+    top, bottom = _strip(cells)
+    # the odd blocks of the strip whose upper track is slid back one row
+    # pair are the toroidal odd blocks of a 2-row grid
+    new = _toroidal_cells(np.stack([np.roll(top, -w), bottom]), lut, 1, 1)
+    new[0] = np.roll(new[0], w)
+    return _unstrip(new, h, w)
 
 
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
@@ -259,52 +250,64 @@ def simulate_helical(
 # 1D rings with named tracks.
 
 
-@dataclass(frozen=True)
 class TrackedConfig1D:
     """Ring of cells, each a tuple of track values, plus a step counter.
 
     Track meaning is declared by whichever automaton owns the config; the
-    band-shift convention is track 0 = top, track 1 = bottom.
+    band-shift convention is track 0 = top, track 1 = bottom.  The values
+    live in ``tracks``, a read-only (tracks x ring) integer array; ``cells``
+    reads them back as per-cell tuples.  Equality compares the tracks only:
+    no ring map reads the step counter, so a config whose tracks return is
+    back at the start of its orbit.
     """
 
-    cells: Tuple[Tuple[int, ...], ...]
-    step: int = 0
+    __slots__ = ("tracks", "step")
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __init__(self, cells: Sequence[Sequence[int]], step: int = 0) -> None:
+        if not len(cells):
             raise CaError("ring must have at least one cell")
-        width = len(self.cells[0])
-        if any(len(c) != width for c in self.cells):
+        try:
+            tracks = np.array(cells, dtype=np.int64).T
+        except (ValueError, TypeError, OverflowError) as err:
+            raise CaError("all cells must share the track schema") from err
+        if tracks.ndim != 2:
             raise CaError("all cells must share the track schema")
+        tracks.setflags(write=False)
+        self.tracks, self.step = tracks, step
+
+    @property
+    def cells(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(tuple, self.tracks.T.tolist()))
 
     @property
     def ring(self) -> int:
-        return len(self.cells)
+        return self.tracks.shape[1]
 
-    def track(self, i: int) -> Tuple[int, ...]:
-        return tuple(c[i] for c in self.cells)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrackedConfig1D):
+            return NotImplemented
+        return np.array_equal(self.tracks, other.tracks)
+
+    def __hash__(self) -> int:
+        return hash(self.tracks.tobytes())
+
+    def __repr__(self) -> str:
+        return f"TrackedConfig1D({self.cells!r}, step={self.step})"
 
 
-def _with_tracks(
-    cfg: TrackedConfig1D, replacements: dict, step: int
-) -> TrackedConfig1D:
-    width = len(cfg.cells[0])
-    cols = [list(cfg.track(i)) for i in range(width)]
-    for i, vals in replacements.items():
-        cols[i] = list(vals)
-    cells = tuple(tuple(col[x] for col in cols) for x in range(cfg.ring))
-    return TrackedConfig1D(cells, step)
+def _band_shift(tracks: np.ndarray, d: int) -> np.ndarray:
+    """A copy of ``tracks`` with the top track slid d cells rightward and the
+    bottom track d cells leftward."""
+    out = tracks.copy()
+    out[0], out[1] = np.roll(tracks[0], d), np.roll(tracks[1], -d)
+    return out
 
 
 def band_shift_step(cfg: TrackedConfig1D, reverse: bool = False) -> TrackedConfig1D:
     """Slide the top track one cell rightward and the bottom track one cell
     leftward around the ring (other tracks stay)."""
-    p = cfg.ring
-    top, bottom = cfg.track(0), cfg.track(1)
     d = -1 if reverse else 1
-    new_top = tuple(top[(x - d) % p] for x in range(p))
-    new_bottom = tuple(bottom[(x + d) % p] for x in range(p))
-    return _with_tracks(cfg, {0: new_top, 1: new_bottom}, cfg.step + (1 if not reverse else -1))
+    return TrackedConfig1D(_band_shift(cfg.tracks, d).T, cfg.step + d)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +368,23 @@ def _paired_cell_map(parts: StrobeParts) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _inverse_cell_map(parts: StrobeParts) -> dict:
-    return {v: k for k, v in _paired_cell_map(parts).items()}
+def _cell_luts(parts: StrobeParts) -> Tuple[np.ndarray, np.ndarray]:
+    """_paired_cell_map and its inverse as lookup arrays: lut[:, a, b] is the
+    image of the counter pair (a, b)."""
+    m = parts.size
+    fwd, back = np.empty((2, m, m), np.int64), np.empty((2, m, m), np.int64)
+    for (a, b), (a2, b2) in _paired_cell_map(parts).items():
+        fwd[:, a, b] = a2, b2
+        back[:, a2, b2] = a, b
+    return fwd, back
+
+
+def _swap_pair(tracks: np.ndarray, here: int, there: int) -> None:
+    """Exchange track ``here`` of each even cell with track ``there`` of its
+    right neighbor, in place: the partition swap coupling adjacent cells.
+    On an odd ring the last cell has no partner."""
+    even, odd = (here, slice(0, tracks.shape[1] - 1, 2)), (there, slice(1, None, 2))
+    tracks[even], tracks[odd] = tracks[odd].copy(), tracks[even].copy()
 
 
 @dataclass(frozen=True)
@@ -385,35 +403,31 @@ class StrobeAutomaton:
 
     def initial(self, p: int) -> TrackedConfig1D:
         a, b = self.seed
-        return TrackedConfig1D(tuple((0, a, 0, 0, b, 0) for _ in range(p)), 0)
+        return TrackedConfig1D(((0, a, 0, 0, b, 0),) * p, 0)
 
     def lit(self, cfg: TrackedConfig1D) -> bool:
-        return all(self.parts.firing(c[1]) for c in cfg.cells)
+        return all(map(self.parts.firing, cfg.tracks[1].tolist()))
 
-    def _swap_pair(self, cfg: TrackedConfig1D, here: int, there: int) -> TrackedConfig1D:
-        """Exchange track ``here`` of each even cell with track ``there`` of
-        its right neighbor: the partition swap coupling adjacent cells."""
-        a, b = list(cfg.track(here)), list(cfg.track(there))
-        for x in range(0, cfg.ring - 1, 2):
-            a[x], b[x + 1] = b[x + 1], a[x]
-        return _with_tracks(cfg, {here: a, there: b}, cfg.step)
-
-    def _advance(self, cfg, table: dict, first, last, d: int) -> TrackedConfig1D:
-        """One step either way: swap the ``first`` track pair, map every
-        (top_c, bot_c) counter pair through ``table``, swap ``last``."""
-        cfg = self._swap_pair(cfg, *first)
-        cells = []
-        for c in cfg.cells:
-            a, b = table[(c[1], c[4])]
-            cells.append((c[0], a, c[2], c[3], b, c[5]))
-        cfg = self._swap_pair(TrackedConfig1D(tuple(cells), cfg.step), *last)
-        return TrackedConfig1D(cfg.cells, cfg.step + d)
+    def _advance(self, cfg: TrackedConfig1D, d: int) -> TrackedConfig1D:
+        """One step forward (d = 1) or back (d = -1).  Forward swaps track 2
+        with track 0, maps every (top_c, bot_c) counter pair through the
+        cell map, then swaps track 3 with track 5; back undoes that."""
+        tracks = cfg.tracks.copy()
+        if tracks.shape[0] != 6:
+            raise CaError("strobe configs have six tracks")
+        if tracks[[1, 4]].min() < 0 or tracks[[1, 4]].max() >= self.parts.size:
+            raise CaError("strobe counter outside the alphabet")
+        back = d < 0
+        _swap_pair(tracks, *((2, 0), (3, 5))[back])
+        tracks[[1, 4]] = _cell_luts(self.parts)[back][:, tracks[1], tracks[4]]
+        _swap_pair(tracks, *((3, 5), (2, 0))[back])
+        return TrackedConfig1D(tracks.T, cfg.step + d)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        return self._advance(cfg, _paired_cell_map(self.parts), (2, 0), (3, 5), 1)
+        return self._advance(cfg, 1)
 
     def step_back(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        return self._advance(cfg, _inverse_cell_map(self.parts), (3, 5), (2, 0), -1)
+        return self._advance(cfg, -1)
 
 
 def strobe_wrap(
@@ -490,93 +504,75 @@ class DimReduxAutomaton:
             raise CaError(f"grid must be {self.rows}x{self.c}")
         if grid.phase != n % 2:
             raise CaError("grid phase inconsistent with step count")
-        cells = []
-        for x in range(self.p):
-            top, bottom = self._home(x, n % 2)
-            cells.append(
-                (int(grid.cells[top]), int(grid.cells[bottom]), (x + n * self.t) % 2, 0)
-            )
-        return TrackedConfig1D(tuple(cells), n * self.t)
+        parity = (np.arange(self.p) + n * self.t) % 2
+        data = self._slide(_strip(grid.cells).astype(np.int64), n)
+        return TrackedConfig1D(np.vstack([data, parity, np.zeros_like(parity)]).T, n * self.t)
 
     def extract(self, cfg: TrackedConfig1D, n: int) -> MargolusGrid:
         """Inverse of embed: rebuild the 2D grid from a lit configuration."""
         if cfg.ring != self.p:
             raise CaError("ring length mismatch")
-        arr = np.zeros((self.rows, self.c), dtype=np.uint8)
-        for x in range(self.p):
-            top, bottom = self._home(x, n % 2)
-            arr[top], arr[bottom] = cfg.cells[x][0], cfg.cells[x][1]
-        return MargolusGrid(arr, n % 2)
+        return MargolusGrid(_unstrip(self._slide(cfg.tracks[:2], n), self.rows, self.c), n % 2)
 
-    def _home(self, x: int, odd: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """Grid (row, col) of ring cell x's top and bottom track values after
-        an even or odd number of 2D steps; odd counts leave the tracks slid
-        c/2 cells apart with the rows of each pair exchanged."""
-        if not odd:
-            pair, col = divmod(x, self.c)
-            return (2 * pair, col), (2 * pair + 1, col)
+    def _slide(self, data: np.ndarray, n: int) -> np.ndarray:
+        """Grid strip to top and bottom tracks after n 2D steps, and back: odd
+        counts leave the tracks slid c/2 cells apart with the rows of each
+        pair exchanged.  Either way the map is its own inverse."""
+        if n % 2 == 0:
+            return data
         half = self.c // 2
-        pair_t, col_t = divmod((x - half) % self.p, self.c)
-        pair_b, col_b = divmod((x + half) % self.p, self.c)
-        return (2 * pair_t + 1, col_t), (2 * pair_b, col_b)
+        return np.stack([np.roll(data[1], half), np.roll(data[0], -half)])
 
     # -- stepping -----------------------------------------------------
 
-    def _check_uniform(self, cfg: TrackedConfig1D) -> Tuple[int, int]:
-        ctr = cfg.cells[0][3]
-        par0 = cfg.cells[0][2]
-        for x, cell in enumerate(cfg.cells):
-            if cell[3] != ctr:
-                raise CaError("counter track lost uniformity")
-            if cell[2] != (par0 + x) % 2:
-                raise CaError("parity track lost alternation")
+    def _check(self, cfg: TrackedConfig1D) -> Tuple[int, int]:
+        """The uniform counter and the first cell's parity, once the config's
+        shape, contracts and alphabets hold."""
+        tracks = cfg.tracks
+        if tracks.shape != (4, self.p):
+            raise CaError(f"config must hold 4 tracks on a ring of {self.p}")
+        ctr, par0 = int(tracks[3, 0]), int(tracks[2, 0])
+        if (tracks[3] != ctr).any() or not 0 <= ctr < self.t:
+            raise CaError("counter track lost uniformity")
+        if par0 not in (0, 1) or (tracks[2, 0::2] != par0).any() or (tracks[2, 1::2] == par0).any():
+            raise CaError("parity track lost alternation")
+        if tracks[:2].min() < 0 or tracks[:2].max() > 1:
+            raise CaError("data tracks must hold 0 or 1")
         return ctr, par0
 
-    def _blocked_update(self, cfg: TrackedConfig1D, inverse: bool) -> TrackedConfig1D:
-        # the inverse reads the exchanged tracks back as the block's rows
-        upper, lower = (1, 0) if inverse else (0, 1)
-        table = self.rule.inverse().table if inverse else self.rule.table
-        top, bottom = list(cfg.track(upper)), list(cfg.track(lower))
-        starts = [x for x in range(cfg.ring) if cfg.cells[x][2] == 0]
-        if len(starts) * 2 != cfg.ring:
-            raise CaError("parity track does not split the ring into pairs")
-        for x in starts:
-            y = (x + 1) % cfg.ring
-            if cfg.cells[y][2] != 1:
-                raise CaError("parity track does not alternate at a block")
-            out = table[top[x] * 8 + top[y] * 4 + bottom[x] * 2 + bottom[y]]
-            top[x], top[y] = (out >> 1) & 1, out & 1
-            bottom[x], bottom[y] = (out >> 3) & 1, (out >> 2) & 1
-        return _with_tracks(cfg, {upper: top, lower: bottom}, cfg.step)
+    def _blocked_update(self, tracks: np.ndarray, par0: int, inverse: bool) -> np.ndarray:
+        """Pair each parity-0 cell with its right neighbor, feed the four data
+        values through the rule as the toroidal even step of the (top,
+        bottom) strip, and write them back with top and bottom exchanged.
+        The inverse reads the exchanged tracks back as the block's rows."""
+        rows = [1, 0] if inverse else [0, 1]
+        strip = np.roll(tracks[rows], -par0, axis=1)
+        out = tracks.copy()
+        new = _toroidal_cells(strip, _rule_luts(self.rule)[inverse], 0, 1)
+        out[rows[::-1]] = np.roll(new, par0, axis=1)
+        return out
+
+    def _advance(self, cfg: TrackedConfig1D, d: int) -> TrackedConfig1D:
+        """One step forward (d = 1) or back (d = -1).  The step leaving
+        counter 0 is the blocked update, the others are band shifts."""
+        ctr, par0 = self._check(cfg)
+        back = d < 0
+        if (ctr - back) % self.t == 0:
+            tracks = self._blocked_update(cfg.tracks, par0 ^ back, back)
+        else:
+            tracks = _band_shift(cfg.tracks, d)
+        tracks[2] ^= 1
+        tracks[3] = (ctr + d) % self.t
+        return TrackedConfig1D(tracks.T, cfg.step + d)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        if cfg.ring != self.p:
-            raise CaError("ring length mismatch")
-        ctr, _ = self._check_uniform(cfg)
-        new_step = cfg.step + 1
-        if ctr == 0:
-            cfg = self._blocked_update(cfg, inverse=False)
-        else:
-            cfg = band_shift_step(cfg)
-        cells = tuple(
-            (c[0], c[1], 1 - c[2], (c[3] + 1) % self.t) for c in cfg.cells
-        )
-        return TrackedConfig1D(cells, new_step)
+        return self._advance(cfg, 1)
 
     def step_back(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
-        if cfg.ring != self.p:
-            raise CaError("ring length mismatch")
-        ctr, _ = self._check_uniform(cfg)
-        pre_ctr = (ctr - 1) % self.t
-        new_step = cfg.step - 1
-        cells = tuple((c[0], c[1], 1 - c[2], pre_ctr) for c in cfg.cells)
-        cfg = TrackedConfig1D(cells, new_step)
-        if pre_ctr == 0:
-            return self._blocked_update(cfg, inverse=True)
-        return TrackedConfig1D(band_shift_step(cfg, reverse=True).cells, new_step)
+        return self._advance(cfg, -1)
 
     def lit(self, cfg: TrackedConfig1D) -> bool:
-        return all(c[3] == 0 for c in cfg.cells)
+        return not cfg.tracks[3].any()
 
 
 def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
@@ -585,9 +581,11 @@ def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
 
 def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     """n forward steps (negative n steps backward) of any automaton with
-    step/step_back.  The config's step counter keeps it from returning to
-    the start, so the engine never shortcuts here; it only shares the loop."""
-    return iterate_map(automaton.step, n, cfg, automaton.step_back)
+    step/step_back.  The engine stops at the first return of the tracks, so
+    an astronomically large n costs under two orbit lengths; the result's
+    step counter is cfg.step + n either way."""
+    out = iterate_map(automaton.step, n, cfg, automaton.step_back)
+    return TrackedConfig1D(out.tracks.T, cfg.step + n)
 
 
 def dim_redux_verify(
@@ -603,4 +601,4 @@ def dim_redux_verify(
     cfg = automaton.embed(grid, 0)
     cfg = simulate_1d(automaton, cfg, n * automaton.t)
     g2 = simulate_helical(grid, n, automaton.rule)
-    return cfg.cells == automaton.embed(g2, n).cells
+    return cfg == automaton.embed(g2, n)

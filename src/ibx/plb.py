@@ -211,18 +211,38 @@ def apply_plb(t: PiecewiseLinearBijection, x: int) -> int:
     return p.apply(x)
 
 
+def _image_index(t: PiecewiseLinearBijection) -> Tuple[list, list, list]:
+    """Pieces sorted by image start: (starts, reach, order), where reach[k]
+    is the largest image end among the first k + 1 of them.  Built on the
+    first inverse call and kept on ``t``; construction never pays for it."""
+    index = t.__dict__.get("_image_index")
+    if index is None:
+        order = sorted(range(len(t.pieces)), key=lambda i: t.pieces[i].image_interval())
+        starts, reach, top = [], [], -1
+        for i in order:
+            lo, hi = t.pieces[i].image_interval()
+            top = max(top, hi)
+            starts.append(lo)
+            reach.append(top)
+        index = (starts, reach, order)
+        object.__setattr__(t, "_image_index", index)
+    return index
+
+
 def apply_plb_inverse(t: PiecewiseLinearBijection, y: int) -> int:
+    """The preimage of y.  Only pieces whose image interval can hold y are
+    tried: walking back from the last image start at or below y while the
+    running image end still reaches y."""
     if not 0 <= y < t.domain:
         raise PlbError(f"{y} outside [0,{t.domain})")
-    for p in t.pieces:
-        lo, hi = p.image_interval()
-        if not lo <= y <= hi:
-            continue
+    starts, reach, order = _image_index(t)
+    k = bisect_right(starts, y) - 1
+    while k >= 0 and reach[k] >= y:
+        p = t.pieces[order[k]]
         q, r = divmod(y - p.off, p.mult)
-        if r:
-            continue
-        if p.lo <= q < p.hi:
+        if not r and p.lo <= q < p.hi:
             return q
+        k -= 1
     raise PlbError(f"{y} has no preimage; description is not bijective")
 
 

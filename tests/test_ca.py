@@ -9,6 +9,7 @@ from ibx.ca import (
     MargolusGrid,
     MargolusRule,
     TrackedConfig1D,
+    _paired_cell_map,
     band_shift_step,
     bbm_rule,
     counter_parts,
@@ -86,6 +87,39 @@ def naive_helical_odd_step(cells, table):
             for i, (rr, cc) in enumerate(quad):
                 out[rr][cc] = (v >> (3 - i)) & 1
     return out
+
+
+def reference_strobe_step(strobe, cfg, back=False):
+    """The per-cell strobe step: swap loops over the even cells around a
+    dict lookup of the paired cell map, inverted for a step back."""
+    table = _paired_cell_map(strobe.parts)
+    if back:
+        table = {v: k for k, v in table.items()}
+    cells = [list(c) for c in cfg.cells]
+
+    def swap(here, there):
+        for x in range(0, len(cells) - 1, 2):
+            cells[x][here], cells[x + 1][there] = cells[x + 1][there], cells[x][here]
+
+    first, last = ((3, 5), (2, 0)) if back else ((2, 0), (3, 5))
+    swap(*first)
+    for c in cells:
+        c[1], c[4] = table[(c[1], c[4])]
+    swap(*last)
+    return TrackedConfig1D(tuple(map(tuple, cells)), cfg.step + (-1 if back else 1))
+
+
+def literal_steps(auto, cfg, n):
+    for _ in range(n):
+        cfg = auto.step(cfg)
+    return cfg
+
+
+def return_time(auto, cfg):
+    out, n = auto.step(cfg), 1
+    while out.cells != cfg.cells:
+        out, n = auto.step(out), n + 1
+    return n
 
 
 def grid_of(cells, phase=0):
@@ -377,6 +411,36 @@ def test_strobe_reversible(rng):
             assert out.cells == cfg.cells and out.step == 0
 
 
+def test_strobe_matches_the_per_cell_reference(rng):
+    for t in range(1, 7):
+        strobe = toy_counter_strobe(t)
+        for p in range(5, 10):
+            # side tracks outside the singleton alphabet show every swap
+            cells = tuple(
+                tuple(rng.randrange(t) if k in (1, 4) else rng.randrange(3) for k in range(6))
+                for _ in range(p)
+            )
+            fwd = back = TrackedConfig1D(cells, 4)
+            for _ in range(8):
+                want_fwd = reference_strobe_step(strobe, fwd)
+                want_back = reference_strobe_step(strobe, back, back=True)
+                fwd, back = strobe.step(fwd), strobe.step_back(back)
+                assert fwd.cells == want_fwd.cells and fwd.step == want_fwd.step, (t, p)
+                assert back.cells == want_back.cells and back.step == want_back.step, (t, p)
+
+
+def test_strobe_rejects_counters_outside_the_alphabet():
+    strobe = toy_counter_strobe(3)
+    for bad in (-1, 3):
+        cells = [list(c) for c in strobe.initial(6).cells]
+        cells[2][4] = bad
+        cfg = TrackedConfig1D(tuple(map(tuple, cells)), 0)
+        with pytest.raises(CaError):
+            strobe.step(cfg)
+        with pytest.raises(CaError):
+            strobe.step_back(cfg)
+
+
 def test_strobe_bad_seed_rejected():
     with pytest.raises(CaError):
         strobe_wrap(counter_parts(3), 3, pattern=(0, 5))
@@ -450,3 +514,32 @@ def test_simulate_1d_round_trip(rng):
     out = simulate_1d(auto, cfg, 3 * auto.t)
     back = simulate_1d(auto, out, -3 * auto.t)
     assert back.cells == cfg.cells and back.step == cfg.step
+
+
+def test_dim_redux_rejects_data_outside_the_alphabet(rng):
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    lit = auto.embed(grid_of(random_cells(rng, 4, 4)), 0)
+    for track, bad in ((0, 2), (1, -1)):
+        cells = [list(c) for c in lit.cells]
+        cells[3][track] = bad
+        cfg = TrackedConfig1D(tuple(map(tuple, cells)), 0)
+        with pytest.raises(CaError):
+            auto.step(cfg)
+        with pytest.raises(CaError):
+            auto.step_back(cfg)
+
+
+def test_simulate_1d_huge_n_stops_at_the_orbit_return(rng):
+    dim = dim_redux_compile(bbm_rule(), 4, 8)
+    strobe = toy_counter_strobe(3)
+    side = tuple((rng.randrange(2), rng.randrange(3), 0, 1, rng.randrange(3), 0) for _ in range(7))
+    rings = [
+        (dim, dim.embed(grid_of(random_cells(rng, 4, 4)), 0)),
+        (strobe, TrackedConfig1D(side, 11)),
+    ]
+    for auto, start in rings:
+        period = return_time(auto, start)
+        for n in (10**20, -(10**20)):
+            got = simulate_1d(auto, start, n)
+            assert got.cells == literal_steps(auto, start, n % period).cells
+            assert got.step == start.step + n

@@ -253,6 +253,26 @@ def test_ca_dimredux_run_matches_2d(tmp_path, capsys):
     assert out.strip() == formats.write_grid(ca.simulate_helical(grid, 2)).strip()
 
 
+def test_ca_dimredux_run_huge_n_matches_the_reduced_count(tmp_path, capsys):
+    grid = ca.MargolusGrid([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0]])
+    path = tmp_path / "g.grid"
+    path.write_text(formats.write_grid(grid))
+    auto = ca.dim_redux_compile(ca.bbm_rule(), 4, 8)
+    start = auto.embed(grid, 0)
+    cfg, steps = auto.step(start), 1
+    while cfg != start:
+        cfg, steps = auto.step(cfg), steps + 1
+    # t = 3 is odd and the parity track returns too, so the ring's return
+    # time is an even number of blocked steps
+    blocks = steps // auto.t
+    rc, huge, _ = run_cli(capsys, "ca", "dimredux-run", "--file", str(path), "--n", str(10**20))
+    assert rc == 0
+    rc, reduced, _ = run_cli(
+        capsys, "ca", "dimredux-run", "--file", str(path), "--n", str(10**20 % blocks)
+    )
+    assert rc == 0 and huge == reduced
+
+
 def test_ca_dimredux_verify(tmp_path, capsys):
     path = ball_grid(tmp_path)
     rc, out, _ = run_cli(capsys, "ca", "dimredux-verify", "--file", str(path), "--n", "3")

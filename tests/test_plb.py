@@ -7,6 +7,7 @@ from ibx.kernel import Bitstring
 from ibx.plb import (
     MAX_CIRCUIT_PLB_WIDTH,
     Piece,
+    PiecewiseLinearBijection,
     PlbError,
     PlbValidationError,
     apply_plb,
@@ -105,6 +106,50 @@ def test_apply_inverse_round_trip(rng):
         for _ in range(20):
             x = rng.randrange(t.domain)
             assert apply_plb_inverse(t, apply_plb(t, x)) == x
+
+
+def scan_inverse(t, y):
+    """The preimage of y found by trying every piece in order."""
+    for p in t.pieces:
+        q, r = divmod(y - p.off, p.mult)
+        if not r and p.lo <= q < p.hi:
+            return q
+    return None
+
+
+def random_signed_plb(rng):
+    """A validated PLB with multipliers +-1 and +-2: each target block is
+    filled by one piece, or by two pieces of equal length on its evens and
+    its odds, each running up or down."""
+    blocks = [[rng.randint(1, 6)] * rng.randint(1, 2) for _ in range(rng.randint(1, 8))]
+    fills, base = [], 0
+    for block in blocks:
+        fills += [(length, base + r, len(block)) for r, length in enumerate(block)]
+        base += sum(block)
+    rng.shuffle(fills)
+    pieces, lo = [], 0
+    for length, start, stride in fills:
+        if rng.random() < 0.5:
+            pieces.append((lo, lo + length, stride, start - stride * lo))
+        else:
+            pieces.append((lo, lo + length, -stride, start + stride * (lo + length - 1)))
+        lo += length
+    return validate_plb(lo, pieces)
+
+
+def test_apply_inverse_matches_the_scan(rng):
+    maps = [random_signed_plb(rng) for _ in range(200)]
+    assert sum(p.mult < 0 for t in maps for p in t.pieces) > 100
+    for w in range(2, 7):
+        maps.append(circuit_to_plb(random_reversible_circuit(rng, w, 12, min_gates=4))[0])
+    for t in maps:
+        ys = range(t.domain) if t.domain <= 4096 else rng.sample(range(t.domain), 4096)
+        for y in ys:
+            assert apply_plb_inverse(t, y) == scan_inverse(t, y), (t, y)
+    # an unvalidated description that reaches no value in [4, 8)
+    partial = PiecewiseLinearBijection(8, (Piece(0, 4, 1, 0), Piece(4, 8, 1, -4)))
+    with pytest.raises(PlbError):
+        apply_plb_inverse(partial, 5)
 
 
 def test_apply_rejects_out_of_domain():
