@@ -509,9 +509,13 @@ class DimReduxAutomaton:
         return TrackedConfig1D(np.vstack([data, parity, np.zeros_like(parity)]).T, n * self.t)
 
     def extract(self, cfg: TrackedConfig1D, n: int) -> MargolusGrid:
-        """Inverse of embed: rebuild the 2D grid from a lit configuration."""
+        """Inverse of embed: rebuild the 2D grid from a lit configuration,
+        one whose counter is 0 and whose first cell has parity n*t mod 2,
+        as after n*t steps from embed(grid, 0)."""
         if cfg.ring != self.p:
             raise CaError("ring length mismatch")
+        if self._check(cfg) != (0, n * self.t % 2):
+            raise CaError(f"config is not lit for {n} 2D steps")
         return MargolusGrid(_unstrip(self._slide(cfg.tracks[:2], n), self.rows, self.c), n % 2)
 
     def _slide(self, data: np.ndarray, n: int) -> np.ndarray:

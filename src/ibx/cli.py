@@ -322,11 +322,13 @@ def _cmd_iet(args, run: _Run) -> str:
         return " ".join(map(str, gaps))
     domain, triples = formats.parse_iet(run.read(args.file))
     t = plb.interval_exchange(domain, triples)
+    su = iet.build_surface(t)
+    run.count("triangles", len(su.surface.triangles))
+    run.count("period", su.period)
+    run.count("return_runs", len(su.returns))
     if args.action == "solve":
-        su = iet.build_surface(t)
         run.count("arc_steps", iet.arc_of(su, args.i).length)
         return str(iet.iet_orbit_solve(t, args.i, args.n, surface=su))
-    su = iet.build_surface(t)
     lines = [
         f"surface domain={domain} pieces={len(t.pieces)} stripes={su.stripes} "
         f"period={su.period} triangles={len(su.surface.triangles)} "

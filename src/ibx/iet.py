@@ -14,6 +14,12 @@ triangle it runs corner to corner, and its intersections with an edge are
 identified purely by their count and position.  Tracing therefore needs
 only the per-edge crossing counts, never floating-point geometry.
 
+Tracing works on runs, not points (as in Erickson and Nayyeri's compressed
+curve tracing): a run of consecutive crossings entering a triangle leaves
+it as at most two runs.  Tracing the central edge as one run for a period d
+costs O(k * d) whatever N is and yields the first-return map as a few
+translated runs, which orbits are then walked on, one bisection per point.
+
 Coordinates: x is doubled (``x2 = 2 * x``) so that all triangulation
 vertices sit at odd x2 while the traced verticals sit at even x2; rows are
 the integer heights ``-s .. s``.  Every edge is recorded oriented
@@ -22,31 +28,18 @@ left-to-right, with vertical edges bottom-to-top.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .plb import PiecewiseLinearBijection, apply_plb
+from .plb import PiecewiseLinearBijection
 
 __all__ = [
-    "IetError",
-    "Point",
-    "Triangle",
-    "Port",
-    "Edge",
-    "TriangulatedSurface",
-    "Crossing",
-    "Arc",
-    "IetSurface",
-    "build_surface",
-    "normal_coords_vertical",
-    "validate_normal_coords",
-    "trace_step",
-    "arc_of",
-    "iet_orbit_solve",
-    "three_gap_check",
-    "three_gap_max_distinct",
+    "IetError", "Point", "Triangle", "Port", "Edge", "TriangulatedSurface",
+    "Crossing", "Arc", "IetSurface", "build_surface", "normal_coords_vertical",
+    "validate_normal_coords", "trace_step", "arc_of", "iet_orbit_solve",
+    "three_gap_check", "three_gap_max_distinct",
 ]
 
 
@@ -56,6 +49,9 @@ class IetError(ValueError):
 
 # A vertex: (x2, y) with x2 the doubled horizontal coordinate.
 Point = Tuple[int, int]
+# A run of crossings (edge, port, a, b, s, o): central crossings i in [a, b)
+# sit at index s * i + o of edge (s = +1 or -1), about to enter by port.
+Run = Tuple[int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -119,16 +115,18 @@ class Crossing(NamedTuple):
 class Arc:
     """A closed component of the traced curve.
 
-    states lists (crossing, entering-port) pairs in trace order; the arc
-    closes from the last state back to the first.
+    orbit lists its central crossings in trace order, one every period
+    triangle steps, and central_positions gives each one's place in it.
     """
 
-    states: Tuple[Tuple[Crossing, int], ...]
+    orbit: Tuple[int, ...]
     central_positions: Dict[int, int]
+    period: int
 
     @property
     def length(self) -> int:
-        return len(self.states)
+        """Triangle steps once around the closed curve."""
+        return self.period * len(self.orbit)
 
 
 @dataclass
@@ -137,6 +135,8 @@ class IetSurface:
 
     period is the uniform number of trace steps between consecutive
     central-edge crossings; it is measured from the surface, not assumed.
+    returns is the traced first-return map: sorted runs (lo, hi, off)
+    sending central crossing i in [lo, hi) to i + off.
     """
 
     transform: PiecewiseLinearBijection
@@ -144,7 +144,8 @@ class IetSurface:
     central: int
     up_port: int
     stripes: int
-    period: int
+    period: int = 0
+    returns: Tuple[Tuple[int, int, int], ...] = ()
     _arcs: Dict[int, Arc] = field(default_factory=dict, repr=False)
 
     @property
@@ -236,9 +237,7 @@ def _canonical_side(
     return v1, v2
 
 
-def build_surface(
-    transform: PiecewiseLinearBijection, check_trace: bool = True
-) -> IetSurface:
+def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
     """Triangulate the glued rectangle of an interval exchange.
 
     The rectangle spans x in [-1/2, N - 1/2] with s stripes of triangles
@@ -248,9 +247,10 @@ def build_surface(
     each row inward keeps every other cut so the subdivision dies out by
     the central row.
 
-    With check_trace (the default) the curve through every integer point
-    is traced one full period and required to land on the image point,
-    which also confirms the period is uniform.
+    The whole central edge is then traced upward as one run until it
+    returns; every part must return after the same number of steps d (the
+    period), and the resulting first-return map must equal the exchange
+    exactly.  Both checks cost O(k * d), not O(N).
     """
     t = _as_exchange(transform)
     n = t.domain
@@ -268,9 +268,7 @@ def build_surface(
         _emit_stripe(triangles, up[r - 1], up[r], n2, r - 1, r, split_top=True)
         _emit_stripe(triangles, down[r - 1], down[r], n2, -r, -r + 1, split_top=False)
 
-    images = [
-        (2 * (p.lo + p.off) - 1, 2 * (p.hi + p.off) - 1, p.off) for p in t.pieces
-    ]
+    images = [(2 * (p.lo + p.off) - 1, 2 * (p.hi + p.off) - 1, p.off) for p in t.pieces]
 
     # Intern edges: canonicalize glued sides, then demand exactly two ports
     # per edge with opposite alignment (an orientable gluing).
@@ -297,66 +295,65 @@ def build_surface(
             side_to_edge[(p.triangle, p.side)] = eid
 
     side_edges = tuple(
-        (side_to_edge[(ti, 0)], side_to_edge[(ti, 1)], side_to_edge[(ti, 2)])
-        for ti in range(len(triangles))
+        tuple(side_to_edge[(ti, si)] for si in range(3)) for ti in range(len(triangles))
     )
-    side_counts = tuple(
-        tuple(edges[e].crossings for e in trio) for trio in side_edges
-    )
-    surface = TriangulatedSurface(
-        tuple(triangles), tuple(edges), side_edges, side_counts
-    )
+    side_counts = tuple(tuple(edges[e].crossings for e in trio) for trio in side_edges)
+    surface = TriangulatedSurface(tuple(triangles), tuple(edges), side_edges, side_counts)
     validate_normal_coords(surface, normal_coords_vertical(surface))
 
     central_key = ((-1, 0), (n2 - 1, 0))
-    central = next(
-        (i for i, e in enumerate(edges) if e.key == central_key), None
-    )
+    central = next((i for i, e in enumerate(edges) if e.key == central_key), None)
     if central is None or edges[central].crossings != n:
         raise IetError("central edge missing or with wrong crossing count")
     up_port = next(
-        pi
-        for pi, p in enumerate(edges[central].ports)
+        pi for pi, p in enumerate(edges[central].ports)
         if any(v[1] > 0 for v in triangles[p.triangle].vertices)
     )
 
-    su = IetSurface(t, surface, central, up_port, stripes, period=0)
-    su.period = _measure_period(su)
-    if check_trace:
-        _check_trace_agreement(su)
+    su = IetSurface(t, surface, central, up_port, stripes)
+    su.period, su.returns = _trace_returns(su)
+    _check_trace_agreement(su)
     return su
 
 
-def _measure_period(su: IetSurface) -> int:
-    """Steps between consecutive central crossings, measured by tracing."""
-    limit = 40 * su.stripes + 40
-    state = (Crossing(su.central, 0), su.up_port)
-    for steps in range(1, limit + 1):
-        state = trace_step(su, *state)
-        if state[0].edge == su.central:
-            return steps
-    raise IetError("trace failed to return to the central edge")
+def _trace_returns(su: IetSurface) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """Trace the central edge upward as one run until it returns.
+
+    The step count d at which the first part lands on the central edge is
+    the period; every part must land there at that step, entering upward,
+    and in the same order as it left.  Returns d and the return runs.
+    """
+    runs = [(su.central, su.up_port, 0, su.width, 1, 0)]
+    for period in range(1, 40 * su.stripes + 41):
+        runs = [part for run in runs for part in _trace_run(su, run)]
+        if any(run[0] == su.central for run in runs):
+            break
+    else:
+        raise IetError("trace failed to return to the central edge")
+    returns = []
+    for edge, port, a, b, s, o in sorted(runs, key=lambda run: run[2]):
+        if edge != su.central or port != su.up_port:
+            raise IetError(f"nonuniform period at crossing {a}")
+        if s != 1 and b - a > 1:
+            raise IetError(f"trace reverses crossings {a} to {b - 1}")
+        returns.append((a, b, s * a + o - a))
+    return period, tuple(returns)
 
 
 def _check_trace_agreement(su: IetSurface) -> None:
-    """Trace one period from every integer point and compare with the map.
+    """Prove that one period of the curve is the exchange.
 
-    Confirms the period is uniform over all crossings and that the curve
-    implements the exchange: d steps upward from central crossing i land
-    on central crossing T(i), entering upward again.
+    Each return run is a translation, as is each piece, so they agree on
+    their overlap exactly when their offsets match; the runs tile the
+    domain, so this covers every crossing in O(runs + k).
     """
-    for i in range(su.width):
-        state = (Crossing(su.central, i), su.up_port)
-        for step in range(su.period):
-            state = trace_step(su, *state)
-            on_central = state[0].edge == su.central
-            if on_central != (step == su.period - 1):
-                raise IetError(f"nonuniform period at crossing {i}")
-        expected = apply_plb(su.transform, i)
-        if state[0].index != expected or state[1] != su.up_port:
-            raise IetError(
-                f"trace maps {i} to {state[0].index}, exchange maps it to {expected}"
-            )
+    pieces = su.transform.pieces
+    los = [p.lo for p in pieces]
+    for lo, hi, off in su.returns:
+        for p in pieces[bisect_right(los, lo) - 1 : bisect_left(los, hi)]:
+            if p.off != off:
+                i = max(lo, p.lo)
+                raise IetError(f"trace maps {i} to {i + off}, exchange maps it to {i + p.off}")
 
 
 def normal_coords_vertical(surface: TriangulatedSurface) -> Tuple[int, ...]:
@@ -395,88 +392,90 @@ def validate_normal_coords(
     return tuple(corners)
 
 
-def trace_step(
-    su: IetSurface, crossing: Crossing, entering: int
-) -> Tuple[Crossing, int]:
-    """Advance the curve through one triangle.
+def _trace_run(su: IetSurface, run: Run) -> List[Run]:
+    """Advance a run of crossings through one triangle.
 
-    entering names the port of the crossing's edge about to be entered.
     Inside the triangle the a(v) arcs nearest a corner v pair up
     innermost-first across its two sides: entering side i at position p
     (from the side's start vertex) exits side i - 1 at N(i-1) - 1 - p when
-    p < a(start of side i), otherwise side i + 1 at N(i) - 1 - p.
+    p < a(start of side i), otherwise side i + 1 at N(i) - 1 - p.  So the
+    run splits once, at that corner count, into at most two runs.
+    """
+    edge_id, port, a, b, s, o = run
+    edges = su.surface.edges
+    tri, side, aligned = edges[edge_id].ports[port]
+    if not aligned:  # flip to p = s * i + o, the position along the side
+        s, o = -s, edges[edge_id].crossings - 1 - o
+    counts = su.surface.side_counts[tri]
+    at_start = (counts[side - 1] + counts[side] - counts[(side + 1) % 3]) // 2
+    cut = at_start - o if s > 0 else o - at_start + 1
+    lower, upper = (a, min(b, cut)), (max(a, cut), b)
+    parts = (lower, upper) if s > 0 else (upper, lower)
+    out = []
+    exits = (((side - 1) % 3, counts[side - 1]), ((side + 1) % 3, counts[side]))
+    for (lo, hi), (out_side, count) in zip(parts, exits):
+        if lo >= hi:
+            continue
+        out_id = su.surface.side_edges[tri][out_side]
+        out_edge = edges[out_id]
+        out_port = 0 if out_edge.ports[0][:2] == (tri, out_side) else 1
+        # q = count - 1 - p along the exit side, then into edge orientation
+        qs, qo = -s, count - 1 - o
+        if not out_edge.ports[out_port].aligned:
+            qs, qo = s, out_edge.crossings - 1 - qo
+        out.append((out_id, 1 - out_port, lo, hi, qs, qo))
+    return out
 
+
+def trace_step(su: IetSurface, crossing: Crossing, entering: int) -> Tuple[Crossing, int]:
+    """Advance one crossing through one triangle: a run of one point.
+
+    entering names the port of the crossing's edge about to be entered.
     Returns the next crossing and the port to enter after it.  Stepping
     from the result with the opposite port undoes the step.
     """
-    edge = su.surface.edges[crossing.edge]
-    tri, side, aligned = edge.ports[entering]
-    counts = su.surface.side_counts[tri]
-    p = crossing.index if aligned else edge.crossings - 1 - crossing.index
-    at_start = (counts[side - 1] + counts[side] - counts[(side + 1) % 3]) // 2
-    if p < at_start:
-        out_side = (side - 1) % 3
-        q = counts[out_side] - 1 - p
-    else:
-        out_side = (side + 1) % 3
-        q = counts[side] - 1 - p
-    out_id = su.surface.side_edges[tri][out_side]
-    out_edge = su.surface.edges[out_id]
-    out_port = 0 if out_edge.ports[0][:2] == (tri, out_side) else 1
-    index = q if out_edge.ports[out_port].aligned else out_edge.crossings - 1 - q
-    return Crossing(out_id, index), 1 - out_port
+    run = (crossing.edge, entering, 0, 1, 1, crossing.index)
+    ((edge, port, _, _, _, index),) = _trace_run(su, run)
+    return Crossing(edge, index), port
 
 
 def arc_of(su: IetSurface, i: int) -> Arc:
     """The closed curve component through central crossing i, memoized.
 
-    Its length is d times the size of i's orbit under the exchange, and
-    its central crossings, every d-th state, enumerate that orbit.
+    Walks i's orbit on the traced first-return map, one bisection per orbit
+    point, so it costs O(orbit * log runs).  The arc's length is d times
+    the size of that orbit.
     """
     if not 0 <= i < su.width:
         raise IetError(f"point {i} outside [0, {su.width})")
-    cached = su._arcs.get(i)
-    if cached is not None:
-        return cached
-    start = (Crossing(su.central, i), su.up_port)
-    states: List[Tuple[Crossing, int]] = []
-    positions: Dict[int, int] = {}
-    state = start
-    while True:
-        if state[0].edge == su.central:
-            positions[state[0].index] = len(states)
-        states.append(state)
-        state = trace_step(su, *state)
-        if state == start:
-            break
-    arc = Arc(tuple(states), positions)
-    for member in positions:
+    if i in su._arcs:
+        return su._arcs[i]
+    los, _, offs = zip(*su.returns)
+    orbit, j = [], i
+    while not orbit or j != i:
+        orbit.append(j)
+        j += offs[bisect_right(los, j) - 1]
+    arc = Arc(tuple(orbit), {j: pos for pos, j in enumerate(orbit)}, su.period)
+    for member in orbit:
         su._arcs[member] = arc
     return arc
 
 
 def iet_orbit_solve(
-    transform: PiecewiseLinearBijection,
-    i: int,
-    n: int,
-    surface: Optional[IetSurface] = None,
+    transform: PiecewiseLinearBijection, i: int, n: int, surface: Optional[IetSurface] = None
 ) -> int:
     """The n-th iterate of i under an interval exchange, without iterating.
 
-    Traces the closed curve through i once (length ell, linear work), then
-    jumps n crossings' worth ahead by computing (position + n * d) mod ell,
-    so n may be astronomically large; negative n walks backward.  Passing
-    a prebuilt surface skips rebuilding and shares the arc cache.
+    Walks i's orbit once on the traced return map, O(orbit * log runs),
+    then jumps to (position + n) mod the orbit size, so n may be
+    astronomically large; negative n walks backward.  Passing a prebuilt
+    surface skips rebuilding and shares the arc cache.
     """
     su = surface if surface is not None else build_surface(transform)
     if su.transform.domain != transform.domain:
         raise IetError("surface built for a different exchange")
     arc = arc_of(su, i)
-    pos = arc.central_positions[i]
-    target, _ = arc.states[(pos + n * su.period) % arc.length]
-    if target.edge != su.central:
-        raise IetError("period jump left the central edge")
-    return target.index
+    return arc.orbit[(arc.central_positions[i] + n) % len(arc.orbit)]
 
 
 def three_gap_check(modulus: int, step: int, count: int) -> Tuple[int, ...]:

@@ -491,6 +491,25 @@ def test_dim_redux_embed_extract_round_trip(rng):
     assert auto.extract(auto.embed(g0, 2), 2) == g0
 
 
+def test_dim_redux_extract_rejects_unlit_config():
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    g = grid_of([[1 if r == c else 0 for c in range(4)] for r in range(4)], 0)
+    with pytest.raises(CaError):
+        auto.extract(auto.step(auto.embed(g, 0)), 1)
+    # lit (counter 0) but with the first cell's parity of the wrong count
+    with pytest.raises(CaError):
+        auto.extract(simulate_1d(auto, auto.embed(g, 0), auto.t), 0)
+
+
+def test_dim_redux_extract_after_lit_round_trip(rng):
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    g = grid_of(random_cells(rng, 4, 4), 0)
+    want = g
+    for n in range(1, 4):
+        want = margolus_step_helical(want, auto.rule)
+        assert auto.extract(simulate_1d(auto, auto.embed(g, 0), n * auto.t), n) == want
+
+
 def test_dim_redux_embed_checks_phase():
     auto = dim_redux_compile(bbm_rule(), 4, 8)
     grid = grid_of([[0] * 4 for _ in range(4)], 0)

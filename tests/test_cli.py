@@ -432,6 +432,42 @@ def test_iet_build_summary(tmp_path, capsys):
     assert "edge" in out and "triangle" in out
 
 
+def test_iet_build_huge_domain(tmp_path, capsys):
+    n = 10**12
+    cuts = [0] + [n // 8 * j + j for j in range(1, 8)] + [n]
+    segs = list(zip(cuts, cuts[1:]))
+    lines, out = [f"iet {n}"], 0
+    for lo, hi in segs[::-1]:
+        lines.append(f"piece {lo} {hi} {out - lo}")
+        out += hi - lo
+    path = tmp_path / "t.iet"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run_cli(capsys, "iet", "build", "--file", str(path))
+    assert rc == 0
+    assert out.splitlines()[0].startswith(f"surface domain={n} pieces=8 stripes=3")
+
+
+def test_iet_report_counts_surface_sizes(tmp_path, capsys):
+    path = tmp_path / "t.iet"
+    path.write_text(FIG_IET)
+    t = plb.interval_exchange(15, [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)])
+    su = iet.build_surface(t)
+    sizes = {
+        "triangles": len(su.surface.triangles),
+        "period": su.period,
+        "return_runs": len(su.returns),
+    }
+    rc, _, err = run_cli(capsys, "iet", "build", "--file", str(path), "--report")
+    assert rc == 0
+    assert json.loads(err)["step_counts"] == sizes
+    rc, _, err = run_cli(
+        capsys, "iet", "solve", "--file", str(path), "--i", "6", "--n", "1", "--report"
+    )
+    assert rc == 0
+    arc_steps = iet.arc_of(su, 6).length
+    assert json.loads(err)["step_counts"] == dict(sizes, arc_steps=arc_steps)
+
+
 def test_iet_three_gap(capsys):
     rc, out, _ = run_cli(
         capsys, "iet", "three-gap", "--modulus", "8", "--step", "5", "--count", "5"

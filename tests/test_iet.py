@@ -1,15 +1,21 @@
 """Interval exchanges as traced curves on a square-tiled surface."""
 
+import time
+
 import pytest
 
 from ibx.iet import (
+    Crossing,
     IetError,
+    _check_trace_agreement,
+    _trace_run,
     arc_of,
     build_surface,
     iet_orbit_solve,
     normal_coords_vertical,
     three_gap_check,
     three_gap_max_distinct,
+    trace_step,
     validate_normal_coords,
 )
 from ibx.plb import apply_plb, interval_exchange, iterate_plb
@@ -215,3 +221,155 @@ def test_three_gap_bound_and_naive_agreement(rng):
             )
             assert got == want
             assert got <= 3
+
+
+# ---------------------------------------------------------------------------
+# Run-length tracing against the point tracer it replaced.
+
+
+def point_trace_step(su, crossing, entering):
+    """The per-point triangle rule, kept literally as the oracle."""
+    edge = su.surface.edges[crossing.edge]
+    tri, side, aligned = edge.ports[entering]
+    counts = su.surface.side_counts[tri]
+    p = crossing.index if aligned else edge.crossings - 1 - crossing.index
+    at_start = (counts[side - 1] + counts[side] - counts[(side + 1) % 3]) // 2
+    if p < at_start:
+        out_side = (side - 1) % 3
+        q = counts[out_side] - 1 - p
+    else:
+        out_side = (side + 1) % 3
+        q = counts[side] - 1 - p
+    out_id = su.surface.side_edges[tri][out_side]
+    out_edge = su.surface.edges[out_id]
+    out_port = 0 if out_edge.ports[0][:2] == (tri, out_side) else 1
+    index = q if out_edge.ports[out_port].aligned else out_edge.crossings - 1 - q
+    return Crossing(out_id, index), 1 - out_port
+
+
+def point_period(su):
+    """Steps from central crossing 0 back to the central edge, point by point."""
+    state = (Crossing(su.central, 0), su.up_port)
+    for steps in range(1, 40 * su.stripes + 41):
+        state = point_trace_step(su, *state)
+        if state[0].edge == su.central:
+            return steps
+    raise AssertionError("point trace never returned")
+
+
+def point_returns(su, period):
+    """(index, port) after one period from every central crossing, checking
+    that no crossing reaches the central edge early."""
+    out = []
+    for i in range(su.width):
+        state = (Crossing(su.central, i), su.up_port)
+        for step in range(period):
+            state = point_trace_step(su, *state)
+            assert (state[0].edge == su.central) == (step == period - 1), i
+        out.append((state[0].index, state[1]))
+    return out
+
+
+def random_pieces(rng, n, k):
+    cuts = [0] + sorted(rng.sample(range(1, n), k - 1)) + [n]
+    segs = list(zip(cuts, cuts[1:]))
+    pieces, out = [], 0
+    for idx in rng.sample(range(k), k):
+        lo, hi = segs[idx]
+        pieces.append((lo, hi, out - lo))
+        out += hi - lo
+    return pieces
+
+
+def oracle_exchanges(rng, count):
+    yield interval_exchange(1, [(0, 1, 0)])
+    yield interval_exchange(37, [(0, 37, 0)])
+    for n, k in ((2, 1), (16, 5), (97, 40), (600, 599)):
+        yield rotation(n, k)
+    for _ in range(count):
+        k = rng.randint(1, 9)
+        n = rng.randint(max(k, 2), 600)
+        yield interval_exchange(n, random_pieces(rng, n, k))
+
+
+def return_table(su):
+    table = [None] * su.width
+    for lo, hi, off in su.returns:
+        for i in range(lo, hi):
+            table[i] = i + off
+    return table
+
+
+def test_run_tracer_matches_point_tracer(rng):
+    for t in oracle_exchanges(rng, 60):
+        su = build_surface(t)
+        period = point_period(su)
+        assert su.period == period
+        table = return_table(su)
+        for i, (index, port) in enumerate(point_returns(su, period)):
+            assert (table[i], su.up_port) == (index, port)
+            assert index == apply_plb(t, i)
+        for e, edge in enumerate(su.surface.edges):
+            for port in (0, 1):
+                for index in range(edge.crossings):
+                    state = (Crossing(e, index), port)
+                    assert trace_step(su, *state) == point_trace_step(su, *state)
+
+
+def test_trace_run_matches_point_tracer_on_whole_edges(rng):
+    # Each edge's crossings as one run, in both directions and under three
+    # parameterizations (index = i, index = C - 1 - i, index = i - 5).
+    for t in oracle_exchanges(rng, 10):
+        su = build_surface(t)
+        for e, edge in enumerate(su.surface.edges):
+            c = edge.crossings
+            for port in (0, 1):
+                for a, b, s, o in ((0, c, 1, 0), (0, c, -1, c - 1), (5, c + 5, 1, -5)):
+                    parts = _trace_run(su, (e, port, a, b, s, o))
+                    covered = []
+                    for out_e, out_port, lo, hi, qs, qo in parts:
+                        covered.extend(range(lo, hi))
+                        for i in range(lo, hi):
+                            want = point_trace_step(su, Crossing(e, s * i + o), port)
+                            assert (Crossing(out_e, qs * i + qo), out_port) == want
+                    assert sorted(covered) == list(range(a, b))
+
+
+def test_orbit_solve_matches_cycle_oracle_at_huge_n(rng):
+    for t in oracle_exchanges(rng, 10):
+        su = build_surface(t)
+        for i in rng.sample(range(t.domain), min(t.domain, 5)):
+            cycle = [i]
+            while apply_plb(t, cycle[-1]) != i:
+                cycle.append(apply_plb(t, cycle[-1]))
+            for n in (10**30, -(10**30), 10**30 + 7):
+                assert iet_orbit_solve(t, i, n, surface=su) == cycle[n % len(cycle)]
+
+
+def test_arc_lists_the_orbit_in_trace_order():
+    t = rotation(16, 4)
+    su = build_surface(t)
+    arc = arc_of(su, 3)
+    assert arc.orbit == (3, 7, 11, 15)
+    assert arc.central_positions == {3: 0, 7: 1, 11: 2, 15: 3}
+    assert arc.period == su.period
+
+
+def test_agreement_check_rejects_a_different_exchange():
+    su = build_surface(rotation(16, 5))
+    su.transform = rotation(16, 3)
+    with pytest.raises(IetError, match=r"trace maps \d+ to \d+, exchange maps it to \d+"):
+        _check_trace_agreement(su)
+
+
+def test_build_surface_scales_to_huge_domain(rng):
+    n = 10**12
+    t = interval_exchange(n, random_pieces(rng, n, 8))
+    started = time.perf_counter()
+    su = build_surface(t)
+    assert time.perf_counter() - started < 1.0
+    assert su.stripes == 3
+    assert len(su.returns) >= 8
+    for lo, hi, off in su.returns:
+        for i in (lo, hi - 1):
+            assert i + off == apply_plb(t, i)
