@@ -53,11 +53,10 @@ class ReversibleGate:
             raise CircuitError("wire indices must be nonnegative")
 
 
-def _apply_gate(gate: ReversibleGate, state, width: int):
-    """One gate on an int state, or elementwise on an integer array of states:
-    a conditional XOR, with swap and fredkin flipping both wires where they differ."""
-    pos = [width - 1 - w for w in gate.wires]
-    kind = gate.kind
+def _apply_gate(kind: str, pos: Tuple[int, ...], state):
+    """One gate, given by its kind and the bit positions of its wires, on an
+    int state or elementwise on an integer array of states: a conditional XOR,
+    with swap and fredkin flipping both wires where they differ."""
     if kind == "not":
         return state ^ (1 << pos[0])
     if kind == "cnot":
@@ -88,19 +87,35 @@ class ReversibleCircuit:
 
     def eval_int(self, value):
         """The circuit on an int, or elementwise on an array of states."""
-        for g in self.gates:
-            value = _apply_gate(g, value, self.width)
+        for kind, pos in _program(self):
+            value = _apply_gate(kind, pos, value)
         return value
 
     def eval_int_reversed(self, value):
-        for g in reversed(self.gates):
-            value = _apply_gate(g, value, self.width)
+        for kind, pos in reversed(_program(self)):
+            value = _apply_gate(kind, pos, value)
         return value
 
     def as_bijection(self, label: str = "") -> Bijection:
         return Bijection(
-            self.width, self.eval_int, self.eval_int_reversed, label=label or "circuit"
+            self.width,
+            self.eval_int,
+            self.eval_int_reversed,
+            label=label or "circuit",
+            arrays=True,
         )
+
+
+def _program(circuit: ReversibleCircuit) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Each gate as (kind, bit positions of its wires).  Built on the first
+    evaluation and kept in the circuit's ``__dict__``, outside the dataclass
+    fields, so equality, hash and repr do not see it."""
+    program = circuit.__dict__.get("_program")
+    if program is None:
+        top = circuit.width - 1
+        program = tuple((g.kind, tuple(top - w for w in g.wires)) for g in circuit.gates)
+        object.__setattr__(circuit, "_program", program)
+    return program
 
 
 def gate(kind: str, *wires: int) -> ReversibleGate:

@@ -376,6 +376,9 @@ def _verify_circuits(rng: random.Random) -> None:
         c = _random_circuit(rng, rng.randint(2, 8), 30)
         if circuits.circuit_parity_report(c) != "even":
             raise ValueError("narrow-gate circuit with odd parity")
+        chk = kernel.check_bijection_exhaustive(c.as_bijection())
+        if not chk.ok:
+            raise ValueError(f"circuit: {chk.reason} at {chk.witness}")
     for w in range(2, 9):
         f = circuits.negation_map(w)
         perm = [f.forward(x) for x in range(1 << w)]

@@ -15,11 +15,16 @@ Conventions used across the package:
 * A Bijection's ``forward``/``backward`` evaluators work directly on the
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
+* A Bijection with ``arrays`` set also maps an int64 numpy array
+  elementwise; ``check_bijection_exhaustive`` then evaluates the whole state
+  space in one call per direction.  Circuits set it.  Other maps (the stock
+  maps below, the schedules in ``reductions``, arbitrary callables) keep the
+  scalar walk.  numpy is imported only on that array path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
@@ -103,12 +108,17 @@ class Bijection:
     ``forward`` and the optional ``backward`` act on the integer encoding.
     Out-of-domain encodings are the evaluator's problem: the contract is that
     they map to themselves, keeping the map total on all 2**width values.
+    ``arrays`` declares that both evaluators also map an int64 numpy array
+    elementwise, which lets ``check_bijection_exhaustive`` run on whole
+    arrays.  It states what the evaluators can do; results are the same
+    either way.
     """
 
     width: int
     forward: Callable[[int], int]
     backward: Optional[Callable[[int], int]] = None
     label: str = ""
+    arrays: bool = False
 
     def apply(self, x: Bitstring) -> Bitstring:
         if x.width != self.width:
@@ -125,7 +135,9 @@ class Bijection:
     def inverse(self) -> "Bijection":
         if self.backward is None:
             raise ValueError("cannot invert without a backward evaluator")
-        return Bijection(self.width, self.backward, self.forward, label=f"inv({self.label})")
+        return replace(
+            self, forward=self.backward, backward=self.forward, label=f"inv({self.label})"
+        )
 
 
 @dataclass(frozen=True)
@@ -215,11 +227,15 @@ class BijectionCheck:
 def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     """Walk all 2**width inputs and verify injectivity (and backward, if any).
 
-    On a forward collision the witness is the two colliding inputs.  On a
-    backward mismatch it is (x, backward(forward(x))).
+    The first failing input wins; at one input an escape from [0, 2**width)
+    comes before a collision, and a collision before a backward mismatch.
+    On an escape the witness is (x, x), on a forward collision the two
+    colliding inputs, and on a backward mismatch (x, backward(forward(x))).
     """
     if f.width > MAX_EXHAUSTIVE_WIDTH:
         raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
+    if f.arrays:
+        return _check_arrays(f)
     size = 1 << f.width
     seen: dict[int, int] = {}
     for x in range(size):
@@ -240,6 +256,42 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
                     False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse"
                 )
     return BijectionCheck(True)
+
+
+def _check_arrays(f: Bijection) -> BijectionCheck:
+    """The exhaustive check on whole arrays: the scalar walk's result and
+    witness, from one forward and at most one backward evaluation."""
+    import numpy as np
+
+    size = 1 << f.width
+    xs = np.arange(size, dtype=np.int64)
+    ys = np.asarray(f.forward(xs))
+    result = BijectionCheck(True)
+    # Inputs before the first escape map into range; among them, the first
+    # whose image is already taken is the first collision.  Backward is only
+    # asked about the images of inputs the scalar walk would have passed.
+    escapes = np.flatnonzero((ys < 0) | (ys >= size))
+    stop = int(escapes[0]) if escapes.size else size
+    if stop < size:
+        result = BijectionCheck(False, (Bitstring(stop, f.width),) * 2, "escape")
+    images, first = np.unique(ys[:stop], return_index=True)
+    if first.size < stop:
+        repeated = np.ones(stop, dtype=bool)
+        repeated[first] = False
+        stop = int(np.argmax(repeated))
+        earlier = int(first[np.searchsorted(images, ys[stop])])
+        result = BijectionCheck(
+            False, (Bitstring(earlier, f.width), Bitstring(stop, f.width)), "collision"
+        )
+    if f.backward is not None:
+        backs = np.asarray(f.backward(ys[:stop]))
+        wrong = np.flatnonzero(backs != xs[:stop])
+        if wrong.size:
+            x = int(wrong[0])
+            return BijectionCheck(
+                False, (Bitstring(x, f.width), Bitstring(int(backs[x]), f.width)), "inverse"
+            )
+    return result
 
 
 def identity(width: int) -> Bijection:

@@ -27,6 +27,7 @@ from ibx.circuits import (
     reversible_to_classical,
     verify_lift,
 )
+from ibx.formats import write_circuit
 from ibx.kernel import Bitstring, IterationProblem, check_bijection_exhaustive, iterate
 
 from conftest import random_reversible_circuit
@@ -129,6 +130,17 @@ def test_array_eval_matches_scalar_eval_and_wire_semantics(rng):
         assert c.eval_int(np.arange(1 << width)).tolist() == scalar
         assert permutation_of(c) == scalar
         assert c.eval_int_reversed(np.array(scalar)).tolist() == list(states)
+
+
+def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):
+    a = make_circuit(rng, 6, 20)
+    b = ReversibleCircuit(a.width, tuple(gate(g.kind, *g.wires) for g in a.gates))
+    a.eval_int(5)
+    a.eval_int_reversed(np.arange(64))
+    assert vars(a) != vars(b)  # a now carries its gate positions
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and "_program" not in repr(a)
+    assert write_circuit(a) == write_circuit(b)
 
 
 def test_permutation_of_identity():

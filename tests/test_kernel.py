@@ -1,5 +1,6 @@
 """Bitstrings, bijection wrappers, iteration, and the exhaustive checker."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from ibx.kernel import (
     unpack_fields,
 )
 from ibx.plb import apply_plb, riffle
+
+from conftest import random_reversible_circuit
 
 
 def test_text_is_msb_first():
@@ -176,6 +179,84 @@ def test_check_catches_broken_backward():
     report = check_bijection_exhaustive(f)
     assert not report.ok
     assert "inverse" in report.reason
+
+
+def _both_checks(f):
+    """check_bijection_exhaustive on an ``arrays`` map, and on the same
+    evaluators wrapped as a scalar map, which takes the scalar walk."""
+    back = f.backward
+    scalar = Bijection(
+        f.width,
+        lambda v: int(f.forward(v)),
+        None if back is None else (lambda v: int(back(v))),
+        f.label,
+    )
+    assert f.arrays and not scalar.arrays
+    return check_bijection_exhaustive(f), check_bijection_exhaustive(scalar)
+
+
+def _faulty_tables(rng, width, faults):
+    """A random permutation table and its inverse, with ``faults`` planted
+    faults: a collision, a wrong backward entry, or an escape to -1 or to
+    2**width and above."""
+    size = 1 << width
+    fwd = list(range(size))
+    rng.shuffle(fwd)
+    back = [0] * size
+    for x, y in enumerate(fwd):
+        back[y] = x
+    for _ in range(faults):
+        kind = rng.choice(["collision", "backward", "escape"])
+        if kind == "escape":
+            fwd[rng.randrange(size)] = rng.choice([-1, size + rng.randrange(size)])
+        elif size > 1 and kind == "collision":
+            i, j = rng.sample(range(size), 2)
+            fwd[j] = fwd[i]
+        elif size > 1:
+            k = rng.randrange(size)
+            back[k] = (back[k] + rng.randrange(1, size)) % size
+    return np.array(fwd, dtype=np.int64), np.array(back, dtype=np.int64)
+
+
+def test_array_check_matches_scalar_walk_on_circuits(rng):
+    for width in range(11):
+        for _ in range(4):
+            c = random_reversible_circuit(rng, width, 30 if width > 1 else 0, min_gates=0)
+            for f in (c.as_bijection(), c.as_bijection().inverse()):
+                fast, slow = _both_checks(f)
+                assert fast == slow
+                assert fast.ok, (width, c)
+
+
+def test_array_check_matches_scalar_walk_on_faulty_tables(rng):
+    reasons = set()
+    for width in range(8):
+        for faults in range(4):
+            for _ in range(12):
+                fwd, back = _faulty_tables(rng, width, faults)
+                for backward in (back.__getitem__, None):
+                    f = Bijection(width, fwd.__getitem__, backward, "table", arrays=True)
+                    fast, slow = _both_checks(f)
+                    assert fast == slow, (fwd.tolist(), back.tolist(), backward)
+                    reasons.add(fast.reason)
+    assert reasons == {"", "escape", "collision", "inverse"}
+
+
+def test_array_flag_edges(monkeypatch):
+    add1 = Bijection(3, lambda v: (v + 1) & 7, lambda v: (v - 1) & 7, "add1", arrays=True)
+    assert add1.inverse().arrays
+    assert not increment(3).inverse().arrays
+    assert check_bijection_exhaustive(add1.inverse()).ok
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a map wider than the cap")
+
+    monkeypatch.setattr(np, "arange", never)
+    with pytest.raises(ValueError):
+        check_bijection_exhaustive(Bijection(21, never, never, "wide", arrays=True))
+    monkeypatch.undo()
+    empty = Bijection(0, lambda v: v, lambda v: v, "empty", arrays=True)
+    assert all(chk.ok for chk in _both_checks(empty))
 
 
 def test_cat_map_origin_fixed():
