@@ -4,7 +4,8 @@ lifts from ordinary boolean circuits into them.
 Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
-involution, so a circuit is inverted by reversing its gate list.
+involution, so a circuit is inverted by reversing its gate list.  numpy is
+imported only by the functions that evaluate a whole state space at once.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .kernel import MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths, iterate_bijection
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 
@@ -130,6 +132,8 @@ STATE_CHUNK = 1 << 12
 
 def _state_chunks(count: int, width: int) -> Iterator[np.ndarray]:
     """States 0 .. count-1 in ascending arrays of at most STATE_CHUNK."""
+    import numpy as np
+
     dtype = np.int64 if width <= 62 else object
     for lo in range(0, count, STATE_CHUNK):
         yield np.arange(lo, min(count, lo + STATE_CHUNK), dtype=dtype)
@@ -161,6 +165,8 @@ def permutation_of(circuit: ReversibleCircuit) -> List[int]:
         raise CircuitError(
             f"width {circuit.width} exceeds permutation tabulation cap {MAX_PERMUTATION_WIDTH}"
         )
+    import numpy as np
+
     return circuit.eval_int(np.arange(1 << circuit.width)).tolist()
 
 
@@ -391,6 +397,8 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     k = cf.inputs
     if cfi.inputs != k or len(cf.outputs) != k or len(cfi.outputs) != k:
         raise CircuitError("both circuits must map k bits to k bits")
+    import numpy as np
+
     if k <= MAX_EXHAUSTIVE_WIDTH:
         batches: Iterable[np.ndarray] = _state_chunks(1 << k, k)
     else:
@@ -492,6 +500,8 @@ def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
         raise WidthMismatchError(f"payload width {k}, expected {lift.payload_width}")
     if len(lift.out_wires) != len(circuit.outputs):
         return False
+    import numpy as np
+
     width = lift.circuit.width
     for x in _state_chunks(1 << k, max(width, len(circuit.outputs))):
         got = _read_wires(lift.circuit.eval_int(x), width, lift.out_wires)

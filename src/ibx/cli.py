@@ -5,9 +5,14 @@ output, diagnostics and errors to standard error.  Exit codes: 0 on
 success, 1 when an input fails validation or a construction cannot be
 carried out, 2 for usage errors (argparse's own convention).
 
-``--report`` emits a JSON run report on standard error: the echoed
-command, a digest per input file, the payload, step counters, and wall
-time.  ``--seed`` feeds every randomized harness, so runs are repeatable.
+``--report`` emits a JSON run report on standard error: its schema
+version, the echoed command, a digest per input file, the payload, step
+counters, seconds per phase, wall time, and the ``ibx`` modules (and
+numpy) the run loaded.  ``--seed`` feeds every randomized harness, so runs
+are repeatable.
+
+Each handler imports the modules it dispatches to, so a command loads only
+the layers it uses, and numpy only when it builds arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from . import ca, circuits, formats, graphs, iet, kernel, plb, reductions
+from . import kernel
 
 __all__ = ["main", "RunReport"]
 
@@ -32,7 +37,18 @@ class RunReport:
     input_digests: Dict[str, str] = field(default_factory=dict)
     payload: str = ""
     step_counts: Dict[str, int] = field(default_factory=dict)
+    phases_s: Dict[str, float] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    loaded: List[str] = field(default_factory=list)
+    schema: int = 1
+
+
+def _loaded_modules() -> List[str]:
+    """The ibx modules imported so far, and numpy if it is."""
+    names = [name for name in sys.modules if name.startswith("ibx.")]
+    if "numpy" in sys.modules:
+        names.append("numpy")
+    return sorted(names)
 
 
 class _Run:
@@ -82,6 +98,8 @@ def _bits(text: str) -> kernel.Bitstring:
 
 
 def _cmd_circuit(args, run: _Run) -> str:
+    from . import circuits, formats
+
     c = formats.parse_circuit(run.read(args.file))
     if args.action == "eval":
         return circuits.eval_reversible(c, _bits(args.input)).to_text()
@@ -103,6 +121,8 @@ def _cmd_circuit(args, run: _Run) -> str:
 
 
 def _cmd_lift(args, run: _Run) -> str:
+    from . import circuits, formats
+
     if args.action == "bennett":
         cc = formats.parse_classical(run.read(args.file))
         lift = circuits.bennett_lift(cc)
@@ -123,6 +143,8 @@ def _cmd_lift(args, run: _Run) -> str:
 
 
 def _cmd_reduce(args, run: _Run) -> str:
+    from . import reductions
+
     f = _named_bijection(args.fn, args.width)
     if args.action == "summation":
         sched = reductions.inversion_by_iteration(f, _bits(args.x))
@@ -167,9 +189,12 @@ def _cmd_reduce(args, run: _Run) -> str:
 # leaf
 
 
-def _iterated_leaf(inst: graphs.LeafInstance, k: int) -> int:
-    """Compile the leaf walk into one bijection, iterate it 2**k steps from
-    the start leaf's edge and read the v field: the far leaf."""
+def _iterated_leaf(inst, k: int) -> int:
+    """Compile the leaf walk of a ``graphs.LeafInstance`` into one
+    bijection, iterate it 2**k steps from the start leaf's edge and read the
+    v field: the far leaf."""
+    from . import graphs
+
     f = graphs.leaf_to_bijection(inst.family, inst.instance, k)
     nbr = inst.family.query(inst.instance, inst.start)[0]
     state = kernel.Bitstring(
@@ -180,6 +205,8 @@ def _iterated_leaf(inst: graphs.LeafInstance, k: int) -> int:
 
 
 def _cmd_leaf(args, run: _Run) -> str:
+    from . import graphs
+
     rng = random.Random(args.seed)
     inst = graphs.random_path_instance(args.k, rng, args.length)
     far = graphs.solve_leaf_walk(inst)
@@ -199,6 +226,8 @@ def _cmd_leaf(args, run: _Run) -> str:
 
 
 def _cmd_lollipop(args, run: _Run) -> str:
+    from . import formats, graphs
+
     g = formats.parse_cubic(run.read(args.file))
     if args.action == "second-cycle":
         cycle = formats.parse_vertex_list(args.cycle)
@@ -218,6 +247,8 @@ def _cmd_lollipop(args, run: _Run) -> str:
 
 
 def _cmd_ca(args, run: _Run) -> str:
+    from . import ca, formats
+
     if args.action in ("bbm-run", "bbm-reverse"):
         grid = formats.parse_grid(run.read(args.file))
         n = args.n if args.action == "bbm-run" else -args.n
@@ -261,6 +292,8 @@ def _cmd_ca(args, run: _Run) -> str:
 
 
 def _cmd_plb(args, run: _Run) -> str:
+    from . import formats, plb
+
     if args.action == "validate":
         domain, pieces = formats.parse_plb(run.read(args.file))
         t = plb.validate_plb(domain, pieces)
@@ -305,6 +338,8 @@ def _cmd_plb(args, run: _Run) -> str:
 
 
 def _cmd_iet(args, run: _Run) -> str:
+    from . import formats, iet, plb
+
     if args.action == "three-gap":
         if args.sweep is not None:
             worst = 0
@@ -362,6 +397,8 @@ def _verify_kernel(rng: random.Random) -> None:
 
 
 def _random_circuit(rng: random.Random, width: int, max_gates: int):
+    from . import circuits
+
     kinds = [k for k, a in circuits.GATE_ARITY.items() if a < width]
     gs = []
     for _ in range(rng.randint(1, max_gates)):
@@ -372,6 +409,8 @@ def _random_circuit(rng: random.Random, width: int, max_gates: int):
 
 
 def _verify_circuits(rng: random.Random) -> None:
+    from . import circuits
+
     for _ in range(20):
         c = _random_circuit(rng, rng.randint(2, 8), 30)
         if circuits.circuit_parity_report(c) != "even":
@@ -387,6 +426,8 @@ def _verify_circuits(rng: random.Random) -> None:
 
 
 def _verify_lifts(rng: random.Random) -> None:
+    from . import circuits
+
     for _ in range(5):
         c = _random_circuit(rng, 4, 12)
         cc = circuits.reversible_to_classical(c)
@@ -397,6 +438,8 @@ def _verify_lifts(rng: random.Random) -> None:
 
 
 def _verify_reductions(rng: random.Random) -> None:
+    from . import reductions
+
     f = kernel.increment(4)
     for _ in range(4):
         x = kernel.Bitstring(rng.randrange(16), 4)
@@ -412,12 +455,16 @@ def _verify_reductions(rng: random.Random) -> None:
 
 
 def _verify_leaf(rng: random.Random) -> None:
+    from . import graphs
+
     inst = graphs.random_path_instance(6, rng)
     if _iterated_leaf(inst, 6) != graphs.solve_leaf_walk(inst).value:
         raise ValueError("leaf bijection did not deliver the far leaf")
 
 
 def _verify_lollipop(rng: random.Random) -> None:
+    from . import graphs
+
     g = graphs.complete_graph_k4()
     cycle = (0, 1, 2, 3)
     other = graphs.second_hamiltonian(g, cycle, (0, 1))
@@ -429,6 +476,8 @@ def _verify_lollipop(rng: random.Random) -> None:
 
 
 def _verify_ca(rng: random.Random) -> None:
+    from . import ca
+
     cells = [[0] * 16 for _ in range(16)]
     cells[4][4] = 1
     g0 = ca.MargolusGrid(cells)
@@ -452,6 +501,8 @@ def _verify_ca(rng: random.Random) -> None:
 
 
 def _verify_plb(rng: random.Random) -> None:
+    from . import plb
+
     t = plb.riffle(13)
     if plb.apply_plb(t, 3) != 6 or plb.apply_plb(t, 7) != 1:
         raise ValueError("riffle lands wrong")
@@ -463,6 +514,8 @@ def _verify_plb(rng: random.Random) -> None:
 
 
 def _verify_iet(rng: random.Random) -> None:
+    from . import iet, plb
+
     t = plb.interval_exchange(15, [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)])
     su = iet.build_surface(t)
     for x, y in ((0, 11), (4, 0), (6, 10), (7, 2)):
@@ -490,7 +543,9 @@ _SUITES = [
 def _cmd_verify(args, run: _Run) -> str:
     lines = []
     for name, suite in _SUITES:
+        started = time.monotonic()
         suite(random.Random(args.seed))
+        run.report.phases_s[name] = round(time.monotonic() - started, 6)
         lines.append(f"{name} ok")
     return "\n".join(lines)
 
@@ -634,12 +689,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    run.report.payload = payload
-    run.report.wall_time_s = round(time.monotonic() - started, 6)
+    report = run.report
+    report.payload = payload
+    report.wall_time_s = round(time.monotonic() - started, 6)
+    report.phases_s = report.phases_s or {"run": report.wall_time_s}
     if payload:
         print(payload)
     if args.report:
-        print(json.dumps(run.report.__dict__), file=sys.stderr)
+        report.loaded = _loaded_modules()
+        print(json.dumps(report.__dict__), file=sys.stderr)
     return 0
 
 

@@ -11,9 +11,8 @@ and after the rows are still fine.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .ca import CaError, MargolusGrid
 from .circuits import (
     CLASSICAL_ARITY,
     GATE_ARITY,
@@ -23,6 +22,9 @@ from .circuits import (
     gate,
 )
 from .graphs import CubicGraph, cubic_graph
+
+if TYPE_CHECKING:
+    from .ca import MargolusGrid
 
 __all__ = [
     "FormatError",
@@ -137,6 +139,8 @@ def write_classical(circuit: ClassicalCircuit) -> str:
 
 def parse_grid(text: str) -> MargolusGrid:
     """Block-automaton grid: ``bbm W H phase`` then H rows of ``.``/``#``."""
+    from .ca import CaError, MargolusGrid
+
     lines = text.splitlines()
     at = 0
     header = None

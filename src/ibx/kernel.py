@@ -230,7 +230,9 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     The first failing input wins; at one input an escape from [0, 2**width)
     comes before a collision, and a collision before a backward mismatch.
     On an escape the witness is (x, x), on a forward collision the two
-    colliding inputs, and on a backward mismatch (x, backward(forward(x))).
+    colliding inputs, and on a backward mismatch (x, backward(forward(x))),
+    or (x, x) when that value is itself outside [0, 2**width) and so cannot
+    be a witness.
     """
     if f.width > MAX_EXHAUSTIVE_WIDTH:
         raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
@@ -252,10 +254,15 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
         if f.backward is not None:
             back = f.backward(y)
             if back != x:
-                return BijectionCheck(
-                    False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse"
-                )
+                return _inverse_failure(x, back, f.width)
     return BijectionCheck(True)
+
+
+def _inverse_failure(x: int, back: int, width: int) -> BijectionCheck:
+    """The "inverse" result at x, whose image the backward map sent to back."""
+    if not 0 <= back < 1 << width:
+        back = x
+    return BijectionCheck(False, (Bitstring(x, width), Bitstring(back, width)), "inverse")
 
 
 def _check_arrays(f: Bijection) -> BijectionCheck:
@@ -288,9 +295,7 @@ def _check_arrays(f: Bijection) -> BijectionCheck:
         wrong = np.flatnonzero(backs != xs[:stop])
         if wrong.size:
             x = int(wrong[0])
-            return BijectionCheck(
-                False, (Bitstring(x, f.width), Bitstring(int(backs[x]), f.width)), "inverse"
-            )
+            return _inverse_failure(x, int(backs[x]), f.width)
     return result
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .circuits import ReversibleCircuit, ReversibleGate
 from .kernel import cycle_lengths, iterate_map
 
@@ -480,7 +478,8 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
             raise PlbError("bit permutation failed to reach the top block")
         # The gate alone on its c-bit block, local bit b on wire c-1-b.
         block_gate = ReversibleGate(g.kind, tuple(c - 1 - b for b in local))
-        table = ReversibleCircuit(c, (block_gate,)).eval_int(np.arange(1 << c)).tolist()
+        block_circuit = ReversibleCircuit(c, (block_gate,))
+        table = [block_circuit.eval_int(i) for i in range(1 << c)]
         block = 1 << base
         block_pieces = [
             (i * block, (i + 1) * block, 1, (table[i] - i) * block)

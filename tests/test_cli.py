@@ -1,14 +1,17 @@
 """End-to-end checks of the command-line front end.
 
 Most cases drive ``cli.main`` in process and read the captured streams;
-one subprocess case proves the installed console script works.  Semantics
+subprocess cases check what a fresh interpreter loads at start-up and
+that the installed console script works.  Semantics
 are pinned by the module tests, so these focus on plumbing: files in,
 payload out, exit codes, the JSON report.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -506,12 +509,32 @@ def test_report_emits_json(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "circuit", "parity", "--file", str(path), "--report")
     assert rc == 0
     report = json.loads(err)
+    assert set(report) == {
+        "schema", "command", "input_digests", "payload", "step_counts",
+        "phases_s", "wall_time_s", "loaded",
+    }
+    assert report["schema"] == 1
     assert report["command"][:2] == ["circuit", "parity"]
     assert str(path) in report["input_digests"]
     assert len(report["input_digests"][str(path)]) == 12
     assert report["payload"] == out.strip()
     assert report["step_counts"] == {"states": 8}
     assert isinstance(report["wall_time_s"], float)
+    assert report["phases_s"] == {"run": report["wall_time_s"]}
+    assert report["loaded"] == sorted(report["loaded"])
+    assert {"ibx.circuits", "ibx.formats", "numpy"} <= set(report["loaded"])
+
+
+def test_verify_all_reports_seconds_per_area(capsys):
+    rc, out, err = run_cli(capsys, "verify", "all", "--report")
+    assert rc == 0
+    areas = [line.split()[0] for line in out.strip().splitlines()]
+    assert areas == [
+        "kernel", "circuits", "lifts", "reductions", "leaf", "lollipop", "ca", "plb", "iet",
+    ]
+    phases = json.loads(err)["phases_s"]
+    assert list(phases) == areas
+    assert all(isinstance(t, float) and t >= 0 for t in phases.values())
 
 
 def test_missing_file_is_an_error(capsys):
@@ -532,6 +555,74 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["frobnicate"])
     assert exit_info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up: fresh interpreters, since this process has every module loaded
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_fresh(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+# The cli benchmark workload's array-free commands, on small inputs, and
+# one command that builds arrays.
+STARTUP_COMMANDS = {
+    "iet_solve_n1": ["iet", "solve", "--file", "t.iet", "--i", "6", "--n", "1"],
+    "iet_solve_n1e20": ["iet", "solve", "--file", "t.iet", "--i", "2", "--n", str(10**20)],
+    "plb_riffle": ["plb", "riffle", "--n", "13"],
+    "reduce_clock": ["reduce", "clock", "--fn", "increment", "--width", "4", "--x", "0000", "--n", "11"],
+    "iet_three_gap": ["iet", "three-gap", "--modulus", "64", "--step", "27", "--count", "10"],
+    "circuit_iterate": ["circuit", "iterate", "--file", "c.rc", "--input", "101", "--n", "700"],
+    "plb_validate": ["plb", "validate", "--file", "c.plb"],
+    "plb_apply_inverse": ["plb", "apply", "--file", "c.plb", "--x", "5", "--inverse"],
+    "iet_build": ["iet", "build", "--file", "t.iet"],
+    "iet_solve": ["iet", "solve", "--file", "t.iet", "--i", "3", "--n", str(-(10**30))],
+    "lollipop_count": ["lollipop", "count", "--file", "k4.cubic"],
+    "lollipop_second_cycle": ["lollipop", "second-cycle", "--file", "k4.cubic", "--cycle", "0 1 2 3"],
+    "ca_bbm_run": ["ca", "bbm-run", "--file", "ball.grid", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(STARTUP_COMMANDS))
+def test_only_array_commands_load_numpy(name, tmp_path):
+    text = "wires 3\nnot 0\ncnot 0 2\ntoffoli 0 1 2\n"
+    (tmp_path / "c.rc").write_text(text)
+    t, _ = plb.circuit_to_plb(formats.parse_circuit(text))
+    (tmp_path / "c.plb").write_text(formats.write_plb(t.domain, t.pieces))
+    (tmp_path / "t.iet").write_text(FIG_IET)
+    (tmp_path / "k4.cubic").write_text(formats.write_cubic(graphs.complete_graph_k4()))
+    ball_grid(tmp_path)
+    done = run_fresh(["-m", "ibx.cli", *STARTUP_COMMANDS[name], "--report"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stderr.strip().splitlines()[-1])["loaded"]
+    assert ("numpy" in loaded) == (name == "ca_bbm_run"), loaded
+
+
+def test_import_ibx_is_lazy(tmp_path):
+    code = """
+import importlib, sys
+import ibx
+assert [m for m in sys.modules if m.startswith("ibx.")] == [], sorted(sys.modules)
+for name in ibx.__all__:
+    home = importlib.import_module("ibx." + ibx._HOME[name])
+    assert getattr(ibx, name) is getattr(home, name), name
+assert set(ibx.__all__) <= set(dir(ibx))
+try:
+    ibx.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+    done = run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 def test_console_script_installed(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ibx.kernel import (
     Bijection,
+    BijectionCheck,
     Bitstring,
     IterationProblem,
     WidthMismatchError,
@@ -179,6 +180,16 @@ def test_check_catches_broken_backward():
     report = check_bijection_exhaustive(f)
     assert not report.ok
     assert "inverse" in report.reason
+
+
+@pytest.mark.parametrize("shift", [4, -1])
+def test_check_backward_escape_is_an_inverse_failure(shift):
+    """A backward value outside [0, 2**width) is reported, not raised, with
+    the witness (x, x), by the scalar walk and the array check alike."""
+    want = BijectionCheck(False, (Bitstring(0, 2), Bitstring(0, 2)), "inverse")
+    for arrays in (False, True):
+        f = Bijection(2, lambda v: v, lambda v: v + shift, "escape-back", arrays=arrays)
+        assert check_bijection_exhaustive(f) == want, arrays
 
 
 def _both_checks(f):
