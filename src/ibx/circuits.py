@@ -4,8 +4,10 @@ lifts from ordinary boolean circuits into them.
 Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
-involution, so a circuit is inverted by reversing its gate list.  numpy is
-imported only by the functions that evaluate a whole state space at once.
+involution, so a circuit is inverted by reversing its gate list.  Both
+kinds of circuit are evaluated on a list with one value per wire (a bit, or
+an int64 0/1 array over many states: bit-slicing), so any width runs on
+int64 arrays.  numpy is imported only by the whole-state-space functions.
 """
 
 from __future__ import annotations
@@ -55,24 +57,26 @@ class ReversibleGate:
             raise CircuitError("wire indices must be nonnegative")
 
 
-def _apply_gate(kind: str, pos: Tuple[int, ...], state):
-    """One gate, given by its kind and the bit positions of its wires, on an
-    int state or elementwise on an integer array of states: a conditional XOR,
-    with swap and fredkin flipping both wires where they differ."""
-    if kind == "not":
-        return state ^ (1 << pos[0])
-    if kind == "cnot":
-        c, t = pos
-        return state ^ (((state >> c) & 1) << t)
-    if kind == "toffoli":
-        c1, c2, t = pos
-        return state ^ (((state >> c1) & (state >> c2) & 1) << t)
-    a, b = pos[-2:]
-    flip = (state >> a) ^ (state >> b)
-    if kind == "fredkin":
-        flip = flip & (state >> pos[0])
-    flip = flip & 1
-    return state ^ (flip << a) ^ (flip << b)
+def _run_wires(gates: Iterable[ReversibleGate], v: list) -> list:
+    """Apply ``gates`` in place to ``v``, one value per wire, wire 0 first (a
+    bit for one state, or an int64 0/1 array for many), and return ``v``."""
+    for g in gates:
+        w = g.wires
+        kind = g.kind
+        if kind == "not":
+            v[w[0]] = 1 - v[w[0]]
+        elif kind == "cnot":
+            v[w[1]] ^= v[w[0]]
+        elif kind == "toffoli":
+            v[w[2]] ^= v[w[0]] & v[w[1]]
+        elif kind == "swap":
+            v[w[0]], v[w[1]] = v[w[1]], v[w[0]]
+        else:  # fredkin: swap a and b where c is set
+            c, a, b = w
+            m = v[c] & (v[a] ^ v[b])
+            v[a] ^= m
+            v[b] ^= m
+    return v
 
 
 @dataclass(frozen=True)
@@ -88,15 +92,14 @@ class ReversibleCircuit:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
 
     def eval_int(self, value):
-        """The circuit on an int, or elementwise on an array of states."""
-        for kind, pos in _program(self):
-            value = _apply_gate(kind, pos, value)
-        return value
+        """The circuit on an int, or elementwise on an array of states; bits
+        above the width pass through."""
+        wires = _run_wires(self.gates, _unpack(value, self.width))
+        return _pack_bits(wires, value >> self.width)
 
     def eval_int_reversed(self, value):
-        for kind, pos in reversed(_program(self)):
-            value = _apply_gate(kind, pos, value)
-        return value
+        wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
+        return _pack_bits(wires, value >> self.width)
 
     def as_bijection(self, label: str = "") -> Bijection:
         return Bijection(
@@ -108,35 +111,21 @@ class ReversibleCircuit:
         )
 
 
-def _program(circuit: ReversibleCircuit) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
-    """Each gate as (kind, bit positions of its wires).  Built on the first
-    evaluation and kept in the circuit's ``__dict__``, outside the dataclass
-    fields, so equality, hash and repr do not see it."""
-    program = circuit.__dict__.get("_program")
-    if program is None:
-        top = circuit.width - 1
-        program = tuple((g.kind, tuple(top - w for w in g.wires)) for g in circuit.gates)
-        object.__setattr__(circuit, "_program", program)
-    return program
-
-
 def gate(kind: str, *wires: int) -> ReversibleGate:
     return ReversibleGate(kind, tuple(wires))
 
 
 # Exhaustive walks evaluate this many states per array, so memory stays near
-# 32 KiB per live wire at any input width.  States are int64 up to 62 bits,
-# where a shifted bit never reaches the sign bit, and Python ints above.
+# 32 KiB per live wire at any circuit width.
 STATE_CHUNK = 1 << 12
 
 
-def _state_chunks(count: int, width: int) -> Iterator[np.ndarray]:
-    """States 0 .. count-1 in ascending arrays of at most STATE_CHUNK."""
+def _state_chunks(count: int) -> Iterator[np.ndarray]:
+    """States 0 .. count-1 in ascending int64 arrays of at most STATE_CHUNK."""
     import numpy as np
 
-    dtype = np.int64 if width <= 62 else object
     for lo in range(0, count, STATE_CHUNK):
-        yield np.arange(lo, min(count, lo + STATE_CHUNK), dtype=dtype)
+        yield np.arange(lo, min(count, lo + STATE_CHUNK))
 
 
 def eval_reversible(circuit: ReversibleCircuit, a: Bitstring) -> Bitstring:
@@ -253,26 +242,25 @@ _BOOL_FN = {
 }
 
 
-def _pack_bits(bits: Iterable):
-    """Bits (ints or arrays), most significant first, packed into one value."""
-    out = 0
+def _unpack(x, width: int) -> list:
+    """The wires of a ``width``-bit state (an int, or elementwise an array),
+    wire 0 first: wire i is bit ``width - 1 - i``."""
+    return [(x >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+def _pack_bits(bits: Iterable, out=0):
+    """Bits (ints or arrays), most significant first, packed after ``out``."""
     for b in bits:
         out = (out << 1) | b
     return out
 
 
-def _read_wires(state, width: int, wires: Sequence[int]):
-    """The listed wires of a ``width``-wire state, packed first wire highest."""
-    return _pack_bits((state >> (width - 1 - w)) & 1 for w in wires)
-
-
-def _eval_classical(circuit: ClassicalCircuit, x):
-    """The packed output for an int input, or elementwise for an array."""
-    k = circuit.inputs
-    values = {i: (x >> (k - 1 - i)) & 1 for i in range(k)}
+def _eval_classical(circuit: ClassicalCircuit, inputs: list) -> list:
+    """The output wires for a list of input wires (bits, or arrays)."""
+    values = dict(enumerate(inputs))
     for g in circuit.gates:
         values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
-    return _pack_bits(values[w] for w in circuit.outputs)
+    return [values[w] for w in circuit.outputs]
 
 
 def eval_classical(circuit: ClassicalCircuit, x: Bitstring) -> Bitstring:
@@ -280,7 +268,8 @@ def eval_classical(circuit: ClassicalCircuit, x: Bitstring) -> Bitstring:
         raise WidthMismatchError(
             f"input width {x.width} does not match circuit inputs {circuit.inputs}"
         )
-    return Bitstring(_eval_classical(circuit, x.value), len(circuit.outputs))
+    outputs = _eval_classical(circuit, _unpack(x.value, x.width))
+    return Bitstring(_pack_bits(outputs), len(outputs))
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,8 @@ class LiftResult:
         width = self.circuit.width
         if final.width != width:
             raise WidthMismatchError(f"assignment width {final.width}, expected {width}")
-        return Bitstring(_read_wires(final.value, width, self.out_wires), len(self.out_wires))
+        wires = _unpack(final.value, width)
+        return Bitstring(_pack_bits(wires[w] for w in self.out_wires), len(self.out_wires))
 
 
 def _lift_gate_sequence(
@@ -400,14 +390,16 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     import numpy as np
 
     if k <= MAX_EXHAUSTIVE_WIDTH:
-        batches: Iterable[np.ndarray] = _state_chunks(1 << k, k)
+        batches: Iterable[list] = (_unpack(x, k) for x in _state_chunks(1 << k))
     else:
         rng = random.Random(0)
-        batches = [np.array([rng.randrange(1 << k) for _ in range(1000)], dtype=object)]
+        sample = [_unpack(rng.randrange(1 << k), k) for _ in range(1000)]
+        batches = [[np.array(wire) for wire in zip(*sample)]]
     for x in batches:
-        bad = x[_eval_classical(cfi, _eval_classical(cf, x)) != x]
+        back = _eval_classical(cfi, _eval_classical(cf, x))
+        bad = np.flatnonzero(np.any([b != a for a, b in zip(x, back)], axis=0))
         if bad.size:
-            first = Bitstring(int(bad.min()), k).to_text()
+            first = Bitstring(min(_pack_bits(int(a[i]) for a in x) for i in bad), k).to_text()
             raise CircuitError(f"circuits are not mutually inverse at input {first}")
 
     anc_f = len(cf.gates)
@@ -502,9 +494,10 @@ def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
         return False
     import numpy as np
 
-    width = lift.circuit.width
-    for x in _state_chunks(1 << k, max(width, len(circuit.outputs))):
-        got = _read_wires(lift.circuit.eval_int(x), width, lift.out_wires)
-        if not np.all(got == _eval_classical(circuit, x)):
+    pad = [0] * (lift.circuit.width - k)
+    for x in _state_chunks(1 << k):
+        want = _eval_classical(circuit, _unpack(x, k))
+        got = _run_wires(lift.circuit.gates, pad + _unpack(x, k))
+        if not all(np.all(got[w] == b) for w, b in zip(lift.out_wires, want)):
             return False
     return True

@@ -13,18 +13,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .circuits import (
-    CLASSICAL_ARITY,
-    GATE_ARITY,
-    ClassicalCircuit,
-    ClassicalGate,
-    ReversibleCircuit,
-    gate,
-)
-from .graphs import CubicGraph, cubic_graph
-
 if TYPE_CHECKING:
     from .ca import MargolusGrid
+    from .circuits import ClassicalCircuit, ReversibleCircuit
+    from .graphs import CubicGraph
 
 __all__ = [
     "FormatError",
@@ -79,6 +71,8 @@ def _header(rows: List[List[str]], keyword: str, argc: int) -> List[int]:
 
 def parse_circuit(text: str) -> ReversibleCircuit:
     """Reversible circuit: ``wires W`` then one gate per line."""
+    from .circuits import GATE_ARITY, ReversibleCircuit, gate
+
     rows = _significant_lines(text)
     (width,) = _header(rows, "wires", 1)
     gates = []
@@ -104,6 +98,8 @@ def write_circuit(circuit: ReversibleCircuit) -> str:
 
 def parse_classical(text: str) -> ClassicalCircuit:
     """Boolean circuit: ``inputs K``, gate lines, then ``outputs w1 ...``."""
+    from .circuits import CLASSICAL_ARITY, ClassicalCircuit, ClassicalGate
+
     rows = _significant_lines(text)
     (inputs,) = _header(rows, "inputs", 1)
     gates: List[ClassicalGate] = []
@@ -229,6 +225,8 @@ def write_iet(domain: int, pieces: Sequence) -> str:
 
 def parse_cubic(text: str) -> CubicGraph:
     """Cubic graph: ``cubic V`` then ``edge u v`` lines."""
+    from .graphs import cubic_graph
+
     rows = _significant_lines(text)
     (n,) = _header(rows, "cubic", 1)
     edges = []

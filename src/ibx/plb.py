@@ -20,10 +20,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from .circuits import ReversibleCircuit, ReversibleGate
 from .kernel import cycle_lengths, iterate_map
+
+if TYPE_CHECKING:
+    from .circuits import ReversibleCircuit
 
 # Documented piece-count constant for bit_permute: a k-bit program moving
 # |C| bits spends at most (k-1) full rotations (2 pieces each) plus (k-2)
@@ -463,6 +465,8 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
     exchange), rotate back, then fuse every stage of every gate with
     compose_lift.
     """
+    from .circuits import ReversibleCircuit, ReversibleGate
+
     k = circuit.width
     if k > MAX_CIRCUIT_PLB_WIDTH:
         raise PlbError(f"width {k} exceeds cap {MAX_CIRCUIT_PLB_WIDTH}")

@@ -21,6 +21,7 @@ from .kernel import (
     Bijection,
     Bitstring,
     WidthMismatchError,
+    from_permutation,
     iterate_bijection,
     pack_fields,
     unpack_fields,
@@ -323,10 +324,7 @@ def _inverse_via_table(f: Bijection) -> Callable[[int], int]:
         raise ReductionError(
             "oracle bijection carries no backward evaluator and is too wide to tabulate"
         )
-    table = {}
-    for v in range(1 << f.width):
-        table[f.forward(v)] = v
-    return lambda y: table.get(y, y)
+    return from_permutation([f.forward(v) for v in range(1 << f.width)], f.width).backward
 
 
 def compile_oracle_circuit(

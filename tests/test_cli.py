@@ -603,6 +603,8 @@ def test_only_array_commands_load_numpy(name, tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stderr.strip().splitlines()[-1])["loaded"]
     assert ("numpy" in loaded) == (name == "ca_bbm_run"), loaded
+    if name.startswith(("iet_", "plb_")):
+        assert not {"ibx.circuits", "ibx.graphs"} & set(loaded), loaded
 
 
 def test_import_ibx_is_lazy(tmp_path):

@@ -205,6 +205,13 @@ def test_oracle_compiler_synthesizes_missing_backward():
         )
 
 
+def test_oracle_compiler_rejects_a_forward_only_oracle_that_is_not_injective():
+    g = Bijection(2, lambda v: 0, None, "constant")
+    oc = OracleCircuit(4, (OracleGate((0, 1), (2, 3), (4, 5)),), (4, 5))
+    with pytest.raises(ValueError, match="not a permutation"):
+        compile_oracle_circuit(oc, g, Bitstring(0, 4))
+
+
 def test_oracle_circuit_wiring_guards():
     with pytest.raises(ReductionError):
         OracleCircuit(2, (OracleGate((0,), (1,), (1,)),), (1,))
