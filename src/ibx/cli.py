@@ -362,8 +362,12 @@ def _cmd_iet(args, run: _Run) -> str:
     run.count("period", su.period)
     run.count("return_runs", len(su.returns))
     if args.action == "solve":
-        run.count("arc_steps", iet.arc_of(su, args.i).length)
-        return str(iet.iet_orbit_solve(t, args.i, args.n, surface=su))
+        answer = iet.iet_orbit_solve(t, args.i, args.n, surface=su)
+        orbit = iet.orbit_size(su, args.i)
+        run.count("induction_ops", len(iet.induction(su)))
+        run.count("orbit_length", orbit)
+        run.count("arc_steps", su.period * orbit)
+        return str(answer)
     lines = [
         f"surface domain={domain} pieces={len(t.pieces)} stripes={su.stripes} "
         f"period={su.period} triangles={len(su.surface.triangles)} "

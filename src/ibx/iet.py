@@ -18,7 +18,16 @@ Tracing works on runs, not points (as in Erickson and Nayyeri's compressed
 curve tracing): a run of consecutive crossings entering a triangle leaves
 it as at most two runs.  Tracing the central edge as one run for a period d
 costs O(k * d) whatever N is and yields the first-return map as a few
-translated runs, which orbits are then walked on, one bisection per point.
+translated runs.
+
+Powers are read off that return map by Rauzy-Veech induction with Zorich
+acceleration (Rauzy 1979; Zorich 1996) on its integer lengths: each op
+cuts a block from the right end of the domain and stacks it onto towers
+over what is left, so a run of same-type Rauzy steps is one division and a
+rotation reduces to Euclid.  Once every piece is fixed, a piece of length
+L and height h is L orbits of length h.  A query walks its point up
+through the ops to its tower and the target level back down, O(ops * k)
+for O(log N)-many ops in practice, so neither N nor n is ever walked.
 
 Coordinates: x is doubled (``x2 = 2 * x``) so that all triangulation
 vertices sit at odd x2 while the traced verticals sit at even x2; rows are
@@ -28,9 +37,9 @@ left-to-right, with vertical edges bottom-to-top.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .plb import PiecewiseLinearBijection
@@ -38,8 +47,8 @@ from .plb import PiecewiseLinearBijection
 __all__ = [
     "IetError", "Point", "Triangle", "Port", "Edge", "TriangulatedSurface",
     "Crossing", "Arc", "IetSurface", "build_surface", "normal_coords_vertical",
-    "validate_normal_coords", "trace_step", "arc_of", "iet_orbit_solve",
-    "three_gap_check", "three_gap_max_distinct",
+    "validate_normal_coords", "trace_step", "arc_of", "induction", "orbit_size",
+    "cycle_type", "iet_orbit_solve", "three_gap_check", "three_gap_max_distinct",
 ]
 
 
@@ -136,7 +145,8 @@ class IetSurface:
     period is the uniform number of trace steps between consecutive
     central-edge crossings; it is measured from the surface, not assumed.
     returns is the traced first-return map: sorted runs (lo, hi, off)
-    sending central crossing i in [lo, hi) to i + off.
+    sending central crossing i in [lo, hi) to i + off.  The induction on
+    returns is memoized, so every query on the surface shares it.
     """
 
     transform: PiecewiseLinearBijection
@@ -147,6 +157,7 @@ class IetSurface:
     period: int = 0
     returns: Tuple[Tuple[int, int, int], ...] = ()
     _arcs: Dict[int, Arc] = field(default_factory=dict, repr=False)
+    _ops: Optional[Tuple[InductionOp, ...]] = field(default=None, repr=False)
 
     @property
     def width(self) -> int:
@@ -461,21 +472,178 @@ def arc_of(su: IetSurface, i: int) -> Arc:
     return arc
 
 
+# Kinds of induction op.
+_TOP, _BOTTOM, _FINISH = 0, 1, 2
+
+
+class InductionOp(NamedTuple):
+    """One accelerated Rauzy-Veech step on the stage domain [0, end).
+
+    The winner is the last piece of the domain (a top op) or the piece
+    whose image is last (a bottom op); the losers are the pieces after it
+    in the other order, of total length shift.  Cutting losers from the
+    right end, cyclically while they fit into the winner, removes
+    [end - cut, end): each removed point is stacked onto the tower of a
+    point that stays.  A finish op removes a fixed piece of length cut,
+    which holds cut orbits of length height.
+    """
+
+    kind: int
+    end: int
+    cut: int
+    shift: int
+    # the winner's tower height, or the finished tower's
+    height: int
+    # (lo, hi, off, height) before the op of each loser a top op cut
+    losers: Tuple[Tuple[int, int, int, int], ...]
+
+
+def _induce(runs: Sequence[Tuple[int, int, int]], end: int) -> Tuple[InductionOp, ...]:
+    """Induce an exchange, given as translated runs tiling [0, end), to nothing.
+
+    Each piece is [lo, length, off, height]: its points are the bases of
+    towers of that height, and off carries a base to the next base up.
+    Each op costs one division and O(k log k) work.
+    """
+    pieces: List[List[int]] = []
+    for lo, hi, off in runs:
+        if pieces and pieces[-1][2] == off and pieces[-1][0] + pieces[-1][1] == lo:
+            pieces[-1][1] += hi - lo
+        else:
+            pieces.append([lo, hi - lo, off, 1])
+    ops: List[InductionOp] = []
+    while pieces:
+        last = max(pieces, key=lambda p: p[0])
+        last_image = max(pieces, key=lambda p: p[0] + p[2])
+        if last is last_image:  # translated by 0: a fixed piece
+            ops.append(InductionOp(_FINISH, end, last[1], 0, last[3], ()))
+            pieces.remove(last)
+            end -= last[1]
+            continue
+        if last[1] >= last_image[1]:
+            kind, win = _TOP, last
+            losers = sorted(
+                (p for p in pieces if p[0] + p[2] > win[0] + win[2]),
+                key=lambda p: p[0] + p[2], reverse=True,
+            )
+        else:
+            kind, win = _BOTTOM, last_image
+            losers = sorted((p for p in pieces if p[0] > win[0]), key=lambda p: p[0], reverse=True)
+        shift = sum(p[1] for p in losers)
+        laps, rest = divmod(win[1], shift)
+        times = [laps] * len(losers)
+        for j, p in enumerate(losers):  # the last lap cuts while losers fit
+            if p[1] > rest:
+                break
+            rest -= p[1]
+            times[j] += 1
+        cut = win[1] - rest
+        cut_losers = [(p, m) for p, m in zip(losers, times) if m]
+        tail = tuple((p[0], p[0] + p[1], p[2], p[3]) for p, _ in cut_losers if kind == _TOP)
+        ops.append(InductionOp(kind, end, cut, shift, win[3], tail))
+        for p, m in cut_losers:
+            if kind == _TOP:  # its image moves down the winner's image
+                p[2] -= m * shift
+            else:  # its domain moves down the winner's domain
+                p[0] -= m * shift
+                p[2] += m * shift
+            p[3] += m * win[3]
+        win[1] = rest
+        if not rest:
+            pieces.remove(win)
+        end -= cut
+    return tuple(ops)
+
+
+def _locate(ops: Sequence[InductionOp], x: int) -> Tuple[int, int, int]:
+    """Walk x up through the ops to the finish op whose tower holds it.
+
+    Returns that op's index, the tower's base point y and x's level t,
+    so that x = T^t(y).
+    """
+    level = 0
+    for index, (kind, end, cut, shift, height, losers) in enumerate(ops):
+        if x < end - cut:
+            continue
+        if kind == _FINISH:
+            return index, x, level
+        if kind == _TOP:
+            laps = (end - 1 - x) // shift  # winner steps down from the losers' images
+            x += laps * shift
+            for lo, hi, off, h in losers:
+                if lo <= x - off < hi:
+                    x -= off
+                    level += laps * height + h
+                    break
+        else:
+            laps = (x - end + cut) // shift + 1  # winner steps down to a point kept
+            x -= laps * shift
+            level += laps * height
+    raise IetError(f"induction left point {x} in no tower")
+
+
+def _descend(ops: Sequence[InductionOp], index: int, y: int, level: int) -> int:
+    """T^level(y) for y a point of stage index, walked back to stage 0."""
+    for kind, end, cut, shift, height, losers in reversed(ops[:index]):
+        if kind == _TOP:
+            for lo, hi, off, h in losers:
+                if lo <= y < hi:
+                    if level >= h:
+                        laps = (level - h) // height
+                        y += off - laps * shift
+                        level -= h + laps * height
+                    break
+        elif kind == _BOTTOM and y >= end - cut - shift:
+            laps = min(level // height, (end - 1 - y) // shift)
+            y += laps * shift
+            level -= laps * height
+    return y
+
+
+def induction(su: IetSurface) -> Tuple[InductionOp, ...]:
+    """The induction of the surface's traced return map, memoized on it."""
+    if su._ops is None:
+        su._ops = _induce(su.returns, su.width)
+    return su._ops
+
+
+def _tower(su: IetSurface, i: int) -> Tuple[Tuple[InductionOp, ...], int, int, int]:
+    if not 0 <= i < su.width:
+        raise IetError(f"point {i} outside [0, {su.width})")
+    ops = induction(su)
+    return (ops, *_locate(ops, i))
+
+
+def orbit_size(su: IetSurface, i: int) -> int:
+    """Length of the orbit of i: the height of the tower that holds it."""
+    ops, index, _, _ = _tower(su, i)
+    return ops[index].height
+
+
+def cycle_type(su: IetSurface) -> Dict[int, int]:
+    """Orbit length -> number of orbits of that length, off the towers."""
+    counts: Dict[int, int] = {}
+    for op in induction(su):
+        if op.kind == _FINISH:
+            counts[op.height] = counts.get(op.height, 0) + op.cut
+    return counts
+
+
 def iet_orbit_solve(
     transform: PiecewiseLinearBijection, i: int, n: int, surface: Optional[IetSurface] = None
 ) -> int:
     """The n-th iterate of i under an interval exchange, without iterating.
 
-    Walks i's orbit once on the traced return map, O(orbit * log runs),
-    then jumps to (position + n) mod the orbit size, so n may be
-    astronomically large; negative n walks backward.  Passing a prebuilt
-    surface skips rebuilding and shares the arc cache.
+    Walks i up through the surface's induction to its tower (base y, level
+    t, height H), then walks y's level (t + n) mod H back down: O(ops * k)
+    for any n, and n may be negative.  Passing a prebuilt surface skips
+    rebuilding and shares its induction.
     """
     su = surface if surface is not None else build_surface(transform)
     if su.transform.domain != transform.domain:
         raise IetError("surface built for a different exchange")
-    arc = arc_of(su, i)
-    return arc.orbit[(arc.central_positions[i] + n) % len(arc.orbit)]
+    ops, index, base, level = _tower(su, i)
+    return _descend(ops, index, base, (level + n) % ops[index].height)
 
 
 def three_gap_check(modulus: int, step: int, count: int) -> Tuple[int, ...]:
@@ -500,29 +668,37 @@ def three_gap_check(modulus: int, step: int, count: int) -> Tuple[int, ...]:
 def three_gap_max_distinct(modulus: int, step: int, limit: int) -> int:
     """Largest distinct-gap count over all prefixes count = 1 .. limit.
 
-    Incremental: each new point splits one cyclic gap in two, so a full
-    sweep costs one insertion per distinct point instead of a sort per
-    prefix.
+    With g = gcd(step, modulus), the points are g times a rotation by
+    step/g on a circle of m = modulus/g, and only the first m are
+    distinct.  Euclid on (m, step/g) gives quotients a, denominators q and
+    remainders e; the three-distance theorem in continued-fraction form
+    (Sos 1958; Alessandri and Berthe 1998) says that n = r q_k + q_{k-1} + t
+    points, 1 <= r <= a_{k+1} and 0 <= t < q_k, leave gaps e_k (n - q_k of
+    them), e_{k-1} - r e_k (t of them) and e_{k-1} - (r - 1) e_k (q_k - t).
+    The count changes only with n > q_k, t > 0 and, on the last level
+    where lengths can meet, r in {a - 1, a}; smaller r and t mean smaller
+    n, so r in {1, 2, 3, a - 1, a} and t in {0, 1} reach every count a
+    level allows.  O(log modulus).
     """
     if modulus < 1 or limit < 1:
         raise IetError("modulus and limit must be positive")
-    points: List[int] = [0]
-    gaps: Counter = Counter({modulus: 1})
+    step %= modulus
+    g = gcd(step, modulus)
+    cap = min(limit, modulus // g)
+    e_prev, e = modulus // g, step // g
+    q_prev, q = 0, 1
     worst = 1
-    value = 0
-    for _ in range(limit - 1):
-        value = (value + step) % modulus
-        pos = bisect_left(points, value)
-        if pos < len(points) and points[pos] == value:
-            break  # the orbit has closed; later prefixes repeat
-        before = points[pos - 1]
-        after = points[pos % len(points)]
-        old = (after - before) % modulus or modulus
-        gaps[old] -= 1
-        if not gaps[old]:
-            del gaps[old]
-        gaps[(value - before) % modulus or modulus] += 1
-        gaps[(after - value) % modulus or modulus] += 1
-        insort(points, value)
-        worst = max(worst, len(gaps))
+    while e and q + q_prev <= cap and worst < 3:
+        a = e_prev // e
+        for r in {1, 2, 3, a - 1, a}:
+            if not 1 <= r <= a:
+                continue
+            long = e_prev - (r - 1) * e
+            for t in range(min(q, 2, cap - r * q - q_prev + 1)):
+                gaps = {long, e} if r * q + q_prev + t > q else {long}
+                if t:
+                    gaps.add(long - e)
+                worst = max(worst, len(gaps))
+        e_prev, e = e, e_prev - a * e
+        q_prev, q = q, a * q + q_prev
     return worst

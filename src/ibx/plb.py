@@ -267,7 +267,16 @@ class _Evaluator:
 
 
 def permutation_order(t: PiecewiseLinearBijection) -> int:
-    """Multiplicative order of the map, via cycle lengths.  Desk-scale N."""
+    """Multiplicative order of the map, via cycle lengths.
+
+    An interval exchange (every piece a translation) takes the lcm of its
+    tower heights from the surface's induction, at any N; any other map
+    walks its cycles, at desk-scale N.
+    """
+    if all(p.mult == 1 for p in t.pieces):
+        from .iet import build_surface, cycle_type
+
+        return lcm(*cycle_type(build_surface(t)))
     if t.domain > 1 << 20:
         raise PlbError("domain too large for order computation")
     order = 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .circuits import ClassicalCircuit, ClassicalGate, _BOOL_FN, _pack_bits
 from .kernel import (
     Bijection,
     Bitstring,
@@ -254,6 +253,8 @@ class OracleCircuit:
     outputs: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        from .circuits import ClassicalGate
+
         defined = set(range(self.inputs))
         for g in self.gates:
             if isinstance(g, ClassicalGate):
@@ -282,11 +283,11 @@ class OracleCircuit:
     def all_wires(self) -> List[int]:
         wires = set(range(self.inputs))
         for g in self.gates:
-            if isinstance(g, ClassicalGate):
+            if isinstance(g, OracleGate):
+                wires.update(g.n_wires + g.s_wires + g.t_wires)
+            else:
                 wires.add(g.out)
                 wires.update(g.args)
-            else:
-                wires.update(g.n_wires + g.s_wires + g.t_wires)
         wires.update(self.outputs)
         return sorted(wires)
 
@@ -301,6 +302,8 @@ class OracleCircuit:
 def eval_oracle_circuit(oc: OracleCircuit, g_oracle: Bijection, x: Bitstring) -> Bitstring:
     """Direct evaluator, used as the oracle the compiled schedule is tested
     against."""
+    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
+
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
     k = oc.inputs
@@ -340,6 +343,8 @@ def compile_oracle_circuit(
     each later tick with c2 at most the gate's count replaces t by g(t).
     After M*N steps every gate has fired and the clock is back at zero.
     """
+    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
+
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
     wires = oc.all_wires()

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -435,7 +436,8 @@ def test_iet_build_summary(tmp_path, capsys):
     assert "edge" in out and "triangle" in out
 
 
-def test_iet_build_huge_domain(tmp_path, capsys):
+def huge_exchange_file(tmp_path):
+    """Eight pieces of about 10**12 / 8 points, in reverse order."""
     n = 10**12
     cuts = [0] + [n // 8 * j + j for j in range(1, 8)] + [n]
     segs = list(zip(cuts, cuts[1:]))
@@ -445,9 +447,43 @@ def test_iet_build_huge_domain(tmp_path, capsys):
         out += hi - lo
     path = tmp_path / "t.iet"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_iet_build_huge_domain(tmp_path, capsys):
+    path = huge_exchange_file(tmp_path)
     rc, out, _ = run_cli(capsys, "iet", "build", "--file", str(path))
     assert rc == 0
-    assert out.splitlines()[0].startswith(f"surface domain={n} pieces=8 stripes=3")
+    assert out.splitlines()[0].startswith(f"surface domain={10**12} pieces=8 stripes=3")
+
+
+def timed_solve(capsys, path, i, steps):
+    started = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "iet", "solve", "--file", str(path), "--i", str(i), "--n", str(steps))
+    assert time.perf_counter() - started < 1.0
+    assert rc == 0
+    return int(out)
+
+
+def test_iet_solve_huge_rotation(tmp_path, capsys):
+    n, a = 10**12, 10**12 - 1
+    path = tmp_path / "rot.iet"
+    path.write_text(f"iet {n}\npiece 0 1 {a}\npiece 1 {n} -1\n")
+    for i, steps in ((5, 7), (0, 10**30), (n - 1, -(10**20) - 3), (123456789, 10**12 + 1)):
+        assert timed_solve(capsys, path, i, steps) == (i + steps * a) % n
+
+
+def test_iet_solve_huge_exchange(tmp_path, capsys):
+    path = huge_exchange_file(tmp_path)
+    t = plb.interval_exchange(*formats.parse_iet(path.read_text()))
+    for i in (0, 123456789, 10**12 - 1, 5 * 10**11 + 3):
+        for steps in (1, 2, 7):
+            y = timed_solve(capsys, path, i, steps)
+            for _ in range(steps):
+                y = plb.apply_plb_inverse(t, y)
+            assert y == i
+        y = timed_solve(capsys, path, i, 10**30)
+        assert timed_solve(capsys, path, y, -(10**30)) == i
 
 
 def test_iet_report_counts_surface_sizes(tmp_path, capsys):
@@ -467,8 +503,11 @@ def test_iet_report_counts_surface_sizes(tmp_path, capsys):
         capsys, "iet", "solve", "--file", str(path), "--i", "6", "--n", "1", "--report"
     )
     assert rc == 0
-    arc_steps = iet.arc_of(su, 6).length
-    assert json.loads(err)["step_counts"] == dict(sizes, arc_steps=arc_steps)
+    arc = iet.arc_of(su, 6)
+    assert json.loads(err)["step_counts"] == dict(
+        sizes, arc_steps=arc.length, orbit_length=len(arc.orbit),
+        induction_ops=len(iet.induction(su)),
+    )
 
 
 def test_iet_three_gap(capsys):
@@ -605,6 +644,8 @@ def test_only_array_commands_load_numpy(name, tmp_path):
     assert ("numpy" in loaded) == (name == "ca_bbm_run"), loaded
     if name.startswith(("iet_", "plb_")):
         assert not {"ibx.circuits", "ibx.graphs"} & set(loaded), loaded
+    if name == "reduce_clock":
+        assert "ibx.circuits" not in loaded, loaded
 
 
 def test_import_ibx_is_lazy(tmp_path):

@@ -1,8 +1,14 @@
 """Interval exchanges as traced curves on a square-tiled surface."""
 
 import time
+from bisect import bisect_left, insort
+from collections import Counter
+from itertools import accumulate
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibx.iet import (
     Crossing,
@@ -11,14 +17,18 @@ from ibx.iet import (
     _trace_run,
     arc_of,
     build_surface,
+    cycle_type,
     iet_orbit_solve,
+    induction,
     normal_coords_vertical,
+    orbit_size,
     three_gap_check,
     three_gap_max_distinct,
     trace_step,
     validate_normal_coords,
 )
-from ibx.plb import apply_plb, interval_exchange, iterate_plb
+from ibx.kernel import cycle_lengths
+from ibx.plb import apply_plb, interval_exchange, iterate_plb, permutation_order
 
 
 FIG_PIECES = ((0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5))
@@ -223,6 +233,62 @@ def test_three_gap_bound_and_naive_agreement(rng):
             assert got <= 3
 
 
+def sweep_distinct_counts(modulus, step):
+    """Distinct-gap count of each prefix until the orbit closes, by the
+    incremental sweep the Euclid form replaced, kept as the oracle: each
+    new point splits one cyclic gap in two."""
+    points = [0]
+    gaps = Counter({modulus: 1})
+    value = 0
+    yield 1
+    while True:
+        value = (value + step) % modulus
+        pos = bisect_left(points, value)
+        if pos < len(points) and points[pos] == value:
+            return  # the orbit has closed; later prefixes repeat
+        before = points[pos - 1]
+        after = points[pos % len(points)]
+        old = (after - before) % modulus or modulus
+        gaps[old] -= 1
+        if not gaps[old]:
+            del gaps[old]
+        gaps[(value - before) % modulus or modulus] += 1
+        gaps[(after - value) % modulus or modulus] += 1
+        insort(points, value)
+        yield len(gaps)
+
+
+def sweep_running_max(modulus, step):
+    return list(accumulate(sweep_distinct_counts(modulus, step), max))
+
+
+def test_euclid_three_gap_matches_the_sweep(rng):
+    for modulus in range(1, 61):
+        for step in range(modulus + 2):
+            running = sweep_running_max(modulus, step)
+            for limit in range(1, modulus + 2):
+                want = running[min(limit, len(running)) - 1]
+                assert three_gap_max_distinct(modulus, step, limit) == want, (modulus, step, limit)
+    for _ in range(100):
+        modulus = rng.randrange(1, 3000)
+        step, limit = rng.randrange(-modulus, 2 * modulus), rng.randrange(1, modulus + 2)
+        running = sweep_running_max(modulus, step)
+        want = running[min(limit, len(running)) - 1]
+        assert three_gap_max_distinct(modulus, step, limit) == want, (modulus, step, limit)
+
+
+def test_euclid_three_gap_at_huge_modulus():
+    # Fibonacci numbers: every quotient is 1, the longest Euclid there is
+    a, b = 1, 1
+    while b < 10**300:
+        a, b = b, a + b
+    started = time.perf_counter()
+    assert three_gap_max_distinct(b, a, b) == 3
+    assert three_gap_max_distinct(b, a, 2) == 2
+    assert three_gap_max_distinct(10**300, 10**299, 10**300) == 2
+    assert time.perf_counter() - started < 0.1
+
+
 # ---------------------------------------------------------------------------
 # Run-length tracing against the point tracer it replaced.
 
@@ -344,6 +410,81 @@ def test_orbit_solve_matches_cycle_oracle_at_huge_n(rng):
                 cycle.append(apply_plb(t, cycle[-1]))
             for n in (10**30, -(10**30), 10**30 + 7):
                 assert iet_orbit_solve(t, i, n, surface=su) == cycle[n % len(cycle)]
+
+
+def orbit_of(t, i):
+    cycle = [i]
+    while apply_plb(t, cycle[-1]) != i:
+        cycle.append(apply_plb(t, cycle[-1]))
+    return cycle
+
+
+@st.composite
+def exchanges(draw, max_domain, max_pieces):
+    n = draw(st.integers(1, max_domain))
+    k = draw(st.integers(1, min(max_pieces, n)))
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)) if k > 1 else []
+    bounds = [0] + sorted(cuts) + [n]
+    segs = list(zip(bounds, bounds[1:]))
+    pieces, out = [], 0
+    for idx in draw(st.permutations(range(k))):
+        lo, hi = segs[idx]
+        pieces.append((lo, hi, out - lo))
+        out += hi - lo
+    return interval_exchange(n, pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exchanges(300, 9), st.data())
+def test_orbit_solve_matches_a_brute_force_walk(t, data):
+    su = build_surface(t)
+    i = data.draw(st.integers(0, t.domain - 1))
+    steps = data.draw(st.sampled_from([10**30, -(10**30)]) | st.integers(-(10**30), 10**30))
+    cycle = orbit_of(t, i)
+    assert iet_orbit_solve(t, i, steps, surface=su) == cycle[steps % len(cycle)]
+    assert orbit_size(su, i) == len(cycle)
+
+
+def test_orbit_solve_at_every_point_of_small_exchanges(rng):
+    for _ in range(300):
+        n = rng.randint(2, 59)
+        t = interval_exchange(n, random_pieces(rng, n, rng.randint(1, min(5, n))))
+        su = build_surface(t)
+        for i in range(n):
+            cycle = orbit_of(t, i)
+            for steps in (1, -1, len(cycle) + 2, 10**30 + 1):
+                assert iet_orbit_solve(t, i, steps, surface=su) == cycle[steps % len(cycle)]
+
+
+def test_cycle_type_matches_the_cycle_walk(rng):
+    for t in oracle_exchanges(rng, 30):
+        want = Counter(cycle_lengths(lambda x: apply_plb(t, x), t.domain))
+        assert cycle_type(build_surface(t)) == want
+        assert permutation_order(t) == lcm(*want)
+
+
+def test_cycle_type_of_a_huge_rotation():
+    n = 10**12
+    for a in (1, n - 1, 6 * 10**5, 2**39):
+        t = rotation(n, a)
+        g = gcd(a, n)
+        assert cycle_type(build_surface(t)) == {n // g: g}
+        assert permutation_order(t) == n // g
+
+
+def test_orbit_solve_scales_to_huge_domain(rng):
+    n = 10**12
+    started = time.perf_counter()
+    for _ in range(5):
+        t = interval_exchange(n, random_pieces(rng, n, 8))
+        su = build_surface(t)
+        assert induction(su) is induction(su)
+        for i in rng.sample(range(n), 5):
+            y = iet_orbit_solve(t, i, 10**30, surface=su)
+            assert iet_orbit_solve(t, y, -(10**30), surface=su) == i
+            assert iet_orbit_solve(t, i, 3, surface=su) == iterate_plb(t, 3, i)
+            assert iet_orbit_solve(t, i, orbit_size(su, i), surface=su) == i
+    assert time.perf_counter() - started < 1.0
 
 
 def test_arc_lists_the_orbit_in_trace_order():
