@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .kernel import Bijection, Bitstring, pack_fields, unpack_fields
 
@@ -40,6 +40,10 @@ class ImplicitFamily:
     screens the response: anything of the wrong shape (more than two
     entries, duplicates, a self-loop, a width mismatch) is reported as None
     so callers can treat it uniformly as a broken promise.
+
+    ``neighbors`` must be a deterministic function of its arguments: the
+    same (G, v) always gets the same answer.  leaf_to_bijection relies on
+    this when it reuses an answer instead of asking again.
     """
 
     neighbors: NeighborFn
@@ -96,6 +100,13 @@ def solve_leaf_walk(inst: LeafInstance) -> Bitstring:
     raise FamilyError("walk exceeded the vertex space; component is not a path")
 
 
+# Vertices whose neighbor lists one leaf_to_bijection map remembers.
+_LEAF_MEMO = 4
+
+# A screened neighbor list as vertex ids, or None for a broken promise.
+_Nbrs = Optional[Tuple[int, ...]]
+
+
 def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bijection:
     """Package the leaf walk as a bijection on 3k-bit states (n, v, w).
 
@@ -111,52 +122,68 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     genuine bijection whenever the family honours its symmetry and degree
     promises; locally detectable violations fall back to the identity but
     cannot rescue bijectivity off-contract.
+
+    The oracle must be a deterministic function of its arguments.  Each map
+    remembers the screened answers for its last few vertices, so a walking
+    step asks the oracle only about the vertex it steps onto and a waiting
+    step asks nothing; with an oracle whose answers change between calls
+    the map would act on stale answers.
     """
     if k <= 0:
         raise GraphError("vertex width must be positive")
     mask = (1 << k) - 1
+    k2 = 2 * k
+    memo: Dict[int, _Nbrs] = {}
 
-    def query_vals(value: int) -> Optional[List[int]]:
+    def query_vals(value: int) -> _Nbrs:
+        # A step asks about the two vertices of its edge and, when walking,
+        # the next one; the previous step asked about all but the newest.
+        # So a memo of the last few vertices leaves one oracle call per
+        # walking step and none per waiting step.
+        if value in memo:
+            return memo[value]
         out = family.query(instance, Bitstring(value, k))
-        if out is None:
-            return None
-        return [w.value for w in out]
+        vals = None if out is None else tuple([w.value for w in out])
+        if len(memo) >= _LEAF_MEMO:
+            del memo[next(iter(memo))]
+        memo[value] = vals
+        return vals
 
-    def mutual(a: int, na: Optional[List[int]], b: int, nb: Optional[List[int]]) -> bool:
+    def mutual(a: int, na: _Nbrs, b: int, nb: _Nbrs) -> bool:
         return na is not None and nb is not None and b in na and a in nb
 
     def fwd(x: int) -> int:
-        n, v, w = unpack_fields(x, (k, k, k))
+        n, v, w = (x >> k2) & mask, (x >> k) & mask, x & mask
         nv, nw = query_vals(v), query_vals(w)
         if not mutual(v, nv, w, nw):
             return x
         if n > 0:
             if len(nv) == 1:
-                return pack_fields([((n + 1) & mask, k), (v, k), (w, k)])
+                return ((n + 1) & mask) << k2 | v << k | w
             return x
         if len(nw) == 1:
-            return pack_fields([(1, k), (w, k), (v, k)])
+            return 1 << k2 | w << k | v
         u = nw[0] if nw[1] == v else nw[1]
         nu = query_vals(u)
         if not mutual(w, nw, u, nu):
             return x
-        return pack_fields([(0, k), (w, k), (u, k)])
+        return w << k | u
 
     def back(x: int) -> int:
-        m, p, q = unpack_fields(x, (k, k, k))
+        m, p, q = (x >> k2) & mask, (x >> k) & mask, x & mask
         np_, nq = query_vals(p), query_vals(q)
         if not mutual(p, np_, q, nq):
             return x
         if len(np_) == 1:
             if m == 1:
-                return pack_fields([(0, k), (q, k), (p, k)])
-            return pack_fields([((m - 1) & mask, k), (p, k), (q, k)])
+                return q << k | p
+            return ((m - 1) & mask) << k2 | p << k | q
         if m == 0:
             v = np_[0] if np_[1] == q else np_[1]
             nv = query_vals(v)
             if not mutual(v, nv, p, np_):
                 return x
-            return pack_fields([(0, k), (v, k), (p, k)])
+            return v << k | p
         return x
 
     return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]")

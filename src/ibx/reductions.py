@@ -9,11 +9,14 @@ narrow counter c2 are packed in front of the payload fields, each step first
 ticks the clock (c2, carrying into c1 on wraparound), and the payload action
 is keyed by the value c2 showed when the step began.  States whose counter
 fields decode out of range are fixed points, which keeps every map total.
+ClockedCodec is the single place that lays out the (c1, c2, payload) bits:
+the clocked steps, the start states and the extraction maps all go through
+its split and join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -22,8 +25,6 @@ from .kernel import (
     WidthMismatchError,
     from_permutation,
     iterate_bijection,
-    pack_fields,
-    unpack_fields,
 )
 
 
@@ -40,35 +41,65 @@ class ClockedState:
 
 @dataclass(frozen=True)
 class ClockedCodec:
-    """Bit packing for (c1, c2, payload...) states.
+    """Bit packing for (c1, c2, payload...) states, first field most
+    significant.
 
-    Field widths are the minimum that hold modulus-1; decode returns None for
-    states with a counter at or beyond its modulus.
+    Field widths are the minimum that hold modulus-1.  The shifts and masks
+    are computed once, at construction, into two closures: ``split`` reads a
+    state as (c1, c2, payload), or None when a counter is at or beyond its
+    modulus, and ``join`` packs the fields back, raising ValueError for a
+    field that does not fit its width.  A clocked step calls them directly;
+    decode and encode wrap them for ClockedState values.
     """
 
     m_big: int
     m_small: int
     payload_widths: Tuple[int, ...]
+    widths: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    split: Callable[[int], Optional[Tuple[int, int, Tuple[int, ...]]]] = field(
+        init=False, repr=False, compare=False
+    )
+    join: Callable[[int, int, Tuple[int, ...]], int] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        w1 = max(1, (self.m_big - 1).bit_length())
-        w2 = max(1, (self.m_small - 1).bit_length())
-        return (w1, w2) + self.payload_widths
+    def __post_init__(self) -> None:
+        m_big, m_small = self.m_big, self.m_small
+        w1 = max(1, (m_big - 1).bit_length())
+        w2 = max(1, (m_small - 1).bit_length())
+        widths = (w1, w2) + self.payload_widths
+        s1, s2, *shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
+        mask1, mask2 = (1 << w1) - 1, (1 << w2) - 1
+        fields = tuple(zip(shifts, [(1 << w) - 1 for w in self.payload_widths]))
 
-    @property
-    def width(self) -> int:
-        return sum(self.widths)
+        def split(value: int) -> Optional[Tuple[int, int, Tuple[int, ...]]]:
+            c1, c2 = (value >> s1) & mask1, (value >> s2) & mask2
+            if c1 >= m_big or c2 >= m_small:
+                return None
+            return c1, c2, tuple([(value >> s) & m for s, m in fields])
+
+        def join(c1: int, c2: int, payload: Tuple[int, ...]) -> int:
+            if not (0 <= c1 <= mask1 and 0 <= c2 <= mask2):
+                raise ValueError(f"counters ({c1}, {c2}) do not fit in ({w1}, {w2}) bits")
+            acc = c1 << s1 | c2 << s2
+            for p, (s, m) in zip(payload, fields):
+                if not 0 <= p <= m:
+                    raise ValueError(f"payload value {p} does not fit in {m.bit_length()} bits")
+                acc |= p << s
+            return acc
+
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "width", sum(widths))
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "join", join)
 
     def encode(self, state: ClockedState) -> int:
-        return pack_fields(list(zip((state.c1, state.c2) + state.payload, self.widths)))
+        return self.join(state.c1, state.c2, state.payload)
 
     def decode(self, value: int) -> Optional[ClockedState]:
-        parts = unpack_fields(value, self.widths)
-        c1, c2 = parts[0], parts[1]
-        if c1 >= self.m_big or c2 >= self.m_small:
-            return None
-        return ClockedState(c1, c2, parts[2:])
+        parts = self.split(value)
+        return None if parts is None else ClockedState(*parts)
 
 
 @dataclass(frozen=True)
@@ -101,25 +132,28 @@ def _clocked(codec: ClockedCodec, act: PayloadAction, label: str) -> Bijection:
     ``act(c1, c2, payload, True)`` keyed by the same hands.
     """
     m_big, m_small = codec.m_big, codec.m_small
+    split, join = codec.split, codec.join
 
     def fwd(v: int) -> int:
-        st = codec.decode(v)
+        st = split(v)
         if st is None:
             return v
-        payload = act(st.c1, st.c2, st.payload, False)
-        c1, c2 = st.c1, st.c2 + 1
+        c1, c2, payload = st
+        payload = act(c1, c2, payload, False)
+        c2 += 1
         if c2 == m_small:
             c1, c2 = (c1 + 1) % m_big, 0
-        return codec.encode(ClockedState(c1, c2, payload))
+        return join(c1, c2, payload)
 
     def back(v: int) -> int:
-        st = codec.decode(v)
+        st = split(v)
         if st is None:
             return v
-        c1, c2 = st.c1, st.c2 - 1
+        c1, c2, payload = st
+        c2 -= 1
         if c2 < 0:
             c1, c2 = (c1 - 1) % m_big, m_small - 1
-        return codec.encode(ClockedState(c1, c2, act(c1, c2, st.payload, True)))
+        return join(c1, c2, act(c1, c2, payload, True))
 
     return Bijection(codec.width, fwd, back, label=label)
 
@@ -157,19 +191,18 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
         return f.forward(a) if a == target else 0
 
     def fwd(v: int) -> int:
-        a, b = unpack_fields(v, (k, k))
-        return pack_fields([((a + 1) & mask, k), ((b + ftilde(a)) & mask, k)])
+        a, b = (v >> k) & mask, v & mask
+        return ((a + 1) & mask) << k | (b + ftilde(a)) & mask
 
     def back(v: int) -> int:
-        a, b = unpack_fields(v, (k, k))
+        a, b = (v >> k) & mask, v & mask
         prev = (a - 1) & mask
-        return pack_fields([(prev, k), ((b - ftilde(prev)) & mask, k)])
+        return prev << k | (b - ftilde(prev)) & mask
 
     g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]")
 
     def extract(final: Bitstring) -> Bitstring:
-        _, b = unpack_fields(final.value, (k, k))
-        return Bitstring(b, k)
+        return Bitstring(final.value & mask, k)
 
     return Schedule(g, size, Bitstring(0, 2 * k), extract)
 

@@ -1,5 +1,7 @@
 """Implicit leaf problems, cubic graphs, and the lollipop walk."""
 
+import random
+
 import pytest
 
 from ibx.graphs import (
@@ -23,7 +25,13 @@ from ibx.graphs import (
     second_hamiltonian,
     solve_leaf_walk,
 )
-from ibx.kernel import Bitstring, check_bijection_exhaustive, iterate_bijection
+from ibx.kernel import (
+    Bitstring,
+    check_bijection_exhaustive,
+    iterate_bijection,
+    pack_fields,
+    unpack_fields,
+)
 
 
 def path_family(ids, k, counter=None):
@@ -237,3 +245,104 @@ def test_lollipop_instance_walk_terminates():
     inst, _ = lollipop_instance(g, cycles[0], g.edges[0])
     far = solve_leaf_walk(inst)
     assert far != inst.start
+
+
+def _reference_leaf_walk(family, instance, k):
+    """leaf_to_bijection's step as a literal loop body: fields unpacked and
+    packed by the kernel, and every vertex asked about on every step."""
+    mask = (1 << k) - 1
+
+    def query_vals(value):
+        out = family.query(instance, Bitstring(value, k))
+        return None if out is None else [w.value for w in out]
+
+    def mutual(a, na, b, nb):
+        return na is not None and nb is not None and b in na and a in nb
+
+    def fwd(x):
+        n, v, w = unpack_fields(x, (k, k, k))
+        nv, nw = query_vals(v), query_vals(w)
+        if not mutual(v, nv, w, nw):
+            return x
+        if n > 0:
+            if len(nv) == 1:
+                return pack_fields([((n + 1) & mask, k), (v, k), (w, k)])
+            return x
+        if len(nw) == 1:
+            return pack_fields([(1, k), (w, k), (v, k)])
+        u = nw[0] if nw[1] == v else nw[1]
+        nu = query_vals(u)
+        if not mutual(w, nw, u, nu):
+            return x
+        return pack_fields([(0, k), (w, k), (u, k)])
+
+    def back(x):
+        m, p, q = unpack_fields(x, (k, k, k))
+        np_, nq = query_vals(p), query_vals(q)
+        if not mutual(p, np_, q, nq):
+            return x
+        if len(np_) == 1:
+            if m == 1:
+                return pack_fields([(0, k), (q, k), (p, k)])
+            return pack_fields([((m - 1) & mask, k), (p, k), (q, k)])
+        if m == 0:
+            v = np_[0] if np_[1] == q else np_[1]
+            nv = query_vals(v)
+            if not mutual(v, nv, p, np_):
+                return x
+            return pack_fields([(0, k), (v, k), (p, k)])
+        return x
+
+    return fwd, back
+
+
+def broken_family(ids, k):
+    """A path on ids with three broken promises: ids[2] does not point back
+    at ids[1], ids[4] lists itself, and the oracle fails (None) at ids[-2]."""
+    good = path_family(ids, k)
+
+    def neighbors(g, v):
+        if v.value == ids[-2]:
+            return None
+        out = good.neighbors(g, v)
+        if v.value == ids[2]:
+            return [w for w in out if w.value != ids[1]]
+        if v.value == ids[4]:
+            return out + [v]
+        return out
+
+    return ImplicitFamily(neighbors)
+
+
+def _leaf_families(k):
+    ids = random.Random(k).sample(range(1 << k), 1 << k)
+    good = [(path_family(ids[:n], k), True) for n in (2, 3, 5, 1 << k)]
+    return good + [(broken_family(ids[:7], k), False)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_leaf_bijection_matches_the_literal_reference(k):
+    g = Bitstring(0, 1)
+    for fam, well_formed in _leaf_families(k):
+        f = leaf_to_bijection(fam, g, k)
+        ref_fwd, ref_back = _reference_leaf_walk(fam, g, k)
+        for x in range(1 << 3 * k):
+            assert f.forward(x) == ref_fwd(x)
+            assert f.backward(x) == ref_back(x)
+        if well_formed:
+            assert check_bijection_exhaustive(f).ok
+
+
+@pytest.mark.parametrize("k, length", [(4, 2), (4, 9), (4, 16), (6, 40)])
+def test_leaf_walk_asks_each_vertex_once(k, length):
+    ids = random.Random(length).sample(range(1 << k), length)
+    counter = [0]
+    f = leaf_to_bijection(path_family(ids, k, counter), Bitstring(0, 1), k)
+    start = Bitstring((ids[0] << k) | ids[1], 3 * k)
+    end = iterate_bijection(f, 1 << k, start)
+    assert (end.value >> k) & ((1 << k) - 1) == ids[-1]
+    # One call per vertex on the path; the waiting steps ask nothing.
+    assert counter[0] <= length + 2
+    counter[0] = 0
+    assert iterate_bijection(f, -(1 << k), end) == start
+    assert counter[0] <= length + 2

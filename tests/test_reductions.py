@@ -11,11 +11,14 @@ from ibx.kernel import (
     identity,
     increment,
     iterate_bijection,
+    pack_fields,
     rotate_left,
+    unpack_fields,
 )
 from ibx.reductions import (
     MAX_CLOCK_WIDTH,
     MAX_SWEEP_WIDTH,
+    ClockedState,
     OracleCircuit,
     OracleGate,
     ReductionError,
@@ -219,3 +222,222 @@ def test_oracle_circuit_wiring_guards():
         OracleCircuit(2, (OracleGate((0,), (5,), (2,)),), (2,))
     with pytest.raises(ReductionError):
         OracleCircuit(1, (), (3,))
+
+
+# ---------------------------------------------------------------------------
+# The clocked steps against a literal reference: the fields unpacked and
+# packed by the kernel's pack_fields/unpack_fields at widths computed here,
+# one ClockedState per step, and the payload rule written out again.
+
+
+def _ref_widths(codec):
+    w1 = max(1, (codec.m_big - 1).bit_length())
+    w2 = max(1, (codec.m_small - 1).bit_length())
+    return (w1, w2) + codec.payload_widths
+
+
+def _ref_decode(codec, v):
+    c1, c2, *payload = unpack_fields(v, _ref_widths(codec))
+    if c1 >= codec.m_big or c2 >= codec.m_small:
+        return None
+    return ClockedState(c1, c2, tuple(payload))
+
+
+def _ref_encode(codec, st):
+    return pack_fields(list(zip((st.c1, st.c2) + st.payload, _ref_widths(codec))))
+
+
+def _ref_clocked(codec, act):
+    def fwd(v):
+        st = _ref_decode(codec, v)
+        if st is None:
+            return v
+        payload = act(st.c1, st.c2, st.payload, False)
+        c1, c2 = st.c1, st.c2 + 1
+        if c2 == codec.m_small:
+            c1, c2 = (c1 + 1) % codec.m_big, 0
+        return _ref_encode(codec, ClockedState(c1, c2, payload))
+
+    def back(v):
+        st = _ref_decode(codec, v)
+        if st is None:
+            return v
+        c1, c2 = st.c1, st.c2 - 1
+        if c2 < 0:
+            c1, c2 = (c1 - 1) % codec.m_big, codec.m_small - 1
+        payload = act(c1, c2, st.payload, True)
+        return _ref_encode(codec, ClockedState(c1, c2, payload))
+
+    return fwd, back
+
+
+def _ref_clock_act(f):
+    """compile_iteration_to_invertible's rule, as its docstring states it."""
+    k = f.width
+    size = 1 << k
+
+    def act(c1, c2, payload, reverse):
+        a, b, c = payload
+        if c2 == 0:
+            return a, b ^ f.forward(a), c
+        if c2 == 1:
+            return a ^ b, b, c
+        if c2 < size + 2:
+            if reverse:
+                c = (c - 1) % size
+                if f.forward(c) == b:
+                    a ^= c
+                return a, b, c
+            if f.forward(c) == b:
+                a ^= c
+            return a, b, (c + 1) % size
+        return a, b ^ a, c
+
+    return act
+
+
+_REF_BOOL = {
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "not": lambda a: 1 - a,
+    "copy": lambda a: a,
+}
+
+
+def _ref_oracle_act(oc, g):
+    """compile_oracle_circuit's rule, on a wire vector whose first wire is
+    the most significant bit."""
+    wires = oc.all_wires()
+    pos = {w: len(wires) - 1 - i for i, w in enumerate(wires)}
+
+    def read(vec, ws):
+        out = 0
+        for w in ws:
+            out = (out << 1) | ((vec >> pos[w]) & 1)
+        return out
+
+    def write(vec, ws, value):
+        for i, w in enumerate(ws):
+            bit = (value >> (len(ws) - 1 - i)) & 1
+            vec = (vec & ~(1 << pos[w])) | (bit << pos[w])
+        return vec
+
+    def act(c1, c2, payload, reverse):
+        (vec,) = payload
+        if c1 >= len(oc.gates):
+            return payload
+        gate = oc.gates[c1]
+        if isinstance(gate, ClassicalGate):
+            if c2 == 0:
+                bit = _REF_BOOL[gate.kind](*(read(vec, (a,)) for a in gate.args))
+                vec ^= bit << pos[gate.out]
+            return (vec,)
+        count = read(vec, gate.n_wires)
+        if c2 == 0:
+            return (vec ^ write(0, gate.t_wires, read(vec, gate.s_wires)),)
+        if c2 <= count:
+            t = read(vec, gate.t_wires)
+            vec = write(vec, gate.t_wires, g.backward(t) if reverse else g.forward(t))
+        return (vec,)
+
+    return act
+
+
+def _assert_matches_reference(s, act):
+    """Compare every state of the codec's width; returns how many of them
+    have a counter out of range."""
+    codec = s.codec
+    assert codec.widths == _ref_widths(codec)
+    assert codec.width == sum(_ref_widths(codec)) == s.g.width
+    ref_fwd, ref_back = _ref_clocked(codec, act)
+    out_of_range = 0
+    for v in range(1 << codec.width):
+        st = _ref_decode(codec, v)
+        assert codec.decode(v) == st
+        if st is None:
+            out_of_range += 1
+            assert s.g.forward(v) == v and s.g.backward(v) == v
+        else:
+            assert codec.encode(st) == v
+        y = s.g.forward(v)
+        assert y == ref_fwd(v)
+        assert s.g.backward(v) == ref_back(v)
+        assert s.g.backward(y) == v
+    return out_of_range
+
+
+@pytest.mark.parametrize(
+    "f, n, x",
+    [
+        (increment(2), 3, 1),
+        (rotate_left(3), 2, 5),
+        (Bijection(3, lambda v: (v + 3) & 7, None, "add3"), 1, 6),
+        (identity(1), 0, 1),
+    ],
+)
+def test_clock_steps_match_the_literal_reference(f, n, x):
+    s = compile_iteration_to_invertible(f, n, Bitstring(x, f.width))
+    assert _assert_matches_reference(s, _ref_clock_act(f)) > 0
+
+
+@pytest.mark.parametrize(
+    "oc, k",
+    [
+        (
+            OracleCircuit(
+                4,
+                (OracleGate((0, 1), (2, 3), (4, 5)), ClassicalGate("copy", 6, (4,))),
+                (5, 6),
+            ),
+            2,
+        ),
+        (
+            OracleCircuit(
+                3, (ClassicalGate("xor", 3, (0, 1)), OracleGate((3,), (2,), (4,))), (4,)
+            ),
+            1,
+        ),
+        (
+            OracleCircuit(
+                2,
+                (
+                    ClassicalGate("and", 2, (0, 1)),
+                    ClassicalGate("not", 3, (2,)),
+                    OracleGate((0,), (3,), (4,)),
+                    ClassicalGate("or", 5, (1, 4)),
+                ),
+                (2, 5),
+            ),
+            1,
+        ),
+    ],
+)
+def test_oracle_steps_match_the_literal_reference(oc, k):
+    g = increment(k)
+    s = compile_oracle_circuit(oc, g, Bitstring(1, oc.inputs))
+    assert _assert_matches_reference(s, _ref_oracle_act(oc, g)) > 0
+
+
+def test_codec_join_rejects_fields_that_do_not_fit():
+    s = compile_iteration_to_invertible(increment(2), 3, Bitstring(0, 2))
+    with pytest.raises(ValueError):
+        s.codec.encode(ClockedState(0, 0, (4, 0, 0)))
+    with pytest.raises(ValueError):
+        s.codec.encode(ClockedState(4, 0, (0, 0, 0)))
+
+
+def test_sweep_steps_match_the_literal_reference():
+    f = rotate_left(3)
+    x = Bitstring(6, 3)
+    s = inversion_by_iteration(f, x)
+
+    def ftilde(a):
+        return f.forward(a) if a == x.value else 0
+
+    for v in range(1 << 6):
+        a, b = unpack_fields(v, (3, 3))
+        prev = (a - 1) & 7
+        assert s.g.forward(v) == pack_fields([((a + 1) & 7, 3), ((b + ftilde(a)) & 7, 3)])
+        assert s.g.backward(v) == pack_fields([(prev, 3), ((b - ftilde(prev)) & 7, 3)])
+        assert s.extract(Bitstring(v, 6)).value == b
