@@ -337,17 +337,20 @@ def _cmd_plb(args, run: _Run) -> str:
 # iet
 
 
+def _three_gap_worst(bound: int) -> int:
+    """Most distinct gaps over every modulus up to bound and every step."""
+    from . import iet
+
+    pairs = ((m, step) for m in range(1, bound + 1) for step in range(m))
+    return max((iet.three_gap_max_distinct(m, step, m) for m, step in pairs), default=0)
+
+
 def _cmd_iet(args, run: _Run) -> str:
     from . import formats, iet, plb
 
     if args.action == "three-gap":
         if args.sweep is not None:
-            worst = 0
-            for modulus in range(1, args.sweep + 1):
-                for step in range(modulus):
-                    worst = max(
-                        worst, iet.three_gap_max_distinct(modulus, step, modulus)
-                    )
+            worst = _three_gap_worst(args.sweep)
             if worst > 3:
                 raise iet.IetError(f"found {worst} distinct gaps")
             return f"max distinct gaps {worst}"
@@ -525,10 +528,8 @@ def _verify_iet(rng: random.Random) -> None:
     for x, y in ((0, 11), (4, 0), (6, 10), (7, 2)):
         if iet.iet_orbit_solve(t, x, 1, surface=su) != y:
             raise ValueError(f"exchange maps {x} wrongly")
-    for modulus in range(1, 61):
-        for step in range(modulus):
-            if iet.three_gap_max_distinct(modulus, step, modulus) > 3:
-                raise ValueError("three-gap bound violated")
+    if _three_gap_worst(60) > 3:
+        raise ValueError("three-gap bound violated")
 
 
 _SUITES = [

@@ -8,14 +8,17 @@ end of its path component is the basic search problem here, and
 leaf_to_bijection repackages that walk as iterating a single bijection.
 
 The lollipop machinery instantiates the same shape on an explicit cubic
-graph whose implicit vertices are Hamiltonian paths.
+graph whose implicit vertices are Hamiltonian paths: second_hamiltonian
+walks them with the same path walker as solve_leaf_walk, and
+LollipopState.validate is the one test of whether a state is valid.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from .kernel import Bijection, Bitstring, pack_fields, unpack_fields
 
@@ -71,33 +74,51 @@ class LeafInstance:
     start: Bitstring
 
 
+def _walk_path(
+    neighbors: Callable[[Any], Optional[List[Any]]],
+    start: Any,
+    budget: int,
+    error: Type[ValueError],
+) -> Any:
+    """Walk from the degree-one vertex start to the far end of its path.
+
+    neighbors(v) lists v's at most two neighbors, or returns None for a
+    failed query; vertices are compared with ==.  The walk never steps back
+    onto the vertex it came from, so on a path it is forced.  A failed
+    query, a start that is not degree one, a missing back-edge, or more
+    than budget steps (a cycle) raises error.
+    """
+    first = neighbors(start)
+    if first is None:
+        raise error("neighbor oracle failed at the start vertex")
+    if len(first) != 1:
+        raise error("start vertex does not have exactly one neighbor")
+    prev, cur = start, first[0]
+    for _ in range(budget):
+        around = neighbors(cur)
+        if around is None:
+            raise error("neighbor oracle failed mid-walk")
+        if prev not in around:
+            raise error("adjacency is not symmetric along the walk")
+        if len(around) == 1:
+            return cur
+        prev, cur = cur, around[0] if around[1] == prev else around[1]
+    raise error("walk exceeded its step budget; component is not a path")
+
+
 def solve_leaf_walk(inst: LeafInstance) -> Bitstring:
     """Walk from a degree-one vertex to the far end of its path component.
 
-    Never revisits the vertex it just came from, so on a well-formed family
-    the walk is forced.  Raises FamilyError when the oracle misbehaves:
-    failure responses, a start vertex that is not degree one, a missing
-    back-edge, or a walk that outlives the vertex space (a cycle).
+    Raises FamilyError when the oracle misbehaves: failure responses, a
+    start vertex that is not degree one, a missing back-edge, or a walk
+    that outlives the vertex space (a cycle).
     """
-    family, g, v = inst.family, inst.instance, inst.start
-    nv = family.query(g, v)
-    if nv is None:
-        raise FamilyError("neighbor oracle failed at the start vertex")
-    if len(nv) != 1:
-        raise FamilyError("start vertex does not have exactly one neighbor")
-    prev, cur = v, nv[0]
-    budget = 1 << v.width  # distinct vertices available; longer means a loop
-    for _ in range(budget):
-        ncur = family.query(g, cur)
-        if ncur is None:
-            raise FamilyError("neighbor oracle failed mid-walk")
-        if prev.value not in [w.value for w in ncur]:
-            raise FamilyError("adjacency is not symmetric along the walk")
-        if len(ncur) == 1:
-            return cur
-        step = [w for w in ncur if w.value != prev.value]
-        prev, cur = cur, step[0]
-    raise FamilyError("walk exceeded the vertex space; component is not a path")
+    return _walk_path(
+        partial(inst.family.query, inst.instance),
+        inst.start,
+        1 << inst.start.width,  # distinct vertices available; longer means a loop
+        FamilyError,
+    )
 
 
 # Vertices whose neighbor lists one leaf_to_bijection map remembers.
@@ -244,13 +265,14 @@ class CubicGraph:
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
-        degs = [0] * n
+        lists: List[List[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        if any(d != 3 for d in degs):
+            lists[u].append(v)
+            lists[v].append(u)
+        if any(len(a) != 3 for a in lists):
             raise GraphError("graph is not 3-regular")
-        adj = self.adjacency()
+        adj = tuple(tuple(sorted(a)) for a in lists)
+        object.__setattr__(self, "_adj", adj)
         reached = {0}
         frontier = deque([0])
         while frontier:
@@ -263,16 +285,10 @@ class CubicGraph:
             raise GraphError("graph is not connected")
 
     def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        adj: List[List[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in {
-            (min(a, b), max(a, b)) for a, b in self.edges
-        }
+        return 0 <= u < self.vertex_count and v in self._adj[u]
 
 
 def cubic_graph(n: int, edges: Sequence[Tuple[int, int]]) -> CubicGraph:
@@ -308,14 +324,7 @@ def generalized_petersen(n: int, step: int) -> CubicGraph:
         edges.append((i, (i + 1) % n))
         edges.append((n + i, n + (i + step) % n))
         edges.append((i, n + i))
-    deduped = []
-    seen = set()
-    for u, v in edges:
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            deduped.append((u, v))
-    return cubic_graph(2 * n, deduped)
+    return cubic_graph(2 * n, edges)
 
 
 def petersen_graph() -> CubicGraph:
@@ -341,9 +350,12 @@ class LollipopState:
         return (self.path[0], self.path[1])
 
     def validate(self, g: CubicGraph) -> None:
-        if len(self.path) != g.vertex_count:
+        n = g.vertex_count
+        if len(self.path) != n:
             raise GraphError("path does not visit every vertex")
-        if len(set(self.path)) != len(self.path):
+        if any(not 0 <= v < n for v in self.path):
+            raise GraphError("path leaves the vertex range")
+        if len(set(self.path)) != n:
             raise GraphError("path repeats a vertex")
         adj = g.adjacency()
         for a, b in zip(self.path, self.path[1:]):
@@ -363,9 +375,8 @@ def lollipop_neighbors(g: CubicGraph, s: LollipopState) -> List[LollipopState]:
     path = s.path
     z = path[-1]
     position = {v: i for i, v in enumerate(path)}
-    adj = g.adjacency()
     out = []
-    for y in adj[z]:
+    for y in g.adjacency()[z]:
         if y == path[-2]:
             continue
         i = position[y]
@@ -376,24 +387,8 @@ def lollipop_neighbors(g: CubicGraph, s: LollipopState) -> List[LollipopState]:
     return out
 
 
-def _walk_states(
-    g: CubicGraph, start: LollipopState, budget: int = 10_000_000
-) -> LollipopState:
-    neighbors = lollipop_neighbors(g, start)
-    if len(neighbors) != 1:
-        raise GraphError("walk must start at a degree-one state")
-    prev, cur = start, neighbors[0]
-    for _ in range(budget):
-        ns = lollipop_neighbors(g, cur)
-        if len(ns) == 1:
-            if ns[0] != prev:
-                raise GraphError("state graph is not symmetric")
-            return cur
-        nxt = [t for t in ns if t != prev]
-        if len(nxt) != 1:
-            raise GraphError("state graph is not symmetric")
-        prev, cur = cur, nxt[0]
-    raise GraphError("lollipop walk exceeded its budget")
+# Steps the second-cycle walk may take before it reports a cycle of states.
+_LOLLIPOP_BUDGET = 10_000_000
 
 
 def _pinned_path(
@@ -430,11 +425,15 @@ def second_hamiltonian(
     cyc = tuple(cycle)
     if len(cyc) != g.vertex_count or len(set(cyc)) != len(cyc):
         raise GraphError("input is not a Hamiltonian cycle")
-    adj = g.adjacency()
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if b not in adj[a]:
+        if not g.has_edge(a, b):
             raise GraphError("cycle uses a non-edge")
-    final = _walk_states(g, LollipopState(_pinned_path(cyc, fixed_edge, orientation)))
+    final = _walk_path(
+        partial(lollipop_neighbors, g),
+        LollipopState(_pinned_path(cyc, fixed_edge, orientation)),
+        _LOLLIPOP_BUDGET,
+        GraphError,
+    )
     if not g.has_edge(final.path[-1], final.path[0]):
         raise GraphError("walk ended at a state that closes no cycle")
     return final.path
@@ -498,29 +497,22 @@ def lollipop_family(g: CubicGraph) -> Tuple[ImplicitFamily, int]:
     w = max(1, (n - 1).bit_length())
     widths = tuple([w] * n)
 
-    def decode(v: Bitstring) -> Optional[Tuple[int, ...]]:
-        if v.width != n * w:
-            return None
-        path = unpack_fields(v.value, widths)
-        if any(p >= n for p in path) or len(set(path)) != n:
-            return None
-        adj = g.adjacency()
-        for x, y in zip(path, path[1:]):
-            if y not in adj[x]:
-                return None
-        return path
-
     def encode(path: Sequence[int]) -> Bitstring:
         return Bitstring(pack_fields([(p, w) for p in path]), n * w)
 
     def neighbors(instance: Bitstring, v: Bitstring) -> Optional[List[Bitstring]]:
         if instance.width != 2 * w:
             return None
-        a, b = unpack_fields(instance.value, (w, w))
-        path = decode(v)
-        if path is None or path[0] != a or path[1] != b:
+        if v.width != n * w:
             return []
-        return [encode(t.path) for t in lollipop_neighbors(g, LollipopState(path))]
+        path = unpack_fields(v.value, widths)
+        if path[:2] != unpack_fields(instance.value, (w, w)):
+            return []
+        try:
+            moves = lollipop_neighbors(g, LollipopState(path))
+        except GraphError:
+            return []
+        return [encode(t.path) for t in moves]
 
     return ImplicitFamily(neighbors), w
 

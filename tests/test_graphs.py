@@ -1,5 +1,6 @@
 """Implicit leaf problems, cubic graphs, and the lollipop walk."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from ibx.graphs import (
     GraphError,
     ImplicitFamily,
     LeafInstance,
+    LollipopState,
     complete_bipartite_k33,
     complete_graph_k4,
     count_ham_cycles_through_edge,
@@ -18,13 +20,16 @@ from ibx.graphs import (
     generalized_petersen,
     hamiltonian_cycles_through_edge,
     leaf_to_bijection,
+    lollipop_family,
     lollipop_instance,
+    lollipop_neighbors,
     petersen_graph,
     prism_graph,
     random_path_instance,
     second_hamiltonian,
     solve_leaf_walk,
 )
+from ibx.graphs import _pinned_path
 from ibx.kernel import (
     Bitstring,
     check_bijection_exhaustive,
@@ -346,3 +351,137 @@ def test_leaf_walk_asks_each_vertex_once(k, length):
     counter[0] = 0
     assert iterate_bijection(f, -(1 << k), end) == start
     assert counter[0] <= length + 2
+
+
+def test_generalized_petersen_needs_no_dedupe():
+    # The builder once dropped repeated inner edges; none can occur, because
+    # two inner edges coincide only when 2 * step == n, which it rejects.
+    for n in range(3, 13):
+        for step in range(1, n):
+            if 2 * step == n:
+                continue
+            edges, seen = [], set()
+            for i in range(n):
+                for u, v in ((i, (i + 1) % n), (n + i, n + (i + step) % n), (i, n + i)):
+                    key = (min(u, v), max(u, v))
+                    if key not in seen:
+                        seen.add(key)
+                        edges.append((u, v))
+            assert generalized_petersen(n, step).edges == tuple(edges)
+
+
+def test_out_of_range_vertices_are_rejected():
+    g = complete_graph_k4()
+    for u, v in ((-1, 3), (3, -1), (7, 0), (0, 7), (4, 0)):
+        assert not g.has_edge(u, v)
+    for path in ((7, 0, 1, 2), (-1, 0, 1, 2), (0, 1, 2, 4)):
+        with pytest.raises(GraphError):
+            lollipop_neighbors(g, LollipopState(path))
+    with pytest.raises(GraphError):
+        second_hamiltonian(g, (7, 0, 1, 2), (0, 1))
+
+
+def _reference_walk_states(g, start, budget=10_000_000):
+    """The lollipop walk as it was written before it shared the leaf walker."""
+    neighbors = lollipop_neighbors(g, start)
+    if len(neighbors) != 1:
+        raise GraphError("walk must start at a degree-one state")
+    prev, cur = start, neighbors[0]
+    for _ in range(budget):
+        ns = lollipop_neighbors(g, cur)
+        if len(ns) == 1:
+            if ns[0] != prev:
+                raise GraphError("state graph is not symmetric")
+            return cur
+        nxt = [t for t in ns if t != prev]
+        if len(nxt) != 1:
+            raise GraphError("state graph is not symmetric")
+        prev, cur = cur, nxt[0]
+    raise GraphError("lollipop walk exceeded its budget")
+
+
+def _random_hamiltonian_cubic(n, rng):
+    """A cubic graph on n vertices built around a known Hamiltonian cycle,
+    with scrambled labels; returns the graph and that cycle."""
+    ring = {frozenset((i, (i + 1) % n)) for i in range(n)}
+    while True:
+        order = rng.sample(range(n), n)
+        chords = [frozenset(order[i:i + 2]) for i in range(0, n, 2)]
+        if not ring & set(chords):
+            break
+    label = rng.sample(range(n), n)
+    edges = [tuple(label[v] for v in sorted(e)) for e in ring | set(chords)]
+    return cubic_graph(n, sorted(edges)), tuple(label)
+
+
+def test_second_hamiltonian_matches_the_reference_walk():
+    rng = random.Random(13)
+    for _ in range(300):
+        g, cycle = _random_hamiltonian_cubic(rng.randrange(4, 23, 2), rng)
+        i = rng.randrange(g.vertex_count)
+        edge = (cycle[i], cycle[(i + 1) % len(cycle)])
+        for orientation in (0, 1):
+            path = _pinned_path(cycle, edge, orientation)
+            expected = _reference_walk_states(g, LollipopState(path)).path
+            assert second_hamiltonian(g, cycle, edge, orientation) == expected
+
+
+def _reference_lollipop_neighbors(g):
+    """lollipop_family's neighbor function as it was written with its own
+    decoder, before LollipopState.validate became the only state check."""
+    n = g.vertex_count
+    w = max(1, (n - 1).bit_length())
+    widths = tuple([w] * n)
+
+    def decode(v):
+        if v.width != n * w:
+            return None
+        path = unpack_fields(v.value, widths)
+        if any(p >= n for p in path) or len(set(path)) != n:
+            return None
+        adj = g.adjacency()
+        for x, y in zip(path, path[1:]):
+            if y not in adj[x]:
+                return None
+        return path
+
+    def neighbors(instance, v):
+        if instance.width != 2 * w:
+            return None
+        a, b = unpack_fields(instance.value, (w, w))
+        path = decode(v)
+        if path is None or path[0] != a or path[1] != b:
+            return []
+        return [
+            Bitstring(pack_fields([(p, w) for p in t.path]), n * w)
+            for t in lollipop_neighbors(g, LollipopState(path))
+        ]
+
+    return neighbors
+
+
+@pytest.mark.parametrize("graph", [complete_graph_k4, complete_bipartite_k33, cube_graph])
+def test_lollipop_family_matches_the_reference_decoder(graph):
+    g = graph()
+    family, w = lollipop_family(g)
+    reference = _reference_lollipop_neighbors(g)
+    n = g.vertex_count
+    rng = random.Random(n)
+    for a, b in g.edges:
+        for x, y in ((a, b), (b, a)):
+            instance = Bitstring(pack_fields([(x, w), (y, w)]), 2 * w)
+            if n * w <= 8:
+                values = range(1 << n * w)
+            else:
+                # Random strings are almost never paths, so take every
+                # ordering that starts on the pinned edge, plus a sample.
+                rest = [v for v in range(n) if v not in (x, y)]
+                orders = [(x, y, *q) for q in itertools.permutations(rest)]
+                values = [pack_fields([(p, w) for p in q]) for q in orders]
+                values += [rng.getrandbits(n * w) for _ in range(300)]
+            for value in values:
+                v = Bitstring(value, n * w)
+                assert family.neighbors(instance, v) == reference(instance, v)
+        for v in (Bitstring(0, n * w - 1), Bitstring(0, n * w + 1)):
+            assert family.neighbors(instance, v) == reference(instance, v)
+        assert family.neighbors(Bitstring(0, 2 * w + 1), v) is None
