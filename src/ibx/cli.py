@@ -270,21 +270,32 @@ def _cmd_ca(args, run: _Run) -> str:
         out = auto.extract(cfg, grid.phase + args.n)
         return formats.write_grid(out).rstrip("\n")
     # strobe-demo
-    auto = ca.toy_counter_strobe(args.t)
-    cfg = auto.initial(args.ring)
+    if args.n < 0:
+        raise ca.CaError(f"--n must be nonnegative, got {args.n}")
+    lit = _strobe_lit_steps(args.t, args.n, args.ring)
+    run.count("steps", args.n)
+    return " ".join(map(str, lit))
+
+
+def _strobe_lit_steps(t: int, n: int, ring: int) -> List[int]:
+    """The steps 0..n at which the toy strobe of period t on ``ring`` cells
+    is lit, once it has been seen lit exactly at the multiples of t and
+    n steps back have recovered the seed."""
+    from . import ca
+
+    auto = ca.toy_counter_strobe(t)
+    cfg = auto.initial(ring)
     lit = []
-    for step in range(args.n + 1):
-        if auto.lit(cfg) != (step % args.t == 0):
+    for step in range(n + 1):
+        if auto.lit(cfg) != (step % t == 0):
             raise ca.CaError(f"strobe fired off-schedule at step {step}")
         if auto.lit(cfg):
             lit.append(step)
-        if step < args.n:
+        if step < n:
             cfg = auto.step(cfg)
-    back = ca.simulate_1d(auto, cfg, -args.n)
-    if back.cells != auto.initial(args.ring).cells:
+    if ca.simulate_1d(auto, cfg, -n).cells != auto.initial(ring).cells:
         raise ca.CaError("running the strobe backward did not recover the seed")
-    run.count("steps", args.n)
-    return " ".join(map(str, lit))
+    return lit
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +510,7 @@ def _verify_ca(rng: random.Random) -> None:
     auto = ca.dim_redux_compile(ca.bbm_rule(), 4, 8)
     if not ca.dim_redux_verify(auto, grid, 3):
         raise ValueError("1D replay diverged")
-    strobe = ca.toy_counter_strobe(3)
-    cfg = strobe.initial(8)
-    for step in range(15):
-        if strobe.lit(cfg) != (step % 3 == 0):
-            raise ValueError("strobe off schedule")
-        cfg = strobe.step(cfg)
+    _strobe_lit_steps(3, 15, 8)
 
 
 def _verify_plb(rng: random.Random) -> None:

@@ -299,6 +299,9 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
             raise IetError(f"edge {key} glued {len(ports)} times, expected 2")
         if ports[0].aligned == ports[1].aligned:
             raise IetError(f"edge {key} glued without flipping orientation")
+        # Vertices sit at odd doubled coordinates and the integer verticals
+        # at even ones, so an edge spanning [a, b] in x2 is crossed (b - a) / 2
+        # times and a vertical edge never.
         count = abs(key[1][0] - key[0][0]) // 2
         eid = len(edges)
         edges.append(Edge(key, count, (ports[0], ports[1])))
@@ -368,13 +371,9 @@ def _check_trace_agreement(su: IetSurface) -> None:
 
 
 def normal_coords_vertical(surface: TriangulatedSurface) -> Tuple[int, ...]:
-    """Crossing count of each edge with the union of integer verticals.
-
-    Vertices sit at odd doubled coordinates and the verticals at even
-    ones, so an edge spanning [a, b] in x2 is crossed (b - a) / 2 times
-    and vertical edges are never crossed.
-    """
-    return tuple(abs(e.key[1][0] - e.key[0][0]) // 2 for e in surface.edges)
+    """Crossing count of each edge with the union of integer verticals:
+    the ``crossings`` each edge was built with."""
+    return tuple(e.crossings for e in surface.edges)
 
 
 def validate_normal_coords(

@@ -15,11 +15,12 @@ Conventions used across the package:
 * A Bijection's ``forward``/``backward`` evaluators work directly on the
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
-* A Bijection with ``arrays`` set also maps an int64 numpy array
-  elementwise; ``check_bijection_exhaustive`` then evaluates the whole state
-  space in one call per direction.  Circuits set it.  Other maps (the stock
-  maps below, the schedules in ``reductions``, arbitrary callables) keep the
-  scalar walk.  numpy is imported only on that array path.
+* ``check_bijection_exhaustive`` tabulates the whole state space in one
+  int64 numpy array and checks it there, for every map.  A Bijection with
+  ``arrays`` set also maps an int64 numpy array elementwise and fills the
+  table in one call per direction; circuits set it.  Other maps (the stock
+  maps below, the schedules in ``reductions``, arbitrary callables) fill
+  it in one Python pass.  numpy is imported only by that check.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ class Bijection:
     Out-of-domain encodings are the evaluator's problem: the contract is that
     they map to themselves, keeping the map total on all 2**width values.
     ``arrays`` declares that both evaluators also map an int64 numpy array
-    elementwise, which lets ``check_bijection_exhaustive`` run on whole
-    arrays.  It states what the evaluators can do; results are the same
-    either way.
+    elementwise, which lets ``check_bijection_exhaustive`` fill its table
+    of images in one call.  It states what the evaluators can do; results
+    are the same either way.
     """
 
     width: int
@@ -225,7 +226,7 @@ class BijectionCheck:
 
 
 def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
-    """Walk all 2**width inputs and verify injectivity (and backward, if any).
+    """Evaluate all 2**width inputs and verify injectivity (and backward, if any).
 
     The first failing input wins; at one input an escape from [0, 2**width)
     comes before a collision, and a collision before a backward mismatch.
@@ -233,50 +234,23 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     colliding inputs, and on a backward mismatch (x, backward(forward(x))),
     or (x, x) when that value is itself outside [0, 2**width) and so cannot
     be a witness.
+
+    The images fill one int64 table, and the checks run on whole arrays: a
+    map that declares ``arrays`` fills it in one call per direction, any
+    other map in one Python pass, storing an image too large for int64 as
+    -1.  Backward is only asked about the images of inputs before the
+    first failure.
     """
     if f.width > MAX_EXHAUSTIVE_WIDTH:
         raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
-    if f.arrays:
-        return _check_arrays(f)
-    size = 1 << f.width
-    seen: dict[int, int] = {}
-    for x in range(size):
-        y = f.forward(x)
-        if not 0 <= y < size:
-            return BijectionCheck(
-                False, (Bitstring(x, f.width), Bitstring(x, f.width)), "escape"
-            )
-        if y in seen:
-            return BijectionCheck(
-                False, (Bitstring(seen[y], f.width), Bitstring(x, f.width)), "collision"
-            )
-        seen[y] = x
-        if f.backward is not None:
-            back = f.backward(y)
-            if back != x:
-                return _inverse_failure(x, back, f.width)
-    return BijectionCheck(True)
-
-
-def _inverse_failure(x: int, back: int, width: int) -> BijectionCheck:
-    """The "inverse" result at x, whose image the backward map sent to back."""
-    if not 0 <= back < 1 << width:
-        back = x
-    return BijectionCheck(False, (Bitstring(x, width), Bitstring(back, width)), "inverse")
-
-
-def _check_arrays(f: Bijection) -> BijectionCheck:
-    """The exhaustive check on whole arrays: the scalar walk's result and
-    witness, from one forward and at most one backward evaluation."""
     import numpy as np
 
     size = 1 << f.width
     xs = np.arange(size, dtype=np.int64)
-    ys = np.asarray(f.forward(xs))
+    ys = _table(f.forward, xs, f.arrays, size)
     result = BijectionCheck(True)
     # Inputs before the first escape map into range; among them, the first
-    # whose image is already taken is the first collision.  Backward is only
-    # asked about the images of inputs the scalar walk would have passed.
+    # whose image is already taken is the first collision.
     escapes = np.flatnonzero((ys < 0) | (ys >= size))
     stop = int(escapes[0]) if escapes.size else size
     if stop < size:
@@ -291,12 +265,32 @@ def _check_arrays(f: Bijection) -> BijectionCheck:
             False, (Bitstring(earlier, f.width), Bitstring(stop, f.width)), "collision"
         )
     if f.backward is not None:
-        backs = np.asarray(f.backward(ys[:stop]))
+        backs = _table(f.backward, ys[:stop], f.arrays, size)
         wrong = np.flatnonzero(backs != xs[:stop])
         if wrong.size:
             x = int(wrong[0])
-            return _inverse_failure(x, int(backs[x]), f.width)
+            back = int(backs[x])
+            if not 0 <= back < size:
+                back = x
+            return BijectionCheck(
+                False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse"
+            )
     return result
+
+
+def _table(fn: Callable, xs, arrays: bool, size: int):
+    """fn over the int64 array xs as an int64 array: one call when fn maps
+    arrays, else one Python pass.  An image that does not fit in int64 is
+    stored as -1; like every value outside [0, size), it fails the check."""
+    import numpy as np
+
+    if arrays:
+        return np.asarray(fn(xs))
+    images = list(map(fn, xs.tolist()))
+    try:
+        return np.array(images, np.int64)
+    except OverflowError:
+        return np.array([y if 0 <= y < size else -1 for y in images], np.int64)
 
 
 def identity(width: int) -> Bijection:

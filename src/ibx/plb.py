@@ -17,6 +17,7 @@ and a block-permutation stage, all fused by compose_lift.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -158,8 +159,14 @@ def validate_plb(domain: int, pieces: Iterable[Tuple[int, int, int, int]] | Iter
     Raises PlbValidationError naming the condition and witnesses otherwise.
     """
     ps = tuple(p if isinstance(p, Piece) else Piece(*p) for p in pieces)
-    cand = PiecewiseLinearBijection(domain, ps)
+    return _certify(PiecewiseLinearBijection(domain, ps))
+
+
+def _certify(cand: PiecewiseLinearBijection) -> PiecewiseLinearBijection:
+    """validate_plb's checks on a constructed description; the collision
+    sweep runs over the image index, which stays on ``cand``."""
     ps = cand.pieces
+    domain = cand.domain
     if not ps:
         raise PlbValidationError("gap", (), "no pieces")
     if ps[0].lo != 0:
@@ -175,12 +182,14 @@ def validate_plb(domain: int, pieces: Iterable[Tuple[int, int, int, int]] | Iter
         lo, hi = p.image_interval()
         if lo < 0 or hi >= domain:
             raise PlbValidationError("image-escape", (p,), f"image reaches {lo if lo < 0 else hi}")
-    order = sorted(ps, key=lambda p: p.image_interval()[0])
-    for i, p in enumerate(order):
+    starts, _, order = _image_index(cand)
+    for i, a in enumerate(order):
+        p = ps[a]
         p_hi = p.image_interval()[1]
-        for q in order[i + 1 :]:
-            if q.image_interval()[0] > p_hi:
+        for j in range(i + 1, len(order)):
+            if starts[j] > p_hi:
                 break
+            q = ps[order[j]]
             w = _piece_images_collide(p, q)
             if w is not None:
                 raise PlbValidationError(
@@ -197,8 +206,8 @@ def interval_exchange(
     domain: int, pieces: Sequence[Tuple[int, int, int]]
 ) -> IntervalExchange:
     """Build and certify an interval exchange from (lo, hi, off) triples."""
-    full = validate_plb(domain, [(lo, hi, 1, off) for lo, hi, off in pieces])
-    return IntervalExchange(full.domain, full.pieces)
+    ps = tuple(Piece(lo, hi, 1, off) for lo, hi, off in pieces)
+    return _certify(IntervalExchange(domain, ps))
 
 
 def apply_plb(t: PiecewiseLinearBijection, x: int) -> int:
@@ -212,15 +221,18 @@ def apply_plb(t: PiecewiseLinearBijection, x: int) -> int:
 
 
 def _image_index(t: PiecewiseLinearBijection) -> Tuple[list, list, list]:
-    """Pieces sorted by image start: (starts, reach, order), where reach[k]
-    is the largest image end among the first k + 1 of them.  Built on the
-    first inverse call and kept on ``t``; construction never pays for it."""
+    """Pieces sorted by image start, ties in domain order: (starts, reach,
+    order), where reach[k] is the largest image end among the first k + 1
+    of them.  validate_plb builds it for its collision sweep and leaves it
+    on the map it returns; any other map builds it on its first inverse
+    call."""
     index = t.__dict__.get("_image_index")
     if index is None:
-        order = sorted(range(len(t.pieces)), key=lambda i: t.pieces[i].image_interval())
+        spans = [p.image_interval() for p in t.pieces]
+        order = sorted(range(len(spans)), key=lambda i: spans[i][0])
         starts, reach, top = [], [], -1
         for i in order:
-            lo, hi = t.pieces[i].image_interval()
+            lo, hi = spans[i]
             top = max(top, hi)
             starts.append(lo)
             reach.append(top)
@@ -254,24 +266,13 @@ def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
     )
 
 
-class _Evaluator:
-    """Repeated application without the per-call domain check."""
-
-    def __init__(self, t: PiecewiseLinearBijection):
-        self.los = t._los
-        self.pieces = t.pieces
-
-    def __call__(self, x: int) -> int:
-        p = self.pieces[bisect_right(self.los, x) - 1]
-        return p.mult * x + p.off
-
-
 def permutation_order(t: PiecewiseLinearBijection) -> int:
     """Multiplicative order of the map, via cycle lengths.
 
     An interval exchange (every piece a translation) takes the lcm of its
     tower heights from the surface's induction, at any N; any other map
-    walks its cycles, at desk-scale N.
+    tabulates its images in an int64 array, one range per piece, and
+    walks the table's cycles, at desk-scale N.
     """
     if all(p.mult == 1 for p in t.pieces):
         from .iet import build_surface, cycle_type
@@ -279,8 +280,11 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
         return lcm(*cycle_type(build_surface(t)))
     if t.domain > 1 << 20:
         raise PlbError("domain too large for order computation")
+    table = array("q", bytes(8 * t.domain))
+    for p in t.pieces:
+        table[p.lo : p.hi] = array("q", range(p.apply(p.lo), p.apply(p.hi), p.mult))
     order = 1
-    for length in cycle_lengths(_Evaluator(t), t.domain):
+    for length in cycle_lengths(table.__getitem__, t.domain):
         order = lcm(order, length)
     return order
 
@@ -378,87 +382,66 @@ def compose_lift(stages: Sequence[PiecewiseLinearBijection]) -> PlbProgram:
 
 @dataclass(frozen=True)
 class BitPermutation:
-    """Programs moving a chosen bit set to the top of the word.
+    """Stage lists moving a chosen bit set to the top of the word and back.
 
-    placement[b] is the position where the bit originally at position b
-    lands after the forward program; the induction fixes no canonical order
-    inside the top block, so consult placement rather than assume one.
+    Applying the ``forward`` stages left to right sends the bit originally
+    at position b to position placement[b]; the ``inverse`` stages undo
+    them.  The induction fixes no canonical order inside the top block, so
+    consult placement rather than assume one.
     """
 
     width: int
     moved: Tuple[int, ...]
-    forward: PlbProgram
-    inverse: PlbProgram
+    forward: Tuple[PiecewiseLinearBijection, ...]
+    inverse: Tuple[PiecewiseLinearBijection, ...]
     placement: Tuple[int, ...]
 
 
-def _rotation_stages(
-    k: int, full_turns: int, low_turns: int
-) -> List[PiecewiseLinearBijection]:
-    out: List[PiecewiseLinearBijection] = []
-    out.extend([circular_shift(k)] * full_turns)
-    if low_turns:
-        out.extend([low_rotation(k)] * low_turns)
-    return out
-
-
 def bit_permute(positions: Iterable[int], k: int) -> BitPermutation:
-    """Program sending the given bit positions to the k-|C| .. k-1 block.
+    """Stages sending the given bit positions to the k-|C| .. k-1 block.
 
     Induction on |C|: park one element on the most significant bit with
     full rotations, then herd the rest to the top of the remaining k-1 bit
-    circle with low rotations.  Both primitives have at most four pieces;
-    the piece total stays below BIT_PERMUTE_PIECE_FACTOR * |C| * k.  The
-    inverse program uses the same two primitives (their inverses are their
-    own repeats; halving maps are not integer pieces).
+    circle with low rotations.  Every stage is one of the two primitives
+    circular_shift(k) and low_rotation(k), each built once, with at most
+    four pieces; the piece total stays below BIT_PERMUTE_PIECE_FACTOR * |C|
+    * k.  The inverse stages use the same two primitives (their inverses
+    are their own repeats; halving maps are not integer pieces).  Positions
+    already on top need no stage, so both lists are then empty.
     """
     moved = tuple(sorted(set(positions)))
     if any(not 0 <= p < k for p in moved):
         raise PlbError("bit position out of range")
     if k < 1:
         raise PlbError("need at least one bit")
+    return _bit_permute(moved, k, *_rotations(k))
+
+
+def _rotations(k: int) -> Tuple[PiecewiseLinearBijection, Optional[PiecewiseLinearBijection]]:
+    """circular_shift(k) and low_rotation(k); one bit has no low rotation."""
+    return circular_shift(k), low_rotation(k) if k > 1 else None
+
+
+def _bit_permute(
+    moved: Tuple[int, ...],
+    k: int,
+    full: PiecewiseLinearBijection,
+    low: Optional[PiecewiseLinearBijection],
+) -> BitPermutation:
+    """bit_permute on checked, sorted positions, with the primitives given."""
     placement = list(range(k))
-
-    def rotate_full(times: int) -> None:
-        for b in range(k):
-            placement[b] = (placement[b] + times) % k
-
-    def rotate_low(times: int) -> None:
-        for b in range(k):
-            if placement[b] < k - 1:
-                placement[b] = (placement[b] + times) % (k - 1)
-
     fwd: List[PiecewiseLinearBijection] = []
     rev: List[PiecewiseLinearBijection] = []
-
-    def build(targets: Tuple[int, ...]) -> None:
-        if not targets:
-            return
-        e, rest = targets[0], targets[1:]
-        build(rest)
-        i = placement[e]
-        r = (k - 1 - i) % k
-        j = (k - 1 - r) % (k - 1) if k > 1 and rest else 0
-        fwd.extend(_rotation_stages(k, r, j))
-        rotate_full(r)
-        rotate_low(j)
-        inv: List[PiecewiseLinearBijection] = []
-        inv.extend(_rotation_stages(k, 0, (k - 1 - j) % (k - 1) if j else 0))
-        inv.extend(_rotation_stages(k, (k - r) % k if r else 0, 0))
-        rev[:0] = inv
-
-    build(moved)
-    if not fwd:
-        fwd = [identity_plb(1 << k)]
-    if not rev:
-        rev = [identity_plb(1 << k)]
-    return BitPermutation(
-        k,
-        moved,
-        compose_lift(fwd),
-        compose_lift(rev),
-        tuple(placement),
-    )
+    for e in reversed(moved):
+        r = (k - 1 - placement[e]) % k
+        j = (k - 1 - r) % (k - 1) if k > 1 and e != moved[-1] else 0
+        fwd += [full] * r + [low] * j
+        for b in range(k):
+            placement[b] = (placement[b] + r) % k
+            if j and placement[b] < k - 1:
+                placement[b] = (placement[b] + j) % (k - 1)
+        rev[:0] = [low] * ((k - 1 - j) % (k - 1) if j else 0) + [full] * ((k - r) % k)
+    return BitPermutation(k, moved, tuple(fwd), tuple(rev), tuple(placement))
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +452,12 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
     """Compile a reversible circuit into (T, s) with T^(s) = one circuit
     evaluation on [0, 2^k), hence T^(n*s) = n circuit iterations.
 
-    Per gate: rotate the gate's bit set to the top of the word, permute the
-    2^|C| aligned subintervals by the gate's truth table (a pure block
-    exchange), rotate back, then fuse every stage of every gate with
-    compose_lift.
+    Per gate: rotate the gate's bit set to the top of the word (no stage
+    when it is already there), permute the 2^|C| aligned subintervals by
+    the gate's truth table (a pure block exchange), rotate back.  The two
+    rotation primitives are built once, every block exchange once per
+    gate, and the whole stage list is fused by one compose_lift, so the
+    compile validates gates + 3 maps.  An empty circuit is the identity.
     """
     from .circuits import ReversibleCircuit, ReversibleGate
 
@@ -480,10 +465,13 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
     if k > MAX_CIRCUIT_PLB_WIDTH:
         raise PlbError(f"width {k} exceeds cap {MAX_CIRCUIT_PLB_WIDTH}")
     n = 1 << k
+    if not circuit.gates:
+        return identity_plb(n), 1
+    full, low = _rotations(k)
     stages: List[PiecewiseLinearBijection] = []
     for g in circuit.gates:
         c_positions = tuple(k - 1 - w for w in g.wires)
-        perm = bit_permute(c_positions, k)
+        perm = _bit_permute(tuple(sorted(c_positions)), k, full, low)
         c = len(c_positions)
         base = k - c
         local = [perm.placement[p] - base for p in c_positions]
@@ -498,10 +486,7 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
             (i * block, (i + 1) * block, 1, (table[i] - i) * block)
             for i in range(1 << c)
         ]
-        stages.extend(perm.forward.stages)
+        stages += perm.forward
         stages.append(plb(n, block_pieces))
-        stages.extend(perm.inverse.stages)
-    if not stages:
-        stages = [identity_plb(n)]
-    program = compose_lift(stages)
-    return program.lifted, len(stages)
+        stages += perm.inverse
+    return compose_lift(stages).lifted, len(stages)

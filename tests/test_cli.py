@@ -290,6 +290,12 @@ def test_ca_strobe_demo(capsys):
     assert out.strip() == "0 3 6 9"
 
 
+def test_ca_strobe_demo_rejects_negative_n(capsys):
+    rc, out, err = run_cli(capsys, "ca", "strobe-demo", "--t", "3", "--n", "-2")
+    assert rc == 1 and out == ""
+    assert err == "error: --n must be nonnegative, got -2\n"
+
+
 # ---------------------------------------------------------------------------
 # plb
 

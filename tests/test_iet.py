@@ -154,6 +154,8 @@ def test_surface_rejects_out_of_range_points():
 def test_vertical_coords_are_normal():
     su = build_surface(fig_exchange())
     coords = normal_coords_vertical(su.surface)
+    # an edge spanning [a, b] in doubled x meets (b - a) / 2 integer verticals
+    assert coords == tuple(abs(e.key[1][0] - e.key[0][0]) // 2 for e in su.surface.edges)
     corners = validate_normal_coords(su.surface, coords)
     assert len(corners) == len(su.surface.triangles)
     assert all(c >= 0 for trio in corners for c in trio)

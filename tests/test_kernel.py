@@ -185,16 +185,56 @@ def test_check_catches_broken_backward():
 @pytest.mark.parametrize("shift", [4, -1])
 def test_check_backward_escape_is_an_inverse_failure(shift):
     """A backward value outside [0, 2**width) is reported, not raised, with
-    the witness (x, x), by the scalar walk and the array check alike."""
+    the witness (x, x), whether the table is filled by a Python pass or by
+    one array call, and by the reference walk."""
     want = BijectionCheck(False, (Bitstring(0, 2), Bitstring(0, 2)), "inverse")
     for arrays in (False, True):
         f = Bijection(2, lambda v: v, lambda v: v + shift, "escape-back", arrays=arrays)
         assert check_bijection_exhaustive(f) == want, arrays
+        assert reference_walk(f) == want, arrays
+
+
+def test_check_images_beyond_int64_are_failures():
+    """A map without ``arrays`` may return any int; the table stores one
+    too large for int64 as -1, so it is still an escape, or an inverse
+    failure when the backward map returns it."""
+    f = Bijection(3, lambda v: v if v < 5 else 1 << 70, lambda v: v, "huge")
+    want = BijectionCheck(False, (Bitstring(5, 3), Bitstring(5, 3)), "escape")
+    assert check_bijection_exhaustive(f) == reference_walk(f) == want
+    g = Bijection(3, lambda v: v, lambda v: v if v < 5 else -(1 << 70), "huge-back")
+    want = BijectionCheck(False, (Bitstring(5, 3), Bitstring(5, 3)), "inverse")
+    assert check_bijection_exhaustive(g) == reference_walk(g) == want
+
+
+def reference_walk(f):
+    """The exhaustive check as a plain scalar walk over every input, which
+    stops at the first failure: the reference the table check must match."""
+    size = 1 << f.width
+    seen = {}
+    for x in range(size):
+        y = f.forward(x)
+        if not 0 <= y < size:
+            return BijectionCheck(False, (Bitstring(x, f.width), Bitstring(x, f.width)), "escape")
+        if y in seen:
+            return BijectionCheck(
+                False, (Bitstring(seen[y], f.width), Bitstring(x, f.width)), "collision"
+            )
+        seen[y] = x
+        if f.backward is not None:
+            back = f.backward(y)
+            if back != x:
+                if not 0 <= back < size:
+                    back = x
+                return BijectionCheck(
+                    False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse"
+                )
+    return BijectionCheck(True)
 
 
 def _both_checks(f):
-    """check_bijection_exhaustive on an ``arrays`` map, and on the same
-    evaluators wrapped as a scalar map, which takes the scalar walk."""
+    """check_bijection_exhaustive on an ``arrays`` map, and the reference
+    walk on the same evaluators wrapped as a scalar map, whose own check
+    (the table filled by a Python pass) must agree with the walk."""
     back = f.backward
     scalar = Bijection(
         f.width,
@@ -203,7 +243,9 @@ def _both_checks(f):
         f.label,
     )
     assert f.arrays and not scalar.arrays
-    return check_bijection_exhaustive(f), check_bijection_exhaustive(scalar)
+    slow = reference_walk(scalar)
+    assert check_bijection_exhaustive(scalar) == slow
+    return check_bijection_exhaustive(f), slow
 
 
 def _faulty_tables(rng, width, faults):

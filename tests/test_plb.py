@@ -1,7 +1,10 @@
 """Piecewise-linear bijections: validation, evaluation, lifts, compilation."""
 
+from math import lcm
+
 import pytest
 
+import ibx.plb as plb_module
 from ibx.circuits import GATE_ARITY, ReversibleCircuit, gate, iterate_circuit, permutation_of
 from ibx.kernel import Bitstring
 from ibx.plb import (
@@ -55,6 +58,19 @@ def test_duplicate_image_rejected_with_witnesses():
         validate_plb(8, [(0, 4, 1, 0), (4, 8, 1, -4)])
     assert info.value.condition == "image-collision"
     assert len(info.value.witnesses) == 2
+
+
+def test_collision_witnesses_share_an_image_start():
+    # both pieces' images start at 0; the sweep meets them in domain order
+    with pytest.raises(PlbValidationError) as info:
+        validate_plb(8, [(0, 4, 2, 0), (4, 8, 1, -4)])
+    assert info.value.condition == "image-collision"
+    assert info.value.witnesses == (Piece(0, 4, 2, 0), Piece(4, 8, 1, -4))
+    assert str(info.value) == "image-collision: both reach 0"
+    with pytest.raises(PlbValidationError) as info:
+        validate_plb(8, [(0, 4, 1, 0), (4, 8, 2, -8)])
+    assert info.value.witnesses == (Piece(0, 4, 1, 0), Piece(4, 8, 2, -8))
+    assert str(info.value) == "image-collision: both reach 0"
 
 
 def test_gap_and_overlap_rejected():
@@ -186,6 +202,28 @@ def test_riffle_52_has_order_eight(rng):
         assert iterate_plb(t, 8, x) == x
 
 
+def reference_order(t):
+    """lcm of the cycle lengths, each cycle walked with apply_plb."""
+    seen, order = set(), 1
+    for start in range(t.domain):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = apply_plb(t, x)
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def test_permutation_order_matches_the_reference_walk(rng):
+    maps = [random_signed_plb(rng) for _ in range(200)]
+    assert sum(p.mult < 0 for t in maps for p in t.pieces) > 100
+    maps += [riffle(n) for n in (2, 3, 13, 52, 53, 1000, 1001)]
+    for t in maps:
+        assert permutation_order(t) == reference_order(t), t
+
+
 def test_low_rotation_fixes_top_bit():
     t = low_rotation(4)
     assert len(t.pieces) <= 4
@@ -232,21 +270,27 @@ def test_compose_lift_mixed_stage_round_trip(rng):
         assert prog.apply_stages_inverse(want) == x
 
 
+def apply_stages(stages, x):
+    for t in stages:
+        x = apply_plb(t, x)
+    return x
+
+
 def test_bit_permute_empty_and_top():
     for positions in ((), (2,)):
         bp = bit_permute(positions, 3)
         for x in range(8):
-            assert bp.forward.apply_stages(x) == x
+            assert apply_stages(bp.forward, x) == x
 
 
 def test_bit_permute_lifts_bit_zero():
     bp = bit_permute([0], 3)
     assert bp.placement[0] == 2
     for x in range(8):
-        y = bp.forward.apply_stages(x)
+        y = apply_stages(bp.forward, x)
         for src in range(3):
             assert (y >> bp.placement[src]) & 1 == (x >> src) & 1
-        assert bp.inverse.apply_stages(y) == x
+        assert apply_stages(bp.inverse, y) == x
 
 
 def test_bit_permute_pair(rng):
@@ -256,7 +300,7 @@ def test_bit_permute_pair(rng):
     assert {bp.placement[0], bp.placement[3]} == top
     for _ in range(20):
         x = rng.randrange(1 << k)
-        y = bp.forward.apply_stages(x)
+        y = apply_stages(bp.forward, x)
         for src in range(k):
             assert (y >> bp.placement[src]) & 1 == (x >> src) & 1
 
@@ -295,6 +339,43 @@ def test_circuit_to_plb_one_gate_of_each_kind(rng):
 def test_circuit_to_plb_width_cap():
     with pytest.raises(PlbError):
         circuit_to_plb(ReversibleCircuit(MAX_CIRCUIT_PLB_WIDTH + 1, ()))
+
+
+def test_circuit_to_plb_validates_gates_plus_three_maps(rng, monkeypatch):
+    calls = []
+
+    def counting(domain, pieces):
+        calls.append(domain)
+        return validate_plb(domain, pieces)
+
+    monkeypatch.setattr(plb_module, "validate_plb", counting)
+    cs = [ReversibleCircuit(1, ()), ReversibleCircuit(1, (gate("not", 0),) * 3)]
+    for width in (3, 8):
+        cs += [random_reversible_circuit(rng, width, n, min_gates=n) for n in (0, 1, 12)]
+    for c in cs:
+        calls.clear()
+        circuit_to_plb(c)
+        assert len(calls) <= len(c.gates) + 3, (c, len(calls))
+
+
+def circuits_up_to_width_six(rng):
+    """Every width 1..6: each gate kind alone on the top wires, in both
+    orders (one-wire gates there, such as not 0 on one wire, need no
+    rotation stage), and random circuits from width 2 on."""
+    for width in range(1, 7):
+        for kind, arity in GATE_ARITY.items():
+            if arity <= width:
+                yield ReversibleCircuit(width, (gate(kind, *range(arity)),))
+                yield ReversibleCircuit(width, (gate(kind, *reversed(range(arity))),))
+        for _ in range(8 if width > 1 else 0):
+            yield random_reversible_circuit(rng, width, 8, min_gates=1)
+
+
+def test_circuit_to_plb_matches_permutation_of_on_every_input(rng):
+    for c in circuits_up_to_width_six(rng):
+        t, s = circuit_to_plb(c)
+        want = permutation_of(c)
+        assert [iterate_plb(t, s, x) for x in range(1 << c.width)] == want, c
 
 
 def test_progression_intersect_crt():
