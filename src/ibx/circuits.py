@@ -202,6 +202,34 @@ class ClassicalGate:
         if len(self.args) != CLASSICAL_ARITY[self.kind]:
             raise CircuitError(f"{self.kind} takes {CLASSICAL_ARITY[self.kind]} arguments")
 
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        return self.args
+
+    @property
+    def writes(self) -> Tuple[int, ...]:
+        return (self.out,)
+
+
+def _check_wiring(inputs: int, gates: Sequence, outputs: Sequence[int], error: type) -> None:
+    """Raise ``error`` unless each gate reads only wires defined before it
+    (the inputs [0, inputs) or an earlier gate's writes) and writes only
+    fresh wires, and every output is defined."""
+    defined = set(range(inputs))
+    for g in gates:
+        fresh = set()
+        for w in g.writes:
+            if w in defined or w in fresh:
+                raise error(f"wire {w} written twice")
+            fresh.add(w)
+        for a in g.reads:
+            if a not in defined:
+                raise error(f"gate reads undefined wire {a}")
+        defined |= fresh
+    for w in outputs:
+        if w not in defined:
+            raise error(f"output names undefined wire {w}")
+
 
 @dataclass(frozen=True)
 class ClassicalCircuit:
@@ -216,17 +244,7 @@ class ClassicalCircuit:
     def __post_init__(self) -> None:
         if self.inputs < 0:
             raise CircuitError("input count must be nonnegative")
-        defined = set(range(self.inputs))
-        for g in self.gates:
-            if g.out in defined:
-                raise CircuitError(f"wire {g.out} written twice")
-            for a in g.args:
-                if a not in defined:
-                    raise CircuitError(f"gate reads undefined wire {a}")
-            defined.add(g.out)
-        for w in self.outputs:
-            if w not in defined:
-                raise CircuitError(f"output names undefined wire {w}")
+        _check_wiring(self.inputs, self.gates, self.outputs, CircuitError)
 
     @property
     def gate_wires(self) -> Tuple[int, ...]:
@@ -476,11 +494,6 @@ def reversible_to_classical(circuit: ReversibleCircuit) -> ClassicalCircuit:
             cur[w[2]] = emit("xor", cur[w[2]], m)
 
     return ClassicalCircuit(k, tuple(gates), tuple(cur))
-
-
-def circuit_parity_report(circuit: ReversibleCircuit) -> str:
-    """Convenience: parity of the circuit's permutation."""
-    return parity(permutation_of(circuit))
 
 
 def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -93,6 +94,20 @@ def _bits(text: str) -> kernel.Bitstring:
     return kernel.Bitstring.from_text(text)
 
 
+# Caps on the size arguments that allocate in proportion to their value:
+# ``plb rotate`` builds numbers of --k bits, ``ca strobe-demo`` a ring of
+# --ring cells, ``leaf`` a path of --length vertices.
+MAX_ROTATE_BITS = 1 << 12
+MAX_STROBE_RING = 1 << 16
+MAX_PATH_LENGTH = 1 << 16
+
+
+def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
+    """Reject a size argument above its cap before anything is built."""
+    if value is not None and value > cap:
+        raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
+
+
 # ---------------------------------------------------------------------------
 # circuit
 
@@ -110,8 +125,8 @@ def _cmd_circuit(args, run: _Run) -> str:
         # the literal loop: perfbench's child-timeout test needs a large --n to run long
         f = c.as_bijection() if args.n >= 0 else c.as_bijection().inverse()
         return kernel.iterate(kernel.IterationProblem(f, abs(args.n), _bits(args.input))).to_text()
-    # counted after the report, whose tabulation cap rejects a huge width
-    parity = circuits.circuit_parity_report(c)
+    # counted after the tabulation, whose cap rejects a huge width
+    parity = circuits.parity(circuits.permutation_of(c))
     run.count("states", 1 << c.width)
     return parity
 
@@ -123,13 +138,11 @@ def _cmd_circuit(args, run: _Run) -> str:
 def _cmd_lift(args, run: _Run) -> str:
     from . import circuits, formats
 
+    cf = formats.parse_classical(run.read(args.file))
     if args.action == "bennett":
-        cc = formats.parse_classical(run.read(args.file))
-        lift = circuits.bennett_lift(cc)
+        lift = circuits.bennett_lift(cf)
     else:
-        cf = formats.parse_classical(run.read(args.file))
-        cfi = formats.parse_classical(run.read(args.inverse_file))
-        lift = circuits.exact_lift(cf, cfi)
+        lift = circuits.exact_lift(cf, formats.parse_classical(run.read(args.inverse_file)))
     run.count("gates", len(lift.circuit.gates))
     run.count("pad", lift.pad_len)
     if args.input is not None:
@@ -207,6 +220,7 @@ def _iterated_leaf(inst, k: int) -> int:
 def _cmd_leaf(args, run: _Run) -> str:
     from . import graphs
 
+    _check_cap("--length", args.length, MAX_PATH_LENGTH)
     rng = random.Random(args.seed)
     inst = graphs.random_path_instance(args.k, rng, args.length)
     far = graphs.solve_leaf_walk(inst)
@@ -272,6 +286,7 @@ def _cmd_ca(args, run: _Run) -> str:
     # strobe-demo
     if args.n < 0:
         raise ca.CaError(f"--n must be nonnegative, got {args.n}")
+    _check_cap("--ring", args.ring, MAX_STROBE_RING)
     lit = _strobe_lit_steps(args.t, args.n, args.ring)
     run.count("steps", args.n)
     return " ".join(map(str, lit))
@@ -305,27 +320,20 @@ def _strobe_lit_steps(t: int, n: int, ring: int) -> List[int]:
 def _cmd_plb(args, run: _Run) -> str:
     from . import formats, plb
 
+    def load(path: str) -> plb.PiecewiseLinearBijection:
+        return plb.validate_plb(*formats.parse_plb(run.read(path)))
+
+    if args.action in ("validate", "apply", "iterate"):
+        t = load(args.file)
     if args.action == "validate":
-        domain, pieces = formats.parse_plb(run.read(args.file))
-        t = plb.validate_plb(domain, pieces)
-        return f"ok {len(t.pieces)} pieces on [0, {domain})"
+        return f"ok {len(t.pieces)} pieces on [0, {t.domain})"
     if args.action == "apply":
-        domain, pieces = formats.parse_plb(run.read(args.file))
-        t = plb.validate_plb(domain, pieces)
-        if args.inverse:
-            return str(plb.apply_plb_inverse(t, args.x))
-        return str(plb.apply_plb(t, args.x))
+        return str((plb.apply_plb_inverse if args.inverse else plb.apply_plb)(t, args.x))
     if args.action == "iterate":
-        domain, pieces = formats.parse_plb(run.read(args.file))
-        t = plb.validate_plb(domain, pieces)
         run.count("iterations", args.n)
         return str(plb.iterate_plb(t, args.n, args.x))
     if args.action == "compose":
-        stages = []
-        for path in args.files:
-            domain, pieces = formats.parse_plb(run.read(path))
-            stages.append(plb.validate_plb(domain, pieces))
-        prog = plb.compose_lift(stages)
+        prog = plb.compose_lift([load(path) for path in args.files])
         head = f"# {len(prog.stages)} stages on [0, {prog.domain})"
         return head + "\n" + formats.write_plb(
             prog.lifted.domain, prog.lifted.pieces
@@ -334,6 +342,7 @@ def _cmd_plb(args, run: _Run) -> str:
         t = plb.riffle(args.n)
         return formats.write_plb(t.domain, t.pieces).rstrip("\n")
     if args.action == "rotate":
+        _check_cap("--k", args.k, MAX_ROTATE_BITS)
         t = plb.low_rotation(args.k) if args.low else plb.circular_shift(args.k)
         return formats.write_plb(t.domain, t.pieces).rstrip("\n")
     # from-circuit
@@ -431,7 +440,7 @@ def _verify_circuits(rng: random.Random) -> None:
 
     for _ in range(20):
         c = _random_circuit(rng, rng.randint(2, 8), 30)
-        if circuits.circuit_parity_report(c) != "even":
+        if circuits.parity(circuits.permutation_of(c)) != "even":
             raise ValueError("narrow-gate circuit with odd parity")
         chk = kernel.check_bijection_exhaustive(c.as_bijection())
         if not chk.ok:
@@ -704,8 +713,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report.payload = payload
     report.wall_time_s = round(time.monotonic() - started, 6)
     report.phases_s = report.phases_s or {"run": report.wall_time_s}
-    if payload:
-        print(payload)
+    try:
+        if payload:
+            print(payload, flush=True)
+    except BrokenPipeError:  # the reader left; keep the exit-time flush quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
     if args.report:
         report.loaded = _loaded_modules()
         print(json.dumps(report.__dict__), file=sys.stderr)

@@ -58,33 +58,25 @@ def _int(token: str, what: str) -> int:
         raise FormatError(f"{what}: {token!r} is not a decimal integer") from None
 
 
-def _header(rows: List[List[str]], keyword: str, argc: int) -> List[int]:
+def _header(rows: List[List[str]], keyword: str) -> int:
+    """N from the first row, which must read ``keyword N``."""
     if not rows:
         raise FormatError(f"empty document, expected a {keyword!r} header")
     head = rows[0]
-    if head[0] != keyword or len(head) != argc + 1:
-        raise FormatError(
-            f"bad header {' '.join(head)!r}, expected {keyword!r} with {argc} fields"
-        )
-    return [_int(tok, f"{keyword} header") for tok in head[1:]]
+    if head[0] != keyword or len(head) != 2:
+        raise FormatError(f"bad header {' '.join(head)!r}, expected '{keyword} N'")
+    return _int(head[1], f"{keyword} header")
 
 
 def parse_circuit(text: str) -> ReversibleCircuit:
     """Reversible circuit: ``wires W`` then one gate per line."""
-    from .circuits import GATE_ARITY, ReversibleCircuit, gate
+    from .circuits import ReversibleCircuit, gate
 
     rows = _significant_lines(text)
-    (width,) = _header(rows, "wires", 1)
-    gates = []
-    for row in rows[1:]:
-        kind = row[0]
-        if kind not in GATE_ARITY:
-            raise FormatError(f"unknown gate {kind!r}")
-        if len(row) != 1 + GATE_ARITY[kind]:
-            raise FormatError(f"{kind} takes {GATE_ARITY[kind]} wires")
-        gates.append(gate(kind, *(_int(t, kind) for t in row[1:])))
+    width = _header(rows, "wires")
     try:
-        return ReversibleCircuit(width, tuple(gates))
+        gates = tuple(gate(kind, *(_int(t, kind) for t in wires)) for kind, *wires in rows[1:])
+        return ReversibleCircuit(width, gates)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -98,28 +90,23 @@ def write_circuit(circuit: ReversibleCircuit) -> str:
 
 def parse_classical(text: str) -> ClassicalCircuit:
     """Boolean circuit: ``inputs K``, gate lines, then ``outputs w1 ...``."""
-    from .circuits import CLASSICAL_ARITY, ClassicalCircuit, ClassicalGate
+    from .circuits import ClassicalCircuit, ClassicalGate
 
     rows = _significant_lines(text)
-    (inputs,) = _header(rows, "inputs", 1)
-    gates: List[ClassicalGate] = []
-    outputs: Tuple[int, ...] | None = None
-    for row in rows[1:]:
-        if outputs is not None:
-            raise FormatError("content after the outputs line")
-        kind = row[0]
-        if kind == "outputs":
-            outputs = tuple(_int(t, "outputs") for t in row[1:])
-            continue
-        if kind not in CLASSICAL_ARITY:
-            raise FormatError(f"unknown boolean gate {kind!r}")
-        if len(row) != 2 + CLASSICAL_ARITY[kind]:
-            raise FormatError(f"{kind} takes an output and {CLASSICAL_ARITY[kind]} arguments")
-        args = [_int(t, kind) for t in row[1:]]
-        gates.append(ClassicalGate(kind, args[0], tuple(args[1:])))
-    if outputs is None:
+    inputs = _header(rows, "inputs")
+    outputs_at = [i for i, row in enumerate(rows) if row[0] == "outputs"]
+    if not outputs_at:
         raise FormatError("missing outputs line")
+    if outputs_at[0] != len(rows) - 1:
+        raise FormatError("content after the outputs line")
+    gates = []
     try:
+        for kind, *fields in rows[1:-1]:
+            if not fields:
+                raise FormatError(f"{kind} line names no output wire")
+            out, *args = (_int(t, kind) for t in fields)
+            gates.append(ClassicalGate(kind, out, tuple(args)))
+        outputs = tuple(_int(t, "outputs") for t in rows[-1][1:])
         return ClassicalCircuit(inputs, tuple(gates), outputs)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
@@ -177,63 +164,58 @@ def write_grid(grid: MargolusGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_records(text: str, keyword: str, record: str) -> Tuple[int, List[Tuple[int, ...]]]:
+    """A ``keyword N`` header, then lines shaped like ``record`` (a tag and
+    field names, e.g. ``"piece lo hi off"``): N and each line's integers."""
+    rows = _significant_lines(text)
+    count = _header(rows, keyword)
+    tag, *names = record.split()
+    records = []
+    for row in rows[1:]:
+        if row[0] != tag or len(row) != 1 + len(names):
+            raise FormatError(f"expected {record!r}")
+        records.append(tuple(_int(t, tag) for t in row[1:]))
+    return count, records
+
+
+def _write_records(keyword: str, count: int, record: str, items: Sequence) -> str:
+    """Inverse of _read_records.  An item is a tuple of the fields, or an
+    object carrying them as attributes named as in ``record``."""
+    tag, *names = record.split()
+    lines = [f"{keyword} {count}"]
+    for item in items:
+        fields = [getattr(item, n) for n in names] if hasattr(item, names[0]) else item
+        lines.append(" ".join([tag, *map(str, fields)]))
+    return "\n".join(lines) + "\n"
+
+
 def parse_plb(text: str) -> Tuple[int, List[Tuple[int, int, int, int]]]:
     """Piecewise map: ``plb N`` then ``piece lo hi mult off`` lines.
 
     Returns the raw description unvalidated so that a checker can report
     exactly what is wrong with it.
     """
-    rows = _significant_lines(text)
-    (domain,) = _header(rows, "plb", 1)
-    pieces = []
-    for row in rows[1:]:
-        if row[0] != "piece" or len(row) != 5:
-            raise FormatError("expected 'piece lo hi mult off'")
-        lo, hi, mult, off = (_int(t, "piece") for t in row[1:])
-        pieces.append((lo, hi, mult, off))
-    return domain, pieces
+    return _read_records(text, "plb", "piece lo hi mult off")
 
 
 def write_plb(domain: int, pieces: Sequence) -> str:
-    lines = [f"plb {domain}"]
-    for p in pieces:
-        lo, hi, mult, off = (p.lo, p.hi, p.mult, p.off) if hasattr(p, "lo") else p
-        lines.append(f"piece {lo} {hi} {mult} {off}")
-    return "\n".join(lines) + "\n"
+    return _write_records("plb", domain, "piece lo hi mult off", pieces)
 
 
 def parse_iet(text: str) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Interval exchange: ``iet N`` then ``piece lo hi off`` lines."""
-    rows = _significant_lines(text)
-    (domain,) = _header(rows, "iet", 1)
-    pieces = []
-    for row in rows[1:]:
-        if row[0] != "piece" or len(row) != 4:
-            raise FormatError("expected 'piece lo hi off'")
-        lo, hi, off = (_int(t, "piece") for t in row[1:])
-        pieces.append((lo, hi, off))
-    return domain, pieces
+    return _read_records(text, "iet", "piece lo hi off")
 
 
 def write_iet(domain: int, pieces: Sequence) -> str:
-    lines = [f"iet {domain}"]
-    for p in pieces:
-        lo, hi, off = (p.lo, p.hi, p.off) if hasattr(p, "lo") else p
-        lines.append(f"piece {lo} {hi} {off}")
-    return "\n".join(lines) + "\n"
+    return _write_records("iet", domain, "piece lo hi off", pieces)
 
 
 def parse_cubic(text: str) -> CubicGraph:
     """Cubic graph: ``cubic V`` then ``edge u v`` lines."""
     from .graphs import cubic_graph
 
-    rows = _significant_lines(text)
-    (n,) = _header(rows, "cubic", 1)
-    edges = []
-    for row in rows[1:]:
-        if row[0] != "edge" or len(row) != 3:
-            raise FormatError("expected 'edge u v'")
-        edges.append((_int(row[1], "edge"), _int(row[2], "edge")))
+    n, edges = _read_records(text, "cubic", "edge u v")
     try:
         return cubic_graph(n, edges)
     except ValueError as exc:
@@ -241,10 +223,7 @@ def parse_cubic(text: str) -> CubicGraph:
 
 
 def write_cubic(g: CubicGraph) -> str:
-    lines = [f"cubic {g.vertex_count}"]
-    for u, v in g.edges:
-        lines.append(f"edge {u} {v}")
-    return "\n".join(lines) + "\n"
+    return _write_records("cubic", g.vertex_count, "edge u v", g.edges)
 
 
 def parse_vertex_list(text: str) -> Tuple[int, ...]:

@@ -278,50 +278,36 @@ class OracleGate:
     s_wires: Tuple[int, ...]
     t_wires: Tuple[int, ...]
 
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        return self.n_wires + self.s_wires
+
+    @property
+    def writes(self) -> Tuple[int, ...]:
+        return self.t_wires
+
 
 @dataclass(frozen=True)
 class OracleCircuit:
+    """A boolean circuit (see circuits.ClassicalCircuit) whose gates may
+    also be oracle gates; the same wiring rule applies to both kinds."""
+
     inputs: int
     gates: Tuple[object, ...]  # ClassicalGate | OracleGate, in dependency order
     outputs: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        from .circuits import ClassicalGate
+        from .circuits import ClassicalGate, _check_wiring
 
-        defined = set(range(self.inputs))
         for g in self.gates:
-            if isinstance(g, ClassicalGate):
-                if g.out in defined:
-                    raise ReductionError(f"wire {g.out} written twice")
-                for a in g.args:
-                    if a not in defined:
-                        raise ReductionError(f"gate reads undefined wire {a}")
-                defined.add(g.out)
-            elif isinstance(g, OracleGate):
-                for a in g.n_wires + g.s_wires:
-                    if a not in defined:
-                        raise ReductionError(f"oracle gate reads undefined wire {a}")
-                for t in g.t_wires:
-                    if t in defined:
-                        raise ReductionError(f"wire {t} written twice")
-                    defined.add(t)
-                if len(set(g.t_wires)) != len(g.t_wires):
-                    raise ReductionError("oracle target wires must be distinct")
-            else:
+            if not isinstance(g, (ClassicalGate, OracleGate)):
                 raise ReductionError(f"unknown gate object {g!r}")
-        for w in self.outputs:
-            if w not in defined:
-                raise ReductionError(f"output names undefined wire {w}")
+        _check_wiring(self.inputs, self.gates, self.outputs, ReductionError)
 
     def all_wires(self) -> List[int]:
         wires = set(range(self.inputs))
         for g in self.gates:
-            if isinstance(g, OracleGate):
-                wires.update(g.n_wires + g.s_wires + g.t_wires)
-            else:
-                wires.add(g.out)
-                wires.update(g.args)
-        wires.update(self.outputs)
+            wires.update(g.reads, g.writes)
         return sorted(wires)
 
     def max_oracle_count(self) -> int:

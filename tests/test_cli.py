@@ -9,6 +9,7 @@ payload out, exit codes, the JSON report.
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -359,6 +360,17 @@ def test_plb_iterate_negative_n_undoes_positive(tmp_path, capsys):
         assert rc == 0 and back.strip() == str(x)
 
 
+@pytest.mark.parametrize(
+    "action, extra", [("apply", ["--x", "1"]), ("iterate", ["--x", "1", "--n", "2"])]
+)
+def test_plb_apply_and_iterate_validate_the_file(tmp_path, capsys, action, extra):
+    path = tmp_path / "bad.plb"
+    path.write_text("plb 8\npiece 0 8 1 0\npiece 0 8 1 0\n")
+    rc, out, err = run_cli(capsys, "plb", action, "--file", str(path), *extra)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "overlap" in err and err.count("\n") == 1
+
+
 def test_plb_riffle_payload(capsys):
     rc, out, _ = run_cli(capsys, "plb", "riffle", "--n", "13")
     assert rc == 0
@@ -608,11 +620,12 @@ def test_unknown_subcommand_exits_2():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_fresh(args, cwd):
+def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=env, cwd=cwd, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -652,6 +665,60 @@ def test_only_array_commands_load_numpy(name, tmp_path):
         assert not {"ibx.circuits", "ibx.graphs"} & set(loaded), loaded
     if name == "reduce_clock":
         assert "ibx.circuits" not in loaded, loaded
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_fresh(["-m", "ibx.cli", "plb", "riffle", "--n", "13"], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Exception" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+# 1.5 GB of address space: enough for the interpreter and numpy, far below
+# what any uncapped size argument below would ask for.
+CHILD_ADDRESS_SPACE = 1_500_000_000
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plb", "rotate", "--k", "100000000000"],
+        ["plb", "rotate", "--k", "100000000000", "--low"],
+        ["ca", "strobe-demo", "--t", "3", "--n", "1", "--ring", "1000000000"],
+        ["leaf", "walk", "--k", "40", "--length", "1000000000"],
+    ],
+)
+def test_oversized_arguments_are_one_error_line(tmp_path, argv):
+    done = run_fresh(["-m", "ibx.cli", *argv], tmp_path, preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap",
+    [
+        (["plb", "rotate", "--low"], "--k", cli.MAX_ROTATE_BITS),
+        (["ca", "strobe-demo", "--t", "3", "--n", "1"], "--ring", cli.MAX_STROBE_RING),
+        (["leaf", "walk", "--k", "40"], "--length", cli.MAX_PATH_LENGTH),
+    ],
+)
+def test_arguments_run_up_to_their_cap(capsys, argv, flag, cap):
+    rc, out, err = run_cli(capsys, *argv, flag, str(cap))
+    assert rc == 0 and out and err == ""
+    rc, out, err = run_cli(capsys, *argv, flag, str(cap + 1))
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag} {cap + 1} exceeds the cap of {cap}\n"
 
 
 def test_import_ibx_is_lazy(tmp_path):

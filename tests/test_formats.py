@@ -49,6 +49,8 @@ def test_circuit_comments_and_blanks():
         "wires 2\nnot 0 1",  # arity mismatch
         "wires 2\ncnot 0",  # arity mismatch the other way
         "wires 2\ncnot 0 5",  # wire out of range, from the circuit check
+        "wires 2\nnot",  # a gate line with no wires
+        "wires 2\nnand",  # an unknown kind with no wires
     ],
 )
 def test_circuit_rejects(text):
@@ -87,6 +89,9 @@ def test_classical_round_trip():
         "inputs 2\nnot 2 0 1\noutputs 2",  # arity mismatch
         "inputs 2\nxor 1 0 1\noutputs 1",  # rewrites an input wire
         "wires 2\noutputs 0",  # wrong header keyword
+        "inputs 2\nand\noutputs 0",  # a gate line with no output field
+        "inputs 2\nnand\noutputs 0",  # an unknown kind with no output field
+        "inputs 2\nnot 2\noutputs 2",  # an output field and no argument
     ],
 )
 def test_classical_rejects(text):
@@ -200,12 +205,68 @@ def test_iet_rejects(text):
 
 
 # ---------------------------------------------------------------------------
+# tagged integer records: plb, iet and cubic share one reader and one writer
+
+RECORD_FORMATS = {
+    "plb": (formats.parse_plb, "piece lo hi mult off"),
+    "iet": (formats.parse_iet, "piece lo hi off"),
+    "cubic": (formats.parse_cubic, "edge u v"),
+}
+
+
+FIG_EXCHANGE = [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)]
+
+
+@pytest.mark.parametrize(
+    "keyword, write, t",
+    [
+        ("plb", formats.write_plb, plb.riffle(13)),
+        ("iet", formats.write_iet, plb.interval_exchange(15, FIG_EXCHANGE)),
+    ],
+)
+def test_records_round_trip_tuples_and_objects(keyword, write, t):
+    parse, record = RECORD_FORMATS[keyword]
+    raw = [tuple(getattr(p, n) for n in record.split()[1:]) for p in t.pieces]
+    text = write(t.domain, t.pieces)
+    assert text == write(t.domain, raw)
+    assert text.splitlines()[0] == f"{keyword} {t.domain}"
+    assert parse(text) == (t.domain, raw)
+    assert parse(write(7, [])) == (7, [])
+
+
+def _one_record(keyword, fields):
+    return f"{keyword} 4\n" + " ".join(fields) + "\n"
+
+
+@pytest.mark.parametrize("keyword", list(RECORD_FORMATS))
+def test_records_reject_malformed_lines(keyword):
+    parse, record = RECORD_FORMATS[keyword]
+    tag, *names = record.split()
+    good = [tag] + ["1"] * len(names)
+    expected = f"expected {record!r}"
+    for fields in (
+        ["entry"] + good[1:],  # wrong tag
+        good[:-1],  # a field short
+        good + ["1"],  # a field over
+    ):
+        with pytest.raises(formats.FormatError, match=expected):
+            parse(_one_record(keyword, fields))
+    with pytest.raises(formats.FormatError, match="not a decimal integer"):
+        parse(_one_record(keyword, good[:-1] + ["one"]))
+    for text in (" ".join(good) + "\n", "", f"{keyword}\n", f"{keyword} four\n"):
+        with pytest.raises(formats.FormatError, match="header"):
+            parse(text)
+
+
+# ---------------------------------------------------------------------------
 # graphs
 
 
 def test_cubic_round_trip():
     g = graphs.petersen_graph()
-    again = formats.parse_cubic(formats.write_cubic(g))
+    text = formats.write_cubic(g)
+    assert text.splitlines() == ["cubic 10"] + [f"edge {u} {v}" for u, v in g.edges]
+    again = formats.parse_cubic(text)
     assert again.vertex_count == g.vertex_count
     assert set(again.edges) == set(g.edges)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ibx.circuits import ClassicalGate
+from ibx.circuits import CircuitError, ClassicalCircuit, ClassicalGate
 from ibx.kernel import (
     Bijection,
     Bitstring,
@@ -222,6 +222,53 @@ def test_oracle_circuit_wiring_guards():
         OracleCircuit(2, (OracleGate((0,), (5,), (2,)),), (2,))
     with pytest.raises(ReductionError):
         OracleCircuit(1, (), (3,))
+
+
+# Boolean gate lists that break the wiring rule, with the message both
+# circuit classes give: (inputs, gates, outputs, message).
+MISWIRED = [
+    (2, (ClassicalGate("and", 2, (0, 5)),), (2,), "gate reads undefined wire 5"),
+    (2, (ClassicalGate("not", 2, (2,)),), (2,), "gate reads undefined wire 2"),
+    (2, (ClassicalGate("not", 2, (0,)), ClassicalGate("not", 2, (1,))), (2,), "wire 2 written twice"),
+    (2, (ClassicalGate("xor", 1, (0, 1)),), (1,), "wire 1 written twice"),
+    (2, (ClassicalGate("xor", 0, (5, 1)),), (0,), "wire 0 written twice"),
+    (1, (), (3,), "output names undefined wire 3"),
+    (2, (ClassicalGate("copy", 2, (0,)),), (2, 3), "output names undefined wire 3"),
+]
+
+
+@pytest.mark.parametrize("inputs, gates, outputs, message", MISWIRED)
+def test_boolean_and_oracle_circuits_share_one_wiring_rule(inputs, gates, outputs, message):
+    with pytest.raises(CircuitError, match=f"^{message}$"):
+        ClassicalCircuit(inputs, gates, outputs)
+    with pytest.raises(ReductionError, match=f"^{message}$"):
+        OracleCircuit(inputs, gates, outputs)
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (OracleGate((0,), (1,), (2, 2)), "wire 2 written twice"),
+        (OracleGate((0,), (1,), (1,)), "wire 1 written twice"),
+        (OracleGate((0,), (5,), (2,)), "gate reads undefined wire 5"),
+        (OracleGate((2,), (1,), (2,)), "gate reads undefined wire 2"),
+    ],
+)
+def test_oracle_gates_follow_the_wiring_rule(gate, message):
+    with pytest.raises(ReductionError, match=f"^{message}$"):
+        OracleCircuit(2, (gate,), ())
+
+
+def test_oracle_circuit_rejects_unknown_gate_objects():
+    with pytest.raises(ReductionError, match="unknown gate object"):
+        OracleCircuit(2, ((0, 1),), ())
+
+
+def test_all_wires_are_the_inputs_reads_and_writes():
+    oc = OracleCircuit(
+        2, (ClassicalGate("and", 4, (0, 1)), OracleGate((4,), (0, 1), (6, 7))), (7,)
+    )
+    assert oc.all_wires() == [0, 1, 4, 6, 7]
 
 
 # ---------------------------------------------------------------------------
