@@ -96,10 +96,13 @@ def _bits(text: str) -> kernel.Bitstring:
 
 # Caps on the size arguments that allocate in proportion to their value:
 # ``plb rotate`` builds numbers of --k bits, ``ca strobe-demo`` a ring of
-# --ring cells, ``leaf`` a path of --length vertices.
+# --ring cells and t**2 counter pairs for period --t, ``leaf`` a path of
+# --length vertices labelled by --k-bit words.
 MAX_ROTATE_BITS = 1 << 12
 MAX_STROBE_RING = 1 << 16
+MAX_STROBE_PERIOD = 256
 MAX_PATH_LENGTH = 1 << 16
+MAX_LEAF_BITS = 62
 
 
 def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
@@ -220,6 +223,7 @@ def _iterated_leaf(inst, k: int) -> int:
 def _cmd_leaf(args, run: _Run) -> str:
     from . import graphs
 
+    _check_cap("--k", args.k, MAX_LEAF_BITS)
     _check_cap("--length", args.length, MAX_PATH_LENGTH)
     rng = random.Random(args.seed)
     inst = graphs.random_path_instance(args.k, rng, args.length)
@@ -286,6 +290,7 @@ def _cmd_ca(args, run: _Run) -> str:
     # strobe-demo
     if args.n < 0:
         raise ca.CaError(f"--n must be nonnegative, got {args.n}")
+    _check_cap("--t", args.t, MAX_STROBE_PERIOD)
     _check_cap("--ring", args.ring, MAX_STROBE_RING)
     lit = _strobe_lit_steps(args.t, args.n, args.ring)
     run.count("steps", args.n)
@@ -386,8 +391,8 @@ def _cmd_iet(args, run: _Run) -> str:
     run.count("return_runs", len(su.returns))
     if args.action == "solve":
         answer = iet.iet_orbit_solve(t, args.i, args.n, surface=su)
-        orbit = iet.orbit_size(su, args.i)
-        run.count("induction_ops", len(iet.induction(su)))
+        orbit = iet.orbit_size(t, args.i)
+        run.count("induction_ops", len(iet.induction(t)))
         run.count("orbit_length", orbit)
         run.count("arc_steps", su.period * orbit)
         return str(answer)

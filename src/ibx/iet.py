@@ -20,14 +20,14 @@ it as at most two runs.  Tracing the central edge as one run for a period d
 costs O(k * d) whatever N is and yields the first-return map as a few
 translated runs.
 
-Powers are read off that return map by Rauzy-Veech induction with Zorich
-acceleration (Rauzy 1979; Zorich 1996) on its integer lengths: each op
-cuts a block from the right end of the domain and stacks it onto towers
-over what is left, so a run of same-type Rauzy steps is one division and a
-rotation reduces to Euclid.  Once every piece is fixed, a piece of length
-L and height h is L orbits of length h.  A query walks its point up
-through the ops to its tower and the target level back down, O(ops * k)
-for O(log N)-many ops in practice, so neither N nor n is ever walked.
+That return map is the exchange itself, so powers skip the surface: they
+come from Rauzy-Veech induction with Zorich acceleration (Rauzy 1979;
+Zorich 1996) on the exchange's own lengths, memoized on it.  Each op cuts
+a block from the right end of the domain and stacks it onto towers over
+what is left, so a run of same-type Rauzy steps is one division and a
+rotation reduces to Euclid.  A fixed piece of length L and height h holds
+L orbits of length h.  A query walks its point up to its tower and back
+down at the target level: O(ops * k), O(log N) ops in practice, any n.
 
 Coordinates: x is doubled (``x2 = 2 * x``) so that all triangulation
 vertices sit at odd x2 while the traced verticals sit at even x2; rows are
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .plb import PiecewiseLinearBijection
+from .plb import PiecewiseLinearBijection, _certify, is_exchange
 
 __all__ = [
     "IetError", "Point", "Triangle", "Port", "Edge", "TriangulatedSurface",
@@ -145,8 +145,8 @@ class IetSurface:
     period is the uniform number of trace steps between consecutive
     central-edge crossings; it is measured from the surface, not assumed.
     returns is the traced first-return map: sorted runs (lo, hi, off)
-    sending central crossing i in [lo, hi) to i + off.  The induction on
-    returns is memoized, so every query on the surface shares it.
+    sending central crossing i in [lo, hi) to i + off, proven equal to the
+    exchange.  Power queries run on the exchange, never on a surface.
     """
 
     transform: PiecewiseLinearBijection
@@ -157,7 +157,6 @@ class IetSurface:
     period: int = 0
     returns: Tuple[Tuple[int, int, int], ...] = ()
     _arcs: Dict[int, Arc] = field(default_factory=dict, repr=False)
-    _ops: Optional[Tuple[InductionOp, ...]] = field(default=None, repr=False)
 
     @property
     def width(self) -> int:
@@ -165,9 +164,10 @@ class IetSurface:
 
 
 def _as_exchange(transform: PiecewiseLinearBijection) -> PiecewiseLinearBijection:
-    if any(p.mult != 1 for p in transform.pieces):
+    """The map, certified; induction on a non-bijection need not end."""
+    if not is_exchange(transform):
         raise IetError("not an interval exchange: some piece scales")
-    return transform
+    return _certify(transform)
 
 
 def _thinned_levels(interior: List[int], stripes: int) -> List[List[int]]:
@@ -554,18 +554,27 @@ def _induce(runs: Sequence[Tuple[int, int, int]], end: int) -> Tuple[InductionOp
     return tuple(ops)
 
 
-def _locate(ops: Sequence[InductionOp], x: int) -> Tuple[int, int, int]:
-    """Walk x up through the ops to the finish op whose tower holds it.
+def induction(t: PiecewiseLinearBijection) -> Tuple[InductionOp, ...]:
+    """The induction of an exchange's own pieces, memoized on it."""
+    ops = t.__dict__.get("_induction")
+    if ops is None:
+        ops = _induce([(p.lo, p.hi, p.off) for p in _as_exchange(t).pieces], t.domain)
+        object.__setattr__(t, "_induction", ops)
+    return ops
 
-    Returns that op's index, the tower's base point y and x's level t,
-    so that x = T^t(y).
-    """
+
+def _locate(t: PiecewiseLinearBijection, x: int) -> Tuple[Tuple[InductionOp, ...], int, int, int]:
+    """Walk x up through t's induction to the finish op whose tower holds
+    it: the ops, that op's index, the tower's base y and x = T^l(y)'s level l."""
+    if not 0 <= x < t.domain:
+        raise IetError(f"point {x} outside [0, {t.domain})")
+    ops = induction(t)
     level = 0
     for index, (kind, end, cut, shift, height, losers) in enumerate(ops):
         if x < end - cut:
             continue
         if kind == _FINISH:
-            return index, x, level
+            return ops, index, x, level
         if kind == _TOP:
             laps = (end - 1 - x) // shift  # winner steps down from the losers' images
             x += laps * shift
@@ -581,8 +590,26 @@ def _locate(ops: Sequence[InductionOp], x: int) -> Tuple[int, int, int]:
     raise IetError(f"induction left point {x} in no tower")
 
 
-def _descend(ops: Sequence[InductionOp], index: int, y: int, level: int) -> int:
-    """T^level(y) for y a point of stage index, walked back to stage 0."""
+def orbit_size(t: PiecewiseLinearBijection, i: int) -> int:
+    """Length of the orbit of i: the height of the tower that holds it."""
+    ops, index, _, _ = _locate(t, i)
+    return ops[index].height
+
+
+def cycle_type(t: PiecewiseLinearBijection) -> Dict[int, int]:
+    """Orbit length -> number of orbits of that length, off the towers."""
+    counts: Dict[int, int] = {}
+    for op in induction(t):
+        if op.kind == _FINISH:
+            counts[op.height] = counts.get(op.height, 0) + op.cut
+    return counts
+
+
+def _power(t: PiecewiseLinearBijection, i: int, n: int) -> int:
+    """T^n(i): i up through the ops to its tower (base y, level l, height
+    H), then y's level (l + n) mod H walked back down to stage 0."""
+    ops, index, y, level = _locate(t, i)
+    level = (level + n) % ops[index].height
     for kind, end, cut, shift, height, losers in reversed(ops[:index]):
         if kind == _TOP:
             for lo, hi, off, h in losers:
@@ -599,50 +626,17 @@ def _descend(ops: Sequence[InductionOp], index: int, y: int, level: int) -> int:
     return y
 
 
-def induction(su: IetSurface) -> Tuple[InductionOp, ...]:
-    """The induction of the surface's traced return map, memoized on it."""
-    if su._ops is None:
-        su._ops = _induce(su.returns, su.width)
-    return su._ops
-
-
-def _tower(su: IetSurface, i: int) -> Tuple[Tuple[InductionOp, ...], int, int, int]:
-    if not 0 <= i < su.width:
-        raise IetError(f"point {i} outside [0, {su.width})")
-    ops = induction(su)
-    return (ops, *_locate(ops, i))
-
-
-def orbit_size(su: IetSurface, i: int) -> int:
-    """Length of the orbit of i: the height of the tower that holds it."""
-    ops, index, _, _ = _tower(su, i)
-    return ops[index].height
-
-
-def cycle_type(su: IetSurface) -> Dict[int, int]:
-    """Orbit length -> number of orbits of that length, off the towers."""
-    counts: Dict[int, int] = {}
-    for op in induction(su):
-        if op.kind == _FINISH:
-            counts[op.height] = counts.get(op.height, 0) + op.cut
-    return counts
-
-
 def iet_orbit_solve(
     transform: PiecewiseLinearBijection, i: int, n: int, surface: Optional[IetSurface] = None
 ) -> int:
-    """The n-th iterate of i under an interval exchange, without iterating.
-
-    Walks i up through the surface's induction to its tower (base y, level
-    t, height H), then walks y's level (t + n) mod H back down: O(ops * k)
-    for any n, and n may be negative.  Passing a prebuilt surface skips
-    rebuilding and shares its induction.
+    """The n-th iterate of i under an interval exchange, n of any sign,
+    from the exchange's memoized induction.  A surface, if passed, must
+    have been built for this exchange; it is checked, then unused.
     """
-    su = surface if surface is not None else build_surface(transform)
-    if su.transform.domain != transform.domain:
+    built = surface.transform if surface is not None else transform
+    if (built.domain, built.pieces) != (transform.domain, transform.pieces):
         raise IetError("surface built for a different exchange")
-    ops, index, base, level = _tower(su, i)
-    return _descend(ops, index, base, (level + n) % ops[index].height)
+    return _power(transform, i, n)
 
 
 def three_gap_check(modulus: int, step: int, count: int) -> Tuple[int, ...]:

@@ -198,8 +198,7 @@ def _certify(cand: PiecewiseLinearBijection) -> PiecewiseLinearBijection:
     return cand
 
 
-def plb(domain: int, pieces: Sequence[Tuple[int, int, int, int]]) -> PiecewiseLinearBijection:
-    return validate_plb(domain, pieces)
+plb = validate_plb
 
 
 def interval_exchange(
@@ -258,26 +257,35 @@ def apply_plb_inverse(t: PiecewiseLinearBijection, y: int) -> int:
     raise PlbError(f"{y} has no preimage; description is not bijective")
 
 
+def is_exchange(t: PiecewiseLinearBijection) -> bool:
+    """Every piece is a translation: the map is an interval exchange."""
+    return all(p.mult == 1 for p in t.pieces)
+
+
 def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
-    """T applied n times to x through the kernel engine; a negative n
-    applies the inverse -n times."""
-    return iterate_map(
-        lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y)
-    )
+    """T applied n times to x, the inverse -n times for negative n.  An
+    interval exchange answers from its induction at any n and N (see
+    ``ibx.iet``); any other map walks n steps through the kernel engine."""
+    if not 0 <= x < t.domain:
+        raise PlbError(f"{x} outside [0,{t.domain})")
+    if is_exchange(t):
+        from .iet import _power
+
+        return _power(t, x, n)
+    return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y))
 
 
 def permutation_order(t: PiecewiseLinearBijection) -> int:
     """Multiplicative order of the map, via cycle lengths.
 
-    An interval exchange (every piece a translation) takes the lcm of its
-    tower heights from the surface's induction, at any N; any other map
-    tabulates its images in an int64 array, one range per piece, and
-    walks the table's cycles, at desk-scale N.
+    An interval exchange takes the lcm of its tower heights, at any N; any
+    other map tabulates its images in an int64 array, one range per piece,
+    and walks the table's cycles, at desk-scale N.
     """
-    if all(p.mult == 1 for p in t.pieces):
-        from .iet import build_surface, cycle_type
+    if is_exchange(t):
+        from .iet import cycle_type
 
-        return lcm(*cycle_type(build_surface(t)))
+        return lcm(*cycle_type(t))
     if t.domain > 1 << 20:
         raise PlbError("domain too large for order computation")
     table = array("q", bytes(8 * t.domain))
@@ -319,8 +327,6 @@ def low_rotation(k: int) -> PiecewiseLinearBijection:
         raise PlbError("need at least two bits")
     n = 1 << k
     half, quarter = n // 2, n // 4
-    if k == 2:
-        return plb(4, [(0, 1, 2, 0), (1, 2, 2, -1), (2, 3, 2, -2), (3, 4, 2, -3)])
     return plb(
         n,
         [

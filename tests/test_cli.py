@@ -433,6 +433,19 @@ def test_iet_solve_fig_example(tmp_path, capsys):
     assert out.strip() == "10"
 
 
+def test_plb_iterate_answers_a_huge_rotation_without_walking(tmp_path):
+    n, shift = 10**12, 7
+    t = plb.interval_exchange(n, [(0, n - shift, shift), (n - shift, n, shift - n)])
+    (tmp_path / "rot.plb").write_text(formats.write_plb(t.domain, t.pieces))
+    steps = 10**20 + 3
+    done = run_fresh(
+        ["-m", "ibx.cli", "plb", "iterate", "--file", "rot.plb", "--x", "5", "--n", str(steps)],
+        tmp_path, timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str((5 + shift * steps) % n)
+
+
 def test_iet_solve_large_n(tmp_path, capsys):
     path = tmp_path / "t.iet"
     path.write_text(FIG_IET)
@@ -524,7 +537,7 @@ def test_iet_report_counts_surface_sizes(tmp_path, capsys):
     arc = iet.arc_of(su, 6)
     assert json.loads(err)["step_counts"] == dict(
         sizes, arc_steps=arc.length, orbit_length=len(arc.orbit),
-        induction_ops=len(iet.induction(su)),
+        induction_ops=len(iet.induction(t)),
     )
 
 
@@ -620,12 +633,12 @@ def test_unknown_subcommand_exits_2():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None):
+def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
-        env=env, cwd=cwd, timeout=120, preexec_fn=preexec_fn,
+        env=env, cwd=cwd, timeout=timeout, preexec_fn=preexec_fn,
     )
 
 
@@ -696,6 +709,9 @@ def _limit_address_space():
         ["plb", "rotate", "--k", "100000000000", "--low"],
         ["ca", "strobe-demo", "--t", "3", "--n", "1", "--ring", "1000000000"],
         ["leaf", "walk", "--k", "40", "--length", "1000000000"],
+        ["leaf", "walk", "--k", "63"],
+        ["leaf", "compile", "--k", "100000000000"],
+        ["ca", "strobe-demo", "--t", "100000", "--n", "1"],
     ],
 )
 def test_oversized_arguments_are_one_error_line(tmp_path, argv):
@@ -711,6 +727,8 @@ def test_oversized_arguments_are_one_error_line(tmp_path, argv):
         (["plb", "rotate", "--low"], "--k", cli.MAX_ROTATE_BITS),
         (["ca", "strobe-demo", "--t", "3", "--n", "1"], "--ring", cli.MAX_STROBE_RING),
         (["leaf", "walk", "--k", "40"], "--length", cli.MAX_PATH_LENGTH),
+        (["leaf", "walk"], "--k", cli.MAX_LEAF_BITS),
+        (["ca", "strobe-demo", "--n", "1"], "--t", cli.MAX_STROBE_PERIOD),
     ],
 )
 def test_arguments_run_up_to_their_cap(capsys, argv, flag, cap):

@@ -14,6 +14,7 @@ from ibx.iet import (
     Crossing,
     IetError,
     _check_trace_agreement,
+    _induce,
     _trace_run,
     arc_of,
     build_surface,
@@ -28,7 +29,7 @@ from ibx.iet import (
     validate_normal_coords,
 )
 from ibx.kernel import cycle_lengths
-from ibx.plb import apply_plb, interval_exchange, iterate_plb, permutation_order
+from ibx.plb import apply_plb, apply_plb_inverse, interval_exchange, iterate_plb, permutation_order
 
 
 FIG_PIECES = ((0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5))
@@ -149,6 +150,10 @@ def test_surface_rejects_out_of_range_points():
         iet_orbit_solve(t, 8, 1, surface=su)
     with pytest.raises(IetError):
         iet_orbit_solve(rotation(9, 2), 0, 1, surface=su)
+    # same domain, different pieces: rotation by 4 would answer 4, not 2
+    with pytest.raises(IetError, match="different exchange"):
+        iet_orbit_solve(rotation(9, 2), 0, 1, surface=build_surface(rotation(9, 4)))
+    assert iet_orbit_solve(rotation(9, 2), 0, 1, surface=build_surface(rotation(9, 2))) == 2
 
 
 def test_vertical_coords_are_normal():
@@ -444,7 +449,7 @@ def test_orbit_solve_matches_a_brute_force_walk(t, data):
     steps = data.draw(st.sampled_from([10**30, -(10**30)]) | st.integers(-(10**30), 10**30))
     cycle = orbit_of(t, i)
     assert iet_orbit_solve(t, i, steps, surface=su) == cycle[steps % len(cycle)]
-    assert orbit_size(su, i) == len(cycle)
+    assert orbit_size(t, i) == len(cycle)
 
 
 def test_orbit_solve_at_every_point_of_small_exchanges(rng):
@@ -461,7 +466,7 @@ def test_orbit_solve_at_every_point_of_small_exchanges(rng):
 def test_cycle_type_matches_the_cycle_walk(rng):
     for t in oracle_exchanges(rng, 30):
         want = Counter(cycle_lengths(lambda x: apply_plb(t, x), t.domain))
-        assert cycle_type(build_surface(t)) == want
+        assert cycle_type(t) == want
         assert permutation_order(t) == lcm(*want)
 
 
@@ -470,7 +475,7 @@ def test_cycle_type_of_a_huge_rotation():
     for a in (1, n - 1, 6 * 10**5, 2**39):
         t = rotation(n, a)
         g = gcd(a, n)
-        assert cycle_type(build_surface(t)) == {n // g: g}
+        assert cycle_type(t) == {n // g: g}
         assert permutation_order(t) == n // g
 
 
@@ -480,13 +485,39 @@ def test_orbit_solve_scales_to_huge_domain(rng):
     for _ in range(5):
         t = interval_exchange(n, random_pieces(rng, n, 8))
         su = build_surface(t)
-        assert induction(su) is induction(su)
+        assert induction(t) is induction(t)
         for i in rng.sample(range(n), 5):
             y = iet_orbit_solve(t, i, 10**30, surface=su)
             assert iet_orbit_solve(t, y, -(10**30), surface=su) == i
             assert iet_orbit_solve(t, i, 3, surface=su) == iterate_plb(t, 3, i)
-            assert iet_orbit_solve(t, i, orbit_size(su, i), surface=su) == i
+            assert iet_orbit_solve(t, i, orbit_size(t, i), surface=su) == i
     assert time.perf_counter() - started < 1.0
+
+
+def test_induction_of_the_pieces_equals_that_of_the_traced_return_map(rng):
+    # The traced surface stays the oracle that the induction's input, the
+    # exchange's own pieces, is the curve's first-return map.
+    for n in (37, 10**4, 10**8, 10**12):
+        for k in range(1, 10):
+            t = interval_exchange(n, random_pieces(rng, n, k))
+            su = build_surface(t)
+            assert induction(t) == _induce(su.returns, su.width), (n, t.pieces)
+
+
+def literal_power(t, n, x):
+    step = apply_plb if n >= 0 else apply_plb_inverse
+    for _ in range(abs(n)):
+        x = step(t, x)
+    return x
+
+
+def test_iterate_plb_on_exchanges_matches_the_literal_loop(rng):
+    for t in oracle_exchanges(rng, 20):
+        for x in rng.sample(range(t.domain), min(t.domain, 4)):
+            length = len(orbit_of(t, x))
+            past = (length, -length, length + 3, -(2 * length + 5))
+            for n in (0, 1, -1, 2, -3, 7, -11, *past):
+                assert iterate_plb(t, n, x) == literal_power(t, n, x), (t.pieces, x, n)
 
 
 def test_arc_lists_the_orbit_in_trace_order():

@@ -175,6 +175,15 @@ def test_apply_rejects_out_of_domain():
         apply_plb_inverse(riffle(13), -1)
 
 
+def test_iterate_rejects_out_of_domain_at_every_n():
+    walked, exchange = riffle(13), interval_exchange(13, [(0, 6, 7), (6, 13, -6)])
+    for t in (walked, exchange):
+        for x in (-1, 13, 99):
+            for n in (0, 1, -1, 10**20):
+                with pytest.raises(PlbError, match=rf"{x} outside \[0,13\)"):
+                    iterate_plb(t, n, x)
+
+
 def test_iterate_zero_and_rotation_order():
     t = circular_shift(3)
     for x in range(8):
