@@ -1,14 +1,25 @@
 """Reversible cellular automata: Margolus-blocked 2D grids, multi-track 1D
 rings, a strobe wrapper, and the 2D-to-1D compiler.
 
-Block encoding throughout: a 2x2 block (tl, tr, bl, br) reads as the 4-bit
-value tl*8 + tr*4 + bl*2 + br.  Even-phase blocks anchor at even (row, col),
-odd phase at odd coordinates, both toroidal.
+Block encoding: rules name a 2x2 block (tl, tr, bl, br) by the 4-bit value
+tl*8 + tr*4 + bl*2 + br.  Even-phase blocks anchor at even (row, col), odd
+phase at odd coordinates.
 
-One kernel serves all three geometries: the toroidal blocked update,
-_toroidal_cells.  A helical odd step is the toroidal odd step of the grid's
-two-row strip, and a ring's blocked update is the toroidal even step of its
-(top, bottom) tracks; rings hold their tracks in numpy arrays too.
+The stepping kernel never forms that value.  Cells are uint8 0/1, so a block
+row (left, right) is two adjacent bytes: one element of
+``cells.view(np.uint16)``.  A block's top and bottom words combine to the
+index ``top | bottom << 1`` (16 values, all below 772), and _rule_luts turns
+a rule into a table from that index to the image block's four bytes read as
+one 32-bit word.  A step is one gather and two row-strided writes of 16-bit
+words.  The tables are built through byte views of the same layout, so they
+follow the machine's byte order.
+
+One kernel, _step_row_pairs, serves every geometry.  The odd phase is the
+even phase of the grid rolled up and left by one cell; under helical
+connections the rolled grid's last column, whose blocks cross the seam, is
+first slid up by one row pair.  A ring's blocked update is the even step of
+its (top, bottom) tracks cast to uint8; rings hold their tracks as int64
+arrays.
 
 The 1D side pins one geometry: ring cell x covers grid column x mod c and
 row pair x // c, its two data tracks holding the upper and lower row, so
@@ -99,6 +110,16 @@ class MargolusGrid:
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
+    @classmethod
+    def _trusted(cls, cells: np.ndarray, phase: int) -> "MargolusGrid":
+        """A grid around a step's fresh output, which is a valid uint8 grid
+        no one else holds: frozen in place, without a copy or a re-check."""
+        cells.setflags(write=False)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "cells", cells)
+        object.__setattr__(grid, "phase", phase)
+        return grid
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MargolusGrid):
             return NotImplemented
@@ -112,48 +133,78 @@ class MargolusGrid:
         return int(self.cells.sum())
 
 
-def _step_even_anchored(cells: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    tl, tr = cells[0::2, 0::2], cells[0::2, 1::2]
-    bl, br = cells[1::2, 0::2], cells[1::2, 1::2]
-    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
+def _step_row_pairs(cells: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """The blocked update of the blocks anchored at even (row, col).
+
+    ``cells`` must be a C-contiguous uint8 array of 0/1 cells, its height
+    and width even: each element of ``cells.view(np.uint16)`` is then one
+    block row.  A block's index is ``top | bottom << 1``; one ``lut.take``
+    gathers both output rows as one 32-bit word, and two row-strided writes
+    put them back.
+    """
+    words = cells.view(np.uint16)
+    blocks = lut.take(words[0::2] | words[1::2] << 1).view(np.uint16)
     res = np.empty_like(cells)
-    res[0::2, 0::2] = (out >> 3) & 1
-    res[0::2, 1::2] = (out >> 2) & 1
-    res[1::2, 0::2] = (out >> 1) & 1
-    res[1::2, 1::2] = out & 1
+    rows = res.view(np.uint16)
+    rows[0::2], rows[1::2] = blocks[:, 0::2], blocks[:, 1::2]
     return res
 
 
 @lru_cache(maxsize=64)
 def _rule_luts(rule: MargolusRule) -> Tuple[np.ndarray, np.ndarray]:
-    """The rule's forward and inverse lookup tables, built once per rule."""
+    """The rule's forward and inverse block tables, built once per rule:
+    block state s laid out as the bytes (tl, tr, bl, br) gives both the
+    index (its rows as 16-bit words) and the entry (its image's bytes as
+    one 32-bit word)."""
     if not rule_is_bijective(rule):
         raise CaError("refusing to step a non-bijective rule")
-    return np.array(rule.table, dtype=np.uint8), np.array(rule.inverse().table, dtype=np.uint8)
+    blocks = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
+    rows = blocks.view(np.uint16)
+    index = rows[:, 0] | rows[:, 1] << 1
+    images = blocks.view(np.uint32)[:, 0]
+
+    def lut(table: Tuple[int, ...]) -> np.ndarray:
+        out = np.zeros(int(index.max()) + 1, np.uint32)
+        out[index] = images[list(table)]
+        return out
+
+    return lut(rule.table), lut(rule.inverse().table)
 
 
-def _blocked(cells_step, grid: MargolusGrid, rule: MargolusRule, back: bool, *args) -> MargolusGrid:
-    """One blocked update by ``cells_step``; with ``back``, its undo: the
-    inverse table, anchored at the phase the forward step used."""
-    cells = cells_step(grid.cells, _rule_luts(rule)[back], grid.phase ^ back, *args)
-    return MargolusGrid(cells, 1 - grid.phase)
+def _blocked(
+    grid: MargolusGrid, rule: MargolusRule, back: bool, threads: int = 1, seam: int = 0
+) -> MargolusGrid:
+    """One blocked update of ``grid``; with ``back``, its undo: the inverse
+    table, anchored at the phase the forward step used."""
+    cells = _grid_cells(grid.cells, _rule_luts(rule)[back], grid.phase ^ back, threads, seam)
+    return MargolusGrid._trusted(cells, 1 - grid.phase)
 
 
-def _toroidal_cells(cells: np.ndarray, lut: np.ndarray, phase: int, threads: int) -> np.ndarray:
-    """The blocked update of a toroidal grid: the one kernel every automaton
-    here runs.  ``threads`` > 1 splits block rows across a thread pool."""
+def _grid_cells(
+    cells: np.ndarray, lut: np.ndarray, phase: int, threads: int, seam: int
+) -> np.ndarray:
+    """The blocked update of a grid at ``phase``.
+
+    The odd phase is the even phase of the grid rolled up and left by one
+    cell.  An odd block that crosses the right edge takes its column-0
+    cells from ``seam`` rows further down: 0 on the torus, 2 under helical
+    connections, where that column of the rolled grid is slid up by two.
+    ``threads`` > 1 splits the block rows into bands across a thread pool.
+    """
     if phase == 1:
         cells = np.roll(cells, (-1, -1), (0, 1))
+        cells[:, -1] = np.roll(cells[:, -1], -seam)
     block_rows = cells.shape[0] // 2
     bands = min(threads, block_rows)
     if bands <= 1:
-        new = _step_even_anchored(cells, lut)
+        new = _step_row_pairs(cells, lut)
     else:
         cuts = [2 * (block_rows * i // bands) for i in range(bands + 1)]
         with ThreadPoolExecutor(max_workers=bands) as pool:
-            stepped = pool.map(lambda a, b: _step_even_anchored(cells[a:b], lut), cuts, cuts[1:])
+            stepped = pool.map(lambda a, b: _step_row_pairs(cells[a:b], lut), cuts, cuts[1:])
             new = np.vstack(list(stepped))
     if phase == 1:
+        new[:, -1] = np.roll(new[:, -1], seam)
         new = np.roll(new, (1, 1), (0, 1))
     return new
 
@@ -163,14 +214,14 @@ def margolus_step(
 ) -> MargolusGrid:
     """One blocked update; the phase toggles.  ``threads`` > 1 splits block
     rows across a thread pool with bit-identical results."""
-    return _blocked(_toroidal_cells, grid, rule, False, threads)
+    return _blocked(grid, rule, False, threads)
 
 
 def margolus_step_back(
     grid: MargolusGrid, rule: MargolusRule, threads: int = 1
 ) -> MargolusGrid:
     """Undo one margolus_step."""
-    return _blocked(_toroidal_cells, grid, rule, True, threads)
+    return _blocked(grid, rule, True, threads)
 
 
 def simulate_bbm(
@@ -199,18 +250,6 @@ def _unstrip(strip: np.ndarray, h: int, w: int) -> np.ndarray:
     return strip.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
 
 
-def _helical_cells(cells: np.ndarray, lut: np.ndarray, phase: int) -> np.ndarray:
-    if phase == 0:
-        return _toroidal_cells(cells, lut, 0, 1)
-    h, w = cells.shape
-    top, bottom = _strip(cells)
-    # the odd blocks of the strip whose upper track is slid back one row
-    # pair are the toroidal odd blocks of a 2-row grid
-    new = _toroidal_cells(np.stack([np.roll(top, -w), bottom]), lut, 1, 1)
-    new[0] = np.roll(new[0], w)
-    return _unstrip(new, h, w)
-
-
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
     """One blocked update under helical (screw) vertical connections.
 
@@ -223,14 +262,14 @@ def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGri
     instead of wrapping level.  Patterns that never touch the seam step
     identically to margolus_step.
     """
-    return _blocked(_helical_cells, grid, rule, False)
+    return _blocked(grid, rule, False, seam=2)
 
 
 def margolus_step_back_helical(
     grid: MargolusGrid, rule: MargolusRule
 ) -> MargolusGrid:
     """Undo one margolus_step_helical."""
-    return _blocked(_helical_cells, grid, rule, True)
+    return _blocked(grid, rule, True, seam=2)
 
 
 def simulate_helical(
@@ -546,13 +585,14 @@ class DimReduxAutomaton:
 
     def _blocked_update(self, tracks: np.ndarray, par0: int, inverse: bool) -> np.ndarray:
         """Pair each parity-0 cell with its right neighbor, feed the four data
-        values through the rule as the toroidal even step of the (top,
-        bottom) strip, and write them back with top and bottom exchanged.
-        The inverse reads the exchanged tracks back as the block's rows."""
+        values through the rule as the even step of the (top, bottom) strip,
+        cast to the kernel's uint8, and write them back into the int64
+        tracks with top and bottom exchanged.  The inverse reads the
+        exchanged tracks back as the block's rows."""
         rows = [1, 0] if inverse else [0, 1]
-        strip = np.roll(tracks[rows], -par0, axis=1)
+        strip = np.roll(tracks[rows].astype(np.uint8), -par0, axis=1)
         out = tracks.copy()
-        new = _toroidal_cells(strip, _rule_luts(self.rule)[inverse], 0, 1)
+        new = _step_row_pairs(strip, _rule_luts(self.rule)[inverse])
         out[rows[::-1]] = np.roll(new, par0, axis=1)
         return out
 

@@ -39,13 +39,63 @@ class ClockedState:
     payload: Tuple[int, ...]
 
 
+def _field_functions(
+    widths: Tuple[int, ...], m_big: int, m_small: int
+) -> Tuple[Callable, Callable]:
+    """ClockedCodec's split and join for fields of these widths.
+
+    A clocked step calls both on every state, and a loop over the fields
+    took most of its time, so the two functions are compiled once with one
+    expression per field written out, as collections.namedtuple writes out
+    its methods.  The source depends only on the number of fields; the
+    shifts, masks and moduli come in as closure cells.
+    """
+    n = len(widths)
+    shifts = [sum(widths[i + 1 :]) for i in range(n)]
+    masks = [(1 << w) - 1 for w in widths]
+    names = ["c1", "c2"] + [f"p{i}" for i in range(2, n)]
+    cells = ", ".join(f"s{i}, m{i}" for i in range(n))
+    payload_reads = "".join(f"value >> s{i} & m{i}, " for i in range(2, n))
+    payload_names = "".join(f"{x}, " for x in names[2:])
+    fits = " and ".join(f"0 <= {x} <= m{i}" for i, x in enumerate(names))
+    packed = " | ".join(f"{x} << s{i}" for i, x in enumerate(names))
+    src = f"""
+def make({cells}, m_big, m_small, misfit):
+    def split(value):
+        c1, c2 = value >> s0 & m0, value >> s1 & m1
+        if c1 >= m_big or c2 >= m_small:
+            return None
+        return c1, c2, ({payload_reads})
+
+    def join(c1, c2, payload):
+        ({payload_names}) = payload
+        if not ({fits}):
+            misfit(c1, c2, payload)
+        return {packed}
+
+    return split, join
+"""
+
+    def misfit(c1: int, c2: int, payload: Tuple[int, ...]) -> None:
+        if not (0 <= c1 <= masks[0] and 0 <= c2 <= masks[1]):
+            raise ValueError(f"counters ({c1}, {c2}) do not fit in ({widths[0]}, {widths[1]}) bits")
+        for p, m in zip(payload, masks[2:]):
+            if not 0 <= p <= m:
+                raise ValueError(f"payload value {p} does not fit in {m.bit_length()} bits")
+
+    namespace: dict = {}
+    exec(src, namespace)
+    constants = [x for pair in zip(shifts, masks) for x in pair]
+    return namespace["make"](*constants, m_big, m_small, misfit)
+
+
 @dataclass(frozen=True)
 class ClockedCodec:
     """Bit packing for (c1, c2, payload...) states, first field most
     significant.
 
     Field widths are the minimum that hold modulus-1.  The shifts and masks
-    are computed once, at construction, into two closures: ``split`` reads a
+    are fixed once, at construction, in two functions: ``split`` reads a
     state as (c1, c2, payload), or None when a counter is at or beyond its
     modulus, and ``join`` packs the fields back, raising ValueError for a
     field that does not fit its width.  A clocked step calls them directly;
@@ -65,30 +115,10 @@ class ClockedCodec:
     )
 
     def __post_init__(self) -> None:
-        m_big, m_small = self.m_big, self.m_small
-        w1 = max(1, (m_big - 1).bit_length())
-        w2 = max(1, (m_small - 1).bit_length())
+        w1 = max(1, (self.m_big - 1).bit_length())
+        w2 = max(1, (self.m_small - 1).bit_length())
         widths = (w1, w2) + self.payload_widths
-        s1, s2, *shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
-        mask1, mask2 = (1 << w1) - 1, (1 << w2) - 1
-        fields = tuple(zip(shifts, [(1 << w) - 1 for w in self.payload_widths]))
-
-        def split(value: int) -> Optional[Tuple[int, int, Tuple[int, ...]]]:
-            c1, c2 = (value >> s1) & mask1, (value >> s2) & mask2
-            if c1 >= m_big or c2 >= m_small:
-                return None
-            return c1, c2, tuple([(value >> s) & m for s, m in fields])
-
-        def join(c1: int, c2: int, payload: Tuple[int, ...]) -> int:
-            if not (0 <= c1 <= mask1 and 0 <= c2 <= mask2):
-                raise ValueError(f"counters ({c1}, {c2}) do not fit in ({w1}, {w2}) bits")
-            acc = c1 << s1 | c2 << s2
-            for p, (s, m) in zip(payload, fields):
-                if not 0 <= p <= m:
-                    raise ValueError(f"payload value {p} does not fit in {m.bit_length()} bits")
-                acc |= p << s
-            return acc
-
+        split, join = _field_functions(widths, self.m_big, self.m_small)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "width", sum(widths))
         object.__setattr__(self, "split", split)

@@ -89,6 +89,47 @@ def naive_helical_odd_step(cells, table):
     return out
 
 
+def reference_step_even_anchored(cells, lut):
+    """The blocked update of the even-anchored blocks as it was written
+    before the kernel read row pairs as 16-bit words: four strided byte
+    reads, a gather through the 16-entry table ``lut``, four strided byte
+    writes."""
+    tl, tr = cells[0::2, 0::2], cells[0::2, 1::2]
+    bl, br = cells[1::2, 0::2], cells[1::2, 1::2]
+    out = lut[(tl << 3) | (tr << 2) | (bl << 1) | br]
+    res = np.empty_like(cells)
+    res[0::2, 0::2] = (out >> 3) & 1
+    res[0::2, 1::2] = (out >> 2) & 1
+    res[1::2, 0::2] = (out >> 1) & 1
+    res[1::2, 1::2] = out & 1
+    return res
+
+
+def reference_torus(cells, table, phase):
+    """The toroidal step around the reference kernel: odd blocks are the
+    even blocks of the grid rolled up and left by one cell."""
+    cells = np.asarray(cells, dtype=np.uint8)
+    lut = np.array(table, dtype=np.uint8)
+    if phase == 0:
+        return reference_step_even_anchored(cells, lut)
+    new = reference_step_even_anchored(np.roll(cells, (-1, -1), (0, 1)), lut)
+    return np.roll(new, (1, 1), (0, 1))
+
+
+def reference_helical(cells, table, phase):
+    """The helical step around the reference kernel: the odd step is the
+    toroidal odd step of the grid's two-row strip, upper track slid back
+    one row pair."""
+    cells = np.asarray(cells, dtype=np.uint8)
+    if phase == 0:
+        return reference_torus(cells, table, 0)
+    h, w = cells.shape
+    top, bottom = cells[0::2].reshape(-1), cells[1::2].reshape(-1)
+    new = reference_torus(np.stack([np.roll(top, -w), bottom]), table, 1)
+    new[0] = np.roll(new[0], w)
+    return new.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
+
+
 def reference_strobe_step(strobe, cfg, back=False):
     """The per-cell strobe step: swap loops over the even cells around a
     dict lookup of the paired cell map, inverted for a step back."""
@@ -263,6 +304,59 @@ def test_threaded_step_is_bit_identical(rng):
     assert simulate_bbm(start, 50, threads=4) == simulate_bbm(start, 50)
 
 
+def every_block_code_grid(phase):
+    """An 8x8 grid whose 16 blocks at ``phase`` hold the 16 block codes."""
+    cells = np.zeros((8, 8), dtype=np.uint8)
+    for code in range(16):
+        r, c = 2 * (code // 4), 2 * (code % 4)
+        cells[r : r + 2, c : c + 2] = [[code >> 3 & 1, code >> 2 & 1], [code >> 1 & 1, code & 1]]
+    return np.roll(cells, (phase, phase), (0, 1))
+
+
+def kernel_rules(rng):
+    return [bbm_rule(), identity_rule()] + [random_bijective_rule(rng) for _ in range(24)]
+
+
+def assert_steps_match_the_references(cells, rule, phase):
+    """margolus_step and margolus_step_back of ``cells`` at ``phase`` against
+    the reference kernel and the literal loop; the step back runs the
+    inverse table at the other phase."""
+    forward = (margolus_step, rule.table, phase)
+    back = (margolus_step_back, rule.inverse().table, 1 - phase)
+    for step, table, anchor in (forward, back):
+        got = step(grid_of(cells, phase), rule)
+        assert np.array_equal(got.cells, reference_torus(cells, table, anchor))
+        assert got.cells.tolist() == naive_torus_step(np.asarray(cells).tolist(), anchor, table)
+        assert got.phase == 1 - phase
+
+
+def test_kernel_matches_the_reference_on_every_block_code(rng):
+    for phase in (0, 1):
+        cells = every_block_code_grid(phase)
+        for rule in kernel_rules(rng):
+            assert_steps_match_the_references(cells, rule, phase)
+
+
+def test_kernel_matches_the_reference_on_the_narrowest_grids(rng):
+    rules = kernel_rules(rng)
+    for h, w in ((2, 2), (2, 4), (2, 10), (4, 2), (10, 2)):
+        for phase in (0, 1):
+            for rule in rules:
+                assert_steps_match_the_references(random_cells(rng, h, w), rule, phase)
+
+
+def test_threaded_bands_of_a_tall_grid_are_bit_identical(rng):
+    rule = random_bijective_rule(rng)
+    cells = np.array(random_cells(rng, 1024, 6), dtype=np.uint8)
+    for phase in (0, 1):
+        want = reference_torus(cells, rule.table, phase)
+        for threads in (1, 2, 3):
+            got = margolus_step(grid_of(cells, phase), rule, threads=threads)
+            assert np.array_equal(got.cells, want)
+            back = margolus_step_back(got, rule, threads=threads)
+            assert np.array_equal(back.cells, cells)
+
+
 def test_grid_guards():
     with pytest.raises(CaError):
         grid_of([[0, 1, 0], [1, 0, 1]])  # odd width
@@ -271,6 +365,8 @@ def test_grid_guards():
     g = grid_of([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         g.cells[0, 0] = 1
+    with pytest.raises(ValueError):
+        margolus_step(g, bbm_rule()).cells[0, 0] = 1
 
 
 def test_grid_equality_includes_phase():
@@ -297,6 +393,29 @@ def test_helical_odd_phase_matches_naive(rng):
         got = margolus_step_helical(grid_of(cells, 1), rule)
         assert got.cells.tolist() == naive_helical_odd_step(cells, rule.table)
         assert got.phase == 0
+
+
+def test_helical_odd_step_on_two_rows_matches_naive(rng):
+    # a single row pair: the odd block at the seam takes its column-0 cells
+    # from the same two rows, as on the torus
+    for w in (2, 4, 6, 8):
+        rule = random_bijective_rule(rng)
+        cells = random_cells(rng, 2, w)
+        got = margolus_step_helical(grid_of(cells, 1), rule)
+        assert got.cells.tolist() == naive_helical_odd_step(cells, rule.table)
+        assert margolus_step_back_helical(got, rule) == grid_of(cells, 1)
+
+
+def test_helical_matches_the_reference(rng):
+    for h, w in ((2, 2), (2, 6), (4, 2), (6, 4), (8, 6), (16, 16)):
+        for rule in kernel_rules(rng)[:6]:
+            cells = random_cells(rng, h, w)
+            for phase in (0, 1):
+                got = margolus_step_helical(grid_of(cells, phase), rule)
+                assert np.array_equal(got.cells, reference_helical(cells, rule.table, phase))
+                back = margolus_step_back_helical(grid_of(cells, phase), rule)
+                inverse = rule.inverse().table
+                assert np.array_equal(back.cells, reference_helical(cells, inverse, 1 - phase))
 
 
 def test_helical_agrees_off_the_seam(rng):
@@ -480,6 +599,22 @@ def test_dim_redux_random_rule(rng):
     auto = dim_redux_compile(rule, 6, 24)
     grid = grid_of(random_cells(rng, 8, 6))
     assert dim_redux_verify(auto, grid, 7)
+
+
+def test_dim_redux_replays_the_reference_kernel(rng):
+    # every lit configuration of the ring is the embedding of the reference
+    # kernel's helical run; the data tracks stay int64 throughout
+    rule = random_bijective_rule(rng)
+    auto = dim_redux_compile(rule, 6, 24)
+    cells = np.array(random_cells(rng, 8, 6), dtype=np.uint8)
+    cfg = auto.embed(grid_of(cells), 0)
+    for n in range(1, 7):
+        cfg = simulate_1d(auto, cfg, auto.t)
+        cells = reference_helical(cells, rule.table, (n - 1) % 2)
+        assert cfg == auto.embed(grid_of(cells, n % 2), n)
+        assert cfg.tracks.dtype == np.int64
+    back = simulate_1d(auto, cfg, -auto.t)
+    assert back.tracks.dtype == np.int64
 
 
 def test_dim_redux_embed_extract_round_trip(rng):
