@@ -123,7 +123,9 @@ class MargolusGrid:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MargolusGrid):
             return NotImplemented
-        return self.phase == other.phase and np.array_equal(self.cells, other.cells)
+        # h*w is a multiple of 4, so the cells compare as uint32 words
+        words = [g.cells.reshape(-1).view(np.uint32) for g in (self, other)]
+        return self.phase == other.phase and self.shape == other.shape and np.array_equal(*words)
 
     @property
     def shape(self) -> Tuple[int, int]:

@@ -7,7 +7,8 @@ form, i.e. the most significant bit.  Wire i therefore lives at bit position
 involution, so a circuit is inverted by reversing its gate list.  Both
 kinds of circuit are evaluated on a list with one value per wire (a bit, or
 an int64 0/1 array over many states: bit-slicing), so any width runs on
-int64 arrays.  numpy is imported only by the whole-state-space functions.
+int64 arrays.  Whole-state tables, cycles and state chunks come from
+``kernel``; numpy is imported only by the whole-state-space functions.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .kernel import MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths, iterate_bijection
-
-if TYPE_CHECKING:
-    import numpy as np
+from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
+                     images, iterate_bijection, state_chunks)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 
@@ -115,19 +114,6 @@ def gate(kind: str, *wires: int) -> ReversibleGate:
     return ReversibleGate(kind, tuple(wires))
 
 
-# Exhaustive walks evaluate this many states per array, so memory stays near
-# 32 KiB per live wire at any circuit width.
-STATE_CHUNK = 1 << 12
-
-
-def _state_chunks(count: int) -> Iterator[np.ndarray]:
-    """States 0 .. count-1 in ascending int64 arrays of at most STATE_CHUNK."""
-    import numpy as np
-
-    for lo in range(0, count, STATE_CHUNK):
-        yield np.arange(lo, min(count, lo + STATE_CHUNK))
-
-
 def eval_reversible(circuit: ReversibleCircuit, a: Bitstring) -> Bitstring:
     if a.width != circuit.width:
         raise WidthMismatchError(
@@ -154,18 +140,13 @@ def permutation_of(circuit: ReversibleCircuit) -> List[int]:
         raise CircuitError(
             f"width {circuit.width} exceeds permutation tabulation cap {MAX_PERMUTATION_WIDTH}"
         )
-    import numpy as np
-
-    return circuit.eval_int(np.arange(1 << circuit.width)).tolist()
+    return images(circuit.as_bijection()).tolist()
 
 
 def parity(perm: Sequence[int]) -> str:
-    """'even' or 'odd', from cycle structure: sign = (-1)^(n - #cycles)."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    cycles = sum(1 for _ in cycle_lengths(perm.__getitem__, n))
-    return "even" if (n - cycles) % 2 == 0 else "odd"
+    """'even' or 'odd', from cycle structure: sign = (-1)^(n - #cycles).
+    Raises ValueError when ``perm`` is not a permutation of [0, n)."""
+    return "even" if (len(perm) - len(cycle_lengths(perm))) % 2 == 0 else "odd"
 
 
 def negation_map(width: int) -> Bijection:
@@ -408,7 +389,7 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     import numpy as np
 
     if k <= MAX_EXHAUSTIVE_WIDTH:
-        batches: Iterable[list] = (_unpack(x, k) for x in _state_chunks(1 << k))
+        batches: Iterable[list] = (_unpack(x, k) for x in state_chunks(np.arange(1 << k)))
     else:
         rng = random.Random(0)
         sample = [_unpack(rng.randrange(1 << k), k) for _ in range(1000)]
@@ -508,7 +489,7 @@ def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
     import numpy as np
 
     pad = [0] * (lift.circuit.width - k)
-    for x in _state_chunks(1 << k):
+    for x in state_chunks(np.arange(1 << k)):
         want = _eval_classical(circuit, _unpack(x, k))
         got = _run_wires(lift.circuit.gates, pad + _unpack(x, k))
         if not all(np.all(got[w] == b) for w, b in zip(lift.out_wires, want)):

@@ -1,8 +1,10 @@
-"""Fixed-width bitstrings, invertible maps on them, and the iteration engine.
+"""Fixed-width bitstrings, invertible maps on them, the iteration engine
+and the whole-state-space evaluator.
 
 ``iterate_map`` is the package's one n-step engine: every stepper, from
 circuits to block automata, runs through it.  ``iterate`` is the literal
-loop it is tested against.
+loop it is tested against.  ``images`` is the one filler of whole-state
+tables, and ``cycle_lengths`` the one cycle reader and permutation check.
 
 Conventions used across the package:
 
@@ -15,18 +17,18 @@ Conventions used across the package:
 * A Bijection's ``forward``/``backward`` evaluators work directly on the
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
-* ``check_bijection_exhaustive`` tabulates the whole state space in one
-  int64 numpy array and checks it there, for every map.  A Bijection with
-  ``arrays`` set also maps an int64 numpy array elementwise and fills the
-  table in one call per direction; circuits set it.  Other maps (the stock
-  maps below, the schedules in ``reductions``, arbitrary callables) fill
-  it in one Python pass.  numpy is imported only by that check.
+* ``images`` tabulates the whole state space in one int64 numpy array,
+  which ``check_bijection_exhaustive`` checks.  A Bijection with ``arrays``
+  set also maps int64 arrays elementwise and fills it STATE_CHUNK states
+  per call; circuits set it.  Other maps (the stock maps below, the
+  schedules in ``reductions``, arbitrary callables) fill it in one Python
+  pass.  numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
 
@@ -110,8 +112,8 @@ class Bijection:
     Out-of-domain encodings are the evaluator's problem: the contract is that
     they map to themselves, keeping the map total on all 2**width values.
     ``arrays`` declares that both evaluators also map an int64 numpy array
-    elementwise, which lets ``check_bijection_exhaustive`` fill its table
-    of images in one call.  It states what the evaluators can do; results
+    elementwise, which lets ``images`` fill its table a chunk of states
+    per call.  It states what the evaluators can do; results
     are the same either way.
     """
 
@@ -202,20 +204,26 @@ def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
     return Bitstring(iterate_map(f.forward, n, x.value, f.backward), f.width)
 
 
-def cycle_lengths(step: Callable[[int], int], size: int) -> Iterator[int]:
-    """Length of each cycle of a permutation of [0, size), one per cycle,
-    found by walking every cycle once."""
-    seen = [False] * size
-    for start in range(size):
+def cycle_lengths(table: Sequence[int]) -> List[int]:
+    """Length of each cycle of the table of [0, n), walking every cycle
+    once from its least state, in plain Python (a list or an ``array``).
+    Raises ValueError("not a permutation") when an entry falls outside
+    [0, n) or a walk does not close on its start: an O(n) check."""
+    n = len(table)
+    seen = bytearray(n)
+    lengths = []
+    for start in range(n):
         if seen[start]:
             continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = step(x)
+        x, length = start, 0
+        while 0 <= x < n and not seen[x]:
+            seen[x] = 1
+            x = table[x]
             length += 1
-        yield length
+        if x != start:
+            raise ValueError("not a permutation")
+        lengths.append(length)
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -235,19 +243,13 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     or (x, x) when that value is itself outside [0, 2**width) and so cannot
     be a witness.
 
-    The images fill one int64 table, and the checks run on whole arrays: a
-    map that declares ``arrays`` fills it in one call per direction, any
-    other map in one Python pass, storing an image too large for int64 as
-    -1.  Backward is only asked about the images of inputs before the
-    first failure.
+    The checks run on whole arrays, on the table ``images`` fills.  Backward
+    is only asked about the images of inputs before the first failure.
     """
-    if f.width > MAX_EXHAUSTIVE_WIDTH:
-        raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
+    ys = images(f)
     import numpy as np
 
-    size = 1 << f.width
-    xs = np.arange(size, dtype=np.int64)
-    ys = _table(f.forward, xs, f.arrays, size)
+    size = ys.size
     result = BijectionCheck(True)
     # Inputs before the first escape map into range; among them, the first
     # whose image is already taken is the first collision.
@@ -255,42 +257,61 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     stop = int(escapes[0]) if escapes.size else size
     if stop < size:
         result = BijectionCheck(False, (Bitstring(stop, f.width),) * 2, "escape")
-    images, first = np.unique(ys[:stop], return_index=True)
+    taken, first = np.unique(ys[:stop], return_index=True)
     if first.size < stop:
         repeated = np.ones(stop, dtype=bool)
         repeated[first] = False
         stop = int(np.argmax(repeated))
-        earlier = int(first[np.searchsorted(images, ys[stop])])
+        earlier = int(first[np.searchsorted(taken, ys[stop])])
         result = BijectionCheck(
             False, (Bitstring(earlier, f.width), Bitstring(stop, f.width)), "collision"
         )
     if f.backward is not None:
         backs = _table(f.backward, ys[:stop], f.arrays, size)
-        wrong = np.flatnonzero(backs != xs[:stop])
+        wrong = np.flatnonzero(backs != np.arange(stop))
         if wrong.size:
             x = int(wrong[0])
-            back = int(backs[x])
-            if not 0 <= back < size:
-                back = x
-            return BijectionCheck(
-                False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse"
-            )
+            back = int(backs[x]) if 0 <= backs[x] < size else x
+            return BijectionCheck(False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse")
     return result
 
 
+# States per call to an array map, so its arrays stay near 32 KiB at any width.
+STATE_CHUNK = 1 << 12
+
+
+def state_chunks(xs):
+    """The array xs in consecutive slices of at most STATE_CHUNK states."""
+    return (xs[lo : lo + STATE_CHUNK] for lo in range(0, xs.size, STATE_CHUNK))
+
+
+def images(f: Bijection):
+    """f.forward on every state 0 .. 2**width - 1 as an int64 numpy array,
+    for widths up to ``MAX_EXHAUSTIVE_WIDTH``."""
+    if f.width > MAX_EXHAUSTIVE_WIDTH:
+        raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
+    import numpy as np
+
+    size = 1 << f.width
+    return _table(f.forward, np.arange(size), f.arrays, size)
+
+
 def _table(fn: Callable, xs, arrays: bool, size: int):
-    """fn over the int64 array xs as an int64 array: one call when fn maps
-    arrays, else one Python pass.  An image that does not fit in int64 is
-    stored as -1; like every value outside [0, size), it fails the check."""
+    """fn over the int64 array xs as an int64 array: a chunk per call when fn
+    maps arrays, else one Python pass.  An image too large for int64 is
+    stored as -1, which like every value outside [0, size) fails a check."""
     import numpy as np
 
     if arrays:
-        return np.asarray(fn(xs))
-    images = list(map(fn, xs.tolist()))
+        out = np.empty(xs.size, np.int64)
+        for chunk, into in zip(state_chunks(xs), state_chunks(out)):
+            into[:] = fn(chunk)
+        return out
+    ys = list(map(fn, xs.tolist()))
     try:
-        return np.array(images, np.int64)
+        return np.array(ys, np.int64)
     except OverflowError:
-        return np.array([y if 0 <= y < size else -1 for y in images], np.int64)
+        return np.array([y if 0 <= y < size else -1 for y in ys], np.int64)
 
 
 def identity(width: int) -> Bijection:
@@ -337,8 +358,9 @@ def rotate_left(width: int) -> Bijection:
 
 def from_permutation(perm: Sequence[int], width: int, label: str = "") -> Bijection:
     """Bijection from an explicit permutation table of [0, 2**width)."""
-    if sorted(perm) != list(range(1 << width)):
-        raise ValueError("table is not a permutation of the full state space")
+    if len(perm) != 1 << width:
+        raise ValueError(f"table has {len(perm)} entries, not {1 << width}")
+    cycle_lengths(perm)
     table = tuple(perm)
     inv = [0] * len(table)
     for i, v in enumerate(table):

@@ -280,7 +280,7 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
 
     An interval exchange takes the lcm of its tower heights, at any N; any
     other map tabulates its images in an int64 array, one range per piece,
-    and walks the table's cycles, at desk-scale N.
+    and reads the table's cycles with ``cycle_lengths``, at desk-scale N.
     """
     if is_exchange(t):
         from .iet import cycle_type
@@ -291,10 +291,7 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
     table = array("q", bytes(8 * t.domain))
     for p in t.pieces:
         table[p.lo : p.hi] = array("q", range(p.apply(p.lo), p.apply(p.hi), p.mult))
-    order = 1
-    for length in cycle_lengths(table.__getitem__, t.domain):
-        order = lcm(order, length)
-    return order
+    return lcm(*cycle_lengths(table))
 
 
 def identity_plb(domain: int) -> PiecewiseLinearBijection:

@@ -375,6 +375,19 @@ def test_grid_equality_includes_phase():
     assert a != b
 
 
+def test_grid_equality_includes_shape_and_every_cell(rng):
+    cells = np.array(random_cells(rng, 4, 4), dtype=np.uint8)
+    square = MargolusGrid(cells)
+    assert square != MargolusGrid(cells.reshape(2, 8))  # equal bytes
+    assert square == MargolusGrid(cells.copy())
+    for i in range(16):
+        flipped = cells.copy().reshape(-1)
+        flipped[i] ^= 1
+        assert square != MargolusGrid(flipped.reshape(4, 4))
+    stepped = margolus_step(square, bbm_rule())
+    assert stepped == MargolusGrid(stepped.cells.copy(), 1)
+
+
 # -- helical stepping ----------------------------------------------------
 
 

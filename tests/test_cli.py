@@ -759,6 +759,18 @@ else:
     assert done.returncode == 0, done.stderr
 
 
+def test_orders_and_parity_run_without_numpy(tmp_path):
+    code = """
+import sys
+from ibx import circuits, plb
+assert plb.permutation_order(plb.riffle(13)) == 12
+assert circuits.parity([1, 0, 2]) == "odd"
+assert "numpy" not in sys.modules
+"""
+    done = run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("ibx")
     assert exe, "console script not on PATH"

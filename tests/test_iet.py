@@ -465,7 +465,7 @@ def test_orbit_solve_at_every_point_of_small_exchanges(rng):
 
 def test_cycle_type_matches_the_cycle_walk(rng):
     for t in oracle_exchanges(rng, 30):
-        want = Counter(cycle_lengths(lambda x: apply_plb(t, x), t.domain))
+        want = Counter(cycle_lengths([apply_plb(t, x) for x in range(t.domain)]))
         assert cycle_type(t) == want
         assert permutation_order(t) == lcm(*want)
 

@@ -1,11 +1,19 @@
-"""Bitstrings, bijection wrappers, iteration, and the exhaustive checker."""
+"""Bitstrings, bijection wrappers, iteration, the exhaustive checker and
+the cycle reader."""
+
+import random
+import tracemalloc
+from array import array
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ibx.circuits import parity
 from ibx.kernel import (
+    STATE_CHUNK,
     Bijection,
     BijectionCheck,
     Bitstring,
@@ -17,6 +25,7 @@ from ibx.kernel import (
     cat_pack,
     cat_unpack,
     check_bijection_exhaustive,
+    cycle_lengths,
     from_permutation,
     identity,
     increment,
@@ -27,7 +36,7 @@ from ibx.kernel import (
     rotate_left,
     unpack_fields,
 )
-from ibx.plb import apply_plb, riffle
+from ibx.plb import Piece, PiecewiseLinearBijection, apply_plb, permutation_order, riffle
 
 from conftest import random_reversible_circuit
 
@@ -372,3 +381,99 @@ def test_builtins_are_bijective():
     for f in fs:
         if f.width <= 10:
             assert check_bijection_exhaustive(f).ok, f.label
+
+
+@pytest.mark.parametrize("fault", ["escape", "collision", "inverse"])
+def test_chunked_table_matches_the_python_pass_past_the_first_chunk(rng, fault):
+    """A fault planted in a later chunk of a 13-bit map gives the same
+    result whether the table is filled chunk by chunk or in one pass."""
+    width = 13
+    size = 1 << width
+    for at in (STATE_CHUNK, STATE_CHUNK + 1, rng.randrange(STATE_CHUNK, size), size - 1):
+        fwd, back = (a.tolist() for a in _faulty_tables(rng, width, 0))
+        if fault == "escape":
+            fwd[at] = rng.choice([-1, size + at])
+        elif fault == "collision":
+            fwd[at] = fwd[rng.randrange(at)]
+        else:
+            back[fwd[at]] = (at + 1) % size
+        chunked = check_bijection_exhaustive(Bijection(
+            width, np.array(fwd).__getitem__, np.array(back).__getitem__, "t", arrays=True
+        ))
+        python = check_bijection_exhaustive(Bijection(width, fwd.__getitem__, back.__getitem__, "t"))
+        assert chunked == python == reference_walk(Bijection(width, fwd.__getitem__, back.__getitem__))
+        assert chunked.reason == fault and chunked.witness[1 if fault == "collision" else 0].value == at
+
+
+def test_array_maps_are_asked_one_chunk_at_a_time():
+    sizes = []
+
+    def fn(xs):
+        sizes.append(xs.size)
+        return xs ^ 1
+
+    f = Bijection(13, fn, fn, "flip", arrays=True)
+    assert check_bijection_exhaustive(f).ok
+    assert sizes == [STATE_CHUNK] * 4
+
+
+def test_exhaustive_check_of_a_20_wire_circuit_stays_in_bounded_memory():
+    c = random_reversible_circuit(random.Random(20), 20, 60, min_gates=60)
+    tracemalloc.start()
+    try:
+        assert check_bijection_exhaustive(c.as_bijection()).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 << 20, peak
+
+
+def reference_cycle_lengths(step, size):
+    """The literal cycle walk through a callable, which assumes a
+    permutation: the reference ``cycle_lengths`` must match."""
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = step(x)
+            length += 1
+        yield length
+
+
+def test_cycle_reader_matches_the_literal_walk(rng):
+    tables = [list(range(n)) for n in (0, 1, 2, 4096)]
+    tables += [[(x + 1) % n for x in range(n)] for n in (1, 2, 4096)]
+    for n in [0, 1, 2, 3, 4096] + [rng.randint(3, 4096) for _ in range(30)]:
+        table = list(range(n))
+        rng.shuffle(table)
+        tables.append(table)
+    parities = set()
+    for table in tables:
+        n = len(table)
+        want = list(reference_cycle_lengths(table.__getitem__, n))
+        assert cycle_lengths(table) == want
+        assert cycle_lengths(array("q", table)) == want
+        assert parity(table) == ("even" if (n - len(want)) % 2 == 0 else "odd")
+        if n:
+            # one reflected point per piece, so the table path, not the exchange's
+            t = PiecewiseLinearBijection(n, tuple(Piece(x, x + 1, -1, y + x) for x, y in enumerate(table)))
+            assert permutation_order(t) == lcm(*want)
+            parities.add(parity(table))
+    assert parities == {"even", "odd"}
+
+
+@pytest.mark.parametrize("table", [[0, 0, 2, 3], [1, 2, 3, -1], [1, 2, 3, 4], [3, 0, 0, 1]])
+def test_cycle_reader_rejects_tables_that_are_not_permutations(table):
+    for read in (cycle_lengths, parity, lambda t: from_permutation(t, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            read(table)
+
+
+def test_from_permutation_rejects_a_table_of_the_wrong_length():
+    for table, width in [([], 0), ([1, 0], 2), ([0, 1, 2, 3], 1), ([0, 1, 2, 3], 3)]:
+        with pytest.raises(ValueError):
+            from_permutation(table, width)
