@@ -320,13 +320,7 @@ def identity(width: int) -> Bijection:
 
 def increment(width: int) -> Bijection:
     """x + 1 modulo 2**width."""
-    mask = (1 << width) - 1
-    return Bijection(
-        width,
-        lambda x: (x + 1) & mask,
-        lambda x: (x - 1) & mask,
-        label=f"increment/{width}",
-    )
+    return replace(add_const(width, 1), label=f"increment/{width}")
 
 
 def add_const(width: int, c: int) -> Bijection:

@@ -5,18 +5,20 @@ start state, and an extraction map, with the contract that running g for
 exactly that many steps from the start and extracting yields the answer.
 
 The clocked bijections here share a discipline: a wide counter c1 and a
-narrow counter c2 are packed in front of the payload fields, each step first
+narrow counter c2 are packed in front of one payload word, each step first
 ticks the clock (c2, carrying into c1 on wraparound), and the payload action
-is keyed by the value c2 showed when the step began.  States whose counter
-fields decode out of range are fixed points, which keeps every map total.
-ClockedCodec is the single place that lays out the (c1, c2, payload) bits:
-the clocked steps, the start states and the extraction maps all go through
-its split and join.
+maps the word keyed by the value c2 showed when the step began.  States
+whose counters are out of range are fixed points, which keeps every map
+total.  ClockedCodec lays out the (c1, c2, payload word) bits: a clocked
+step reads the counters with two fixed shifts and hands the word to the
+action whole, so each action unpacks its own fields.  A step does not check
+the word the action returns; an action that applies an outside map checks
+that map's image where it enters the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -25,6 +27,8 @@ from .kernel import (
     WidthMismatchError,
     from_permutation,
     iterate_bijection,
+    pack_fields,
+    unpack_fields,
 )
 
 
@@ -39,103 +43,48 @@ class ClockedState:
     payload: Tuple[int, ...]
 
 
-def _field_functions(
-    widths: Tuple[int, ...], m_big: int, m_small: int
-) -> Tuple[Callable, Callable]:
-    """ClockedCodec's split and join for fields of these widths.
-
-    A clocked step calls both on every state, and a loop over the fields
-    took most of its time, so the two functions are compiled once with one
-    expression per field written out, as collections.namedtuple writes out
-    its methods.  The source depends only on the number of fields; the
-    shifts, masks and moduli come in as closure cells.
-    """
-    n = len(widths)
-    shifts = [sum(widths[i + 1 :]) for i in range(n)]
-    masks = [(1 << w) - 1 for w in widths]
-    names = ["c1", "c2"] + [f"p{i}" for i in range(2, n)]
-    cells = ", ".join(f"s{i}, m{i}" for i in range(n))
-    payload_reads = "".join(f"value >> s{i} & m{i}, " for i in range(2, n))
-    payload_names = "".join(f"{x}, " for x in names[2:])
-    fits = " and ".join(f"0 <= {x} <= m{i}" for i, x in enumerate(names))
-    packed = " | ".join(f"{x} << s{i}" for i, x in enumerate(names))
-    src = f"""
-def make({cells}, m_big, m_small, misfit):
-    def split(value):
-        c1, c2 = value >> s0 & m0, value >> s1 & m1
-        if c1 >= m_big or c2 >= m_small:
-            return None
-        return c1, c2, ({payload_reads})
-
-    def join(c1, c2, payload):
-        ({payload_names}) = payload
-        if not ({fits}):
-            misfit(c1, c2, payload)
-        return {packed}
-
-    return split, join
-"""
-
-    def misfit(c1: int, c2: int, payload: Tuple[int, ...]) -> None:
-        if not (0 <= c1 <= masks[0] and 0 <= c2 <= masks[1]):
-            raise ValueError(f"counters ({c1}, {c2}) do not fit in ({widths[0]}, {widths[1]}) bits")
-        for p, m in zip(payload, masks[2:]):
-            if not 0 <= p <= m:
-                raise ValueError(f"payload value {p} does not fit in {m.bit_length()} bits")
-
-    namespace: dict = {}
-    exec(src, namespace)
-    constants = [x for pair in zip(shifts, masks) for x in pair]
-    return namespace["make"](*constants, m_big, m_small, misfit)
-
-
 @dataclass(frozen=True)
 class ClockedCodec:
-    """Bit packing for (c1, c2, payload...) states, first field most
-    significant.
+    """Bit layout of (c1, c2, payload word) states, c1 most significant.
 
-    Field widths are the minimum that hold modulus-1.  The shifts and masks
-    are fixed once, at construction, in two functions: ``split`` reads a
-    state as (c1, c2, payload), or None when a counter is at or beyond its
-    modulus, and ``join`` packs the fields back, raising ValueError for a
-    field that does not fit its width.  A clocked step calls them directly;
-    decode and encode wrap them for ClockedState values.
+    The counters take the fewest bits that hold modulus-1; the payload word
+    is the low ``sum(payload_widths)`` bits.  A clocked step reads only c1,
+    c2 and the word.  ``encode`` and ``decode`` go through the kernel's
+    pack_fields/unpack_fields and split the word into the payload fields,
+    first field most significant: decode gives None when a counter is at or
+    beyond its modulus, and encode raises ValueError for a field that does
+    not fit its width.
     """
 
     m_big: int
     m_small: int
     payload_widths: Tuple[int, ...]
-    widths: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
-    split: Callable[[int], Optional[Tuple[int, int, Tuple[int, ...]]]] = field(
-        init=False, repr=False, compare=False
-    )
-    join: Callable[[int, int, Tuple[int, ...]], int] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
+    @property
+    def widths(self) -> Tuple[int, ...]:
         w1 = max(1, (self.m_big - 1).bit_length())
         w2 = max(1, (self.m_small - 1).bit_length())
-        widths = (w1, w2) + self.payload_widths
-        split, join = _field_functions(widths, self.m_big, self.m_small)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "width", sum(widths))
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "join", join)
+        return (w1, w2) + self.payload_widths
+
+    @property
+    def width(self) -> int:
+        return sum(self.widths)
 
     def encode(self, state: ClockedState) -> int:
-        return self.join(state.c1, state.c2, state.payload)
+        fields = (state.c1, state.c2) + state.payload
+        return pack_fields(list(zip(fields, self.widths, strict=True)))
 
     def decode(self, value: int) -> Optional[ClockedState]:
-        parts = self.split(value)
-        return None if parts is None else ClockedState(*parts)
+        c1, c2, *payload = unpack_fields(value, self.widths)
+        if c1 >= self.m_big or c2 >= self.m_small:
+            return None
+        return ClockedState(c1, c2, tuple(payload))
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A compiled iteration job.  ``codec`` is set by the clocked compilers
-    so callers can inspect intermediate states."""
+    """A compiled iteration job.  The clocked compilers set ``codec`` to
+    their state layout, so callers can decode intermediate states."""
 
     g: Bijection
     total_iterations: int
@@ -150,42 +99,53 @@ class Schedule:
             raise WidthMismatchError("schedule start width does not match its bijection")
 
 
-PayloadAction = Callable[[int, int, Tuple[int, ...], bool], Tuple[int, ...]]
+# (c1, c2, payload word, reverse) -> payload word.  The action must return
+# a word that fits the payload bits; the clock packs it unchecked.
+PayloadAction = Callable[[int, int, int, bool], int]
 
 
 def _clocked(codec: ClockedCodec, act: PayloadAction, label: str) -> Bijection:
     """The clocked bijection over ``codec``'s states.
 
-    Forward ticks c2, carrying into c1 on wraparound, and transforms the
-    payload by ``act(c1, c2, payload, False)`` keyed by the hands the step
-    began with.  Backward unticks first, then undoes the action with
-    ``act(c1, c2, payload, True)`` keyed by the same hands.
+    Forward ticks c2, carrying into c1 on wraparound, and maps the payload
+    word by ``act(c1, c2, word, False)`` keyed by the hands the step began
+    with.  Backward unticks first, then undoes the action with
+    ``act(c1, c2, word, True)`` keyed by the same hands.
     """
     m_big, m_small = codec.m_big, codec.m_small
-    split, join = codec.split, codec.join
+    w2 = codec.widths[1]
+    s2 = sum(codec.payload_widths)
+    s1 = s2 + w2
+    m2, word_mask = (1 << w2) - 1, (1 << s2) - 1
 
     def fwd(v: int) -> int:
-        st = split(v)
-        if st is None:
+        c1, c2 = v >> s1, v >> s2 & m2
+        if c1 >= m_big or c2 >= m_small:
             return v
-        c1, c2, payload = st
-        payload = act(c1, c2, payload, False)
+        word = act(c1, c2, v & word_mask, False)
         c2 += 1
         if c2 == m_small:
             c1, c2 = (c1 + 1) % m_big, 0
-        return join(c1, c2, payload)
+        return c1 << s1 | c2 << s2 | word
 
     def back(v: int) -> int:
-        st = split(v)
-        if st is None:
+        c1, c2 = v >> s1, v >> s2 & m2
+        if c1 >= m_big or c2 >= m_small:
             return v
-        c1, c2, payload = st
         c2 -= 1
         if c2 < 0:
             c1, c2 = (c1 - 1) % m_big, m_small - 1
-        return join(c1, c2, act(c1, c2, payload, True))
+        return c1 << s1 | c2 << s2 | act(c1, c2, v & word_mask, True)
 
     return Bijection(codec.width, fwd, back, label=label)
+
+
+def _image(y: int, width: int) -> int:
+    """y, checked to lie in [0, 2**width): an outside map's image enters a
+    state only through here."""
+    if y < 0 or y >> width:
+        raise ValueError(f"value {y} out of range for width {width}")
+    return y
 
 
 def run_schedule(schedule: Schedule) -> Bitstring:
@@ -218,7 +178,7 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     target = x.value
 
     def ftilde(a: int) -> int:
-        return f.forward(a) if a == target else 0
+        return _image(f.forward(a), k) if a == target else 0
 
     def fwd(v: int) -> int:
         a, b = (v >> k) & mask, v & mask
@@ -241,8 +201,9 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     """Compile "apply f n times to x" into iterating one invertible map.
 
     f may be handed over forward-only; the compiled g is still invertible.
-    g acts on tuples (c1, c2, a, b, c).  One full little-hand cycle of
-    M = 2**k + 3 steps advances a by one application of f:
+    g acts on states (c1, c2, a, b, c) whose payload word is
+    a << 2k | b << k | c.  One full little-hand cycle of M = 2**k + 3 steps
+    advances a by one application of f:
 
       c2 = 0            b ^= f(a)        (stash the image)
       c2 = 1            a ^= b           (a becomes a ^ f(a))
@@ -254,6 +215,8 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     The clock ticks first each step, but the payload action is keyed by the
     pre-tick c2, so starting from (0,0,x,0,0) the c2=0 action runs on the
     very first step.  After n*M steps the a field holds f applied n times.
+    The stash step raises ValueError, in either direction, when f(a) does
+    not fit in k bits.
     """
     k = f.width
     if k > MAX_CLOCK_WIDTH:
@@ -268,20 +231,22 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     m_big = n + 1
     codec = ClockedCodec(m_big, m_small, (k, k, k))
     sweep_end = size + 2
+    k2 = 2 * k
 
-    def act(c1: int, c2: int, payload: Tuple[int, ...], reverse: bool) -> Tuple[int, ...]:
-        a, b, c = payload
+    def act(c1: int, c2: int, word: int, reverse: bool) -> int:
+        # word = a << 2k | b << k | c
         if c2 == 0:
-            return a, b ^ f.forward(a), c
+            return word ^ _image(f.forward(word >> k2), k) << k
         if c2 == 1:
-            return a ^ b, b, c
+            return word ^ (word >> k & mask) << k2
         if c2 < sweep_end:
+            c = word & mask
             if reverse:
                 c = (c - 1) & mask
-            if f.forward(c) == b:
-                a ^= c
-            return a, b, c if reverse else (c + 1) & mask
-        return a, b ^ a, c  # c2 == sweep_end, the last little-hand value
+            if f.forward(c) == word >> k & mask:
+                word ^= c << k2
+            return word >> k << k | (c if reverse else (c + 1) & mask)
+        return word ^ (word >> k2) << k  # c2 == sweep_end, the last little-hand value
 
     g = _clocked(codec, act, f"clock[{f.label}]")
     start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
@@ -391,11 +356,18 @@ def compile_oracle_circuit(
     points at an oracle gate, c2 = 0 copies s onto the zeroed target t and
     each later tick with c2 at most the gate's count replaces t by g(t).
     After M*N steps every gate has fired and the clock is back at zero.
+    The oracle's width must equal every oracle gate's s wires
+    (WidthMismatchError, before anything is built), and a step raises
+    ValueError when the oracle, either way, returns a value that does not
+    fit in its width.
     """
     from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
 
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
+    for g in oc.gates:
+        if isinstance(g, OracleGate) and len(g.s_wires) != g_oracle.width:
+            raise WidthMismatchError("oracle width does not match s wires")
     wires = oc.all_wires()
     w_count = len(wires)
     pos = {w: w_count - 1 - i for i, w in enumerate(wires)}  # bit position per wire
@@ -404,6 +376,7 @@ def compile_oracle_circuit(
     codec = ClockedCodec(m_big, m_small, (w_count,))
 
     backward_oracle = g_oracle.backward or _inverse_via_table(g_oracle)
+    width = g_oracle.width
 
     def read(vec: int, ws: Sequence[int]) -> int:
         return _pack_bits((vec >> pos[w]) & 1 for w in ws)
@@ -414,25 +387,22 @@ def compile_oracle_circuit(
             vec = (vec & ~(1 << pos[w])) | (bit << pos[w])
         return vec
 
-    def act(c1: int, c2: int, payload: Tuple[int, ...], reverse: bool) -> Tuple[int, ...]:
-        (vec,) = payload
+    def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
         if c1 >= len(oc.gates):
-            return payload
+            return vec
         g = oc.gates[c1]
         if isinstance(g, ClassicalGate):
             if c2 == 0:
                 val = _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args))
                 vec ^= val << pos[g.out]
-            return (vec,)
-        count = read(vec, g.n_wires)
+            return vec
         if c2 == 0:
-            vec ^= write(0, g.t_wires, read(vec, g.s_wires))
-            return (vec,)
-        if 0 < c2 <= count:
+            return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
+        if c2 <= read(vec, g.n_wires):
             t = read(vec, g.t_wires)
             t2 = backward_oracle(t) if reverse else g_oracle.forward(t)
-            vec = write(vec, g.t_wires, t2)
-        return (vec,)
+            vec = write(vec, g.t_wires, _image(t2, width))
+        return vec
 
     h = _clocked(codec, act, "oracle-clock")
 

@@ -122,6 +122,34 @@ def test_clock_out_of_range_codes_are_fixed():
         assert s.g.backward(v) == v
 
 
+def test_sweep_image_outside_the_width_raises():
+    f = Bijection(3, lambda v: v + 8)
+    x = Bitstring(1, 3)
+    with pytest.raises(ValueError, match="out of range for width 3"):
+        f.apply(x)
+    s = inversion_by_iteration(f, x)
+    with pytest.raises(ValueError, match="value 9 out of range for width 3"):
+        run_schedule(s)
+    # Backward, the step that undoes the deposit raises too.
+    past = (x.value + 1) << 3
+    with pytest.raises(ValueError, match="value 9 out of range for width 3"):
+        s.g.backward(past)
+    # Only the target's image is asked for, so other points may misbehave.
+    assert run_schedule(inversion_by_iteration(Bijection(3, lambda v: v if v == 1 else -1), x)) == x
+
+
+@pytest.mark.parametrize("fn", [lambda v: v + 8, lambda v: -1])
+def test_clock_stash_checks_the_image_both_ways(fn):
+    f = Bijection(3, fn)
+    s = compile_iteration_to_invertible(f, 2, Bitstring(1, 3))
+    with pytest.raises(ValueError, match="out of range for width 3"):
+        run_schedule(s)
+    # The state one step past the stash: stepping back undoes the stash.
+    after_stash = s.codec.encode(ClockedState(0, 1, (1, 0, 0)))
+    with pytest.raises(ValueError, match="out of range for width 3"):
+        s.g.backward(after_stash)
+
+
 def test_clock_width_cap():
     wide = Bijection(MAX_CLOCK_WIDTH + 1, lambda v: v, None, "wide")
     with pytest.raises(ReductionError):
@@ -213,6 +241,40 @@ def test_oracle_compiler_rejects_a_forward_only_oracle_that_is_not_injective():
     oc = OracleCircuit(4, (OracleGate((0, 1), (2, 3), (4, 5)),), (4, 5))
     with pytest.raises(ValueError, match="not a permutation"):
         compile_oracle_circuit(oc, g, Bitstring(0, 4))
+
+
+# Three inputs; the oracle gate reads its count off wire 0 and s off wires
+# 1, 2, and writes t onto the fresh wires 3, 4.
+TWO_WIRE_ORACLE = OracleCircuit(3, (OracleGate((0,), (1, 2), (3, 4)),), (3, 4))
+
+
+def test_oracle_width_is_checked_before_compiling():
+    x = Bitstring.from_text("111")
+    with pytest.raises(WidthMismatchError, match="oracle width does not match s wires"):
+        eval_oracle_circuit(TWO_WIRE_ORACLE, increment(3), x)
+    with pytest.raises(WidthMismatchError, match="oracle width does not match s wires"):
+        compile_oracle_circuit(TWO_WIRE_ORACLE, increment(3), x)
+    # Checked even where the gate would never fire (count 0) and with no
+    # backward evaluator to tabulate.
+    with pytest.raises(WidthMismatchError):
+        compile_oracle_circuit(TWO_WIRE_ORACLE, Bijection(3, lambda v: v), Bitstring(0, 3))
+
+
+def test_oracle_images_outside_the_width_raise():
+    x = Bitstring.from_text("111")
+    escapes = Bijection(2, lambda v: v + 4, lambda v: v - 4)
+    with pytest.raises(ValueError, match="value 7 out of range for width 2"):
+        eval_oracle_circuit(TWO_WIRE_ORACLE, escapes, x)
+    with pytest.raises(ValueError, match="value 7 out of range for width 2"):
+        run_schedule(compile_oracle_circuit(TWO_WIRE_ORACLE, escapes, x))
+    # A forward oracle that stays in range and a backward one that does not:
+    # the forward run is fine, running it back raises.
+    back_escapes = Bijection(2, lambda v: (v + 1) & 3, lambda v: v - 4)
+    s = compile_oracle_circuit(TWO_WIRE_ORACLE, back_escapes, x)
+    final = iterate_bijection(s.g, s.total_iterations, s.start)
+    assert s.extract(final).to_text() == "00"
+    with pytest.raises(ValueError, match="out of range for width 2"):
+        iterate_bijection(s.g.inverse(), s.total_iterations, final)
 
 
 def test_oracle_circuit_wiring_guards():
