@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import iterate_map
+from .kernel import inverse_table, iterate_map
 
 
 class CaError(ValueError):
@@ -53,16 +53,19 @@ class MargolusRule:
             raise CaError("rule table must list 16 block states")
 
     def inverse(self) -> "MargolusRule":
-        if not rule_is_bijective(self):
-            raise CaError("rule is not bijective")
-        inv = [0] * 16
-        for i, v in enumerate(self.table):
-            inv[v] = i
-        return MargolusRule(tuple(inv))
+        try:
+            inv = inverse_table(self.table)
+        except ValueError:
+            raise CaError("rule is not bijective") from None
+        return MargolusRule(inv)
 
 
 def rule_is_bijective(rule: MargolusRule) -> bool:
-    return sorted(rule.table) == list(range(16))
+    try:
+        rule.inverse()
+    except CaError:
+        return False
+    return True
 
 
 def identity_rule() -> MargolusRule:
@@ -157,9 +160,8 @@ def _rule_luts(rule: MargolusRule) -> Tuple[np.ndarray, np.ndarray]:
     """The rule's forward and inverse block tables, built once per rule:
     block state s laid out as the bytes (tl, tr, bl, br) gives both the
     index (its rows as 16-bit words) and the entry (its image's bytes as
-    one 32-bit word)."""
-    if not rule_is_bijective(rule):
-        raise CaError("refusing to step a non-bijective rule")
+    one 32-bit word).  A rule that is not bijective raises CaError."""
+    inverse = rule.inverse()
     blocks = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
     rows = blocks.view(np.uint16)
     index = rows[:, 0] | rows[:, 1] << 1
@@ -170,7 +172,7 @@ def _rule_luts(rule: MargolusRule) -> Tuple[np.ndarray, np.ndarray]:
         out[index] = images[list(table)]
         return out
 
-    return lut(rule.table), lut(rule.inverse().table)
+    return lut(rule.table), lut(inverse.table)
 
 
 def _blocked(
@@ -226,6 +228,15 @@ def margolus_step_back(
     return _blocked(grid, rule, True, threads)
 
 
+def _simulate(
+    grid: MargolusGrid, n: int, rule: Optional[MargolusRule], step: Callable, back: Callable, *args
+) -> MargolusGrid:
+    """``n`` steps of ``step`` (negative ``n`` runs ``back``), with the
+    billiard-ball rule when ``rule`` is None."""
+    r = rule if rule is not None else bbm_rule()
+    return iterate_map(lambda g: step(g, r, *args), n, grid, lambda g: back(g, r, *args))
+
+
 def simulate_bbm(
     grid: MargolusGrid,
     n: int,
@@ -233,13 +244,7 @@ def simulate_bbm(
     threads: int = 1,
 ) -> MargolusGrid:
     """Run ``n`` toroidal steps (negative ``n`` runs backwards)."""
-    r = rule if rule is not None else bbm_rule()
-    return iterate_map(
-        lambda g: margolus_step(g, r, threads),
-        n,
-        grid,
-        lambda g: margolus_step_back(g, r, threads),
-    )
+    return _simulate(grid, n, rule, margolus_step, margolus_step_back, threads)
 
 
 def _strip(cells: np.ndarray) -> np.ndarray:
@@ -278,13 +283,7 @@ def simulate_helical(
     grid: MargolusGrid, n: int, rule: Optional[MargolusRule] = None
 ) -> MargolusGrid:
     """Run ``n`` helical-boundary steps (negative ``n`` runs backwards)."""
-    r = rule if rule is not None else bbm_rule()
-    return iterate_map(
-        lambda g: margolus_step_helical(g, r),
-        n,
-        grid,
-        lambda g: margolus_step_back_helical(g, r),
-    )
+    return _simulate(grid, n, rule, margolus_step_helical, margolus_step_back_helical)
 
 
 # ---------------------------------------------------------------------------
@@ -374,49 +373,40 @@ def counter_parts(t: int) -> StrobeParts:
 
 
 @lru_cache(maxsize=64)
-def _paired_cell_map(parts: StrobeParts) -> dict:
-    """Bijection on counter pairs (a, b): firing tops swap with their
-    bottom; otherwise the top advances while the bottom retreats, except
-    that moves whose bottom would land on a firing value are redirected.
+def _cell_luts(parts: StrobeParts) -> Tuple[np.ndarray, np.ndarray]:
+    """The strobe's bijection on counter pairs and its inverse as lookup
+    arrays: lut[:, a, b] is the image of the pair (a, b).
 
-    The redirection pairs the undefined inputs with the unclaimed outputs
-    in sorted order; a counting argument makes the totals match for any
-    plugged-in bijection, and the result is checked to be a permutation.
+    Firing tops swap with their bottom; otherwise the top advances while
+    the bottom retreats, except that moves whose bottom would land on a
+    firing value are redirected.  On the flat table indexed a*m + b, the
+    redirection pairs the undefined inputs with the unclaimed outputs in
+    order; a counting argument makes the totals match for any plugged-in
+    bijection, and kernel.inverse_table checks and inverts the result
+    (CaError if it is not a permutation).  An image outside the alphabet,
+    or a hole left over, is entered as -1, which fails that check.
     """
     m = parts.size
-    mapping = {}
-    for a in range(m):
-        for b in range(m):
-            if parts.firing(a):
-                mapping[(a, b)] = (b, a)
-            else:
-                b2 = parts.backward(b)
-                if not parts.firing(b2):
-                    mapping[(a, b)] = (parts.forward(a), b2)
-    missing_in = sorted(
-        (a, b) for a in range(m) for b in range(m) if (a, b) not in mapping
-    )
-    claimed = set(mapping.values())
-    missing_out = sorted(
-        (a, b) for a in range(m) for b in range(m) if (a, b) not in claimed
-    )
-    if len(missing_in) != len(missing_out):
-        raise CaError("cell map completion failed")
-    mapping.update(zip(missing_in, missing_out))
-    if sorted(mapping.values()) != sorted(mapping.keys()):
-        raise CaError("completed cell map is not a permutation")
-    return mapping
 
+    def image(a: int, b: int) -> Optional[int]:
+        if parts.firing(a):
+            return b * m + a
+        b2 = parts.backward(b)
+        if parts.firing(b2):
+            return None
+        a2 = parts.forward(a)
+        return a2 * m + b2 if 0 <= a2 < m and 0 <= b2 < m else -1
 
-@lru_cache(maxsize=64)
-def _cell_luts(parts: StrobeParts) -> Tuple[np.ndarray, np.ndarray]:
-    """_paired_cell_map and its inverse as lookup arrays: lut[:, a, b] is the
-    image of the counter pair (a, b)."""
-    m = parts.size
-    fwd, back = np.empty((2, m, m), np.int64), np.empty((2, m, m), np.int64)
-    for (a, b), (a2, b2) in _paired_cell_map(parts).items():
-        fwd[:, a, b] = a2, b2
-        back[:, a2, b2] = a, b
+    table = [image(a, b) for a in range(m) for b in range(m)]
+    claimed = set(table)
+    free = (v for v in range(m * m) if v not in claimed)
+    table = [next(free, -1) if v is None else v for v in table]
+    try:
+        inverse = inverse_table(table)
+    except ValueError:
+        raise CaError("completed cell map is not a permutation") from None
+    flat = np.array([table, inverse], np.int64)
+    fwd, back = np.stack(np.divmod(flat, m), axis=1).reshape(2, 2, m, m)
     return fwd, back
 
 

@@ -385,17 +385,15 @@ def _cmd_iet(args, run: _Run) -> str:
         return " ".join(map(str, gaps))
     domain, triples = formats.parse_iet(run.read(args.file))
     t = plb.interval_exchange(domain, triples)
+    if args.action == "solve":
+        answer = iet.iet_orbit_solve(t, args.i, args.n)
+        run.count("induction_ops", len(iet.induction(t)))
+        run.count("orbit_length", iet.orbit_size(t, args.i))
+        return str(answer)
     su = iet.build_surface(t)
     run.count("triangles", len(su.surface.triangles))
     run.count("period", su.period)
     run.count("return_runs", len(su.returns))
-    if args.action == "solve":
-        answer = iet.iet_orbit_solve(t, args.i, args.n, surface=su)
-        orbit = iet.orbit_size(t, args.i)
-        run.count("induction_ops", len(iet.induction(t)))
-        run.count("orbit_length", orbit)
-        run.count("arc_steps", su.period * orbit)
-        return str(answer)
     lines = [
         f"surface domain={domain} pieces={len(t.pieces)} stripes={su.stripes} "
         f"period={su.period} triangles={len(su.surface.triangles)} "

@@ -4,7 +4,8 @@ and the whole-state-space evaluator.
 ``iterate_map`` is the package's one n-step engine: every stepper, from
 circuits to block automata, runs through it.  ``iterate`` is the literal
 loop it is tested against.  ``images`` is the one filler of whole-state
-tables, and ``cycle_lengths`` the one cycle reader and permutation check.
+tables, ``cycle_lengths`` the one cycle reader, and ``inverse_table`` the
+one check and inverse of a permutation table.
 
 Conventions used across the package:
 
@@ -226,6 +227,19 @@ def cycle_lengths(table: Sequence[int]) -> List[int]:
     return lengths
 
 
+def inverse_table(perm: Sequence[int]) -> Tuple[int, ...]:
+    """The inverse of a table of [0, n), in one pass: inv[perm[i]] = i.
+    Raises ValueError("not a permutation") on an entry outside [0, n) or
+    on a repeated entry."""
+    n = len(perm)
+    inv = [-1] * n
+    for i, v in enumerate(perm):
+        if not 0 <= v < n or inv[v] >= 0:
+            raise ValueError("not a permutation")
+        inv[v] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class BijectionCheck:
     ok: bool
@@ -354,13 +368,8 @@ def from_permutation(perm: Sequence[int], width: int, label: str = "") -> Biject
     """Bijection from an explicit permutation table of [0, 2**width)."""
     if len(perm) != 1 << width:
         raise ValueError(f"table has {len(perm)} entries, not {1 << width}")
-    cycle_lengths(perm)
-    table = tuple(perm)
-    inv = [0] * len(table)
-    for i, v in enumerate(table):
-        inv[v] = i
-    inv_t = tuple(inv)
-    return Bijection(width, lambda x: table[x], lambda x: inv_t[x], label=label or f"perm/{width}")
+    table, inv = tuple(perm), inverse_table(perm)
+    return Bijection(width, lambda x: table[x], lambda x: inv[x], label=label or f"perm/{width}")
 
 
 def cat_map(n: int) -> Bijection:

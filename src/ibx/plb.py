@@ -100,40 +100,28 @@ class IntervalExchange(PiecewiseLinearBijection):
                 raise PlbValidationError("malformed", (p,), "multiplier is not 1")
 
 
-def _egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """(g, s, t) with a*s + b*t = g = gcd(a, b); a, b >= 1."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
 @dataclass(frozen=True)
 class ProgressionHit:
     residue: int
     modulus: int
-    member: int
 
 
 def progression_intersect(a: int, m: int, b: int, n: int) -> Optional[ProgressionHit]:
     """Intersection of {a mod m} and {b mod n}, or None when empty.
 
     Nonempty exactly when a = b modulo gcd(m, n); then the intersection is a
-    single progression modulo lcm(m, n), and the returned member certifies
-    membership in both inputs.
+    single progression modulo lcm(m, n), whose least residue lies in both.
     """
     if m < 1 or n < 1:
         raise PlbError("progression moduli must be positive")
-    g, mp, np_ = _egcd(m, n)
+    g = gcd(m, n)
     if (a - b) % g:
         return None
-    modulus = m * n // g
-    r = (a * n * np_ + b * m * mp) // g % modulus
+    modulus = m // g * n
+    # r = a + m*k with m*k = b - a modulo n, so k = (b - a)/g * (m/g)^-1 modulo n/g
+    r = (a + m * ((b - a) // g * pow(m // g, -1, n // g))) % modulus
     assert r % m == a % m and r % n == b % n
-    return ProgressionHit(r, modulus, r)
+    return ProgressionHit(r, modulus)
 
 
 def _piece_images_collide(p: Piece, q: Piece) -> Optional[int]:

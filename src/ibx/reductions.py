@@ -285,7 +285,8 @@ class OracleGate:
 @dataclass(frozen=True)
 class OracleCircuit:
     """A boolean circuit (see circuits.ClassicalCircuit) whose gates may
-    also be oracle gates; the same wiring rule applies to both kinds."""
+    also be oracle gates; the same wiring rule applies to both kinds, and
+    an oracle gate writes as many t wires as it reads s wires."""
 
     inputs: int
     gates: Tuple[object, ...]  # ClassicalGate | OracleGate, in dependency order
@@ -298,6 +299,11 @@ class OracleCircuit:
             if not isinstance(g, (ClassicalGate, OracleGate)):
                 raise ReductionError(f"unknown gate object {g!r}")
         _check_wiring(self.inputs, self.gates, self.outputs, ReductionError)
+        for g in self.gates:
+            if isinstance(g, OracleGate) and len(g.t_wires) != len(g.s_wires):
+                raise ReductionError(
+                    f"oracle gate has {len(g.s_wires)} s wires but {len(g.t_wires)} t wires"
+                )
 
     def all_wires(self) -> List[int]:
         wires = set(range(self.inputs))

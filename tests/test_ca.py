@@ -8,8 +8,9 @@ from ibx.ca import (
     DimReduxAutomaton,
     MargolusGrid,
     MargolusRule,
+    StrobeParts,
     TrackedConfig1D,
-    _paired_cell_map,
+    _cell_luts,
     band_shift_step,
     bbm_rule,
     counter_parts,
@@ -130,10 +131,38 @@ def reference_helical(cells, table, phase):
     return new.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
 
 
+def reference_cell_map(parts):
+    """The strobe's cell map as a dict of counter pairs: firing tops swap
+    with their bottom, other tops advance while the bottom retreats, and
+    the moves whose bottom would land on a firing value (the holes) take
+    the unclaimed pairs, both in sorted order."""
+    m = parts.size
+    mapping = {}
+    for a in range(m):
+        for b in range(m):
+            if parts.firing(a):
+                mapping[(a, b)] = (b, a)
+            else:
+                b2 = parts.backward(b)
+                if not parts.firing(b2):
+                    mapping[(a, b)] = (parts.forward(a), b2)
+    missing_in = sorted(
+        (a, b) for a in range(m) for b in range(m) if (a, b) not in mapping
+    )
+    claimed = set(mapping.values())
+    missing_out = sorted(
+        (a, b) for a in range(m) for b in range(m) if (a, b) not in claimed
+    )
+    assert len(missing_in) == len(missing_out)
+    mapping.update(zip(missing_in, missing_out))
+    assert sorted(mapping.values()) == sorted(mapping.keys())
+    return mapping
+
+
 def reference_strobe_step(strobe, cfg, back=False):
     """The per-cell strobe step: swap loops over the even cells around a
-    dict lookup of the paired cell map, inverted for a step back."""
-    table = _paired_cell_map(strobe.parts)
+    dict lookup of the reference cell map, inverted for a step back."""
+    table = reference_cell_map(strobe.parts)
     if back:
         table = {v: k for k, v in table.items()}
     cells = [list(c) for c in cfg.cells]
@@ -192,6 +221,8 @@ def test_identity_rule_bijective():
 def test_clear_rule_rejected():
     clear = MargolusRule(tuple(0 for _ in range(16)))
     assert not rule_is_bijective(clear)
+    with pytest.raises(CaError, match="rule is not bijective"):
+        clear.inverse()
     with pytest.raises(CaError):
         margolus_step(grid_of([[0, 0], [0, 0]]), clear)
 
@@ -559,6 +590,28 @@ def test_strobe_matches_the_per_cell_reference(rng):
                 fwd, back = strobe.step(fwd), strobe.step_back(back)
                 assert fwd.cells == want_fwd.cells and fwd.step == want_fwd.step, (t, p)
                 assert back.cells == want_back.cells and back.step == want_back.step, (t, p)
+
+
+# A non-counter half-cell: a -> 5a + 1 on [0, 6), firing at 0 and 3.  Bottoms
+# 1 and 4 retreat onto a firing value, so the completion fills 8 holes.
+SIX_PARTS = StrobeParts(
+    6, lambda a: (5 * a + 1) % 6, lambda a: 5 * (a - 1) % 6, lambda a: a % 3 == 0
+)
+
+
+@pytest.mark.parametrize("parts", [counter_parts(t) for t in range(1, 13)] + [SIX_PARTS])
+def test_cell_luts_are_the_reference_map_and_its_inverse(parts):
+    m = parts.size
+    holes = [b for a in range(m) for b in range(m)
+             if not parts.firing(a) and parts.firing(parts.backward(b))]
+    assert holes or m == 1
+    fwd, back = _cell_luts(parts)
+    assert fwd.shape == back.shape == (2, m, m)
+    got = {(a, b): tuple(fwd[:, a, b].tolist()) for a in range(m) for b in range(m)}
+    assert got == reference_cell_map(parts)
+    pairs = np.indices((m, m))
+    assert (back[:, fwd[0], fwd[1]] == pairs).all()
+    assert (fwd[:, back[0], back[1]] == pairs).all()
 
 
 def test_strobe_rejects_counters_outside_the_alphabet():

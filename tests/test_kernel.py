@@ -29,6 +29,7 @@ from ibx.kernel import (
     from_permutation,
     identity,
     increment,
+    inverse_table,
     iterate,
     iterate_bijection,
     iterate_map,
@@ -468,9 +469,20 @@ def test_cycle_reader_matches_the_literal_walk(rng):
 
 @pytest.mark.parametrize("table", [[0, 0, 2, 3], [1, 2, 3, -1], [1, 2, 3, 4], [3, 0, 0, 1]])
 def test_cycle_reader_rejects_tables_that_are_not_permutations(table):
-    for read in (cycle_lengths, parity, lambda t: from_permutation(t, 2)):
+    for read in (cycle_lengths, parity, inverse_table, lambda t: from_permutation(t, 2)):
         with pytest.raises(ValueError, match="not a permutation"):
             read(table)
+
+
+def test_inverse_table_inverts(rng):
+    assert inverse_table([]) == ()
+    for n in (1, 2, 7, 16):
+        table = list(range(n))
+        rng.shuffle(table)
+        inv = inverse_table(table)
+        assert isinstance(inv, tuple)
+        assert [table[v] for v in inv] == list(range(n))
+        assert inverse_table(inv) == tuple(table)
 
 
 def test_from_permutation_rejects_a_table_of_the_wrong_length():

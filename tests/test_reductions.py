@@ -321,6 +321,15 @@ def test_oracle_gates_follow_the_wiring_rule(gate, message):
         OracleCircuit(2, (gate,), ())
 
 
+@pytest.mark.parametrize("t_wires", [(3,), (3, 4, 5)])
+def test_oracle_gates_write_as_many_t_wires_as_they_read_s_wires(t_wires):
+    # Accepted with increment(2) at x = 111, (3,) would drop the oracle's
+    # high bit on both paths, and (3, 4, 5) would compile and run to 000
+    # while the direct evaluator raises IndexError.
+    with pytest.raises(ReductionError, match=f"^oracle gate has 2 s wires but {len(t_wires)} t wires$"):
+        OracleCircuit(3, (OracleGate((0,), (1, 2), t_wires),), t_wires)
+
+
 def test_oracle_circuit_rejects_unknown_gate_objects():
     with pytest.raises(ReductionError, match="unknown gate object"):
         OracleCircuit(2, ((0, 1),), ())
