@@ -22,6 +22,7 @@ from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchEr
                      images, iterate_bijection, state_chunks)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
+MAX_GATE_ARITY = max(GATE_ARITY.values())
 
 # Reversible gates emitted per boolean gate by the garbage-producing lift.
 # OR costs six (two complementations on each input plus one on the result).
@@ -147,6 +148,17 @@ def parity(perm: Sequence[int]) -> str:
     """'even' or 'odd', from cycle structure: sign = (-1)^(n - #cycles).
     Raises ValueError when ``perm`` is not a permutation of [0, n)."""
     return "even" if (len(perm) - len(cycle_lengths(perm))) % 2 == 0 else "odd"
+
+
+def circuit_parity(circuit: ReversibleCircuit) -> str:
+    """Parity of the circuit's permutation.  A gate on m < w wires repeats
+    its own permutation on 2**(w - m) copies, an even number, so it is even;
+    no gate touches more than MAX_GATE_ARITY wires, so every circuit wider
+    than that is even, without evaluating a state.  Narrower circuits count
+    the cycles of their table."""
+    if circuit.width > MAX_GATE_ARITY:
+        return "even"
+    return parity(permutation_of(circuit))
 
 
 def negation_map(width: int) -> Bijection:

@@ -128,10 +128,11 @@ def _cmd_circuit(args, run: _Run) -> str:
         # the literal loop: perfbench's child-timeout test needs a large --n to run long
         f = c.as_bijection() if args.n >= 0 else c.as_bijection().inverse()
         return kernel.iterate(kernel.IterationProblem(f, abs(args.n), _bits(args.input))).to_text()
-    # counted after the tabulation, whose cap rejects a huge width
-    parity = circuits.parity(circuits.permutation_of(c))
-    run.count("states", 1 << c.width)
-    return parity
+    if c.width > circuits.MAX_GATE_ARITY:
+        run.count("gates", len(c.gates))
+    else:
+        run.count("states", 1 << c.width)
+    return circuits.circuit_parity(c)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,16 @@ def _cmd_plb(args, run: _Run) -> str:
         return str((plb.apply_plb_inverse if args.inverse else plb.apply_plb)(t, args.x))
     if args.action == "iterate":
         run.count("iterations", args.n)
-        return str(plb.iterate_plb(t, args.n, args.x))
+        answer = plb.iterate_plb(t, args.n, args.x)
+        # which path answered: the affine form, the induction, or the walk
+        form = plb.affine_form(t)
+        if form is not None:
+            run.count("affine_modulus", form[2])
+        elif plb.is_exchange(t):
+            from .iet import induction
+
+            run.count("induction_ops", len(induction(t)))
+        return str(answer)
     if args.action == "compose":
         prog = plb.compose_lift([load(path) for path in args.files])
         head = f"# {len(prog.stages)} stages on [0, {prog.domain})"

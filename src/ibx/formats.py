@@ -20,6 +20,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FormatError",
+    "MAX_WIRES",
     "parse_circuit",
     "write_circuit",
     "parse_classical",
@@ -39,6 +40,12 @@ __all__ = [
 
 class FormatError(ValueError):
     """Raised when a text document does not match its format."""
+
+
+# Declared size: the widest circuit a document may describe, checked before
+# any gate is built.  Lifts of desk-scale boolean circuits reach a few
+# hundred wires.
+MAX_WIRES = 1 << 16
 
 
 def _significant_lines(text: str) -> List[List[str]]:
@@ -74,6 +81,8 @@ def parse_circuit(text: str) -> ReversibleCircuit:
 
     rows = _significant_lines(text)
     width = _header(rows, "wires")
+    if width > MAX_WIRES:
+        raise FormatError(f"wires {width} exceeds the cap of {MAX_WIRES}")
     try:
         gates = tuple(gate(kind, *(_int(t, kind) for t in wires)) for kind, *wires in rows[1:])
         return ReversibleCircuit(width, gates)

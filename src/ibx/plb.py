@@ -10,6 +10,14 @@ Inverses are evaluated, never materialized as descriptions: solving
 mult*y + off = x inside the unique piece whose image progression contains x
 is exact integer arithmetic.
 
+Powers and orders take one of three paths.  An interval exchange answers
+from its induction (``ibx.iet``).  An affine map, x -> (a*x + b) mod M on
+[0, M) with every point of [M, N) fixed (every riffle and circular shift),
+is read off its pieces in O(k) and answers from its description: powers
+by square-and-multiply on (a, b) mod M, the order from the multiplicative
+order of a.  Every other map walks through the kernel engine, or tabulates
+its images for the order.
+
 The compilers at the bottom turn reversible circuits into single PLBs whose
 iteration replays the circuit, built from two four-piece rotation primitives
 and a block-permutation stage, all fused by compose_lift.
@@ -250,25 +258,124 @@ def is_exchange(t: PiecewiseLinearBijection) -> bool:
     return all(p.mult == 1 for p in t.pieces)
 
 
+def affine_form(t: PiecewiseLinearBijection) -> Optional[Tuple[int, int, int]]:
+    """(a, b, M) when T is x -> (a*x + b) mod M on [0, M) and fixes every
+    point of [M, N), with a != 1 and gcd(a, M) = 1; None otherwise.
+
+    Read from the pieces in O(k) and memoized on the map: one multiplier a;
+    a trailing run of one-point pieces that fix their point is the tail,
+    and the rest is the body, ending at E; M is the gcd of the body's
+    offset differences (E when they are all equal, and never above E),
+    every body offset equals b modulo M, and each body piece's part below
+    M lands in [0, M) while its part at or above M is one fixed point.
+    Each condition is checked on the pieces, tiling included, so the form
+    holds for an unvalidated description too."""
+    if "_affine" not in t.__dict__:
+        object.__setattr__(t, "_affine", _affine_form(t.pieces, t.domain))
+    return t.__dict__["_affine"]
+
+
+def _affine_form(ps: Tuple[Piece, ...], domain: int) -> Optional[Tuple[int, int, int]]:
+    a = ps[0].mult if ps else 1
+    if a == 1 or any(p.mult != a for p in ps):
+        return None
+    if ps[0].lo or ps[-1].hi != domain or any(p.hi != q.lo for p, q in zip(ps, ps[1:])):
+        return None
+    k = len(ps)
+    while k > 1 and ps[k - 1].hi - ps[k - 1].lo == 1 and ps[k - 1].apply(ps[k - 1].lo) == ps[k - 1].lo:
+        k -= 1
+    body, end = ps[:k], ps[k - 1].hi
+    m = 0
+    for p in body:
+        m = gcd(m, p.off - body[0].off)
+    m = min(m or end, end)
+    b = body[0].off % m
+    if gcd(a, m) != 1:
+        return None
+    for p in body:
+        if (p.off - b) % m:
+            return None
+        top = min(p.hi, m)
+        if p.lo < top:
+            lo, hi = sorted((p.apply(p.lo), p.apply(top - 1)))
+            if lo < 0 or hi >= m:
+                return None
+        start = max(p.lo, m)
+        if start < p.hi and (p.hi - start > 1 or p.apply(start) != start):
+            return None
+    return a, b, m
+
+
+def _affine_power(form: Tuple[int, int, int], n: int) -> Tuple[int, int]:
+    """(a', b') with T^n(x) = (a'*x + b') mod M below M, by square and
+    multiply on the pair; a negative n powers the inverse pair."""
+    a, b, m = form
+    if n < 0:
+        a = pow(a, -1, m)
+        b, n = -a * b % m, -n
+    pa, pb = 1 % m, 0
+    while n:
+        if n & 1:
+            pa, pb = a * pa % m, (a * pb + b) % m
+        a, b = a * a % m, (a * b + b) % m
+        n >>= 1
+    return pa, pb
+
+
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes of n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _multiplicative_order(a: int, m: int) -> int:
+    """Least n >= 1 with a^n = 1 mod m, for gcd(a, m) = 1: phi(m), then
+    each prime of phi(m) divided out while the power stays 1."""
+    phi = m
+    for p in _prime_factors(m):
+        phi = phi // p * (p - 1)
+    n = phi
+    for q in _prime_factors(phi):
+        while n % q == 0 and pow(a, n // q, m) == 1 % m:
+            n //= q
+    return n
+
+
 def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
     """T applied n times to x, the inverse -n times for negative n.  An
     interval exchange answers from its induction at any n and N (see
-    ``ibx.iet``); any other map walks n steps through the kernel engine."""
+    ``ibx.iet``), an affine map (``affine_form``) by square-and-multiply in
+    O(log |n|) at any N, and any other map walks n steps through the kernel
+    engine, stopping at the orbit's first return."""
     if not 0 <= x < t.domain:
         raise PlbError(f"{x} outside [0,{t.domain})")
     if is_exchange(t):
         from .iet import _power
 
         return _power(t, x, n)
+    form = affine_form(t)
+    if form is not None:
+        if x >= form[2]:
+            return x
+        a, b = _affine_power(form, n)
+        return (a * x + b) % form[2]
     return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y))
 
 
 def permutation_order(t: PiecewiseLinearBijection) -> int:
-    """Multiplicative order of the map, via cycle lengths.
+    """Multiplicative order of the map.
 
-    An interval exchange takes the lcm of its tower heights, at any N; any
+    An interval exchange takes the lcm of its tower heights, at any N.  Up
+    to N = 2^20, an affine map (``affine_form``) is n0 * M / gcd(c, M), with
+    n0 the order of a mod M and c the offset of T^n0, a translation; any
     other map tabulates its images in an int64 array, one range per piece,
-    and reads the table's cycles with ``cycle_lengths``, at desk-scale N.
+    and reads the table's cycles with ``cycle_lengths``.
     """
     if is_exchange(t):
         from .iet import cycle_type
@@ -276,6 +383,11 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
         return lcm(*cycle_type(t))
     if t.domain > 1 << 20:
         raise PlbError("domain too large for order computation")
+    form = affine_form(t)
+    if form is not None:
+        a, _, m = form
+        n0 = _multiplicative_order(a, m)
+        return n0 * m // gcd(_affine_power(form, n0)[1], m)
     table = array("q", bytes(8 * t.domain))
     for p in t.pieces:
         table[p.lo : p.hi] = array("q", range(p.apply(p.lo), p.apply(p.hi), p.mult))

@@ -14,6 +14,7 @@ from ibx.circuits import (
     ClassicalGate,
     ReversibleCircuit,
     bennett_lift,
+    circuit_parity,
     eval_classical,
     eval_reversible,
     exact_lift,
@@ -184,6 +185,26 @@ def test_narrow_gates_leave_parity_even(rng, make_circuit):
         width = rng.randint(2, 6)
         c = make_circuit(rng, width, 30)
         assert parity(permutation_of(c)) == "even"
+
+
+def test_closed_form_parity_matches_the_cycle_count(rng):
+    kinds = list(GATE_ARITY)
+    for _ in range(60):
+        width = rng.randint(4, 10)
+        gates = []
+        for _ in range(rng.randint(0, 25)):
+            kind = rng.choice(kinds)
+            gates.append(gate(kind, *rng.sample(range(width), GATE_ARITY[kind])))
+        c = ReversibleCircuit(width, tuple(gates))
+        assert circuit_parity(c) == parity(permutation_of(c)) == "even"
+
+
+def test_narrow_circuit_parity_reads_the_table(rng):
+    for width in (1, 2, 3):
+        for count in range(4):
+            c = ReversibleCircuit(width, tuple(gate("not", rng.randrange(width)) for _ in range(count)))
+            assert circuit_parity(c) == parity(permutation_of(c))
+    assert circuit_parity(ReversibleCircuit(3, (gate("toffoli", 0, 1, 2),))) == "odd"
 
 
 def test_full_width_gates_can_be_odd():

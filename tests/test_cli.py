@@ -446,6 +446,37 @@ def test_plb_iterate_answers_a_huge_rotation_without_walking(tmp_path):
     assert done.stdout.strip() == str((5 + shift * steps) % n)
 
 
+def test_plb_iterate_answers_a_huge_riffle_without_walking(tmp_path):
+    # the orbit of 5 is 500000000019 steps long: hours for the walk
+    m = 1000000000039
+    t = plb.riffle(m)
+    (tmp_path / "riffle.plb").write_text(formats.write_plb(t.domain, t.pieces))
+    done = run_fresh(
+        ["-m", "ibx.cli", "plb", "iterate", "--file", "riffle.plb", "--x", "5", "--n", str(10**20)],
+        tmp_path, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(5 * pow(2, 10**20, m) % m)
+
+
+def test_plb_iterate_reports_the_path_that_answered(tmp_path, capsys):
+    compiled, stages = plb.circuit_to_plb(formats.parse_circuit("wires 2\ncnot 0 1\nnot 0\n"))
+    rotation = plb.interval_exchange(15, [(0, 11, 4), (11, 15, -11)])
+    maps = {
+        "affine": (plb.riffle(14), {"affine_modulus": 13}),
+        "exchange": (rotation, {"induction_ops": len(iet.induction(rotation))}),
+        "walk": (compiled, {}),
+    }
+    for name, (t, extra) in maps.items():
+        path = tmp_path / f"{name}.plb"
+        path.write_text(formats.write_plb(t.domain, t.pieces))
+        rc, out, err = run_cli(
+            capsys, "plb", "iterate", "--file", str(path), "--x", "3", "--n", str(2 * stages), "--report"
+        )
+        assert rc == 0 and out.strip() == str(plb.iterate_plb(t, 2 * stages, 3))
+        assert json.loads(err)["step_counts"] == {"iterations": 2 * stages, **extra}, name
+
+
 def test_iet_solve_large_n(tmp_path, capsys):
     path = tmp_path / "t.iet"
     path.write_text(FIG_IET)
@@ -611,6 +642,16 @@ def test_missing_file_is_an_error(capsys):
     rc, _, err = run_cli(capsys, "circuit", "parity", "--file", "no-such-file.rc")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_wide_circuit_parity_is_closed_form_without_numpy(tmp_path):
+    (tmp_path / "c.rc").write_text("wires 40\nnot 0\ntoffoli 3 39 7\nfredkin 1 2 3\nswap 5 6\n")
+    done = run_fresh(["-m", "ibx.cli", "circuit", "parity", "--file", "c.rc", "--report"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "even"
+    report = json.loads(done.stderr)
+    assert report["step_counts"] == {"gates": 4}
+    assert "numpy" not in report["loaded"], report["loaded"]
 
 
 def test_circuit_parity_huge_width_is_one_error_line(tmp_path, capsys):

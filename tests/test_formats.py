@@ -58,6 +58,15 @@ def test_circuit_rejects(text):
         formats.parse_circuit(text)
 
 
+def test_circuit_width_is_capped_before_any_gate_is_built(monkeypatch):
+    assert formats.parse_circuit(f"wires {formats.MAX_WIRES}\nnot 0\n").width == formats.MAX_WIRES
+    built = []
+    monkeypatch.setattr(circuits, "gate", lambda *a: built.append(a))
+    with pytest.raises(formats.FormatError, match="exceeds the cap"):
+        formats.parse_circuit(f"wires {formats.MAX_WIRES + 1}\nnot 0\n")
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # classical circuits
 

@@ -1,6 +1,6 @@
 """Piecewise-linear bijections: validation, evaluation, lifts, compilation."""
 
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -13,6 +13,7 @@ from ibx.plb import (
     PiecewiseLinearBijection,
     PlbError,
     PlbValidationError,
+    affine_form,
     apply_plb,
     apply_plb_inverse,
     bit_permute,
@@ -176,8 +177,9 @@ def test_apply_rejects_out_of_domain():
 
 
 def test_iterate_rejects_out_of_domain_at_every_n():
-    walked, exchange = riffle(13), interval_exchange(13, [(0, 6, 7), (6, 13, -6)])
-    for t in (walked, exchange):
+    affine, exchange = riffle(13), interval_exchange(13, [(0, 6, 7), (6, 13, -6)])
+    walked = PiecewiseLinearBijection(13, (Piece(0, 13, -1, 12),))
+    for t in (affine, exchange, walked):
         for x in (-1, 13, 99):
             for n in (0, 1, -1, 10**20):
                 with pytest.raises(PlbError, match=rf"{x} outside \[0,13\)"):
@@ -231,6 +233,121 @@ def test_permutation_order_matches_the_reference_walk(rng):
     maps += [riffle(n) for n in (2, 3, 13, 52, 53, 1000, 1001)]
     for t in maps:
         assert permutation_order(t) == reference_order(t), t
+
+
+def literal_power(t, n, x):
+    """apply_plb n >= 0 times, or apply_plb_inverse -n times."""
+    step = apply_plb if n >= 0 else apply_plb_inverse
+    for _ in range(abs(n)):
+        x = step(t, x)
+    return x
+
+
+def orbit_length(t, x):
+    y, length = apply_plb(t, x), 1
+    while y != x:
+        y, length = apply_plb(t, y), length + 1
+    return length
+
+
+def assert_powers_match_the_walk(t, x):
+    """iterate_plb at n = 0, +-1, the orbit length and one more, and
+    +-10**20, against the literal loop (the huge n reduced by the orbit)."""
+    length = orbit_length(t, x)
+    for n in (0, 1, -1, length, length + 1, -length - 1, 10**20, -(10**20)):
+        assert iterate_plb(t, n, x) == literal_power(t, n % length if abs(n) > 2 * length else n, x)
+
+
+def affine_plb(a, b, m, domain):
+    """x -> (a*x + b) mod m on [0, m), one piece per run of equal quotient
+    (a*x + b) // m, then a one-point fixed piece per point of [m, domain)."""
+    pieces, lo = [], 0
+    for x in range(1, m + 1):
+        if x == m or (a * x + b) // m != (a * lo + b) // m:
+            pieces.append((lo, x, a, b - (a * lo + b) // m * m))
+            lo = x
+    pieces += [(x, x + 1, a, x - a * x) for x in range(m, domain)]
+    return validate_plb(domain, pieces)
+
+
+def test_riffles_take_the_affine_path(rng):
+    for n in range(2, 401):
+        t = riffle(n)
+        assert affine_form(t) == (2, 0, n if n % 2 else n - 1)
+        assert permutation_order(t) == reference_order(t)
+        for x in {0, n - 1, rng.randrange(n)}:
+            assert_powers_match_the_walk(t, x)
+
+
+def test_circular_shifts_take_the_affine_path():
+    for k in range(2, 11):
+        t = circular_shift(k)
+        assert affine_form(t) == (2, 0, (1 << k) - 1)
+        assert permutation_order(t) == reference_order(t) == k
+
+
+def test_random_affine_maps_match_the_walk(rng):
+    found = 0
+    for _ in range(300):
+        m = rng.randint(1, 60)
+        a = rng.choice([x for x in range(-2 * m - 3, 2 * m + 4) if x not in (0, 1) and gcd(x, m) == 1])
+        t = affine_plb(a, rng.randint(-3 * m, 3 * m), m, m + rng.randint(0, 4))
+        found += affine_form(t) is not None
+        assert permutation_order(t) == reference_order(t), t
+        for x in {0, t.domain - 1, rng.randrange(t.domain)}:
+            assert_powers_match_the_walk(t, x)
+    assert found > 250
+
+
+def test_affine_form_reads_negative_multipliers():
+    t = affine_plb(-3, 4, 11, 13)
+    assert affine_form(t) == (-3, 4, 11)
+    assert permutation_order(t) == reference_order(t)
+    assert affine_form(validate_plb(9, [(0, 9, -1, 8)])) == (-1, 8, 9)
+
+
+NEAR_AFFINE = {
+    # riffle(13) with the second offset moved by 1: M = 12 and gcd(2, 12) = 2
+    "moved offset": (13, [(0, 7, 2, 0), (7, 13, 2, -12)], 6),
+    # x -> 5 - x below M = 5 and 5 fixed: the body lands 0 on M itself
+    "body lands on the tail": (6, [(0, 5, -1, 5), (5, 6, -1, 10)], 0),
+    # x -> 2x + 1 mod 5, its last piece straddling M = 5 and sending 5 to 6
+    "straddling tail not fixed": (6, [(0, 2, 2, 1), (2, 6, 2, -4)], 0),
+    # x -> 2x mod 4: every other condition holds, but gcd(2, 4) = 2
+    "gcd(a, M) > 1": (4, [(0, 2, 2, 0), (2, 4, 2, -4)], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_AFFINE))
+def test_near_affine_descriptions_fall_back_to_the_walk(name):
+    domain, raw, x = NEAR_AFFINE[name]
+    t = PiecewiseLinearBijection(domain, tuple(Piece(*p) for p in raw))
+    with pytest.raises(PlbValidationError):
+        validate_plb(domain, raw)
+    assert affine_form(t) is None
+    for n in range(12):
+        assert iterate_plb(t, n, x) == literal_power(t, n, x)
+
+
+def test_affine_form_is_memoized_and_skips_other_maps(rng):
+    t = riffle(13)
+    assert affine_form(t) is affine_form(t) and "_affine" in t.__dict__
+    compiled, _ = circuit_to_plb(ReversibleCircuit(3, (gate("toffoli", 0, 1, 2), gate("not", 0))))
+    assert affine_form(compiled) is None
+    assert affine_form(interval_exchange(13, [(0, 6, 7), (6, 13, -6)])) is None
+    assert affine_form(identity_plb(5)) is None
+    mixed = [random_signed_plb(rng) for _ in range(100)]
+    for t in mixed:
+        if affine_form(t) is not None:
+            a, b, m = affine_form(t)
+            assert all(apply_plb(t, x) == ((a * x + b) % m if x < m else x) for x in range(t.domain))
+
+
+def test_affine_power_answers_a_huge_riffle():
+    m = 1000000000039
+    t = riffle(m)
+    assert iterate_plb(t, 10**20, 5) == 5 * pow(2, 10**20, m) % m
+    assert iterate_plb(t, -(10**20), 5 * pow(2, 10**20, m) % m) == 5
 
 
 def test_low_rotation_fixes_top_bit():
