@@ -502,6 +502,11 @@ class DimReduxAutomaton:
 
     The 2D dynamics being replayed is margolus_step_helical on a grid of
     2p/c rows by c columns; dim_redux_verify checks the two bit-exactly.
+
+    ``leap`` and ``leap_back`` (see ``kernel.iterate_map``) take a whole
+    period of t steps from a lit config: the t - 1 band shifts compose into
+    one shift by t - 1, so simulate_1d costs one blocked update, one
+    shift and one check per period.
     """
 
     rule: MargolusRule
@@ -593,12 +598,19 @@ class DimReduxAutomaton:
         counter 0 is the blocked update, the others are band shifts."""
         ctr, par0 = self._check(cfg)
         back = d < 0
-        if (ctr - back) % self.t == 0:
-            tracks = self._blocked_update(cfg.tracks, par0 ^ back, back)
-        else:
-            tracks = _band_shift(cfg.tracks, d)
+        if (ctr - back) % self.t:
+            return self._shifts(cfg, d, (ctr + d) % self.t)
+        tracks = self._blocked_update(cfg.tracks, par0 ^ back, back)
         tracks[2] ^= 1
         tracks[3] = (ctr + d) % self.t
+        return TrackedConfig1D(tracks.T, cfg.step + d)
+
+    def _shifts(self, cfg: TrackedConfig1D, d: int, ctr: int) -> TrackedConfig1D:
+        """|d| band-shift steps at once (backward when d < 0): the data
+        tracks slid by d, the parity flipped |d| times, the counter at ctr."""
+        tracks = _band_shift(cfg.tracks, d)
+        tracks[2] ^= d & 1
+        tracks[3] = ctr
         return TrackedConfig1D(tracks.T, cfg.step + d)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
@@ -606,6 +618,30 @@ class DimReduxAutomaton:
 
     def step_back(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
         return self._advance(cfg, -1)
+
+    def _period_ahead(self, cfg: TrackedConfig1D, remaining: int) -> bool:
+        # a config that reads as lit, with a whole period of t steps to go
+        tracks = cfg.tracks
+        return remaining >= self.t and tracks.shape == (4, self.p) and tracks[3, 0] == 0
+
+    def leap(
+        self, cfg: TrackedConfig1D, remaining: int
+    ) -> Optional[Tuple[TrackedConfig1D, int]]:
+        """t steps from a lit config: one ``step`` (the blocked update, which
+        checks the config) and the t - 1 band shifts as one shift."""
+        if not self._period_ahead(cfg, remaining):
+            return None
+        return self._shifts(self.step(cfg), self.t - 1, 0), self.t
+
+    def leap_back(
+        self, cfg: TrackedConfig1D, remaining: int
+    ) -> Optional[Tuple[TrackedConfig1D, int]]:
+        """t steps back from a lit config: the t - 1 band shifts as one
+        checked shift, then one ``step_back`` (the inverse blocked update)."""
+        if not self._period_ahead(cfg, remaining):
+            return None
+        self._check(cfg)
+        return self.step_back(self._shifts(cfg, 1 - self.t, 1)), self.t
 
     def lit(self, cfg: TrackedConfig1D) -> bool:
         return not cfg.tracks[3].any()
@@ -617,10 +653,14 @@ def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
 
 def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     """n forward steps (negative n steps backward) of any automaton with
-    step/step_back.  The engine stops at the first return of the tracks, so
-    an astronomically large n costs under two orbit lengths; the result's
-    step counter is cfg.step + n either way."""
-    out = iterate_map(automaton.step, n, cfg, automaton.step_back)
+    step/step_back, leaping where it declares leap/leap_back.  The engine
+    stops at a return of the tracks, so an astronomically large n costs a
+    few orbit lengths at most; the result's step counter is cfg.step + n
+    either way."""
+    out = iterate_map(
+        automaton.step, n, cfg, automaton.step_back,
+        getattr(automaton, "leap", None), getattr(automaton, "leap_back", None),
+    )
     return TrackedConfig1D(out.tracks.T, cfg.step + n)
 
 

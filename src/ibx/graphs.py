@@ -149,11 +149,18 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     step asks the oracle only about the vertex it steps onto and a waiting
     step asks nothing; with an oracle whose answers change between calls
     the map would act on stale answers.
+
+    A wait is one tick run, so the map leaps over it (see
+    ``kernel.iterate_map``): forward from (c, v, w) with 1 <= c <= 2**k - 2,
+    the edge mutual and v a leaf, c rises by min(remaining, 2**k - 1 - c);
+    backward from such a state with c >= 2, c falls by min(remaining, c - 1).
+    So a 2**k-step run costs about two walks of the path, not 2**k steps.
     """
     if k <= 0:
         raise GraphError("vertex width must be positive")
     mask = (1 << k) - 1
     k2 = 2 * k
+    edge = (1 << k2) - 1
     memo: Dict[int, _Nbrs] = {}
 
     def query_vals(value: int) -> _Nbrs:
@@ -207,7 +214,27 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
             return v << k | p
         return x
 
-    return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]")
+    def waits(x: int) -> bool:
+        # the edge (v, w) is mutual and v is a leaf: the counter ticks
+        v, w = (x >> k) & mask, x & mask
+        nv = query_vals(v)
+        return mutual(v, nv, w, query_vals(w)) and len(nv) == 1
+
+    def leap(x: int, remaining: int) -> Optional[Tuple[int, int]]:
+        n = (x >> k2) & mask
+        if not (1 <= n < mask and waits(x)):
+            return None
+        j = min(remaining, mask - n)
+        return (n + j) << k2 | x & edge, j
+
+    def leap_back(x: int, remaining: int) -> Optional[Tuple[int, int]]:
+        m = (x >> k2) & mask
+        if not (m >= 2 and waits(x)):
+            return None
+        j = min(remaining, m - 1)
+        return (m - j) << k2 | x & edge, j
+
+    return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]", leap=leap, leap_back=leap_back)
 
 
 def random_path_instance(

@@ -2,8 +2,9 @@
 and the whole-state-space evaluator.
 
 ``iterate_map`` is the package's one n-step engine: every stepper, from
-circuits to block automata, runs through it.  ``iterate`` is the literal
-loop it is tested against.  ``images`` is the one filler of whole-state
+circuits to block automata, runs through it, and a map that spends most
+steps ticking a counter hands it leaps over those runs.  ``iterate`` is the
+literal loop it is tested against.  ``images`` is the one filler of whole-state
 tables, ``cycle_lengths`` the one cycle reader, and ``inverse_table`` the
 one check and inverse of a permutation table.
 
@@ -40,22 +41,42 @@ class WidthMismatchError(ValueError):
     """Raised when a value's width does not match the operation's width."""
 
 
-@dataclass(frozen=True)
 class Bitstring:
     """Immutable fixed-width bit vector backed by an int.
 
     ``value`` holds the bits with index 0 least significant; ``width`` may be
-    zero (the unique empty string).
+    zero (the unique empty string).  A slotted class rather than a frozen
+    dataclass, because leaf walks and schedules build one per step.
     """
 
+    __slots__ = ("value", "width")
     value: int
     width: int
 
-    def __post_init__(self) -> None:
-        if self.width < 0:
-            raise ValueError(f"width must be nonnegative, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+    def __init__(self, value: int, width: int) -> None:
+        if width < 0:
+            raise ValueError(f"width must be nonnegative, got {width}")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} out of range for width {width}")
+        _set_value(self, value)
+        _set_width(self, width)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Bitstring:
+            return NotImplemented
+        return self.value == other.value and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __reduce__(self):
+        return Bitstring, (self.value, self.width)
 
     @classmethod
     def from_text(cls, text: str) -> "Bitstring":
@@ -85,6 +106,10 @@ class Bitstring:
         return f"Bitstring('{self.to_text()}')"
 
 
+_set_value = Bitstring.value.__set__  # type: ignore[attr-defined]
+_set_width = Bitstring.width.__set__  # type: ignore[attr-defined]
+
+
 def pack_fields(fields: Sequence[Tuple[int, int]]) -> int:
     """Pack (value, width) pairs into one int, first field most significant."""
     acc = 0
@@ -105,6 +130,11 @@ def unpack_fields(value: int, widths: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# leap(y, remaining) -> None, or (y', j) with 1 <= j <= remaining and y'
+# exactly j literal steps from y: how a map takes a run of steps at once.
+Leap = Callable[[T, int], Optional[Tuple[T, int]]]
+
+
 @dataclass(frozen=True)
 class Bijection:
     """A total invertible map on k-bit strings.
@@ -114,8 +144,9 @@ class Bijection:
     they map to themselves, keeping the map total on all 2**width values.
     ``arrays`` declares that both evaluators also map an int64 numpy array
     elementwise, which lets ``images`` fill its table a chunk of states
-    per call.  It states what the evaluators can do; results
-    are the same either way.
+    per call.  ``leap`` and ``leap_back`` are optional leaps (see
+    ``iterate_map``) for ``forward`` and ``backward``.  Both state what the
+    evaluators can do; results are the same either way.
     """
 
     width: int
@@ -123,6 +154,8 @@ class Bijection:
     backward: Optional[Callable[[int], int]] = None
     label: str = ""
     arrays: bool = False
+    leap: Optional[Leap] = None
+    leap_back: Optional[Leap] = None
 
     def apply(self, x: Bitstring) -> Bitstring:
         if x.width != self.width:
@@ -140,7 +173,8 @@ class Bijection:
         if self.backward is None:
             raise ValueError("cannot invert without a backward evaluator")
         return replace(
-            self, forward=self.backward, backward=self.forward, label=f"inv({self.label})"
+            self, forward=self.backward, backward=self.forward, label=f"inv({self.label})",
+            leap=self.leap_back, leap_back=self.leap,
         )
 
 
@@ -175,7 +209,12 @@ def iterate(problem: IterationProblem) -> Bitstring:
 
 
 def iterate_map(
-    step: Callable[[T], T], n: int, x: T, back: Optional[Callable[[T], T]] = None
+    step: Callable[[T], T],
+    n: int,
+    x: T,
+    back: Optional[Callable[[T], T]] = None,
+    leap: Optional[Leap] = None,
+    leap_back: Optional[Leap] = None,
 ) -> T:
     """Apply ``step`` n times to x; a negative n applies ``back`` -n times.
 
@@ -183,11 +222,22 @@ def iterate_map(
     time.  This is exact for any deterministic step, because from a return
     on the orbit repeats, so an astronomically large n costs fewer than two
     orbit lengths of steps.
+
+    A map whose steps mostly tick a counter may pass ``leap`` (and
+    ``leap_back`` for ``back``): ``leap(y, remaining)`` returns None, and
+    the engine takes one step, or (y', j) with 1 <= j <= remaining and y'
+    exactly j literal steps from y.  The engine looks for a return after
+    every step and every leap, to x and to a mark it moves to where it
+    stands after 1, 2, 4, ... moves (Brent's cycle finding), since leaps
+    may jump over x forever.  A state met again at times t0 < t repeats
+    every t - t0 steps, so the result equals the literal loop's.
     """
     if n < 0:
         if back is None:
             raise ValueError("a negative iteration count needs a backward map")
-        step, n = back, -n
+        step, leap, n = back, leap_back, -n
+    if leap is not None:
+        return _leaping(step, leap, n, x)
     y = x
     for done in range(1, n + 1):
         y = step(y)
@@ -196,13 +246,37 @@ def iterate_map(
     return y
 
 
+def _leaping(step: Callable[[T], T], leap: Leap, n: int, x: T) -> T:
+    """iterate_map for n >= 0 with a leap: see there."""
+    y, done = x, 0
+    mark, marked_at, moves, stride = x, 0, 0, 1
+    while done < n:
+        hop = leap(y, n - done)
+        if hop is None:
+            y, j = step(y), 1
+        else:
+            y, j = hop
+            if not 1 <= j <= n - done:
+                raise ValueError(f"leap of {j} steps with {n - done} left")
+        done += j
+        if y == x or y == mark:
+            n = done + (n - done) % (done if y == x else done - marked_at)
+        moves += 1
+        if moves == stride:
+            mark, marked_at, moves, stride = y, done, 0, 2 * stride
+    return y
+
+
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
-    """f applied n times to x (f's backward map -n times when n < 0)."""
+    """f applied n times to x (f's backward map -n times when n < 0),
+    leaping where f declares leaps."""
     if x.width != f.width:
         raise WidthMismatchError(
             f"input width {x.width} does not match bijection width {f.width}"
         )
-    return Bitstring(iterate_map(f.forward, n, x.value, f.backward), f.width)
+    return Bitstring(
+        iterate_map(f.forward, n, x.value, f.backward, f.leap, f.leap_back), f.width
+    )
 
 
 def cycle_lengths(table: Sequence[int]) -> List[int]:

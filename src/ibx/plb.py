@@ -43,6 +43,12 @@ BIT_PERMUTE_PIECE_FACTOR = 6
 
 MAX_CIRCUIT_PLB_WIDTH = 16
 
+# permutation_order's caps: the domain a map without an affine form may
+# tabulate, and the modulus M an affine form may factor (trial division up
+# to sqrt(M), for M and for phi(M)).
+MAX_ORDER_TABLE = 1 << 20
+MAX_AFFINE_ORDER_MODULUS = 1 << 40
+
 
 class PlbError(ValueError):
     pass
@@ -371,23 +377,25 @@ def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
 def permutation_order(t: PiecewiseLinearBijection) -> int:
     """Multiplicative order of the map.
 
-    An interval exchange takes the lcm of its tower heights, at any N.  Up
-    to N = 2^20, an affine map (``affine_form``) is n0 * M / gcd(c, M), with
-    n0 the order of a mod M and c the offset of T^n0, a translation; any
-    other map tabulates its images in an int64 array, one range per piece,
-    and reads the table's cycles with ``cycle_lengths``.
+    An interval exchange takes the lcm of its tower heights, at any N.  An
+    affine map (``affine_form``) with M up to ``MAX_AFFINE_ORDER_MODULUS``
+    is n0 * M / gcd(c, M), at any N, with n0 the order of a mod M and c the
+    offset of T^n0, a translation.  Any other map, up to N =
+    ``MAX_ORDER_TABLE``, tabulates its images in an int64 array, one range
+    per piece, and reads the table's cycles with ``cycle_lengths``; above
+    that it raises PlbError.
     """
     if is_exchange(t):
         from .iet import cycle_type
 
         return lcm(*cycle_type(t))
-    if t.domain > 1 << 20:
-        raise PlbError("domain too large for order computation")
     form = affine_form(t)
-    if form is not None:
+    if form is not None and form[2] <= MAX_AFFINE_ORDER_MODULUS:
         a, _, m = form
         n0 = _multiplicative_order(a, m)
         return n0 * m // gcd(_affine_power(form, n0)[1], m)
+    if t.domain > MAX_ORDER_TABLE:
+        raise PlbError("domain too large for order computation")
     table = array("q", bytes(8 * t.domain))
     for p in t.pieces:
         table[p.lo : p.hi] = array("q", range(p.apply(p.lo), p.apply(p.hi), p.mult))

@@ -18,7 +18,8 @@ that map's image where it enters the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -26,6 +27,7 @@ from .kernel import (
     Bitstring,
     WidthMismatchError,
     from_permutation,
+    inverse_table,
     iterate_bijection,
     pack_fields,
     unpack_fields,
@@ -217,6 +219,16 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     very first step.  After n*M steps the a field holds f applied n times.
     The stash step raises ValueError, in either direction, when f(a) does
     not fit in k bits.
+
+    g leaps (see ``kernel.iterate_map``) a whole little-hand cycle at once:
+    from (c1, 0, a, 0, 0) with at least M steps left, forward to
+    ((c1 + 1) mod (n + 1), 0, f(a), 0, 0) and backward to
+    ((c1 - 1) mod (n + 1), 0, f^-1(a), 0, 0).  The first leap tabulates f
+    on its 2**k inputs and ``kernel.inverse_table`` certifies it a
+    permutation and inverts it, so a forward-only f leaps backward too.
+    When f is not a permutation, or an image leaves k bits, g takes no leap
+    and walks, raising where the walk raises; so run_schedule costs about
+    n table lookups, not n * M steps.
     """
     k = f.width
     if k > MAX_CLOCK_WIDTH:
@@ -248,7 +260,32 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
             return word >> k << k | (c if reverse else (c + 1) & mask)
         return word ^ (word >> k2) << k  # c2 == sweep_end, the last little-hand value
 
-    g = _clocked(codec, act, f"clock[{f.label}]")
+    s1 = 3 * k + codec.widths[1]
+    busy = (1 << s1) - 1 ^ mask << k2  # the c2, b and c bits
+
+    @lru_cache(maxsize=None)
+    def cycle_tables() -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        # f and f^-1 as tables, or None when f is no permutation of k bits
+        try:
+            table = tuple(_image(f.forward(a), k) for a in range(size))
+            return table, inverse_table(table)
+        except ValueError:
+            return None
+
+    def leaper(turn: int) -> Callable[[int, int], Optional[Tuple[int, int]]]:
+        def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
+            c1 = v >> s1
+            if remaining < m_small or v & busy or c1 >= m_big:
+                return None
+            tables = cycle_tables()
+            if tables is None:
+                return None
+            a = tables[turn < 0][v >> k2 & mask]
+            return (c1 + turn) % m_big << s1 | a << k2, m_small
+
+        return leap
+
+    g = replace(_clocked(codec, act, f"clock[{f.label}]"), leap=leaper(1), leap_back=leaper(-1))
     start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
 
     def extract(final: Bitstring) -> Bitstring:

@@ -763,3 +763,32 @@ def test_simulate_1d_huge_n_stops_at_the_orbit_return(rng):
             got = simulate_1d(auto, start, n)
             assert got.cells == literal_steps(auto, start, n % period).cells
             assert got.step == start.step + n
+
+
+@pytest.mark.parametrize("c", [4, 6, 8, 12, 32])
+def test_ring_leaps_equal_the_literal_steps(rng, c):
+    # odd and even t, from counters 0 to 3, both directions
+    auto = dim_redux_compile(bbm_rule(), c, 2 * c)
+    lit = auto.embed(grid_of(random_cells(rng, 4, c)), 0)
+    counts = sorted(set(range(2 * auto.t + 2)) | {97, 150, 199})
+    for start in (literal_steps(auto, lit, s) for s in range(4)):
+        for sign, step in ((1, auto.step), (-1, auto.step_back)):
+            want, done = start, 0
+            for n in counts:
+                for _ in range(n - done):
+                    want = step(want)
+                done = n
+                got = simulate_1d(auto, start, sign * n)
+                assert got == want and got.step == start.step + sign * n, (sign * n)
+
+
+def test_ring_leaps_check_the_config_they_start_from(rng):
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    lit = auto.embed(grid_of(random_cells(rng, 4, 4)), 0)
+    for track, cell, bad in ((0, 3, 2), (3, 5, 1)):
+        cells = [list(c) for c in lit.cells]
+        cells[cell][track] = bad
+        cfg = TrackedConfig1D(tuple(map(tuple, cells)), 0)
+        for n in (auto.t, -auto.t, 10**20):
+            with pytest.raises(CaError):
+                simulate_1d(auto, cfg, n)

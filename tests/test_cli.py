@@ -459,6 +459,29 @@ def test_plb_iterate_answers_a_huge_riffle_without_walking(tmp_path):
     assert done.stdout.strip() == str(5 * pow(2, 10**20, m) % m)
 
 
+def test_leaf_compile_at_the_widest_k_leaps_its_wait(tmp_path):
+    # 2**62 planned steps: the walk leaps each leaf's wait window
+    walked, compiled = (
+        run_fresh(["-m", "ibx.cli", "leaf", action, "--k", "62", "--seed", "5"],
+                  tmp_path, timeout=20)
+        for action in ("walk", "compile")
+    )
+    assert walked.returncode == compiled.returncode == 0, compiled.stderr
+    assert len(walked.stdout.strip()) == 62
+    assert compiled.stdout == walked.stdout
+
+
+def test_reduce_clock_takes_a_million_cycles_a_leap_each(tmp_path):
+    x = 0b10110101
+    done = run_fresh(
+        ["-m", "ibx.cli", "reduce", "clock", "--fn", "increment", "--width", "8",
+         "--x", format(x, "08b"), "--n", "1000000"],
+        tmp_path, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == format((x + 10**6) % 256, "08b")
+
+
 def test_plb_iterate_reports_the_path_that_answered(tmp_path, capsys):
     compiled, stages = plb.circuit_to_plb(formats.parse_circuit("wires 2\ncnot 0 1\nnot 0\n"))
     rotation = plb.interval_exchange(15, [(0, 11, 4), (11, 15, -11)])

@@ -338,7 +338,35 @@ def test_leaf_bijection_matches_the_literal_reference(k):
             assert check_bijection_exhaustive(f).ok
 
 
-@pytest.mark.parametrize("k, length", [(4, 2), (4, 9), (4, 16), (6, 40)])
+def _table_powers(table, counts):
+    """The literal n-th power of a step table for each n in counts, in
+    increasing order: one composition per step."""
+    power, done = list(range(len(table))), 0
+    for n in sorted(set(counts)):
+        for _ in range(n - done):
+            power = [table[y] for y in power]
+        done = n
+        yield n, power
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_leaf_leaps_equal_the_literal_walk(k):
+    # every state, waiting or not, on well-formed and broken paths
+    size, g = 1 << k, Bitstring(0, 1)
+    families = [random_path_instance(k, random.Random(seed)).family for seed in range(2)]
+    if k > 2:
+        families += [fam for fam, _ in _leaf_families(k)[1:]]
+    counts = (0, 1, 2, 5, size - 1, size, size + 3, 3 * size, 7 * size)
+    states = [Bitstring(x, 3 * k) for x in range(1 << 3 * k)]
+    for fam in families:
+        f = leaf_to_bijection(fam, g, k)
+        for sign, step in ((1, f.forward), (-1, f.backward)):
+            for n, want in _table_powers([step(x.value) for x in states], counts):
+                got = [iterate_bijection(f, sign * n, x).value for x in states]
+                assert got == want, (sign * n, fam)
+
+
+@pytest.mark.parametrize("k, length", [(4, 2), (4, 9), (4, 16), (6, 40), (62, 40)])
 def test_leaf_walk_asks_each_vertex_once(k, length):
     ids = random.Random(length).sample(range(1 << k), length)
     counter = [0]

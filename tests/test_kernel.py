@@ -1,6 +1,8 @@
 """Bitstrings, bijection wrappers, iteration, the exhaustive checker and
 the cycle reader."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -61,6 +63,26 @@ def test_value_must_fit_width():
         Bitstring(8, 3)
     with pytest.raises(ValueError):
         Bitstring(-1, 3)
+
+
+def test_bitstring_is_immutable_hashable_and_copyable():
+    b = Bitstring(5, 3)
+    with pytest.raises(AttributeError):
+        b.value = 4
+    with pytest.raises(AttributeError):
+        b.extra = 1
+    with pytest.raises(AttributeError):
+        del b.width
+    assert (b.value, b.width) == (5, 3)
+    assert b == Bitstring(5, 3) and hash(b) == hash(Bitstring(5, 3))
+    assert b != Bitstring(5, 4) and b != (5, 3) and len({b, Bitstring(5, 3)}) == 1
+    assert repr(b) == "Bitstring('101')"
+    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert twin == b and type(twin) is Bitstring
+    with pytest.raises(ValueError, match="width must be nonnegative, got -1"):
+        Bitstring(0, -1)
+    with pytest.raises(ValueError, match="value 8 out of range for width 3"):
+        Bitstring(8, 3)
 
 
 @given(st.integers(min_value=1, max_value=64).flatmap(
@@ -151,6 +173,64 @@ def test_engine_counts_exactly_on_maps_that_are_not_bijections():
     step = [1, 2, 3, 2].__getitem__
     assert [iterate_map(step, n, 0) for n in range(6)] == [0, 1, 2, 3, 2, 3]
     assert iterate_map(step, 10**6 + 1, 2) == 3
+
+
+def _tick_leap(size, window):
+    """Leaps for x -> x +- 1 mod size: forward up to the last state of x's
+    window of states, backward down to its first, at most the remaining
+    count; None where no step is left in the window."""
+    def leap(y, remaining):
+        j = min(remaining, min(y // window * window + window, size) - 1 - y)
+        return (y + j, j) if j else None
+
+    def leap_back(y, remaining):
+        j = min(remaining, y % window)
+        return (y - j, j) if j else None
+
+    return leap, leap_back
+
+
+def test_engine_leaps_equal_the_literal_loop():
+    w = 6
+    leap, leap_back = _tick_leap(1 << w, 8)
+    plain = increment(w)
+    f = Bijection(w, plain.forward, plain.backward, leap=leap, leap_back=leap_back)
+    for x in map(Bitstring, range(1 << w), [w] * (1 << w)):
+        for n in range(-80, 81):
+            want = iterate(IterationProblem(f if n >= 0 else f.inverse(), abs(n), x))
+            assert iterate_bijection(f, n, x) == want, (x, n)
+        for n in (10**20 + 3, -(10**20) - 3):
+            assert iterate_bijection(f, n, x).value == (x.value + n) % (1 << w)
+
+
+def test_engine_finds_returns_that_leaps_jump_over():
+    # from x = 5 every later move leaps over 5, so only the moving mark
+    # sees the orbit close; a huge n must still cost about one orbit
+    size = 1 << 12
+    calls = []
+    leap, _ = _tick_leap(size, 64)
+
+    def counted(y, remaining):
+        calls.append(y)
+        assert len(calls) < 1000, "the engine walks on past the orbit"
+        return leap(y, remaining)
+
+    step = lambda y: (y + 1) % size  # noqa: E731
+    assert iterate_map(step, 10**30, 5, leap=counted) == (5 + 10**30) % size
+
+
+def test_engine_rejects_a_leap_outside_its_contract():
+    for j in (0, 5):
+        with pytest.raises(ValueError, match="leap of"):
+            iterate_map(lambda y: y + 1, 4, 0, leap=lambda y, r: (y + j, j))
+
+
+def test_bijection_inverse_swaps_the_leaps():
+    leap, leap_back = _tick_leap(37, 8)
+    f = Bijection(6, lambda v: v, lambda v: v, leap=leap, leap_back=leap_back)
+    g = f.inverse()
+    assert (g.leap, g.leap_back) == (leap_back, leap)
+    assert g.inverse().leap is leap
 
 
 def test_engine_negative_n_needs_a_backward_map():

@@ -350,6 +350,43 @@ def test_affine_power_answers_a_huge_riffle():
     assert iterate_plb(t, -(10**20), 5 * pow(2, 10**20, m) % m) == 5
 
 
+def _distinct_primes(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            n //= p
+        else:
+            p += 1
+    return sorted(set(out + [n] * (n > 1)))
+
+
+@pytest.mark.parametrize("cards", [10**7 + 1, 10**9 + 8, 2**40 - 86])
+def test_permutation_order_of_a_riffle_above_the_table_cap(rng, cards):
+    # a riffle is x -> 2x mod m below m (m = cards, or cards - 1 with the
+    # last card fixed), so T^j(x) = x * 2^j mod m by Python's pow alone
+    t = riffle(cards)
+    m = cards if cards % 2 else cards - 1
+    for x in [rng.randrange(m) for _ in range(50)]:
+        assert apply_plb(t, x) == 2 * x % m
+    order = permutation_order(t)
+    assert order > 0 and t.domain > plb_module.MAX_ORDER_TABLE
+    for x in [rng.randrange(m) for _ in range(50)]:
+        assert x * pow(2, order, m) % m == x
+    for q in _distinct_primes(order):
+        assert pow(2, order // q, m) != 1, q
+
+
+def test_permutation_order_keeps_its_caps():
+    # an affine modulus above the factoring cap, and a map with no affine form
+    with pytest.raises(PlbError, match="domain too large"):
+        permutation_order(riffle(2 * plb_module.MAX_AFFINE_ORDER_MODULUS + 2))
+    wide = low_rotation(21)
+    assert affine_form(wide) is None
+    with pytest.raises(PlbError, match="domain too large"):
+        permutation_order(wide)
+
+
 def test_low_rotation_fixes_top_bit():
     t = low_rotation(4)
     assert len(t.pieces) <= 4

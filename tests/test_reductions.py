@@ -6,10 +6,12 @@ from ibx.circuits import CircuitError, ClassicalCircuit, ClassicalGate
 from ibx.kernel import (
     Bijection,
     Bitstring,
+    IterationProblem,
     WidthMismatchError,
     check_bijection_exhaustive,
     identity,
     increment,
+    iterate,
     iterate_bijection,
     pack_fields,
     rotate_left,
@@ -148,6 +150,57 @@ def test_clock_stash_checks_the_image_both_ways(fn):
     after_stash = s.codec.encode(ClockedState(0, 1, (1, 0, 0)))
     with pytest.raises(ValueError, match="out of range for width 3"):
         s.g.backward(after_stash)
+
+
+def _literal_runs(g, start, steps):
+    """iterate_bijection's answers from start, steps ahead and then the same
+    steps back, next to the literal loop's."""
+    got = iterate_bijection(g, steps, start)
+    want = iterate(IterationProblem(g, steps, start))
+    back = iterate(IterationProblem(g.inverse(), steps, want))
+    return (got, iterate_bijection(g, -steps, got)), (want, back)
+
+
+def test_clock_leaps_equal_the_literal_walk(rng):
+    for k in range(1, 6):
+        for _ in range(2):
+            table = list(range(1 << k))
+            rng.shuffle(table)
+            f = Bijection(k, table.__getitem__, None, "forward-only")
+            for n in (0, 1, 7, 30):
+                x = rng.randrange(1 << k)
+                s = compile_iteration_to_invertible(f, n, Bitstring(x, k))
+                total = s.total_iterations
+                for steps in (0, total // 2, total, total + 7):
+                    got, want = _literal_runs(s.g, s.start, steps)
+                    assert got == want, (k, n, steps)
+                for v in (rng.randrange(1 << s.g.width) for _ in range(4)):
+                    got, want = _literal_runs(s.g, Bitstring(v, s.g.width), 2 * (1 << k) + 9)
+                    assert got == want, (k, n, v)
+                expect = x
+                for _ in range(n):
+                    expect = table[expect]
+                assert run_schedule(s).value == expect
+
+
+@pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v + 1 if v < 6 else 99])
+def test_clock_walks_when_f_is_no_permutation_of_its_width(fn):
+    # f collides, or sends an input the run never stashes outside 3 bits
+    f = Bijection(3, fn, None, "not a permutation")
+    for n in (1, 4):
+        s = compile_iteration_to_invertible(f, n, Bitstring(0, 3))
+        for steps in (s.total_iterations, s.total_iterations + 20):
+            got, want = _literal_runs(s.g, s.start, steps)
+            assert got == want
+
+
+def test_clock_raises_where_the_walk_raises_when_an_image_escapes():
+    f = Bijection(3, lambda v: v + 1, None, "escapes at 7")
+    s = compile_iteration_to_invertible(f, 5, Bitstring(4, 3))
+    with pytest.raises(ValueError, match="value 8 out of range for width 3"):
+        iterate(IterationProblem(s.g, s.total_iterations, s.start))
+    with pytest.raises(ValueError, match="value 8 out of range for width 3"):
+        run_schedule(s)
 
 
 def test_clock_width_cap():
