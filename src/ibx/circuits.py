@@ -4,11 +4,15 @@ lifts from ordinary boolean circuits into them.
 Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
-involution, so a circuit is inverted by reversing its gate list.  Both
-kinds of circuit are evaluated on a list with one value per wire (a bit, or
-an int64 0/1 array over many states: bit-slicing), so any width runs on
-int64 arrays.  Whole-state tables, cycles and state chunks come from
-``kernel``; numpy is imported only by the whole-state-space functions.
+involution, so a circuit is inverted by reversing its gate list.  Arrays
+of states are evaluated on a list with one value per wire (an int64 0/1
+array over many states: bit-slicing), so any width runs on int64 arrays;
+boolean circuits evaluate single states that way too.  A reversible
+circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at
+construction, to bit-mask steps on the integer encoding, and a single
+Python int runs through those.  Whole-state tables, cycles and state
+chunks come from ``kernel``; numpy is imported only by the
+whole-state-space functions.
 """
 
 from __future__ import annotations
@@ -79,10 +83,64 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list) -> list:
     return v
 
 
+def _lower(gates: Iterable[ReversibleGate], width: int) -> tuple:
+    """The gates as ``(steps, flips)`` on the integer encoding: each step
+    ``(care, wants, flip)`` reads ``if x & care in wants: x ^= flip``, and
+    the nots are one final ``x ^= flips``.
+
+    With a, b, c the masks of a gate's wires, cnot is (a, {a}, b), toffoli
+    (a|b, {a|b}, c), swap (a|b, {a, b}, a|b) and fredkin (a|b|c, {a|b, a|c},
+    b|c).  A not emits no step: it toggles its wire in ``flips``, the nots
+    not yet applied, so a later step wants its patterns XORed with
+    ``flips & care``.  Every step is an involution, which leaves every
+    pattern of its care bits in or out of its wants."""
+    steps = []
+    flips = 0
+    top = width - 1
+    for g in gates:
+        w = g.wires
+        kind = g.kind
+        a = 1 << top - w[0]
+        if kind == "not":
+            flips ^= a
+            continue
+        b = 1 << top - w[1]
+        if kind == "cnot":
+            steps.append((a, {a ^ flips & a}, b))
+        elif kind == "swap":
+            care = a | b
+            m = flips & care
+            steps.append((care, {a ^ m, b ^ m}, care))
+        else:
+            c = 1 << top - w[2]
+            if kind == "toffoli":
+                care = a | b
+                steps.append((care, {care ^ flips & care}, c))
+            else:  # fredkin: swap b and c where a is set
+                care = a | b | c
+                m = flips & care
+                steps.append((care, {(a | b) ^ m, (a | c) ^ m}, b | c))
+    return tuple(steps), flips
+
+
+def _run_steps(steps: Iterable[tuple], x: int) -> int:
+    for care, wants, flip in steps:
+        if x & care in wants:
+            x ^= flip
+    return x
+
+
 @dataclass(frozen=True)
 class ReversibleCircuit:
+    """A circuit of ``width`` wires.  Circuits of at most
+    ``MAX_EXHAUSTIVE_WIDTH`` wires carry their gates lowered to bit-mask
+    steps (see ``_lower``), outside the compared fields; wider ones carry
+    none, so a huge width never turns a short gate line into huge masks."""
+
     width: int
     gates: Tuple[ReversibleGate, ...]
+
+    _lowered = None  # (steps, flips), set per instance at widths <= MAX_EXHAUSTIVE_WIDTH
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -90,14 +148,25 @@ class ReversibleCircuit:
         for g in self.gates:
             if max(g.wires, default=-1) >= self.width:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
+        if self.width <= MAX_EXHAUSTIVE_WIDTH:
+            object.__setattr__(self, "_lowered", _lower(self.gates, self.width))
 
     def eval_int(self, value):
         """The circuit on an int, or elementwise on an array of states; bits
-        above the width pass through."""
+        above the width (and a negative int's sign) pass through.  A Python
+        int runs through the lowered bit-mask steps when the circuit has
+        them; arrays, numpy scalars and wider circuits run on wire lists."""
+        if self._lowered is not None and type(value) is int:
+            steps, flips = self._lowered
+            return _run_steps(steps, value) ^ flips
         wires = _run_wires(self.gates, _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 
     def eval_int_reversed(self, value):
+        """The inverse of ``eval_int``: the same steps, undone in reverse."""
+        if self._lowered is not None and type(value) is int:
+            steps, flips = self._lowered
+            return _run_steps(reversed(steps), value ^ flips)
         wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 

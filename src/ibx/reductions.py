@@ -29,6 +29,7 @@ from .kernel import (
     from_permutation,
     inverse_table,
     iterate_bijection,
+    iterate_map,
     pack_fields,
     unpack_fields,
 )
@@ -220,15 +221,18 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     The stash step raises ValueError, in either direction, when f(a) does
     not fit in k bits.
 
-    g leaps (see ``kernel.iterate_map``) a whole little-hand cycle at once:
-    from (c1, 0, a, 0, 0) with at least M steps left, forward to
-    ((c1 + 1) mod (n + 1), 0, f(a), 0, 0) and backward to
-    ((c1 - 1) mod (n + 1), 0, f^-1(a), 0, 0).  The first leap tabulates f
-    on its 2**k inputs and ``kernel.inverse_table`` certifies it a
-    permutation and inverts it, so a forward-only f leaps backward too.
-    When f is not a permutation, or an image leaves k bits, g takes no leap
-    and walks, raising where the walk raises; so run_schedule costs about
-    n table lookups, not n * M steps.
+    g leaps (see ``kernel.iterate_map``) every whole little-hand cycle left
+    at once: from (c1, 0, a, 0, 0) with r steps left and j = r // M >= 1,
+    forward to ((c1 + j) mod (n + 1), 0, f^j(a), 0, 0) and backward to
+    ((c1 - j) mod (n + 1), 0, f^-j(a), 0, 0), j * M steps either way.  The
+    first leap tabulates f on its 2**k inputs and ``kernel.inverse_table``
+    certifies it a permutation and inverts it, so a forward-only f leaps
+    backward too; f^±j(a) is ``kernel.iterate_map`` on those tables, which
+    stops at a's first return, so a leap costs at most twice a's cycle
+    length in lookups, whatever j.  When f is not a permutation, or an
+    image leaves k bits, g takes no leap and walks, raising where the walk
+    raises.  So run_schedule costs one tabulation of f and one leap, at
+    any n.
     """
     k = f.width
     if k > MAX_CLOCK_WIDTH:
@@ -280,8 +284,10 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
             tables = cycle_tables()
             if tables is None:
                 return None
-            a = tables[turn < 0][v >> k2 & mask]
-            return (c1 + turn) % m_big << s1 | a << k2, m_small
+            j = remaining // m_small
+            ahead, back = (table.__getitem__ for table in tables)
+            a = iterate_map(ahead, turn * j, v >> k2 & mask, back)
+            return (c1 + turn * j) % m_big << s1 | a << k2, j * m_small
 
         return leap
 

@@ -27,8 +27,14 @@ from ibx.circuits import (
     reversible_to_classical,
     verify_lift,
 )
-from ibx.formats import write_circuit
-from ibx.kernel import Bitstring, IterationProblem, check_bijection_exhaustive, iterate
+from ibx.formats import MAX_WIRES, write_circuit
+from ibx.kernel import (
+    MAX_EXHAUSTIVE_WIDTH,
+    Bitstring,
+    IterationProblem,
+    check_bijection_exhaustive,
+    iterate,
+)
 
 from conftest import random_reversible_circuit
 
@@ -130,6 +136,55 @@ def test_array_eval_matches_scalar_eval_and_wire_semantics(rng):
         assert c.eval_int(np.arange(1 << width)).tolist() == scalar
         assert permutation_of(c) == scalar
         assert c.eval_int_reversed(np.array(scalar)).tolist() == list(states)
+
+
+def _every_kind_circuit(rng, width, count, not_share):
+    """One gate of each kind that fits, then ``count`` more, a ``not_share``
+    of them nots, in a shuffled order."""
+    kinds = [k for k, a in GATE_ARITY.items() if a <= width]
+    picks = list(kinds)
+    for _ in range(count if kinds else 0):
+        picks.append("not" if rng.random() < not_share else rng.choice(kinds))
+    rng.shuffle(picks)
+    return ReversibleCircuit(
+        width, tuple(gate(k, *rng.sample(range(width), GATE_ARITY[k])) for k in picks)
+    )
+
+
+def test_scalar_steps_match_the_wire_rule_both_ways(rng):
+    for width in range(13):
+        for not_share in (0.0, 0.5, 0.9):
+            c = _every_kind_circuit(rng, width, rng.randint(0, 40), not_share)
+            undo = invert_circuit(c)
+            states = range(1 << width)
+            assert [c.eval_int(v) for v in states] == [_eval_by_wires(c, v) for v in states]
+            assert [c.eval_int_reversed(v) for v in states] == [_eval_by_wires(undo, v) for v in states]
+
+
+@pytest.mark.parametrize("width", [MAX_EXHAUSTIVE_WIDTH, MAX_EXHAUSTIVE_WIDTH + 1])
+def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
+    c = _every_kind_circuit(rng, width, 80, 0.3)
+    undo = invert_circuit(c)
+    # the last lowered width carries its steps; the first unlowered one carries nothing
+    assert (set(vars(c)) > {"width", "gates"}) == (width <= MAX_EXHAUSTIVE_WIDTH)
+    for v in (rng.randrange(1 << width) for _ in range(200)):
+        y, back = _eval_by_wires(c, v), _eval_by_wires(undo, v)
+        assert (c.eval_int(v), c.eval_int_reversed(v)) == (y, back)
+        # bits above the width, and a negative int's sign, pass through
+        assert c.eval_int(v | 1 << 50) == y | 1 << 50
+        assert c.eval_int_reversed(v | 1 << 50) == back | 1 << 50
+        assert c.eval_int(v - (1 << 60)) == y - (1 << 60)
+        assert c.eval_int_reversed(v - (1 << 60)) == back - (1 << 60)
+        assert int(c.eval_int(np.int64(v))) == y
+        assert int(c.eval_int_reversed(np.int64(v))) == back
+
+
+def test_wide_circuits_carry_no_lowering():
+    for width in (MAX_EXHAUSTIVE_WIDTH + 1, MAX_WIRES):
+        top = width - 1
+        c = ReversibleCircuit(width, (gate("fredkin", 0, top // 2, top), gate("not", top)))
+        assert set(vars(c)) == {"width", "gates"}
+        assert c.eval_int(0) == 1 and c.eval_int_reversed(1) == 0
 
 
 def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):

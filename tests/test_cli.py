@@ -482,6 +482,17 @@ def test_reduce_clock_takes_a_million_cycles_a_leap_each(tmp_path):
     assert done.stdout.strip() == format((x + 10**6) % 256, "08b")
 
 
+def test_reduce_clock_leaps_every_cycle_of_a_huge_n_at_once(tmp_path):
+    x, n = 0b10110101, 10**20
+    done = run_fresh(
+        ["-m", "ibx.cli", "reduce", "clock", "--fn", "add:37", "--width", "8",
+         "--x", format(x, "08b"), "--n", str(n)],
+        tmp_path, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == format((x + 37 * n) % 256, "08b")
+
+
 def test_plb_iterate_reports_the_path_that_answered(tmp_path, capsys):
     compiled, stages = plb.circuit_to_plb(formats.parse_circuit("wires 2\ncnot 0 1\nnot 0\n"))
     rotation = plb.interval_exchange(15, [(0, 11, 4), (11, 15, -11)])
@@ -783,6 +794,19 @@ def test_oversized_arguments_are_one_error_line(tmp_path, argv):
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
+    # Bit masks for these gate lines would take about 28 KiB a gate, 1.7 GB
+    # in all: more than the child's whole address space.
+    top = formats.MAX_WIRES - 1
+    lines = [f"wires {formats.MAX_WIRES}"]
+    lines += (f"fredkin {i % (top // 2)} {top} {top // 2}" for i in range(60_000))
+    (tmp_path / "wide.rc").write_text("\n".join(lines) + "\n")
+    done = run_fresh(["-m", "ibx.cli", "circuit", "parity", "--file", "wide.rc"], tmp_path,
+                     preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "even"
 
 
 @pytest.mark.parametrize(

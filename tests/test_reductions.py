@@ -8,6 +8,7 @@ from ibx.kernel import (
     Bitstring,
     IterationProblem,
     WidthMismatchError,
+    add_const,
     check_bijection_exhaustive,
     identity,
     increment,
@@ -181,6 +182,40 @@ def test_clock_leaps_equal_the_literal_walk(rng):
                 for _ in range(n):
                     expect = table[expect]
                 assert run_schedule(s).value == expect
+
+
+def test_clock_leaps_take_every_whole_little_hand_cycle_left(rng):
+    n = 5
+    for k in range(1, 6):
+        table = list(range(1 << k))
+        rng.shuffle(table)
+        f = Bijection(k, table.__getitem__, None, "forward-only")
+        s = compile_iteration_to_invertible(f, n, Bitstring(0, k))
+        g, m = s.g, (1 << k) + 3
+        for c1 in range(n + 1):
+            for a in rng.sample(range(1 << k), min(1 << k, 6)):
+                v = s.codec.encode(ClockedState(c1, 0, (a, 0, 0)))
+                assert g.leap(v, m - 1) is None and g.leap_back(v, m - 1) is None
+                for j, extra in ((1, 0), (2, m - 1), (n + 3, m // 2)):
+                    start = Bitstring(v, g.width)
+                    ahead = iterate(IterationProblem(g, j * m, start)).value
+                    behind = iterate(IterationProblem(g.inverse(), j * m, start)).value
+                    assert g.leap(v, j * m + extra) == (ahead, j * m), (k, c1, a, j)
+                    assert g.leap_back(v, j * m + extra) == (behind, j * m), (k, c1, a, j)
+
+
+def test_clock_answers_a_huge_n_in_one_leap(rng):
+    n = 10**20 + 7
+    x = Bitstring(0b10110101, 8)
+    s = compile_iteration_to_invertible(add_const(8, 37), n, x)
+    final = iterate_bijection(s.g, s.total_iterations, s.start)
+    assert s.extract(final).value == (x.value + 37 * n) % 256
+    assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
+    table = list(range(32))
+    rng.shuffle(table)
+    f = Bijection(5, table.__getitem__, None, "forward-only")
+    y = Bitstring(rng.randrange(32), 5)
+    assert run_schedule(compile_iteration_to_invertible(f, n, y)) == iterate_bijection(f, n, y)
 
 
 @pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v + 1 if v < 6 else 99])
