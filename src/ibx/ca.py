@@ -5,21 +5,27 @@ Block encoding: rules name a 2x2 block (tl, tr, bl, br) by the 4-bit value
 tl*8 + tr*4 + bl*2 + br.  Even-phase blocks anchor at even (row, col), odd
 phase at odd coordinates.
 
-The stepping kernel never forms that value.  Cells are uint8 0/1, so a block
-row (left, right) is two adjacent bytes: one element of
-``cells.view(np.uint16)``.  A block's top and bottom words combine to the
-index ``top | bottom << 1`` (16 values, all below 772), and _rule_luts turns
-a rule into a table from that index to the image block's four bytes read as
-one 32-bit word.  A step is one gather and two row-strided writes of 16-bit
-words.  The tables are built through byte views of the same layout, so they
-follow the machine's byte order.
+A grid of h x w cells is held as four bit planes, Python ints of
+N = (h/2)(w/2) bits: plane P_rc holds cell (2i + r, 2j + c) at bit
+u = i*(w/2) + j.  The even-phase block (i, j) is then bit u of
+(P00, P01, P10, P11) = (tl, tr, bl, br), and a rule is a program of
+whole-plane ``& | ^`` operations, built once per rule by _rule_programs.
+Each moved state s != rule[s] has a minterm, the AND of one literal (the
+plane or its complement) per corner, computed as a top pair times a bottom
+pair with the pair products shared between states.  Output plane k is
+input plane k XOR every minterm whose flip s ^ rule[s] sets k's bit; the
+minterms are disjoint, so XOR is their OR.  The identity rule costs
+nothing, and the billiard-ball rule moves 6 of the 16 states.
 
-One kernel, _step_row_pairs, serves every geometry.  The odd phase is the
-even phase of the grid rolled up and left by one cell; under helical
-connections the rolled grid's last column, whose blocks cross the seam, is
-first slid up by one row pair.  A ring's blocked update is the even step of
-its (top, bottom) tracks cast to uint8; rings hold their tracks as int64
-arrays.
+One kernel, _step_planes, serves every geometry.  The odd phase runs the
+same program on P11, P10 at (i, j+1), P01 at (i+1, j) and P00 at
+(i+1, j+1), then moves the results back.  In the flat bit order "i+1" is a
+cyclic shift by w/2 bits.  Under helical connections "j+1" is a cyclic
+shift by one bit, because the helical seam is the flat order; on the
+torus the bits that would cross a row's end are taken from the row's
+other end through column masks built once per shape.  A ring's blocked
+update is one step of its (top, bottom) tracks read as a two-row grid;
+rings hold their tracks as int64 arrays.
 
 The 1D side pins one geometry: ring cell x covers grid column x mod c and
 row pair x // c, its two data tracks holding the upper and lower row, so
@@ -28,7 +34,6 @@ the reference 2D simulation has helical vertical connections.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
@@ -94,13 +99,24 @@ def random_bijective_rule(rng) -> MargolusRule:
     return MargolusRule(tuple(perm))
 
 
-@dataclass(frozen=True, eq=False)
 class MargolusGrid:
-    cells: np.ndarray
-    phase: int = 0
+    """An immutable grid of 0/1 cells and its phase, held as four bit planes
+    (see the module docstring).
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.cells, dtype=np.uint8)
+    ``cells`` is a read-only uint8 array.  A grid built from an array keeps
+    that validated array; a stepped grid builds it from the planes the
+    first time it is read and keeps it.  Equality compares phase, shape and
+    planes, and ``live_count`` counts plane bits, so neither builds it.
+    Grids are unhashable.
+    """
+
+    __slots__ = ("planes", "phase", "shape", "_cells")
+    planes: Tuple[int, int, int, int]
+    phase: int
+    shape: Tuple[int, int]
+
+    def __init__(self, cells, phase: int = 0) -> None:
+        arr = np.array(cells, dtype=np.uint8)
         if arr.ndim != 2:
             raise CaError("grid must be two-dimensional")
         h, w = arr.shape
@@ -108,124 +124,195 @@ class MargolusGrid:
             raise CaError("grid sides must be even and at least 2")
         if arr.max(initial=0) > 1:
             raise CaError("cells must be 0 or 1")
-        if self.phase not in (0, 1):
+        if phase not in (0, 1):
             raise CaError("phase must be 0 or 1")
         arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
+        bits = arr.reshape(h // 2, 2, w // 2, 2).transpose(1, 3, 0, 2).reshape(4, -1)
+        rows = np.packbits(bits, axis=1, bitorder="little")
+        planes = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        _init_grid(self, planes, phase, (h, w), arr)
 
     @classmethod
-    def _trusted(cls, cells: np.ndarray, phase: int) -> "MargolusGrid":
-        """A grid around a step's fresh output, which is a valid uint8 grid
-        no one else holds: frozen in place, without a copy or a re-check."""
-        cells.setflags(write=False)
+    def _from_planes(
+        cls, planes: Tuple[int, ...], shape: Tuple[int, int], phase: int
+    ) -> "MargolusGrid":
+        """A grid around a step's output planes, which are valid: no re-check."""
         grid = object.__new__(cls)
-        object.__setattr__(grid, "cells", cells)
-        object.__setattr__(grid, "phase", phase)
+        _init_grid(grid, planes, phase, shape, None)
         return grid
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MargolusGrid._from_planes, (self.planes, self.shape, self.phase)
+
+    @property
+    def cells(self) -> np.ndarray:
+        if self._cells is None:
+            h, w = self.shape
+            n = h * w // 4
+            size = (n + 7) // 8
+            raw = np.frombuffer(b"".join(p.to_bytes(size, "little") for p in self.planes), np.uint8)
+            bits = np.unpackbits(raw.reshape(4, size), axis=1, count=n, bitorder="little")
+            blocks = np.empty((h // 2, 2, w // 2, 2), np.uint8)
+            for k, plane in enumerate(bits.reshape(4, h // 2, w // 2)):
+                # one plane at a time: numpy copies each row of blocks in order
+                blocks[:, k >> 1, :, k & 1] = plane
+            cells = blocks.reshape(h, w)
+            cells.setflags(write=False)
+            object.__setattr__(self, "_cells", cells)
+        return self._cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MargolusGrid):
             return NotImplemented
-        # h*w is a multiple of 4, so the cells compare as uint32 words
-        words = [g.cells.reshape(-1).view(np.uint32) for g in (self, other)]
-        return self.phase == other.phase and self.shape == other.shape and np.array_equal(*words)
+        same = self.phase == other.phase and self.shape == other.shape
+        return same and self.planes == other.planes
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.cells.shape
+    def __repr__(self) -> str:
+        return f"MargolusGrid({self.cells!r}, phase={self.phase})"
 
     def live_count(self) -> int:
-        return int(self.cells.sum())
+        return sum(p.bit_count() for p in self.planes)
 
 
-def _step_row_pairs(cells: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """The blocked update of the blocks anchored at even (row, col).
+def _init_grid(grid: MargolusGrid, planes, phase, shape, cells) -> None:
+    for slot, value in zip(MargolusGrid.__slots__, (planes, phase, shape, cells)):
+        object.__setattr__(grid, slot, value)
 
-    ``cells`` must be a C-contiguous uint8 array of 0/1 cells, its height
-    and width even: each element of ``cells.view(np.uint16)`` is then one
-    block row.  A block's index is ``top | bottom << 1``; one ``lut.take``
-    gathers both output rows as one 32-bit word, and two row-strided writes
-    put them back.
-    """
-    words = cells.view(np.uint16)
-    blocks = lut.take(words[0::2] | words[1::2] << 1).view(np.uint16)
-    res = np.empty_like(cells)
-    rows = res.view(np.uint16)
-    rows[0::2], rows[1::2] = blocks[:, 0::2], blocks[:, 1::2]
-    return res
+
+# A rule program: the moved states, then for each output plane the moved
+# states whose flip sets that plane's bit.
+_Program = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _program(table: Sequence[int]) -> _Program:
+    moved = tuple(s for s in range(16) if table[s] != s)
+    return moved, tuple(
+        tuple(s for s in moved if (s ^ table[s]) >> (3 - k) & 1) for k in range(4)
+    )
 
 
 @lru_cache(maxsize=64)
-def _rule_luts(rule: MargolusRule) -> Tuple[np.ndarray, np.ndarray]:
-    """The rule's forward and inverse block tables, built once per rule:
-    block state s laid out as the bytes (tl, tr, bl, br) gives both the
-    index (its rows as 16-bit words) and the entry (its image's bytes as
-    one 32-bit word).  A rule that is not bijective raises CaError."""
-    inverse = rule.inverse()
-    blocks = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
-    rows = blocks.view(np.uint16)
-    index = rows[:, 0] | rows[:, 1] << 1
-    images = blocks.view(np.uint32)[:, 0]
+def _rule_programs(rule: MargolusRule) -> Tuple[_Program, _Program]:
+    """The rule's forward and inverse programs, built once per rule.  The
+    inverse is built with the forward one, so a rule that is not bijective
+    raises CaError on any step, forward or back."""
+    return _program(rule.table), _program(rule.inverse().table)
 
-    def lut(table: Tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(int(index.max()) + 1, np.uint32)
-        out[index] = images[list(table)]
-        return out
 
-    return lut(rule.table), lut(inverse.table)
+def _run(program: _Program, planes: Tuple[int, ...], mask: int) -> Tuple[int, ...]:
+    """The rule applied to every block whose corners (tl, tr, bl, br) are
+    the same bit of the four planes."""
+    moved, flips = program
+    if not moved:
+        return planes
+    literals = [(mask ^ p, p) for p in planes]
+    tops, bottoms, terms = {}, {}, {}
+    for s in moved:
+        top, bottom = s >> 2, s & 3
+        if top not in tops:
+            tops[top] = literals[0][top >> 1] & literals[1][top & 1]
+        if bottom not in bottoms:
+            bottoms[bottom] = literals[2][bottom >> 1] & literals[3][bottom & 1]
+        terms[s] = tops[top] & bottoms[bottom]
+    out = []
+    for plane, states in zip(planes, flips):
+        for s in states:
+            plane ^= terms[s]
+        out.append(plane)
+    return tuple(out)
+
+
+# A grid's shape as the kernel needs it: N, w/2, the N-bit mask, and on the
+# torus the column-0 and last-column masks and their complements (None under
+# helical connections).
+_Geometry = Tuple[int, int, int, Optional[Tuple[int, int, int, int]]]
+
+
+@lru_cache(maxsize=64)
+def _geometry(shape: Tuple[int, int], helical: bool) -> _Geometry:
+    half = shape[1] // 2
+    n = shape[0] // 2 * half
+    mask = (1 << n) - 1
+    if helical:
+        return n, half, mask, None
+    first = mask // ((1 << half) - 1)
+    last = first << (half - 1)
+    return n, half, mask, (first, last, mask ^ first, mask ^ last)
+
+
+def _roll(x: int, k: int, n: int, mask: int) -> int:
+    """The n-bit plane y with y[u] = x[(u + k) mod n]."""
+    k %= n
+    if 2 * k <= n:
+        return x >> k | (x & ((1 << k) - 1)) << (n - k)
+    return (x << (n - k)) & mask | x >> k
+
+
+def _shift(x: int, di: int, dj: int, geometry: _Geometry) -> int:
+    """The plane y with y[i, j] = x[i + di, j + dj] (|dj| <= 1): rows wrap
+    cyclically; a column step off a row's end continues in the next row
+    under helical connections and wraps within the row on the torus."""
+    n, half, mask, columns = geometry
+    if columns is None:
+        return _roll(x, di * half + dj, n, mask)
+    if di:
+        x = _roll(x, di * half, n, mask)
+    first, last, not_first, not_last = columns
+    if dj > 0:
+        return (x >> 1) & not_last | (x & first) << (half - 1)
+    if dj < 0:
+        return (x << 1) & not_first | (x & last) >> (half - 1)
+    return x
+
+
+def _step_planes(
+    planes: Tuple[int, ...], geometry: _Geometry, program: _Program, phase: int
+) -> Tuple[int, ...]:
+    """The blocked update of the blocks anchored at ``phase``."""
+    if phase == 0 or not program[0]:
+        return _run(program, planes, geometry[2])
+    p00, p01, p10, p11 = planes
+    aligned = (p11, _shift(p10, 0, 1, geometry), _shift(p01, 1, 0, geometry),
+               _shift(p00, 1, 1, geometry))
+    tl, tr, bl, br = _run(program, aligned, geometry[2])
+    return (_shift(br, -1, -1, geometry), _shift(bl, -1, 0, geometry),
+            _shift(tr, 0, -1, geometry), tl)
 
 
 def _blocked(
-    grid: MargolusGrid, rule: MargolusRule, back: bool, threads: int = 1, seam: int = 0
+    grid: MargolusGrid, rule: MargolusRule, back: bool, helical: bool = False
 ) -> MargolusGrid:
     """One blocked update of ``grid``; with ``back``, its undo: the inverse
-    table, anchored at the phase the forward step used."""
-    cells = _grid_cells(grid.cells, _rule_luts(rule)[back], grid.phase ^ back, threads, seam)
-    return MargolusGrid._trusted(cells, 1 - grid.phase)
-
-
-def _grid_cells(
-    cells: np.ndarray, lut: np.ndarray, phase: int, threads: int, seam: int
-) -> np.ndarray:
-    """The blocked update of a grid at ``phase``.
-
-    The odd phase is the even phase of the grid rolled up and left by one
-    cell.  An odd block that crosses the right edge takes its column-0
-    cells from ``seam`` rows further down: 0 on the torus, 2 under helical
-    connections, where that column of the rolled grid is slid up by two.
-    ``threads`` > 1 splits the block rows into bands across a thread pool.
-    """
-    if phase == 1:
-        cells = np.roll(cells, (-1, -1), (0, 1))
-        cells[:, -1] = np.roll(cells[:, -1], -seam)
-    block_rows = cells.shape[0] // 2
-    bands = min(threads, block_rows)
-    if bands <= 1:
-        new = _step_row_pairs(cells, lut)
-    else:
-        cuts = [2 * (block_rows * i // bands) for i in range(bands + 1)]
-        with ThreadPoolExecutor(max_workers=bands) as pool:
-            stepped = pool.map(lambda a, b: _step_row_pairs(cells[a:b], lut), cuts, cuts[1:])
-            new = np.vstack(list(stepped))
-    if phase == 1:
-        new[:, -1] = np.roll(new[:, -1], seam)
-        new = np.roll(new, (1, 1), (0, 1))
-    return new
+    program, anchored at the phase the forward step used."""
+    program = _rule_programs(rule)[back]
+    geometry = _geometry(grid.shape, helical)
+    planes = _step_planes(grid.planes, geometry, program, grid.phase ^ back)
+    return MargolusGrid._from_planes(planes, grid.shape, 1 - grid.phase)
 
 
 def margolus_step(
     grid: MargolusGrid, rule: MargolusRule, threads: int = 1
 ) -> MargolusGrid:
-    """One blocked update; the phase toggles.  ``threads`` > 1 splits block
-    rows across a thread pool with bit-identical results."""
-    return _blocked(grid, rule, False, threads)
+    """One toroidal blocked update; the phase toggles.
+
+    ``threads`` has no effect.  A step is a few dozen whole-plane operations
+    on Python ints, which hold the interpreter lock, so a thread pool could
+    only add its start-up; the parameter stays while perfbench's traced
+    ``threads2`` measurement passes it."""
+    return _blocked(grid, rule, False)
 
 
 def margolus_step_back(
     grid: MargolusGrid, rule: MargolusRule, threads: int = 1
 ) -> MargolusGrid:
-    """Undo one margolus_step."""
-    return _blocked(grid, rule, True, threads)
+    """Undo one margolus_step (``threads`` has no effect)."""
+    return _blocked(grid, rule, True)
 
 
 def _simulate(
@@ -243,7 +330,8 @@ def simulate_bbm(
     rule: Optional[MargolusRule] = None,
     threads: int = 1,
 ) -> MargolusGrid:
-    """Run ``n`` toroidal steps (negative ``n`` runs backwards)."""
+    """Run ``n`` toroidal steps (negative ``n`` runs backwards), one
+    margolus_step call per step; ``threads`` has no effect."""
     return _simulate(grid, n, rule, margolus_step, margolus_step_back, threads)
 
 
@@ -269,14 +357,14 @@ def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGri
     instead of wrapping level.  Patterns that never touch the seam step
     identically to margolus_step.
     """
-    return _blocked(grid, rule, False, seam=2)
+    return _blocked(grid, rule, False, helical=True)
 
 
 def margolus_step_back_helical(
     grid: MargolusGrid, rule: MargolusRule
 ) -> MargolusGrid:
     """Undo one margolus_step_helical."""
-    return _blocked(grid, rule, True, seam=2)
+    return _blocked(grid, rule, True, helical=True)
 
 
 def simulate_helical(
@@ -582,15 +670,16 @@ class DimReduxAutomaton:
 
     def _blocked_update(self, tracks: np.ndarray, par0: int, inverse: bool) -> np.ndarray:
         """Pair each parity-0 cell with its right neighbor, feed the four data
-        values through the rule as the even step of the (top, bottom) strip,
-        cast to the kernel's uint8, and write them back into the int64
-        tracks with top and bottom exchanged.  The inverse reads the
-        exchanged tracks back as the block's rows."""
-        rows = [1, 0] if inverse else [0, 1]
-        strip = np.roll(tracks[rows].astype(np.uint8), -par0, axis=1)
+        values through the rule as one step of the (top, bottom) strip read
+        as a two-row MargolusGrid, and write them back into the int64 tracks
+        with top and bottom exchanged.  When the pairs start at cell 1, the
+        strip is read bottom row first, so that the pairs are the odd-phase
+        blocks of that two-row torus.  The inverse reads the exchanged
+        tracks back as the block's rows and undoes the step."""
+        rows = [1, 0] if inverse ^ par0 else [0, 1]
+        strip = MargolusGrid(tracks[rows], par0 ^ inverse)
         out = tracks.copy()
-        new = _step_row_pairs(strip, _rule_luts(self.rule)[inverse])
-        out[rows[::-1]] = np.roll(new, par0, axis=1)
+        out[rows[::-1]] = _blocked(strip, self.rule, inverse).cells
         return out
 
     def _advance(self, cfg: TrackedConfig1D, d: int) -> TrackedConfig1D:

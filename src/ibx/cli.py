@@ -97,12 +97,14 @@ def _bits(text: str) -> kernel.Bitstring:
 # Caps on the size arguments that allocate in proportion to their value:
 # ``plb rotate`` builds numbers of --k bits, ``ca strobe-demo`` a ring of
 # --ring cells and t**2 counter pairs for period --t, ``leaf`` a path of
-# --length vertices labelled by --k-bit words.
+# --length vertices labelled by --k-bit words, ``iet three-gap`` the set of
+# its first --count points.
 MAX_ROTATE_BITS = 1 << 12
 MAX_STROBE_RING = 1 << 16
 MAX_STROBE_PERIOD = 256
 MAX_PATH_LENGTH = 1 << 16
 MAX_LEAF_BITS = 62
+MAX_GAP_COUNT = 1 << 20
 
 
 def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
@@ -389,6 +391,7 @@ def _cmd_iet(args, run: _Run) -> str:
             if worst > 3:
                 raise iet.IetError(f"found {worst} distinct gaps")
             return f"max distinct gaps {worst}"
+        _check_cap("--count", args.count, MAX_GAP_COUNT)
         gaps = iet.three_gap_check(args.modulus, args.step, args.count)
         if len(gaps) > 3:
             raise iet.IetError(f"found {len(gaps)} distinct gaps: {gaps}")

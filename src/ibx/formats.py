@@ -43,8 +43,9 @@ class FormatError(ValueError):
 
 
 # Declared size: the widest circuit a document may describe, checked before
-# any gate is built.  Lifts of desk-scale boolean circuits reach a few
-# hundred wires.
+# any gate is built.  It caps a boolean circuit's inputs too, because a lift
+# turns every input into a wire.  Lifts of desk-scale boolean circuits reach
+# a few hundred wires.
 MAX_WIRES = 1 << 16
 
 
@@ -103,6 +104,8 @@ def parse_classical(text: str) -> ClassicalCircuit:
 
     rows = _significant_lines(text)
     inputs = _header(rows, "inputs")
+    if inputs > MAX_WIRES:
+        raise FormatError(f"inputs {inputs} exceeds the cap of {MAX_WIRES}")
     outputs_at = [i for i, row in enumerate(rows) if row[0] == "outputs"]
     if not outputs_at:
         raise FormatError("missing outputs line")

@@ -1,5 +1,8 @@
 """Margolus dynamics, the strobe wrapper, and the 1D dimension reduction."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,58 @@ def reference_helical(cells, table, phase):
     return new.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
 
 
+def reference_row_pairs(cells, lut):
+    """The blocked update of the blocks anchored at even (row, col), as the
+    row-pair kernel computed it before grids were held as bit planes.
+
+    ``cells`` must be a C-contiguous uint8 array of 0/1 cells, its height
+    and width even: each element of ``cells.view(np.uint16)`` is then one
+    block row.  A block's index is ``top | bottom << 1``; one ``lut.take``
+    gathers both output rows as one 32-bit word, and two row-strided writes
+    put them back.
+    """
+    words = cells.view(np.uint16)
+    blocks = lut.take(words[0::2] | words[1::2] << 1).view(np.uint16)
+    res = np.empty_like(cells)
+    rows = res.view(np.uint16)
+    rows[0::2], rows[1::2] = blocks[:, 0::2], blocks[:, 1::2]
+    return res
+
+
+def reference_rule_luts(rule):
+    """The row-pair kernel's forward and inverse block tables: block state s
+    laid out as the bytes (tl, tr, bl, br) gives both the index (its rows
+    as 16-bit words) and the entry (its image's bytes as one 32-bit word)."""
+    blocks = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
+    rows = blocks.view(np.uint16)
+    index = rows[:, 0] | rows[:, 1] << 1
+    images = blocks.view(np.uint32)[:, 0]
+
+    def lut(table):
+        out = np.zeros(int(index.max()) + 1, np.uint32)
+        out[index] = images[list(table)]
+        return out
+
+    return lut(rule.table), lut(rule.inverse().table)
+
+
+def reference_blocked(cells, rule, phase, back, seam):
+    """One step (``back``: one step back) of a grid at ``phase`` through the
+    row-pair kernel.  The odd phase is the even phase of the grid rolled up
+    and left by one cell; an odd block that crosses the right edge takes
+    its column-0 cells from ``seam`` rows further down: 0 on the torus, 2
+    under helical connections."""
+    cells = np.array(cells, dtype=np.uint8)
+    lut = reference_rule_luts(rule)[back]
+    if phase ^ back:
+        cells = np.roll(cells, (-1, -1), (0, 1))
+        cells[:, -1] = np.roll(cells[:, -1], -seam)
+        new = reference_row_pairs(cells, lut)
+        new[:, -1] = np.roll(new[:, -1], seam)
+        return np.roll(new, (1, 1), (0, 1))
+    return reference_row_pairs(cells, lut)
+
+
 def reference_cell_map(parts):
     """The strobe's cell map as a dict of counter pairs: firing tops swap
     with their bottom, other tops advance while the bottom retreats, and
@@ -225,6 +280,15 @@ def test_clear_rule_rejected():
         clear.inverse()
     with pytest.raises(CaError):
         margolus_step(grid_of([[0, 0], [0, 0]]), clear)
+
+
+def test_a_rule_that_is_not_bijective_raises_on_every_step():
+    clear = MargolusRule(tuple(0 for _ in range(16)))
+    steps = (margolus_step, margolus_step_back, margolus_step_helical, margolus_step_back_helical)
+    for step in steps:
+        for phase in (0, 1):
+            with pytest.raises(CaError, match="rule is not bijective"):
+                step(grid_of([[0, 1], [1, 0]], phase), clear)
 
 
 def test_random_rules_are_bijective(rng):
@@ -386,6 +450,75 @@ def test_threaded_bands_of_a_tall_grid_are_bit_identical(rng):
             assert np.array_equal(got.cells, want)
             back = margolus_step_back(got, rule, threads=threads)
             assert np.array_equal(back.cells, cells)
+
+
+# Plane sizes N = (h/2)(w/2) around Python's 30-bit digits and 64 bits, in
+# one row of blocks, one column and squarer shapes, then a tall and a wide
+# grid.
+PLANE_SHAPES = [
+    (2, 2), (2, 58), (58, 2), (12, 10), (2, 60), (2, 62), (62, 2), (2, 118), (118, 2),
+    (4, 60), (12, 20), (2, 122), (122, 2), (16, 16), (4, 64), (64, 4), (10, 26), (26, 10),
+    (1024, 6), (2, 1000),
+]
+
+
+@pytest.mark.parametrize("helical", [False, True], ids=["torus", "helical"])
+@pytest.mark.parametrize("shape", PLANE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_plane_kernel_matches_the_row_pair_kernel(rng, shape, helical):
+    steps = (margolus_step_helical, margolus_step_back_helical) if helical \
+        else (margolus_step, margolus_step_back)
+    seam = 2 if helical else 0
+    h, w = shape
+    rules = [identity_rule(), bbm_rule()] + [random_bijective_rule(rng) for _ in range(3)]
+    grids = [np.ones(shape, np.uint8)]
+    grids += [np.array(random_cells(rng, h, w), np.uint8) for _ in range(2)]
+    for rule in rules:
+        for cells in grids:
+            for phase in (0, 1):
+                for back, step in enumerate(steps):
+                    want = reference_blocked(cells, rule, phase, back, seam)
+                    got = step(grid_of(cells, phase), rule)
+                    # planes equal to a fresh grid's: no stray bit above N
+                    assert got == MargolusGrid(want, 1 - phase), (rule, phase, back)
+                    assert np.array_equal(got.cells, want)
+
+
+def test_planes_hold_the_documented_bits(rng):
+    # plane P_rc holds cell (2i + r, 2j + c) at bit i*(w/2) + j
+    cells = np.array(random_cells(rng, 6, 10), np.uint8)
+    planes = MargolusGrid(cells).planes
+    for k, (r, c) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        bits = [int(cells[2 * i + r, 2 * j + c]) << (5 * i + j) for i in range(3) for j in range(5)]
+        assert planes[k] == sum(bits)
+
+
+def test_stepped_grids_build_their_cells_once_and_read_only(rng):
+    start = grid_of(random_cells(rng, 8, 6))
+    steps = (margolus_step, margolus_step_back, margolus_step_helical, margolus_step_back_helical)
+    for step in steps:
+        g, twin = step(start, bbm_rule()), step(start, bbm_rule())
+        assert g == twin and g.live_count() == start.live_count()
+        assert g._cells is None and twin._cells is None  # neither == nor live_count unpacked
+        cells = g.cells
+        assert g.cells is cells
+        with pytest.raises(ValueError):
+            cells[0, 0] ^= 1
+        assert g == MargolusGrid(cells, g.phase)
+
+
+def test_grids_are_immutable_unhashable_and_copyable(rng):
+    built = grid_of(random_cells(rng, 4, 6))
+    assert built.cells is built.cells  # the validated array is kept
+    g = margolus_step(built, bbm_rule())
+    for name in ("phase", "planes", "shape", "cells"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    with pytest.raises(TypeError):
+        hash(g)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.shape == (4, 6) and np.array_equal(twin.cells, g.cells)
 
 
 def test_grid_guards():
@@ -725,6 +858,24 @@ def test_dim_redux_parameter_guards():
         dim_redux_compile(bbm_rule(), 4, 4)  # p must exceed c
     with pytest.raises(CaError):
         dim_redux_compile(bbm_rule(), 4, 10)  # not a multiple
+
+
+@pytest.mark.parametrize("c, p", [(4, 8), (6, 24), (32, 512)])
+def test_ring_blocked_update_matches_the_reference_strip_kernel(rng, c, p):
+    # pairs start at cell par0; the update reads (top, bottom), or the
+    # exchanged tracks for the inverse, rolled so those pairs are even blocks
+    for rule in kernel_rules(rng)[:6]:
+        auto = dim_redux_compile(rule, c, p)
+        luts = reference_rule_luts(rule)
+        tracks = np.array([[rng.randint(0, 1) for _ in range(p)] for _ in range(4)], np.int64)
+        for par0 in (0, 1):
+            for inverse in (False, True):
+                rows = [1, 0] if inverse else [0, 1]
+                strip = np.roll(tracks[rows].astype(np.uint8), -par0, axis=1)
+                want = tracks.copy()
+                want[rows[::-1]] = np.roll(reference_row_pairs(strip, luts[inverse]), par0, axis=1)
+                got = auto._blocked_update(tracks, par0, inverse)
+                assert np.array_equal(got, want) and got.dtype == np.int64, (par0, inverse)
 
 
 def test_simulate_1d_round_trip(rng):

@@ -787,10 +787,28 @@ def _limit_address_space():
         ["leaf", "walk", "--k", "63"],
         ["leaf", "compile", "--k", "100000000000"],
         ["ca", "strobe-demo", "--t", "100000", "--n", "1"],
+        ["iet", "three-gap", "--modulus", str(10**12), "--step", "7", "--count", str(10**12)],
     ],
 )
 def test_oversized_arguments_are_one_error_line(tmp_path, argv):
     done = run_fresh(["-m", "ibx.cli", *argv], tmp_path, preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["lollipop", "count"], "cubic 1000000000\n"),
+        (["lift", "bennett"], "inputs 1000000000\nand 1000000000 0 1\noutputs 1000000000\n"),
+    ],
+)
+def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, document):
+    # each header declares a size whose tables would not fit in the child
+    (tmp_path / "doc.txt").write_text(document)
+    done = run_fresh(["-m", "ibx.cli", *argv, "--file", "doc.txt"], tmp_path,
+                     preexec_fn=_limit_address_space)
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
@@ -817,6 +835,7 @@ def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
         (["leaf", "walk", "--k", "40"], "--length", cli.MAX_PATH_LENGTH),
         (["leaf", "walk"], "--k", cli.MAX_LEAF_BITS),
         (["ca", "strobe-demo", "--n", "1"], "--t", cli.MAX_STROBE_PERIOD),
+        (["iet", "three-gap", "--modulus", "1000", "--step", "7"], "--count", cli.MAX_GAP_COUNT),
     ],
 )
 def test_arguments_run_up_to_their_cap(capsys, argv, flag, cap):

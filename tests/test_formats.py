@@ -108,6 +108,17 @@ def test_classical_rejects(text):
         formats.parse_classical(text)
 
 
+def test_classical_inputs_are_capped_before_any_gate_is_built(monkeypatch):
+    top = formats.MAX_WIRES
+    text = "inputs {0}\nnot {0} 0\noutputs {0}\n"
+    assert formats.parse_classical(text.format(top)).inputs == top
+    built = []
+    monkeypatch.setattr(circuits, "ClassicalGate", lambda *a: built.append(a))
+    with pytest.raises(formats.FormatError, match="inputs 65537 exceeds the cap of 65536"):
+        formats.parse_classical(text.format(top + 1))
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # grids
 

@@ -183,6 +183,15 @@ def test_cubic_graph_rejects_bad_degree():
         cubic_graph(4, [(0, 1), (0, 1), (2, 3), (0, 2), (1, 3), (2, 3)])
 
 
+def test_cubic_graph_checks_the_edge_count_first():
+    # 3n/2 edges or nothing of size n is built (test_cli runs a billion
+    # vertices in a child with a capped address space)
+    with pytest.raises(GraphError, match="1 edges on 1000000 vertices"):
+        cubic_graph(10**6, [(0, 1)])
+    with pytest.raises(GraphError, match="not 3-regular"):
+        cubic_graph(3, [(0, 1), (1, 2), (2, 0)])  # odd vertex count
+
+
 def test_cubic_graph_rejects_disconnected():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
