@@ -98,13 +98,15 @@ def _bits(text: str) -> kernel.Bitstring:
 # ``plb rotate`` builds numbers of --k bits, ``ca strobe-demo`` a ring of
 # --ring cells and t**2 counter pairs for period --t, ``leaf`` a path of
 # --length vertices labelled by --k-bit words, ``iet three-gap`` the set of
-# its first --count points.
+# its first --count points, and its --sweep N one call per modulus and step,
+# N(N+1)/2 calls in all.
 MAX_ROTATE_BITS = 1 << 12
 MAX_STROBE_RING = 1 << 16
 MAX_STROBE_PERIOD = 256
 MAX_PATH_LENGTH = 1 << 16
 MAX_LEAF_BITS = 62
 MAX_GAP_COUNT = 1 << 20
+MAX_GAP_SWEEP = 256
 
 
 def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
@@ -387,6 +389,7 @@ def _cmd_iet(args, run: _Run) -> str:
 
     if args.action == "three-gap":
         if args.sweep is not None:
+            _check_cap("--sweep", args.sweep, MAX_GAP_SWEEP)
             worst = _three_gap_worst(args.sweep)
             if worst > 3:
                 raise iet.IetError(f"found {worst} distinct gaps")

@@ -1,12 +1,14 @@
 """Fixed-width bitstrings, invertible maps on them, the iteration engine
 and the whole-state-space evaluator.
 
-``iterate_map`` is the package's one n-step engine: every stepper, from
-circuits to block automata, runs through it, and a map that spends most
-steps ticking a counter hands it leaps over those runs.  ``iterate`` is the
-literal loop it is tested against.  ``images`` is the one filler of whole-state
-tables, ``cycle_lengths`` the one cycle reader, and ``inverse_table`` the
-one check and inverse of a permutation table.
+``iterate_map`` is the package's one n-step engine, a single loop that
+every stepper, from circuits to block automata, runs through; a map that
+spends most steps ticking a counter hands it leaps over those runs, and
+any orbit shape ends the loop within a small multiple of tail + cycle
+moves.  ``iterate`` is the literal loop it is tested against.  ``images``
+is the one filler of whole-state tables, ``cycle_lengths`` the one cycle
+reader, and ``inverse_table`` the one check and inverse of a permutation
+table.
 
 Conventions used across the package:
 
@@ -218,47 +220,34 @@ def iterate_map(
 ) -> T:
     """Apply ``step`` n times to x; a negative n applies ``back`` -n times.
 
-    Stops at the first return to x and finishes with n modulo that return
-    time.  This is exact for any deterministic step, because from a return
-    on the orbit repeats, so an astronomically large n costs fewer than two
-    orbit lengths of steps.
-
-    A map whose steps mostly tick a counter may pass ``leap`` (and
-    ``leap_back`` for ``back``): ``leap(y, remaining)`` returns None, and
-    the engine takes one step, or (y', j) with 1 <= j <= remaining and y'
-    exactly j literal steps from y.  The engine looks for a return after
-    every step and every leap, to x and to a mark it moves to where it
-    stands after 1, 2, 4, ... moves (Brent's cycle finding), since leaps
-    may jump over x forever.  A state met again at times t0 < t repeats
-    every t - t0 steps, so the result equals the literal loop's.
+    One loop makes every move: a step of one, or a leap.  A map whose
+    steps mostly tick a counter may pass ``leap`` (and ``leap_back`` for
+    ``back``): ``leap(y, remaining)`` returns None, and the engine takes one
+    step, or (y', j) with 1 <= j <= remaining and y' exactly j literal
+    steps from y.  After every move the engine compares the state with x
+    and with a mark it moves to where it stands after 1, 2, 4, ... moves
+    (Brent's cycle finding), since an orbit may never come back to x and
+    leaps may jump over x forever.  A state met again at times t0 < t
+    repeats every t - t0 steps, so the engine finishes with the remaining
+    count modulo that return time, as exact as the literal loop.  With no
+    leap, an orbit with a tail of mu steps into a cycle of lambda costs
+    fewer than 4 (mu + lambda) + 2 steps at any n; a bijection (mu = 0)
+    stops at its first return to x, fewer than two orbit lengths of steps.
     """
     if n < 0:
         if back is None:
             raise ValueError("a negative iteration count needs a backward map")
         step, leap, n = back, leap_back, -n
-    if leap is not None:
-        return _leaping(step, leap, n, x)
-    y = x
-    for done in range(1, n + 1):
-        y = step(y)
-        if y == x:
-            return iterate_map(step, n % done, x)
-    return y
-
-
-def _leaping(step: Callable[[T], T], leap: Leap, n: int, x: T) -> T:
-    """iterate_map for n >= 0 with a leap: see there."""
     y, done = x, 0
     mark, marked_at, moves, stride = x, 0, 0, 1
     while done < n:
-        hop = leap(y, n - done)
-        if hop is None:
-            y, j = step(y), 1
+        if leap is None or (hop := leap(y, n - done)) is None:
+            y, done = step(y), done + 1
         else:
             y, j = hop
             if not 1 <= j <= n - done:
                 raise ValueError(f"leap of {j} steps with {n - done} left")
-        done += j
+            done += j
         if y == x or y == mark:
             n = done + (n - done) % (done if y == x else done - marked_at)
         moves += 1

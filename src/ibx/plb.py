@@ -357,8 +357,8 @@ def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
     """T applied n times to x, the inverse -n times for negative n.  An
     interval exchange answers from its induction at any n and N (see
     ``ibx.iet``), an affine map (``affine_form``) by square-and-multiply in
-    O(log |n|) at any N, and any other map walks n steps through the kernel
-    engine, stopping at the orbit's first return."""
+    O(log |n|) at any N, and any other map walks through the kernel engine,
+    which ends the walk at the orbit's first return to x."""
     if not 0 <= x < t.domain:
         raise PlbError(f"{x} outside [0,{t.domain})")
     if is_exchange(t):

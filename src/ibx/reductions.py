@@ -27,7 +27,6 @@ from .kernel import (
     Bitstring,
     WidthMismatchError,
     from_permutation,
-    inverse_table,
     iterate_bijection,
     iterate_map,
     pack_fields,
@@ -151,6 +150,12 @@ def _image(y: int, width: int) -> int:
     return y
 
 
+def _tabulated(f: Bijection) -> Bijection:
+    """f's images filled into a table in one plain-Python pass, and its
+    inverse; ValueError("not a permutation") unless f permutes its width."""
+    return from_permutation([f.forward(v) for v in range(1 << f.width)], f.width)
+
+
 def run_schedule(schedule: Schedule) -> Bitstring:
     final = iterate_bijection(schedule.g, schedule.total_iterations, schedule.start)
     return schedule.extract(final)
@@ -225,11 +230,12 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     at once: from (c1, 0, a, 0, 0) with r steps left and j = r // M >= 1,
     forward to ((c1 + j) mod (n + 1), 0, f^j(a), 0, 0) and backward to
     ((c1 - j) mod (n + 1), 0, f^-j(a), 0, 0), j * M steps either way.  The
-    first leap tabulates f on its 2**k inputs and ``kernel.inverse_table``
-    certifies it a permutation and inverts it, so a forward-only f leaps
-    backward too; f^±j(a) is ``kernel.iterate_map`` on those tables, which
-    stops at a's first return, so a leap costs at most twice a's cycle
-    length in lookups, whatever j.  When f is not a permutation, or an
+    first leap fills f's table on its 2**k inputs (the fill the oracle
+    compiler shares) and ``kernel.from_permutation`` certifies it a
+    permutation and inverts it, so a forward-only f leaps backward too;
+    f^±j(a) is ``kernel.iterate_map`` on those tables, which stops at a's
+    first return, so a leap costs at most twice a's cycle length in
+    lookups, whatever j.  When f is not a permutation, or an
     image leaves k bits, g takes no leap and walks, raising where the walk
     raises.  So run_schedule costs one tabulation of f and one leap, at
     any n.
@@ -268,11 +274,10 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     busy = (1 << s1) - 1 ^ mask << k2  # the c2, b and c bits
 
     @lru_cache(maxsize=None)
-    def cycle_tables() -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        # f and f^-1 as tables, or None when f is no permutation of k bits
+    def tabulated() -> Optional[Bijection]:
+        # f on its tables, or None when f is no permutation of k bits
         try:
-            table = tuple(_image(f.forward(a), k) for a in range(size))
-            return table, inverse_table(table)
+            return _tabulated(f)
         except ValueError:
             return None
 
@@ -281,12 +286,11 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
             c1 = v >> s1
             if remaining < m_small or v & busy or c1 >= m_big:
                 return None
-            tables = cycle_tables()
-            if tables is None:
+            t = tabulated()
+            if t is None:
                 return None
             j = remaining // m_small
-            ahead, back = (table.__getitem__ for table in tables)
-            a = iterate_map(ahead, turn * j, v >> k2 & mask, back)
+            a = iterate_map(t.forward, turn * j, v >> k2 & mask, t.backward)
             return (c1 + turn * j) % m_big << s1 | a << k2, j * m_small
 
         return leap
@@ -390,7 +394,7 @@ def _inverse_via_table(f: Bijection) -> Callable[[int], int]:
         raise ReductionError(
             "oracle bijection carries no backward evaluator and is too wide to tabulate"
         )
-    return from_permutation([f.forward(v) for v in range(1 << f.width)], f.width).backward
+    return _tabulated(f).backward
 
 
 def compile_oracle_circuit(

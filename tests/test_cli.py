@@ -788,6 +788,7 @@ def _limit_address_space():
         ["leaf", "compile", "--k", "100000000000"],
         ["ca", "strobe-demo", "--t", "100000", "--n", "1"],
         ["iet", "three-gap", "--modulus", str(10**12), "--step", "7", "--count", str(10**12)],
+        ["iet", "three-gap", "--sweep", "100000"],
     ],
 )
 def test_oversized_arguments_are_one_error_line(tmp_path, argv):
@@ -836,6 +837,7 @@ def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
         (["leaf", "walk"], "--k", cli.MAX_LEAF_BITS),
         (["ca", "strobe-demo", "--n", "1"], "--t", cli.MAX_STROBE_PERIOD),
         (["iet", "three-gap", "--modulus", "1000", "--step", "7"], "--count", cli.MAX_GAP_COUNT),
+        (["iet", "three-gap"], "--sweep", cli.MAX_GAP_SWEEP),
     ],
 )
 def test_arguments_run_up_to_their_cap(capsys, argv, flag, cap):

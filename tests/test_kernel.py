@@ -10,10 +10,12 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibx.ca import MargolusGrid, bbm_rule, dim_redux_compile, simulate_1d
 from ibx.circuits import parity
+from ibx.graphs import leaf_to_bijection, random_path_instance
 from ibx.kernel import (
     STATE_CHUNK,
     Bijection,
@@ -40,6 +42,7 @@ from ibx.kernel import (
     unpack_fields,
 )
 from ibx.plb import Piece, PiecewiseLinearBijection, apply_plb, permutation_order, riffle
+from ibx.reductions import compile_iteration_to_invertible
 
 from conftest import random_reversible_circuit
 
@@ -168,11 +171,45 @@ def test_engine_huge_n_reduces_by_the_return_time(rng):
         assert iterate_bijection(f, -n, x) == back
 
 
+def _budgeted(table):
+    """table's lookup as a step that fails after 10 * len(table) calls: an
+    engine that misses an orbit's return fails fast instead of hanging."""
+    calls = [0]
+
+    def step(y):
+        calls[0] += 1
+        assert calls[0] <= 10 * len(table), "the engine walks on past the orbit"
+        return table[y]
+
+    return step
+
+
 def test_engine_counts_exactly_on_maps_that_are_not_bijections():
     # 0 -> 1 -> 2 -> 3 -> 2: x = 0 never returns, so every step is taken
     step = [1, 2, 3, 2].__getitem__
     assert [iterate_map(step, n, 0) for n in range(6)] == [0, 1, 2, 3, 2, 3]
     assert iterate_map(step, 10**6 + 1, 2) == 3
+    assert iterate_map(_budgeted([1, 2, 3, 2]), 10**20, 0) == 2
+
+
+def test_engine_finds_cycles_of_orbits_that_never_return(rng):
+    # x on a tail of mu steps into a cycle of lambda: only the mark can see
+    # the orbit close, and n >= mu lands at index mu + (n - mu) mod lambda
+    for _ in range(60):
+        m = rng.randint(2, 24)
+        table = [rng.randrange(m) for _ in range(m)]
+        if sorted(table) == list(range(m)):
+            continue
+        for x in range(m):
+            walk, index = [x], {x: 0}
+            while table[walk[-1]] not in index:
+                index[table[walk[-1]]] = len(walk)
+                walk.append(table[walk[-1]])
+            mu = index[table[walk[-1]]]
+            lam = len(walk) - mu
+            for n in [*range(3 * (mu + lam) + 1), *(10**20 + r for r in range(3))]:
+                want = walk[n] if n < mu else walk[mu + (n - mu) % lam]
+                assert iterate_map(_budgeted(table), n, x) == want, (table, x, n)
 
 
 def _tick_leap(size, window):
@@ -238,6 +275,71 @@ def test_engine_negative_n_needs_a_backward_map():
     assert iterate_bijection(f, 10**20, Bitstring(5, 3)) == Bitstring((5 + 10**20) % 8, 3)
     with pytest.raises(ValueError):
         iterate_bijection(f, -1, Bitstring(5, 3))
+
+
+# One row per map family that declares leaps.  Each takes a Random and
+# returns (literal step, the family's power entry point, a start state),
+# the start placed on an orbit the leaps cross.
+
+
+def _walked(step, x, n):
+    for _ in range(n):
+        x = step(x)
+    return x
+
+
+def _bijection_row(f, x):
+    return f.forward, lambda n, v: iterate_bijection(f, n, Bitstring(v, f.width)).value, x
+
+
+def _windowed_counter(r):
+    w = r.randint(1, 7)
+    leap, leap_back = _tick_leap(1 << w, r.randint(1, 9))
+    plain = increment(w)
+    f = Bijection(w, plain.forward, plain.backward, leap=leap, leap_back=leap_back)
+    return _bijection_row(f, r.randrange(1 << w))
+
+
+def _leaf_walk(r):
+    k = r.randint(2, 4)
+    inst = random_path_instance(k, r)
+    f = leaf_to_bijection(inst.family, inst.instance, k)
+    near = inst.family.neighbors(inst.instance, inst.start)[0]
+    x = inst.start.value << k | near.value  # (0, leaf, its neighbor): the walk starts
+    return _bijection_row(f, _walked(f.forward, x, r.randrange(4 << k)))
+
+
+def _dim_redux_ring(r):
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    cells = np.array([[r.randint(0, 1) for _ in range(4)] for _ in range(4)], np.uint8)
+    lit = auto.embed(MargolusGrid(cells, 0), 0)
+    start = _walked(auto.step, lit, r.randrange(2 * auto.t))
+    return auto.step, lambda n, cfg: simulate_1d(auto, cfg, n), start
+
+
+def _clock(r):
+    k = r.randint(1, 3)
+    f = Bijection(k, r.sample(range(1 << k), 1 << k).__getitem__, None, "forward-only")
+    s = compile_iteration_to_invertible(f, r.randint(0, 4), Bitstring(r.randrange(1 << k), k))
+    return _bijection_row(s.g, _walked(s.g.forward, s.start.value, r.randrange(3 << k)))
+
+
+@pytest.mark.parametrize(
+    "family", [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock],
+    ids=lambda family: family.__name__.strip("_"),
+)
+@settings(max_examples=20, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_every_leap_equals_the_literal_loop(family, r):
+    # n in {0, +-1, +-L, +-(L + 1), +-(10**20 + 7)}, L the start's return time
+    step, power, x = family(r)
+    orbit = [x]
+    while (y := step(orbit[-1])) != x:
+        orbit.append(y)
+    period = len(orbit)
+    for n in (0, 1, period, period + 1, 10**20 + 7):
+        for signed in (n, -n):
+            assert power(signed, x) == orbit[signed % period], signed
 
 
 def test_check_identity():
