@@ -23,9 +23,15 @@ same program on P11, P10 at (i, j+1), P01 at (i+1, j) and P00 at
 cyclic shift by w/2 bits.  Under helical connections "j+1" is a cyclic
 shift by one bit, because the helical seam is the flat order; on the
 torus the bits that would cross a row's end are taken from the row's
-other end through column masks built once per shape.  A ring's blocked
-update is one step of its (top, bottom) tracks read as a two-row grid;
-rings hold their tracks as int64 arrays.
+other end through column masks built once per shape.
+
+Read as a strip, a grid is its even rows and its odd rows, each laid end
+to end (strip position u = (row pair) * w + column); P_r0 and P_r1 hold
+strip r's even and odd positions.  Grid text and ring tracks move to and
+from planes through that strip.  Rings hold their tracks as tuples of
+Python ints, and a ring's blocked update packs its (top, bottom) tracks
+into the planes of a two-row grid for one kernel step.  numpy is imported
+only to build a grid from an array and to read ``cells``.
 
 The 1D side pins one geometry: ring cell x covers grid column x mod c and
 row pair x // c, its two data tracks holding the upper and lower row, so
@@ -34,11 +40,10 @@ the reference 2D simulation has helical vertical connections.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .kernel import inverse_table, iterate_map
 
@@ -116,16 +121,16 @@ class MargolusGrid:
     shape: Tuple[int, int]
 
     def __init__(self, cells, phase: int = 0) -> None:
-        arr = np.array(cells, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise CaError("grid must be two-dimensional")
+        import numpy as np
+
+        try:
+            arr = np.array(cells)
+        except ValueError:  # rows of different lengths
+            raise CaError("grid must be two-dimensional") from None
+        binary = arr.dtype.kind in "biu" and not (arr.size and (arr.min() < 0 or arr.max() > 1))
+        _check_grid(arr.shape, phase, binary)
         h, w = arr.shape
-        if h < 2 or w < 2 or h % 2 or w % 2:
-            raise CaError("grid sides must be even and at least 2")
-        if arr.max(initial=0) > 1:
-            raise CaError("cells must be 0 or 1")
-        if phase not in (0, 1):
-            raise CaError("phase must be 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         bits = arr.reshape(h // 2, 2, w // 2, 2).transpose(1, 3, 0, 2).reshape(4, -1)
         rows = np.packbits(bits, axis=1, bitorder="little")
@@ -151,8 +156,10 @@ class MargolusGrid:
         return MargolusGrid._from_planes, (self.planes, self.shape, self.phase)
 
     @property
-    def cells(self) -> np.ndarray:
+    def cells(self):
         if self._cells is None:
+            import numpy as np
+
             h, w = self.shape
             n = h * w // 4
             size = (n + 7) // 8
@@ -183,6 +190,38 @@ class MargolusGrid:
 def _init_grid(grid: MargolusGrid, planes, phase, shape, cells) -> None:
     for slot, value in zip(MargolusGrid.__slots__, (planes, phase, shape, cells)):
         object.__setattr__(grid, slot, value)
+
+
+def _check_grid(shape: Tuple[int, ...], phase: int, binary: bool = True) -> None:
+    """The rules every grid keeps: two dimensions, even sides of at least 2,
+    cells (``binary``: all of them are integers 0 or 1) and phase 0 or 1."""
+    if len(shape) != 2:
+        raise CaError("grid must be two-dimensional")
+    h, w = shape
+    if h < 2 or w < 2 or h % 2 or w % 2:
+        raise CaError("grid sides must be even and at least 2")
+    if not binary:
+        raise CaError("cells must be 0 or 1")
+    if phase not in (0, 1):
+        raise CaError("phase must be 0 or 1")
+
+
+def _strip_planes(top, bottom) -> Tuple[int, int, int, int]:
+    """The planes of the grid whose strip (see the module docstring) is
+    ``top``, ``bottom``: strings or bytes of the digits 0 and 1."""
+    return tuple(int(strip[c::2][::-1], 2) for strip in (top, bottom) for c in (0, 1))
+
+
+def _plane_strip(planes: Tuple[int, ...], n: int) -> Tuple[bytes, bytes]:
+    """Inverse of _strip_planes for planes of n bits: the strip as ASCII
+    digits."""
+    strips = []
+    for even, odd in (planes[:2], planes[2:]):
+        strip = bytearray(2 * n)
+        strip[0::2] = format(even, f"0{n}b").encode()[::-1]
+        strip[1::2] = format(odd, f"0{n}b").encode()[::-1]
+        strips.append(bytes(strip))
+    return strips[0], strips[1]
 
 
 # A rule program: the moved states, then for each output plane the moved
@@ -335,16 +374,6 @@ def simulate_bbm(
     return _simulate(grid, n, rule, margolus_step, margolus_step_back, threads)
 
 
-def _strip(cells: np.ndarray) -> np.ndarray:
-    """The grid's row pairs read as one two-cell-tall strip, as a 2 x (h*w/2)
-    array: strip position u = (row pair) * width + column."""
-    return np.stack([cells[0::2].reshape(-1), cells[1::2].reshape(-1)])
-
-
-def _unstrip(strip: np.ndarray, h: int, w: int) -> np.ndarray:
-    return strip.reshape(2, h // 2, w).swapaxes(0, 1).reshape(h, w)
-
-
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
     """One blocked update under helical (screw) vertical connections.
 
@@ -383,59 +412,94 @@ class TrackedConfig1D:
 
     Track meaning is declared by whichever automaton owns the config; the
     band-shift convention is track 0 = top, track 1 = bottom.  The values
-    live in ``tracks``, a read-only (tracks x ring) integer array; ``cells``
-    reads them back as per-cell tuples.  Equality compares the tracks only:
-    no ring map reads the step counter, so a config whose tracks return is
-    back at the start of its orbit.
+    live in ``tracks``, one tuple of Python ints per track around the ring;
+    ``cells`` reads them back as per-cell tuples.  Equality compares the
+    tracks only: no ring map reads the step counter, so a config whose
+    tracks return is back at the start of its orbit.
     """
 
     __slots__ = ("tracks", "step")
+    tracks: Tuple[Tuple[int, ...], ...]
+    step: int
 
     def __init__(self, cells: Sequence[Sequence[int]], step: int = 0) -> None:
         if not len(cells):
             raise CaError("ring must have at least one cell")
         try:
-            tracks = np.array(cells, dtype=np.int64).T
-        except (ValueError, TypeError, OverflowError) as err:
-            raise CaError("all cells must share the track schema") from err
-        if tracks.ndim != 2:
+            schemas = {len(cell) for cell in cells}
+        except TypeError:
+            schemas = set()
+        if len(schemas) != 1:
             raise CaError("all cells must share the track schema")
-        tracks.setflags(write=False)
+        if schemas == {0}:
+            raise CaError("cells must hold at least one track")
+        try:
+            tracks = tuple(tuple(map(operator.index, track)) for track in zip(*cells))
+        except TypeError:
+            raise CaError("track values must be integers") from None
         self.tracks, self.step = tracks, step
+
+    @classmethod
+    def _from_tracks(cls, tracks: Tuple[Tuple[int, ...], ...], step: int) -> "TrackedConfig1D":
+        """A config around a step's output tracks, which are valid: no re-check."""
+        cfg = object.__new__(cls)
+        cfg.tracks, cfg.step = tracks, step
+        return cfg
 
     @property
     def cells(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(map(tuple, self.tracks.T.tolist()))
+        return tuple(zip(*self.tracks))
 
     @property
     def ring(self) -> int:
-        return self.tracks.shape[1]
+        return len(self.tracks[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrackedConfig1D):
             return NotImplemented
-        return np.array_equal(self.tracks, other.tracks)
+        return self.tracks == other.tracks
 
     def __hash__(self) -> int:
-        return hash(self.tracks.tobytes())
+        return hash(self.tracks)
 
     def __repr__(self) -> str:
         return f"TrackedConfig1D({self.cells!r}, step={self.step})"
 
 
-def _band_shift(tracks: np.ndarray, d: int) -> np.ndarray:
-    """A copy of ``tracks`` with the top track slid d cells rightward and the
-    bottom track d cells leftward."""
-    out = tracks.copy()
-    out[0], out[1] = np.roll(tracks[0], d), np.roll(tracks[1], -d)
-    return out
+# Data tracks of 0/1 ints reach the planes as strips of ASCII digits.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _track_digits(track: Tuple[int, ...]) -> bytes:
+    """A data track as ASCII digits; CaError unless it holds only 0 and 1."""
+    try:
+        raw = bytes(track)
+    except ValueError:  # a value outside [0, 256)
+        raw = b"\2"
+    if raw.translate(None, b"\0\1"):
+        raise CaError("data tracks must hold 0 or 1")
+    return raw.translate(_DIGITS)
+
+
+def _plane_tracks(planes: Tuple[int, ...], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The two data tracks of the strip held by planes of n bits."""
+    return tuple(tuple(strip.translate(_VALUES)) for strip in _plane_strip(planes, n))
+
+
+def _band_shift(tracks: Sequence, d: int) -> tuple:
+    """``tracks`` (tuples, or strips of digits) with the top track slid d
+    cells rightward and the bottom track d cells leftward."""
+    top, bottom, *rest = tracks
+    d %= len(top)
+    return (top[len(top) - d:] + top[:len(top) - d], bottom[d:] + bottom[:d], *rest)
 
 
 def band_shift_step(cfg: TrackedConfig1D, reverse: bool = False) -> TrackedConfig1D:
     """Slide the top track one cell rightward and the bottom track one cell
     leftward around the ring (other tracks stay)."""
     d = -1 if reverse else 1
-    return TrackedConfig1D(_band_shift(cfg.tracks, d).T, cfg.step + d)
+    return TrackedConfig1D._from_tracks(_band_shift(cfg.tracks, d), cfg.step + d)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +525,9 @@ def counter_parts(t: int) -> StrobeParts:
 
 
 @lru_cache(maxsize=64)
-def _cell_luts(parts: StrobeParts) -> Tuple[np.ndarray, np.ndarray]:
-    """The strobe's bijection on counter pairs and its inverse as lookup
-    arrays: lut[:, a, b] is the image of the pair (a, b).
+def _cell_luts(parts: StrobeParts) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The strobe's bijection on counter pairs and its inverse as flat
+    lookup tuples: lut[a*m + b] is the image (a', b') of the pair (a, b).
 
     Firing tops swap with their bottom; otherwise the top advances while
     the bottom retreats, except that moves whose bottom would land on a
@@ -493,17 +557,17 @@ def _cell_luts(parts: StrobeParts) -> Tuple[np.ndarray, np.ndarray]:
         inverse = inverse_table(table)
     except ValueError:
         raise CaError("completed cell map is not a permutation") from None
-    flat = np.array([table, inverse], np.int64)
-    fwd, back = np.stack(np.divmod(flat, m), axis=1).reshape(2, 2, m, m)
-    return fwd, back
+    return tuple(divmod(v, m) for v in table), tuple(divmod(v, m) for v in inverse)
 
 
-def _swap_pair(tracks: np.ndarray, here: int, there: int) -> None:
+def _swap_pair(tracks: list, here: int, there: int) -> None:
     """Exchange track ``here`` of each even cell with track ``there`` of its
-    right neighbor, in place: the partition swap coupling adjacent cells.
-    On an odd ring the last cell has no partner."""
-    even, odd = (here, slice(0, tracks.shape[1] - 1, 2)), (there, slice(1, None, 2))
-    tracks[even], tracks[odd] = tracks[odd].copy(), tracks[even].copy()
+    right neighbor, in the list of tracks: the partition swap coupling
+    adjacent cells.  On an odd ring the last cell has no partner."""
+    left, right = list(tracks[here]), list(tracks[there])
+    end = len(left) - 1
+    left[0:end:2], right[1::2] = right[1::2], left[0:end:2]
+    tracks[here], tracks[there] = tuple(left), tuple(right)
 
 
 @dataclass(frozen=True)
@@ -525,22 +589,26 @@ class StrobeAutomaton:
         return TrackedConfig1D(((0, a, 0, 0, b, 0),) * p, 0)
 
     def lit(self, cfg: TrackedConfig1D) -> bool:
-        return all(map(self.parts.firing, cfg.tracks[1].tolist()))
+        return all(map(self.parts.firing, cfg.tracks[1]))
 
     def _advance(self, cfg: TrackedConfig1D, d: int) -> TrackedConfig1D:
         """One step forward (d = 1) or back (d = -1).  Forward swaps track 2
         with track 0, maps every (top_c, bot_c) counter pair through the
         cell map, then swaps track 3 with track 5; back undoes that."""
-        tracks = cfg.tracks.copy()
-        if tracks.shape[0] != 6:
+        tracks = list(cfg.tracks)
+        if len(tracks) != 6:
             raise CaError("strobe configs have six tracks")
-        if tracks[[1, 4]].min() < 0 or tracks[[1, 4]].max() >= self.parts.size:
+        m = self.parts.size
+        tops, bottoms = tracks[1], tracks[4]
+        counters = tops + bottoms
+        if min(counters) < 0 or max(counters) >= m:
             raise CaError("strobe counter outside the alphabet")
         back = d < 0
+        lut = _cell_luts(self.parts)[back]
         _swap_pair(tracks, *((2, 0), (3, 5))[back])
-        tracks[[1, 4]] = _cell_luts(self.parts)[back][:, tracks[1], tracks[4]]
+        tracks[1], tracks[4] = zip(*[lut[a * m + b] for a, b in zip(tops, bottoms)])
         _swap_pair(tracks, *((3, 5), (2, 0))[back])
-        return TrackedConfig1D(tracks.T, cfg.step + d)
+        return TrackedConfig1D._from_tracks(tuple(tracks), cfg.step + d)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
         return self._advance(cfg, 1)
@@ -628,9 +696,9 @@ class DimReduxAutomaton:
             raise CaError(f"grid must be {self.rows}x{self.c}")
         if grid.phase != n % 2:
             raise CaError("grid phase inconsistent with step count")
-        parity = (np.arange(self.p) + n * self.t) % 2
-        data = self._slide(_strip(grid.cells).astype(np.int64), n)
-        return TrackedConfig1D(np.vstack([data, parity, np.zeros_like(parity)]).T, n * self.t)
+        data = self._slide(_plane_tracks(grid.planes, self.p // 2), n)
+        tracks = (*data, self._parity(n * self.t % 2), (0,) * self.p)
+        return TrackedConfig1D._from_tracks(tracks, n * self.t)
 
     def extract(self, cfg: TrackedConfig1D, n: int) -> MargolusGrid:
         """Inverse of embed: rebuild the 2D grid from a lit configuration,
@@ -638,69 +706,78 @@ class DimReduxAutomaton:
         as after n*t steps from embed(grid, 0)."""
         if cfg.ring != self.p:
             raise CaError("ring length mismatch")
-        if self._check(cfg) != (0, n * self.t % 2):
+        ctr, par0, digits = self._check(cfg)
+        if (ctr, par0) != (0, n * self.t % 2):
             raise CaError(f"config is not lit for {n} 2D steps")
-        return MargolusGrid(_unstrip(self._slide(cfg.tracks[:2], n), self.rows, self.c), n % 2)
+        planes = _strip_planes(*self._slide(digits, n))
+        return MargolusGrid._from_planes(planes, (self.rows, self.c), n % 2)
 
-    def _slide(self, data: np.ndarray, n: int) -> np.ndarray:
+    def _slide(self, data: Sequence, n: int) -> tuple:
         """Grid strip to top and bottom tracks after n 2D steps, and back: odd
         counts leave the tracks slid c/2 cells apart with the rows of each
         pair exchanged.  Either way the map is its own inverse."""
+        top, bottom = data
         if n % 2 == 0:
-            return data
-        half = self.c // 2
-        return np.stack([np.roll(data[1], half), np.roll(data[0], -half)])
+            return top, bottom
+        return _band_shift((bottom, top), self.c // 2)
+
+    def _parity(self, first: int) -> Tuple[int, ...]:
+        """The parity track whose first cell holds ``first``."""
+        return (first, first ^ 1) * (self.p // 2)
 
     # -- stepping -----------------------------------------------------
 
-    def _check(self, cfg: TrackedConfig1D) -> Tuple[int, int]:
-        """The uniform counter and the first cell's parity, once the config's
-        shape, contracts and alphabets hold."""
-        tracks = cfg.tracks
-        if tracks.shape != (4, self.p):
-            raise CaError(f"config must hold 4 tracks on a ring of {self.p}")
-        ctr, par0 = int(tracks[3, 0]), int(tracks[2, 0])
-        if (tracks[3] != ctr).any() or not 0 <= ctr < self.t:
+    def _check(self, cfg: TrackedConfig1D) -> Tuple[int, int, Tuple[bytes, bytes]]:
+        """The uniform counter, the first cell's parity and the data tracks
+        as digits, once the config's shape, contracts and alphabets hold."""
+        tracks, p = cfg.tracks, self.p
+        if len(tracks) != 4 or len(tracks[0]) != p:
+            raise CaError(f"config must hold 4 tracks on a ring of {p}")
+        top, bottom, parity, counter = tracks
+        ctr, par0 = counter[0], parity[0]
+        if counter != (ctr,) * p or not 0 <= ctr < self.t:
             raise CaError("counter track lost uniformity")
-        if par0 not in (0, 1) or (tracks[2, 0::2] != par0).any() or (tracks[2, 1::2] == par0).any():
+        if par0 not in (0, 1) or parity != self._parity(par0):
             raise CaError("parity track lost alternation")
-        if tracks[:2].min() < 0 or tracks[:2].max() > 1:
-            raise CaError("data tracks must hold 0 or 1")
-        return ctr, par0
+        return ctr, par0, (_track_digits(top), _track_digits(bottom))
 
-    def _blocked_update(self, tracks: np.ndarray, par0: int, inverse: bool) -> np.ndarray:
+    def _blocked_update(
+        self, digits: Tuple[bytes, bytes], par0: int, inverse: bool
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Pair each parity-0 cell with its right neighbor, feed the four data
-        values through the rule as one step of the (top, bottom) strip read
-        as a two-row MargolusGrid, and write them back into the int64 tracks
-        with top and bottom exchanged.  When the pairs start at cell 1, the
-        strip is read bottom row first, so that the pairs are the odd-phase
-        blocks of that two-row torus.  The inverse reads the exchanged
-        tracks back as the block's rows and undoes the step."""
-        rows = [1, 0] if inverse ^ par0 else [0, 1]
-        strip = MargolusGrid(tracks[rows], par0 ^ inverse)
-        out = tracks.copy()
-        out[rows[::-1]] = _blocked(strip, self.rule, inverse).cells
-        return out
+        values through the rule as one kernel step of the (top, bottom)
+        data tracks, given as digits, packed as a two-row grid's planes, and
+        return the new (top, bottom) data tracks, written back with top and
+        bottom exchanged.
+        When the pairs start at cell 1, the strip is read bottom row first,
+        so that the pairs are the odd-phase blocks of that two-row torus.
+        The inverse reads the exchanged tracks back as the block's rows and
+        undoes the step."""
+        a, b = (1, 0) if inverse ^ par0 else (0, 1)
+        program = _rule_programs(self.rule)[inverse]
+        geometry = _geometry((2, self.p), False)
+        planes = _step_planes(_strip_planes(digits[a], digits[b]), geometry, program, par0)
+        first, second = _plane_tracks(planes, self.p // 2)  # rows a, b: exchanged, b first
+        return (first, second) if a else (second, first)
 
     def _advance(self, cfg: TrackedConfig1D, d: int) -> TrackedConfig1D:
         """One step forward (d = 1) or back (d = -1).  The step leaving
         counter 0 is the blocked update, the others are band shifts."""
-        ctr, par0 = self._check(cfg)
+        ctr, par0, digits = self._check(cfg)
         back = d < 0
         if (ctr - back) % self.t:
             return self._shifts(cfg, d, (ctr + d) % self.t)
-        tracks = self._blocked_update(cfg.tracks, par0 ^ back, back)
-        tracks[2] ^= 1
-        tracks[3] = (ctr + d) % self.t
-        return TrackedConfig1D(tracks.T, cfg.step + d)
+        data = self._blocked_update(digits, par0 ^ back, back)
+        tracks = (*data, self._parity(par0 ^ 1), ((ctr + d) % self.t,) * self.p)
+        return TrackedConfig1D._from_tracks(tracks, cfg.step + d)
 
     def _shifts(self, cfg: TrackedConfig1D, d: int, ctr: int) -> TrackedConfig1D:
-        """|d| band-shift steps at once (backward when d < 0): the data
-        tracks slid by d, the parity flipped |d| times, the counter at ctr."""
-        tracks = _band_shift(cfg.tracks, d)
-        tracks[2] ^= d & 1
-        tracks[3] = ctr
-        return TrackedConfig1D(tracks.T, cfg.step + d)
+        """|d| band-shift steps at once (backward when d < 0) from a checked
+        config: the data tracks slid by d, the parity flipped |d| times, the
+        counter at ctr."""
+        top, bottom, parity, _ = cfg.tracks
+        tracks = (*_band_shift((top, bottom), d), self._parity(parity[0] ^ (d & 1)), (ctr,) * self.p)
+        return TrackedConfig1D._from_tracks(tracks, cfg.step + d)
 
     def step(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
         return self._advance(cfg, 1)
@@ -711,7 +788,8 @@ class DimReduxAutomaton:
     def _period_ahead(self, cfg: TrackedConfig1D, remaining: int) -> bool:
         # a config that reads as lit, with a whole period of t steps to go
         tracks = cfg.tracks
-        return remaining >= self.t and tracks.shape == (4, self.p) and tracks[3, 0] == 0
+        return (remaining >= self.t and len(tracks) == 4 and len(tracks[0]) == self.p
+                and tracks[3][0] == 0)
 
     def leap(
         self, cfg: TrackedConfig1D, remaining: int
@@ -733,7 +811,7 @@ class DimReduxAutomaton:
         return self.step_back(self._shifts(cfg, 1 - self.t, 1)), self.t
 
     def lit(self, cfg: TrackedConfig1D) -> bool:
-        return not cfg.tracks[3].any()
+        return not any(cfg.tracks[3])
 
 
 def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
@@ -750,7 +828,7 @@ def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
         automaton.step, n, cfg, automaton.step_back,
         getattr(automaton, "leap", None), getattr(automaton, "leap_back", None),
     )
-    return TrackedConfig1D(out.tracks.T, cfg.step + n)
+    return TrackedConfig1D._from_tracks(out.tracks, cfg.step + n)
 
 
 def dim_redux_verify(

@@ -4,15 +4,16 @@ lifts from ordinary boolean circuits into them.
 Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
-involution, so a circuit is inverted by reversing its gate list.  Arrays
-of states are evaluated on a list with one value per wire (an int64 0/1
-array over many states: bit-slicing), so any width runs on int64 arrays;
-boolean circuits evaluate single states that way too.  A reversible
-circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at
-construction, to bit-mask steps on the integer encoding, and a single
-Python int runs through those.  Whole-state tables, cycles and state
-chunks come from ``kernel``; numpy is imported only by the
-whole-state-space functions.
+involution, so a circuit is inverted by reversing its gate list.  Many
+states are evaluated at once on a list with one value per wire
+(bit-slicing): an int64 0/1 array over the states when ``kernel.images``
+fills a table, or a Python int whose bit j is the wire at state j when the
+lift checks run a chunk of states.  Boolean circuits evaluate single
+states that way too.  A reversible circuit of at most
+``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at construction, to
+bit-mask steps on the integer encoding, and a single Python int runs
+through those.  Whole-state tables and cycles come from ``kernel``; numpy
+is imported only by the functions that tabulate the whole state space.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     images, iterate_bijection, state_chunks)
+from .kernel import (MAX_EXHAUSTIVE_WIDTH, STATE_CHUNK, Bijection, Bitstring, WidthMismatchError,
+                     cycle_lengths, images, iterate_bijection)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -61,14 +62,17 @@ class ReversibleGate:
             raise CircuitError("wire indices must be nonnegative")
 
 
-def _run_wires(gates: Iterable[ReversibleGate], v: list) -> list:
-    """Apply ``gates`` in place to ``v``, one value per wire, wire 0 first (a
-    bit for one state, or an int64 0/1 array for many), and return ``v``."""
+def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
+    """Apply ``gates`` in place to ``v``, one value per wire, wire 0 first,
+    and return ``v``.  A value is a bit for one state, an int64 0/1 array for
+    many, or a Python int whose bit j is the wire at state j of S sliced
+    states; ``ones`` is the value whose every state is 1: 1 for a bit or an
+    array, 2**S - 1 for a slice."""
     for g in gates:
         w = g.wires
         kind = g.kind
         if kind == "not":
-            v[w[0]] = 1 - v[w[0]]
+            v[w[0]] ^= ones
         elif kind == "cnot":
             v[w[1]] ^= v[w[0]]
         elif kind == "toffoli":
@@ -335,12 +339,38 @@ def _pack_bits(bits: Iterable, out=0):
     return out
 
 
-def _eval_classical(circuit: ClassicalCircuit, inputs: list) -> list:
-    """The output wires for a list of input wires (bits, or arrays)."""
+def _eval_classical(circuit: ClassicalCircuit, inputs: list, ones=1) -> list:
+    """The output wires for a list of input wires (bits, arrays or slices,
+    with ``ones`` as in ``_run_wires``)."""
     values = dict(enumerate(inputs))
     for g in circuit.gates:
-        values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
+        args = [values[a] for a in g.args]
+        values[g.out] = args[0] ^ ones if g.kind == "not" else _BOOL_FN[g.kind](*args)
     return [values[w] for w in circuit.outputs]
+
+
+def _state_slices(k: int):
+    """Every k-bit state, STATE_CHUNK at a time, as (states, wires): wire i
+    is the int whose bit j is wire i of states[j].  Within a chunk the low
+    bits of the state count up, so their wires repeat a fixed pattern; the
+    high bits are the chunk's and hold for all of it."""
+    size = min(1 << k, STATE_CHUNK)
+    ones = (1 << size) - 1
+    low = size.bit_length() - 1
+    counting = []  # the wire of bit b < low: runs of 2**b zeros and 2**b ones
+    for b in range(low):
+        run = 1 << b
+        counting.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    for lo in range(0, 1 << k, size):
+        wires = [counting[b] if b < low else ones * (lo >> b & 1) for b in range(k - 1, -1, -1)]
+        yield range(lo, lo + size), wires
+
+
+def _sliced(states: Sequence[int], k: int) -> list:
+    """The wires of k-bit ``states`` as slices: wire i is the int whose bit j
+    is wire i of states[j]."""
+    columns = zip(*(format(x, f"0{k}b") for x in states))
+    return [int("".join(column)[::-1], 2) for column in columns]
 
 
 def eval_classical(circuit: ClassicalCircuit, x: Bitstring) -> Bitstring:
@@ -467,19 +497,20 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     k = cf.inputs
     if cfi.inputs != k or len(cf.outputs) != k or len(cfi.outputs) != k:
         raise CircuitError("both circuits must map k bits to k bits")
-    import numpy as np
-
     if k <= MAX_EXHAUSTIVE_WIDTH:
-        batches: Iterable[list] = (_unpack(x, k) for x in state_chunks(np.arange(1 << k)))
+        batches: Iterable = _state_slices(k)
     else:
         rng = random.Random(0)
-        sample = [_unpack(rng.randrange(1 << k), k) for _ in range(1000)]
-        batches = [[np.array(wire) for wire in zip(*sample)]]
-    for x in batches:
-        back = _eval_classical(cfi, _eval_classical(cf, x))
-        bad = np.flatnonzero(np.any([b != a for a, b in zip(x, back)], axis=0))
-        if bad.size:
-            first = Bitstring(min(_pack_bits(int(a[i]) for a in x) for i in bad), k).to_text()
+        sample = sorted(rng.randrange(1 << k) for _ in range(1000))
+        batches = [(sample, _sliced(sample, k))]
+    for states, x in batches:
+        ones = (1 << len(states)) - 1
+        back = _eval_classical(cfi, _eval_classical(cf, x, ones), ones)
+        wrong = 0
+        for a, b in zip(x, back):
+            wrong |= a ^ b
+        if wrong:  # states ascend, so the lowest wrong bit is the first input
+            first = Bitstring(states[(wrong & -wrong).bit_length() - 1], k).to_text()
             raise CircuitError(f"circuits are not mutually inverse at input {first}")
 
     anc_f = len(cf.gates)
@@ -559,7 +590,8 @@ def reversible_to_classical(circuit: ReversibleCircuit) -> ClassicalCircuit:
 
 
 def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
-    """Exhaustively check a lift against its boolean circuit, every input at once."""
+    """Exhaustively check a lift against its boolean circuit, a chunk of
+    inputs at once as slices."""
     k = circuit.inputs
     if k > MAX_EXHAUSTIVE_WIDTH:
         raise ValueError(f"exhaustive lift verification capped at {MAX_EXHAUSTIVE_WIDTH} input bits")
@@ -567,12 +599,11 @@ def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
         raise WidthMismatchError(f"payload width {k}, expected {lift.payload_width}")
     if len(lift.out_wires) != len(circuit.outputs):
         return False
-    import numpy as np
-
     pad = [0] * (lift.circuit.width - k)
-    for x in state_chunks(np.arange(1 << k)):
-        want = _eval_classical(circuit, _unpack(x, k))
-        got = _run_wires(lift.circuit.gates, pad + _unpack(x, k))
-        if not all(np.all(got[w] == b) for w, b in zip(lift.out_wires, want)):
+    for states, x in _state_slices(k):
+        ones = (1 << len(states)) - 1
+        want = _eval_classical(circuit, x, ones)
+        got = _run_wires(lift.circuit.gates, pad + x, ones)
+        if any(got[w] != b for w, b in zip(lift.out_wires, want)):
             return False
     return True

@@ -132,9 +132,14 @@ def write_classical(circuit: ClassicalCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Grid glyphs and the digits of a grid's strip (see ``ca``).
+_DIGITS = str.maketrans(".#", "01")
+_GLYPHS = str.maketrans("01", ".#")
+
+
 def parse_grid(text: str) -> MargolusGrid:
     """Block-automaton grid: ``bbm W H phase`` then H rows of ``.``/``#``."""
-    from .ca import CaError, MargolusGrid
+    from .ca import CaError, MargolusGrid, _check_grid, _strip_planes
 
     lines = text.splitlines()
     at = 0
@@ -156,23 +161,29 @@ def parse_grid(text: str) -> MargolusGrid:
             continue
         if len(line) != width or set(line) - {".", "#"}:
             raise FormatError(f"bad grid row {line!r}")
-        rows.append([1 if ch == "#" else 0 for ch in line])
+        rows.append(line.translate(_DIGITS))
     if len(rows) != height:
         raise FormatError(f"expected {height} rows, found {len(rows)}")
     for raw in lines[at:]:
         if raw.split("#", 1)[0].strip():
             raise FormatError("content after the grid rows")
     try:
-        return MargolusGrid(rows, phase)
+        # no rows at all read as a one-dimensional grid, as MargolusGrid([]) does
+        _check_grid((height, width) if rows else (0,), phase)
     except CaError as exc:
         raise FormatError(str(exc)) from None
+    planes = _strip_planes("".join(rows[0::2]), "".join(rows[1::2]))
+    return MargolusGrid._from_planes(planes, (height, width), phase)
 
 
 def write_grid(grid: MargolusGrid) -> str:
+    from .ca import _plane_strip
+
     h, w = grid.shape
+    top, bottom = (s.decode().translate(_GLYPHS) for s in _plane_strip(grid.planes, h * w // 4))
     lines = [f"bbm {w} {h} {grid.phase}"]
-    for r in range(h):
-        lines.append("".join("#" if grid.cells[r, c] else "." for c in range(w)))
+    for at in range(0, h * w // 2, w):
+        lines += (top[at : at + w], bottom[at : at + w])
     return "\n".join(lines) + "\n"
 
 

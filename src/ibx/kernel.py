@@ -401,6 +401,8 @@ def increment(width: int) -> Bijection:
 
 
 def add_const(width: int, c: int) -> Bijection:
+    """x + c modulo 2**width; its leaps take every remaining step r at once,
+    x -> x + r*c (x - r*c back)."""
     mask = (1 << width) - 1
     c &= mask
     return Bijection(
@@ -408,23 +410,31 @@ def add_const(width: int, c: int) -> Bijection:
         lambda x: (x + c) & mask,
         lambda x: (x - c) & mask,
         label=f"add{c}/{width}",
+        leap=lambda x, r: ((x + r * c) & mask, r),
+        leap_back=lambda x, r: ((x - r * c) & mask, r),
     )
 
 
 def rotate_left(width: int) -> Bijection:
-    """Circular shift of the bit pattern toward the most significant end."""
+    """Circular shift of the bit pattern toward the most significant end;
+    its leaps take every remaining step r at once, a rotation by r mod
+    width (rightward back)."""
     if width == 0:
         return identity(0)
-    top = 1 << (width - 1)
     mask = (1 << width) - 1
 
-    def fwd(x: int) -> int:
-        return ((x << 1) & mask) | (x >> (width - 1))
+    def rotl(x: int, r: int) -> int:
+        r %= width
+        return ((x << r) & mask) | (x >> (width - r))
 
-    def back(x: int) -> int:
-        return (x >> 1) | ((x & 1) * top)
-
-    return Bijection(width, fwd, back, label=f"rotl/{width}")
+    return Bijection(
+        width,
+        lambda x: rotl(x, 1),
+        lambda x: rotl(x, -1),
+        label=f"rotl/{width}",
+        leap=lambda x, r: (rotl(x, r), r),
+        leap_back=lambda x, r: (rotl(x, -r), r),
+    )
 
 
 def from_permutation(perm: Sequence[int], width: int, label: str = "") -> Bijection:

@@ -14,6 +14,7 @@ from ibx.ca import (
     StrobeParts,
     TrackedConfig1D,
     _cell_luts,
+    _track_digits,
     band_shift_step,
     bbm_rule,
     counter_parts,
@@ -739,12 +740,11 @@ def test_cell_luts_are_the_reference_map_and_its_inverse(parts):
              if not parts.firing(a) and parts.firing(parts.backward(b))]
     assert holes or m == 1
     fwd, back = _cell_luts(parts)
-    assert fwd.shape == back.shape == (2, m, m)
-    got = {(a, b): tuple(fwd[:, a, b].tolist()) for a in range(m) for b in range(m)}
+    assert len(fwd) == len(back) == m * m
+    got = {(a, b): fwd[a * m + b] for a in range(m) for b in range(m)}
     assert got == reference_cell_map(parts)
-    pairs = np.indices((m, m))
-    assert (back[:, fwd[0], fwd[1]] == pairs).all()
-    assert (fwd[:, back[0], back[1]] == pairs).all()
+    for lut, other in ((fwd, back), (back, fwd)):
+        assert all(other[a * m + b] == divmod(i, m) for i, (a, b) in enumerate(lut))
 
 
 def test_strobe_rejects_counters_outside_the_alphabet():
@@ -800,9 +800,14 @@ def test_dim_redux_random_rule(rng):
     assert dim_redux_verify(auto, grid, 7)
 
 
+def assert_python_int_tracks(cfg):
+    assert type(cfg.tracks) is tuple and {type(track) for track in cfg.tracks} == {tuple}
+    assert {type(v) for track in cfg.tracks for v in track} == {int}
+
+
 def test_dim_redux_replays_the_reference_kernel(rng):
     # every lit configuration of the ring is the embedding of the reference
-    # kernel's helical run; the data tracks stay int64 throughout
+    # kernel's helical run; the tracks stay tuples of Python ints throughout
     rule = random_bijective_rule(rng)
     auto = dim_redux_compile(rule, 6, 24)
     cells = np.array(random_cells(rng, 8, 6), dtype=np.uint8)
@@ -811,9 +816,9 @@ def test_dim_redux_replays_the_reference_kernel(rng):
         cfg = simulate_1d(auto, cfg, auto.t)
         cells = reference_helical(cells, rule.table, (n - 1) % 2)
         assert cfg == auto.embed(grid_of(cells, n % 2), n)
-        assert cfg.tracks.dtype == np.int64
+        assert_python_int_tracks(cfg)
     back = simulate_1d(auto, cfg, -auto.t)
-    assert back.tracks.dtype == np.int64
+    assert_python_int_tracks(back)
 
 
 def test_dim_redux_embed_extract_round_trip(rng):
@@ -867,15 +872,16 @@ def test_ring_blocked_update_matches_the_reference_strip_kernel(rng, c, p):
     for rule in kernel_rules(rng)[:6]:
         auto = dim_redux_compile(rule, c, p)
         luts = reference_rule_luts(rule)
-        tracks = np.array([[rng.randint(0, 1) for _ in range(p)] for _ in range(4)], np.int64)
+        tracks = np.array([[rng.randint(0, 1) for _ in range(p)] for _ in range(2)], np.uint8)
         for par0 in (0, 1):
             for inverse in (False, True):
                 rows = [1, 0] if inverse else [0, 1]
-                strip = np.roll(tracks[rows].astype(np.uint8), -par0, axis=1)
+                strip = np.roll(tracks[rows], -par0, axis=1)
                 want = tracks.copy()
                 want[rows[::-1]] = np.roll(reference_row_pairs(strip, luts[inverse]), par0, axis=1)
-                got = auto._blocked_update(tracks, par0, inverse)
-                assert np.array_equal(got, want) and got.dtype == np.int64, (par0, inverse)
+                digits = tuple(map(_track_digits, tracks.tolist()))
+                got = auto._blocked_update(digits, par0, inverse)
+                assert got == tuple(map(tuple, want.tolist())), (par0, inverse)
 
 
 def test_simulate_1d_round_trip(rng):
@@ -943,3 +949,191 @@ def test_ring_leaps_check_the_config_they_start_from(rng):
         for n in (auto.t, -auto.t, 10**20):
             with pytest.raises(CaError):
                 simulate_1d(auto, cfg, n)
+
+
+# -- the numpy ring and strobe that tuple tracks replaced -----------------
+#
+# Rings held their tracks as an int64 (tracks x ring) array, and each lit
+# step of the dimension-reduction ring built a two-row MargolusGrid from
+# that array and read its ``cells`` back.  These are those steps, kept as
+# the references the tuple tracks are compared with.
+
+
+def parent_cell_luts(parts, back):
+    """The strobe's cell map (its inverse when ``back``) as a (2, m, m) array
+    of image pairs, from the reference cell map."""
+    m = parts.size
+    mapping = reference_cell_map(parts)
+    if back:
+        mapping = {v: k for k, v in mapping.items()}
+    lut = np.zeros((2, m, m), np.int64)
+    for (a, b), image in mapping.items():
+        lut[:, a, b] = image
+    return lut
+
+
+def parent_strobe_advance(strobe, cfg, d):
+    tracks = np.array(cfg.cells, np.int64).T.copy()
+
+    def swap(here, there):
+        even, odd = (here, slice(0, tracks.shape[1] - 1, 2)), (there, slice(1, None, 2))
+        tracks[even], tracks[odd] = tracks[odd].copy(), tracks[even].copy()
+
+    back = d < 0
+    swap(*((2, 0), (3, 5))[back])
+    tracks[[1, 4]] = parent_cell_luts(strobe.parts, back)[:, tracks[1], tracks[4]]
+    swap(*((3, 5), (2, 0))[back])
+    return TrackedConfig1D(tracks.T, cfg.step + d)
+
+
+def parent_slide(auto, data, n):
+    if n % 2 == 0:
+        return data
+    half = auto.c // 2
+    return np.stack([np.roll(data[1], half), np.roll(data[0], -half)])
+
+
+def parent_blocked_update(auto, tracks, par0, inverse):
+    rows = [1, 0] if inverse ^ par0 else [0, 1]
+    strip = MargolusGrid(tracks[rows], par0 ^ inverse)
+    out = tracks.copy()
+    out[rows[::-1]] = (margolus_step_back if inverse else margolus_step)(strip, auto.rule).cells
+    return out
+
+
+def parent_ring_advance(auto, cfg, d):
+    tracks = np.array(cfg.cells, np.int64).T
+    ctr, par0 = int(tracks[3, 0]), int(tracks[2, 0])
+    back = d < 0
+    if (ctr - back) % auto.t:
+        out = tracks.copy()
+        out[0], out[1] = np.roll(tracks[0], d), np.roll(tracks[1], -d)
+        out[2] ^= d & 1
+    else:
+        out = parent_blocked_update(auto, tracks, par0 ^ back, back)
+        out[2] ^= 1
+    out[3] = (ctr + d) % auto.t
+    return TrackedConfig1D(out.T, cfg.step + d)
+
+
+def parent_embed(auto, cells, n):
+    cells = np.asarray(cells)
+    strip = np.stack([cells[0::2].reshape(-1), cells[1::2].reshape(-1)]).astype(np.int64)
+    parity = (np.arange(auto.p) + n * auto.t) % 2
+    data = parent_slide(auto, strip, n)
+    return TrackedConfig1D(np.vstack([data, parity, np.zeros_like(parity)]).T, n * auto.t)
+
+
+def parent_extract(auto, cfg, n):
+    strip = parent_slide(auto, np.array(cfg.cells, np.int64).T[:2], n)
+    cells = strip.reshape(2, auto.rows // 2, auto.c).swapaxes(0, 1).reshape(auto.rows, auto.c)
+    return MargolusGrid(cells, n % 2)
+
+
+def random_ring(rng, auto):
+    """A config that passes the ring's checks, at a random counter and parity."""
+    par0, ctr = rng.randrange(2), rng.randrange(auto.t)
+    cells = [(rng.randrange(2), rng.randrange(2), (par0 + x) % 2, ctr) for x in range(auto.p)]
+    return TrackedConfig1D(cells, rng.randrange(-5, 5))
+
+
+@pytest.mark.parametrize("c, p", [(4, 8), (6, 12), (6, 24), (8, 40), (32, 512)])
+def test_ring_steps_match_the_parent_numpy_ring(rng, c, p):
+    for rule in kernel_rules(rng)[:4]:
+        auto = dim_redux_compile(rule, c, p)
+        for _ in range(3):
+            fwd = back = random_ring(rng, auto)
+            for _ in range(auto.t + 2):
+                want_fwd, want_back = parent_ring_advance(auto, fwd, 1), parent_ring_advance(auto, back, -1)
+                fwd, back = auto.step(fwd), auto.step_back(back)
+                assert fwd == want_fwd and fwd.step == want_fwd.step
+                assert back == want_back and back.step == want_back.step
+
+
+@pytest.mark.parametrize("c, p", [(4, 8), (6, 12), (4, 16), (32, 512)])
+def test_embed_and_extract_match_the_parent_numpy_ring(rng, c, p):
+    auto = dim_redux_compile(random_bijective_rule(rng), c, p)
+    for n in range(4):
+        for _ in range(3):
+            cells = np.array(random_cells(rng, auto.rows, c), np.uint8)
+            cfg = auto.embed(grid_of(cells, n % 2), n)
+            assert cfg == parent_embed(auto, cells, n) and cfg.step == n * auto.t
+            assert auto.extract(cfg, n) == parent_extract(auto, cfg, n) == grid_of(cells, n % 2)
+            lit = simulate_1d(auto, cfg, auto.t)
+            assert auto.extract(lit, n + 1) == parent_extract(auto, lit, n + 1)
+
+
+def test_strobe_steps_match_the_parent_numpy_strobe(rng):
+    for parts in [counter_parts(t) for t in (1, 2, 3, 5, 8)] + [SIX_PARTS]:
+        strobe = strobe_wrap(parts, parts.size)
+        m = parts.size
+        for p in (1, 2, 5, 8, 33):
+            # side tracks outside the singleton alphabet show every swap
+            cells = tuple(
+                tuple(rng.randrange(m) if k in (1, 4) else rng.randrange(-3, 9) for k in range(6))
+                for _ in range(p)
+            )
+            fwd = back = TrackedConfig1D(cells, 2)
+            for _ in range(6):
+                want_fwd = parent_strobe_advance(strobe, fwd, 1)
+                want_back = parent_strobe_advance(strobe, back, -1)
+                fwd, back = strobe.step(fwd), strobe.step_back(back)
+                assert fwd == want_fwd and fwd.step == want_fwd.step, (m, p)
+                assert back == want_back and back.step == want_back.step, (m, p)
+
+
+# -- what grids and rings accept ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[[1.7, 0], [0, 0]], [[1.0, 0], [0, 0]], [[-1, 0], [0, 0]], [[256, 0], [0, 0]],
+     [["1", "0"], ["0", "0"]], [[2**70, 0], [0, 0]]],
+    ids=["fraction", "float", "negative", "256", "text", "huge"],
+)
+def test_grid_rejects_cells_that_are_not_the_integers_0_and_1(cells):
+    with pytest.raises(CaError, match="^cells must be 0 or 1$"):
+        MargolusGrid(cells)
+    with pytest.raises(CaError, match="^cells must be 0 or 1$"):
+        MargolusGrid(np.array(cells))
+
+
+def test_grid_rejects_ragged_rows():
+    for cells in ([[0, 1], [1]], [[0, 1], [1, 0, 1]], [0, 1]):
+        with pytest.raises(CaError, match="^grid must be two-dimensional$"):
+            MargolusGrid(cells)
+
+
+def test_grid_accepts_bools_and_any_integer_dtype():
+    want = grid_of([[1, 0], [0, 1]])
+    assert MargolusGrid([[True, False], [False, True]]) == want
+    for dtype in (np.int8, np.int64, np.uint16, bool):
+        assert MargolusGrid(np.array([[1, 0], [0, 1]], dtype)) == want
+
+
+@pytest.mark.parametrize(
+    "cells", [((1.5, 0), (2, 1)), (("7", 0), (2, 1)), ((1, 0), (2, None))],
+    ids=["fraction", "text", "none"],
+)
+def test_tracks_reject_values_that_are_not_integers(cells):
+    with pytest.raises(CaError, match="^track values must be integers$"):
+        TrackedConfig1D(cells)
+
+
+def test_tracks_hold_python_ints_whatever_the_input(rng):
+    cells = np.array([[rng.randrange(9) for _ in range(3)] for _ in range(5)], np.int16)
+    cfg = TrackedConfig1D(cells, 3)
+    assert_python_int_tracks(cfg)
+    assert cfg.cells == tuple(map(tuple, cells.tolist())) and cfg.ring == 5
+    assert cfg == TrackedConfig1D(cells.tolist()) and hash(cfg) == hash(TrackedConfig1D(cfg.cells))
+    assert TrackedConfig1D(((True, 2**70),)).cells == ((1, 2**70),)
+
+
+def test_tracks_reject_rings_without_a_shared_schema():
+    for cells in ([(1, 0), (1,)], [1, 2], [(1, 0), 5]):
+        with pytest.raises(CaError, match="^all cells must share the track schema$"):
+            TrackedConfig1D(cells)
+    with pytest.raises(CaError, match="^ring must have at least one cell$"):
+        TrackedConfig1D(())
+    with pytest.raises(CaError, match="^cells must hold at least one track$"):
+        TrackedConfig1D(((), ()))

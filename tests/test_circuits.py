@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibx.circuits import (
     CLASSICAL_ARITY,
@@ -457,6 +459,97 @@ def test_wide_lifts_use_no_object_arrays(rng, make_circuit, monkeypatch):
     exact_lift(rotate, ClassicalCircuit(k, (), (k - 1,) + tuple(range(k - 1))))
     with pytest.raises(CircuitError, match="not mutually inverse"):
         exact_lift(rotate, rotate)
+
+
+# The lift checks run a chunk of states at once, one Python int per wire.
+# These are the same checks one state at a time.
+
+
+def scalar_first_non_inverse(cf, cfi):
+    """The least input x with cfi(cf(x)) != x among every input, or above
+    MAX_EXHAUSTIVE_WIDTH among exact_lift's 1000 seeded samples; None if
+    there is none."""
+    k = cf.inputs
+    if k <= MAX_EXHAUSTIVE_WIDTH:
+        inputs = range(1 << k)
+    else:
+        sample = random.Random(0)
+        inputs = [sample.randrange(1 << k) for _ in range(1000)]
+    bad = [x for x in inputs if eval_classical(cfi, eval_classical(cf, Bitstring(x, k))).value != x]
+    return min(bad, default=None)
+
+
+def scalar_verify_lift(lift, circuit):
+    k = circuit.inputs
+    if len(lift.out_wires) != len(circuit.outputs):
+        return False
+    for v in range(1 << k):
+        x = Bitstring(v, k)
+        if lift.extract(eval_reversible(lift.circuit, lift.embed(x))) != eval_classical(circuit, x):
+            return False
+    return True
+
+
+def lift_pair(r, k, max_gates):
+    """A circuit on k wires as a boolean circuit, and a boolean circuit for
+    its inverse, or half the time for the inverse of the circuit with one
+    gate dropped, which is wrong on some inputs or on none."""
+    c = random_reversible_circuit(r, k, max_gates)
+    other = c
+    if r.random() < 0.5:
+        drop = r.randrange(len(c.gates))
+        other = ReversibleCircuit(k, c.gates[:drop] + c.gates[drop + 1 :])
+    return reversible_to_classical(c), reversible_to_classical(invert_circuit(other))
+
+
+def assert_inverse_check_is_the_scalar_one(cf, cfi):
+    first = scalar_first_non_inverse(cf, cfi)
+    if first is None:
+        return exact_lift(cf, cfi)
+    want = Bitstring(first, cf.inputs).to_text()
+    with pytest.raises(CircuitError, match=f"^circuits are not mutually inverse at input {want}$"):
+        exact_lift(cf, cfi)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_sliced_lift_checks_equal_the_scalar_loop(r):
+    k = r.randint(2, 7)
+    cf, cfi = lift_pair(r, k, 12)
+    lift = assert_inverse_check_is_the_scalar_one(cf, cfi)
+    lifts = [bennett_lift(cf)] + ([lift] if lift else [])
+    for good in lifts:
+        # one gate more, on a random wire, breaks some answers or none
+        broken = dataclasses.replace(good, circuit=ReversibleCircuit(
+            good.circuit.width, good.circuit.gates + (gate("not", r.randrange(good.circuit.width)),)))
+        for candidate in (good, broken):
+            assert verify_lift(candidate, cf) == scalar_verify_lift(candidate, cf)
+        assert verify_lift(good, cf)
+
+
+@settings(max_examples=6, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_sliced_inverse_check_above_the_exhaustive_width_equals_the_scalar_loop(r):
+    # 1000 seeded samples instead of every input; toffoli gates make a
+    # dropped gate wrong on only some of them
+    k = r.randint(MAX_EXHAUSTIVE_WIDTH + 1, MAX_EXHAUSTIVE_WIDTH + 4)
+    c = random_reversible_circuit(r, k, 6)
+    c = ReversibleCircuit(k, c.gates + (gate("toffoli", *r.sample(range(k), 3)),))
+    drop = r.randrange(len(c.gates))
+    for other in (c, ReversibleCircuit(k, c.gates[:drop] + c.gates[drop + 1 :])):
+        assert_inverse_check_is_the_scalar_one(
+            reversible_to_classical(c), reversible_to_classical(invert_circuit(other)))
+
+
+def test_the_first_failing_input_is_the_least_one_in_any_chunk():
+    # cf flips the last wire where the first two are set, so the inputs
+    # from 3 * 2**(k-2) up fail; from k = 13 the first lies past chunk 0
+    for k in (3, 5, 12, 13, 15):
+        cf = reversible_to_classical(ReversibleCircuit(k, (gate("toffoli", 0, 1, k - 1),)))
+        identity = ClassicalCircuit(k, (), tuple(range(k)))
+        assert scalar_first_non_inverse(cf, identity) == 3 << (k - 2)
+        assert_inverse_check_is_the_scalar_one(cf, identity)
 
 
 def test_reversible_to_classical_round_trip(rng, make_circuit):

@@ -717,8 +717,9 @@ def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None, timeout=120):
     )
 
 
-# The cli benchmark workload's array-free commands, on small inputs, and
-# one command that builds arrays.
+# The cli benchmark workload's array-free commands and the other ca and
+# lift commands, on small inputs, and one command that builds arrays: the
+# parity of a 3-wire circuit reads its whole-state table.
 STARTUP_COMMANDS = {
     "iet_solve_n1": ["iet", "solve", "--file", "t.iet", "--i", "6", "--n", "1"],
     "iet_solve_n1e20": ["iet", "solve", "--file", "t.iet", "--i", "2", "--n", str(10**20)],
@@ -733,6 +734,13 @@ STARTUP_COMMANDS = {
     "lollipop_count": ["lollipop", "count", "--file", "k4.cubic"],
     "lollipop_second_cycle": ["lollipop", "second-cycle", "--file", "k4.cubic", "--cycle", "0 1 2 3"],
     "ca_bbm_run": ["ca", "bbm-run", "--file", "ball.grid", "--n", "3"],
+    "ca_bbm_reverse": ["ca", "bbm-reverse", "--file", "ball.grid", "--n", "3"],
+    "ca_strobe_demo": ["ca", "strobe-demo", "--t", "4", "--n", "12"],
+    "ca_dimredux_run": ["ca", "dimredux-run", "--file", "ball.grid", "--n", "3"],
+    "ca_dimredux_verify": ["ca", "dimredux-verify", "--file", "ball.grid", "--n", "3"],
+    "lift_exact": ["lift", "exact", "--file", "inc.bool", "--inverse-file", "dec.bool", "--input", "011"],
+    "lift_bennett": ["lift", "bennett", "--file", "inc.bool"],
+    "circuit_parity": ["circuit", "parity", "--file", "c.rc"],
 }
 
 
@@ -745,10 +753,12 @@ def test_only_array_commands_load_numpy(name, tmp_path):
     (tmp_path / "t.iet").write_text(FIG_IET)
     (tmp_path / "k4.cubic").write_text(formats.write_cubic(graphs.complete_graph_k4()))
     ball_grid(tmp_path)
+    (tmp_path / "inc.bool").write_text(INC3)
+    (tmp_path / "dec.bool").write_text(DEC3)
     done = run_fresh(["-m", "ibx.cli", *STARTUP_COMMANDS[name], "--report"], tmp_path)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stderr.strip().splitlines()[-1])["loaded"]
-    assert ("numpy" in loaded) == (name == "ca_bbm_run"), loaded
+    assert ("numpy" in loaded) == (name == "circuit_parity"), loaded
     if name.startswith(("iet_", "plb_")):
         assert not {"ibx.circuits", "ibx.graphs"} & set(loaded), loaded
     if name == "reduce_clock":
@@ -863,6 +873,17 @@ except AttributeError:
     pass
 else:
     raise AssertionError("unknown attribute resolved")
+"""
+    done = run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_array_free_layers_leaves_numpy_out(tmp_path):
+    # a module-level numpy import in any of them would show here
+    code = """
+import sys
+import ibx.ca, ibx.circuits, ibx.formats, ibx.kernel
+assert "numpy" not in sys.modules, "numpy imported"
 """
     done = run_fresh(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr

@@ -134,6 +134,31 @@ def test_grid_round_trip():
     assert text.splitlines()[2] == "..#..."
 
 
+def parent_write_grid(grid):
+    """write_grid as it read each cell of ``grid.cells``: the reference."""
+    h, w = grid.shape
+    lines = [f"bbm {w} {h} {grid.phase}"]
+    for r in range(h):
+        lines.append("".join("#" if grid.cells[r, c] else "." for c in range(w)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 8), (8, 2), (4, 6), (6, 4), (10, 14), (64, 64)])
+def test_grid_text_matches_the_cell_by_cell_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for phase in (0, 1):
+        for density in (0.0, 0.3, 1.0):
+            cells = (rng.random(shape) < density).astype(np.uint8)
+            grid = ca.MargolusGrid(cells, phase)
+            stepped = ca.margolus_step(grid, ca.bbm_rule())  # a grid that has only planes
+            for g in (grid, stepped):
+                text = formats.write_grid(g)
+                assert text == parent_write_grid(g)
+                again = formats.parse_grid(text)
+                assert again == g and again.planes == g.planes
+                assert np.array_equal(again.cells, g.cells)
+
+
 def test_grid_hash_rows_are_not_comments():
     text = "bbm 4 2 0\n#..#\n####\n"
     grid = formats.parse_grid(text)
@@ -162,6 +187,21 @@ def test_grid_comments_around_rows():
 )
 def test_grid_rejects(text):
     with pytest.raises(formats.FormatError):
+        formats.parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bbm 3 2 0\n...\n...", "grid sides must be even and at least 2"),
+        ("bbm 2 1 0\n..", "grid sides must be even and at least 2"),
+        ("bbm 2 2 2\n..\n..", "phase must be 0 or 1"),
+        ("bbm 2 0 0\n", "grid must be two-dimensional"),
+    ],
+)
+def test_grid_rules_read_as_the_grid_states_them(text, message):
+    # parse_grid checks through ca, so its errors are MargolusGrid's words
+    with pytest.raises(formats.FormatError, match=f"^{message}$"):
         formats.parse_grid(text)
 
 

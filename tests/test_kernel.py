@@ -324,8 +324,20 @@ def _clock(r):
     return _bijection_row(s.g, _walked(s.g.forward, s.start.value, r.randrange(3 << k)))
 
 
+def _add_const(r):
+    # increment, or any constant, negative and wider than the map included
+    w = r.randint(1, 9)
+    f = r.choice([increment(w), add_const(w, r.randrange(-(2 << w), 2 << w))])
+    return _bijection_row(f, r.randrange(1 << w))
+
+
+def _rotate_left(r):
+    w = r.randint(1, 9)
+    return _bijection_row(rotate_left(w), r.randrange(1 << w))
+
+
 @pytest.mark.parametrize(
-    "family", [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock],
+    "family", [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _add_const, _rotate_left],
     ids=lambda family: family.__name__.strip("_"),
 )
 @settings(max_examples=20, deadline=None)
@@ -544,6 +556,21 @@ def test_rotation_order_equals_width():
     for v in range(32):
         x = Bitstring(v, 5)
         assert iterate_bijection(f, 5, x) == x
+
+
+def test_stock_maps_leap_whole_powers_at_any_width():
+    # the sums' orbits are 2**256 steps long, so only their power leap
+    # answers; the rotation leaps at the same n
+    n = 10**40 + 7
+    x = Bitstring(2**255 + 12345, 256)
+    for f, want in (
+        (add_const(256, 3), (x.value + 3 * n) % 2**256),
+        (increment(256), (x.value + n) % 2**256),
+        (rotate_left(256), (x.value << n % 256 | x.value >> 256 - n % 256) % 2**256),
+    ):
+        assert iterate_bijection(f, n, x).value == want, f.label
+        assert iterate_bijection(f, -n, Bitstring(want, 256)) == x, f.label
+        assert iterate_bijection(f.inverse(), n, Bitstring(want, 256)) == x, f.label
 
 
 def test_from_permutation_swap():
