@@ -498,6 +498,8 @@ def _band_shift(tracks: Sequence, d: int) -> tuple:
 def band_shift_step(cfg: TrackedConfig1D, reverse: bool = False) -> TrackedConfig1D:
     """Slide the top track one cell rightward and the bottom track one cell
     leftward around the ring (other tracks stay)."""
+    if len(cfg.tracks) < 2:
+        raise CaError("a band shift needs a top and a bottom track")
     d = -1 if reverse else 1
     return TrackedConfig1D._from_tracks(_band_shift(cfg.tracks, d), cfg.step + d)
 

@@ -342,14 +342,8 @@ def _cmd_plb(args, run: _Run) -> str:
     if args.action == "iterate":
         run.count("iterations", args.n)
         answer = plb.iterate_plb(t, args.n, args.x)
-        # which path answered: the affine form, the induction, or the walk
-        form = plb.affine_form(t)
-        if form is not None:
-            run.count("affine_modulus", form[2])
-        elif plb.is_exchange(t):
-            from .iet import induction
-
-            run.count("induction_ops", len(induction(t)))
+        for name, size in plb.power_path(t)[1].items():  # none on a walk
+            run.count(name, size)
         return str(answer)
     if args.action == "compose":
         prog = plb.compose_lift([load(path) for path in args.files])

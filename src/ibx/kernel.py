@@ -3,12 +3,12 @@ and the whole-state-space evaluator.
 
 ``iterate_map`` is the package's one n-step engine, a single loop that
 every stepper, from circuits to block automata, runs through; a map that
-spends most steps ticking a counter hands it leaps over those runs, and
-any orbit shape ends the loop within a small multiple of tail + cycle
-moves.  ``iterate`` is the literal loop it is tested against.  ``images``
-is the one filler of whole-state tables, ``cycle_lengths`` the one cycle
-reader, and ``inverse_table`` the one check and inverse of a permutation
-table.
+ticks a counter hands it leaps over those runs, a closed-form power its
+``power_leaps``, and any orbit shape ends the loop within a small multiple
+of tail + cycle moves.  ``iterate`` is the literal loop it is tested
+against.  ``images`` is the one filler of whole-state tables,
+``cycle_lengths`` the one cycle reader, and ``inverse_table`` the one
+check and inverse of a permutation table.
 
 Conventions used across the package:
 
@@ -256,6 +256,12 @@ def iterate_map(
     return y
 
 
+def power_leaps(power: Callable[[T, int], T]) -> Tuple[Leap, Leap]:
+    """(leap, leap_back) of a map with a closed-form signed power(y, n) =
+    f^n(y): each takes every remaining step r at once, to power(y, ±r)."""
+    return (lambda y, r: (power(y, r), r)), (lambda y, r: (power(y, -r), r))
+
+
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
     """f applied n times to x (f's backward map -n times when n < 0),
     leaping where f declares leaps."""
@@ -401,24 +407,21 @@ def increment(width: int) -> Bijection:
 
 
 def add_const(width: int, c: int) -> Bijection:
-    """x + c modulo 2**width; its leaps take every remaining step r at once,
-    x -> x + r*c (x - r*c back)."""
+    """x + c modulo 2**width; its power x -> x + n*c leaps every remaining
+    step at once (``power_leaps``)."""
     mask = (1 << width) - 1
     c &= mask
+    leap, leap_back = power_leaps(lambda x, n: (x + n * c) & mask)
     return Bijection(
-        width,
-        lambda x: (x + c) & mask,
-        lambda x: (x - c) & mask,
-        label=f"add{c}/{width}",
-        leap=lambda x, r: ((x + r * c) & mask, r),
-        leap_back=lambda x, r: ((x - r * c) & mask, r),
+        width, lambda x: (x + c) & mask, lambda x: (x - c) & mask,
+        label=f"add{c}/{width}", leap=leap, leap_back=leap_back,
     )
 
 
 def rotate_left(width: int) -> Bijection:
     """Circular shift of the bit pattern toward the most significant end;
-    its leaps take every remaining step r at once, a rotation by r mod
-    width (rightward back)."""
+    its power, a rotation by n mod width, leaps every remaining step at
+    once (``power_leaps``)."""
     if width == 0:
         return identity(0)
     mask = (1 << width) - 1
@@ -427,13 +430,10 @@ def rotate_left(width: int) -> Bijection:
         r %= width
         return ((x << r) & mask) | (x >> (width - r))
 
+    leap, leap_back = power_leaps(rotl)
     return Bijection(
-        width,
-        lambda x: rotl(x, 1),
-        lambda x: rotl(x, -1),
-        label=f"rotl/{width}",
-        leap=lambda x, r: (rotl(x, r), r),
-        leap_back=lambda x, r: (rotl(x, -r), r),
+        width, lambda x: rotl(x, 1), lambda x: rotl(x, -1),
+        label=f"rotl/{width}", leap=leap, leap_back=leap_back,
     )
 
 

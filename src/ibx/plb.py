@@ -15,8 +15,8 @@ from its induction (``ibx.iet``).  An affine map, x -> (a*x + b) mod M on
 [0, M) with every point of [M, N) fixed (every riffle and circular shift),
 is read off its pieces in O(k) and answers from its description: powers
 by square-and-multiply on (a, b) mod M, the order from the multiplicative
-order of a.  Every other map walks through the kernel engine, or tabulates
-its images for the order.
+order of a.  ``power_path`` alone picks the path of a power, which the
+kernel engine takes as one leap, or walks; an order tabulates the images.
 
 The compilers at the bottom turn reversible circuits into single PLBs whose
 iteration replays the circuit, built from two four-piece rotation primitives
@@ -28,10 +28,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .kernel import cycle_lengths, iterate_map
+from .kernel import cycle_lengths, iterate_map, power_leaps
 
 if TYPE_CHECKING:
     from .circuits import ReversibleCircuit
@@ -312,10 +313,12 @@ def _affine_form(ps: Tuple[Piece, ...], domain: int) -> Optional[Tuple[int, int,
     return a, b, m
 
 
-def _affine_power(form: Tuple[int, int, int], n: int) -> Tuple[int, int]:
-    """(a', b') with T^n(x) = (a'*x + b') mod M below M, by square and
-    multiply on the pair; a negative n powers the inverse pair."""
+def _affine_power(form: Tuple[int, int, int], x: int, n: int) -> int:
+    """T^n(x) for the form (a, b, M): x at or above M, else (a'*x + b') mod M
+    with (a', b') the pair raised by square and multiply (inverse if n < 0)."""
     a, b, m = form
+    if x >= m:
+        return x
     if n < 0:
         a = pow(a, -1, m)
         b, n = -a * b % m, -n
@@ -325,7 +328,7 @@ def _affine_power(form: Tuple[int, int, int], n: int) -> Tuple[int, int]:
             pa, pb = a * pa % m, (a * pb + b) % m
         a, b = a * a % m, (a * b + b) % m
         n >>= 1
-    return pa, pb
+    return (pa * x + pb) % m
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -353,25 +356,28 @@ def _multiplicative_order(a: int, m: int) -> int:
     return n
 
 
+def power_path(t: PiecewiseLinearBijection) -> Tuple[Optional[Callable[[int, int], int]], Dict[str, int]]:
+    """How T answers powers, decided here only: a signed power(x, n) = T^n(x)
+    from an exchange's induction (``ibx.iet``) or an ``affine_form``, at any
+    n and N, and the sizes it reads; (None, {}) for a map that walks."""
+    if is_exchange(t):
+        from .iet import _power, induction
+
+        return partial(_power, t), {"induction_ops": len(induction(t))}
+    form = affine_form(t)
+    if form is None:
+        return None, {}
+    return partial(_affine_power, form), {"affine_modulus": form[2]}
+
+
 def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
-    """T applied n times to x, the inverse -n times for negative n.  An
-    interval exchange answers from its induction at any n and N (see
-    ``ibx.iet``), an affine map (``affine_form``) by square-and-multiply in
-    O(log |n|) at any N, and any other map walks through the kernel engine,
-    which ends the walk at the orbit's first return to x."""
+    """T applied n times to x (its inverse -n times for negative n) in the
+    kernel engine: a ``power_path`` power is one leap, other maps walk."""
     if not 0 <= x < t.domain:
         raise PlbError(f"{x} outside [0,{t.domain})")
-    if is_exchange(t):
-        from .iet import _power
-
-        return _power(t, x, n)
-    form = affine_form(t)
-    if form is not None:
-        if x >= form[2]:
-            return x
-        a, b = _affine_power(form, n)
-        return (a * x + b) % form[2]
-    return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y))
+    power, _ = power_path(t)
+    leaps = power_leaps(power) if power else ()
+    return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y), *leaps)
 
 
 def permutation_order(t: PiecewiseLinearBijection) -> int:
@@ -393,7 +399,7 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
     if form is not None and form[2] <= MAX_AFFINE_ORDER_MODULUS:
         a, _, m = form
         n0 = _multiplicative_order(a, m)
-        return n0 * m // gcd(_affine_power(form, n0)[1], m)
+        return n0 * m // gcd(_affine_power(form, 0, n0), m)
     if t.domain > MAX_ORDER_TABLE:
         raise PlbError("domain too large for order computation")
     table = array("q", bytes(8 * t.domain))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ibx import circuits
+from ibx.plb import validate_plb
 
 
 @pytest.fixture
@@ -26,3 +27,27 @@ def random_reversible_circuit(rng, width, max_gates, min_gates=1):
 @pytest.fixture
 def make_circuit():
     return random_reversible_circuit
+
+
+def random_pieces(rng, n, k):
+    """(lo, hi, off) triples of a random exchange of k pieces on [0, n)."""
+    cuts = [0] + sorted(rng.sample(range(1, n), k - 1)) + [n]
+    segs = list(zip(cuts, cuts[1:]))
+    pieces, out = [], 0
+    for idx in rng.sample(range(k), k):
+        lo, hi = segs[idx]
+        pieces.append((lo, hi, out - lo))
+        out += hi - lo
+    return pieces
+
+
+def affine_plb(a, b, m, domain):
+    """x -> (a*x + b) mod m on [0, m), one piece per run of equal quotient
+    (a*x + b) // m, then a one-point fixed piece per point of [m, domain)."""
+    pieces, lo = [], 0
+    for x in range(1, m + 1):
+        if x == m or (a * x + b) // m != (a * lo + b) // m:
+            pieces.append((lo, x, a, b - (a * lo + b) // m * m))
+            lo = x
+    pieces += [(x, x + 1, a, x - a * x) for x in range(m, domain)]
+    return validate_plb(domain, pieces)

@@ -673,6 +673,13 @@ def test_band_shift_reverse_undoes(rng):
     assert band_shift_step(band_shift_step(cfg), reverse=True).cells == cells
 
 
+def test_band_shift_needs_two_tracks():
+    for cells in (((1,), (0,)), ((1,),)):
+        for reverse in (False, True):
+            with pytest.raises(CaError, match="^a band shift needs a top and a bottom track$"):
+                band_shift_step(TrackedConfig1D(cells), reverse)
+
+
 # -- strobe --------------------------------------------------------------
 
 

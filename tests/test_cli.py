@@ -741,6 +741,9 @@ STARTUP_COMMANDS = {
     "lift_exact": ["lift", "exact", "--file", "inc.bool", "--inverse-file", "dec.bool", "--input", "011"],
     "lift_bennett": ["lift", "bennett", "--file", "inc.bool"],
     "circuit_parity": ["circuit", "parity", "--file", "c.rc"],
+    "plb_iterate_riffle": ["plb", "iterate", "--file", "riffle.plb", "--x", "5", "--n", str(10**20 + 7)],
+    "plb_iterate_exchange": ["plb", "iterate", "--file", "t.plb", "--x", "2", "--n", str(-(10**20 + 7))],
+    "plb_iterate_compiled": ["plb", "iterate", "--file", "c.plb", "--x", "5", "--n", "700"],
 }
 
 
@@ -751,6 +754,9 @@ def test_only_array_commands_load_numpy(name, tmp_path):
     t, _ = plb.circuit_to_plb(formats.parse_circuit(text))
     (tmp_path / "c.plb").write_text(formats.write_plb(t.domain, t.pieces))
     (tmp_path / "t.iet").write_text(FIG_IET)
+    figure = plb.interval_exchange(*formats.parse_iet(FIG_IET))
+    for file, t in (("riffle.plb", plb.riffle(13)), ("t.plb", figure)):
+        (tmp_path / file).write_text(formats.write_plb(t.domain, t.pieces))
     (tmp_path / "k4.cubic").write_text(formats.write_cubic(graphs.complete_graph_k4()))
     ball_grid(tmp_path)
     (tmp_path / "inc.bool").write_text(INC3)

@@ -31,6 +31,8 @@ from ibx.iet import (
 from ibx.kernel import cycle_lengths
 from ibx.plb import apply_plb, apply_plb_inverse, interval_exchange, iterate_plb, permutation_order
 
+from conftest import random_pieces
+
 
 FIG_PIECES = ((0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5))
 
@@ -341,17 +343,6 @@ def point_returns(su, period):
             assert (state[0].edge == su.central) == (step == period - 1), i
         out.append((state[0].index, state[1]))
     return out
-
-
-def random_pieces(rng, n, k):
-    cuts = [0] + sorted(rng.sample(range(1, n), k - 1)) + [n]
-    segs = list(zip(cuts, cuts[1:]))
-    pieces, out = [], 0
-    for idx in rng.sample(range(k), k):
-        lo, hi = segs[idx]
-        pieces.append((lo, hi, out - lo))
-        out += hi - lo
-    return pieces
 
 
 def oracle_exchanges(rng, count):

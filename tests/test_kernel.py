@@ -6,7 +6,7 @@ import pickle
 import random
 import tracemalloc
 from array import array
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -41,10 +41,19 @@ from ibx.kernel import (
     rotate_left,
     unpack_fields,
 )
-from ibx.plb import Piece, PiecewiseLinearBijection, apply_plb, permutation_order, riffle
+from ibx.plb import (
+    Piece,
+    PiecewiseLinearBijection,
+    affine_form,
+    apply_plb,
+    interval_exchange,
+    iterate_plb,
+    permutation_order,
+    riffle,
+)
 from ibx.reductions import compile_iteration_to_invertible
 
-from conftest import random_reversible_circuit
+from conftest import affine_plb, random_pieces, random_reversible_circuit
 
 
 def test_text_is_msb_first():
@@ -336,8 +345,32 @@ def _rotate_left(r):
     return _bijection_row(rotate_left(w), r.randrange(1 << w))
 
 
+def _plb_row(t, x):
+    return (lambda y: apply_plb(t, y)), (lambda n, y: iterate_plb(t, n, y)), x
+
+
+def _exchange(r):
+    # a certified exchange of k <= 6 pieces on N <= 300 points
+    k = r.randint(1, 6)
+    n = r.randint(max(k, 2), 300)
+    t = interval_exchange(n, random_pieces(r, n, k))
+    return _plb_row(t, r.randrange(n))
+
+
+def _affine(r):
+    # a riffle, or x -> (a*x + b) mod M with a < 0 and [M, N) fixed; a draw
+    # that affine_form does not read would walk, so it is drawn again
+    t = riffle(r.randint(2, 300)) if r.random() < 0.5 else None
+    while t is None or affine_form(t) is None:
+        m = r.randint(2, 60)
+        a = r.choice([v for v in range(-2 * m - 3, 0) if gcd(v, m) == 1])
+        t = affine_plb(a, r.randint(-3 * m, 3 * m), m, m + r.randint(1, 4))
+    return _plb_row(t, r.randrange(t.domain))
+
+
 @pytest.mark.parametrize(
-    "family", [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _add_const, _rotate_left],
+    "family",
+    [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _add_const, _rotate_left, _exchange, _affine],
     ids=lambda family: family.__name__.strip("_"),
 )
 @settings(max_examples=20, deadline=None)

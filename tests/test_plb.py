@@ -31,7 +31,7 @@ from ibx.plb import (
     validate_plb,
 )
 
-from conftest import random_reversible_circuit
+from conftest import affine_plb, random_reversible_circuit
 
 
 def brute_force_is_bijection(domain, raw_pieces):
@@ -258,18 +258,6 @@ def assert_powers_match_the_walk(t, x):
         assert iterate_plb(t, n, x) == literal_power(t, n % length if abs(n) > 2 * length else n, x)
 
 
-def affine_plb(a, b, m, domain):
-    """x -> (a*x + b) mod m on [0, m), one piece per run of equal quotient
-    (a*x + b) // m, then a one-point fixed piece per point of [m, domain)."""
-    pieces, lo = [], 0
-    for x in range(1, m + 1):
-        if x == m or (a * x + b) // m != (a * lo + b) // m:
-            pieces.append((lo, x, a, b - (a * lo + b) // m * m))
-            lo = x
-    pieces += [(x, x + 1, a, x - a * x) for x in range(m, domain)]
-    return validate_plb(domain, pieces)
-
-
 def test_riffles_take_the_affine_path(rng):
     for n in range(2, 401):
         t = riffle(n)
@@ -348,6 +336,39 @@ def test_affine_power_answers_a_huge_riffle():
     t = riffle(m)
     assert iterate_plb(t, 10**20, 5) == 5 * pow(2, 10**20, m) % m
     assert iterate_plb(t, -(10**20), 5 * pow(2, 10**20, m) % m) == 5
+
+
+class Stepped(Exception):
+    pass
+
+
+def test_powers_leap_without_a_literal_step(monkeypatch):
+    """On small maps a lost leap would pass unnoticed, since the engine
+    walks to the same answer.  With both literal steps patched to raise,
+    an exchange and two affine maps still answer at n = 0 and
+    +-(10**20 + 7); a compiled circuit has no power, so it steps."""
+    maps = [
+        interval_exchange(15, [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)]),
+        riffle(13),
+        affine_plb(-3, 4, 11, 13),
+    ]
+    huge = 10**20 + 7
+    want = {
+        (i, n, x): literal_power(t, n % orbit_length(t, x), x)
+        for i, t in enumerate(maps) for n in (0, huge, -huge) for x in range(t.domain)
+    }
+    compiled, _ = circuit_to_plb(ReversibleCircuit(3, (gate("toffoli", 0, 1, 2), gate("not", 0))))
+
+    def stepped(t, y):
+        raise Stepped(y)
+
+    monkeypatch.setattr(plb_module, "apply_plb", stepped)
+    monkeypatch.setattr(plb_module, "apply_plb_inverse", stepped)
+    for (i, n, x), y in want.items():
+        assert iterate_plb(maps[i], n, x) == y, (i, n, x)
+    for n in (1, -1, huge):
+        with pytest.raises(Stepped):
+            iterate_plb(compiled, n, 5)
 
 
 def _distinct_primes(n):
