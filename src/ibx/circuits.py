@@ -5,15 +5,15 @@ Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
 involution, so a circuit is inverted by reversing its gate list.  Many
-states are evaluated at once on a list with one value per wire
-(bit-slicing): an int64 0/1 array over the states when ``kernel.images``
-fills a table, or a Python int whose bit j is the wire at state j when the
-lift checks run a chunk of states.  Boolean circuits evaluate single
-states that way too.  A reversible circuit of at most
-``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at construction, to
-bit-mask steps on the integer encoding, and a single Python int runs
-through those.  Whole-state tables and cycles come from ``kernel``; numpy
-is imported only by the functions that tabulate the whole state space.
+states are evaluated at once on a list with one Python int per wire, whose
+bit j is the wire at state j (bit-slicing): ``kernel.images`` fills a
+circuit's table that way, and the lift checks run a chunk of states so.
+Boolean circuits evaluate single states on a list of bits.  A reversible
+circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at
+construction, to bit-mask steps on the integer encoding, and a single
+Python int runs through those; a wider one runs its wire list.
+Whole-state tables, state slices and cycles come from ``kernel``; numpy is
+imported only by the functions that tabulate the whole state space.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .kernel import (MAX_EXHAUSTIVE_WIDTH, STATE_CHUNK, Bijection, Bitstring, WidthMismatchError,
-                     cycle_lengths, images, iterate_bijection)
+from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
+                     images, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -64,10 +65,9 @@ class ReversibleGate:
 
 def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     """Apply ``gates`` in place to ``v``, one value per wire, wire 0 first,
-    and return ``v``.  A value is a bit for one state, an int64 0/1 array for
-    many, or a Python int whose bit j is the wire at state j of S sliced
-    states; ``ones`` is the value whose every state is 1: 1 for a bit or an
-    array, 2**S - 1 for a slice."""
+    and return ``v``.  A value is a bit for one state, or a Python int whose
+    bit j is the wire at state j of S sliced states; ``ones`` is the value
+    whose every state is 1: 1 for a bit, 2**S - 1 for a slice."""
     for g in gates:
         w = g.wires
         kind = g.kind
@@ -155,20 +155,19 @@ class ReversibleCircuit:
         if self.width <= MAX_EXHAUSTIVE_WIDTH:
             object.__setattr__(self, "_lowered", _lower(self.gates, self.width))
 
-    def eval_int(self, value):
-        """The circuit on an int, or elementwise on an array of states; bits
-        above the width (and a negative int's sign) pass through.  A Python
-        int runs through the lowered bit-mask steps when the circuit has
-        them; arrays, numpy scalars and wider circuits run on wire lists."""
-        if self._lowered is not None and type(value) is int:
+    def eval_int(self, value: int) -> int:
+        """The circuit on the integer encoding of one state; bits above the
+        width (and a negative int's sign) pass through.  A lowered circuit
+        runs its bit-mask steps, a wider one its wire list."""
+        if self._lowered is not None:
             steps, flips = self._lowered
             return _run_steps(steps, value) ^ flips
         wires = _run_wires(self.gates, _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 
-    def eval_int_reversed(self, value):
+    def eval_int_reversed(self, value: int) -> int:
         """The inverse of ``eval_int``: the same steps, undone in reverse."""
-        if self._lowered is not None and type(value) is int:
+        if self._lowered is not None:
             steps, flips = self._lowered
             return _run_steps(reversed(steps), value ^ flips)
         wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
@@ -180,7 +179,7 @@ class ReversibleCircuit:
             self.eval_int,
             self.eval_int_reversed,
             label=label or "circuit",
-            arrays=True,
+            sliced=(partial(_run_wires, self.gates), partial(_run_wires, self.gates[::-1])),
         )
 
 
@@ -326,44 +325,26 @@ _BOOL_FN = {
 }
 
 
-def _unpack(x, width: int) -> list:
-    """The wires of a ``width``-bit state (an int, or elementwise an array),
-    wire 0 first: wire i is bit ``width - 1 - i``."""
+def _unpack(x: int, width: int) -> list:
+    """The wires of a ``width``-bit state, wire i being bit ``width - 1 - i``."""
     return [(x >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def _pack_bits(bits: Iterable, out=0):
-    """Bits (ints or arrays), most significant first, packed after ``out``."""
+def _pack_bits(bits: Iterable[int], out: int = 0) -> int:
+    """Bits, most significant first, packed after ``out``."""
     for b in bits:
         out = (out << 1) | b
     return out
 
 
 def _eval_classical(circuit: ClassicalCircuit, inputs: list, ones=1) -> list:
-    """The output wires for a list of input wires (bits, arrays or slices,
-    with ``ones`` as in ``_run_wires``)."""
+    """The output wires for a list of input wires (bits or slices, with
+    ``ones`` as in ``_run_wires``)."""
     values = dict(enumerate(inputs))
     for g in circuit.gates:
         args = [values[a] for a in g.args]
         values[g.out] = args[0] ^ ones if g.kind == "not" else _BOOL_FN[g.kind](*args)
     return [values[w] for w in circuit.outputs]
-
-
-def _state_slices(k: int):
-    """Every k-bit state, STATE_CHUNK at a time, as (states, wires): wire i
-    is the int whose bit j is wire i of states[j].  Within a chunk the low
-    bits of the state count up, so their wires repeat a fixed pattern; the
-    high bits are the chunk's and hold for all of it."""
-    size = min(1 << k, STATE_CHUNK)
-    ones = (1 << size) - 1
-    low = size.bit_length() - 1
-    counting = []  # the wire of bit b < low: runs of 2**b zeros and 2**b ones
-    for b in range(low):
-        run = 1 << b
-        counting.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
-    for lo in range(0, 1 << k, size):
-        wires = [counting[b] if b < low else ones * (lo >> b & 1) for b in range(k - 1, -1, -1)]
-        yield range(lo, lo + size), wires
 
 
 def _sliced(states: Sequence[int], k: int) -> list:
@@ -498,7 +479,7 @@ def exact_lift(cf: ClassicalCircuit, cfi: ClassicalCircuit) -> LiftResult:
     if cfi.inputs != k or len(cf.outputs) != k or len(cfi.outputs) != k:
         raise CircuitError("both circuits must map k bits to k bits")
     if k <= MAX_EXHAUSTIVE_WIDTH:
-        batches: Iterable = _state_slices(k)
+        batches: Iterable = state_slices(k)
     else:
         rng = random.Random(0)
         sample = sorted(rng.randrange(1 << k) for _ in range(1000))
@@ -600,7 +581,7 @@ def verify_lift(lift: LiftResult, circuit: ClassicalCircuit) -> bool:
     if len(lift.out_wires) != len(circuit.outputs):
         return False
     pad = [0] * (lift.circuit.width - k)
-    for states, x in _state_slices(k):
+    for states, x in state_slices(k):
         ones = (1 << len(states)) - 1
         want = _eval_classical(circuit, x, ones)
         got = _run_wires(lift.circuit.gates, pad + x, ones)

@@ -254,7 +254,7 @@ def _cmd_lollipop(args, run: _Run) -> str:
     g = formats.parse_cubic(run.read(args.file))
     if args.action == "second-cycle":
         cycle = formats.parse_vertex_list(args.cycle)
-        edge = tuple(args.edge) if args.edge else (cycle[0], cycle[1])
+        edge = tuple(args.edge or cycle[:2])
         other = graphs.second_hamiltonian(g, cycle, edge, args.orientation)
         return formats.write_vertex_list(other).rstrip("\n")
     lines = []
@@ -375,7 +375,7 @@ def _three_gap_worst(bound: int) -> int:
     from . import iet
 
     pairs = ((m, step) for m in range(1, bound + 1) for step in range(m))
-    return max((iet.three_gap_max_distinct(m, step, m) for m, step in pairs), default=0)
+    return max(iet.three_gap_max_distinct(m, step, m) for m, step in pairs)
 
 
 def _cmd_iet(args, run: _Run) -> str:
@@ -383,6 +383,8 @@ def _cmd_iet(args, run: _Run) -> str:
 
     if args.action == "three-gap":
         if args.sweep is not None:
+            if args.sweep < 1:
+                raise ValueError(f"--sweep {args.sweep} is below 1")
             _check_cap("--sweep", args.sweep, MAX_GAP_SWEEP)
             worst = _three_gap_worst(args.sweep)
             if worst > 3:

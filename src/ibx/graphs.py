@@ -281,6 +281,8 @@ class CubicGraph:
 
     def __post_init__(self) -> None:
         n = self.vertex_count
+        if n < 1:
+            raise GraphError(f"a cubic graph needs at least one vertex, got {n}")
         # 3n/2 edges, checked before anything of size n is allocated
         if 2 * len(self.edges) != 3 * n:
             raise GraphError(f"graph is not 3-regular: {len(self.edges)} edges on {n} vertices")

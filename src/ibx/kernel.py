@@ -22,11 +22,10 @@ Conventions used across the package:
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
 * ``images`` tabulates the whole state space in one int64 numpy array,
-  which ``check_bijection_exhaustive`` checks.  A Bijection with ``arrays``
-  set also maps int64 arrays elementwise and fills it STATE_CHUNK states
-  per call; circuits set it.  Other maps (the stock maps below, the
-  schedules in ``reductions``, arbitrary callables) fill it in one Python
-  pass.  numpy is imported only by the functions that build arrays.
+  which ``check_bijection_exhaustive`` checks.  A map with ``sliced``
+  evaluators (circuits) fills it a chunk of ``state_slices``, the one
+  whole-state enumerator, per call; others fill it in one Python pass.
+  numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -144,18 +143,18 @@ class Bijection:
     ``forward`` and the optional ``backward`` act on the integer encoding.
     Out-of-domain encodings are the evaluator's problem: the contract is that
     they map to themselves, keeping the map total on all 2**width values.
-    ``arrays`` declares that both evaluators also map an int64 numpy array
-    elementwise, which lets ``images`` fill its table a chunk of states
-    per call.  ``leap`` and ``leap_back`` are optional leaps (see
-    ``iterate_map``) for ``forward`` and ``backward``.  Both state what the
-    evaluators can do; results are the same either way.
+    ``sliced`` optionally holds (forward, backward) on S states at once, as
+    ``state_slices`` gives them: ``(wires, ones) -> wires``, with ones =
+    2**S - 1.  ``leap`` and ``leap_back`` are optional leaps (see
+    ``iterate_map``) for ``forward`` and ``backward``.  These fields state
+    what the evaluators can do; results are the same either way.
     """
 
     width: int
     forward: Callable[[int], int]
     backward: Optional[Callable[[int], int]] = None
     label: str = ""
-    arrays: bool = False
+    sliced: Optional[Tuple[Callable, Callable]] = None
     leap: Optional[Leap] = None
     leap_back: Optional[Leap] = None
 
@@ -176,7 +175,7 @@ class Bijection:
             raise ValueError("cannot invert without a backward evaluator")
         return replace(
             self, forward=self.backward, backward=self.forward, label=f"inv({self.label})",
-            leap=self.leap_back, leap_back=self.leap,
+            sliced=self.sliced and self.sliced[::-1], leap=self.leap_back, leap_back=self.leap,
         )
 
 
@@ -327,7 +326,7 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     be a witness.
 
     The checks run on whole arrays, on the table ``images`` fills.  Backward
-    is only asked about the images of inputs before the first failure.
+    runs on the images before the first failure, or on every state if sliced.
     """
     ys = images(f)
     import numpy as np
@@ -350,7 +349,7 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
             False, (Bitstring(earlier, f.width), Bitstring(stop, f.width)), "collision"
         )
     if f.backward is not None:
-        backs = _table(f.backward, ys[:stop], f.arrays, size)
+        backs = _table(f.width, f.backward, f.sliced and f.sliced[1], ys[:stop])
         wrong = np.flatnonzero(backs != np.arange(stop))
         if wrong.size:
             x = int(wrong[0])
@@ -359,13 +358,25 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     return result
 
 
-# States per call to an array map, so its arrays stay near 32 KiB at any width.
+# States per slice, so a sliced state space is 4096-bit ints at any width.
 STATE_CHUNK = 1 << 12
 
 
-def state_chunks(xs):
-    """The array xs in consecutive slices of at most STATE_CHUNK states."""
-    return (xs[lo : lo + STATE_CHUNK] for lo in range(0, xs.size, STATE_CHUNK))
+def state_slices(k: int):
+    """Every k-bit state, STATE_CHUNK at a time, as (states, wires): wire i
+    is the int whose bit j is wire i of states[j].  Within a chunk the low
+    bits of the state count up, so their wires repeat a fixed pattern; the
+    high bits are the chunk's and hold for all of it."""
+    size = min(1 << k, STATE_CHUNK)
+    ones = (1 << size) - 1
+    low = size.bit_length() - 1
+    counting = []  # the wire of bit b < low: runs of 2**b zeros and 2**b ones
+    for b in range(low):
+        run = 1 << b
+        counting.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    for lo in range(0, 1 << k, size):
+        wires = [counting[b] if b < low else ones * (lo >> b & 1) for b in range(k - 1, -1, -1)]
+        yield range(lo, lo + size), wires
 
 
 def images(f: Bijection):
@@ -373,28 +384,32 @@ def images(f: Bijection):
     for widths up to ``MAX_EXHAUSTIVE_WIDTH``."""
     if f.width > MAX_EXHAUSTIVE_WIDTH:
         raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
+    return _table(f.width, f.forward, f.sliced and f.sliced[0])
+
+
+def _table(width: int, fn: Callable[[int], int], sliced: Optional[Callable], xs=None):
+    """The map on the int64 array of states xs (all when None), as an int64
+    array: sliced per chunk of ``state_slices``, or fn in one Python pass,
+    which stores an image too large for int64 as -1, so it fails a check."""
     import numpy as np
 
-    size = 1 << f.width
-    return _table(f.forward, np.arange(size), f.arrays, size)
-
-
-def _table(fn: Callable, xs, arrays: bool, size: int):
-    """fn over the int64 array xs as an int64 array: a chunk per call when fn
-    maps arrays, else one Python pass.  An image too large for int64 is
-    stored as -1, which like every value outside [0, size) fails a check."""
-    import numpy as np
-
-    if arrays:
-        out = np.empty(xs.size, np.int64)
-        for chunk, into in zip(state_chunks(xs), state_chunks(out)):
-            into[:] = fn(chunk)
-        return out
-    ys = list(map(fn, xs.tolist()))
-    try:
-        return np.array(ys, np.int64)
-    except OverflowError:
-        return np.array([y if 0 <= y < size else -1 for y in ys], np.int64)
+    size = 1 << width
+    if sliced is None:
+        ys = list(map(fn, range(size) if xs is None else xs.tolist()))
+        try:
+            return np.array(ys, np.int64)
+        except OverflowError:
+            return np.array([y if 0 <= y < size else -1 for y in ys], np.int64)
+    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    table = np.empty(size, np.int64)
+    for states, wires in state_slices(width):
+        count = len(states)
+        nbytes = (count + 7) // 8
+        raw = b"".join(w.to_bytes(nbytes, "little") for w in sliced(wires, (1 << count) - 1))
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(width, nbytes), axis=1,
+                             count=count, bitorder="little")
+        table[states.start : states.stop] = weights @ bits
+    return table if xs is None else table[xs]
 
 
 def identity(width: int) -> Bijection:

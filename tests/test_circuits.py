@@ -35,6 +35,7 @@ from ibx.kernel import (
     Bitstring,
     IterationProblem,
     check_bijection_exhaustive,
+    images,
     iterate,
 )
 
@@ -124,7 +125,9 @@ def _eval_by_wires(c, v):
     return sum(b << (c.width - 1 - w) for w, b in enumerate(bits))
 
 
-def test_array_eval_matches_scalar_eval_and_wire_semantics(rng):
+def test_sliced_eval_matches_scalar_eval_and_wire_semantics(rng):
+    """The tables filled from the sliced evaluators, both ways, against the
+    scalar evaluators and the one-state wire rule."""
     for width in range(13):
         kinds = [k for k, a in GATE_ARITY.items() if a <= width]
         gates = []
@@ -135,9 +138,9 @@ def test_array_eval_matches_scalar_eval_and_wire_semantics(rng):
         states = range(1 << width)
         scalar = [c.eval_int(v) for v in states]
         assert scalar == [_eval_by_wires(c, v) for v in states], width
-        assert c.eval_int(np.arange(1 << width)).tolist() == scalar
         assert permutation_of(c) == scalar
-        assert c.eval_int_reversed(np.array(scalar)).tolist() == list(states)
+        assert images(c.as_bijection().inverse())[scalar].tolist() == list(states)
+        assert images(invert_circuit(c).as_bijection()).tolist() == [c.eval_int_reversed(v) for v in states]
 
 
 def _every_kind_circuit(rng, width, count, not_share):
@@ -193,7 +196,8 @@ def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):
     a = make_circuit(rng, 6, 20)
     b = ReversibleCircuit(a.width, tuple(gate(g.kind, *g.wires) for g in a.gates))
     a.eval_int(5)
-    a.eval_int_reversed(np.arange(64))
+    a.eval_int_reversed(5)
+    assert check_bijection_exhaustive(a.as_bijection()).ok  # runs both sliced evaluators
     assert vars(a) == vars(b)  # evaluation leaves no trace
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) and "_program" not in repr(a)

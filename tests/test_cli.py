@@ -831,6 +831,31 @@ def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, docum
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (["lollipop", "count"], "cubic 0\n", "at least one vertex"),
+        (["lollipop", "second-cycle", "--cycle", "0"], "cubic 0\n", "at least one vertex"),
+        (["lollipop", "second-cycle", "--cycle", "1"], "k4", "not a Hamiltonian cycle"),
+        (["iet", "three-gap", "--sweep", "0"], None, "below 1"),
+        (["iet", "three-gap", "--sweep", "-1"], None, "below 1"),
+    ],
+    ids=["count-cubic-0", "second-cycle-cubic-0", "one-vertex-cycle", "sweep-0", "sweep-minus-1"],
+)
+def test_degenerate_inputs_are_one_error_line(tmp_path, argv, document, message):
+    # an empty graph, a one-vertex cycle and an empty sweep: nothing to search
+    if document == "k4":
+        document = formats.write_cubic(graphs.complete_graph_k4())
+    if document is not None:
+        (tmp_path / "doc.txt").write_text(document)
+        argv = [*argv, "--file", "doc.txt"]
+    done = run_fresh(["-m", "ibx.cli", *argv], tmp_path, preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert message in done.stderr
+
+
 def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
     # Bit masks for these gate lines would take about 28 KiB a gate, 1.7 GB
     # in all: more than the child's whole address space.

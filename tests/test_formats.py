@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ibx import ca, circuits, formats, graphs, plb
 
@@ -356,3 +358,35 @@ def test_vertex_list_single_line_only():
         formats.parse_vertex_list("0 1\n2 3")
     with pytest.raises(formats.FormatError):
         formats.parse_vertex_list("")
+
+
+# ---------------------------------------------------------------------------
+# every parser on mixed-up tokens
+
+PARSERS = [
+    formats.parse_circuit,
+    formats.parse_classical,
+    formats.parse_grid,
+    formats.parse_plb,
+    formats.parse_iet,
+    formats.parse_cubic,
+    formats.parse_vertex_list,
+]
+KEYWORDS = ["wires", "inputs", "outputs", "bbm", "plb", "iet", "cubic", "piece", "edge"]
+TOKENS = st.one_of(
+    st.sampled_from(KEYWORDS + list(circuits.GATE_ARITY) + list(circuits.CLASSICAL_ARITY)),
+    st.sampled_from(["#", "....", ".#.#", " ", "\t", "\n", "\n\n"]),
+    st.integers(-3, 24).map(str),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(TOKENS, max_size=40).map(" ".join))
+@example("cubic\t0 \t ")
+def test_parsers_return_or_raise_value_errors(text):
+    """Each parser returns a value or raises a ValueError on any text."""
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ValueError:
+            pass

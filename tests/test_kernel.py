@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 from array import array
+from dataclasses import replace
 from math import gcd, lcm
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibx import kernel
 from ibx.ca import MargolusGrid, bbm_rule, dim_redux_compile, simulate_1d
 from ibx.circuits import parity
 from ibx.graphs import leaf_to_bijection, random_path_instance
@@ -32,6 +34,7 @@ from ibx.kernel import (
     cycle_lengths,
     from_permutation,
     identity,
+    images,
     increment,
     inverse_table,
     iterate,
@@ -422,19 +425,18 @@ def test_check_catches_broken_backward():
 @pytest.mark.parametrize("shift", [4, -1])
 def test_check_backward_escape_is_an_inverse_failure(shift):
     """A backward value outside [0, 2**width) is reported, not raised, with
-    the witness (x, x), whether the table is filled by a Python pass or by
-    one array call, and by the reference walk."""
+    the witness (x, x), by the check and by the reference walk.  Only the
+    Python pass meets one: sliced maps put out w wires, which cannot
+    carry an escape."""
     want = BijectionCheck(False, (Bitstring(0, 2), Bitstring(0, 2)), "inverse")
-    for arrays in (False, True):
-        f = Bijection(2, lambda v: v, lambda v: v + shift, "escape-back", arrays=arrays)
-        assert check_bijection_exhaustive(f) == want, arrays
-        assert reference_walk(f) == want, arrays
+    f = Bijection(2, lambda v: v, lambda v: v + shift, "escape-back")
+    assert check_bijection_exhaustive(f) == reference_walk(f) == want
 
 
 def test_check_images_beyond_int64_are_failures():
-    """A map without ``arrays`` may return any int; the table stores one
-    too large for int64 as -1, so it is still an escape, or an inverse
-    failure when the backward map returns it."""
+    """A map without ``sliced`` evaluators may return any int; the table
+    stores one too large for int64 as -1, so it is still an escape, or an
+    inverse failure when the backward map returns it."""
     f = Bijection(3, lambda v: v if v < 5 else 1 << 70, lambda v: v, "huge")
     want = BijectionCheck(False, (Bitstring(5, 3), Bitstring(5, 3)), "escape")
     assert check_bijection_exhaustive(f) == reference_walk(f) == want
@@ -469,26 +471,39 @@ def reference_walk(f):
 
 
 def _both_checks(f):
-    """check_bijection_exhaustive on an ``arrays`` map, and the reference
-    walk on the same evaluators wrapped as a scalar map, whose own check
-    (the table filled by a Python pass) must agree with the walk."""
-    back = f.backward
-    scalar = Bijection(
-        f.width,
-        lambda v: int(f.forward(v)),
-        None if back is None else (lambda v: int(back(v))),
-        f.label,
-    )
-    assert f.arrays and not scalar.arrays
+    """check_bijection_exhaustive on a sliced map, and the reference walk
+    on the same map without its sliced evaluators, whose own check (the
+    table filled by a Python pass) must agree with the walk."""
+    scalar = replace(f, sliced=None)
+    assert f.sliced
     slow = reference_walk(scalar)
     assert check_bijection_exhaustive(scalar) == slow
     return check_bijection_exhaustive(f), slow
 
 
-def _faulty_tables(rng, width, faults):
+def sliced_table_map(width, fwd, back=None):
+    """The map reading the tables fwd and back, one state at a time, and
+    as sliced evaluators that turn each chunk of wires back into states,
+    look them up and slice the images again.  The tables hold w-bit
+    values only: w output wires cannot carry an escape."""
+
+    def sliced(table):
+        def run(wires, ones):
+            states = [sum((w >> j & 1) << i for i, w in enumerate(reversed(wires)))
+                      for j in range(ones.bit_length())]
+            ys = [table[x] for x in states]
+            return [sum((y >> i & 1) << j for j, y in enumerate(ys)) for i in reversed(range(width))]
+
+        return run
+
+    return Bijection(width, fwd.__getitem__, back and back.__getitem__, "table",
+                     sliced=(sliced(fwd), sliced(back)))
+
+
+def _faulty_tables(rng, width, faults, kinds=("collision", "backward", "escape")):
     """A random permutation table and its inverse, with ``faults`` planted
-    faults: a collision, a wrong backward entry, or an escape to -1 or to
-    2**width and above."""
+    faults of ``kinds``: a collision, a wrong backward entry, or an escape
+    to -1 or to 2**width and above."""
     size = 1 << width
     fwd = list(range(size))
     rng.shuffle(fwd)
@@ -496,7 +511,7 @@ def _faulty_tables(rng, width, faults):
     for x, y in enumerate(fwd):
         back[y] = x
     for _ in range(faults):
-        kind = rng.choice(["collision", "backward", "escape"])
+        kind = rng.choice(kinds)
         if kind == "escape":
             fwd[rng.randrange(size)] = rng.choice([-1, size + rng.randrange(size)])
         elif size > 1 and kind == "collision":
@@ -505,7 +520,7 @@ def _faulty_tables(rng, width, faults):
         elif size > 1:
             k = rng.randrange(size)
             back[k] = (back[k] + rng.randrange(1, size)) % size
-    return np.array(fwd, dtype=np.int64), np.array(back, dtype=np.int64)
+    return fwd, back
 
 
 def test_array_check_matches_scalar_walk_on_circuits(rng):
@@ -519,34 +534,45 @@ def test_array_check_matches_scalar_walk_on_circuits(rng):
 
 
 def test_array_check_matches_scalar_walk_on_faulty_tables(rng):
-    reasons = set()
+    """Sliced maps on tables with collisions and wrong backward entries,
+    and Python-pass maps on tables that may escape too, both checked
+    against the reference walk."""
+    sliced, python = set(), set()
     for width in range(8):
         for faults in range(4):
             for _ in range(12):
+                fwd, back = _faulty_tables(rng, width, faults, ("collision", "backward"))
+                for backward in (back, None):
+                    fast, slow = _both_checks(sliced_table_map(width, fwd, backward))
+                    assert fast == slow, (fwd, back, backward)
+                    sliced.add(fast.reason)
                 fwd, back = _faulty_tables(rng, width, faults)
                 for backward in (back.__getitem__, None):
-                    f = Bijection(width, fwd.__getitem__, backward, "table", arrays=True)
-                    fast, slow = _both_checks(f)
-                    assert fast == slow, (fwd.tolist(), back.tolist(), backward)
-                    reasons.add(fast.reason)
-    assert reasons == {"", "escape", "collision", "inverse"}
+                    f = Bijection(width, fwd.__getitem__, backward, "table")
+                    check = check_bijection_exhaustive(f)
+                    assert check == reference_walk(f), (fwd, back, backward)
+                    python.add(check.reason)
+    assert sliced == {"", "collision", "inverse"}
+    assert python == {"", "escape", "collision", "inverse"}
 
 
-def test_array_flag_edges(monkeypatch):
-    add1 = Bijection(3, lambda v: (v + 1) & 7, lambda v: (v - 1) & 7, "add1", arrays=True)
-    assert add1.inverse().arrays
-    assert not increment(3).inverse().arrays
+def test_sliced_field_edges(monkeypatch):
+    add1 = sliced_table_map(3, [(v + 1) & 7 for v in range(8)], [(v - 1) & 7 for v in range(8)])
+    assert add1.inverse().sliced == add1.sliced[::-1]
+    assert increment(3).inverse().sliced is None
+    assert images(add1.inverse()).tolist() == [(v - 1) & 7 for v in range(8)]
     assert check_bijection_exhaustive(add1.inverse()).ok
 
     def never(*args, **kwargs):
         raise AssertionError("evaluated a map wider than the cap")
 
-    monkeypatch.setattr(np, "arange", never)
+    monkeypatch.setattr(kernel, "state_slices", never)
     with pytest.raises(ValueError):
-        check_bijection_exhaustive(Bijection(21, never, never, "wide", arrays=True))
+        check_bijection_exhaustive(Bijection(21, never, never, "wide", sliced=(never, never)))
     monkeypatch.undo()
-    empty = Bijection(0, lambda v: v, lambda v: v, "empty", arrays=True)
+    empty = sliced_table_map(0, [0], [0])
     assert all(chk.ok for chk in _both_checks(empty))
+    assert images(empty).tolist() == [0]
 
 
 def test_cat_map_origin_fixed():
@@ -629,33 +655,37 @@ def test_builtins_are_bijective():
 @pytest.mark.parametrize("fault", ["escape", "collision", "inverse"])
 def test_chunked_table_matches_the_python_pass_past_the_first_chunk(rng, fault):
     """A fault planted in a later chunk of a 13-bit map gives the same
-    result whether the table is filled chunk by chunk or in one pass."""
+    result whether the table is filled chunk by chunk from slices or in
+    one Python pass.  An escape has no sliced form, so it is checked on
+    the Python pass alone."""
     width = 13
     size = 1 << width
     for at in (STATE_CHUNK, STATE_CHUNK + 1, rng.randrange(STATE_CHUNK, size), size - 1):
-        fwd, back = (a.tolist() for a in _faulty_tables(rng, width, 0))
+        fwd, back = _faulty_tables(rng, width, 0)
         if fault == "escape":
             fwd[at] = rng.choice([-1, size + at])
         elif fault == "collision":
             fwd[at] = fwd[rng.randrange(at)]
         else:
             back[fwd[at]] = (at + 1) % size
-        chunked = check_bijection_exhaustive(Bijection(
-            width, np.array(fwd).__getitem__, np.array(back).__getitem__, "t", arrays=True
-        ))
         python = check_bijection_exhaustive(Bijection(width, fwd.__getitem__, back.__getitem__, "t"))
-        assert chunked == python == reference_walk(Bijection(width, fwd.__getitem__, back.__getitem__))
-        assert chunked.reason == fault and chunked.witness[1 if fault == "collision" else 0].value == at
+        assert python == reference_walk(Bijection(width, fwd.__getitem__, back.__getitem__))
+        if fault != "escape":
+            assert check_bijection_exhaustive(sliced_table_map(width, fwd, back)) == python
+        assert python.reason == fault and python.witness[1 if fault == "collision" else 0].value == at
 
 
-def test_array_maps_are_asked_one_chunk_at_a_time():
+def test_sliced_maps_are_asked_one_chunk_at_a_time():
     sizes = []
 
-    def fn(xs):
-        sizes.append(xs.size)
-        return xs ^ 1
+    def flip(wires, ones):
+        sizes.append(ones.bit_length())
+        wires[-1] ^= ones
+        return wires
 
-    f = Bijection(13, fn, fn, "flip", arrays=True)
+    f = Bijection(13, lambda v: v ^ 1, lambda v: v ^ 1, "flip", sliced=(flip, flip))
+    assert images(f).tolist() == [v ^ 1 for v in range(1 << 13)]
+    sizes.clear()
     assert check_bijection_exhaustive(f).ok
     assert sizes == [STATE_CHUNK] * 4
 
