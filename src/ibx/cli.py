@@ -175,11 +175,25 @@ def _cmd_reduce(args, run: _Run) -> str:
         sched = reductions.compile_iteration_to_invertible(f, args.n, _bits(args.x))
         run.count("iterations", sched.total_iterations)
         return reductions.run_schedule(sched).to_text()
-    # oracle: one oracle gate applying f count times to the input field
     s = _bits(args.input)
     if s.width != f.width:
         raise ValueError("--input width must match the map width")
-    cbits = max(1, args.count.bit_length())
+    sched, direct = _one_oracle_gate(f, args.count, s)
+    run.count("iterations", sched.total_iterations)
+    compiled = reductions.run_schedule(sched)
+    if compiled != direct:
+        raise reductions.ReductionError(
+            f"compiled schedule gives {compiled.to_text()}, direct evaluation {direct.to_text()}"
+        )
+    return compiled.to_text()
+
+
+def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
+    """The compiled schedule of one oracle gate applying f count times to
+    s, and the answer ``eval_oracle_circuit`` gives for it directly."""
+    from . import reductions
+
+    cbits = max(1, count.bit_length())
     w = f.width
     oc = reductions.OracleCircuit(
         inputs=cbits + w,
@@ -192,18 +206,8 @@ def _cmd_reduce(args, run: _Run) -> str:
         ),
         outputs=tuple(range(cbits + w, cbits + 2 * w)),
     )
-    x = kernel.Bitstring(
-        kernel.pack_fields([(args.count, cbits), (s.value, w)]), cbits + w
-    )
-    sched = reductions.compile_oracle_circuit(oc, f, x)
-    run.count("iterations", sched.total_iterations)
-    compiled = reductions.run_schedule(sched)
-    direct = reductions.eval_oracle_circuit(oc, f, x)
-    if compiled != direct:
-        raise reductions.ReductionError(
-            f"compiled schedule gives {compiled.to_text()}, direct evaluation {direct.to_text()}"
-        )
-    return compiled.to_text()
+    x = kernel.Bitstring(kernel.pack_fields([(count, cbits), (s.value, w)]), cbits + w)
+    return reductions.compile_oracle_circuit(oc, f, x), reductions.eval_oracle_circuit(oc, f, x)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +496,14 @@ def _verify_reductions(rng: random.Random) -> None:
         )
         if got != kernel.iterate(kernel.IterationProblem(f, n, x)):
             raise ValueError("clocked schedule disagrees with direct iteration")
+    # a count near 2**40 on a map with no power of its own: the oracle clock
+    # leaps each run of ticks, walking only the start's cycle of the map
+    cat = kernel.cat_map(5)
+    sched, direct = _one_oracle_gate(
+        cat, (1 << 40) - rng.randrange(1, 1 << 10), kernel.Bitstring(rng.randrange(64), cat.width)
+    )
+    if reductions.run_schedule(sched) != direct:
+        raise ValueError("oracle schedule disagrees with the direct evaluation")
 
 
 def _verify_leaf(rng: random.Random) -> None:

@@ -22,15 +22,17 @@ Conventions used across the package:
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
 * ``images`` tabulates the whole state space in one int64 numpy array,
-  which ``check_bijection_exhaustive`` checks.  A map with ``sliced``
-  evaluators (circuits) fills it a chunk of ``state_slices``, the one
-  whole-state enumerator, per call; others fill it in one Python pass.
-  numpy is imported only by the functions that build arrays.
+  which ``check_bijection_exhaustive`` checks unless a round trip through
+  the map's sliced evaluators already proves it a bijection.  A map with
+  ``sliced`` evaluators (circuits) fills it a chunk of ``state_slices``,
+  the one whole-state enumerator, per call; others fill it in one Python
+  pass.  numpy is imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
@@ -325,9 +327,16 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     or (x, x) when that value is itself outside [0, 2**width) and so cannot
     be a witness.
 
-    The checks run on whole arrays, on the table ``images`` fills.  Backward
-    runs on the images before the first failure, or on every state if sliced.
+    A map with sliced evaluators and a backward map first runs backward
+    after forward on each chunk of ``state_slices`` and compares the result
+    with the chunk's own wires.  On a finite set a left inverse proves a
+    bijection, so when every chunk comes back the check passes without a
+    table.  Otherwise, and for every other map, the checks run on whole
+    arrays, on the table ``images`` fills.  Backward runs on the images
+    before the first failure, or on every state if sliced.
     """
+    if f.width <= MAX_EXHAUSTIVE_WIDTH and f.backward is not None and f.sliced and _round_trips(f):
+        return BijectionCheck(True)
     ys = images(f)
     import numpy as np
 
@@ -358,8 +367,31 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     return result
 
 
+def _round_trips(f: Bijection) -> bool:
+    """Whether f's sliced backward undoes its sliced forward on every chunk
+    of ``state_slices``, with the forward wires ``width`` ints that hold
+    only the chunk's states, so the table ``images`` would fill from them
+    holds the same map."""
+    forward, backward = f.sliced
+    for states, wires in state_slices(f.width):
+        ones = (1 << len(states)) - 1
+        ys = forward(list(wires), ones)  # the evaluators may work in place
+        if len(ys) != f.width or not all(0 <= y <= ones for y in ys) or backward(ys, ones) != wires:
+            return False
+    return True
+
+
 # States per slice, so a sliced state space is 4096-bit ints at any width.
 STATE_CHUNK = 1 << 12
+
+
+@lru_cache(maxsize=None)  # one entry per chunk size, a power of two up to STATE_CHUNK
+def _counting_wires(size: int) -> Tuple[int, ...]:
+    """The wire of state bit b < log2(size) over ``size`` counting states:
+    runs of 2**b zeros and 2**b ones."""
+    ones = (1 << size) - 1
+    runs = (1 << b for b in range(size.bit_length() - 1))
+    return tuple(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run) for run in runs)
 
 
 def state_slices(k: int):
@@ -369,11 +401,8 @@ def state_slices(k: int):
     high bits are the chunk's and hold for all of it."""
     size = min(1 << k, STATE_CHUNK)
     ones = (1 << size) - 1
-    low = size.bit_length() - 1
-    counting = []  # the wire of bit b < low: runs of 2**b zeros and 2**b ones
-    for b in range(low):
-        run = 1 << b
-        counting.append(ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    counting = _counting_wires(size)
+    low = len(counting)
     for lo in range(0, 1 << k, size):
         wires = [counting[b] if b < low else ones * (lo >> b & 1) for b in range(k - 1, -1, -1)]
         yield range(lo, lo + size), wires

@@ -175,6 +175,13 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     the answer: any function with a cheap point test (the inverse of f
     included, via the indicator f(y) = x) can be summed out the same way,
     and g itself only ever consults f forward.
+
+    Every other tick only counts, so g leaps (see ``kernel.iterate_map``)
+    from any a != x forward to a = x or to the wrap a = 0, whichever comes
+    first, with b unchanged, and back from any a != x + 1 to a = x + 1 or
+    to a = 0; the tick at a = x stays a literal step, so the image check
+    raises where the walk raises.  A whole sweep is three engine moves (two
+    when x = 0), at any k.
     """
     k = f.width
     if k > MAX_SWEEP_WIDTH:
@@ -197,7 +204,21 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
         prev = (a - 1) & mask
         return prev << k | (b - ftilde(prev)) & mask
 
-    g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]")
+    def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
+        a = v >> k & mask
+        if a == target:
+            return None
+        j = min((target - a) & mask, size - a, remaining)
+        return ((a + j) & mask) << k | v & mask, j
+
+    def leap_back(v: int, remaining: int) -> Optional[Tuple[int, int]]:
+        a = v >> k & mask
+        if a == (target + 1) & mask:
+            return None
+        j = min((a - target - 1) & mask, a or size, remaining)
+        return ((a - j) & mask) << k | v & mask, j
+
+    g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]", leap=leap, leap_back=leap_back)
 
     def extract(final: Bitstring) -> Bitstring:
         return Bitstring(final.value & mask, k)
@@ -413,6 +434,19 @@ def compile_oracle_circuit(
     (WidthMismatchError, before anything is built), and a step raises
     ValueError when the oracle, either way, returns a value that does not
     fit in its width.
+
+    Only the tick c2 = 0 of a gate is a literal step: h leaps (see
+    ``kernel.iterate_map``) over every other run of ticks that act alike,
+    as far as the steps left allow.  Idle runs (the spare value of c1, c2
+    >= 1 at a boolean gate, c2 above an oracle gate's count as its n wires
+    read now) leap forward to the wrap and back to the run's first tick.
+    An oracle gate's active run c2 = 1..count leaps t to g^j(t), or g^-j(t)
+    backward: ``kernel.iterate_map`` on g with every image checked, taking
+    g's own leaps when it declares them (the stock maps) and otherwise
+    stopping at t's first return, so a leap costs at most about twice t's
+    cycle length in calls of g, raises where the walk raises, and costs no
+    more calls than the walk.  A run of the whole schedule is then at most
+    three moves a gate and one for the spare slot, at any count.
     """
     from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
 
@@ -440,24 +474,67 @@ def compile_oracle_circuit(
             vec = (vec & ~(1 << pos[w])) | (bit << pos[w])
         return vec
 
-    def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
+    def run(c1: int, c2: int, vec: int) -> Optional[Tuple[int, int, Optional[OracleGate]]]:
+        # (lo, hi, gate): the ticks lo..hi of big-hand value c1, c2 among
+        # them, each mapping t := g(t) on gate's t wires, or idle when gate
+        # is None; None for the tick c2 = 0 that fires a gate
         if c1 >= len(oc.gates):
-            return vec
+            return 0, m_small - 1, None
+        g = oc.gates[c1]
+        if c2 == 0:
+            return None
+        if isinstance(g, ClassicalGate):
+            return 1, m_small - 1, None
+        count = read(vec, g.n_wires)
+        return (1, count, g) if c2 <= count else (count + 1, m_small - 1, None)
+
+    def fwd(t: int) -> int:
+        return _image(g_oracle.forward(t), width)
+
+    def back(t: int) -> int:
+        return _image(backward_oracle(t), width)
+
+    def power(vec: int, g: OracleGate, j: int) -> int:
+        # vec after j ticks of g's active run (-j undone when j < 0)
+        t = iterate_map(fwd, j, read(vec, g.t_wires), back, g_oracle.leap, g_oracle.leap_back)
+        return write(vec, g.t_wires, _image(t, width))
+
+    def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
+        ticks = run(c1, c2, vec)
+        if ticks is not None:
+            g = ticks[2]
+            return vec if g is None else power(vec, g, -1 if reverse else 1)
         g = oc.gates[c1]
         if isinstance(g, ClassicalGate):
-            if c2 == 0:
-                val = _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args))
-                vec ^= val << pos[g.out]
-            return vec
-        if c2 == 0:
-            return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
-        if c2 <= read(vec, g.n_wires):
-            t = read(vec, g.t_wires)
-            t2 = backward_oracle(t) if reverse else g_oracle.forward(t)
-            vec = write(vec, g.t_wires, _image(t2, width))
-        return vec
+            return vec ^ _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args)) << pos[g.out]
+        return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
 
-    h = _clocked(codec, act, "oracle-clock")
+    s2 = w_count
+    s1 = s2 + codec.widths[1]
+    m2, word_mask = (1 << codec.widths[1]) - 1, (1 << s2) - 1
+
+    def leaper(turn: int) -> Callable[[int, int], Optional[Tuple[int, int]]]:
+        def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
+            c1, c2, vec = v >> s1, v >> s2 & m2, v & word_mask
+            if c1 >= m_big or c2 >= m_small:
+                return None
+            if turn < 0:  # the hands of the tick a step back undoes
+                c1, c2 = (c1, c2 - 1) if c2 else ((c1 - 1) % m_big, m_small - 1)
+            ticks = run(c1, c2, vec)
+            if ticks is None:
+                return None
+            lo, hi, g = ticks
+            j = min(hi - c2 + 1 if turn > 0 else c2 - lo + 1, remaining)
+            if g is not None:
+                vec = power(vec, g, turn * j)
+            c2 = c2 + j if turn > 0 else c2 + 1 - j
+            if c2 == m_small:
+                c1, c2 = (c1 + 1) % m_big, 0
+            return c1 << s1 | c2 << s2 | vec, j
+
+        return leap
+
+    h = replace(_clocked(codec, act, "oracle-clock"), leap=leaper(1), leap_back=leaper(-1))
 
     vec0 = write(0, range(oc.inputs), x.value)
     start = Bitstring(codec.encode(ClockedState(0, 0, (vec0,))), codec.width)

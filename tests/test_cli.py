@@ -493,6 +493,29 @@ def test_reduce_clock_leaps_every_cycle_of_a_huge_n_at_once(tmp_path):
     assert done.stdout.strip() == format((x + 37 * n) % 256, "08b")
 
 
+def test_reduce_oracle_leaps_a_huge_count(tmp_path):
+    # the walk takes 2**68 ticks here
+    n = 10**20
+    done = run_fresh(
+        ["-m", "ibx.cli", "reduce", "oracle", "--fn", "add:37", "--width", "8",
+         "--input", "00000001", "--count", str(n)],
+        tmp_path, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == format((1 + 37 * n) % 256, "08b")
+
+
+def test_reduce_summation_leaps_its_sweep_at_the_widest_width(tmp_path):
+    x = 0b10110101110010101101
+    done = run_fresh(
+        ["-m", "ibx.cli", "reduce", "summation", "--fn", "add:37", "--width", "20",
+         "--x", format(x, "020b")],
+        tmp_path, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == format((x + 37) % 2**20, "020b")
+
+
 def test_plb_iterate_reports_the_path_that_answered(tmp_path, capsys):
     compiled, stages = plb.circuit_to_plb(formats.parse_circuit("wires 2\ncnot 0 1\nnot 0\n"))
     rotation = plb.interval_exchange(15, [(0, 11, 4), (11, 15, -11)])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ibx import kernel
 from ibx.ca import MargolusGrid, bbm_rule, dim_redux_compile, simulate_1d
-from ibx.circuits import parity
+from ibx.circuits import ClassicalGate, parity
 from ibx.graphs import leaf_to_bijection, random_path_instance
 from ibx.kernel import (
     STATE_CHUNK,
@@ -54,7 +54,13 @@ from ibx.plb import (
     permutation_order,
     riffle,
 )
-from ibx.reductions import compile_iteration_to_invertible
+from ibx.reductions import (
+    OracleCircuit,
+    OracleGate,
+    compile_iteration_to_invertible,
+    compile_oracle_circuit,
+    inversion_by_iteration,
+)
 
 from conftest import affine_plb, random_pieces, random_reversible_circuit
 
@@ -336,6 +342,35 @@ def _clock(r):
     return _bijection_row(s.g, _walked(s.g.forward, s.start.value, r.randrange(3 << k)))
 
 
+def _sweep(r):
+    # any f, a permutation or not, and any target: only f(target) is asked
+    k = r.randint(1, 4)
+    f = Bijection(k, [r.randrange(1 << k) for _ in range(1 << k)].__getitem__, None, "table")
+    s = inversion_by_iteration(f, Bitstring(r.randrange(1 << k), k))
+    return _bijection_row(s.g, r.randrange(1 << s.g.width))
+
+
+def _oracle_clock(r):
+    # an oracle gate, then maybe a boolean gate and a second oracle gate, on
+    # a map with a power of its own or a table with or without its inverse;
+    # the start is any state, off-contract counters included
+    k, c = r.randint(1, 2), r.randint(1, 2)
+    table = r.sample(range(1 << k), 1 << k)
+    back = [table.index(v) for v in range(1 << k)]
+    g = r.choice([add_const(k, r.randrange(1 << k)), Bijection(k, table.__getitem__, back.__getitem__),
+                  Bijection(k, table.__getitem__, None, "forward-only")])
+    t = tuple(range(c + k, c + 2 * k))
+    gates, fresh = [OracleGate(tuple(range(c)), tuple(range(c, c + k)), t)], c + 2 * k
+    if r.random() < 0.5:
+        gates.append(ClassicalGate("xor", fresh, (0, fresh - 1)))
+        fresh += 1
+    if r.random() < 0.5:
+        gates.append(OracleGate((c - 1,), t, tuple(range(fresh, fresh + k))))
+    oc = OracleCircuit(c + k, tuple(gates), gates[-1].writes)
+    s = compile_oracle_circuit(oc, g, Bitstring(r.randrange(1 << oc.inputs), oc.inputs))
+    return _bijection_row(s.g, r.randrange(1 << s.g.width))
+
+
 def _add_const(r):
     # increment, or any constant, negative and wider than the map included
     w = r.randint(1, 9)
@@ -373,7 +408,8 @@ def _affine(r):
 
 @pytest.mark.parametrize(
     "family",
-    [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _add_const, _rotate_left, _exchange, _affine],
+    [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const, _rotate_left,
+     _exchange, _affine],
     ids=lambda family: family.__name__.strip("_"),
 )
 @settings(max_examples=20, deadline=None)
@@ -673,6 +709,51 @@ def test_chunked_table_matches_the_python_pass_past_the_first_chunk(rng, fault):
         if fault != "escape":
             assert check_bijection_exhaustive(sliced_table_map(width, fwd, back)) == python
         assert python.reason == fault and python.witness[1 if fault == "collision" else 0].value == at
+
+
+def test_a_passing_sliced_check_builds_no_table(rng, monkeypatch):
+    """Backward after forward on every chunk proves a sliced map a
+    bijection, so a passing circuit check fills no table; a map that fails
+    the round trip still gets the table path's witness and reason."""
+    tables = []
+    table = kernel._table
+    monkeypatch.setattr(kernel, "_table", lambda *a: tables.append(a[0]) or table(*a))
+    for width in (0, 1, 5, 12, 13):
+        c = random_reversible_circuit(rng, width, 40 if width > 1 else 0, min_gates=0)
+        assert check_bijection_exhaustive(c.as_bijection()).ok
+        assert check_bijection_exhaustive(c.as_bijection().inverse()).ok
+    assert tables == []
+    fwd, back = _faulty_tables(rng, 13, 0)
+    back[fwd[5000]] = 17
+    check = check_bijection_exhaustive(sliced_table_map(13, fwd, back))
+    assert check == BijectionCheck(False, (Bitstring(5000, 13), Bitstring(17, 13)), "inverse")
+    assert tables == [13, 13]
+
+
+def test_a_round_trip_through_wires_outside_the_chunk_is_no_pass():
+    # forward sets a bit above the chunk's 8 states and backward clears it:
+    # the pair round-trips, but no table holds such an image, so the check
+    # takes the table path, which rejects the wire as it always has
+    def fwd(wires, ones):
+        return [wires[0] | ones + 1] + wires[1:]
+
+    def back(wires, ones):
+        return [wires[0] & ones] + wires[1:]
+
+    f = Bijection(3, lambda v: v, lambda v: v, "stray", sliced=(fwd, back))
+    with pytest.raises(OverflowError):
+        check_bijection_exhaustive(f)
+
+
+def test_state_slices_hold_every_state_bit_by_bit():
+    # twice over, so the second pass reads the cached counting wires
+    for k in (0, 1, 3, 12, 13, 12, 3):
+        chunks = list(kernel.state_slices(k))
+        assert [s for states, _ in chunks for s in states] == list(range(1 << k))
+        for states, wires in chunks:
+            for i, wire in enumerate(wires):
+                bit = k - 1 - i
+                assert wire == sum((x >> bit & 1) << j for j, x in enumerate(states)), (k, i)
 
 
 def test_sliced_maps_are_asked_one_chunk_at_a_time():

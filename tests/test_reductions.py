@@ -1,5 +1,7 @@
 """Sweep-summation and clocked compilers, oracle circuits and their compiler."""
 
+from dataclasses import replace
+
 import pytest
 
 from ibx.circuits import CircuitError, ClassicalCircuit, ClassicalGate
@@ -9,6 +11,7 @@ from ibx.kernel import (
     IterationProblem,
     WidthMismatchError,
     add_const,
+    cat_map,
     check_bijection_exhaustive,
     identity,
     increment,
@@ -365,6 +368,170 @@ def test_oracle_images_outside_the_width_raise():
         iterate_bijection(s.g.inverse(), s.total_iterations, final)
 
 
+# (circuit, oracle width): boolean gates before, after and between oracle
+# gates, whose counts are read off inputs and off a gate's output.
+SMALL_ORACLE_CIRCUITS = [
+    (
+        OracleCircuit(
+            4,
+            (OracleGate((0, 1), (2, 3), (4, 5)), ClassicalGate("copy", 6, (4,))),
+            (5, 6),
+        ),
+        2,
+    ),
+    (
+        OracleCircuit(
+            3, (ClassicalGate("xor", 3, (0, 1)), OracleGate((3,), (2,), (4,))), (4,)
+        ),
+        1,
+    ),
+    (
+        OracleCircuit(
+            2,
+            (
+                ClassicalGate("and", 2, (0, 1)),
+                ClassicalGate("not", 3, (2,)),
+                OracleGate((0,), (3,), (4,)),
+                ClassicalGate("or", 5, (1, 4)),
+            ),
+            (2, 5),
+        ),
+        1,
+    ),
+]
+
+
+def _one_gate(f, count, s):
+    """One oracle gate applying f count times to s, and its input."""
+    cbits, w = max(1, count.bit_length()), f.width
+    t = tuple(range(cbits + w, cbits + 2 * w))
+    oc = OracleCircuit(cbits + w, (OracleGate(tuple(range(cbits)), tuple(range(cbits, cbits + w)), t),), t)
+    return oc, Bitstring(pack_fields([(count, cbits), (s, w)]), cbits + w)
+
+
+def _assert_leaps_are_walks(g, v, remaining):
+    """Each leap g declares from v, with each number of steps left, lands
+    where that many literal steps land."""
+    for r in remaining:
+        for leap, step in ((g.leap, g.forward), (g.leap_back, g.backward)):
+            hop = leap(v, r)
+            if hop is not None:
+                y, j = hop
+                assert 1 <= j <= r, (v, r, j)
+                w = v
+                for _ in range(j):
+                    w = step(w)
+                assert y == w, (v, r, j)
+
+
+def _engine_moves(schedule):
+    """run_schedule's answer and the engine moves it took: literal steps
+    and leaps taken."""
+    g, moves = schedule.g, []
+
+    def step(v):
+        moves.append("step")
+        return g.forward(v)
+
+    def leap(v, r):
+        hop = g.leap(v, r)
+        if hop is not None:
+            moves.append("leap")
+        return hop
+
+    return run_schedule(replace(schedule, g=replace(g, forward=step, leap=leap))), moves
+
+
+def test_sweep_leaps_equal_the_literal_walk(rng):
+    for k in range(1, 4):
+        size = 1 << k
+        for x in range(size):
+            table = [rng.randrange(size) for _ in range(size)]  # only f(x) is asked
+            s = inversion_by_iteration(Bijection(k, table.__getitem__, None, "table"), Bitstring(x, k))
+            for v in range(size * size):  # every state
+                _assert_leaps_are_walks(s.g, v, (1, 2, size - 1, size, 3 * size))
+                # b comes back within 2**k sweeps, so the last count is past a full period
+                for steps in (size - 1, size, size * size + 3):
+                    got, want = _literal_runs(s.g, Bitstring(v, 2 * k), steps)
+                    assert got == want, (k, x, v, steps)
+            assert run_schedule(s).value == table[x]
+
+
+def test_sweep_is_three_engine_moves_at_the_widest_width(rng):
+    k = MAX_SWEEP_WIDTH
+    f = add_const(k, rng.randrange(1 << k))
+    for x in (0, 1, rng.randrange(2, 1 << k), (1 << k) - 1):
+        s = inversion_by_iteration(f, Bitstring(x, k))
+        answer, moves = _engine_moves(s)
+        assert answer.value == f.forward(x)
+        # up to the target, its one literal tick, and on to the wrap
+        assert moves == ["leap"] * (x > 0) + ["step"] + ["leap"] * (x < (1 << k) - 1)
+        final = iterate_bijection(s.g, s.total_iterations, s.start)
+        assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
+
+
+def _oracle_maps(rng, k):
+    """A stock map with a power of its own, a random permutation table with
+    its inverse, and the same table forward only."""
+    table = rng.sample(range(1 << k), 1 << k)
+    back = [table.index(v) for v in range(1 << k)]
+    return [add_const(k, rng.randrange(1, 1 << k)), Bijection(k, table.__getitem__, back.__getitem__),
+            Bijection(k, table.__getitem__, None, "forward-only")]
+
+
+def test_oracle_clock_leaps_equal_the_literal_walk(rng):
+    for oc, k in SMALL_ORACLE_CIRCUITS:
+        for f in _oracle_maps(rng, k):
+            x = Bitstring(rng.randrange(1 << oc.inputs), oc.inputs)
+            s = compile_oracle_circuit(oc, f, x)
+            g, m, total = s.g, s.codec.m_small, s.total_iterations
+            for v in range(1 << g.width):  # every state, off-contract counters included
+                _assert_leaps_are_walks(g, v, (1, 2, m, total))
+            for v in [s.start.value] + rng.sample(range(1 << g.width), 6):
+                for steps in (total // 2, total, total + 7, 4 * total + 1):
+                    got, want = _literal_runs(g, Bitstring(v, g.width), steps)
+                    assert got == want, (oc, f.label, v, steps)
+            assert run_schedule(s) == eval_oracle_circuit(oc, f, x)
+
+
+def test_oracle_clock_answers_a_huge_count_in_four_moves(rng):
+    # the copy tick, the active run, the idle run and the spare slot
+    n = 10**20 + 7
+    for f in [cat_map(5)] + _oracle_maps(rng, 5):
+        oc, x = _one_gate(f, n, rng.randrange(1 << f.width))
+        s = compile_oracle_circuit(oc, f, x)
+        answer, moves = _engine_moves(s)
+        s_in = Bitstring(x.value & (1 << f.width) - 1, f.width)
+        assert answer == eval_oracle_circuit(oc, f, x) == iterate_bijection(f, n, s_in)
+        assert moves == ["step", "leap", "leap", "leap"], f.label
+        final = iterate_bijection(s.g, s.total_iterations, s.start)
+        assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
+
+
+@pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v ^ 1 if v < 6 else 99])
+def test_oracle_clock_equals_the_walk_when_g_is_no_permutation_of_its_width(fn):
+    # g collides, or sends inputs the runs from 0 never reach outside 3 bits
+    g = Bijection(3, fn, lambda v: v, "not a permutation")
+    for count in (1, 5):
+        oc, x = _one_gate(g, count, 0)
+        s = compile_oracle_circuit(oc, g, x)
+        for steps in (s.total_iterations, s.total_iterations + 20):
+            got, want = _literal_runs(s.g, s.start, steps)
+            assert got == want
+        assert run_schedule(s) == eval_oracle_circuit(oc, g, x)
+
+
+def test_oracle_clock_raises_where_the_walk_raises_when_an_image_escapes():
+    g = Bijection(3, lambda v: v + 1, lambda v: v - 1, "escapes at 7")
+    for count in (5, 10**20):
+        oc, x = _one_gate(g, count, 4)
+        s = compile_oracle_circuit(oc, g, x)
+        with pytest.raises(ValueError, match="value 8 out of range for width 3"):
+            iterate(IterationProblem(s.g, s.total_iterations, s.start))
+        with pytest.raises(ValueError, match="value 8 out of range for width 3"):
+            run_schedule(s)
+
+
 def test_oracle_circuit_wiring_guards():
     with pytest.raises(ReductionError):
         OracleCircuit(2, (OracleGate((0,), (1,), (1,)),), (1,))
@@ -587,38 +754,7 @@ def test_clock_steps_match_the_literal_reference(f, n, x):
     assert _assert_matches_reference(s, _ref_clock_act(f)) > 0
 
 
-@pytest.mark.parametrize(
-    "oc, k",
-    [
-        (
-            OracleCircuit(
-                4,
-                (OracleGate((0, 1), (2, 3), (4, 5)), ClassicalGate("copy", 6, (4,))),
-                (5, 6),
-            ),
-            2,
-        ),
-        (
-            OracleCircuit(
-                3, (ClassicalGate("xor", 3, (0, 1)), OracleGate((3,), (2,), (4,))), (4,)
-            ),
-            1,
-        ),
-        (
-            OracleCircuit(
-                2,
-                (
-                    ClassicalGate("and", 2, (0, 1)),
-                    ClassicalGate("not", 3, (2,)),
-                    OracleGate((0,), (3,), (4,)),
-                    ClassicalGate("or", 5, (1, 4)),
-                ),
-                (2, 5),
-            ),
-            1,
-        ),
-    ],
-)
+@pytest.mark.parametrize("oc, k", SMALL_ORACLE_CIRCUITS)
 def test_oracle_steps_match_the_literal_reference(oc, k):
     g = increment(k)
     s = compile_oracle_circuit(oc, g, Bitstring(1, oc.inputs))
