@@ -661,10 +661,10 @@ class DimReduxAutomaton:
     The 2D dynamics being replayed is margolus_step_helical on a grid of
     2p/c rows by c columns; dim_redux_verify checks the two bit-exactly.
 
-    ``leap`` and ``leap_back`` (see ``kernel.iterate_map``) take a whole
-    period of t steps from a lit config: the t - 1 band shifts compose into
+    ``leap`` (see ``kernel.iterate_map``) takes a whole period of t steps
+    from a lit config, forward or back: the t - 1 band shifts compose into
     one shift by t - 1, so simulate_1d costs one blocked update, one
-    shift and one check per period.
+    shift and one check per period either way.
     """
 
     rule: MargolusRule
@@ -787,28 +787,16 @@ class DimReduxAutomaton:
     def step_back(self, cfg: TrackedConfig1D) -> TrackedConfig1D:
         return self._advance(cfg, -1)
 
-    def _period_ahead(self, cfg: TrackedConfig1D, remaining: int) -> bool:
-        # a config that reads as lit, with a whole period of t steps to go
+    def leap(self, cfg: TrackedConfig1D, r: int) -> Optional[Tuple[TrackedConfig1D, int]]:
+        """t steps from a lit config, when at least t are left: forward one
+        ``step`` (the blocked update, which checks the config) and the t - 1
+        band shifts as one shift; backward (r < 0) the shifts as one checked
+        shift, then one ``step_back`` (the inverse blocked update)."""
         tracks = cfg.tracks
-        return (remaining >= self.t and len(tracks) == 4 and len(tracks[0]) == self.p
-                and tracks[3][0] == 0)
-
-    def leap(
-        self, cfg: TrackedConfig1D, remaining: int
-    ) -> Optional[Tuple[TrackedConfig1D, int]]:
-        """t steps from a lit config: one ``step`` (the blocked update, which
-        checks the config) and the t - 1 band shifts as one shift."""
-        if not self._period_ahead(cfg, remaining):
+        if abs(r) < self.t or len(tracks) != 4 or len(tracks[0]) != self.p or tracks[3][0]:
             return None
-        return self._shifts(self.step(cfg), self.t - 1, 0), self.t
-
-    def leap_back(
-        self, cfg: TrackedConfig1D, remaining: int
-    ) -> Optional[Tuple[TrackedConfig1D, int]]:
-        """t steps back from a lit config: the t - 1 band shifts as one
-        checked shift, then one ``step_back`` (the inverse blocked update)."""
-        if not self._period_ahead(cfg, remaining):
-            return None
+        if r > 0:
+            return self._shifts(self.step(cfg), self.t - 1, 0), self.t
         self._check(cfg)
         return self.step_back(self._shifts(cfg, 1 - self.t, 1)), self.t
 
@@ -822,14 +810,11 @@ def dim_redux_compile(rule: MargolusRule, c: int, p: int) -> DimReduxAutomaton:
 
 def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     """n forward steps (negative n steps backward) of any automaton with
-    step/step_back, leaping where it declares leap/leap_back.  The engine
+    step/step_back, leaping where it declares a signed leap.  The engine
     stops at a return of the tracks, so an astronomically large n costs a
     few orbit lengths at most; the result's step counter is cfg.step + n
     either way."""
-    out = iterate_map(
-        automaton.step, n, cfg, automaton.step_back,
-        getattr(automaton, "leap", None), getattr(automaton, "leap_back", None),
-    )
+    out = iterate_map(automaton.step, n, cfg, automaton.step_back, getattr(automaton, "leap", None))
     return TrackedConfig1D._from_tracks(out.tracks, cfg.step + n)
 
 

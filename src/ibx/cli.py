@@ -79,6 +79,7 @@ def _named_bijection(name: str, width: Optional[int]) -> kernel.Bijection:
         return kernel.cat_map(int(arg))
     if width is None:
         raise ValueError(f"--width is required for map {name!r}")
+    _check_cap("--width", width, MAX_MAP_WIDTH)
     if base == "identity":
         return kernel.identity(width)
     if base == "increment":
@@ -94,15 +95,19 @@ def _bits(text: str) -> kernel.Bitstring:
     return kernel.Bitstring.from_text(text)
 
 
-# Caps on the size arguments that allocate in proportion to their value:
-# ``plb rotate`` builds numbers of --k bits, ``ca strobe-demo`` a ring of
-# --ring cells and t**2 counter pairs for period --t, ``leaf`` a path of
-# --length vertices labelled by --k-bit words, ``iet three-gap`` the set of
-# its first --count points, and its --sweep N one call per modulus and step,
-# N(N+1)/2 calls in all.
+# Caps on the size arguments that allocate or run in proportion to their
+# value: ``plb rotate`` builds numbers of --k bits, ``reduce`` a map on
+# --width bits (an oracle gate's wires are circuit wires, so the circuit
+# wire cap), ``ca strobe-demo`` a ring of --ring cells and t**2 counter
+# pairs for period --t, and it walks and lists --n steps of every cell,
+# ring * n cell steps in all; ``leaf`` a path of --length vertices labelled
+# by --k-bit words, ``iet three-gap`` the set of its first --count points,
+# and its --sweep N one call per modulus and step, N(N+1)/2 calls in all.
 MAX_ROTATE_BITS = 1 << 12
+MAX_MAP_WIDTH = 1 << 16
 MAX_STROBE_RING = 1 << 16
 MAX_STROBE_PERIOD = 256
+MAX_STROBE_CELL_STEPS = 1 << 20
 MAX_PATH_LENGTH = 1 << 16
 MAX_LEAF_BITS = 62
 MAX_GAP_COUNT = 1 << 20
@@ -301,6 +306,7 @@ def _cmd_ca(args, run: _Run) -> str:
         raise ca.CaError(f"--n must be nonnegative, got {args.n}")
     _check_cap("--t", args.t, MAX_STROBE_PERIOD)
     _check_cap("--ring", args.ring, MAX_STROBE_RING)
+    _check_cap("--n", args.n, MAX_STROBE_CELL_STEPS // max(args.ring, 1))
     lit = _strobe_lit_steps(args.t, args.n, args.ring)
     run.count("steps", args.n)
     return " ".join(map(str, lit))

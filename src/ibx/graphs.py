@@ -151,9 +151,9 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     the map would act on stale answers.
 
     A wait is one tick run, so the map leaps over it (see
-    ``kernel.iterate_map``): forward from (c, v, w) with 1 <= c <= 2**k - 2,
-    the edge mutual and v a leaf, c rises by min(remaining, 2**k - 1 - c);
-    backward from such a state with c >= 2, c falls by min(remaining, c - 1).
+    ``kernel.iterate_map``): from (c, v, w) with c >= 1, the edge mutual
+    and v a leaf, with r steps left, c rises by min(r, 2**k - 1 - c) when
+    r > 0 and falls by min(-r, c - 1) when r < 0.
     So a 2**k-step run costs about two walks of the path, not 2**k steps.
     """
     if k <= 0:
@@ -220,21 +220,16 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
         nv = query_vals(v)
         return mutual(v, nv, w, query_vals(w)) and len(nv) == 1
 
-    def leap(x: int, remaining: int) -> Optional[Tuple[int, int]]:
-        n = (x >> k2) & mask
-        if not (1 <= n < mask and waits(x)):
+    def leap(x: int, r: int) -> Optional[Tuple[int, int]]:
+        # a waiting counter c climbs to 2**k - 1 forward and falls to 1 back
+        c, d = (x >> k2) & mask, 1 if r > 0 else -1
+        room = mask - c if d > 0 else c - 1
+        if not (c and room and waits(x)):
             return None
-        j = min(remaining, mask - n)
-        return (n + j) << k2 | x & edge, j
+        j = min(d * r, room)
+        return (c + d * j) << k2 | x & edge, j
 
-    def leap_back(x: int, remaining: int) -> Optional[Tuple[int, int]]:
-        m = (x >> k2) & mask
-        if not (m >= 2 and waits(x)):
-            return None
-        j = min(remaining, m - 1)
-        return (m - j) << k2 | x & edge, j
-
-    return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]", leap=leap, leap_back=leap_back)
+    return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]", leap=leap)
 
 
 def random_path_instance(

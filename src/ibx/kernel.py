@@ -2,13 +2,13 @@
 and the whole-state-space evaluator.
 
 ``iterate_map`` is the package's one n-step engine, a single loop that
-every stepper, from circuits to block automata, runs through; a map that
-ticks a counter hands it leaps over those runs, a closed-form power its
-``power_leaps``, and any orbit shape ends the loop within a small multiple
-of tail + cycle moves.  ``iterate`` is the literal loop it is tested
-against.  ``images`` is the one filler of whole-state tables,
-``cycle_lengths`` the one cycle reader, and ``inverse_table`` the one
-check and inverse of a permutation table.
+every stepper, from circuits to block automata, runs through in either
+direction; a map that ticks a counter hands it one signed leap over those
+runs, a closed-form power its ``power_leap``, and any orbit shape ends
+the loop within a small multiple of tail + cycle moves.  ``iterate`` is
+the literal loop it is tested against.  ``images`` is the one filler of
+whole-state tables, ``cycle_lengths`` the one cycle reader, and
+``inverse_table`` the one check and inverse of a permutation table.
 
 Conventions used across the package:
 
@@ -133,8 +133,9 @@ def unpack_fields(value: int, widths: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# leap(y, remaining) -> None, or (y', j) with 1 <= j <= remaining and y'
-# exactly j literal steps from y: how a map takes a run of steps at once.
+# leap(y, r) -> None, or (y', j) with 1 <= j <= |r| and y' exactly j
+# literal steps from y, forward when r > 0 and backward when r < 0, r the
+# signed count of steps left (never 0): how a map takes a run at once.
 Leap = Callable[[T, int], Optional[Tuple[T, int]]]
 
 
@@ -147,9 +148,9 @@ class Bijection:
     they map to themselves, keeping the map total on all 2**width values.
     ``sliced`` optionally holds (forward, backward) on S states at once, as
     ``state_slices`` gives them: ``(wires, ones) -> wires``, with ones =
-    2**S - 1.  ``leap`` and ``leap_back`` are optional leaps (see
-    ``iterate_map``) for ``forward`` and ``backward``.  These fields state
-    what the evaluators can do; results are the same either way.
+    2**S - 1.  ``leap`` is an optional signed leap (see ``iterate_map``)
+    over ``forward`` and ``backward`` runs.  These fields state what the
+    evaluators can do; results are the same either way.
     """
 
     width: int
@@ -158,7 +159,6 @@ class Bijection:
     label: str = ""
     sliced: Optional[Tuple[Callable, Callable]] = None
     leap: Optional[Leap] = None
-    leap_back: Optional[Leap] = None
 
     def apply(self, x: Bitstring) -> Bitstring:
         if x.width != self.width:
@@ -175,9 +175,10 @@ class Bijection:
     def inverse(self) -> "Bijection":
         if self.backward is None:
             raise ValueError("cannot invert without a backward evaluator")
+        leap = self.leap
         return replace(
             self, forward=self.backward, backward=self.forward, label=f"inv({self.label})",
-            sliced=self.sliced and self.sliced[::-1], leap=self.leap_back, leap_back=self.leap,
+            sliced=self.sliced and self.sliced[::-1], leap=leap and (lambda y, r: leap(y, -r)),
         )
 
 
@@ -217,16 +218,16 @@ def iterate_map(
     x: T,
     back: Optional[Callable[[T], T]] = None,
     leap: Optional[Leap] = None,
-    leap_back: Optional[Leap] = None,
 ) -> T:
     """Apply ``step`` n times to x; a negative n applies ``back`` -n times.
 
     One loop makes every move: a step of one, or a leap.  A map whose
-    steps mostly tick a counter may pass ``leap`` (and ``leap_back`` for
-    ``back``): ``leap(y, remaining)`` returns None, and the engine takes one
-    step, or (y', j) with 1 <= j <= remaining and y' exactly j literal
-    steps from y.  After every move the engine compares the state with x
-    and with a mark it moves to where it stands after 1, 2, 4, ... moves
+    steps mostly tick a counter may pass ``leap``, one for both directions:
+    ``leap(y, r)``, with r the signed count of steps left, returns None,
+    and the engine takes one step, or (y', j) with 1 <= j <= |r| and y'
+    exactly j literal steps from y, forward when r > 0 and backward when
+    r < 0.  After every move the engine compares the state with x and
+    with a mark it moves to where it stands after 1, 2, 4, ... moves
     (Brent's cycle finding), since an orbit may never come back to x and
     leaps may jump over x forever.  A state met again at times t0 < t
     repeats every t - t0 steps, so the engine finishes with the remaining
@@ -235,14 +236,15 @@ def iterate_map(
     fewer than 4 (mu + lambda) + 2 steps at any n; a bijection (mu = 0)
     stops at its first return to x, fewer than two orbit lengths of steps.
     """
+    sign = 1
     if n < 0:
         if back is None:
             raise ValueError("a negative iteration count needs a backward map")
-        step, leap, n = back, leap_back, -n
+        step, n, sign = back, -n, -1
     y, done = x, 0
     mark, marked_at, moves, stride = x, 0, 0, 1
     while done < n:
-        if leap is None or (hop := leap(y, n - done)) is None:
+        if leap is None or (hop := leap(y, sign * (n - done))) is None:
             y, done = step(y), done + 1
         else:
             y, j = hop
@@ -257,10 +259,10 @@ def iterate_map(
     return y
 
 
-def power_leaps(power: Callable[[T, int], T]) -> Tuple[Leap, Leap]:
-    """(leap, leap_back) of a map with a closed-form signed power(y, n) =
-    f^n(y): each takes every remaining step r at once, to power(y, ±r)."""
-    return (lambda y, r: (power(y, r), r)), (lambda y, r: (power(y, -r), r))
+def power_leap(power: Callable[[T, int], T]) -> Leap:
+    """The leap of a map with a closed-form signed power(y, n) = f^n(y):
+    it takes every remaining step r at once, to power(y, r)."""
+    return lambda y, r: (power(y, r), abs(r))
 
 
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
@@ -270,9 +272,7 @@ def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
         raise WidthMismatchError(
             f"input width {x.width} does not match bijection width {f.width}"
         )
-    return Bitstring(
-        iterate_map(f.forward, n, x.value, f.backward, f.leap, f.leap_back), f.width
-    )
+    return Bitstring(iterate_map(f.forward, n, x.value, f.backward, f.leap), f.width)
 
 
 def cycle_lengths(table: Sequence[int]) -> List[int]:
@@ -452,20 +452,19 @@ def increment(width: int) -> Bijection:
 
 def add_const(width: int, c: int) -> Bijection:
     """x + c modulo 2**width; its power x -> x + n*c leaps every remaining
-    step at once (``power_leaps``)."""
+    step at once (``power_leap``)."""
     mask = (1 << width) - 1
     c &= mask
-    leap, leap_back = power_leaps(lambda x, n: (x + n * c) & mask)
     return Bijection(
         width, lambda x: (x + c) & mask, lambda x: (x - c) & mask,
-        label=f"add{c}/{width}", leap=leap, leap_back=leap_back,
+        label=f"add{c}/{width}", leap=power_leap(lambda x, n: (x + n * c) & mask),
     )
 
 
 def rotate_left(width: int) -> Bijection:
     """Circular shift of the bit pattern toward the most significant end;
     its power, a rotation by n mod width, leaps every remaining step at
-    once (``power_leaps``)."""
+    once (``power_leap``)."""
     if width == 0:
         return identity(0)
     mask = (1 << width) - 1
@@ -474,10 +473,8 @@ def rotate_left(width: int) -> Bijection:
         r %= width
         return ((x << r) & mask) | (x >> (width - r))
 
-    leap, leap_back = power_leaps(rotl)
     return Bijection(
-        width, lambda x: rotl(x, 1), lambda x: rotl(x, -1),
-        label=f"rotl/{width}", leap=leap, leap_back=leap_back,
+        width, lambda x: rotl(x, 1), lambda x: rotl(x, -1), label=f"rotl/{width}", leap=power_leap(rotl),
     )
 
 

@@ -32,7 +32,7 @@ from functools import partial
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .kernel import cycle_lengths, iterate_map, power_leaps
+from .kernel import cycle_lengths, iterate_map, power_leap
 
 if TYPE_CHECKING:
     from .circuits import ReversibleCircuit
@@ -376,8 +376,8 @@ def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
     if not 0 <= x < t.domain:
         raise PlbError(f"{x} outside [0,{t.domain})")
     power, _ = power_path(t)
-    leaps = power_leaps(power) if power else ()
-    return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y), *leaps)
+    leap = power and power_leap(power)
+    return iterate_map(lambda y: apply_plb(t, y), n, x, lambda y: apply_plb_inverse(t, y), leap)
 
 
 def permutation_order(t: PiecewiseLinearBijection) -> int:

@@ -177,11 +177,10 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     and g itself only ever consults f forward.
 
     Every other tick only counts, so g leaps (see ``kernel.iterate_map``)
-    from any a != x forward to a = x or to the wrap a = 0, whichever comes
-    first, with b unchanged, and back from any a != x + 1 to a = x + 1 or
-    to a = 0; the tick at a = x stays a literal step, so the image check
-    raises where the walk raises.  A whole sweep is three engine moves (two
-    when x = 0), at any k.
+    from any a != x forward to a = x, across the wrap if need be, with b
+    unchanged, and back from any a != x + 1 to a = x + 1; the tick at a = x
+    stays a literal step, so the image check raises where the walk raises.
+    A whole sweep is three engine moves (two when x = 0), at any k.
     """
     k = f.width
     if k > MAX_SWEEP_WIDTH:
@@ -204,21 +203,14 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
         prev = (a - 1) & mask
         return prev << k | (b - ftilde(prev)) & mask
 
-    def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
-        a = v >> k & mask
-        if a == target:
-            return None
-        j = min((target - a) & mask, size - a, remaining)
-        return ((a + j) & mask) << k | v & mask, j
+    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
+        # a moves in the direction d of r up to the literal tick's a
+        d = 1 if r > 0 else -1
+        a, stop = v >> k, (target + (d < 0)) & mask
+        j = min(d * (stop - a) & mask, d * r)
+        return ((a + d * j & mask) << k | v & mask, j) if j else None
 
-    def leap_back(v: int, remaining: int) -> Optional[Tuple[int, int]]:
-        a = v >> k & mask
-        if a == (target + 1) & mask:
-            return None
-        j = min((a - target - 1) & mask, a or size, remaining)
-        return ((a - j) & mask) << k | v & mask, j
-
-    g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]", leap=leap, leap_back=leap_back)
+    g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]", leap=leap)
 
     def extract(final: Bitstring) -> Bitstring:
         return Bitstring(final.value & mask, k)
@@ -302,21 +294,18 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
         except ValueError:
             return None
 
-    def leaper(turn: int) -> Callable[[int, int], Optional[Tuple[int, int]]]:
-        def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
-            c1 = v >> s1
-            if remaining < m_small or v & busy or c1 >= m_big:
-                return None
-            t = tabulated()
-            if t is None:
-                return None
-            j = remaining // m_small
-            a = iterate_map(t.forward, turn * j, v >> k2 & mask, t.backward)
-            return (c1 + turn * j) % m_big << s1 | a << k2, j * m_small
+    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
+        c1, cycles = v >> s1, abs(r) // m_small
+        if not cycles or v & busy or c1 >= m_big:
+            return None
+        t = tabulated()
+        if t is None:
+            return None
+        j = cycles if r > 0 else -cycles
+        a = iterate_map(t.forward, j, v >> k2 & mask, t.backward)
+        return (c1 + j) % m_big << s1 | a << k2, cycles * m_small
 
-        return leap
-
-    g = replace(_clocked(codec, act, f"clock[{f.label}]"), leap=leaper(1), leap_back=leaper(-1))
+    g = replace(_clocked(codec, act, f"clock[{f.label}]"), leap=leap)
     start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
 
     def extract(final: Bitstring) -> Bitstring:
@@ -496,7 +485,7 @@ def compile_oracle_circuit(
 
     def power(vec: int, g: OracleGate, j: int) -> int:
         # vec after j ticks of g's active run (-j undone when j < 0)
-        t = iterate_map(fwd, j, read(vec, g.t_wires), back, g_oracle.leap, g_oracle.leap_back)
+        t = iterate_map(fwd, j, read(vec, g.t_wires), back, g_oracle.leap)
         return write(vec, g.t_wires, _image(t, width))
 
     def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
@@ -513,28 +502,25 @@ def compile_oracle_circuit(
     s1 = s2 + codec.widths[1]
     m2, word_mask = (1 << codec.widths[1]) - 1, (1 << s2) - 1
 
-    def leaper(turn: int) -> Callable[[int, int], Optional[Tuple[int, int]]]:
-        def leap(v: int, remaining: int) -> Optional[Tuple[int, int]]:
-            c1, c2, vec = v >> s1, v >> s2 & m2, v & word_mask
-            if c1 >= m_big or c2 >= m_small:
-                return None
-            if turn < 0:  # the hands of the tick a step back undoes
-                c1, c2 = (c1, c2 - 1) if c2 else ((c1 - 1) % m_big, m_small - 1)
-            ticks = run(c1, c2, vec)
-            if ticks is None:
-                return None
-            lo, hi, g = ticks
-            j = min(hi - c2 + 1 if turn > 0 else c2 - lo + 1, remaining)
-            if g is not None:
-                vec = power(vec, g, turn * j)
-            c2 = c2 + j if turn > 0 else c2 + 1 - j
-            if c2 == m_small:
-                c1, c2 = (c1 + 1) % m_big, 0
-            return c1 << s1 | c2 << s2 | vec, j
+    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
+        c1, c2, vec = v >> s1, v >> s2 & m2, v & word_mask
+        if c1 >= m_big or c2 >= m_small:
+            return None
+        if r < 0:  # the hands of the tick a step back undoes
+            c1, c2 = (c1, c2 - 1) if c2 else ((c1 - 1) % m_big, m_small - 1)
+        ticks = run(c1, c2, vec)
+        if ticks is None:
+            return None
+        lo, hi, g = ticks
+        j = min(hi - c2 + 1 if r > 0 else c2 - lo + 1, abs(r))
+        if g is not None:
+            vec = power(vec, g, j if r > 0 else -j)
+        c2 = c2 + j if r > 0 else c2 + 1 - j
+        if c2 == m_small:
+            c1, c2 = (c1 + 1) % m_big, 0
+        return c1 << s1 | c2 << s2 | vec, j
 
-        return leap
-
-    h = replace(_clocked(codec, act, "oracle-clock"), leap=leaper(1), leap_back=leaper(-1))
+    h = replace(_clocked(codec, act, "oracle-clock"), leap=leap)
 
     vec0 = write(0, range(oc.inputs), x.value)
     start = Bitstring(codec.encode(ClockedState(0, 0, (vec0,))), codec.width)

@@ -51,3 +51,45 @@ def affine_plb(a, b, m, domain):
             lo = x
     pieces += [(x, x + 1, a, x - a * x) for x in range(m, domain)]
     return validate_plb(domain, pieces)
+
+
+def assert_leaps_are_walks(leap, step, back, v, counts):
+    """Each hop leap(v, r), r = c or -c for c in counts, is None or (y, j)
+    with 1 <= j <= c and y exactly j literal ``step``s (r > 0) or ``back``s
+    (r < 0) from v.  Returns the signs of the r that leapt."""
+    signs = set()
+    for c in counts:
+        for r, move in ((c, step), (-c, back)):
+            hop = leap(v, r)
+            if hop is not None:
+                y, j = hop
+                assert 1 <= j <= c, (v, r, j)
+                w = v
+                for _ in range(j):
+                    w = move(w)
+                assert y == w, (v, r, j)
+                signs.add(1 if r > 0 else -1)
+    return signs
+
+
+def logged(moves, step, back, leap):
+    """step, back and leap as the engine sees them, each appending the
+    move it makes to moves: "step" for a literal step either way, "leap"
+    for a leap taken.  A run past 1000 moves fails at once: a dropped
+    leap shows as an assertion, not as a run of 10**20 steps."""
+
+    def literal(move):
+        def logged_move(y):
+            moves.append("step")
+            assert len(moves) <= 1000, "the engine walks"
+            return move(y)
+
+        return logged_move
+
+    def logged_leap(y, r):
+        hop = leap(y, r)
+        if hop is not None:
+            moves.append("leap")
+        return hop
+
+    return literal(step), literal(back), logged_leap

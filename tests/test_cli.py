@@ -828,6 +828,10 @@ def _limit_address_space():
         ["ca", "strobe-demo", "--t", "100000", "--n", "1"],
         ["iet", "three-gap", "--modulus", str(10**12), "--step", "7", "--count", str(10**12)],
         ["iet", "three-gap", "--sweep", "100000"],
+        ["reduce", "summation", "--fn", "add:3", "--width", "100000000000", "--x", "0"],
+        ["reduce", "clock", "--fn", "add:3", "--width", "100000000000", "--x", "0", "--n", "3"],
+        ["reduce", "oracle", "--fn", "add:3", "--width", "100000000000", "--input", "0", "--count", "3"],
+        ["ca", "strobe-demo", "--t", "1", "--n", "10000000000"],
     ],
 )
 def test_oversized_arguments_are_one_error_line(tmp_path, argv):
@@ -902,6 +906,9 @@ def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
         (["ca", "strobe-demo", "--n", "1"], "--t", cli.MAX_STROBE_PERIOD),
         (["iet", "three-gap", "--modulus", "1000", "--step", "7"], "--count", cli.MAX_GAP_COUNT),
         (["iet", "three-gap"], "--sweep", cli.MAX_GAP_SWEEP),
+        (["reduce", "oracle", "--fn", "increment", "--count", "1", "--input", "0" * cli.MAX_MAP_WIDTH],
+         "--width", cli.MAX_MAP_WIDTH),
+        (["ca", "strobe-demo", "--t", "3", "--ring", "1024"], "--n", cli.MAX_STROBE_CELL_STEPS // 1024),
     ],
 )
 def test_arguments_run_up_to_their_cap(capsys, argv, flag, cap):

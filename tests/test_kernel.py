@@ -7,7 +7,9 @@ import random
 import tracemalloc
 from array import array
 from dataclasses import replace
+from functools import partial
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from ibx.kernel import (
     iterate_bijection,
     iterate_map,
     pack_fields,
+    power_leap,
     rotate_left,
     unpack_fields,
 )
@@ -49,20 +52,25 @@ from ibx.plb import (
     PiecewiseLinearBijection,
     affine_form,
     apply_plb,
+    apply_plb_inverse,
     interval_exchange,
     iterate_plb,
     permutation_order,
+    power_path,
     riffle,
 )
 from ibx.reductions import (
+    ClockedState,
     OracleCircuit,
     OracleGate,
+    Schedule,
     compile_iteration_to_invertible,
     compile_oracle_circuit,
     inversion_by_iteration,
+    run_schedule,
 )
 
-from conftest import affine_plb, random_pieces, random_reversible_circuit
+from conftest import affine_plb, assert_leaps_are_walks, logged, random_pieces, random_reversible_circuit
 
 
 def test_text_is_msb_first():
@@ -231,25 +239,20 @@ def test_engine_finds_cycles_of_orbits_that_never_return(rng):
 
 
 def _tick_leap(size, window):
-    """Leaps for x -> x +- 1 mod size: forward up to the last state of x's
-    window of states, backward down to its first, at most the remaining
-    count; None where no step is left in the window."""
-    def leap(y, remaining):
-        j = min(remaining, min(y // window * window + window, size) - 1 - y)
-        return (y + j, j) if j else None
+    """The leap of x -> x +- 1 mod size: forward up to the last state of
+    x's window of states, backward down to its first, at most the |r| steps
+    left; None where no step is left in the window."""
+    def leap(y, r):
+        j = min(abs(r), min(y // window * window + window, size) - 1 - y if r > 0 else y % window)
+        return (y + j if r > 0 else y - j, j) if j else None
 
-    def leap_back(y, remaining):
-        j = min(remaining, y % window)
-        return (y - j, j) if j else None
-
-    return leap, leap_back
+    return leap
 
 
 def test_engine_leaps_equal_the_literal_loop():
     w = 6
-    leap, leap_back = _tick_leap(1 << w, 8)
     plain = increment(w)
-    f = Bijection(w, plain.forward, plain.backward, leap=leap, leap_back=leap_back)
+    f = Bijection(w, plain.forward, plain.backward, leap=_tick_leap(1 << w, 8))
     for x in map(Bitstring, range(1 << w), [w] * (1 << w)):
         for n in range(-80, 81):
             want = iterate(IterationProblem(f if n >= 0 else f.inverse(), abs(n), x))
@@ -263,7 +266,7 @@ def test_engine_finds_returns_that_leaps_jump_over():
     # sees the orbit close; a huge n must still cost about one orbit
     size = 1 << 12
     calls = []
-    leap, _ = _tick_leap(size, 64)
+    leap = _tick_leap(size, 64)
 
     def counted(y, remaining):
         calls.append(y)
@@ -280,12 +283,37 @@ def test_engine_rejects_a_leap_outside_its_contract():
             iterate_map(lambda y: y + 1, 4, 0, leap=lambda y, r: (y + j, j))
 
 
-def test_bijection_inverse_swaps_the_leaps():
-    leap, leap_back = _tick_leap(37, 8)
-    f = Bijection(6, lambda v: v, lambda v: v, leap=leap, leap_back=leap_back)
-    g = f.inverse()
-    assert (g.leap, g.leap_back) == (leap_back, leap)
-    assert g.inverse().leap is leap
+def test_the_inverse_leaps_with_the_count_negated():
+    s = compile_iteration_to_invertible(add_const(3, 5), 4, Bitstring(6, 3))
+    idle = [s.codec.encode(ClockedState(c1, 0, (a, 0, 0))) for c1 in range(5) for a in range(8)]
+    for f, states in ((add_const(5, 11), range(32)), (rotate_left(7), range(128)), (s.g, idle)):
+        g = f.inverse()
+        for y in states:
+            for r in (1, 2, 7, 11, 40, 10**20):
+                assert g.leap(y, r) == f.leap(y, -r) and g.leap(y, -r) == f.leap(y, r), (f.label, y, r)
+                assert g.inverse().leap(y, r) == f.leap(y, r)
+
+
+def test_backward_runs_leap_as_forward_runs_do():
+    # a dropped leap would change no answer, only the number of moves
+    s = compile_iteration_to_invertible(add_const(8, 37), 10**20 + 7, Bitstring(0b10110101, 8))
+    final = run_schedule(Schedule(s.g, s.total_iterations, s.start, lambda b: b))
+    g, moves = s.g.inverse(), []
+    step, back, leap = logged(moves, g.forward, g.backward, g.leap)
+    back_run = Schedule(replace(g, forward=step, backward=back, leap=leap), s.total_iterations, final, lambda b: b)
+    assert run_schedule(back_run) == s.start
+    assert moves == ["leap"]
+    auto = dim_redux_compile(bbm_rule(), 4, 8)
+    cells = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0]], np.uint8)
+    cfg = auto.embed(MargolusGrid(cells, 0), 0)
+    runs = {}
+    for n in (20 * auto.t, -20 * auto.t):
+        moves = []
+        step, back, leap = logged(moves, auto.step, auto.step_back, auto.leap)
+        out = simulate_1d(SimpleNamespace(step=step, step_back=back, leap=leap), cfg, n)
+        assert out == simulate_1d(auto, cfg, n)
+        runs[n > 0] = moves
+    assert runs[False] == runs[True] and set(runs[True]) == {"leap"}
 
 
 def test_engine_negative_n_needs_a_backward_map():
@@ -296,8 +324,9 @@ def test_engine_negative_n_needs_a_backward_map():
 
 
 # One row per map family that declares leaps.  Each takes a Random and
-# returns (literal step, the family's power entry point, a start state),
-# the start placed on an orbit the leaps cross.
+# returns (literal step, the family's power entry point, a start state,
+# the family's leap, literal backward step), the start placed on an orbit
+# the leaps cross.
 
 
 def _walked(step, x, n):
@@ -307,14 +336,13 @@ def _walked(step, x, n):
 
 
 def _bijection_row(f, x):
-    return f.forward, lambda n, v: iterate_bijection(f, n, Bitstring(v, f.width)).value, x
+    return f.forward, lambda n, v: iterate_bijection(f, n, Bitstring(v, f.width)).value, x, f.leap, f.backward
 
 
 def _windowed_counter(r):
     w = r.randint(1, 7)
-    leap, leap_back = _tick_leap(1 << w, r.randint(1, 9))
     plain = increment(w)
-    f = Bijection(w, plain.forward, plain.backward, leap=leap, leap_back=leap_back)
+    f = Bijection(w, plain.forward, plain.backward, leap=_tick_leap(1 << w, r.randint(1, 9)))
     return _bijection_row(f, r.randrange(1 << w))
 
 
@@ -332,7 +360,7 @@ def _dim_redux_ring(r):
     cells = np.array([[r.randint(0, 1) for _ in range(4)] for _ in range(4)], np.uint8)
     lit = auto.embed(MargolusGrid(cells, 0), 0)
     start = _walked(auto.step, lit, r.randrange(2 * auto.t))
-    return auto.step, lambda n, cfg: simulate_1d(auto, cfg, n), start
+    return auto.step, lambda n, cfg: simulate_1d(auto, cfg, n), start, auto.leap, auto.step_back
 
 
 def _clock(r):
@@ -384,7 +412,8 @@ def _rotate_left(r):
 
 
 def _plb_row(t, x):
-    return (lambda y: apply_plb(t, y)), (lambda n, y: iterate_plb(t, n, y)), x
+    leap = power_leap(power_path(t)[0])
+    return partial(apply_plb, t), partial(iterate_plb, t), x, leap, partial(apply_plb_inverse, t)
 
 
 def _exchange(r):
@@ -406,24 +435,46 @@ def _affine(r):
     return _plb_row(t, r.randrange(t.domain))
 
 
-@pytest.mark.parametrize(
-    "family",
-    [_windowed_counter, _leaf_walk, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const, _rotate_left,
-     _exchange, _affine],
-    ids=lambda family: family.__name__.strip("_"),
-)
+def _orbit(step, x):
+    orbit = [x]
+    while (y := step(orbit[-1])) != x:
+        orbit.append(y)
+    return orbit
+
+
+PACKAGE_LEAPS = [_leaf_walk, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const, _rotate_left,
+                 _exchange, _affine]
+
+
+def _family_id(family):
+    return family.__name__.strip("_")
+
+
+@pytest.mark.parametrize("family", [_windowed_counter, *PACKAGE_LEAPS], ids=_family_id)
 @settings(max_examples=20, deadline=None)
 @given(r=st.randoms(use_true_random=False))
 def test_every_leap_equals_the_literal_loop(family, r):
     # n in {0, +-1, +-L, +-(L + 1), +-(10**20 + 7)}, L the start's return time
-    step, power, x = family(r)
-    orbit = [x]
-    while (y := step(orbit[-1])) != x:
-        orbit.append(y)
+    step, power, x, _, _ = family(r)
+    orbit = _orbit(step, x)
     period = len(orbit)
     for n in (0, 1, period, period + 1, 10**20 + 7):
         for signed in (n, -n):
             assert power(signed, x) == orbit[signed % period], signed
+
+
+@pytest.mark.parametrize("family", PACKAGE_LEAPS, ids=_family_id)
+@settings(max_examples=20, deadline=None)
+@given(r=st.randoms(use_true_random=False))
+def test_every_leap_is_a_run_of_literal_steps(family, r):
+    # from every state of the start's orbit, with steps left of either sign;
+    # only a fixed point may take no leap in some direction
+    step, _, x, leap, back = family(r)
+    orbit = _orbit(step, x)
+    signs = set()
+    for v in orbit:
+        signs |= assert_leaps_are_walks(leap, step, back, v, (1, 2, 3, 5, 12, 40))
+    assert signs == {1, -1} or len(orbit) == 1, signs
 
 
 def test_check_identity():

@@ -36,6 +36,8 @@ from ibx.reductions import (
     run_schedule,
 )
 
+from conftest import assert_leaps_are_walks, logged
+
 
 def test_sweep_identity_returns_input():
     x = Bitstring.from_text("101")
@@ -198,13 +200,13 @@ def test_clock_leaps_take_every_whole_little_hand_cycle_left(rng):
         for c1 in range(n + 1):
             for a in rng.sample(range(1 << k), min(1 << k, 6)):
                 v = s.codec.encode(ClockedState(c1, 0, (a, 0, 0)))
-                assert g.leap(v, m - 1) is None and g.leap_back(v, m - 1) is None
+                assert g.leap(v, m - 1) is None and g.leap(v, 1 - m) is None
                 for j, extra in ((1, 0), (2, m - 1), (n + 3, m // 2)):
                     start = Bitstring(v, g.width)
                     ahead = iterate(IterationProblem(g, j * m, start)).value
                     behind = iterate(IterationProblem(g.inverse(), j * m, start)).value
                     assert g.leap(v, j * m + extra) == (ahead, j * m), (k, c1, a, j)
-                    assert g.leap_back(v, j * m + extra) == (behind, j * m), (k, c1, a, j)
+                    assert g.leap(v, -j * m - extra) == (behind, j * m), (k, c1, a, j)
 
 
 def test_clock_answers_a_huge_n_in_one_leap(rng):
@@ -409,37 +411,12 @@ def _one_gate(f, count, s):
     return oc, Bitstring(pack_fields([(count, cbits), (s, w)]), cbits + w)
 
 
-def _assert_leaps_are_walks(g, v, remaining):
-    """Each leap g declares from v, with each number of steps left, lands
-    where that many literal steps land."""
-    for r in remaining:
-        for leap, step in ((g.leap, g.forward), (g.leap_back, g.backward)):
-            hop = leap(v, r)
-            if hop is not None:
-                y, j = hop
-                assert 1 <= j <= r, (v, r, j)
-                w = v
-                for _ in range(j):
-                    w = step(w)
-                assert y == w, (v, r, j)
-
-
 def _engine_moves(schedule):
     """run_schedule's answer and the engine moves it took: literal steps
     and leaps taken."""
     g, moves = schedule.g, []
-
-    def step(v):
-        moves.append("step")
-        return g.forward(v)
-
-    def leap(v, r):
-        hop = g.leap(v, r)
-        if hop is not None:
-            moves.append("leap")
-        return hop
-
-    return run_schedule(replace(schedule, g=replace(g, forward=step, leap=leap))), moves
+    step, back, leap = logged(moves, g.forward, g.backward, g.leap)
+    return run_schedule(replace(schedule, g=replace(g, forward=step, backward=back, leap=leap))), moves
 
 
 def test_sweep_leaps_equal_the_literal_walk(rng):
@@ -449,7 +426,7 @@ def test_sweep_leaps_equal_the_literal_walk(rng):
             table = [rng.randrange(size) for _ in range(size)]  # only f(x) is asked
             s = inversion_by_iteration(Bijection(k, table.__getitem__, None, "table"), Bitstring(x, k))
             for v in range(size * size):  # every state
-                _assert_leaps_are_walks(s.g, v, (1, 2, size - 1, size, 3 * size))
+                assert_leaps_are_walks(s.g.leap, s.g.forward, s.g.backward, v, (1, 2, size - 1, size, 3 * size))
                 # b comes back within 2**k sweeps, so the last count is past a full period
                 for steps in (size - 1, size, size * size + 3):
                     got, want = _literal_runs(s.g, Bitstring(v, 2 * k), steps)
@@ -486,7 +463,7 @@ def test_oracle_clock_leaps_equal_the_literal_walk(rng):
             s = compile_oracle_circuit(oc, f, x)
             g, m, total = s.g, s.codec.m_small, s.total_iterations
             for v in range(1 << g.width):  # every state, off-contract counters included
-                _assert_leaps_are_walks(g, v, (1, 2, m, total))
+                assert_leaps_are_walks(g.leap, g.forward, g.backward, v, (1, 2, m, total))
             for v in [s.start.value] + rng.sample(range(1 << g.width), 6):
                 for steps in (total // 2, total, total + 7, 4 * total + 1):
                     got, want = _literal_runs(g, Bitstring(v, g.width), steps)
