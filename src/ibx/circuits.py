@@ -9,9 +9,10 @@ states are evaluated at once on a list with one Python int per wire, whose
 bit j is the wire at state j (bit-slicing): ``kernel.images`` fills a
 circuit's table that way, and the lift checks run a chunk of states so.
 Boolean circuits evaluate single states on a list of bits.  A reversible
-circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also lowered once, at
-construction, to bit-mask steps on the integer encoding, and a single
-Python int runs through those; a wider one runs its wire list.
+circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also compiled once, at
+construction, to lookup tables on the integer encoding, one per run of
+consecutive gates on at most ``_FUSE_WIDTH`` wires, and a single Python int
+takes one dict lookup per table; a wider one runs its wire list.
 Whole-state tables, state slices and cycles come from ``kernel``; numpy is
 imported only by the functions that tabulate the whole state space.
 """
@@ -22,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import xor
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
@@ -127,24 +129,64 @@ def _lower(gates: Iterable[ReversibleGate], width: int) -> tuple:
     return tuple(steps), flips
 
 
-def _run_steps(steps: Iterable[tuple], x: int) -> int:
-    for care, wants, flip in steps:
-        if x & care in wants:
-            x ^= flip
-    return x
+def _patterns(mask: int) -> list:
+    """Every value of ``x & mask``."""
+    out = [0]
+    while mask:
+        bit = mask & -mask
+        out += [p | bit for p in out]
+        mask ^= bit
+    return out
+
+
+# A fused table has at most 2**_FUSE_WIDTH entries.  Wider tables were no
+# faster per lookup, and cost several times the memory and build time.
+_FUSE_WIDTH = 6
+
+
+def _fuse(steps: Iterable[tuple]) -> tuple:
+    """The steps of ``_lower`` as ``(forward, backward)`` tuples of
+    ``(mask, table)`` pairs, one per maximal run of consecutive steps whose
+    wires fit in ``_FUSE_WIDTH`` bits.  A forward table maps every pattern
+    of ``x & mask`` to the XOR the run applies, so the run reads
+    ``x ^= table[x & mask]``; the run maps p to p ^ d, so its backward
+    table maps p ^ d to the same d, and ``backward`` lists the runs in
+    reverse.  A step touches at most three wires, so every run holds at
+    least one step and there are no more tables than steps."""
+    runs = []  # [mask, steps]
+    for step in steps:
+        wires = step[0] | step[2]
+        if runs and (runs[-1][0] | wires).bit_count() <= _FUSE_WIDTH:
+            runs[-1][0] |= wires
+            runs[-1][1].append(step)
+        else:
+            runs.append([wires, [step]])
+    forward, backward = [], []
+    for mask, run in runs:
+        keys = _patterns(mask)
+        ys = keys
+        for care, wants, flip in run:
+            ys = [y ^ flip if y & care in wants else y for y in ys]
+        deltas = list(map(xor, keys, ys))
+        forward.append((mask, dict(zip(keys, deltas))))
+        backward.append((mask, dict(zip(ys, deltas))))
+    return tuple(forward), tuple(reversed(backward))
 
 
 @dataclass(frozen=True)
 class ReversibleCircuit:
     """A circuit of ``width`` wires.  Circuits of at most
-    ``MAX_EXHAUSTIVE_WIDTH`` wires carry their gates lowered to bit-mask
-    steps (see ``_lower``), outside the compared fields; wider ones carry
-    none, so a huge width never turns a short gate line into huge masks."""
+    ``MAX_EXHAUSTIVE_WIDTH`` wires carry their gates compiled to lookup
+    tables (see ``_fuse``), forward and backward, outside the compared
+    fields; wider ones carry none, so a huge width never turns a short gate
+    line into huge masks."""
 
     width: int
     gates: Tuple[ReversibleGate, ...]
 
-    _lowered = None  # (steps, flips), set per instance at widths <= MAX_EXHAUSTIVE_WIDTH
+    # (forward tables, backward tables, flips), set per instance at widths
+    # <= MAX_EXHAUSTIVE_WIDTH
+    _fused = None
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -153,23 +195,31 @@ class ReversibleCircuit:
             if max(g.wires, default=-1) >= self.width:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
         if self.width <= MAX_EXHAUSTIVE_WIDTH:
-            object.__setattr__(self, "_lowered", _lower(self.gates, self.width))
+            steps, flips = _lower(self.gates, self.width)
+            object.__setattr__(self, "_fused", (*_fuse(steps), flips))
 
     def eval_int(self, value: int) -> int:
         """The circuit on the integer encoding of one state; bits above the
-        width (and a negative int's sign) pass through.  A lowered circuit
-        runs its bit-mask steps, a wider one its wire list."""
-        if self._lowered is not None:
-            steps, flips = self._lowered
-            return _run_steps(steps, value) ^ flips
+        width (and a negative int's sign) pass through.  A narrow circuit
+        takes one lookup per fused table and XORs its nots in last; a wider
+        one runs its wire list."""
+        if self._fused is not None:
+            forward, _, flips = self._fused
+            for mask, table in forward:
+                value ^= table[value & mask]
+            return value ^ flips
         wires = _run_wires(self.gates, _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 
     def eval_int_reversed(self, value: int) -> int:
-        """The inverse of ``eval_int``: the same steps, undone in reverse."""
-        if self._lowered is not None:
-            steps, flips = self._lowered
-            return _run_steps(reversed(steps), value ^ flips)
+        """The inverse of ``eval_int``: the nots first, then the inverse
+        tables in reverse order, or the wire list reversed."""
+        if self._fused is not None:
+            _, backward, flips = self._fused
+            value ^= flips
+            for mask, table in backward:
+                value ^= table[value & mask]
+            return value
         wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .kernel import (
     Bijection,
@@ -454,10 +454,30 @@ def compile_oracle_circuit(
     backward_oracle = g_oracle.backward or _inverse_via_table(g_oracle)
     width = g_oracle.width
 
+    fields: Dict[Tuple[int, ...], Optional[Tuple[int, int]]] = {}
+
+    def field(ws: Sequence[int]) -> Optional[Tuple[int, int]]:
+        # (lowest bit position, mask) when the bit positions of ws run down
+        # by one, as in one integer field; None when they do not
+        ws = tuple(ws)
+        if ws not in fields:
+            lo = pos[ws[-1]] if ws else 0
+            top = lo + len(ws) - 1
+            contiguous = all(pos[w] == top - i for i, w in enumerate(ws))
+            fields[ws] = (lo, (1 << len(ws)) - 1) if contiguous else None
+        return fields[ws]
+
     def read(vec: int, ws: Sequence[int]) -> int:
+        f = field(ws)
+        if f is not None:
+            return vec >> f[0] & f[1]
         return _pack_bits((vec >> pos[w]) & 1 for w in ws)
 
     def write(vec: int, ws: Sequence[int], value: int) -> int:
+        f = field(ws)
+        if f is not None:
+            lo, mask = f
+            return vec & ~(mask << lo) | (value & mask) << lo
         for idx, w in enumerate(reversed(ws)):
             bit = (value >> idx) & 1
             vec = (vec & ~(1 << pos[w])) | (bit << pos[w])

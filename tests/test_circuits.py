@@ -14,6 +14,7 @@ from ibx.circuits import (
     CircuitError,
     ClassicalCircuit,
     ClassicalGate,
+    _FUSE_WIDTH,
     ReversibleCircuit,
     bennett_lift,
     circuit_parity,
@@ -166,11 +167,11 @@ def test_scalar_steps_match_the_wire_rule_both_ways(rng):
             assert [c.eval_int_reversed(v) for v in states] == [_eval_by_wires(undo, v) for v in states]
 
 
-@pytest.mark.parametrize("width", [MAX_EXHAUSTIVE_WIDTH, MAX_EXHAUSTIVE_WIDTH + 1])
+@pytest.mark.parametrize("width", range(13, MAX_EXHAUSTIVE_WIDTH + 2))
 def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
     c = _every_kind_circuit(rng, width, 80, 0.3)
     undo = invert_circuit(c)
-    # the last lowered width carries its steps; the first unlowered one carries nothing
+    # the last lowered width carries its tables; the first unlowered one carries nothing
     assert (set(vars(c)) > {"width", "gates"}) == (width <= MAX_EXHAUSTIVE_WIDTH)
     for v in (rng.randrange(1 << width) for _ in range(200)):
         y, back = _eval_by_wires(c, v), _eval_by_wires(undo, v)
@@ -182,6 +183,89 @@ def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
         assert c.eval_int_reversed(v - (1 << 60)) == back - (1 << 60)
         assert int(c.eval_int(np.int64(v))) == y
         assert int(c.eval_int_reversed(np.int64(v))) == back
+
+
+def _blocks_circuit(rng, width, span, blocks, not_share):
+    """``blocks`` blocks of ``span`` gates, each block on exactly ``span``
+    wires, its first gate on a wire outside the block before it; a
+    ``not_share`` of nots on any wire between them."""
+    gates, before = [], set()
+    for _ in range(blocks):
+        fresh = rng.choice([w for w in range(width) if w not in before])
+        ws = [fresh] + rng.sample([w for w in range(width) if w != fresh], span - 1)
+        for i in range(span):
+            kind = rng.choice(["swap", "cnot", "toffoli", "fredkin"])
+            wires = [ws[(i + j) % span] for j in range(GATE_ARITY[kind])]
+            rng.shuffle(wires)
+            gates.append(gate(kind, *wires))
+            while rng.random() < not_share:
+                gates.append(gate("not", rng.randrange(width)))
+        before = set(ws)
+    return ReversibleCircuit(width, tuple(gates))
+
+
+def _sample_states(rng, width):
+    return range(1 << width) if width <= 12 else [rng.randrange(1 << width) for _ in range(300)]
+
+
+@pytest.mark.parametrize("span", [_FUSE_WIDTH, _FUSE_WIDTH + 1])
+@pytest.mark.parametrize("width", [12, 16, MAX_EXHAUSTIVE_WIDTH])
+def test_fused_runs_split_at_the_fuse_width(rng, width, span):
+    """Blocks on exactly the fuse width fill one table each; blocks on one
+    wire more split inside.  Either way the tables match the wire rule."""
+    blocks = 6
+    c = _blocks_circuit(rng, width, span, blocks, 0.3)
+    forward, backward, _ = c._fused
+    masks = [mask for mask, _ in forward]
+    if span == _FUSE_WIDTH:
+        assert len(masks) == blocks and {m.bit_count() for m in masks} == {_FUSE_WIDTH}
+    else:
+        assert len(masks) > blocks and max(m.bit_count() for m in masks) <= _FUSE_WIDTH
+    undo = invert_circuit(c)
+    for v in _sample_states(rng, width):
+        assert c.eval_int(v) == _eval_by_wires(c, v)
+        assert c.eval_int_reversed(v) == _eval_by_wires(undo, v)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 12, 16, MAX_EXHAUSTIVE_WIDTH])
+def test_fused_edge_circuits_match_the_wire_rule(rng, width):
+    """The empty circuit, an all-not circuit and every single-gate circuit
+    that fits, both ways."""
+    cases = [
+        ReversibleCircuit(width, ()),
+        ReversibleCircuit(width, tuple(gate("not", rng.randrange(width)) for _ in range(9))),
+    ]
+    for kind, arity in GATE_ARITY.items():
+        if arity <= width:
+            cases.append(ReversibleCircuit(width, (gate(kind, *rng.sample(range(width), arity)),)))
+    for c in cases:
+        forward, backward, _ = c._fused
+        assert len(forward) == len(backward) == sum(g.kind != "not" for g in c.gates)
+        undo = invert_circuit(c)
+        for v in _sample_states(rng, width):
+            assert c.eval_int(v) == _eval_by_wires(c, v), c
+            assert c.eval_int_reversed(v) == _eval_by_wires(undo, v), c
+
+
+def test_fused_tables_are_bounded_by_the_fuse_width_and_the_gate_count(rng):
+    """At most 2**_FUSE_WIDTH entries a table and no more tables than
+    non-not gates, so the tables grow linearly in the gate count; each run
+    is maximal, so two neighbouring tables never fit in one."""
+    cases = [
+        _every_kind_circuit(rng, MAX_EXHAUSTIVE_WIDTH, 3000, 0.2),
+        _every_kind_circuit(rng, 12, 500, 0.0),
+        _blocks_circuit(rng, MAX_EXHAUSTIVE_WIDTH, _FUSE_WIDTH + 1, 50, 0.0),
+        ReversibleCircuit(6, tuple(gate("toffoli", *rng.sample(range(6), 3)) for _ in range(200))),
+    ]
+    for c in cases:
+        forward, backward, _ = c._fused
+        assert len(forward) == len(backward) <= sum(g.kind != "not" for g in c.gates)
+        for (mask, table), (back_mask, back_table) in zip(forward, reversed(backward)):
+            assert back_mask == mask and len(table) == len(back_table) == 1 << mask.bit_count()
+            assert mask.bit_count() <= _FUSE_WIDTH
+        for (m1, _), (m2, _) in zip(forward, forward[1:]):
+            assert (m1 | m2).bit_count() > _FUSE_WIDTH
+    assert len(cases[-1]._fused[0]) == 1  # six wires: one table for the whole circuit
 
 
 def test_wide_circuits_carry_no_lowering():
@@ -200,7 +284,8 @@ def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):
     assert check_bijection_exhaustive(a.as_bijection()).ok  # runs both sliced evaluators
     assert vars(a) == vars(b)  # evaluation leaves no trace
     assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(b) and "_program" not in repr(a)
+    # the repr shows the two fields and nothing the construction added
+    assert repr(a) == repr(b) == f"ReversibleCircuit(width={a.width!r}, gates={a.gates!r})"
     assert write_circuit(a) == write_circuit(b)
 
 

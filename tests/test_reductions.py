@@ -319,6 +319,39 @@ def test_chained_oracle_gates():
         assert run_schedule(compile_oracle_circuit(oc, g, x)).value == want
 
 
+def test_oracle_clock_reads_and_writes_a_wide_contiguous_field(rng):
+    # every wire list runs down the bit positions by one, so the clock reads
+    # and writes each as one field
+    w = 3000
+    oc = OracleCircuit(
+        2 + w,
+        (OracleGate((0, 1), tuple(range(2, 2 + w)), tuple(range(2 + w, 2 + 2 * w))),),
+        tuple(range(2 + w, 2 + 2 * w)),
+    )
+    g = add_const(w, rng.getrandbits(w))
+    for _ in range(4):
+        x = Bitstring(rng.getrandbits(2 + w), 2 + w)
+        assert run_schedule(compile_oracle_circuit(oc, g, x)) == eval_oracle_circuit(oc, g, x)
+
+
+def test_oracle_clock_reads_and_writes_scattered_wires_bit_by_bit():
+    # n runs up the bit positions, s and the outputs skip and reorder them,
+    # and t mixes both: none is one field, while a classical gate between
+    # them reads and writes single wires
+    oc = OracleCircuit(
+        6,
+        (
+            ClassicalGate("xor", 6, (0, 3)),
+            OracleGate((5, 4), (0, 2, 6), (9, 7, 8)),
+        ),
+        (8, 1, 9, 7),
+    )
+    g = rotate_left(3)
+    for v in range(1 << 6):
+        x = Bitstring(v, 6)
+        assert run_schedule(compile_oracle_circuit(oc, g, x)) == eval_oracle_circuit(oc, g, x)
+
+
 def test_oracle_compiler_synthesizes_missing_backward():
     g = Bijection(2, lambda v: (v + 1) & 3, None, "fwd-only")
     oc = OracleCircuit(4, (OracleGate((0, 1), (2, 3), (4, 5)),), (4, 5))
