@@ -4,15 +4,17 @@ lifts from ordinary boolean circuits into them.
 Wire convention: wire 0 is the leftmost character of an assignment's text
 form, i.e. the most significant bit.  Wire i therefore lives at bit position
 ``width - 1 - i`` of the integer encoding.  Every gate in the set is an
-involution, so a circuit is inverted by reversing its gate list.  Many
-states are evaluated at once on a list with one Python int per wire, whose
-bit j is the wire at state j (bit-slicing): ``kernel.images`` fills a
-circuit's table that way, and the lift checks run a chunk of states so.
-Boolean circuits evaluate single states on a list of bits.  A reversible
-circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also compiled once, at
-construction, to lookup tables on the integer encoding, one per run of
-consecutive gates on at most ``_FUSE_WIDTH`` wires, and a single Python int
-takes one dict lookup per table; a wider one runs its wire list.
+involution, so a circuit is inverted by reversing its gate list.
+``_run_wires`` is the one statement of what a gate does to a state: it runs
+a list with one value per wire, a bit for one state or a Python int whose
+bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` fills
+a circuit's table from slices, and the lift checks run a chunk of states so.
+A reversible circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also
+compiled once, at construction, to lookup tables on the integer encoding,
+one per run of consecutive gates on at most ``_FUSE_WIDTH`` wires, each
+filled by running the run on every pattern of its wires as slices; a single
+Python int then takes one dict lookup per table, and a wider circuit runs
+its wire list.  Boolean circuits evaluate single states on a list of bits.
 Whole-state tables, state slices and cycles come from ``kernel``; numpy is
 imported only by the functions that tabulate the whole state space.
 """
@@ -23,11 +25,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
-from operator import xor
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     images, iterate_bijection, state_slices)
+                     _counting_wires, images, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -69,7 +70,9 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     """Apply ``gates`` in place to ``v``, one value per wire, wire 0 first,
     and return ``v``.  A value is a bit for one state, or a Python int whose
     bit j is the wire at state j of S sliced states; ``ones`` is the value
-    whose every state is 1: 1 for a bit, 2**S - 1 for a slice."""
+    whose every state is 1: 1 for a bit, 2**S - 1 for a slice.  Every
+    evaluator of a reversible gate runs here: wide circuits on one state,
+    whole-state tables, lifts and their checks, and the tables of ``_fuse``."""
     for g in gates:
         w = g.wires
         kind = g.kind
@@ -89,48 +92,9 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     return v
 
 
-def _lower(gates: Iterable[ReversibleGate], width: int) -> tuple:
-    """The gates as ``(steps, flips)`` on the integer encoding: each step
-    ``(care, wants, flip)`` reads ``if x & care in wants: x ^= flip``, and
-    the nots are one final ``x ^= flips``.
-
-    With a, b, c the masks of a gate's wires, cnot is (a, {a}, b), toffoli
-    (a|b, {a|b}, c), swap (a|b, {a, b}, a|b) and fredkin (a|b|c, {a|b, a|c},
-    b|c).  A not emits no step: it toggles its wire in ``flips``, the nots
-    not yet applied, so a later step wants its patterns XORed with
-    ``flips & care``.  Every step is an involution, which leaves every
-    pattern of its care bits in or out of its wants."""
-    steps = []
-    flips = 0
-    top = width - 1
-    for g in gates:
-        w = g.wires
-        kind = g.kind
-        a = 1 << top - w[0]
-        if kind == "not":
-            flips ^= a
-            continue
-        b = 1 << top - w[1]
-        if kind == "cnot":
-            steps.append((a, {a ^ flips & a}, b))
-        elif kind == "swap":
-            care = a | b
-            m = flips & care
-            steps.append((care, {a ^ m, b ^ m}, care))
-        else:
-            c = 1 << top - w[2]
-            if kind == "toffoli":
-                care = a | b
-                steps.append((care, {care ^ flips & care}, c))
-            else:  # fredkin: swap b and c where a is set
-                care = a | b | c
-                m = flips & care
-                steps.append((care, {(a | b) ^ m, (a | c) ^ m}, b | c))
-    return tuple(steps), flips
-
-
 def _patterns(mask: int) -> list:
-    """Every value of ``x & mask``."""
+    """Every value of ``x & mask``; bit i of the index sets the i-th lowest
+    bit of ``mask``."""
     out = [0]
     while mask:
         bit = mask & -mask
@@ -143,43 +107,67 @@ def _patterns(mask: int) -> list:
 # faster per lookup, and cost several times the memory and build time.
 _FUSE_WIDTH = 6
 
+# One NOT per wire a fused circuit can have, and per run wire i the
+# translation of a delta slice's digits to one byte per state with bit i set
+# where the wire changed.
+_NOT = tuple(ReversibleGate("not", (w,)) for w in range(MAX_EXHAUSTIVE_WIDTH))
+_CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(_FUSE_WIDTH))
 
-def _fuse(steps: Iterable[tuple]) -> tuple:
-    """The steps of ``_lower`` as ``(forward, backward)`` tuples of
-    ``(mask, table)`` pairs, one per maximal run of consecutive steps whose
-    wires fit in ``_FUSE_WIDTH`` bits.  A forward table maps every pattern
-    of ``x & mask`` to the XOR the run applies, so the run reads
-    ``x ^= table[x & mask]``; the run maps p to p ^ d, so its backward
+
+def _fuse(gates: Iterable[ReversibleGate], width: int) -> tuple:
+    """The gates as ``(forward, backward, flips)`` on the integer encoding.
+
+    A not only toggles its wire in ``flips``, the nots not yet applied, which
+    ``eval_int`` XORs in last.  Every other gate runs between the pending
+    nots on its own wires.  ``forward`` holds one ``(mask, table)`` pair per
+    maximal run of consecutive such gates whose wires fit in ``_FUSE_WIDTH``
+    bits: ``table`` maps every pattern p of ``x & mask`` to the XOR d the run
+    applies, so the run reads ``x ^= table[x & mask]``.  ``_run_wires`` fills
+    it, on all patterns at once as slices, with the counting wires of
+    ``kernel`` on the run's wires.  The run maps p to p ^ d, so the backward
     table maps p ^ d to the same d, and ``backward`` lists the runs in
-    reverse.  A step touches at most three wires, so every run holds at
-    least one step and there are no more tables than steps."""
-    runs = []  # [mask, steps]
-    for step in steps:
-        wires = step[0] | step[2]
-        if runs and (runs[-1][0] | wires).bit_count() <= _FUSE_WIDTH:
-            runs[-1][0] |= wires
-            runs[-1][1].append(step)
+    reverse.  No more tables than non-not gates."""
+    top = width - 1
+    runs = []  # [mask, gates]
+    flips = 0
+    for g in gates:
+        if g.kind == "not":
+            flips ^= 1 << top - g.wires[0]
+            continue
+        mask = sum(1 << top - w for w in g.wires)
+        nots = [_NOT[w] for w in g.wires if flips >> top - w & 1]
+        if runs and (runs[-1][0] | mask).bit_count() <= _FUSE_WIDTH:
+            runs[-1][0] |= mask
+            runs[-1][1] += [*nots, g, *nots]
         else:
-            runs.append([wires, [step]])
+            runs.append([mask, [*nots, g, *nots]])
     forward, backward = [], []
     for mask, run in runs:
         keys = _patterns(mask)
-        ys = keys
-        for care, wants, flip in run:
-            ys = [y ^ flip if y & care in wants else y for y in ys]
-        deltas = list(map(xor, keys, ys))
+        size = len(keys)
+        wires = [top - p for p in range(width) if mask >> p & 1]  # lowest bit first
+        before = [0] * width
+        for w, count in zip(wires, _counting_wires(size)):
+            before[w] = count
+        after = _run_wires(run, before[:], (1 << size) - 1)
+        changed = 0
+        for i, w in enumerate(wires):
+            digits = format(before[w] ^ after[w], f"0{size}b").encode()
+            changed |= int.from_bytes(digits.translate(_CHANGED[i]), "big")
+        deltas = [keys[c] for c in changed.to_bytes(size, "little")]
         forward.append((mask, dict(zip(keys, deltas))))
-        backward.append((mask, dict(zip(ys, deltas))))
-    return tuple(forward), tuple(reversed(backward))
+        backward.append((mask, {p ^ d: d for p, d in zip(keys, deltas)}))
+    return tuple(forward), tuple(reversed(backward)), flips
 
 
 @dataclass(frozen=True)
 class ReversibleCircuit:
     """A circuit of ``width`` wires.  Circuits of at most
-    ``MAX_EXHAUSTIVE_WIDTH`` wires carry their gates compiled to lookup
-    tables (see ``_fuse``), forward and backward, outside the compared
-    fields; wider ones carry none, so a huge width never turns a short gate
-    line into huge masks."""
+    ``MAX_EXHAUSTIVE_WIDTH`` wires carry lookup tables, forward and
+    backward, and their nots as one XOR mask, which ``_fuse`` fills from
+    ``_run_wires`` at construction and keeps outside the compared fields;
+    wider ones carry none, so a huge width never turns a short gate line
+    into huge masks."""
 
     width: int
     gates: Tuple[ReversibleGate, ...]
@@ -195,8 +183,7 @@ class ReversibleCircuit:
             if max(g.wires, default=-1) >= self.width:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
         if self.width <= MAX_EXHAUSTIVE_WIDTH:
-            steps, flips = _lower(self.gates, self.width)
-            object.__setattr__(self, "_fused", (*_fuse(steps), flips))
+            object.__setattr__(self, "_fused", _fuse(self.gates, self.width))
 
     def eval_int(self, value: int) -> int:
         """The circuit on the integer encoding of one state; bits above the
@@ -375,9 +362,13 @@ _BOOL_FN = {
 }
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _unpack(x: int, width: int) -> list:
-    """The wires of a ``width``-bit state, wire i being bit ``width - 1 - i``."""
-    return [(x >> (width - 1 - i)) & 1 for i in range(width)]
+    """The wires of a ``width``-bit state, wire i being bit ``width - 1 - i``,
+    read off its binary digits in time linear in the width."""
+    return list(format(x & (1 << width) - 1 | 1 << width, "b")[1:].encode().translate(_BITS))
 
 
 def _pack_bits(bits: Iterable[int], out: int = 0) -> int:

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FormatError",
     "MAX_WIRES",
+    "MAX_GATES",
     "parse_circuit",
     "write_circuit",
     "parse_classical",
@@ -47,6 +48,9 @@ class FormatError(ValueError):
 # turns every input into a wire.  Lifts of desk-scale boolean circuits reach
 # a few hundred wires.
 MAX_WIRES = 1 << 16
+# The most gate lines a circuit document may hold, checked the same way: a
+# circuit of up to 20 wires builds about 2 KiB of lookup tables a gate.
+MAX_GATES = 1 << 16
 
 
 def _significant_lines(text: str) -> List[List[str]]:
@@ -84,6 +88,8 @@ def parse_circuit(text: str) -> ReversibleCircuit:
     width = _header(rows, "wires")
     if width > MAX_WIRES:
         raise FormatError(f"wires {width} exceeds the cap of {MAX_WIRES}")
+    if len(rows) - 1 > MAX_GATES:
+        raise FormatError(f"{len(rows) - 1} gates exceed the cap of {MAX_GATES}")
     try:
         gates = tuple(gate(kind, *(_int(t, kind) for t in wires)) for kind, *wires in rows[1:])
         return ReversibleCircuit(width, gates)

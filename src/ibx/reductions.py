@@ -379,12 +379,11 @@ class OracleCircuit:
 def eval_oracle_circuit(oc: OracleCircuit, g_oracle: Bijection, x: Bitstring) -> Bitstring:
     """Direct evaluator, used as the oracle the compiled schedule is tested
     against."""
-    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
+    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits, _unpack
 
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
-    k = oc.inputs
-    values = {i: x.bit(k - 1 - i) for i in range(k)}
+    values = dict(enumerate(_unpack(x.value, x.width)))
     for g in oc.gates:
         if isinstance(g, ClassicalGate):
             values[g.out] = _BOOL_FN[g.kind](*(values[a] for a in g.args))
@@ -394,8 +393,7 @@ def eval_oracle_circuit(oc: OracleCircuit, g_oracle: Bijection, x: Bitstring) ->
             if g_oracle.width != len(g.s_wires):
                 raise WidthMismatchError("oracle width does not match s wires")
             t = iterate_bijection(g_oracle, count, s)
-            for idx, w in enumerate(g.t_wires):
-                values[w] = t.bit(len(g.t_wires) - 1 - idx)
+            values.update(zip(g.t_wires, _unpack(t.value, t.width)))
     return Bitstring(_pack_bits(values[w] for w in oc.outputs), len(oc.outputs))
 
 

@@ -1,6 +1,7 @@
 """Reversible gate sets, parity, boolean circuits, and the two lifts."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -167,11 +168,27 @@ def test_scalar_steps_match_the_wire_rule_both_ways(rng):
             assert [c.eval_int_reversed(v) for v in states] == [_eval_by_wires(undo, v) for v in states]
 
 
+def test_every_circuit_of_up_to_three_gates_on_three_wires_matches_the_wire_rule():
+    """Every kind on every ordered wire choice, in every sequence of at most
+    three gates: a not before, between and after each other kind, on a
+    control, a target or either side of a swap or fredkin."""
+    gates = [gate(kind, *wires) for kind, arity in GATE_ARITY.items()
+             for wires in itertools.permutations(range(3), arity)]
+    states = list(range(8))
+    for count in range(4):
+        for gs in itertools.product(gates, repeat=count):
+            c = ReversibleCircuit(3, gs)
+            ys = [_eval_by_wires(c, v) for v in states]
+            assert [c.eval_int(v) for v in states] == ys, gs
+            assert [c.eval_int_reversed(y) for y in ys] == states, gs
+
+
 @pytest.mark.parametrize("width", range(13, MAX_EXHAUSTIVE_WIDTH + 2))
 def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
+    """Circuits are lowered to tables up to MAX_EXHAUSTIVE_WIDTH wires."""
     c = _every_kind_circuit(rng, width, 80, 0.3)
     undo = invert_circuit(c)
-    # the last lowered width carries its tables; the first unlowered one carries nothing
+    # the widest circuit with tables carries them; one wire wider carries none
     assert (set(vars(c)) > {"width", "gates"}) == (width <= MAX_EXHAUSTIVE_WIDTH)
     for v in (rng.randrange(1 << width) for _ in range(200)):
         y, back = _eval_by_wires(c, v), _eval_by_wires(undo, v)
@@ -268,7 +285,7 @@ def test_fused_tables_are_bounded_by_the_fuse_width_and_the_gate_count(rng):
     assert len(cases[-1]._fused[0]) == 1  # six wires: one table for the whole circuit
 
 
-def test_wide_circuits_carry_no_lowering():
+def test_wide_circuits_carry_no_tables():
     for width in (MAX_EXHAUSTIVE_WIDTH + 1, MAX_WIRES):
         top = width - 1
         c = ReversibleCircuit(width, (gate("fredkin", 0, top // 2, top), gate("not", top)))

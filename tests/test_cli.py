@@ -896,6 +896,18 @@ def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
     assert done.stdout.strip() == "even"
 
 
+def test_a_circuit_document_over_the_gate_cap_is_one_error_line(tmp_path):
+    # 20 wires: every gate would build lookup tables
+    lines = ["wires 20"] + [f"cnot {i % 19} 19" for i in range(formats.MAX_GATES + 1)]
+    (tmp_path / "long.rc").write_text("\n".join(lines) + "\n")
+    done = run_fresh(["-m", "ibx.cli", "circuit", "parity", "--file", "long.rc"], tmp_path,
+                     preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "gates exceed the cap of 65536" in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv, flag, cap",
     [

@@ -69,6 +69,16 @@ def test_circuit_width_is_capped_before_any_gate_is_built(monkeypatch):
     assert built == []
 
 
+def test_circuit_gate_count_is_capped_before_any_gate_is_built(monkeypatch):
+    at_cap = "wires 1\n" + "not 0\n" * formats.MAX_GATES
+    assert len(formats.parse_circuit(at_cap).gates) == formats.MAX_GATES
+    built = []
+    monkeypatch.setattr(circuits, "gate", lambda *a: built.append(a))
+    with pytest.raises(formats.FormatError, match="65537 gates exceed the cap of 65536"):
+        formats.parse_circuit(at_cap + "not 0\n")
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # classical circuits
 
