@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
-from .kernel import inverse_table, iterate_map
+from .kernel import _DIGITS, _VALUES, inverse_table, iterate_map
 
 
 class CaError(ValueError):
@@ -467,10 +467,6 @@ class TrackedConfig1D:
 
 
 # Data tracks of 0/1 ints reach the planes as strips of ASCII digits.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
 def _track_digits(track: Tuple[int, ...]) -> bytes:
     """A data track as ASCII digits; CaError unless it holds only 0 and 1."""
     try:

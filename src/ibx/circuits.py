@@ -28,7 +28,7 @@ from functools import partial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     _counting_wires, images, iterate_bijection, state_slices)
+                     _counting_wires, _DIGITS, _VALUES, images, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -362,20 +362,17 @@ _BOOL_FN = {
 }
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _unpack(x: int, width: int) -> list:
     """The wires of a ``width``-bit state, wire i being bit ``width - 1 - i``,
     read off its binary digits in time linear in the width."""
-    return list(format(x & (1 << width) - 1 | 1 << width, "b")[1:].encode().translate(_BITS))
+    return list(format(x & (1 << width) - 1 | 1 << width, "b")[1:].encode().translate(_VALUES))
 
 
 def _pack_bits(bits: Iterable[int], out: int = 0) -> int:
-    """Bits, most significant first, packed after ``out``."""
-    for b in bits:
-        out = (out << 1) | b
-    return out
+    """Bits, most significant first, packed after ``out``: ``_unpack``'s
+    mirror, read as binary digits in time linear in their number."""
+    raw = bytes(bits)
+    return out << len(raw) | int(raw.translate(_DIGITS) or b"0", 2)
 
 
 def _eval_classical(circuit: ClassicalCircuit, inputs: list, ones=1) -> list:

@@ -180,6 +180,8 @@ def _cmd_reduce(args, run: _Run) -> str:
         sched = reductions.compile_iteration_to_invertible(f, args.n, _bits(args.x))
         run.count("iterations", sched.total_iterations)
         return reductions.run_schedule(sched).to_text()
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     s = _bits(args.input)
     if s.width != f.width:
         raise ValueError("--input width must match the map width")

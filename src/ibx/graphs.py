@@ -150,10 +150,14 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     step asks nothing; with an oracle whose answers change between calls
     the map would act on stale answers.
 
+    The step is stated once, forward: the step back is R . fwd . R, where
+    the involution R sends (n, v, w) to (-n mod 2**k, v, w) when n != 0 and
+    (0, v, w) to (0, w, v), counting a wait down and turning a walker round.
+
     A wait is one tick run, so the map leaps over it (see
     ``kernel.iterate_map``): from (c, v, w) with c >= 1, the edge mutual
-    and v a leaf, with r steps left, c rises by min(r, 2**k - 1 - c) when
-    r > 0 and falls by min(-r, c - 1) when r < 0.
+    and v a leaf, with r > 0 steps left, c rises by min(r, 2**k - 1 - c);
+    a leap back (r < 0) is the reversed leap of the reversed state.
     So a 2**k-step run costs about two walks of the path, not 2**k steps.
     """
     if k <= 0:
@@ -197,37 +201,29 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
             return x
         return w << k | u
 
-    def back(x: int) -> int:
-        m, p, q = (x >> k2) & mask, (x >> k) & mask, x & mask
-        np_, nq = query_vals(p), query_vals(q)
-        if not mutual(p, np_, q, nq):
-            return x
-        if len(np_) == 1:
-            if m == 1:
-                return q << k | p
-            return ((m - 1) & mask) << k2 | p << k | q
-        if m == 0:
-            v = np_[0] if np_[1] == q else np_[1]
-            nv = query_vals(v)
-            if not mutual(v, nv, p, np_):
-                return x
-            return v << k | p
-        return x
+    def reverse(x: int) -> int:
+        # R: a waiting counter counts down, a walker turns round
+        n = x >> k2 & mask
+        return (-n & mask) << k2 | x & edge if n else (x & mask) << k | x >> k & mask
 
-    def waits(x: int) -> bool:
-        # the edge (v, w) is mutual and v is a leaf: the counter ticks
-        v, w = (x >> k) & mask, x & mask
-        nv = query_vals(v)
-        return mutual(v, nv, w, query_vals(w)) and len(nv) == 1
+    def back(x: int) -> int:
+        return reverse(fwd(reverse(x)))
 
     def leap(x: int, r: int) -> Optional[Tuple[int, int]]:
-        # a waiting counter c climbs to 2**k - 1 forward and falls to 1 back
-        c, d = (x >> k2) & mask, 1 if r > 0 else -1
-        room = mask - c if d > 0 else c - 1
-        if not (c and room and waits(x)):
+        # a counter c waiting at the leaf v of the mutual edge (v, w) climbs
+        # to 2**k - 1; a leap back is the reversed leap forward
+        if r < 0:
+            hop = leap(reverse(x), -r)
+            return hop and (reverse(hop[0]), hop[1])
+        c = x >> k2 & mask
+        if not 0 < c < mask:
             return None
-        j = min(d * r, room)
-        return (c + d * j) << k2 | x & edge, j
+        v, w = x >> k & mask, x & mask
+        nv = query_vals(v)
+        if not (mutual(v, nv, w, query_vals(w)) and len(nv) == 1):
+            return None
+        j = min(r, mask - c)
+        return (c + j) << k2 | x & edge, j
 
     return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]", leap=leap)
 

@@ -37,6 +37,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
 
+# bytes.translate tables between 0/1 byte values and the ASCII digits 0/1.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_VALUES = bytes.maketrans(b"01", b"\0\1")
+
 T = TypeVar("T")
 
 

@@ -13,12 +13,13 @@ total.  ClockedCodec lays out the (c1, c2, payload word) bits: a clocked
 step reads the counters with two fixed shifts and hands the word to the
 action whole, so each action unpacks its own fields.  A step does not check
 the word the action returns; an action that applies an outside map checks
-that map's image where it enters the state.
+that map's image where it enters the state.  A leap is keyed by hands too,
+and ``_clocked`` alone reads, carries and packs them, for steps and leaps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -101,20 +102,24 @@ class Schedule:
             raise WidthMismatchError("schedule start width does not match its bijection")
 
 
-# (c1, c2, payload word, reverse) -> payload word.  The action must return
-# a word that fits the payload bits; the clock packs it unchecked.
+# act(c1, c2, payload word, reverse) -> a payload word, which the clock
+# packs unchecked; leap(c1, c2, payload word, r) -> None or (word', j).
 PayloadAction = Callable[[int, int, int, bool], int]
+ClockLeap = Callable[[int, int, int, int], Optional[Tuple[int, int]]]
 
 
-def _clocked(codec: ClockedCodec, act: PayloadAction, label: str) -> Bijection:
+def _clocked(codec: ClockedCodec, act: PayloadAction, label: str, leap: ClockLeap) -> Bijection:
     """The clocked bijection over ``codec``'s states.
 
     Forward ticks c2, carrying into c1 on wraparound, and maps the payload
     word by ``act(c1, c2, word, False)`` keyed by the hands the step began
     with.  Backward unticks first, then undoes the action with
-    ``act(c1, c2, word, True)`` keyed by the same hands.
+    ``act(c1, c2, word, True)`` keyed by the same hands.  Its leap (see
+    ``kernel.iterate_map``) calls ``leap(c1, c2, word, r)`` with the hands
+    ``act`` gets for the first tick applied (r > 0) or undone (r < 0), and
+    moves the hands by the j ticks of a result (word', j).
     """
-    m_big, m_small = codec.m_big, codec.m_small
+    m_big, m_small, period = codec.m_big, codec.m_small, codec.m_big * codec.m_small
     w2 = codec.widths[1]
     s2 = sum(codec.payload_widths)
     s1 = s2 + w2
@@ -139,7 +144,19 @@ def _clocked(codec: ClockedCodec, act: PayloadAction, label: str) -> Bijection:
             c1, c2 = (c1 - 1) % m_big, m_small - 1
         return c1 << s1 | c2 << s2 | act(c1, c2, v & word_mask, True)
 
-    return Bijection(codec.width, fwd, back, label=label)
+    def hop(v: int, r: int) -> Optional[Tuple[int, int]]:
+        c1, c2 = v >> s1, v >> s2 & m2
+        if c1 >= m_big or c2 >= m_small:
+            return None
+        t = (c1 * m_small + c2 - (r < 0)) % period  # the first tick applied or undone
+        out = leap(*divmod(t, m_small), v & word_mask, r)
+        if out is None:
+            return None
+        word, j = out
+        c1, c2 = divmod((t + j if r > 0 else t + 1 - j) % period, m_small)
+        return c1 << s1 | c2 << s2 | word, j
+
+    return Bijection(codec.width, fwd, back, label=label, leap=hop)
 
 
 def _image(y: int, width: int) -> int:
@@ -240,18 +257,18 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     not fit in k bits.
 
     g leaps (see ``kernel.iterate_map``) every whole little-hand cycle left
-    at once: from (c1, 0, a, 0, 0) with r steps left and j = r // M >= 1,
-    forward to ((c1 + j) mod (n + 1), 0, f^j(a), 0, 0) and backward to
-    ((c1 - j) mod (n + 1), 0, f^-j(a), 0, 0), j * M steps either way.  The
+    at once: from (c1, 0, a, 0, 0) with r steps left and j = |r| // M >= 1,
+    a becomes f^j(a) (f^-j(a) when r < 0) and ``_clocked`` moves c1 by
+    j mod (n + 1), j * M steps either way; the leap is keyed by c2 = 0
+    forward and by c2 = M - 1, the tick a step back undoes, backward.  The
     first leap fills f's table on its 2**k inputs (the fill the oracle
     compiler shares) and ``kernel.from_permutation`` certifies it a
     permutation and inverts it, so a forward-only f leaps backward too;
     f^±j(a) is ``kernel.iterate_map`` on those tables, which stops at a's
     first return, so a leap costs at most twice a's cycle length in
-    lookups, whatever j.  When f is not a permutation, or an
-    image leaves k bits, g takes no leap and walks, raising where the walk
-    raises.  So run_schedule costs one tabulation of f and one leap, at
-    any n.
+    lookups, whatever j.  When f is not a permutation, or an image leaves
+    k bits, g takes no leap and walks, raising where the walk raises.  So
+    run_schedule costs one tabulation of f and one leap, at any n.
     """
     k = f.width
     if k > MAX_CLOCK_WIDTH:
@@ -283,9 +300,6 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
             return word >> k << k | (c if reverse else (c + 1) & mask)
         return word ^ (word >> k2) << k  # c2 == sweep_end, the last little-hand value
 
-    s1 = 3 * k + codec.widths[1]
-    busy = (1 << s1) - 1 ^ mask << k2  # the c2, b and c bits
-
     @lru_cache(maxsize=None)
     def tabulated() -> Optional[Bijection]:
         # f on its tables, or None when f is no permutation of k bits
@@ -294,18 +308,18 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
         except ValueError:
             return None
 
-    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
-        c1, cycles = v >> s1, abs(r) // m_small
-        if not cycles or v & busy or c1 >= m_big:
+    def leap(c1: int, c2: int, word: int, r: int) -> Optional[Tuple[int, int]]:
+        # every whole little-hand cycle left, from b = c = 0 at a cycle's edge
+        cycles = abs(r) // m_small
+        if not cycles or c2 != (0 if r > 0 else m_small - 1) or word & (1 << k2) - 1:
             return None
         t = tabulated()
         if t is None:
             return None
-        j = cycles if r > 0 else -cycles
-        a = iterate_map(t.forward, j, v >> k2 & mask, t.backward)
-        return (c1 + j) % m_big << s1 | a << k2, cycles * m_small
+        a = iterate_map(t.forward, cycles if r > 0 else -cycles, word >> k2, t.backward)
+        return a << k2, cycles * m_small
 
-    g = replace(_clocked(codec, act, f"clock[{f.label}]"), leap=leap)
+    g = _clocked(codec, act, f"clock[{f.label}]", leap)
     start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
 
     def extract(final: Bitstring) -> Bitstring:
@@ -433,9 +447,10 @@ def compile_oracle_circuit(
     stopping at t's first return, so a leap costs at most about twice t's
     cycle length in calls of g, raises where the walk raises, and costs no
     more calls than the walk.  A run of the whole schedule is then at most
-    three moves a gate and one for the spare slot, at any count.
+    three moves a gate and one for the spare slot, at any count.  Leaps,
+    like ``act``, are keyed by hands, and ``_clocked`` moves the hands.
     """
-    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits
+    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits, _unpack
 
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
@@ -476,9 +491,8 @@ def compile_oracle_circuit(
         if f is not None:
             lo, mask = f
             return vec & ~(mask << lo) | (value & mask) << lo
-        for idx, w in enumerate(reversed(ws)):
-            bit = (value >> idx) & 1
-            vec = (vec & ~(1 << pos[w])) | (bit << pos[w])
+        for w, bit in zip(ws, _unpack(value, len(ws))):
+            vec = vec & ~(1 << pos[w]) | bit << pos[w]
         return vec
 
     def run(c1: int, c2: int, vec: int) -> Optional[Tuple[int, int, Optional[OracleGate]]]:
@@ -507,38 +521,23 @@ def compile_oracle_circuit(
         return write(vec, g.t_wires, _image(t, width))
 
     def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
-        ticks = run(c1, c2, vec)
-        if ticks is not None:
-            g = ticks[2]
-            return vec if g is None else power(vec, g, -1 if reverse else 1)
+        hop = leap(c1, c2, vec, -1 if reverse else 1)  # a tick of a run
+        if hop is not None:
+            return hop[0]
         g = oc.gates[c1]
         if isinstance(g, ClassicalGate):
             return vec ^ _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args)) << pos[g.out]
         return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
 
-    s2 = w_count
-    s1 = s2 + codec.widths[1]
-    m2, word_mask = (1 << codec.widths[1]) - 1, (1 << s2) - 1
-
-    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
-        c1, c2, vec = v >> s1, v >> s2 & m2, v & word_mask
-        if c1 >= m_big or c2 >= m_small:
-            return None
-        if r < 0:  # the hands of the tick a step back undoes
-            c1, c2 = (c1, c2 - 1) if c2 else ((c1 - 1) % m_big, m_small - 1)
+    def leap(c1: int, c2: int, vec: int, r: int) -> Optional[Tuple[int, int]]:
         ticks = run(c1, c2, vec)
         if ticks is None:
             return None
         lo, hi, g = ticks
         j = min(hi - c2 + 1 if r > 0 else c2 - lo + 1, abs(r))
-        if g is not None:
-            vec = power(vec, g, j if r > 0 else -j)
-        c2 = c2 + j if r > 0 else c2 + 1 - j
-        if c2 == m_small:
-            c1, c2 = (c1 + 1) % m_big, 0
-        return c1 << s1 | c2 << s2 | vec, j
+        return (vec if g is None else power(vec, g, j if r > 0 else -j)), j
 
-    h = replace(_clocked(codec, act, "oracle-clock"), leap=leap)
+    h = _clocked(codec, act, "oracle-clock", leap)
 
     vec0 = write(0, range(oc.inputs), x.value)
     start = Bitstring(codec.encode(ClockedState(0, 0, (vec0,))), codec.width)

@@ -16,6 +16,7 @@ from ibx.circuits import (
     ClassicalCircuit,
     ClassicalGate,
     _FUSE_WIDTH,
+    _pack_bits,
     ReversibleCircuit,
     bennett_lift,
     circuit_parity,
@@ -304,6 +305,25 @@ def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):
     # the repr shows the two fields and nothing the construction added
     assert repr(a) == repr(b) == f"ReversibleCircuit(width={a.width!r}, gates={a.gates!r})"
     assert write_circuit(a) == write_circuit(b)
+
+
+def _literal_pack(bits, out=0):
+    """The bit packer as a literal loop: one shift of the whole int per bit."""
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 21, 63, 64, 65, 1000, 65_536, 131_073])
+def test_bit_packer_equals_the_literal_loop(rng, width):
+    bits = [rng.getrandbits(1) for _ in range(width)]
+    assert _pack_bits(iter(bits)) == _literal_pack(bits)
+    for out in (-5, (1 << 21) - 1)[: 1 if width > 1000 else 2]:  # the literal loop is O(width**2)
+        assert _pack_bits(bits, out) == _literal_pack(bits, out)
+    if width <= 21:  # numpy prefixes, as a state drawn from an int64 array
+        for out in (np.int64(-3), np.int64((1 << 21) - 1)):
+            got, want = _pack_bits(bits, out), _literal_pack(bits, out)
+            assert got == want and type(got) is type(want) is np.int64
 
 
 def test_permutation_of_identity():

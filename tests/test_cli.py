@@ -866,11 +866,14 @@ def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, docum
         (["lollipop", "second-cycle", "--cycle", "1"], "k4", "not a Hamiltonian cycle"),
         (["iet", "three-gap", "--sweep", "0"], None, "below 1"),
         (["iet", "three-gap", "--sweep", "-1"], None, "below 1"),
+        (["reduce", "oracle", "--fn", "increment", "--width", "3", "--input", "101", "--count", "-1"],
+         None, "error: --count must be nonnegative, got -1"),
     ],
-    ids=["count-cubic-0", "second-cycle-cubic-0", "one-vertex-cycle", "sweep-0", "sweep-minus-1"],
+    ids=["count-cubic-0", "second-cycle-cubic-0", "one-vertex-cycle", "sweep-0", "sweep-minus-1",
+         "oracle-count-minus-1"],
 )
 def test_degenerate_inputs_are_one_error_line(tmp_path, argv, document, message):
-    # an empty graph, a one-vertex cycle and an empty sweep: nothing to search
+    # an empty graph, a one-vertex cycle, an empty sweep and a negative count
     if document == "k4":
         document = formats.write_cubic(graphs.complete_graph_k4())
     if document is not None:
