@@ -13,8 +13,9 @@ A reversible circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also
 compiled once, at construction, to lookup tables on the integer encoding,
 one per run of consecutive gates on at most ``_FUSE_WIDTH`` wires, each
 filled by running the run on every pattern of its wires as slices; a single
-Python int then takes one dict lookup per table, and a wider circuit runs
-its wire list.  Boolean circuits evaluate single states on a list of bits.
+Python int then takes one dict lookup per table.  A wider circuit, or one
+whose tables would hold more than ``MAX_FUSED_ENTRIES`` entries, runs its
+wire list.  Boolean circuits evaluate single states on a list of bits.
 Whole-state tables, state slices and cycles come from ``kernel``; numpy is
 imported only by the functions that tabulate the whole state space.
 """
@@ -25,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
                      _counting_wires, _DIGITS, _VALUES, images, iterate_bijection, state_slices)
@@ -107,6 +108,11 @@ def _patterns(mask: int) -> list:
 # faster per lookup, and cost several times the memory and build time.
 _FUSE_WIDTH = 6
 
+# A circuit whose tables would hold more entries than this, forward, carries
+# none and runs its wire list: at 20 wires about 10 000 gates, some 16 MiB
+# of tables both ways.
+MAX_FUSED_ENTRIES = 1 << 17
+
 # One NOT per wire a fused circuit can have, and per run wire i the
 # translation of a delta slice's digits to one byte per state with bit i set
 # where the wire changed.
@@ -114,8 +120,10 @@ _NOT = tuple(ReversibleGate("not", (w,)) for w in range(MAX_EXHAUSTIVE_WIDTH))
 _CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(_FUSE_WIDTH))
 
 
-def _fuse(gates: Iterable[ReversibleGate], width: int) -> tuple:
-    """The gates as ``(forward, backward, flips)`` on the integer encoding.
+def _fuse(gates: Iterable[ReversibleGate], width: int) -> Optional[tuple]:
+    """The gates as ``(forward, backward, flips)`` on the integer encoding,
+    or None when the tables would hold more than ``MAX_FUSED_ENTRIES``
+    entries, counted from the runs' masks before any table is filled.
 
     A not only toggles its wire in ``flips``, the nots not yet applied, which
     ``eval_int`` XORs in last.  Every other gate runs between the pending
@@ -141,6 +149,8 @@ def _fuse(gates: Iterable[ReversibleGate], width: int) -> tuple:
             runs[-1][1] += [*nots, g, *nots]
         else:
             runs.append([mask, [*nots, g, *nots]])
+    if sum(1 << mask.bit_count() for mask, _ in runs) > MAX_FUSED_ENTRIES:
+        return None
     forward, backward = [], []
     for mask, run in runs:
         keys = _patterns(mask)
@@ -167,13 +177,15 @@ class ReversibleCircuit:
     backward, and their nots as one XOR mask, which ``_fuse`` fills from
     ``_run_wires`` at construction and keeps outside the compared fields;
     wider ones carry none, so a huge width never turns a short gate line
-    into huge masks."""
+    into huge masks.  Nor does a circuit whose tables would hold more than
+    ``MAX_FUSED_ENTRIES`` entries, so a long gate list builds no huge
+    tables."""
 
     width: int
     gates: Tuple[ReversibleGate, ...]
 
-    # (forward tables, backward tables, flips), set per instance at widths
-    # <= MAX_EXHAUSTIVE_WIDTH
+    # (forward tables, backward tables, flips) or None, set per instance at
+    # widths <= MAX_EXHAUSTIVE_WIDTH
     _fused = None
 
     def __post_init__(self) -> None:

@@ -461,7 +461,7 @@ def add_const(width: int, c: int) -> Bijection:
     c &= mask
     return Bijection(
         width, lambda x: (x + c) & mask, lambda x: (x - c) & mask,
-        label=f"add{c}/{width}", leap=power_leap(lambda x, n: (x + n * c) & mask),
+        label=f"add{c:#x}/{width}", leap=power_leap(lambda x, n: (x + n * c) & mask),
     )
 
 

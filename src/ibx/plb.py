@@ -44,6 +44,11 @@ BIT_PERMUTE_PIECE_FACTOR = 6
 
 MAX_CIRCUIT_PLB_WIDTH = 16
 
+# circuit_to_plb's cap on stages, checked as they are appended: at 16 wires
+# a gate compiles to about 52 stages and 144 pieces, so the cap holds about
+# 300 such gates, which ``plb from-circuit`` prints in about 0.5 s.
+MAX_CIRCUIT_PLB_STAGES = 1 << 14
+
 # permutation_order's caps: the domain a map without an affine form may
 # tabulate, and the modulus M an affine form may factor (trial division up
 # to sqrt(M), for M and for phi(M)).
@@ -574,7 +579,9 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
     the gate's truth table (a pure block exchange), rotate back.  The two
     rotation primitives are built once, every block exchange once per
     gate, and the whole stage list is fused by one compose_lift, so the
-    compile validates gates + 3 maps.  An empty circuit is the identity.
+    compile validates gates + 3 maps.  An empty circuit is the identity;
+    more than ``MAX_CIRCUIT_PLB_STAGES`` stages raise PlbError before any
+    fusion.
     """
     from .circuits import ReversibleCircuit, ReversibleGate
 
@@ -606,4 +613,6 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
         stages += perm.forward
         stages.append(plb(n, block_pieces))
         stages += perm.inverse
+        if len(stages) > MAX_CIRCUIT_PLB_STAGES:
+            raise PlbError(f"circuit compiles to more than {MAX_CIRCUIT_PLB_STAGES} stages")
     return compose_lift(stages).lifted, len(stages)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import (
     Bijection,
@@ -431,10 +431,14 @@ def compile_oracle_circuit(
     points at an oracle gate, c2 = 0 copies s onto the zeroed target t and
     each later tick with c2 at most the gate's count replaces t by g(t).
     After M*N steps every gate has fired and the clock is back at zero.
-    The oracle's width must equal every oracle gate's s wires
-    (WidthMismatchError, before anything is built), and a step raises
-    ValueError when the oracle, either way, returns a value that does not
-    fit in its width.
+    The wire vector holds ``oc.all_wires()`` in order, first most
+    significant.  Every wire list (inputs, outputs, a gate's arguments and
+    target, n, s, t) goes through one gather and one scatter, linear in the
+    wire count: ``circuits._unpack`` the vector, index each wire by its
+    place, ``circuits._pack_bits`` the bits.  The oracle's width must
+    equal every oracle gate's s wires (WidthMismatchError, before anything
+    is built), and a step raises ValueError when the oracle, either way,
+    returns a value that does not fit in its width.
 
     Only the tick c2 = 0 of a gate is a literal step: h leaps (see
     ``kernel.iterate_map``) over every other run of ticks that act alike,
@@ -459,7 +463,7 @@ def compile_oracle_circuit(
             raise WidthMismatchError("oracle width does not match s wires")
     wires = oc.all_wires()
     w_count = len(wires)
-    pos = {w: w_count - 1 - i for i, w in enumerate(wires)}  # bit position per wire
+    place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector
     m_small = oc.max_oracle_count() + 1
     m_big = len(oc.gates) + 1
     codec = ClockedCodec(m_big, m_small, (w_count,))
@@ -467,47 +471,15 @@ def compile_oracle_circuit(
     backward_oracle = g_oracle.backward or _inverse_via_table(g_oracle)
     width = g_oracle.width
 
-    fields: Dict[Tuple[int, ...], Optional[Tuple[int, int]]] = {}
-
-    def field(ws: Sequence[int]) -> Optional[Tuple[int, int]]:
-        # (lowest bit position, mask) when the bit positions of ws run down
-        # by one, as in one integer field; None when they do not
-        ws = tuple(ws)
-        if ws not in fields:
-            lo = pos[ws[-1]] if ws else 0
-            top = lo + len(ws) - 1
-            contiguous = all(pos[w] == top - i for i, w in enumerate(ws))
-            fields[ws] = (lo, (1 << len(ws)) - 1) if contiguous else None
-        return fields[ws]
-
     def read(vec: int, ws: Sequence[int]) -> int:
-        f = field(ws)
-        if f is not None:
-            return vec >> f[0] & f[1]
-        return _pack_bits((vec >> pos[w]) & 1 for w in ws)
+        bits = _unpack(vec, w_count)
+        return _pack_bits([bits[place[w]] for w in ws])
 
     def write(vec: int, ws: Sequence[int], value: int) -> int:
-        f = field(ws)
-        if f is not None:
-            lo, mask = f
-            return vec & ~(mask << lo) | (value & mask) << lo
+        bits = _unpack(vec, w_count)
         for w, bit in zip(ws, _unpack(value, len(ws))):
-            vec = vec & ~(1 << pos[w]) | bit << pos[w]
-        return vec
-
-    def run(c1: int, c2: int, vec: int) -> Optional[Tuple[int, int, Optional[OracleGate]]]:
-        # (lo, hi, gate): the ticks lo..hi of big-hand value c1, c2 among
-        # them, each mapping t := g(t) on gate's t wires, or idle when gate
-        # is None; None for the tick c2 = 0 that fires a gate
-        if c1 >= len(oc.gates):
-            return 0, m_small - 1, None
-        g = oc.gates[c1]
-        if c2 == 0:
-            return None
-        if isinstance(g, ClassicalGate):
-            return 1, m_small - 1, None
-        count = read(vec, g.n_wires)
-        return (1, count, g) if c2 <= count else (count + 1, m_small - 1, None)
+            bits[place[w]] = bit
+        return _pack_bits(bits)
 
     def fwd(t: int) -> int:
         return _image(g_oracle.forward(t), width)
@@ -515,27 +487,32 @@ def compile_oracle_circuit(
     def back(t: int) -> int:
         return _image(backward_oracle(t), width)
 
-    def power(vec: int, g: OracleGate, j: int) -> int:
-        # vec after j ticks of g's active run (-j undone when j < 0)
-        t = iterate_map(fwd, j, read(vec, g.t_wires), back, g_oracle.leap)
-        return write(vec, g.t_wires, _image(t, width))
-
     def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
         hop = leap(c1, c2, vec, -1 if reverse else 1)  # a tick of a run
         if hop is not None:
             return hop[0]
         g = oc.gates[c1]
         if isinstance(g, ClassicalGate):
-            return vec ^ _BOOL_FN[g.kind](*(((vec >> pos[a]) & 1) for a in g.args)) << pos[g.out]
+            args = _unpack(read(vec, g.args), len(g.args))
+            return vec ^ write(0, (g.out,), _BOOL_FN[g.kind](*args))
         return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
 
     def leap(c1: int, c2: int, vec: int, r: int) -> Optional[Tuple[int, int]]:
-        ticks = run(c1, c2, vec)
-        if ticks is None:
+        # ticks lo..hi of big-hand value c1, c2 among them, act alike: t := g(t)
+        # on an active oracle gate's t wires, or idle; a gate's firing tick c2 = 0 never leaps
+        if c1 >= len(oc.gates):
+            lo, hi, active = 0, m_small - 1, None
+        elif c2 == 0:
             return None
-        lo, hi, g = ticks
+        else:
+            g = oc.gates[c1]
+            count = read(vec, g.n_wires) if isinstance(g, OracleGate) else 0
+            lo, hi, active = (1, count, g) if c2 <= count else (count + 1, m_small - 1, None)
         j = min(hi - c2 + 1 if r > 0 else c2 - lo + 1, abs(r))
-        return (vec if g is None else power(vec, g, j if r > 0 else -j)), j
+        if active is None:
+            return vec, j
+        t = iterate_map(fwd, j if r > 0 else -j, read(vec, active.t_wires), back, g_oracle.leap)
+        return write(vec, active.t_wires, _image(t, width)), j
 
     h = _clocked(codec, act, "oracle-clock", leap)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibx import circuits
 from ibx.circuits import (
     CLASSICAL_ARITY,
     GATE_ARITY,
@@ -17,6 +18,8 @@ from ibx.circuits import (
     ClassicalGate,
     _FUSE_WIDTH,
     _pack_bits,
+    _run_wires,
+    _unpack,
     ReversibleCircuit,
     bennett_lift,
     circuit_parity,
@@ -292,6 +295,24 @@ def test_wide_circuits_carry_no_tables():
         c = ReversibleCircuit(width, (gate("fredkin", 0, top // 2, top), gate("not", top)))
         assert set(vars(c)) == {"width", "gates"}
         assert c.eval_int(0) == 1 and c.eval_int_reversed(1) == 0
+
+
+def test_fused_entries_are_capped_before_any_table_is_filled(rng, monkeypatch):
+    """A circuit whose tables would hold more than ``MAX_FUSED_ENTRIES``
+    entries carries none, and fills none, and runs its wire list; at the cap
+    it is fused.  Both sides equal ``_run_wires`` both ways."""
+    c = _every_kind_circuit(rng, 12, 80, 0.2)
+    entries = sum(len(table) for _, table in c._fused[0])
+    for cap in (entries, entries - 1):
+        monkeypatch.setattr(circuits, "MAX_FUSED_ENTRIES", cap)
+        if cap < entries:  # an over-cap circuit fills no table
+            monkeypatch.setattr(circuits, "_run_wires", None)
+        d = ReversibleCircuit(c.width, c.gates)
+        monkeypatch.undo()
+        assert (d._fused is None) == (cap < entries)
+        for v in range(1 << 12):
+            want = _pack_bits(_run_wires(d.gates, _unpack(v, 12)))
+            assert d.eval_int(v) == want and d.eval_int_reversed(want) == v
 
 
 def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):

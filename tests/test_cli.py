@@ -911,6 +911,18 @@ def test_a_circuit_document_over_the_gate_cap_is_one_error_line(tmp_path):
     assert "gates exceed the cap of 65536" in done.stderr
 
 
+def test_a_circuit_over_the_plb_stage_cap_is_one_error_line(tmp_path):
+    # 16 wires at the gate cap would ask circuit_to_plb for millions of stages
+    lines = ["wires 16"] + [f"toffoli {i % 16} {(i + 5) % 16} {(i + 11) % 16}"
+                            for i in range(formats.MAX_GATES)]
+    (tmp_path / "long.rc").write_text("\n".join(lines) + "\n")
+    done = run_fresh(["-m", "ibx.cli", "plb", "from-circuit", "--file", "long.rc"], tmp_path,
+                     preexec_fn=_limit_address_space)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr == f"error: circuit compiles to more than {plb.MAX_CIRCUIT_PLB_STAGES} stages\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag, cap",
     [

@@ -691,6 +691,18 @@ def test_add_const_wraps():
     assert f.backward(3) == 6
 
 
+def test_add_const_takes_constants_past_the_decimal_digit_limit():
+    # 2**20000 - 1 has 6021 decimal digits, over Python's default limit of
+    # 4300 for int-to-text conversion, so the label must not print it
+    f = add_const(20000, 2**20000 - 1)
+    x = Bitstring(12345, 20000)
+    want = x.value
+    for _ in range(3):
+        want = f.forward(want)
+    assert want == x.value - 3
+    assert iterate_bijection(f, 3, x).value == want
+
+
 def test_rotate_left_moves_msb_down():
     f = rotate_left(4)
     assert f.apply(Bitstring.from_text("1000")).to_text() == "0001"

@@ -525,6 +525,19 @@ def test_circuit_to_plb_width_cap():
         circuit_to_plb(ReversibleCircuit(MAX_CIRCUIT_PLB_WIDTH + 1, ()))
 
 
+def test_circuit_to_plb_stage_cap(rng, monkeypatch):
+    # at the cap the compile is unchanged; one stage under it, the compile
+    # stops before compose_lift fuses anything
+    c = random_reversible_circuit(rng, 6, 8, min_gates=8)
+    t, s = circuit_to_plb(c)
+    monkeypatch.setattr(plb_module, "MAX_CIRCUIT_PLB_STAGES", s)
+    assert circuit_to_plb(c) == (t, s)
+    monkeypatch.setattr(plb_module, "MAX_CIRCUIT_PLB_STAGES", s - 1)
+    monkeypatch.setattr(plb_module, "compose_lift", None)
+    with pytest.raises(PlbError, match=f"more than {s - 1} stages"):
+        circuit_to_plb(c)
+
+
 def test_circuit_to_plb_validates_gates_plus_three_maps(rng, monkeypatch):
     calls = []
 

@@ -320,24 +320,23 @@ def test_chained_oracle_gates():
 
 
 def test_oracle_clock_reads_and_writes_a_wide_contiguous_field(rng):
-    # every wire list runs down the bit positions by one, so the clock reads
-    # and writes each as one field
+    # 3000-wire s and t lists, running down the bit positions by one and
+    # then reversed: the one gather and scatter read and write either order
     w = 3000
-    oc = OracleCircuit(
-        2 + w,
-        (OracleGate((0, 1), tuple(range(2, 2 + w)), tuple(range(2 + w, 2 + 2 * w))),),
-        tuple(range(2 + w, 2 + 2 * w)),
-    )
-    g = add_const(w, rng.getrandbits(w))
-    for _ in range(4):
-        x = Bitstring(rng.getrandbits(2 + w), 2 + w)
-        assert run_schedule(compile_oracle_circuit(oc, g, x)) == eval_oracle_circuit(oc, g, x)
+    for order in (1, -1):
+        s = tuple(range(2, 2 + w))[::order]
+        t = tuple(range(2 + w, 2 + 2 * w))[::order]
+        oc = OracleCircuit(2 + w, (OracleGate((0, 1), s, t),), t)
+        g = add_const(w, rng.getrandbits(w))
+        for _ in range(4):
+            x = Bitstring(rng.getrandbits(2 + w), 2 + w)
+            assert run_schedule(compile_oracle_circuit(oc, g, x)) == eval_oracle_circuit(oc, g, x)
 
 
 def test_oracle_clock_reads_and_writes_scattered_wires_bit_by_bit():
     # n runs up the bit positions, s and the outputs skip and reorder them,
-    # and t mixes both: none is one field, while a classical gate between
-    # them reads and writes single wires
+    # and t mixes both, while a classical gate between them reads and
+    # writes single wires; each list is gathered and scattered by place
     oc = OracleCircuit(
         6,
         (
