@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # Each public name's home module.
 _EXPORTS = {
     "kernel": (
-        "Bijection", "BijectionCheck", "Bitstring", "IterationProblem",
+        "Bijection", "BijectionCheck", "Bitstring",
         "WidthMismatchError", "builtin_bijections", "cat_map",
         "check_bijection_exhaustive", "identity", "increment", "iterate",
         "iterate_bijection", "iterate_map", "pack_fields", "unpack_fields",

@@ -135,8 +135,7 @@ def _cmd_circuit(args, run: _Run) -> str:
     if args.action == "iterate":
         run.count("iterations", args.n)
         # the literal loop: perfbench's child-timeout test needs a large --n to run long
-        f = c.as_bijection() if args.n >= 0 else c.as_bijection().inverse()
-        return kernel.iterate(kernel.IterationProblem(f, abs(args.n), _bits(args.input))).to_text()
+        return kernel.iterate(c.as_bijection(), args.n, _bits(args.input)).to_text()
     if c.width > circuits.MAX_GATE_ARITY:
         run.count("gates", len(c.gates))
     else:
@@ -502,7 +501,7 @@ def _verify_reductions(rng: random.Random) -> None:
         got = reductions.run_schedule(
             reductions.compile_iteration_to_invertible(f, n, x)
         )
-        if got != kernel.iterate(kernel.IterationProblem(f, n, x)):
+        if got != kernel.iterate(f, n, x):
             raise ValueError("clocked schedule disagrees with direct iteration")
     # a count near 2**40 on a map with no power of its own: the oracle clock
     # leaps each run of ticks, walking only the start's cycle of the map

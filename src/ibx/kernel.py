@@ -21,12 +21,14 @@ Conventions used across the package:
 * A Bijection's ``forward``/``backward`` evaluators work directly on the
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
-* ``images`` tabulates the whole state space in one int64 numpy array,
-  which ``check_bijection_exhaustive`` checks unless a round trip through
-  the map's sliced evaluators already proves it a bijection.  A map with
-  ``sliced`` evaluators (circuits) fills it a chunk of ``state_slices``,
-  the one whole-state enumerator, per call; others fill it in one Python
-  pass.  numpy is imported only by the functions that build arrays.
+* ``images`` tabulates the whole state space in one int64 numpy array.  A
+  map with ``sliced`` evaluators (circuits) fills it a chunk of
+  ``state_slices``, the one whole-state enumerator, per call; others fill
+  it in one Python pass.  ``check_bijection_exhaustive`` is one pass over
+  the inputs in order, unless a round trip through the map's sliced
+  evaluators already proves it a bijection; it reads ``images`` only for
+  a sliced map, so a scalar map is checked without numpy.  numpy is
+  imported only by the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -186,34 +188,21 @@ class Bijection:
         )
 
 
-@dataclass(frozen=True)
-class IterationProblem:
-    """Ask for f applied n times to x.  n may be any nonnegative integer."""
-
-    f: Bijection
-    n: int
-    x: Bitstring
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("iteration count must be nonnegative")
-        if self.x.width != self.f.width:
-            raise WidthMismatchError(
-                f"input width {self.x.width} does not match bijection width {self.f.width}"
-            )
-
-
-def iterate(problem: IterationProblem) -> Bitstring:
-    """Reference loop: literally apply f n times.
-
-    This is the ground truth ``iterate_map`` is tested against, so it stays
-    a plain loop with no shortcuts.
-    """
-    value = problem.x.value
-    fwd = problem.f.forward
-    for _ in range(problem.n):
-        value = fwd(value)
-    return Bitstring(value, problem.f.width)
+def iterate(f: Bijection, n: int, x: Bitstring) -> Bitstring:
+    """Reference loop: literally apply f n times (f's backward map -n
+    times when n < 0).  This is the ground truth ``iterate_map`` is tested
+    against, so it stays a plain loop with no shortcuts."""
+    if x.width != f.width:
+        raise WidthMismatchError(f"input width {x.width} does not match bijection width {f.width}")
+    step = f.forward
+    if n < 0:
+        if f.backward is None:
+            raise ValueError("a negative iteration count needs a backward map")
+        step, n = f.backward, -n
+    value = x.value
+    for _ in range(n):
+        value = step(value)
+    return Bitstring(value, f.width)
 
 
 def iterate_map(
@@ -273,9 +262,7 @@ def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
     """f applied n times to x (f's backward map -n times when n < 0),
     leaping where f declares leaps."""
     if x.width != f.width:
-        raise WidthMismatchError(
-            f"input width {x.width} does not match bijection width {f.width}"
-        )
+        raise WidthMismatchError(f"input width {x.width} does not match bijection width {f.width}")
     return Bitstring(iterate_map(f.forward, n, x.value, f.backward, f.leap), f.width)
 
 
@@ -324,51 +311,44 @@ class BijectionCheck:
 def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     """Evaluate all 2**width inputs and verify injectivity (and backward, if any).
 
-    The first failing input wins; at one input an escape from [0, 2**width)
-    comes before a collision, and a collision before a backward mismatch.
-    On an escape the witness is (x, x), on a forward collision the two
-    colliding inputs, and on a backward mismatch (x, backward(forward(x))),
-    or (x, x) when that value is itself outside [0, 2**width) and so cannot
-    be a witness.
+    One pass over the inputs in order stops at the first failing input; at
+    one input an escape from [0, 2**width) comes before a collision, and a
+    collision before a backward mismatch.  On an escape the witness is
+    (x, x), on a collision the image's first owner and x, and on a backward
+    mismatch (x, backward(forward(x))), or (x, x) when that value is itself
+    outside [0, 2**width) and so cannot be a witness.
 
     A map with sliced evaluators and a backward map first runs backward
     after forward on each chunk of ``state_slices`` and compares the result
     with the chunk's own wires.  On a finite set a left inverse proves a
-    bijection, so when every chunk comes back the check passes without a
-    table.  Otherwise, and for every other map, the checks run on whole
-    arrays, on the table ``images`` fills.  Backward runs on the images
-    before the first failure, or on every state if sliced.
+    bijection, so when every chunk comes back the check passes at once.
+    Otherwise the pass reads a sliced map's images from ``images``, and
+    calls any other map's forward once per input, without numpy.
     """
-    if f.width <= MAX_EXHAUSTIVE_WIDTH and f.backward is not None and f.sliced and _round_trips(f):
+    _check_cap(f.width)
+    if f.backward is not None and f.sliced and _round_trips(f):
         return BijectionCheck(True)
-    ys = images(f)
-    import numpy as np
+    size, backward = 1 << f.width, f.backward
+    ys = images(f).tolist() if f.sliced else list(map(f.forward, range(size)))
 
-    size = ys.size
-    result = BijectionCheck(True)
-    # Inputs before the first escape map into range; among them, the first
-    # whose image is already taken is the first collision.
-    escapes = np.flatnonzero((ys < 0) | (ys >= size))
-    stop = int(escapes[0]) if escapes.size else size
-    if stop < size:
-        result = BijectionCheck(False, (Bitstring(stop, f.width),) * 2, "escape")
-    taken, first = np.unique(ys[:stop], return_index=True)
-    if first.size < stop:
-        repeated = np.ones(stop, dtype=bool)
-        repeated[first] = False
-        stop = int(np.argmax(repeated))
-        earlier = int(first[np.searchsorted(taken, ys[stop])])
-        result = BijectionCheck(
-            False, (Bitstring(earlier, f.width), Bitstring(stop, f.width)), "collision"
-        )
-    if f.backward is not None:
-        backs = _table(f.width, f.backward, f.sliced and f.sliced[1], ys[:stop])
-        wrong = np.flatnonzero(backs != np.arange(stop))
-        if wrong.size:
-            x = int(wrong[0])
-            back = int(backs[x]) if 0 <= backs[x] < size else x
-            return BijectionCheck(False, (Bitstring(x, f.width), Bitstring(back, f.width)), "inverse")
-    return result
+    def failure(a: int, b: int, reason: str) -> BijectionCheck:
+        return BijectionCheck(False, (Bitstring(a, f.width), Bitstring(b, f.width)), reason)
+
+    seen = bytearray(size)
+    for x, y in enumerate(ys):
+        if not 0 <= y < size:
+            return failure(x, x, "escape")
+        if seen[y]:
+            return failure(ys.index(y), x, "collision")
+        seen[y] = 1
+        if backward is not None and (back := backward(y)) != x:
+            return failure(x, back if 0 <= back < size else x, "inverse")
+    return BijectionCheck(True)
+
+
+def _check_cap(width: int) -> None:
+    if width > MAX_EXHAUSTIVE_WIDTH:
+        raise ValueError(f"width {width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
 
 
 def _round_trips(f: Bijection) -> bool:
@@ -414,21 +394,15 @@ def state_slices(k: int):
 
 def images(f: Bijection):
     """f.forward on every state 0 .. 2**width - 1 as an int64 numpy array,
-    for widths up to ``MAX_EXHAUSTIVE_WIDTH``."""
-    if f.width > MAX_EXHAUSTIVE_WIDTH:
-        raise ValueError(f"width {f.width} exceeds exhaustive-check cap {MAX_EXHAUSTIVE_WIDTH}")
-    return _table(f.width, f.forward, f.sliced and f.sliced[0])
-
-
-def _table(width: int, fn: Callable[[int], int], sliced: Optional[Callable], xs=None):
-    """The map on the int64 array of states xs (all when None), as an int64
-    array: sliced per chunk of ``state_slices``, or fn in one Python pass,
-    which stores an image too large for int64 as -1, so it fails a check."""
+    for widths up to ``MAX_EXHAUSTIVE_WIDTH``: sliced per chunk of
+    ``state_slices``, or f.forward in one Python pass, which stores an
+    image too large for int64 as -1, out of range too."""
+    _check_cap(f.width)
     import numpy as np
 
-    size = 1 << width
-    if sliced is None:
-        ys = list(map(fn, range(size) if xs is None else xs.tolist()))
+    width, size = f.width, 1 << f.width
+    if f.sliced is None:
+        ys = list(map(f.forward, range(size)))
         try:
             return np.array(ys, np.int64)
         except OverflowError:
@@ -438,11 +412,11 @@ def _table(width: int, fn: Callable[[int], int], sliced: Optional[Callable], xs=
     for states, wires in state_slices(width):
         count = len(states)
         nbytes = (count + 7) // 8
-        raw = b"".join(w.to_bytes(nbytes, "little") for w in sliced(wires, (1 << count) - 1))
+        raw = b"".join(w.to_bytes(nbytes, "little") for w in f.sliced[0](wires, (1 << count) - 1))
         bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(width, nbytes), axis=1,
                              count=count, bitorder="little")
         table[states.start : states.stop] = weights @ bits
-    return table if xs is None else table[xs]
+    return table
 
 
 def identity(width: int) -> Bijection:

@@ -180,6 +180,8 @@ def run_schedule(schedule: Schedule) -> Bitstring:
 
 MAX_SWEEP_WIDTH = 20
 MAX_CLOCK_WIDTH = 8
+# widest oracle without a backward evaluator, whose inverse is tabulated
+MAX_ORACLE_TABLE_WIDTH = 16
 
 
 def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
@@ -411,14 +413,6 @@ def eval_oracle_circuit(oc: OracleCircuit, g_oracle: Bijection, x: Bitstring) ->
     return Bitstring(_pack_bits(values[w] for w in oc.outputs), len(oc.outputs))
 
 
-def _inverse_via_table(f: Bijection) -> Callable[[int], int]:
-    if f.width > 16:
-        raise ReductionError(
-            "oracle bijection carries no backward evaluator and is too wide to tabulate"
-        )
-    return _tabulated(f).backward
-
-
 def compile_oracle_circuit(
     oc: OracleCircuit, g_oracle: Bijection, x: Bitstring
 ) -> Schedule:
@@ -438,7 +432,9 @@ def compile_oracle_circuit(
     place, ``circuits._pack_bits`` the bits.  The oracle's width must
     equal every oracle gate's s wires (WidthMismatchError, before anything
     is built), and a step raises ValueError when the oracle, either way,
-    returns a value that does not fit in its width.
+    returns a value that does not fit in its width.  An oracle with no
+    backward evaluator is inverted from a table of its images, up to
+    ``MAX_ORACLE_TABLE_WIDTH`` bits (ReductionError before anything is built).
 
     Only the tick c2 = 0 of a gate is a literal step: h leaps (see
     ``kernel.iterate_map``) over every other run of ticks that act alike,
@@ -461,6 +457,8 @@ def compile_oracle_circuit(
     for g in oc.gates:
         if isinstance(g, OracleGate) and len(g.s_wires) != g_oracle.width:
             raise WidthMismatchError("oracle width does not match s wires")
+    if g_oracle.backward is None and g_oracle.width > MAX_ORACLE_TABLE_WIDTH:
+        raise ReductionError(f"forward-only oracle is wider than the table cap {MAX_ORACLE_TABLE_WIDTH}")
     wires = oc.all_wires()
     w_count = len(wires)
     place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector
@@ -468,7 +466,7 @@ def compile_oracle_circuit(
     m_big = len(oc.gates) + 1
     codec = ClockedCodec(m_big, m_small, (w_count,))
 
-    backward_oracle = g_oracle.backward or _inverse_via_table(g_oracle)
+    backward_oracle = g_oracle.backward or _tabulated(g_oracle).backward
     width = g_oracle.width
 
     def read(vec: int, ws: Sequence[int]) -> int:

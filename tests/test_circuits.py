@@ -39,7 +39,6 @@ from ibx.formats import MAX_WIRES, write_circuit
 from ibx.kernel import (
     MAX_EXHAUSTIVE_WIDTH,
     Bitstring,
-    IterationProblem,
     check_bijection_exhaustive,
     images,
     iterate,
@@ -98,10 +97,10 @@ def test_iterate_circuit_huge_n_stops_at_the_orbit_return():
     for v in range(8):
         x = Bitstring(v, 3)
         orbit = 1
-        while iterate(IterationProblem(f, orbit, x)) != x:
+        while iterate(f, orbit, x) != x:
             orbit += 1
         assert orbit <= 8
-        assert iterate_circuit(c, n, x) == iterate(IterationProblem(f, n % orbit, x))
+        assert iterate_circuit(c, n, x) == iterate(f, n % orbit, x)
 
 
 def test_gate_rejects_bad_wiring():

@@ -858,6 +858,17 @@ def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, docum
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+AND_GATE = "inputs 2\nand 2 0 1\noutputs 2\n"
+PHASE_2_GRID = "bbm 4 4 2\n....\n....\n....\n....\n"
+# ROADMAP item 6's rotation of N = 10**12 written with a one-point -1 piece:
+# no power path takes it, so plb iterate walks every step
+FLIPPED_ROTATION = """plb 1000000000000
+piece 0 1 -1 381966011251
+piece 1 618033988749 1 381966011251
+piece 618033988749 1000000000000 1 -618033988749
+"""
+
+
 @pytest.mark.parametrize(
     "argv, document, message",
     [
@@ -868,18 +879,67 @@ def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, docum
         (["iet", "three-gap", "--sweep", "-1"], None, "below 1"),
         (["reduce", "oracle", "--fn", "increment", "--width", "3", "--input", "101", "--count", "-1"],
          None, "error: --count must be nonnegative, got -1"),
+        (["circuit", "eval", "--input", "012"], "wires 3\nnot 0\n", "not a binary numeral"),
+        (["circuit", "iterate", "--input", "1", "--n", "3"], "wires 2\nnot 0\n",
+         "input width 1 does not match bijection width 2"),
+        (["circuit", "invert"], "wires 3\ncnot 0\n", "cnot takes 2 wires"),
+        (["circuit", "parity"], "wires 3\ncnot 0\n", "cnot takes 2 wires"),
+        (["plb", "from-circuit"], "wires 3\ncnot 0\n", "cnot takes 2 wires"),
+        (["lift", "bennett", "--input", "111"], AND_GATE, "payload width 3"),
+        (["lift", "exact", "--inverse-file", "doc.txt"], AND_GATE, "k bits to k bits"),
+        (["reduce", "summation", "--fn", "add:x", "--width", "3", "--x", "101"], None,
+         "invalid literal"),
+        (["reduce", "clock", "--fn", "cat:0", "--x", "0", "--n", "1"], None, "modulus must be positive"),
+        (["leaf", "walk", "--k", "0"], None, "vertex width must be positive"),
+        (["leaf", "compile", "--k", "1", "--length", "1"], None, "does not fit in 1 bits"),
+        (["lollipop", "second-cycle", "--cycle", "0 1 2 3", "--edge", "0", "0"], "k4",
+         "not on the cycle"),
+        (["lollipop", "count", "--edge", "0", "9"], "k4", "no such edge"),
+        (["ca", "bbm-run", "--n", "1"], PHASE_2_GRID, "phase must be 0 or 1"),
+        (["ca", "bbm-reverse", "--n", "1"], PHASE_2_GRID, "phase must be 0 or 1"),
+        (["ca", "dimredux-run", "--n", "1"], "bbm 2 2 0\n..\n..\n", "circumference"),
+        (["ca", "dimredux-verify", "--n", "1"], "bbm 2 2 0\n..\n..\n", "circumference"),
+        (["ca", "strobe-demo", "--t", "3", "--n", "1", "--ring", "0"], None, "at least one cell"),
+        (["plb", "validate"], FIG_IET, "expected 'plb N'"),
+        (["plb", "apply", "--x", "4"], "plb 4\npiece 0 4 1 0\n", "4 outside [0,4)"),
+        (["plb", "iterate", "--x", "-1", "--n", "1"], "plb 4\npiece 0 4 1 0\n", "-1 outside [0,4)"),
+        (["plb", "compose", "--files", "doc.txt"], FIG_IET, "expected 'plb N'"),
+        (["plb", "riffle", "--n", "1"], None, "at least two cards"),
+        (["plb", "rotate", "--k", "1", "--low"], None, "at least two bits"),
+        (["iet", "build"], "plb 4\npiece 0 4 1 0\n", "expected 'iet N'"),
+        (["iet", "solve", "--i", "15", "--n", "1"], FIG_IET, "point 15 outside [0, 15)"),
+        (["iet", "three-gap", "--modulus", "10", "--step", "3", "--count", "-1"], None,
+         "must be positive"),
+        pytest.param(
+            ["plb", "iterate", "--x", "5", "--n", str(10**20)], FLIPPED_ROTATION, "budget",
+            marks=pytest.mark.xfail(
+                raises=subprocess.TimeoutExpired, strict=True,
+                reason="a walk with no power path has no step budget yet (ROADMAP item 4)",
+            ),
+        ),
     ],
     ids=["count-cubic-0", "second-cycle-cubic-0", "one-vertex-cycle", "sweep-0", "sweep-minus-1",
-         "oracle-count-minus-1"],
+         "oracle-count-minus-1", "circuit-eval-digit-2", "circuit-iterate-width",
+         "circuit-invert-arity", "circuit-parity-arity", "plb-from-circuit-arity",
+         "lift-bennett-width", "lift-exact-not-square", "summation-bad-constant",
+         "clock-cat-0", "leaf-walk-k-0", "leaf-compile-too-long", "second-cycle-loop-edge",
+         "count-no-edge", "bbm-run-phase-2", "bbm-reverse-phase-2", "dimredux-run-2x2",
+         "dimredux-verify-2x2", "strobe-ring-0", "plb-validate-iet", "plb-apply-at-n",
+         "plb-iterate-minus-1", "plb-compose-iet", "riffle-1", "rotate-low-1", "iet-build-plb",
+         "iet-solve-at-n", "three-gap-count-minus-1", "plb-iterate-walk-hang"],
 )
 def test_degenerate_inputs_are_one_error_line(tmp_path, argv, document, message):
-    # an empty graph, a one-vertex cycle, an empty sweep and a negative count
+    # one degenerate input per subcommand but verify all: an empty graph, a
+    # one-vertex cycle, a bad digit, width or gate, a size below its floor,
+    # a point outside the map, a document of the wrong kind; each child
+    # must answer within seconds
     if document == "k4":
         document = formats.write_cubic(graphs.complete_graph_k4())
     if document is not None:
         (tmp_path / "doc.txt").write_text(document)
-        argv = [*argv, "--file", "doc.txt"]
-    done = run_fresh(["-m", "ibx.cli", *argv], tmp_path, preexec_fn=_limit_address_space)
+        if "--files" not in argv:
+            argv = [*argv, "--file", "doc.txt"]
+    done = run_fresh(["-m", "ibx.cli", *argv], tmp_path, preexec_fn=_limit_address_space, timeout=5)
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
@@ -980,9 +1040,13 @@ assert "numpy" not in sys.modules, "numpy imported"
 def test_orders_and_parity_run_without_numpy(tmp_path):
     code = """
 import sys
-from ibx import circuits, plb
+from ibx import circuits, kernel, plb
 assert plb.permutation_order(plb.riffle(13)) == 12
 assert circuits.parity([1, 0, 2]) == "odd"
+assert kernel.check_bijection_exhaustive(kernel.cat_map(5)).ok
+halve = kernel.Bijection(3, lambda v: v // 2)
+zero, one = kernel.Bitstring(0, 3), kernel.Bitstring(1, 3)
+assert kernel.check_bijection_exhaustive(halve) == kernel.BijectionCheck(False, (zero, one), "collision")
 assert "numpy" not in sys.modules
 """
     done = run_fresh(["-c", code], tmp_path)

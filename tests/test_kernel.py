@@ -25,7 +25,6 @@ from ibx.kernel import (
     Bijection,
     BijectionCheck,
     Bitstring,
-    IterationProblem,
     WidthMismatchError,
     add_const,
     builtin_bijections,
@@ -160,8 +159,22 @@ def test_iterate_width_mismatch():
         iterate_bijection(identity(3), 1, Bitstring(0, 4))
 
 
-def _literal(f, n, x):
-    return iterate(IterationProblem(f, n, x))
+def test_reference_loop_runs_backward_for_a_negative_count(rng):
+    f = from_permutation(rng.sample(range(32), 32), 5)
+    for v in range(32):
+        x = Bitstring(v, 5)
+        for n in range(1, 40):
+            want = x
+            for _ in range(n):
+                want = f.apply_inverse(want)
+            assert iterate(f, -n, x) == iterate(f.inverse(), n, x) == want
+    with pytest.raises(ValueError, match="backward"):
+        iterate(Bijection(5, f.forward), -1, Bitstring(0, 5))
+    assert iterate(Bijection(5, f.forward), 0, Bitstring(3, 5)) == Bitstring(3, 5)
+    with pytest.raises(WidthMismatchError):
+        iterate(f, 1, Bitstring(0, 4))
+    with pytest.raises(WidthMismatchError):
+        iterate(f, -1, Bitstring(0, 6))
 
 
 def _cycle_length(f, x):
@@ -179,7 +192,7 @@ def test_engine_matches_literal_loop_on_random_tables(rng):
         f = from_permutation(table, w)
         x = Bitstring(rng.randrange(1 << w), w)
         for n in [rng.randint(-3 << w, 3 << w) for _ in range(12)]:
-            want = _literal(f, n, x) if n >= 0 else _literal(f.inverse(), -n, x)
+            want = iterate(f, n, x)
             assert iterate_bijection(f, n, x) == want, (table, n, x)
 
 
@@ -191,9 +204,9 @@ def test_engine_huge_n_reduces_by_the_return_time(rng):
         f = from_permutation(table, w)
         x = Bitstring(rng.randrange(1 << w), w)
         n = 10**20
-        want = _literal(f, n % _cycle_length(f, x), x)
+        want = iterate(f, n % _cycle_length(f, x), x)
         assert iterate_bijection(f, n, x) == want
-        back = _literal(f.inverse(), n % _cycle_length(f, x), x)
+        back = iterate(f.inverse(), n % _cycle_length(f, x), x)
         assert iterate_bijection(f, -n, x) == back
 
 
@@ -255,7 +268,7 @@ def test_engine_leaps_equal_the_literal_loop():
     f = Bijection(w, plain.forward, plain.backward, leap=_tick_leap(1 << w, 8))
     for x in map(Bitstring, range(1 << w), [w] * (1 << w)):
         for n in range(-80, 81):
-            want = iterate(IterationProblem(f if n >= 0 else f.inverse(), abs(n), x))
+            want = iterate(f, n, x)
             assert iterate_bijection(f, n, x) == want, (x, n)
         for n in (10**20 + 3, -(10**20) - 3):
             assert iterate_bijection(f, n, x).value == (x.value + n) % (1 << w)
@@ -521,9 +534,9 @@ def test_check_backward_escape_is_an_inverse_failure(shift):
 
 
 def test_check_images_beyond_int64_are_failures():
-    """A map without ``sliced`` evaluators may return any int; the table
-    stores one too large for int64 as -1, so it is still an escape, or an
-    inverse failure when the backward map returns it."""
+    """A map without ``sliced`` evaluators may return any int: a huge
+    image is reported as an escape, and a huge backward value as an
+    inverse failure, not raised."""
     f = Bijection(3, lambda v: v if v < 5 else 1 << 70, lambda v: v, "huge")
     want = BijectionCheck(False, (Bitstring(5, 3), Bitstring(5, 3)), "escape")
     assert check_bijection_exhaustive(f) == reference_walk(f) == want
@@ -532,9 +545,14 @@ def test_check_images_beyond_int64_are_failures():
     assert check_bijection_exhaustive(g) == reference_walk(g) == want
 
 
+def test_images_store_values_beyond_int64_as_minus_one():
+    f = Bijection(3, lambda v: v if v < 5 else (-1) ** v << 70)
+    assert images(f).tolist() == [0, 1, 2, 3, 4, -1, -1, -1]
+
+
 def reference_walk(f):
     """The exhaustive check as a plain scalar walk over every input, which
-    stops at the first failure: the reference the table check must match."""
+    stops at the first failure: the reference the check must match."""
     size = 1 << f.width
     seen = {}
     for x in range(size):
@@ -559,8 +577,8 @@ def reference_walk(f):
 
 def _both_checks(f):
     """check_bijection_exhaustive on a sliced map, and the reference walk
-    on the same map without its sliced evaluators, whose own check (the
-    table filled by a Python pass) must agree with the walk."""
+    on the same map without its sliced evaluators, whose own check (one
+    Python pass) must agree with the walk."""
     scalar = replace(f, sliced=None)
     assert f.sliced
     slow = reference_walk(scalar)
@@ -777,10 +795,11 @@ def test_chunked_table_matches_the_python_pass_past_the_first_chunk(rng, fault):
 def test_a_passing_sliced_check_builds_no_table(rng, monkeypatch):
     """Backward after forward on every chunk proves a sliced map a
     bijection, so a passing circuit check fills no table; a map that fails
-    the round trip still gets the table path's witness and reason."""
+    the round trip fills its forward table once, and the pass over it
+    gives the reference witness and reason."""
     tables = []
-    table = kernel._table
-    monkeypatch.setattr(kernel, "_table", lambda *a: tables.append(a[0]) or table(*a))
+    fill = kernel.images
+    monkeypatch.setattr(kernel, "images", lambda f: tables.append(f.width) or fill(f))
     for width in (0, 1, 5, 12, 13):
         c = random_reversible_circuit(rng, width, 40 if width > 1 else 0, min_gates=0)
         assert check_bijection_exhaustive(c.as_bijection()).ok
@@ -790,7 +809,7 @@ def test_a_passing_sliced_check_builds_no_table(rng, monkeypatch):
     back[fwd[5000]] = 17
     check = check_bijection_exhaustive(sliced_table_map(13, fwd, back))
     assert check == BijectionCheck(False, (Bitstring(5000, 13), Bitstring(17, 13)), "inverse")
-    assert tables == [13, 13]
+    assert tables == [13]
 
 
 def test_a_round_trip_through_wires_outside_the_chunk_is_no_pass():

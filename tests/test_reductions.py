@@ -8,7 +8,6 @@ from ibx.circuits import CircuitError, ClassicalCircuit, ClassicalGate
 from ibx.kernel import (
     Bijection,
     Bitstring,
-    IterationProblem,
     WidthMismatchError,
     add_const,
     cat_map,
@@ -23,6 +22,7 @@ from ibx.kernel import (
 )
 from ibx.reductions import (
     MAX_CLOCK_WIDTH,
+    MAX_ORACLE_TABLE_WIDTH,
     MAX_SWEEP_WIDTH,
     ClockedState,
     OracleCircuit,
@@ -162,8 +162,8 @@ def _literal_runs(g, start, steps):
     """iterate_bijection's answers from start, steps ahead and then the same
     steps back, next to the literal loop's."""
     got = iterate_bijection(g, steps, start)
-    want = iterate(IterationProblem(g, steps, start))
-    back = iterate(IterationProblem(g.inverse(), steps, want))
+    want = iterate(g, steps, start)
+    back = iterate(g.inverse(), steps, want)
     return (got, iterate_bijection(g, -steps, got)), (want, back)
 
 
@@ -203,8 +203,8 @@ def test_clock_leaps_take_every_whole_little_hand_cycle_left(rng):
                 assert g.leap(v, m - 1) is None and g.leap(v, 1 - m) is None
                 for j, extra in ((1, 0), (2, m - 1), (n + 3, m // 2)):
                     start = Bitstring(v, g.width)
-                    ahead = iterate(IterationProblem(g, j * m, start)).value
-                    behind = iterate(IterationProblem(g.inverse(), j * m, start)).value
+                    ahead = iterate(g, j * m, start).value
+                    behind = iterate(g.inverse(), j * m, start).value
                     assert g.leap(v, j * m + extra) == (ahead, j * m), (k, c1, a, j)
                     assert g.leap(v, -j * m - extra) == (behind, j * m), (k, c1, a, j)
 
@@ -238,7 +238,7 @@ def test_clock_raises_where_the_walk_raises_when_an_image_escapes():
     f = Bijection(3, lambda v: v + 1, None, "escapes at 7")
     s = compile_iteration_to_invertible(f, 5, Bitstring(4, 3))
     with pytest.raises(ValueError, match="value 8 out of range for width 3"):
-        iterate(IterationProblem(s.g, s.total_iterations, s.start))
+        iterate(s.g, s.total_iterations, s.start)
     with pytest.raises(ValueError, match="value 8 out of range for width 3"):
         run_schedule(s)
 
@@ -349,6 +349,30 @@ def test_oracle_clock_reads_and_writes_scattered_wires_bit_by_bit():
     for v in range(1 << 6):
         x = Bitstring(v, 6)
         assert run_schedule(compile_oracle_circuit(oc, g, x)) == eval_oracle_circuit(oc, g, x)
+
+
+def _one_counted_gate(w):
+    """t := g^(n)(s) for a 1-bit count n on input wire 0, s on the next w
+    inputs, and t on w more wires, which are the outputs."""
+    t = tuple(range(1 + w, 1 + 2 * w))
+    return OracleCircuit(1 + w, (OracleGate((0,), tuple(range(1, 1 + w)), t),), t)
+
+
+def test_forward_only_oracles_are_tabulated_up_to_the_cap():
+    # past the cap nothing is tabulated; at it, x ^ 1 compiles, runs
+    # forward to the direct evaluation and back to its start
+    w = MAX_ORACLE_TABLE_WIDTH
+    wide = Bijection(w + 1, lambda v: v ^ 1, None, "fwd-only")
+    with pytest.raises(ReductionError, match=f"table cap {w}"):
+        compile_oracle_circuit(_one_counted_gate(w + 1), wide, Bitstring(0, w + 2))
+    g = Bijection(w, lambda v: v ^ 1, None, "fwd-only")
+    oc = _one_counted_gate(w)
+    for v in (0, 1, 6, 1 << w, (1 << w + 1) - 1):
+        x = Bitstring(v, w + 1)
+        s = compile_oracle_circuit(oc, g, x)
+        end = iterate_bijection(s.g, s.total_iterations, s.start)
+        assert s.extract(end) == eval_oracle_circuit(oc, g, x)
+        assert iterate_bijection(s.g, -s.total_iterations, end) == s.start
 
 
 def test_oracle_compiler_synthesizes_missing_backward():
@@ -536,7 +560,7 @@ def test_oracle_clock_raises_where_the_walk_raises_when_an_image_escapes():
         oc, x = _one_gate(g, count, 4)
         s = compile_oracle_circuit(oc, g, x)
         with pytest.raises(ValueError, match="value 8 out of range for width 3"):
-            iterate(IterationProblem(s.g, s.total_iterations, s.start))
+            iterate(s.g, s.total_iterations, s.start)
         with pytest.raises(ValueError, match="value 8 out of range for width 3"):
             run_schedule(s)
 
