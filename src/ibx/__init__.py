@@ -48,7 +48,7 @@ _EXPORTS = {
         "simulate_helical", "strobe_wrap", "toy_counter_strobe",
     ),
     "plb": (
-        "IntervalExchange", "Piece", "PiecewiseLinearBijection", "apply_plb",
+        "Piece", "PiecewiseLinearBijection", "apply_plb",
         "apply_plb_inverse", "bit_permute", "circuit_to_plb", "compose_lift",
         "interval_exchange", "iterate_plb", "riffle", "validate_plb",
     ),

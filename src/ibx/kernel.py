@@ -219,7 +219,9 @@ def iterate_map(
     ``leap(y, r)``, with r the signed count of steps left, returns None,
     and the engine takes one step, or (y', j) with 1 <= j <= |r| and y'
     exactly j literal steps from y, forward when r > 0 and backward when
-    r < 0.  After every move the engine compares the state with x and
+    r < 0.  A map may state its step as a leap of one: a leap that always
+    answers is the whole map, and the engine never calls ``step``.  After
+    every move the engine compares the state with x and
     with a mark it moves to where it stands after 1, 2, 4, ... moves
     (Brent's cycle finding), since an orbit may never come back to x and
     leaps may jump over x forever.  A state met again at times t0 < t
@@ -323,24 +325,30 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     with the chunk's own wires.  On a finite set a left inverse proves a
     bijection, so when every chunk comes back the check passes at once.
     Otherwise the pass reads a sliced map's images from ``images``, and
-    calls any other map's forward once per input, without numpy.
+    calls any other map's forward once per input as it reaches the input,
+    without numpy, so a failure at the first inputs costs only those.
     """
     _check_cap(f.width)
     if f.backward is not None and f.sliced and _round_trips(f):
         return BijectionCheck(True)
-    size, backward = 1 << f.width, f.backward
-    ys = images(f).tolist() if f.sliced else list(map(f.forward, range(size)))
+    size, backward, scalar = 1 << f.width, f.backward, not f.sliced
+    # a sliced map's table, or a scalar map's images read so far: a
+    # collision's first owner is ys.index of its image
+    ys = [] if scalar else images(f).tolist()
+    append = ys.append
 
     def failure(a: int, b: int, reason: str) -> BijectionCheck:
         return BijectionCheck(False, (Bitstring(a, f.width), Bitstring(b, f.width)), reason)
 
     seen = bytearray(size)
-    for x, y in enumerate(ys):
+    for x, y in enumerate(map(f.forward, range(size)) if scalar else ys):
         if not 0 <= y < size:
             return failure(x, x, "escape")
         if seen[y]:
             return failure(ys.index(y), x, "collision")
         seen[y] = 1
+        if scalar:
+            append(y)
         if backward is not None and (back := backward(y)) != x:
             return failure(x, back if 0 <= back < size else x, "inverse")
     return BijectionCheck(True)

@@ -110,17 +110,6 @@ class PiecewiseLinearBijection:
 
 
 @dataclass(frozen=True)
-class IntervalExchange(PiecewiseLinearBijection):
-    """PLB whose every piece is a pure translation."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for p in self.pieces:
-            if p.mult != 1:
-                raise PlbValidationError("malformed", (p,), "multiplier is not 1")
-
-
-@dataclass(frozen=True)
 class ProgressionHit:
     residue: int
     modulus: int
@@ -211,10 +200,10 @@ plb = validate_plb
 
 def interval_exchange(
     domain: int, pieces: Sequence[Tuple[int, int, int]]
-) -> IntervalExchange:
-    """Build and certify an interval exchange from (lo, hi, off) triples."""
-    ps = tuple(Piece(lo, hi, 1, off) for lo, hi, off in pieces)
-    return _certify(IntervalExchange(domain, ps))
+) -> PiecewiseLinearBijection:
+    """Certify an interval exchange from (lo, hi, off) triples: every
+    piece a translation, so ``is_exchange`` holds."""
+    return validate_plb(domain, [(lo, hi, 1, off) for lo, hi, off in pieces])
 
 
 def apply_plb(t: PiecewiseLinearBijection, x: int) -> int:

@@ -4,17 +4,21 @@ Each compiler emits a Schedule: a bijection g, an exact iteration count, a
 start state, and an extraction map, with the contract that running g for
 exactly that many steps from the start and extracting yields the answer.
 
-The clocked bijections here share a discipline: a wide counter c1 and a
-narrow counter c2 are packed in front of one payload word, each step first
-ticks the clock (c2, carrying into c1 on wraparound), and the payload action
-maps the word keyed by the value c2 showed when the step began.  States
-whose counters are out of range are fixed points, which keeps every map
-total.  ClockedCodec lays out the (c1, c2, payload word) bits: a clocked
-step reads the counters with two fixed shifts and hands the word to the
-action whole, so each action unpacks its own fields.  A step does not check
-the word the action returns; an action that applies an outside map checks
-that map's image where it enters the state.  A leap is keyed by hands too,
-and ``_clocked`` alone reads, carries and packs them, for steps and leaps.
+Every map here is one signed move, ``move(state, r) -> (state', j)``
+with 1 <= j <= |r|: the state exactly j ticks on (r > 0) or back (r < 0).
+The move is the map's leap (see ``kernel.iterate_map``), and its step and
+step back are the moves of 1 and -1, so the engine never calls a step and
+each tick rule is written once.
+
+The clocked maps share a discipline: a wide counter c1 and a narrow
+counter c2 are packed in front of one payload word, each tick advances c2,
+carrying into c1 on wraparound, and maps the word keyed by the hands the
+tick began with.  States whose counters are out of range are fixed points,
+which keeps every map total.  ClockedCodec lays out the (c1, c2, payload
+word) bits; ``_clocked`` alone reads, guards and packs the hands, and each
+compiler's move unpacks its own fields.  A move's word is packed
+unchecked; a move that applies an outside map checks that map's image
+where it enters the state.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class ClockedCodec:
     """Bit layout of (c1, c2, payload word) states, c1 most significant.
 
     The counters take the fewest bits that hold modulus-1; the payload word
-    is the low ``sum(payload_widths)`` bits.  A clocked step reads only c1,
+    is the low ``sum(payload_widths)`` bits.  A clocked move reads only c1,
     c2 and the word.  ``encode`` and ``decode`` go through the kernel's
     pack_fields/unpack_fields and split the word into the payload fields,
     first field most significant: decode gives None when a counter is at or
@@ -102,22 +106,21 @@ class Schedule:
             raise WidthMismatchError("schedule start width does not match its bijection")
 
 
-# act(c1, c2, payload word, reverse) -> a payload word, which the clock
-# packs unchecked; leap(c1, c2, payload word, r) -> None or (word', j).
-PayloadAction = Callable[[int, int, int, bool], int]
-ClockLeap = Callable[[int, int, int, int], Optional[Tuple[int, int]]]
+# move(c1, c2, payload word, r) -> (word', j), 1 <= j <= |r|: the word
+# after the j ticks that start at hands (c1, c2) (r > 0) or end by undoing
+# the tick at those hands (r < 0).
+ClockMove = Callable[[int, int, int, int], Tuple[int, int]]
 
 
-def _clocked(codec: ClockedCodec, act: PayloadAction, label: str, leap: ClockLeap) -> Bijection:
-    """The clocked bijection over ``codec``'s states.
+def _clocked(codec: ClockedCodec, move: ClockMove, label: str) -> Bijection:
+    """The clocked bijection over ``codec``'s states, one signed move.
 
-    Forward ticks c2, carrying into c1 on wraparound, and maps the payload
-    word by ``act(c1, c2, word, False)`` keyed by the hands the step began
-    with.  Backward unticks first, then undoes the action with
-    ``act(c1, c2, word, True)`` keyed by the same hands.  Its leap (see
-    ``kernel.iterate_map``) calls ``leap(c1, c2, word, r)`` with the hands
-    ``act`` gets for the first tick applied (r > 0) or undone (r < 0), and
-    moves the hands by the j ticks of a result (word', j).
+    Its move decodes the hands, calls ``move(c1, c2, word, r)`` with the
+    hands of the first tick applied (r > 0) or undone (r < 0), and packs
+    the word with the hands moved by the result's j ticks, c2 carrying into
+    c1 on wraparound.  Its step and step back are the moves of 1 and -1.  A
+    state whose counters are out of range is a fixed point: it moves all
+    |r| ticks at once, so the engine ends such a run in one move.
     """
     m_big, m_small, period = codec.m_big, codec.m_small, codec.m_big * codec.m_small
     w2 = codec.widths[1]
@@ -125,38 +128,39 @@ def _clocked(codec: ClockedCodec, act: PayloadAction, label: str, leap: ClockLea
     s1 = s2 + w2
     m2, word_mask = (1 << w2) - 1, (1 << s2) - 1
 
-    def fwd(v: int) -> int:
+    def hop(v: int, r: int) -> Tuple[int, int]:
         c1, c2 = v >> s1, v >> s2 & m2
         if c1 >= m_big or c2 >= m_small:
-            return v
-        word = act(c1, c2, v & word_mask, False)
-        c2 += 1
-        if c2 == m_small:
-            c1, c2 = (c1 + 1) % m_big, 0
-        return c1 << s1 | c2 << s2 | word
-
-    def back(v: int) -> int:
-        c1, c2 = v >> s1, v >> s2 & m2
-        if c1 >= m_big or c2 >= m_small:
-            return v
-        c2 -= 1
-        if c2 < 0:
-            c1, c2 = (c1 - 1) % m_big, m_small - 1
-        return c1 << s1 | c2 << s2 | act(c1, c2, v & word_mask, True)
-
-    def hop(v: int, r: int) -> Optional[Tuple[int, int]]:
-        c1, c2 = v >> s1, v >> s2 & m2
-        if c1 >= m_big or c2 >= m_small:
-            return None
+            return v, abs(r)
         t = (c1 * m_small + c2 - (r < 0)) % period  # the first tick applied or undone
-        out = leap(*divmod(t, m_small), v & word_mask, r)
-        if out is None:
-            return None
-        word, j = out
+        word, j = move(*divmod(t, m_small), v & word_mask, r)
         c1, c2 = divmod((t + j if r > 0 else t + 1 - j) % period, m_small)
         return c1 << s1 | c2 << s2 | word, j
 
-    return Bijection(codec.width, fwd, back, label=label, leap=hop)
+    return _one_move(codec.width, hop, label)
+
+
+def _one_move(width: int, move: Callable[[int, int], Tuple[int, int]], label: str) -> Bijection:
+    """The bijection whose leap is ``move`` and whose step and step back
+    are its moves of 1 and -1."""
+    return Bijection(width, lambda v: move(v, 1)[0], lambda v: move(v, -1)[0], label=label, leap=move)
+
+
+def _clocked_schedule(
+    g: Bijection, codec: ClockedCodec, total: int, payload: Tuple[int, ...], answer: Callable
+) -> Schedule:
+    """Run g ``total`` ticks from hands (0, 0) over ``payload``; the answer
+    is ``answer`` of the final payload, and a final state whose counters
+    are out of range raises ReductionError."""
+
+    def extract(final: Bitstring) -> Bitstring:
+        st = codec.decode(final.value)
+        if st is None:
+            raise ReductionError("final state decodes out of range")
+        return answer(st.payload)
+
+    start = Bitstring(codec.encode(ClockedState(0, 0, payload)), codec.width)
+    return Schedule(g, total, start, extract, codec=codec)
 
 
 def _image(y: int, width: int) -> int:
@@ -188,18 +192,19 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     """Collapse a pointwise question about f into pure iteration.
 
     The emitted g walks a counter a over every k-bit value while adding
-    ftilde(a) into an accumulator b, where ftilde(y) is f(y) when y = x and
-    zero otherwise.  Exactly one term of the sweep is nonzero, so after all
-    2**k steps b holds f(x).  The point is the shape of the reduction, not
-    the answer: any function with a cheap point test (the inverse of f
-    included, via the indicator f(y) = x) can be summed out the same way,
-    and g itself only ever consults f forward.
+    f(a) into an accumulator b when a = x and nothing otherwise.  Exactly
+    one term of the sweep is nonzero, so after all 2**k steps b holds f(x).
+    The point is the shape of the reduction, not the answer: any function
+    with a cheap point test (the inverse of f included, via the indicator
+    f(y) = x) can be summed out the same way, and g itself only ever
+    consults f forward.
 
-    Every other tick only counts, so g leaps (see ``kernel.iterate_map``)
-    from any a != x forward to a = x, across the wrap if need be, with b
-    unchanged, and back from any a != x + 1 to a = x + 1; the tick at a = x
-    stays a literal step, so the image check raises where the walk raises.
-    A whole sweep is three engine moves (two when x = 0), at any k.
+    Every other tick only counts, so g's one move runs a, with b unchanged,
+    from any a != x forward to a = x, across the wrap if need be, and back
+    from any a != x + 1 to a = x + 1.  Standing there, it takes the tick at
+    a = x alone, adding f(x) into b or taking it back out, and checks the
+    image there, so it raises where the literal walk raises.  A whole sweep
+    is three engine moves (two when x = 0), at any k.
     """
     k = f.width
     if k > MAX_SWEEP_WIDTH:
@@ -210,26 +215,16 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     mask = size - 1
     target = x.value
 
-    def ftilde(a: int) -> int:
-        return _image(f.forward(a), k) if a == target else 0
-
-    def fwd(v: int) -> int:
-        a, b = (v >> k) & mask, v & mask
-        return ((a + 1) & mask) << k | (b + ftilde(a)) & mask
-
-    def back(v: int) -> int:
-        a, b = (v >> k) & mask, v & mask
-        prev = (a - 1) & mask
-        return prev << k | (b - ftilde(prev)) & mask
-
-    def leap(v: int, r: int) -> Optional[Tuple[int, int]]:
-        # a moves in the direction d of r up to the literal tick's a
+    def move(v: int, r: int) -> Tuple[int, int]:
+        # a moves in the direction d of r up to the adding tick's a, or takes that tick
         d = 1 if r > 0 else -1
-        a, stop = v >> k, (target + (d < 0)) & mask
+        a, b, stop = v >> k, v & mask, (target + (d < 0)) & mask
         j = min(d * (stop - a) & mask, d * r)
-        return ((a + d * j & mask) << k | v & mask, j) if j else None
+        if j:
+            return (a + d * j & mask) << k | b, j
+        return (a + d & mask) << k | (b + d * _image(f.forward(target), k)) & mask, 1
 
-    g = Bijection(2 * k, fwd, back, label=f"sweep-sum[{f.label}]", leap=leap)
+    g = _one_move(2 * k, move, f"sweep-sum[{f.label}]")
 
     def extract(final: Bitstring) -> Bitstring:
         return Bitstring(final.value & mask, k)
@@ -252,25 +247,25 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
                          leaving a = f(a))
       c2 = 2**k+2       b ^= a           (clear the stash)
 
-    The clock ticks first each step, but the payload action is keyed by the
-    pre-tick c2, so starting from (0,0,x,0,0) the c2=0 action runs on the
-    very first step.  After n*M steps the a field holds f applied n times.
-    The stash step raises ValueError, in either direction, when f(a) does
-    not fit in k bits.
+    Each tick's rule is keyed by the c2 it began with, so starting from
+    (0,0,x,0,0) the c2=0 rule runs on the very first step.  After n*M steps
+    the a field holds f applied n times.  The stash tick raises ValueError,
+    in either direction, when f(a) does not fit in k bits.
 
-    g leaps (see ``kernel.iterate_map``) every whole little-hand cycle left
-    at once: from (c1, 0, a, 0, 0) with r steps left and j = |r| // M >= 1,
-    a becomes f^j(a) (f^-j(a) when r < 0) and ``_clocked`` moves c1 by
-    j mod (n + 1), j * M steps either way; the leap is keyed by c2 = 0
+    g's move (see ``_clocked``) takes every whole little-hand cycle left at
+    once: from (c1, 0, a, 0, 0) with r steps left and j = |r| // M >= 1, a
+    becomes f^j(a) (f^-j(a) when r < 0) and ``_clocked`` moves c1 by
+    j mod (n + 1), j * M steps either way; the move is keyed by c2 = 0
     forward and by c2 = M - 1, the tick a step back undoes, backward.  The
-    first leap fills f's table on its 2**k inputs (the fill the oracle
+    first such move fills f's table on its 2**k inputs (the fill the oracle
     compiler shares) and ``kernel.from_permutation`` certifies it a
-    permutation and inverts it, so a forward-only f leaps backward too;
+    permutation and inverts it, so a forward-only f runs backward too;
     f^±j(a) is ``kernel.iterate_map`` on those tables, which stops at a's
-    first return, so a leap costs at most twice a's cycle length in
-    lookups, whatever j.  When f is not a permutation, or an image leaves
-    k bits, g takes no leap and walks, raising where the walk raises.  So
-    run_schedule costs one tabulation of f and one leap, at any n.
+    first return, so it costs at most twice a's cycle length in lookups,
+    whatever j.  Anywhere else, or when f is not a permutation, or an image
+    leaves k bits, the move is one tick of the rule above, raising where
+    the walk raises.  So run_schedule costs one tabulation of f and one
+    move, at any n.
     """
     k = f.width
     if k > MAX_CLOCK_WIDTH:
@@ -287,21 +282,6 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     sweep_end = size + 2
     k2 = 2 * k
 
-    def act(c1: int, c2: int, word: int, reverse: bool) -> int:
-        # word = a << 2k | b << k | c
-        if c2 == 0:
-            return word ^ _image(f.forward(word >> k2), k) << k
-        if c2 == 1:
-            return word ^ (word >> k & mask) << k2
-        if c2 < sweep_end:
-            c = word & mask
-            if reverse:
-                c = (c - 1) & mask
-            if f.forward(c) == word >> k & mask:
-                word ^= c << k2
-            return word >> k << k | (c if reverse else (c + 1) & mask)
-        return word ^ (word >> k2) << k  # c2 == sweep_end, the last little-hand value
-
     @lru_cache(maxsize=None)
     def tabulated() -> Optional[Bijection]:
         # f on its tables, or None when f is no permutation of k bits
@@ -310,27 +290,29 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
         except ValueError:
             return None
 
-    def leap(c1: int, c2: int, word: int, r: int) -> Optional[Tuple[int, int]]:
-        # every whole little-hand cycle left, from b = c = 0 at a cycle's edge
+    def move(c1: int, c2: int, word: int, r: int) -> Tuple[int, int]:
+        # word = a << 2k | b << k | c; first every whole little-hand cycle
+        # left, from b = c = 0 at a cycle's edge, else one tick
         cycles = abs(r) // m_small
-        if not cycles or c2 != (0 if r > 0 else m_small - 1) or word & (1 << k2) - 1:
-            return None
-        t = tabulated()
-        if t is None:
-            return None
-        a = iterate_map(t.forward, cycles if r > 0 else -cycles, word >> k2, t.backward)
-        return a << k2, cycles * m_small
+        edge = c2 == (0 if r > 0 else m_small - 1) and not word & (1 << k2) - 1
+        if cycles and edge and (t := tabulated()) is not None:
+            a = iterate_map(t.forward, cycles if r > 0 else -cycles, word >> k2, t.backward)
+            return a << k2, cycles * m_small
+        if c2 == 0:
+            return word ^ _image(f.forward(word >> k2), k) << k, 1
+        if c2 == 1:
+            return word ^ (word >> k & mask) << k2, 1
+        if c2 < sweep_end:
+            c = word & mask
+            if r < 0:
+                c = (c - 1) & mask
+            if f.forward(c) == word >> k & mask:
+                word ^= c << k2
+            return word >> k << k | (c if r < 0 else (c + 1) & mask), 1
+        return word ^ (word >> k2) << k, 1  # c2 == sweep_end, the last little-hand value
 
-    g = _clocked(codec, act, f"clock[{f.label}]", leap)
-    start = Bitstring(codec.encode(ClockedState(0, 0, (x.value, 0, 0))), codec.width)
-
-    def extract(final: Bitstring) -> Bitstring:
-        st = codec.decode(final.value)
-        if st is None:
-            raise ReductionError("final state decodes out of range")
-        return Bitstring(st.payload[0], k)
-
-    return Schedule(g, n * m_small, start, extract, codec=codec)
+    g = _clocked(codec, move, f"clock[{f.label}]")
+    return _clocked_schedule(g, codec, n * m_small, (x.value, 0, 0), lambda p: Bitstring(p[0], k))
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +413,25 @@ def compile_oracle_circuit(
     wire count: ``circuits._unpack`` the vector, index each wire by its
     place, ``circuits._pack_bits`` the bits.  The oracle's width must
     equal every oracle gate's s wires (WidthMismatchError, before anything
-    is built), and a step raises ValueError when the oracle, either way,
+    is built), and a move raises ValueError when the oracle, either way,
     returns a value that does not fit in its width.  An oracle with no
     backward evaluator is inverted from a table of its images, up to
     ``MAX_ORACLE_TABLE_WIDTH`` bits (ReductionError before anything is built).
 
-    Only the tick c2 = 0 of a gate is a literal step: h leaps (see
-    ``kernel.iterate_map``) over every other run of ticks that act alike,
+    h's move (see ``_clocked``) takes a gate's firing tick c2 = 0 alone,
+    its own inverse, and every other run of ticks that act alike at once,
     as far as the steps left allow.  Idle runs (the spare value of c1, c2
     >= 1 at a boolean gate, c2 above an oracle gate's count as its n wires
-    read now) leap forward to the wrap and back to the run's first tick.
-    An oracle gate's active run c2 = 1..count leaps t to g^j(t), or g^-j(t)
+    read now) run forward to the wrap and back to the run's first tick.
+    An oracle gate's active run c2 = 1..count takes t to g^j(t), or g^-j(t)
     backward: ``kernel.iterate_map`` on g with every image checked, taking
     g's own leaps when it declares them (the stock maps) and otherwise
-    stopping at t's first return, so a leap costs at most about twice t's
+    stopping at t's first return, so a move costs at most about twice t's
     cycle length in calls of g, raises where the walk raises, and costs no
     more calls than the walk.  A run of the whole schedule is then at most
-    three moves a gate and one for the spare slot, at any count.  Leaps,
-    like ``act``, are keyed by hands, and ``_clocked`` moves the hands.
+    three moves a gate and one for the spare slot, at any count.
     """
-    from .circuits import _BOOL_FN, ClassicalGate, _pack_bits, _unpack
+    from .circuits import _BOOL_FN, _pack_bits, _unpack
 
     if x.width != oc.inputs:
         raise WidthMismatchError("input width does not match circuit inputs")
@@ -485,25 +466,18 @@ def compile_oracle_circuit(
     def back(t: int) -> int:
         return _image(backward_oracle(t), width)
 
-    def act(c1: int, c2: int, vec: int, reverse: bool) -> int:
-        hop = leap(c1, c2, vec, -1 if reverse else 1)  # a tick of a run
-        if hop is not None:
-            return hop[0]
-        g = oc.gates[c1]
-        if isinstance(g, ClassicalGate):
-            args = _unpack(read(vec, g.args), len(g.args))
-            return vec ^ write(0, (g.out,), _BOOL_FN[g.kind](*args))
-        return vec ^ write(0, g.t_wires, read(vec, g.s_wires))
-
-    def leap(c1: int, c2: int, vec: int, r: int) -> Optional[Tuple[int, int]]:
+    def move(c1: int, c2: int, vec: int, r: int) -> Tuple[int, int]:
         # ticks lo..hi of big-hand value c1, c2 among them, act alike: t := g(t)
-        # on an active oracle gate's t wires, or idle; a gate's firing tick c2 = 0 never leaps
+        # on an active oracle gate's t wires, or idle
         if c1 >= len(oc.gates):
             lo, hi, active = 0, m_small - 1, None
-        elif c2 == 0:
-            return None
         else:
             g = oc.gates[c1]
+            if c2 == 0:  # the gate fires: one tick, its own inverse
+                if isinstance(g, OracleGate):
+                    return vec ^ write(0, g.t_wires, read(vec, g.s_wires)), 1
+                args = _unpack(read(vec, g.args), len(g.args))
+                return vec ^ write(0, (g.out,), _BOOL_FN[g.kind](*args)), 1
             count = read(vec, g.n_wires) if isinstance(g, OracleGate) else 0
             lo, hi, active = (1, count, g) if c2 <= count else (count + 1, m_small - 1, None)
         j = min(hi - c2 + 1 if r > 0 else c2 - lo + 1, abs(r))
@@ -512,15 +486,8 @@ def compile_oracle_circuit(
         t = iterate_map(fwd, j if r > 0 else -j, read(vec, active.t_wires), back, g_oracle.leap)
         return write(vec, active.t_wires, _image(t, width)), j
 
-    h = _clocked(codec, act, "oracle-clock", leap)
-
+    h = _clocked(codec, move, "oracle-clock")
     vec0 = write(0, range(oc.inputs), x.value)
-    start = Bitstring(codec.encode(ClockedState(0, 0, (vec0,))), codec.width)
-
-    def extract(final: Bitstring) -> Bitstring:
-        st = codec.decode(final.value)
-        if st is None:
-            raise ReductionError("final state decodes out of range")
-        return Bitstring(read(st.payload[0], oc.outputs), len(oc.outputs))
-
-    return Schedule(h, m_big * m_small, start, extract, codec=codec)
+    return _clocked_schedule(
+        h, codec, m_big * m_small, (vec0,), lambda p: Bitstring(read(p[0], oc.outputs), len(oc.outputs))
+    )

@@ -72,11 +72,12 @@ def assert_leaps_are_walks(leap, step, back, v, counts):
     return signs
 
 
-def logged(moves, step, back, leap):
+def logged(moves, step, back, leap, ticks=False):
     """step, back and leap as the engine sees them, each appending the
     move it makes to moves: "step" for a literal step either way, "leap"
-    for a leap taken.  A run past 1000 moves fails at once: a dropped
-    leap shows as an assertion, not as a run of 10**20 steps."""
+    for a leap taken, or its tick count j when ``ticks`` is set.  A run
+    past 1000 moves fails at once: a dropped leap shows as an assertion,
+    not as a run of 10**20 steps."""
 
     def literal(move):
         def logged_move(y):
@@ -89,7 +90,7 @@ def logged(moves, step, back, leap):
     def logged_leap(y, r):
         hop = leap(y, r)
         if hop is not None:
-            moves.append("leap")
+            moves.append(hop[1] if ticks else "leap")
         return hop
 
     return literal(step), literal(back), logged_leap

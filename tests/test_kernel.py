@@ -503,6 +503,14 @@ def test_check_constant_map_yields_collision_witness():
     assert f.forward(a.value) == f.forward(b.value)
 
 
+def test_check_reads_a_scalar_map_only_up_to_its_failure():
+    calls = []
+    f = Bijection(20, lambda v: calls.append(v) or v // 2, None, "halve")
+    report = check_bijection_exhaustive(f)
+    assert report == BijectionCheck(False, (Bitstring(0, 20), Bitstring(1, 20)), "collision")
+    assert calls == [0, 1]
+
+
 def test_check_riffle_wrapped_as_bijection():
     t = riffle(16)
     f = Bijection(4, lambda v: apply_plb(t, v), None, "riffle16")

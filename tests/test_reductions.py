@@ -200,7 +200,7 @@ def test_clock_leaps_take_every_whole_little_hand_cycle_left(rng):
         for c1 in range(n + 1):
             for a in rng.sample(range(1 << k), min(1 << k, 6)):
                 v = s.codec.encode(ClockedState(c1, 0, (a, 0, 0)))
-                assert g.leap(v, m - 1) is None and g.leap(v, 1 - m) is None
+                assert g.leap(v, m - 1) == (g.forward(v), 1) and g.leap(v, 1 - m) == (g.backward(v), 1)
                 for j, extra in ((1, 0), (2, m - 1), (n + 3, m // 2)):
                     start = Bitstring(v, g.width)
                     ahead = iterate(g, j * m, start).value
@@ -468,10 +468,10 @@ def _one_gate(f, count, s):
 
 
 def _engine_moves(schedule):
-    """run_schedule's answer and the engine moves it took: literal steps
-    and leaps taken."""
+    """run_schedule's answer and the engine moves it took: "step" for a
+    literal step, and the tick count of each leap taken."""
     g, moves = schedule.g, []
-    step, back, leap = logged(moves, g.forward, g.backward, g.leap)
+    step, back, leap = logged(moves, g.forward, g.backward, g.leap, ticks=True)
     return run_schedule(replace(schedule, g=replace(g, forward=step, backward=back, leap=leap))), moves
 
 
@@ -497,8 +497,8 @@ def test_sweep_is_three_engine_moves_at_the_widest_width(rng):
         s = inversion_by_iteration(f, Bitstring(x, k))
         answer, moves = _engine_moves(s)
         assert answer.value == f.forward(x)
-        # up to the target, its one literal tick, and on to the wrap
-        assert moves == ["leap"] * (x > 0) + ["step"] + ["leap"] * (x < (1 << k) - 1)
+        # up to the target, its one adding tick, and on to the wrap
+        assert moves == [x] * (x > 0) + [1] + [(1 << k) - 1 - x] * (x < (1 << k) - 1)
         final = iterate_bijection(s.g, s.total_iterations, s.start)
         assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
 
@@ -536,7 +536,8 @@ def test_oracle_clock_answers_a_huge_count_in_four_moves(rng):
         answer, moves = _engine_moves(s)
         s_in = Bitstring(x.value & (1 << f.width) - 1, f.width)
         assert answer == eval_oracle_circuit(oc, f, x) == iterate_bijection(f, n, s_in)
-        assert moves == ["step", "leap", "leap", "leap"], f.label
+        m = s.codec.m_small
+        assert moves == [1, n, m - 1 - n, m], f.label
         final = iterate_bijection(s.g, s.total_iterations, s.start)
         assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
 
@@ -792,6 +793,18 @@ def test_oracle_steps_match_the_literal_reference(oc, k):
     g = increment(k)
     s = compile_oracle_circuit(oc, g, Bitstring(1, oc.inputs))
     assert _assert_matches_reference(s, _ref_oracle_act(oc, g)) > 0
+
+
+def test_states_off_the_clock_move_every_tick_at_once():
+    oc, k = SMALL_ORACLE_CIRCUITS[0]
+    clock = compile_iteration_to_invertible(increment(2), 5, Bitstring(0, 2))
+    oracle = compile_oracle_circuit(oc, increment(k), Bitstring(1, oc.inputs))
+    for s in (clock, oracle):
+        off = [v for v in range(1 << s.g.width) if s.codec.decode(v) is None]
+        assert off
+        for v in off:
+            for r in (1, -1, 7, -7, 10**20):
+                assert s.g.leap(v, r) == (v, abs(r))
 
 
 def test_codec_join_rejects_fields_that_do_not_fit():
