@@ -7,8 +7,8 @@ form, i.e. the most significant bit.  Wire i therefore lives at bit position
 involution, so a circuit is inverted by reversing its gate list.
 ``_run_wires`` is the one statement of what a gate does to a state: it runs
 a list with one value per wire, a bit for one state or a Python int whose
-bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` fills
-a circuit's table from slices, and the lift checks run a chunk of states so.
+bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` reads
+a circuit's images from slices, and the lift checks run a chunk of states so.
 A reversible circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also
 compiled once, at construction, to lookup tables on the integer encoding,
 one per run of consecutive gates on at most ``_FUSE_WIDTH`` wires, each
@@ -262,7 +262,7 @@ def permutation_of(circuit: ReversibleCircuit) -> List[int]:
         raise CircuitError(
             f"width {circuit.width} exceeds permutation tabulation cap {MAX_PERMUTATION_WIDTH}"
         )
-    return images(circuit.as_bijection()).tolist()
+    return list(images(circuit.as_bijection()))
 
 
 def parity(perm: Sequence[int]) -> str:

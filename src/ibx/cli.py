@@ -472,7 +472,7 @@ def _verify_circuits(rng: random.Random) -> None:
         if not chk.ok:
             raise ValueError(f"circuit: {chk.reason} at {chk.witness}")
     for w in range(2, 9):
-        if circuits.parity(kernel.images(circuits.negation_map(w)).tolist()) != "odd":
+        if circuits.parity(list(kernel.images(circuits.negation_map(w)))) != "odd":
             raise ValueError(f"negation on {w} bits is not odd")
 
 

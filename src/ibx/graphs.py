@@ -242,7 +242,9 @@ def random_path_instance(
     if length is None:
         # cap so a single walk stays cheap even at the widest k
         length = rng.randint(2, min(space, 4096))
-    if not 2 <= length <= space:
+    if length < 2:
+        raise GraphError(f"path length {length} is too short: a path has at least 2 vertices")
+    if length > space:
         raise GraphError(f"path length {length} does not fit in {k} bits")
     ids = rng.sample(range(space), length)
     index = {v: i for i, v in enumerate(ids)}

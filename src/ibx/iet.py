@@ -201,7 +201,8 @@ def _emit_stripe(
     and on the bottom for the mirrored lower half.
     """
     bounds = [-1] + list(coarse) + [n2 - 1]
-    extra = [c for c in fine if c not in set(coarse)]
+    kept = set(coarse)
+    extra = [c for c in fine if c not in kept]
     pos = 0
     for a, b in zip(bounds, bounds[1:]):
         mids = []
@@ -232,18 +233,20 @@ def _canonical_side(
     """Map a directed side into the frame of its glued partner.
 
     The right boundary column translates onto the left one; each bottom
-    boundary segment is an output interval and translates onto its piece's
-    input segment on the top.  Interior sides pass through unchanged.
+    boundary segment lies in an output interval and translates onto its
+    piece's input segment on the top.  Interior sides pass through
+    unchanged.  ``images`` holds the output intervals sorted, so a segment
+    finds its interval by bisection.
     """
     if v1[0] == n2 - 1 and v2[0] == n2 - 1:
         return (-1, v1[1]), (-1, v2[1])
     if v1[1] == -stripes and v2[1] == -stripes:
         lo = min(v1[0], v2[0])
         hi = max(v1[0], v2[0])
-        for img_lo, img_hi, off in images:
-            if img_lo <= lo and hi <= img_hi:
-                shift = 2 * off
-                return (v1[0] - shift, stripes), (v2[0] - shift, stripes)
+        i = bisect_right(images, lo, key=lambda img: img[0]) - 1
+        if i >= 0 and hi <= images[i][1]:
+            shift = 2 * images[i][2]
+            return (v1[0] - shift, stripes), (v2[0] - shift, stripes)
         raise IetError("bottom boundary segment matches no output interval")
     return v1, v2
 
@@ -279,7 +282,7 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
         _emit_stripe(triangles, up[r - 1], up[r], n2, r - 1, r, split_top=True)
         _emit_stripe(triangles, down[r - 1], down[r], n2, -r, -r + 1, split_top=False)
 
-    images = [(2 * (p.lo + p.off) - 1, 2 * (p.hi + p.off) - 1, p.off) for p in t.pieces]
+    images = sorted((2 * (p.lo + p.off) - 1, 2 * (p.hi + p.off) - 1, p.off) for p in t.pieces)
 
     # Intern edges: canonicalize glued sides, then demand exactly two ports
     # per edge with opposite alignment (an orientable gluing).

@@ -6,8 +6,8 @@ every stepper, from circuits to block automata, runs through in either
 direction; a map that ticks a counter hands it one signed leap over those
 runs, a closed-form power its ``power_leap``, and any orbit shape ends
 the loop within a small multiple of tail + cycle moves.  ``iterate`` is
-the literal loop it is tested against.  ``images`` is the one filler of
-whole-state tables, ``cycle_lengths`` the one cycle reader, and
+the literal loop it is tested against.  ``images`` is the one pass over
+the whole state space, ``cycle_lengths`` the one cycle reader, and
 ``inverse_table`` the one check and inverse of a permutation table.
 
 Conventions used across the package:
@@ -21,21 +21,22 @@ Conventions used across the package:
 * A Bijection's ``forward``/``backward`` evaluators work directly on the
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
-* ``images`` tabulates the whole state space in one int64 numpy array.  A
-  map with ``sliced`` evaluators (circuits) fills it a chunk of
-  ``state_slices``, the one whole-state enumerator, per call; others fill
-  it in one Python pass.  ``check_bijection_exhaustive`` is one pass over
-  the inputs in order, unless a round trip through the map's sliced
-  evaluators already proves it a bijection; it reads ``images`` only for
-  a sliced map, so a scalar map is checked without numpy.  numpy is
-  imported only by the functions that build arrays.
+* ``images`` yields f's images in input order as Python ints, lazily:
+  f.forward over the inputs, or for a map with ``sliced`` evaluators
+  (circuits) one chunk of ``state_slices``, the one whole-state
+  enumerator, per call, transposed with numpy, the module's only numpy
+  code.  ``check_bijection_exhaustive`` is one pass over ``images``,
+  unless a round trip through the map's sliced evaluators already proves
+  it a bijection, so a failure costs only the inputs or chunks up to it,
+  and a scalar map is checked without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
 
@@ -324,31 +325,25 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     after forward on each chunk of ``state_slices`` and compares the result
     with the chunk's own wires.  On a finite set a left inverse proves a
     bijection, so when every chunk comes back the check passes at once.
-    Otherwise the pass reads a sliced map's images from ``images``, and
-    calls any other map's forward once per input as it reaches the input,
-    without numpy, so a failure at the first inputs costs only those.
+    Otherwise the pass reads ``images`` up to the first failing input.
     """
     _check_cap(f.width)
     if f.backward is not None and f.sliced and _round_trips(f):
         return BijectionCheck(True)
-    size, backward, scalar = 1 << f.width, f.backward, not f.sliced
-    # a sliced map's table, or a scalar map's images read so far: a
-    # collision's first owner is ys.index of its image
-    ys = [] if scalar else images(f).tolist()
-    append = ys.append
+    size, backward = 1 << f.width, f.backward
+    ys = []  # the images read so far: a collision's first owner is ys.index of its image
 
     def failure(a: int, b: int, reason: str) -> BijectionCheck:
         return BijectionCheck(False, (Bitstring(a, f.width), Bitstring(b, f.width)), reason)
 
     seen = bytearray(size)
-    for x, y in enumerate(map(f.forward, range(size)) if scalar else ys):
+    for x, y in enumerate(images(f)):
         if not 0 <= y < size:
             return failure(x, x, "escape")
         if seen[y]:
             return failure(ys.index(y), x, "collision")
         seen[y] = 1
-        if scalar:
-            append(y)
+        ys.append(y)
         if backward is not None and (back := backward(y)) != x:
             return failure(x, back if 0 <= back < size else x, "inverse")
     return BijectionCheck(True)
@@ -400,31 +395,30 @@ def state_slices(k: int):
         yield range(lo, lo + size), wires
 
 
-def images(f: Bijection):
-    """f.forward on every state 0 .. 2**width - 1 as an int64 numpy array,
-    for widths up to ``MAX_EXHAUSTIVE_WIDTH``: sliced per chunk of
-    ``state_slices``, or f.forward in one Python pass, which stores an
-    image too large for int64 as -1, out of range too."""
+def images(f: Bijection) -> Iterator[int]:
+    """f.forward on every state 0 .. 2**width - 1, in order, as an iterator
+    of Python ints, for widths up to ``MAX_EXHAUSTIVE_WIDTH`` (checked at
+    the call): f.forward on each input, or f's sliced forward on one chunk
+    of ``state_slices`` at a time, as the iterator reaches the chunk."""
     _check_cap(f.width)
+    if f.sliced is None:
+        return map(f.forward, range(1 << f.width))
+    return chain.from_iterable(_chunk_images(f.sliced[0], f.width))
+
+
+def _chunk_images(forward: Callable, width: int) -> Iterator[List[int]]:
+    """The images of each chunk of ``state_slices``: the forward wires
+    transposed into states by numpy, one byte-per-bit row a wire."""
     import numpy as np
 
-    width, size = f.width, 1 << f.width
-    if f.sliced is None:
-        ys = list(map(f.forward, range(size)))
-        try:
-            return np.array(ys, np.int64)
-        except OverflowError:
-            return np.array([y if 0 <= y < size else -1 for y in ys], np.int64)
     weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
-    table = np.empty(size, np.int64)
     for states, wires in state_slices(width):
         count = len(states)
         nbytes = (count + 7) // 8
-        raw = b"".join(w.to_bytes(nbytes, "little") for w in f.sliced[0](wires, (1 << count) - 1))
+        raw = b"".join(w.to_bytes(nbytes, "little") for w in forward(wires, (1 << count) - 1))
         bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(width, nbytes), axis=1,
                              count=count, bitorder="little")
-        table[states.start : states.stop] = weights @ bits
-    return table
+        yield (weights @ bits).tolist()
 
 
 def identity(width: int) -> Bijection:
@@ -464,11 +458,13 @@ def rotate_left(width: int) -> Bijection:
     )
 
 
-def from_permutation(perm: Sequence[int], width: int, label: str = "") -> Bijection:
-    """Bijection from an explicit permutation table of [0, 2**width)."""
-    if len(perm) != 1 << width:
-        raise ValueError(f"table has {len(perm)} entries, not {1 << width}")
-    table, inv = tuple(perm), inverse_table(perm)
+def from_permutation(perm: Iterable[int], width: int, label: str = "") -> Bijection:
+    """Bijection from an explicit permutation table of [0, 2**width), given
+    as any iterable of its entries in order."""
+    table = tuple(perm)
+    if len(table) != 1 << width:
+        raise ValueError(f"table has {len(table)} entries, not {1 << width}")
+    inv = inverse_table(table)
     return Bijection(width, lambda x: table[x], lambda x: inv[x], label=label or f"perm/{width}")
 
 

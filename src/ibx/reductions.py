@@ -32,6 +32,7 @@ from .kernel import (
     Bitstring,
     WidthMismatchError,
     from_permutation,
+    images,
     iterate_bijection,
     iterate_map,
     pack_fields,
@@ -171,12 +172,6 @@ def _image(y: int, width: int) -> int:
     return y
 
 
-def _tabulated(f: Bijection) -> Bijection:
-    """f's images filled into a table in one plain-Python pass, and its
-    inverse; ValueError("not a permutation") unless f permutes its width."""
-    return from_permutation([f.forward(v) for v in range(1 << f.width)], f.width)
-
-
 def run_schedule(schedule: Schedule) -> Bitstring:
     final = iterate_bijection(schedule.g, schedule.total_iterations, schedule.start)
     return schedule.extract(final)
@@ -257,8 +252,8 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     becomes f^j(a) (f^-j(a) when r < 0) and ``_clocked`` moves c1 by
     j mod (n + 1), j * M steps either way; the move is keyed by c2 = 0
     forward and by c2 = M - 1, the tick a step back undoes, backward.  The
-    first such move fills f's table on its 2**k inputs (the fill the oracle
-    compiler shares) and ``kernel.from_permutation`` certifies it a
+    first such move fills f's table from ``kernel.images``, as the oracle
+    compiler does, and ``kernel.from_permutation`` certifies it a
     permutation and inverts it, so a forward-only f runs backward too;
     f^±j(a) is ``kernel.iterate_map`` on those tables, which stops at a's
     first return, so it costs at most twice a's cycle length in lookups,
@@ -286,7 +281,7 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     def tabulated() -> Optional[Bijection]:
         # f on its tables, or None when f is no permutation of k bits
         try:
-            return _tabulated(f)
+            return from_permutation(images(f), k)
         except ValueError:
             return None
 
@@ -447,7 +442,7 @@ def compile_oracle_circuit(
     m_big = len(oc.gates) + 1
     codec = ClockedCodec(m_big, m_small, (w_count,))
 
-    backward_oracle = g_oracle.backward or _tabulated(g_oracle).backward
+    backward_oracle = g_oracle.backward or from_permutation(images(g_oracle), g_oracle.width).backward
     width = g_oracle.width
 
     def read(vec: int, ws: Sequence[int]) -> int:

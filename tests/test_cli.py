@@ -891,7 +891,8 @@ piece 618033988749 1000000000000 1 -618033988749
          "invalid literal"),
         (["reduce", "clock", "--fn", "cat:0", "--x", "0", "--n", "1"], None, "modulus must be positive"),
         (["leaf", "walk", "--k", "0"], None, "vertex width must be positive"),
-        (["leaf", "compile", "--k", "1", "--length", "1"], None, "does not fit in 1 bits"),
+        (["leaf", "compile", "--k", "1", "--length", "3"], None, "path length 3 does not fit in 1 bits"),
+        (["leaf", "compile", "--k", "1", "--length", "1"], None, "path length 1 is too short"),
         (["lollipop", "second-cycle", "--cycle", "0 1 2 3", "--edge", "0", "0"], "k4",
          "not on the cycle"),
         (["lollipop", "count", "--edge", "0", "9"], "k4", "no such edge"),
@@ -922,8 +923,9 @@ piece 618033988749 1000000000000 1 -618033988749
          "oracle-count-minus-1", "circuit-eval-digit-2", "circuit-iterate-width",
          "circuit-invert-arity", "circuit-parity-arity", "plb-from-circuit-arity",
          "lift-bennett-width", "lift-exact-not-square", "summation-bad-constant",
-         "clock-cat-0", "leaf-walk-k-0", "leaf-compile-too-long", "second-cycle-loop-edge",
-         "count-no-edge", "bbm-run-phase-2", "bbm-reverse-phase-2", "dimredux-run-2x2",
+         "clock-cat-0", "leaf-walk-k-0", "leaf-compile-too-long", "leaf-compile-too-short",
+         "second-cycle-loop-edge", "count-no-edge", "bbm-run-phase-2", "bbm-reverse-phase-2",
+         "dimredux-run-2x2",
          "dimredux-verify-2x2", "strobe-ring-0", "plb-validate-iet", "plb-apply-at-n",
          "plb-iterate-minus-1", "plb-compose-iet", "riffle-1", "rotate-low-1", "iet-build-plb",
          "iet-solve-at-n", "three-gap-count-minus-1", "plb-iterate-walk-hang"],
@@ -1044,6 +1046,8 @@ from ibx import circuits, kernel, plb
 assert plb.permutation_order(plb.riffle(13)) == 12
 assert circuits.parity([1, 0, 2]) == "odd"
 assert kernel.check_bijection_exhaustive(kernel.cat_map(5)).ok
+cat = kernel.cat_map(5)
+assert list(kernel.images(cat)) == [cat.forward(v) for v in range(64)]
 halve = kernel.Bijection(3, lambda v: v // 2)
 zero, one = kernel.Bitstring(0, 3), kernel.Bitstring(1, 3)
 assert kernel.check_bijection_exhaustive(halve) == kernel.BijectionCheck(False, (zero, one), "collision")

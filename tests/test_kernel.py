@@ -553,9 +553,15 @@ def test_check_images_beyond_int64_are_failures():
     assert check_bijection_exhaustive(g) == reference_walk(g) == want
 
 
-def test_images_store_values_beyond_int64_as_minus_one():
-    f = Bijection(3, lambda v: v if v < 5 else (-1) ** v << 70)
-    assert images(f).tolist() == [0, 1, 2, 3, 4, -1, -1, -1]
+def test_images_are_lazy_and_keep_values_beyond_int64_exactly():
+    calls = []
+    f = Bijection(3, lambda v: calls.append(v) or (v if v < 5 else (-1) ** v << 70))
+    ys = images(f)
+    assert calls == [] and iter(ys) is ys
+    assert next(ys) == 0 and calls == [0]
+    assert list(ys) == [1, 2, 3, 4, -(1 << 70), 1 << 70, -(1 << 70)]
+    with pytest.raises(ValueError):
+        images(Bijection(21, f.forward))
 
 
 def reference_walk(f):
@@ -673,7 +679,7 @@ def test_sliced_field_edges(monkeypatch):
     add1 = sliced_table_map(3, [(v + 1) & 7 for v in range(8)], [(v - 1) & 7 for v in range(8)])
     assert add1.inverse().sliced == add1.sliced[::-1]
     assert increment(3).inverse().sliced is None
-    assert images(add1.inverse()).tolist() == [(v - 1) & 7 for v in range(8)]
+    assert list(images(add1.inverse())) == [(v - 1) & 7 for v in range(8)]
     assert check_bijection_exhaustive(add1.inverse()).ok
 
     def never(*args, **kwargs):
@@ -685,7 +691,7 @@ def test_sliced_field_edges(monkeypatch):
     monkeypatch.undo()
     empty = sliced_table_map(0, [0], [0])
     assert all(chk.ok for chk in _both_checks(empty))
-    assert images(empty).tolist() == [0]
+    assert list(images(empty)) == [0]
 
 
 def test_cat_map_origin_fixed():
@@ -762,6 +768,8 @@ def test_from_permutation_swap():
     assert f.forward(0) == 1
     assert f.backward(0) == 1
     assert check_bijection_exhaustive(f).ok
+    g = from_permutation((v ^ 1 for v in range(4)), 2)
+    assert [g.forward(v) for v in range(4)] == [1, 0, 3, 2] and g.backward(3) == 2
 
 
 def test_from_permutation_rejects_non_permutation():
@@ -855,10 +863,28 @@ def test_sliced_maps_are_asked_one_chunk_at_a_time():
         return wires
 
     f = Bijection(13, lambda v: v ^ 1, lambda v: v ^ 1, "flip", sliced=(flip, flip))
-    assert images(f).tolist() == [v ^ 1 for v in range(1 << 13)]
+    assert list(images(f)) == [v ^ 1 for v in range(1 << 13)]
     sizes.clear()
     assert check_bijection_exhaustive(f).ok
     assert sizes == [STATE_CHUNK] * 4
+
+
+def test_a_failing_sliced_check_reads_only_up_to_its_failing_chunk():
+    """A 14-bit sliced map whose forward clears bit 0 collides at input 1,
+    in chunk 0 of four, and its identity backward is no inverse: the round
+    trip fails on chunk 0, and the pass over the images stops in it, so
+    the sliced forward is asked for chunk 0 twice and for no other chunk."""
+    asked = []
+
+    def clear_low(wires, ones):
+        asked.append(tuple(wires[:2]))  # bits 13 and 12: the chunk's own
+        return wires[:-1] + [0]
+
+    keep = lambda wires, ones: wires  # noqa: E731
+    f = Bijection(14, lambda v: v & ~1, lambda v: v, "clear-low", sliced=(clear_low, keep))
+    want = BijectionCheck(False, (Bitstring(0, 14), Bitstring(1, 14)), "collision")
+    assert check_bijection_exhaustive(f) == reference_walk(f) == want
+    assert asked == [(0, 0), (0, 0)]
 
 
 def test_exhaustive_check_of_a_20_wire_circuit_stays_in_bounded_memory():
