@@ -40,9 +40,9 @@ class ImplicitFamily:
 
     ``neighbors(G, v)`` returns the ordered neighbor list of v in the graph
     selected by G, or None for an outright failure.  query() additionally
-    screens the response: anything of the wrong shape (more than two
-    entries, duplicates, a self-loop, a width mismatch) is reported as None
-    so callers can treat it uniformly as a broken promise.
+    screens the response: anything of the wrong shape (not a list or tuple,
+    more than two entries, duplicates, a self-loop, a width mismatch) is
+    reported as None so callers can treat it uniformly as a broken promise.
 
     ``neighbors`` must be a deterministic function of its arguments: the
     same (G, v) always gets the same answer.  leaf_to_bijection relies on
@@ -53,9 +53,7 @@ class ImplicitFamily:
 
     def query(self, instance: Bitstring, v: Bitstring) -> Optional[List[Bitstring]]:
         out = self.neighbors(instance, v)
-        if out is None:
-            return None
-        if len(out) > 2:
+        if not isinstance(out, (list, tuple)) or len(out) > 2:
             return None
         seen = set()
         for w in out:
@@ -150,15 +148,16 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     step asks nothing; with an oracle whose answers change between calls
     the map would act on stale answers.
 
-    The step is stated once, forward: the step back is R . fwd . R, where
-    the involution R sends (n, v, w) to (-n mod 2**k, v, w) when n != 0 and
-    (0, v, w) to (0, w, v), counting a wait down and turning a walker round.
-
-    A wait is one tick run, so the map leaps over it (see
-    ``kernel.iterate_map``): from (c, v, w) with c >= 1, the edge mutual
-    and v a leaf, with r > 0 steps left, c rises by min(r, 2**k - 1 - c);
-    a leap back (r < 0) is the reversed leap of the reversed state.
-    So a 2**k-step run costs about two walks of the path, not 2**k steps.
+    The map is stated once, as a forward run of r >= 1 steps (its leap, see
+    ``kernel.iterate_map``): a fixed point takes all r at once, a waiting
+    counter climbs to 2**k - 1 in one move and wraps to walking in the
+    next, and a walker walks until r runs out, it steps onto a leaf, it
+    sticks at an inconsistent vertex, or it is back on its start edge (a
+    cycle component).  So no run walks more than 2**k steps, and a 2**k-step
+    run costs about one walk of the path.  The step back, and a run back,
+    is R . run . R, where the involution R sends (n, v, w) to
+    (-n mod 2**k, v, w) when n != 0 and (0, v, w) to (0, w, v), counting a
+    wait down and turning a walker round.
     """
     if k <= 0:
         raise GraphError("vertex width must be positive")
@@ -168,10 +167,10 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     memo: Dict[int, _Nbrs] = {}
 
     def query_vals(value: int) -> _Nbrs:
-        # A step asks about the two vertices of its edge and, when walking,
-        # the next one; the previous step asked about all but the newest.
-        # So a memo of the last few vertices leaves one oracle call per
-        # walking step and none per waiting step.
+        # A run asks about the two vertices of its edge and, when walking,
+        # each vertex it steps onto; the previous run asked about all but
+        # the newest.  So a memo of the last few vertices leaves one oracle
+        # call per vertex walked onto and none per wait.
         if value in memo:
             return memo[value]
         out = family.query(instance, Bitstring(value, k))
@@ -181,51 +180,40 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
         memo[value] = vals
         return vals
 
-    def mutual(a: int, na: _Nbrs, b: int, nb: _Nbrs) -> bool:
-        return na is not None and nb is not None and b in na and a in nb
-
-    def fwd(x: int) -> int:
-        n, v, w = (x >> k2) & mask, (x >> k) & mask, x & mask
+    def run(x: int, r: int) -> Tuple[int, int]:
+        n, v, w = x >> k2 & mask, x >> k & mask, x & mask
         nv, nw = query_vals(v), query_vals(w)
-        if not mutual(v, nv, w, nw):
-            return x
-        if n > 0:
-            if len(nv) == 1:
-                return ((n + 1) & mask) << k2 | v << k | w
-            return x
-        if len(nw) == 1:
-            return 1 << k2 | w << k | v
-        u = nw[0] if nw[1] == v else nw[1]
-        nu = query_vals(u)
-        if not mutual(w, nw, u, nu):
-            return x
-        return w << k | u
+        if nv is None or nw is None or w not in nv or v not in nw or n and len(nv) != 1:
+            return x, r  # inconsistent, or waiting off a leaf: a fixed point
+        if n:
+            j = min(r, mask - n) or 1  # at 2**k - 1, one tick wraps to walking
+            return (n + j & mask) << k2 | x & edge, j
+        for j in range(1, r + 1):
+            if len(nw) == 1:
+                return 1 << k2 | w << k | v, j  # onto a leaf: turn and wait
+            u = nw[0] if nw[1] == v else nw[1]
+            nu = query_vals(u)
+            if nu is None or w not in nu:
+                return v << k | w, r  # stuck: a fixed point from here on
+            v, w, nw = w, u, nu
+            if v << k | w == x:
+                return x, j  # round a cycle component to the start edge
+        return v << k | w, r
 
     def reverse(x: int) -> int:
         # R: a waiting counter counts down, a walker turns round
         n = x >> k2 & mask
         return (-n & mask) << k2 | x & edge if n else (x & mask) << k | x >> k & mask
 
-    def back(x: int) -> int:
-        return reverse(fwd(reverse(x)))
+    def leap(x: int, r: int) -> Tuple[int, int]:
+        if r > 0:
+            return run(x, r)
+        y, j = run(reverse(x), -r)
+        return reverse(y), j
 
-    def leap(x: int, r: int) -> Optional[Tuple[int, int]]:
-        # a counter c waiting at the leaf v of the mutual edge (v, w) climbs
-        # to 2**k - 1; a leap back is the reversed leap forward
-        if r < 0:
-            hop = leap(reverse(x), -r)
-            return hop and (reverse(hop[0]), hop[1])
-        c = x >> k2 & mask
-        if not 0 < c < mask:
-            return None
-        v, w = x >> k & mask, x & mask
-        nv = query_vals(v)
-        if not (mutual(v, nv, w, query_vals(w)) and len(nv) == 1):
-            return None
-        j = min(r, mask - c)
-        return (c + j) << k2 | x & edge, j
-
-    return Bijection(3 * k, fwd, back, label=f"leaf-walk[{k}]", leap=leap)
+    return Bijection(
+        3 * k, lambda x: run(x, 1)[0], lambda x: leap(x, -1)[0], label=f"leaf-walk[{k}]", leap=leap,
+    )
 
 
 def random_path_instance(
@@ -465,8 +453,39 @@ def second_hamiltonian(
 
 
 def count_ham_cycles_through_edge(g: CubicGraph, edge: Tuple[int, int]) -> int:
-    """Exact count of Hamiltonian cycles using the given edge."""
-    return len(hamiltonian_cycles_through_edge(g, edge))
+    """Exact count of Hamiltonian cycles using the given edge.
+
+    The count is read from a tally, kept on the graph, of how many
+    Hamiltonian cycles use each edge.  One enumeration of the graph's
+    Hamiltonian cycles fills it, so the counts of all 3n/2 edges cost two
+    searches: every cycle leaves vertex 0 along two of its edges (0, a),
+    (0, b), (0, c), so it is either a cycle through (0, a) or one through
+    (0, b) that closes along (0, c).  Same cap and errors as
+    ``hamiltonian_cycles_through_edge``, the per-edge reference.
+    """
+    a, b = _searchable_edge(g, edge)
+    tally = g.__dict__.get("_cycle_tally")
+    if tally is None:
+        first, second, _ = g.adjacency()[0]
+        cycles = hamiltonian_cycles_through_edge(g, (0, first))
+        cycles += [c for c in hamiltonian_cycles_through_edge(g, (0, second)) if c[-1] != first]
+        tally = dict.fromkeys([(min(e), max(e)) for e in g.edges], 0)
+        for c in cycles:
+            for u, v in zip(c, c[1:] + c[:1]):
+                tally[min(u, v), max(u, v)] += 1
+        object.__setattr__(g, "_cycle_tally", tally)
+    return tally[min(a, b), max(a, b)]
+
+
+def _searchable_edge(g: CubicGraph, edge: Tuple[int, int]) -> Tuple[int, int]:
+    """The edge's two ends, once the graph is small enough to search
+    exhaustively (at most 14 vertices) and the edge is one of its edges."""
+    if g.vertex_count > 14:
+        raise GraphError("graph too large for exhaustive counting")
+    a, b = edge
+    if not g.has_edge(a, b):
+        raise GraphError("no such edge")
+    return a, b
 
 
 def hamiltonian_cycles_through_edge(
@@ -476,11 +495,7 @@ def hamiltonian_cycles_through_edge(
     a, b.  Brute force, capped at 14 vertices: depth-first over simple paths
     that begin with the directed edge, so each undirected cycle through the
     edge is met exactly once."""
-    if g.vertex_count > 14:
-        raise GraphError("graph too large for exhaustive counting")
-    a, b = edge
-    if not g.has_edge(a, b):
-        raise GraphError("no such edge")
+    a, b = _searchable_edge(g, edge)
     adj = g.adjacency()
     n = g.vertex_count
     cycles = []

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from ibx import circuits
+from ibx.graphs import ImplicitFamily
+from ibx.kernel import Bitstring
 from ibx.plb import validate_plb
 
 
@@ -51,6 +53,21 @@ def affine_plb(a, b, m, domain):
             lo = x
     pieces += [(x, x + 1, a, x - a * x) for x in range(m, domain)]
     return validate_plb(domain, pieces)
+
+
+def ring_family(ids, k):
+    """A ring through the given k-bit vertex ids (at least three), each
+    vertex on it of degree two and adjacency symmetric; other ids are
+    isolated.  A leaf walk on it has no leaf to stop at."""
+    index = {v: i for i, v in enumerate(ids)}
+
+    def neighbors(_, v):
+        i = index.get(v.value)
+        if i is None:
+            return []
+        return [Bitstring(ids[i - 1], k), Bitstring(ids[(i + 1) % len(ids)], k)]
+
+    return ImplicitFamily(neighbors)
 
 
 def assert_leaps_are_walks(leap, step, back, v, counts):

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from ibx import graphs
 from ibx.graphs import (
     CubicGraph,
     FamilyError,
@@ -37,6 +39,8 @@ from ibx.kernel import (
     pack_fields,
     unpack_fields,
 )
+
+from conftest import logged, ring_family
 
 
 def path_family(ids, k, counter=None):
@@ -130,6 +134,14 @@ def test_family_screens_malformed_responses():
 
     assert ImplicitFamily(too_many).query(Bitstring(0, 1), Bitstring(0, 3)) is None
 
+    # answers with no length: an int, and a generator of good neighbors
+    for answer in (lambda _, v: 7, lambda _, v: (Bitstring(w, 3) for w in (1, 2))):
+        family = ImplicitFamily(answer)
+        assert family.query(Bitstring(0, 1), Bitstring(0, 3)) is None
+        f = leaf_to_bijection(family, Bitstring(0, 1), 3)
+        for x in (0, 1 << 3 | 2, 5 << 6 | 1 << 3 | 2):
+            assert f.forward(x) == f.backward(x) == x
+
 
 def test_leaf_bijection_lands_on_far_leaf():
     ids = [5, 2, 7, 0, 3]
@@ -212,6 +224,40 @@ def test_cube_counts():
     g = cube_graph()
     for e in g.edges:
         assert count_ham_cycles_through_edge(g, e) == 4
+
+
+def _counted_graphs():
+    rng = random.Random(7)
+    yield from (complete_graph_k4(), complete_bipartite_k33(), cube_graph(), petersen_graph())
+    yield from (prism_graph(m) for m in range(3, 8))
+    for n in range(6, 15, 2):
+        for _ in range(3):
+            yield _random_hamiltonian_cubic(n, rng)[0]
+
+
+def test_edge_counts_equal_the_per_edge_search(monkeypatch):
+    searches = []
+    search = graphs.hamiltonian_cycles_through_edge
+    monkeypatch.setattr(graphs, "hamiltonian_cycles_through_edge",
+                        lambda g, edge: searches.append(edge) or search(g, edge))
+    for g in _counted_graphs():
+        searches.clear()
+        for u, v in g.edges:
+            for edge in ((u, v), (v, u)):
+                assert count_ham_cycles_through_edge(g, edge) == len(hamiltonian_cycles_through_edge(g, edge))
+        # one enumeration of the graph's cycles, in at most two searches
+        assert len(searches) <= 2, searches
+
+
+def test_edge_counts_reject_what_the_search_rejects():
+    # too large is reported before a missing edge, as the search does
+    big, k4 = prism_graph(8), complete_graph_k4()
+    for g, edge, message in ((big, (0, 1), "too large"), (big, (0, 5), "too large"),
+                             (k4, (0, 0), "no such edge"), (k4, (0, 7), "no such edge"),
+                             (k4, (-1, 2), "no such edge")):
+        for count in (count_ham_cycles_through_edge, hamiltonian_cycles_through_edge):
+            with pytest.raises(GraphError, match=message):
+                count(g, edge)
 
 
 def test_petersen_has_no_hamiltonian_cycle():
@@ -363,6 +409,7 @@ def test_leaf_leaps_equal_the_literal_walk(k):
     # every state, waiting or not, on well-formed and broken paths
     size, g = 1 << k, Bitstring(0, 1)
     families = [random_path_instance(k, random.Random(seed)).family for seed in range(2)]
+    families.append(ring_family(random.Random(k).sample(range(size), size), k))
     if k > 2:
         families += [fam for fam, _ in _leaf_families(k)[1:]]
     counts = (0, 1, 2, 5, size - 1, size, size + 3, 3 * size, 7 * size)
@@ -378,16 +425,41 @@ def test_leaf_leaps_equal_the_literal_walk(k):
 @pytest.mark.parametrize("k, length", [(4, 2), (4, 9), (4, 16), (6, 40), (62, 40)])
 def test_leaf_walk_asks_each_vertex_once(k, length):
     ids = random.Random(length).sample(range(1 << k), length)
-    counter = [0]
+    counter, moves = [0], []
     f = leaf_to_bijection(path_family(ids, k, counter), Bitstring(0, 1), k)
+    step, back, leap = logged(moves, f.forward, f.backward, f.leap, ticks=True)
+    f = replace(f, forward=step, backward=back, leap=leap)
     start = Bitstring((ids[0] << k) | ids[1], 3 * k)
     end = iterate_bijection(f, 1 << k, start)
     assert (end.value >> k) & ((1 << k) - 1) == ids[-1]
     # One call per vertex on the path; the waiting steps ask nothing.
     assert counter[0] <= length + 2
-    counter[0] = 0
+    # one run walks the path, one or two wait: no move per walking step
+    assert len(moves) <= 3 and sum(moves) == 1 << k, moves
+    counter[0], moves[:] = 0, []
     assert iterate_bijection(f, -(1 << k), end) == start
     assert counter[0] <= length + 2
+    assert len(moves) <= 3 and sum(moves) == 1 << k, moves
+
+
+def test_leaf_run_on_a_ring_stops_on_its_start_edge():
+    # a ring has no leaf: a run of any length walks at most once round it
+    k, length = 20, 50
+    ids = random.Random(length).sample(range(1 << k), length)
+    ring, calls = ring_family(ids, k), []
+
+    def neighbors(g, v):
+        calls.append(v)
+        assert len(calls) <= 3 * length, "the run walked past its start edge"
+        return ring.neighbors(g, v)
+
+    f = leaf_to_bijection(ImplicitFamily(neighbors), Bitstring(0, 1), k)
+    x = ids[0] << k | ids[1]
+    for r in (10**20, -(10**20)):
+        calls.clear()
+        assert f.leap(x, r) == (x, length)
+    n = 10**20 + 7
+    assert iterate_bijection(f, n, Bitstring(x, 3 * k)).value == ids[n % length] << k | ids[(n + 1) % length]
 
 
 def test_generalized_petersen_needs_no_dedupe():

@@ -69,7 +69,14 @@ from ibx.reductions import (
     run_schedule,
 )
 
-from conftest import affine_plb, assert_leaps_are_walks, logged, random_pieces, random_reversible_circuit
+from conftest import (
+    affine_plb,
+    assert_leaps_are_walks,
+    logged,
+    random_pieces,
+    random_reversible_circuit,
+    ring_family,
+)
 
 
 def test_text_is_msb_first():
@@ -368,6 +375,15 @@ def _leaf_walk(r):
     return _bijection_row(f, _walked(f.forward, x, r.randrange(4 << k)))
 
 
+def _leaf_ring(r):
+    # a ring through every vertex: no leaf, so a walker stops only on
+    # coming back to its start edge
+    k = r.randint(2, 4)
+    ids = r.sample(range(1 << k), 1 << k)
+    f = leaf_to_bijection(ring_family(ids, k), Bitstring(0, 1), k)
+    return _bijection_row(f, _walked(f.forward, ids[0] << k | ids[1], r.randrange(1 << k)))
+
+
 def _dim_redux_ring(r):
     auto = dim_redux_compile(bbm_rule(), 4, 8)
     cells = np.array([[r.randint(0, 1) for _ in range(4)] for _ in range(4)], np.uint8)
@@ -455,8 +471,8 @@ def _orbit(step, x):
     return orbit
 
 
-PACKAGE_LEAPS = [_leaf_walk, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const, _rotate_left,
-                 _exchange, _affine]
+PACKAGE_LEAPS = [_leaf_walk, _leaf_ring, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const,
+                 _rotate_left, _exchange, _affine]
 
 
 def _family_id(family):
