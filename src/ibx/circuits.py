@@ -11,19 +11,24 @@ bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` reads
 a circuit's images from slices, and the lift checks run a chunk of states so.
 A reversible circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also
 compiled once, at construction, to lookup tables on the integer encoding,
-one per run of consecutive gates on at most ``_FUSE_WIDTH`` wires, each
-filled by running the run on every pattern of its wires as slices; a single
-Python int then takes one dict lookup per table.  A wider circuit, or one
-whose tables would hold more than ``MAX_FUSED_ENTRIES`` entries, runs its
-wire list.  Boolean circuits evaluate single states on a list of bits.
-Whole-state tables, state slices and cycles come from ``kernel``; numpy is
-imported only by the functions that tabulate the whole state space.
+each filled by running its gates on every pattern of its wires as slices; a
+single Python int then takes one lookup per table.  A circuit of at most
+``MAX_PERMUTATION_WIDTH`` wires has one table of its whole map, an
+``array`` indexed by the state; a wider one has a dict per run of
+consecutive gates on at most ``_FUSE_WIDTH`` wires.  A circuit wider than
+``MAX_EXHAUSTIVE_WIDTH``, or one whose tables would hold more than
+``MAX_FUSED_ENTRIES`` entries, runs its wire list.  Boolean circuits
+evaluate single states on a list of bits.  Whole-state tables, state
+slices and cycles come from ``kernel``; numpy is imported only by the
+functions that tabulate the whole state space.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -104,20 +109,48 @@ def _patterns(mask: int) -> list:
     return out
 
 
-# A fused table has at most 2**_FUSE_WIDTH entries.  Wider tables were no
-# faster per lookup, and cost several times the memory and build time.
+# The widest circuit tabulated whole: its fused table, and its permutation.
+MAX_PERMUTATION_WIDTH = 12
+
+# Above MAX_PERMUTATION_WIDTH wires a fused table has at most 2**_FUSE_WIDTH
+# entries.  Wider tables were no faster per lookup, and cost several times
+# the memory and build time.
 _FUSE_WIDTH = 6
 
 # A circuit whose tables would hold more entries than this, forward, carries
 # none and runs its wire list: at 20 wires about 10 000 gates, some 16 MiB
-# of tables both ways.
+# of tables both ways.  A whole table, at most 2**MAX_PERMUTATION_WIDTH
+# entries, always fits.
 MAX_FUSED_ENTRIES = 1 << 17
 
-# One NOT per wire a fused circuit can have, and per run wire i the
+# One NOT per wire a fused circuit can have, and per bit i of a byte lane the
 # translation of a delta slice's digits to one byte per state with bit i set
 # where the wire changed.
 _NOT = tuple(ReversibleGate("not", (w,)) for w in range(MAX_EXHAUSTIVE_WIDTH))
-_CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(_FUSE_WIDTH))
+_CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8))
+
+
+def _deltas(run: list, wires: list, width: int) -> array:
+    """The XOR that ``run`` applies at every pattern of ``wires``, listed
+    lowest bit first: item p is the delta at the pattern whose bit i sets
+    wires[i], packed the same way.  ``_run_wires`` runs the run on all
+    patterns at once, with the counting wires of ``kernel`` on ``wires``;
+    each wire's changes are read off its binary digits by
+    ``bytes.translate``, eight wires to a byte lane, two lanes an item."""
+    size = 1 << len(wires)
+    before = [0] * width
+    for w, count in zip(wires, _counting_wires(size)):
+        before[w] = count
+    after = _run_wires(run, before[:], (1 << size) - 1)
+    lanes = [0, 0]
+    for i, w in enumerate(wires):
+        digits = format(before[w] ^ after[w], f"0{size}b").encode()
+        lanes[i >> 3] |= int.from_bytes(digits.translate(_CHANGED[i & 7]), "big")
+    items = bytearray(2 * size)
+    low = 0 if sys.byteorder == "little" else 1  # the low lane's byte in an item
+    items[low::2] = lanes[0].to_bytes(size, "little")
+    items[1 - low::2] = lanes[1].to_bytes(size, "little")
+    return array("H", items)
 
 
 def _fuse(gates: Iterable[ReversibleGate], width: int) -> Optional[tuple]:
@@ -128,23 +161,26 @@ def _fuse(gates: Iterable[ReversibleGate], width: int) -> Optional[tuple]:
     A not only toggles its wire in ``flips``, the nots not yet applied, which
     ``eval_int`` XORs in last.  Every other gate runs between the pending
     nots on its own wires.  ``forward`` holds one ``(mask, table)`` pair per
-    maximal run of consecutive such gates whose wires fit in ``_FUSE_WIDTH``
-    bits: ``table`` maps every pattern p of ``x & mask`` to the XOR d the run
-    applies, so the run reads ``x ^= table[x & mask]``.  ``_run_wires`` fills
-    it, on all patterns at once as slices, with the counting wires of
-    ``kernel`` on the run's wires.  The run maps p to p ^ d, so the backward
-    table maps p ^ d to the same d, and ``backward`` lists the runs in
-    reverse.  No more tables than non-not gates."""
+    run of consecutive such gates, and the run reads ``x ^= table[x &
+    mask]``: ``table`` maps every pattern p of ``x & mask`` to the XOR d the
+    run applies, as ``_deltas`` fills it.  At most ``MAX_PERMUTATION_WIDTH``
+    wires, every such gate joins one run whose mask is every wire, and its
+    table is an ``array`` indexed by the state; the backward table is the
+    run reversed, filled the same way.  Wider, a run is maximal on at most
+    ``_FUSE_WIDTH`` wires and its table a dict; the run maps p to p ^ d, so
+    the backward table maps p ^ d to the same d.  ``backward`` lists the
+    runs in reverse.  No more tables than non-not gates."""
     top = width - 1
+    whole = width <= MAX_PERMUTATION_WIDTH
     runs = []  # [mask, gates]
     flips = 0
     for g in gates:
         if g.kind == "not":
             flips ^= 1 << top - g.wires[0]
             continue
-        mask = sum(1 << top - w for w in g.wires)
+        mask = (1 << width) - 1 if whole else sum(1 << top - w for w in g.wires)
         nots = [_NOT[w] for w in g.wires if flips >> top - w & 1]
-        if runs and (runs[-1][0] | mask).bit_count() <= _FUSE_WIDTH:
+        if runs and (whole or (runs[-1][0] | mask).bit_count() <= _FUSE_WIDTH):
             runs[-1][0] |= mask
             runs[-1][1] += [*nots, g, *nots]
         else:
@@ -153,18 +189,14 @@ def _fuse(gates: Iterable[ReversibleGate], width: int) -> Optional[tuple]:
         return None
     forward, backward = [], []
     for mask, run in runs:
-        keys = _patterns(mask)
-        size = len(keys)
         wires = [top - p for p in range(width) if mask >> p & 1]  # lowest bit first
-        before = [0] * width
-        for w, count in zip(wires, _counting_wires(size)):
-            before[w] = count
-        after = _run_wires(run, before[:], (1 << size) - 1)
-        changed = 0
-        for i, w in enumerate(wires):
-            digits = format(before[w] ^ after[w], f"0{size}b").encode()
-            changed |= int.from_bytes(digits.translate(_CHANGED[i]), "big")
-        deltas = [keys[c] for c in changed.to_bytes(size, "little")]
+        deltas = _deltas(run, wires, width)
+        if whole:
+            forward.append((mask, deltas))
+            backward.append((mask, _deltas(run[::-1], wires, width)))
+            continue
+        keys = _patterns(mask)
+        deltas = [keys[c] for c in deltas]
         forward.append((mask, dict(zip(keys, deltas))))
         backward.append((mask, {p ^ d: d for p, d in zip(keys, deltas)}))
     return tuple(forward), tuple(reversed(backward)), flips
@@ -175,9 +207,11 @@ class ReversibleCircuit:
     """A circuit of ``width`` wires.  Circuits of at most
     ``MAX_EXHAUSTIVE_WIDTH`` wires carry lookup tables, forward and
     backward, and their nots as one XOR mask, which ``_fuse`` fills from
-    ``_run_wires`` at construction and keeps outside the compared fields;
-    wider ones carry none, so a huge width never turns a short gate line
-    into huge masks.  Nor does a circuit whose tables would hold more than
+    ``_run_wires`` at construction and keeps outside the compared fields:
+    up to ``MAX_PERMUTATION_WIDTH`` wires one table of the whole map, above
+    that one table per run of gates on at most ``_FUSE_WIDTH`` wires.
+    Wider circuits carry none, so a huge width never turns a short gate line into
+    huge masks.  Nor does a circuit whose tables would hold more than
     ``MAX_FUSED_ENTRIES`` entries, so a long gate list builds no huge
     tables."""
 
@@ -199,9 +233,10 @@ class ReversibleCircuit:
 
     def eval_int(self, value: int) -> int:
         """The circuit on the integer encoding of one state; bits above the
-        width (and a negative int's sign) pass through.  A narrow circuit
-        takes one lookup per fused table and XORs its nots in last; a wider
-        one runs its wire list."""
+        width (and a negative int's sign) pass through.  A circuit with
+        tables takes one lookup per table, one in all up to
+        ``MAX_PERMUTATION_WIDTH`` wires, and XORs its nots in last; one
+        without runs its wire list."""
         if self._fused is not None:
             forward, _, flips = self._fused
             for mask, table in forward:
@@ -221,6 +256,11 @@ class ReversibleCircuit:
             return value
         wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
+
+    def table_sizes(self) -> List[int]:
+        """The entry count of each forward table, in run order; none on the
+        wire list."""
+        return [] if self._fused is None else [len(table) for _, table in self._fused[0]]
 
     def as_bijection(self, label: str = "") -> Bijection:
         return Bijection(
@@ -251,9 +291,6 @@ def invert_circuit(circuit: ReversibleCircuit) -> ReversibleCircuit:
 
 def iterate_circuit(circuit: ReversibleCircuit, n: int, a: Bitstring) -> Bitstring:
     return iterate_bijection(circuit.as_bijection(), n, a)
-
-
-MAX_PERMUTATION_WIDTH = 12
 
 
 def permutation_of(circuit: ReversibleCircuit) -> List[int]:

@@ -128,10 +128,13 @@ def _cmd_circuit(args, run: _Run) -> str:
     from . import circuits, formats
 
     c = formats.parse_circuit(run.read(args.file))
-    if args.action == "eval":
-        return circuits.eval_reversible(c, _bits(args.input)).to_text()
     if args.action == "invert":
         return formats.write_circuit(circuits.invert_circuit(c)).rstrip("\n")
+    sizes = c.table_sizes()
+    run.count("tables", len(sizes))
+    run.count("table_entries", sum(sizes))
+    if args.action == "eval":
+        return circuits.eval_reversible(c, _bits(args.input)).to_text()
     if args.action == "iterate":
         run.count("iterations", args.n)
         # the literal loop: perfbench's child-timeout test needs a large --n to run long

@@ -49,7 +49,8 @@ class FormatError(ValueError):
 # a few hundred wires.
 MAX_WIRES = 1 << 16
 # The most gate lines a circuit document may hold, checked the same way: a
-# circuit of up to 20 wires builds about 2 KiB of lookup tables a gate.
+# circuit of 13 to 20 wires builds about 2 KiB of lookup tables a gate (one
+# of at most 12 wires builds one whole table of at most 16 KiB, both ways).
 MAX_GATES = 1 << 16
 
 

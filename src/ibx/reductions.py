@@ -177,7 +177,6 @@ def run_schedule(schedule: Schedule) -> Bitstring:
     return schedule.extract(final)
 
 
-MAX_SWEEP_WIDTH = 20
 MAX_CLOCK_WIDTH = 8
 # widest oracle without a backward evaluator, whose inverse is tabulated
 MAX_ORACLE_TABLE_WIDTH = 16
@@ -202,8 +201,6 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
     is three engine moves (two when x = 0), at any k.
     """
     k = f.width
-    if k > MAX_SWEEP_WIDTH:
-        raise ReductionError(f"width {k} exceeds sweep cap {MAX_SWEEP_WIDTH}")
     if x.width != k:
         raise WidthMismatchError("target width does not match bijection width")
     size = 1 << k

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ibx.circuits import (
     ClassicalCircuit,
     ClassicalGate,
     _FUSE_WIDTH,
+    MAX_PERMUTATION_WIDTH,
     _pack_bits,
     _run_wires,
     _unpack,
@@ -230,7 +232,7 @@ def _sample_states(rng, width):
 
 
 @pytest.mark.parametrize("span", [_FUSE_WIDTH, _FUSE_WIDTH + 1])
-@pytest.mark.parametrize("width", [12, 16, MAX_EXHAUSTIVE_WIDTH])
+@pytest.mark.parametrize("width", [MAX_PERMUTATION_WIDTH + 1, 16, MAX_EXHAUSTIVE_WIDTH])
 def test_fused_runs_split_at_the_fuse_width(rng, width, span):
     """Blocks on exactly the fuse width fill one table each; blocks on one
     wire more split inside.  Either way the tables match the wire rule."""
@@ -274,7 +276,7 @@ def test_fused_tables_are_bounded_by_the_fuse_width_and_the_gate_count(rng):
     is maximal, so two neighbouring tables never fit in one."""
     cases = [
         _every_kind_circuit(rng, MAX_EXHAUSTIVE_WIDTH, 3000, 0.2),
-        _every_kind_circuit(rng, 12, 500, 0.0),
+        _every_kind_circuit(rng, MAX_PERMUTATION_WIDTH + 1, 500, 0.0),
         _blocks_circuit(rng, MAX_EXHAUSTIVE_WIDTH, _FUSE_WIDTH + 1, 50, 0.0),
         ReversibleCircuit(6, tuple(gate("toffoli", *rng.sample(range(6), 3)) for _ in range(200))),
     ]
@@ -287,6 +289,36 @@ def test_fused_tables_are_bounded_by_the_fuse_width_and_the_gate_count(rng):
         for (m1, _), (m2, _) in zip(forward, forward[1:]):
             assert (m1 | m2).bit_count() > _FUSE_WIDTH
     assert len(cases[-1]._fused[0]) == 1  # six wires: one table for the whole circuit
+
+
+@pytest.mark.parametrize("width", range(MAX_PERMUTATION_WIDTH + 1))
+def test_narrow_circuits_step_by_one_whole_table(rng, width):
+    """Up to MAX_PERMUTATION_WIDTH wires, a circuit with a gate other than
+    not has one table each way: an array of 16-bit deltas, indexed by the
+    state.  On every state both ways equal ``_run_wires``, and bits above
+    the width and a negative int's sign pass through."""
+    cases = [
+        ReversibleCircuit(width, ()),
+        ReversibleCircuit(width, tuple(gate("not", rng.randrange(width)) for _ in range(9 if width else 0))),
+        _every_kind_circuit(rng, width, 30, 0.5),
+        _every_kind_circuit(rng, width, 60, 0.1),
+    ]
+    for c in cases:
+        forward, backward, _ = c._fused
+        tables = int(any(g.kind != "not" for g in c.gates))
+        assert len(forward) == len(backward) == tables
+        assert c.table_sizes() == [1 << width] * tables
+        for mask, table in forward + backward:
+            assert mask == (1 << width) - 1
+            assert isinstance(table, array) and table.itemsize == 2 and len(table) == 1 << width
+        for v in range(1 << width):
+            y = _pack_bits(_run_wires(c.gates, _unpack(v, width)))
+            back = _pack_bits(_run_wires(c.gates[::-1], _unpack(v, width)))
+            assert (c.eval_int(v), c.eval_int_reversed(v)) == (y, back), c
+            assert c.eval_int_reversed(y) == v
+            for high in (5 << width, -(1 << width + 7)):
+                assert c.eval_int(v + high) == y + high
+                assert c.eval_int_reversed(v + high) == back + high
 
 
 def test_wide_circuits_carry_no_tables():

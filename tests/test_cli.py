@@ -676,11 +676,25 @@ def test_report_emits_json(tmp_path, capsys):
     assert str(path) in report["input_digests"]
     assert len(report["input_digests"][str(path)]) == 12
     assert report["payload"] == out.strip()
-    assert report["step_counts"] == {"states": 8}
+    assert report["step_counts"] == {"states": 8, "tables": 1, "table_entries": 8}
     assert isinstance(report["wall_time_s"], float)
     assert report["phases_s"] == {"run": report["wall_time_s"]}
     assert report["loaded"] == sorted(report["loaded"])
     assert {"ibx.circuits", "ibx.formats", "numpy"} <= set(report["loaded"])
+
+
+@pytest.mark.parametrize("width, tables, entries", [(8, 1, 256), (16, 2, 32 + 16), (24, 0, 0)])
+def test_circuit_report_counts_tables(tmp_path, capsys, width, tables, entries):
+    """One whole table up to 12 wires; above, one table per run of gates
+    on at most 6 wires (wires 0-4, then 5-7 and 1); above 20 wires none."""
+    path = tmp_path / "c.rc"
+    path.write_text(f"wires {width}\nnot 0\ntoffoli 0 1 2\ncnot 3 4\nfredkin 5 6 7\nswap 1 7\n")
+    state = ["--input", "1" * width]
+    for action, extra in (("eval", state), ("iterate", state + ["--n", "3"]), ("parity", [])):
+        rc, _, err = run_cli(capsys, "circuit", action, "--file", str(path), *extra, "--report")
+        assert rc == 0
+        counts = json.loads(err)["step_counts"]
+        assert (counts["tables"], counts["table_entries"]) == (tables, entries), action
 
 
 def test_verify_all_reports_seconds_per_area(capsys):
@@ -707,7 +721,7 @@ def test_wide_circuit_parity_is_closed_form_without_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "even"
     report = json.loads(done.stderr)
-    assert report["step_counts"] == {"gates": 4}
+    assert report["step_counts"] == {"gates": 4, "tables": 0, "table_entries": 0}
     assert "numpy" not in report["loaded"], report["loaded"]
 
 
