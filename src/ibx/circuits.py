@@ -313,10 +313,10 @@ def circuit_parity(circuit: ReversibleCircuit) -> str:
     its own permutation on 2**(w - m) copies, an even number, so it is even;
     no gate touches more than MAX_GATE_ARITY wires, so every circuit wider
     than that is even, without evaluating a state.  Narrower circuits count
-    the cycles of their table."""
+    the cycles of their at most 8 images, read one by one without numpy."""
     if circuit.width > MAX_GATE_ARITY:
         return "even"
-    return parity(permutation_of(circuit))
+    return parity([circuit.eval_int(x) for x in range(1 << circuit.width)])
 
 
 def negation_map(width: int) -> Bijection:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from .kernel import Bijection, Bitstring, pack_fields, unpack_fields
@@ -34,6 +33,35 @@ class GraphError(ValueError):
 NeighborFn = Callable[[Bitstring, Bitstring], Optional[List[Bitstring]]]
 
 
+# A screened neighbor list as vertex ids, or None for a broken promise.
+_Nbrs = Optional[Tuple[int, ...]]
+
+
+def _screen(out: Any, v: int, k: int) -> _Nbrs:
+    """An oracle answer about vertex id v, screened to the ids of its
+    neighbors: a tuple of at most two distinct k-bit ids, none equal to v.
+
+    Anything else is a broken promise and gives None: an answer that is not
+    a list or tuple, more than two entries, an entry that is not a
+    ``Bitstring`` of width k, a duplicate, or a self-loop.  The only screen
+    of a neighbor answer; ``ImplicitFamily.query`` and both leaf walks call
+    it.
+    """
+    if not isinstance(out, (list, tuple)) or len(out) > 2:
+        return None
+    if not out:
+        return ()
+    a = out[0]
+    if not isinstance(a, Bitstring) or a.width != k or a.value == v:
+        return None
+    if len(out) == 1:
+        return (a.value,)
+    b = out[1]
+    if not isinstance(b, Bitstring) or b.width != k or b.value == v or b.value == a.value:
+        return None
+    return (a.value, b.value)
+
+
 @dataclass(frozen=True)
 class ImplicitFamily:
     """Neighbor oracle for a family of graphs with maximum degree two.
@@ -43,6 +71,10 @@ class ImplicitFamily:
     screens the response: anything of the wrong shape (not a list or tuple,
     more than two entries, duplicates, a self-loop, a width mismatch) is
     reported as None so callers can treat it uniformly as a broken promise.
+    That screen (``_screen``) is the one both leaf walks use: it turns an
+    answer into the neighbors' int ids, and the walks run on those ids,
+    building a ``Bitstring`` only as an oracle argument and at their public
+    edges.
 
     ``neighbors`` must be a deterministic function of its arguments: the
     same (G, v) always gets the same answer.  leaf_to_bijection relies on
@@ -53,16 +85,7 @@ class ImplicitFamily:
 
     def query(self, instance: Bitstring, v: Bitstring) -> Optional[List[Bitstring]]:
         out = self.neighbors(instance, v)
-        if not isinstance(out, (list, tuple)) or len(out) > 2:
-            return None
-        seen = set()
-        for w in out:
-            if not isinstance(w, Bitstring) or w.width != v.width:
-                return None
-            if w.value == v.value or w.value in seen:
-                return None
-            seen.add(w.value)
-        return list(out)
+        return None if _screen(out, v.value, v.width) is None else list(out)
 
 
 @dataclass(frozen=True)
@@ -73,57 +96,66 @@ class LeafInstance:
 
 
 def _walk_path(
-    neighbors: Callable[[Any], Optional[List[Any]]],
+    neighbors: Callable[[Any], Optional[Tuple[Sequence[Any], Sequence[Any]]]],
+    start_id: Any,
     start: Any,
     budget: int,
     error: Type[ValueError],
 ) -> Any:
     """Walk from the degree-one vertex start to the far end of its path.
 
-    neighbors(v) lists v's at most two neighbors, or returns None for a
-    failed query; vertices are compared with ==.  The walk never steps back
-    onto the vertex it came from, so on a path it is forced.  A failed
-    query, a start that is not degree one, a missing back-edge, or more
-    than budget steps (a cycle) raises error.
+    neighbors(v) answers a pair (ids, vertices) listing v's at most two
+    neighbors, or None for a failed query: ids are compared with ==, and
+    the vertex at the same place is what neighbors is asked about next.
+    start_id is start's own id.  The walk never steps back onto the vertex
+    it came from, so on a path it is forced.  A failed query, a start that
+    is not degree one, a missing back-edge, or more than budget steps (a
+    cycle) raises error.  Returns the far end's vertex.
     """
     first = neighbors(start)
     if first is None:
         raise error("neighbor oracle failed at the start vertex")
-    if len(first) != 1:
+    ids, vertices = first
+    if len(ids) != 1:
         raise error("start vertex does not have exactly one neighbor")
-    prev, cur = start, first[0]
+    prev, cur, vertex = start_id, ids[0], vertices[0]
     for _ in range(budget):
-        around = neighbors(cur)
+        around = neighbors(vertex)
         if around is None:
             raise error("neighbor oracle failed mid-walk")
-        if prev not in around:
+        ids, vertices = around
+        if prev not in ids:
             raise error("adjacency is not symmetric along the walk")
-        if len(around) == 1:
-            return cur
-        prev, cur = cur, around[0] if around[1] == prev else around[1]
+        if len(ids) == 1:
+            return vertex
+        i = 0 if ids[1] == prev else 1
+        prev, cur, vertex = cur, ids[i], vertices[i]
     raise error("walk exceeded its step budget; component is not a path")
 
 
 def solve_leaf_walk(inst: LeafInstance) -> Bitstring:
     """Walk from a degree-one vertex to the far end of its path component.
 
-    Raises FamilyError when the oracle misbehaves: failure responses, a
-    start vertex that is not degree one, a missing back-edge, or a walk
-    that outlives the vertex space (a cycle).
+    Each answer goes through the one screen to ids; the walk compares ids
+    and asks next about the oracle's own neighbor ``Bitstring``, so it
+    builds none itself.  Raises FamilyError when the oracle misbehaves:
+    failure responses, a start vertex that is not degree one, a missing
+    back-edge, or a walk that outlives the vertex space (a cycle).
     """
+    ask, instance, k = inst.family.neighbors, inst.instance, inst.start.width
+
+    def neighbors(v: Bitstring) -> Optional[Tuple[Tuple[int, ...], Any]]:
+        out = ask(instance, v)
+        ids = _screen(out, v.value, k)
+        return None if ids is None else (ids, out)
+
     return _walk_path(
-        partial(inst.family.query, inst.instance),
+        neighbors,
+        inst.start.value,
         inst.start,
-        1 << inst.start.width,  # distinct vertices available; longer means a loop
+        1 << k,  # distinct vertices available; longer means a loop
         FamilyError,
     )
-
-
-# Vertices whose neighbor lists one leaf_to_bijection map remembers.
-_LEAF_MEMO = 4
-
-# A screened neighbor list as vertex ids, or None for a broken promise.
-_Nbrs = Optional[Tuple[int, ...]]
 
 
 def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bijection:
@@ -142,11 +174,15 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     promises; locally detectable violations fall back to the identity but
     cannot rescue bijectivity off-contract.
 
-    The oracle must be a deterministic function of its arguments.  Each map
-    remembers the screened answers for its last few vertices, so a walking
-    step asks the oracle only about the vertex it steps onto and a waiting
-    step asks nothing; with an oracle whose answers change between calls
-    the map would act on stale answers.
+    The map runs on int ids: each answer goes through the one screen to ids
+    (``_screen``), and a ``Bitstring`` is built only as the oracle's
+    argument.  The oracle must be a deterministic function of its
+    arguments.  Each map remembers the screened answers for the two
+    vertices of the edge its last run stopped on, where the next run,
+    forward or through R, starts; so a walking step asks the oracle only
+    about the vertex it steps onto and a waiting step asks nothing.  With
+    an oracle whose answers change between calls the map would act on
+    stale answers.
 
     The map is stated once, as a forward run of r >= 1 steps (its leap, see
     ``kernel.iterate_map``): a fixed point takes all r at once, a waiting
@@ -164,25 +200,18 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     mask = (1 << k) - 1
     k2 = 2 * k
     edge = (1 << k2) - 1
-    memo: Dict[int, _Nbrs] = {}
+    neighbors = family.neighbors
+    stop: Dict[int, _Nbrs] = {}  # the answers for the last run's stop edge
 
-    def query_vals(value: int) -> _Nbrs:
-        # A run asks about the two vertices of its edge and, when walking,
-        # each vertex it steps onto; the previous run asked about all but
-        # the newest.  So a memo of the last few vertices leaves one oracle
-        # call per vertex walked onto and none per wait.
-        if value in memo:
-            return memo[value]
-        out = family.query(instance, Bitstring(value, k))
-        vals = None if out is None else tuple([w.value for w in out])
-        if len(memo) >= _LEAF_MEMO:
-            del memo[next(iter(memo))]
-        memo[value] = vals
-        return vals
+    def ask(u: int) -> _Nbrs:
+        return _screen(neighbors(instance, Bitstring(u, k)), u, k)
 
     def run(x: int, r: int) -> Tuple[int, int]:
+        nonlocal stop
         n, v, w = x >> k2 & mask, x >> k & mask, x & mask
-        nv, nw = query_vals(v), query_vals(w)
+        nv = stop[v] if v in stop else ask(v)
+        nw = stop[w] if w in stop else ask(w)
+        stop = {v: nv, w: nw}  # a run that does not walk stops on its edge
         if nv is None or nw is None or w not in nv or v not in nw or n and len(nv) != 1:
             return x, r  # inconsistent, or waiting off a leaf: a fixed point
         if n:
@@ -190,15 +219,21 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
             return (n + j & mask) << k2 | x & edge, j
         for j in range(1, r + 1):
             if len(nw) == 1:
-                return 1 << k2 | w << k | v, j  # onto a leaf: turn and wait
+                y = 1 << k2 | w << k | v  # onto a leaf: turn and wait
+                break
             u = nw[0] if nw[1] == v else nw[1]
-            nu = query_vals(u)
+            nu = ask(u)
             if nu is None or w not in nu:
-                return v << k | w, r  # stuck: a fixed point from here on
-            v, w, nw = w, u, nu
+                y, j = v << k | w, r  # stuck: a fixed point from here on
+                break
+            v, w, nv, nw = w, u, nw, nu
             if v << k | w == x:
-                return x, j  # round a cycle component to the start edge
-        return v << k | w, r
+                y = x  # round a cycle component to the start edge
+                break
+        else:
+            y, j = v << k | w, r
+        stop = {v: nv, w: nw}
+        return y, j
 
     def reverse(x: int) -> int:
         # R: a waiting counter counts down, a walker turns round
@@ -441,9 +476,15 @@ def second_hamiltonian(
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if not g.has_edge(a, b):
             raise GraphError("cycle uses a non-edge")
+    def neighbors(s: LollipopState) -> Tuple[List[LollipopState], List[LollipopState]]:
+        out = lollipop_neighbors(g, s)
+        return out, out
+
+    start = LollipopState(_pinned_path(cyc, fixed_edge, orientation))
     final = _walk_path(
-        partial(lollipop_neighbors, g),
-        LollipopState(_pinned_path(cyc, fixed_edge, orientation)),
+        neighbors,
+        start,
+        start,
         _LOLLIPOP_BUDGET,
         GraphError,
     )

@@ -94,12 +94,14 @@ def test_walk_rejects_bad_start():
         solve_leaf_walk(inst)
 
 
-def test_walk_rejects_asymmetric_adjacency():
-    def neighbors(_, v):
-        table = {0: [1], 1: [2], 2: [1]}  # 1 does not point back at 0
-        return [Bitstring(w, 2) for w in table.get(v.value, [])]
+def asymmetric_family():
+    """2-bit ids: 0 - 1 - 2, but 1 does not point back at 0."""
+    table = {0: [1], 1: [2], 2: [1]}
+    return ImplicitFamily(lambda _, v: [Bitstring(w, 2) for w in table.get(v.value, [])])
 
-    inst = LeafInstance(ImplicitFamily(neighbors), Bitstring(0, 1), Bitstring(0, 2))
+
+def test_walk_rejects_asymmetric_adjacency():
+    inst = LeafInstance(asymmetric_family(), Bitstring(0, 1), Bitstring(0, 2))
     with pytest.raises(FamilyError):
         solve_leaf_walk(inst)
 
@@ -118,29 +120,111 @@ def test_walk_rejects_a_cycle():
         solve_leaf_walk(inst)
 
 
-def test_family_screens_malformed_responses():
-    def neighbors(_, v):
-        return [Bitstring(1, 3), Bitstring(1, 3)]  # duplicates
-
-    assert ImplicitFamily(neighbors).query(Bitstring(0, 1), Bitstring(0, 3)) is None
-
-    def self_loop(_, v):
-        return [v]
-
-    assert ImplicitFamily(self_loop).query(Bitstring(0, 1), Bitstring(2, 3)) is None
-
-    def too_many(_, v):
-        return [Bitstring(w, 3) for w in (1, 2, 3)]
-
-    assert ImplicitFamily(too_many).query(Bitstring(0, 1), Bitstring(0, 3)) is None
-
+# Malformed answers about a 3-bit vertex, by the promise each breaks.
+MALFORMED_ANSWERS = {
+    "duplicates": lambda _, v: [Bitstring(1, 3), Bitstring(1, 3)],
+    "self-loop": lambda _, v: [v],
+    "self-loop second": lambda _, v: (Bitstring(1, 3), v),
+    "too many": lambda _, v: [Bitstring(w, 3) for w in (1, 2, 3)],
+    "wrong width": lambda _, v: [Bitstring(1, 4)],
+    "wrong width second": lambda _, v: [Bitstring(1, 3), Bitstring(2, 2)],
+    "int entry": lambda _, v: [1],
+    "int entry second": lambda _, v: (Bitstring(1, 3), 2),
     # answers with no length: an int, and a generator of good neighbors
-    for answer in (lambda _, v: 7, lambda _, v: (Bitstring(w, 3) for w in (1, 2))):
+    "int": lambda _, v: 7,
+    "generator": lambda _, v: (Bitstring(w, 3) for w in (1, 2)),
+    "failure": lambda _, v: None,
+}
+
+
+def test_family_screens_malformed_responses():
+    g, start = Bitstring(0, 1), Bitstring(0, 3)
+    cases = [(name, answer, None, "neighbor oracle failed at the start vertex")
+             for name, answer in MALFORMED_ANSWERS.items()]
+    # an empty tuple is well formed: no neighbors, so no walk and no step
+    cases.append(("empty tuple", lambda _, v: (), [], "start vertex does not have exactly one neighbor"))
+    for name, answer, screened, message in cases:
         family = ImplicitFamily(answer)
-        assert family.query(Bitstring(0, 1), Bitstring(0, 3)) is None
-        f = leaf_to_bijection(family, Bitstring(0, 1), 3)
+        assert family.query(g, start) == screened, name
+        with pytest.raises(FamilyError, match=f"^{message}$"):
+            solve_leaf_walk(LeafInstance(family, g, start))
+        f = leaf_to_bijection(family, g, 3)
         for x in (0, 1 << 3 | 2, 5 << 6 | 1 << 3 | 2):
-            assert f.forward(x) == f.backward(x) == x
+            assert f.forward(x) == f.backward(x) == x, name
+
+
+def reference_solve_leaf_walk(inst):
+    """solve_leaf_walk as written before it ran on screened ids: the path
+    walker over ImplicitFamily.query, one screened list of Bitstrings per
+    vertex, compared with ==."""
+    start = inst.start
+    first = inst.family.query(inst.instance, start)
+    if first is None:
+        raise FamilyError("neighbor oracle failed at the start vertex")
+    if len(first) != 1:
+        raise FamilyError("start vertex does not have exactly one neighbor")
+    prev, cur = start, first[0]
+    for _ in range(1 << start.width):
+        around = inst.family.query(inst.instance, cur)
+        if around is None:
+            raise FamilyError("neighbor oracle failed mid-walk")
+        if prev not in around:
+            raise FamilyError("adjacency is not symmetric along the walk")
+        if len(around) == 1:
+            return cur
+        prev, cur = cur, around[0] if around[1] == prev else around[1]
+    raise FamilyError("walk exceeded its step budget; component is not a path")
+
+
+def _outcome(walk, inst):
+    """The far end's (value, width), or the exception's class and message."""
+    try:
+        far = walk(inst)
+    except Exception as e:  # compared, not swallowed: both walks must agree
+        return type(e), str(e)
+    return far.value, far.width
+
+
+def _walk_instances():
+    g = Bitstring(0, 1)
+    for k in range(1, 13):
+        rng = random.Random(k)
+        for length in sorted({2, rng.randint(2, 1 << k), 1 << k}):
+            ids = rng.sample(range(1 << k), length)
+            for start in (ids[0], ids[-1], ids[length // 2]):
+                yield LeafInstance(path_family(ids, k), g, Bitstring(start, k))
+        if k >= 3:
+            ids = rng.sample(range(1 << k), min(1 << k, 40))
+            for fam in (broken_family(ids[:7], k), ring_family(ids, k)):
+                for start in ids[:8]:
+                    yield LeafInstance(fam, g, Bitstring(start, k))
+    rng = random.Random(5)
+    for _ in range(20):
+        graph, cycle = _random_hamiltonian_cubic(rng.randrange(4, 13, 2), rng)
+        i = rng.randrange(graph.vertex_count)
+        for orientation in (0, 1):
+            inst, _ = lollipop_instance(graph, cycle, (cycle[i], cycle[(i + 1) % len(cycle)]), orientation)
+            yield inst
+            yield replace(inst, start=Bitstring(rng.getrandbits(inst.start.width), inst.start.width))
+    yield LeafInstance(asymmetric_family(), g, Bitstring(0, 2))
+    for answer in (*MALFORMED_ANSWERS.values(), lambda _, v: ()):
+        yield LeafInstance(ImplicitFamily(answer), g, Bitstring(0, 3))
+
+
+def test_leaf_walk_matches_the_reference_walk():
+    outcomes = set()
+    for inst in _walk_instances():
+        want = _outcome(reference_solve_leaf_walk, inst)
+        assert _outcome(solve_leaf_walk, inst) == want, inst
+        outcomes.add(want[1] if want[0] is FamilyError else "far end")
+    # every outcome but the step budget occurs among the cases
+    assert outcomes == {
+        "far end",
+        "neighbor oracle failed at the start vertex",
+        "start vertex does not have exactly one neighbor",
+        "neighbor oracle failed mid-walk",
+        "adjacency is not symmetric along the walk",
+    }, outcomes
 
 
 def test_leaf_bijection_lands_on_far_leaf():
@@ -440,6 +524,35 @@ def test_leaf_walk_asks_each_vertex_once(k, length):
     assert iterate_bijection(f, -(1 << k), end) == start
     assert counter[0] <= length + 2
     assert len(moves) <= 3 and sum(moves) == 1 << k, moves
+
+
+def test_leaf_runs_reuse_the_edge_they_stop_on():
+    # a map remembers the answers for its last run's stop edge, where the
+    # next run, forward or back, starts: that run asks only about vertices
+    # it steps onto
+    k, length = 6, 20
+    ids, counter = random.Random(length).sample(range(1 << k), length), [0]
+    f = leaf_to_bijection(path_family(ids, k, counter), Bitstring(0, 1), k)
+
+    def asked(move, *args):
+        counter[0] = 0
+        out = move(*args)
+        return out, counter[0]
+
+    x, calls = asked(f.forward, ids[0] << k | ids[1])
+    assert calls == 3
+    for move in (f.forward, f.backward, f.backward, f.forward, f.forward):
+        x, calls = asked(move, x)
+        assert calls <= 1, move
+    (y, j), calls = asked(f.leap, x, 1 << k)
+    assert y == 1 << 2 * k | ids[-1] << k | ids[-2] and calls == length - 4
+    # waiting at the leaf it stopped on asks nothing, either way
+    for move, args in ((f.forward, (y,)), (f.backward, (y,)), (f.leap, (y, 5)), (f.leap, (y, -5))):
+        assert asked(move, *args)[1] == 0, move
+    # nor does a second run from a state that stood still
+    z = leaf_to_bijection(path_family(ids, k, counter), Bitstring(0, 1), k)
+    waiting = 5 << 2 * k | ids[-1] << k | ids[-2]
+    assert [asked(z.forward, waiting)[1], asked(z.backward, waiting)[1]] == [2, 0]
 
 
 def test_leaf_run_on_a_ring_stops_on_its_start_edge():
