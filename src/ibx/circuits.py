@@ -9,18 +9,14 @@ involution, so a circuit is inverted by reversing its gate list.
 a list with one value per wire, a bit for one state or a Python int whose
 bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` reads
 a circuit's images from slices, and the lift checks run a chunk of states so.
-A reversible circuit of at most ``MAX_EXHAUSTIVE_WIDTH`` wires is also
-compiled once, at construction, to lookup tables on the integer encoding,
-each filled by running its gates on every pattern of its wires as slices; a
-single Python int then takes one lookup per table.  A circuit of at most
-``MAX_PERMUTATION_WIDTH`` wires has one table of its whole map, an
-``array`` indexed by the state; a wider one has a dict per run of
-consecutive gates on at most ``_FUSE_WIDTH`` wires.  A circuit wider than
-``MAX_EXHAUSTIVE_WIDTH``, or one whose tables would hold more than
-``MAX_FUSED_ENTRIES`` entries, runs its wire list.  Boolean circuits
-evaluate single states on a list of bits.  Whole-state tables, state
-slices and cycles come from ``kernel``; numpy is imported only by the
-functions that tabulate the whole state space.
+A reversible circuit of at most ``MAX_PERMUTATION_WIDTH`` wires is also
+compiled once, at construction, to one table of its whole map each way, an
+``array`` of deltas on the integer encoding, filled by running its gates on
+every state as slices; a single Python int then takes one lookup.  A wider
+circuit runs its wire list.  Boolean circuits evaluate single states on a
+list of bits.  Whole-state tables, state slices and cycles come from
+``kernel``; numpy is imported only by the functions that tabulate the whole
+state space.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
                      _counting_wires, _DIGITS, _VALUES, images, iterate_bijection, state_slices)
@@ -78,7 +74,7 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     bit j is the wire at state j of S sliced states; ``ones`` is the value
     whose every state is 1: 1 for a bit, 2**S - 1 for a slice.  Every
     evaluator of a reversible gate runs here: wide circuits on one state,
-    whole-state tables, lifts and their checks, and the tables of ``_fuse``."""
+    whole-state tables, lifts and their checks, and the tables of ``_deltas``."""
     for g in gates:
         w = g.wires
         kind = g.kind
@@ -98,54 +94,27 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     return v
 
 
-def _patterns(mask: int) -> list:
-    """Every value of ``x & mask``; bit i of the index sets the i-th lowest
-    bit of ``mask``."""
-    out = [0]
-    while mask:
-        bit = mask & -mask
-        out += [p | bit for p in out]
-        mask ^= bit
-    return out
-
-
-# The widest circuit tabulated whole: its fused table, and its permutation.
+# The widest circuit tabulated whole: its table, and its permutation.
 MAX_PERMUTATION_WIDTH = 12
 
-# Above MAX_PERMUTATION_WIDTH wires a fused table has at most 2**_FUSE_WIDTH
-# entries.  Wider tables were no faster per lookup, and cost several times
-# the memory and build time.
-_FUSE_WIDTH = 6
-
-# A circuit whose tables would hold more entries than this, forward, carries
-# none and runs its wire list: at 20 wires about 10 000 gates, some 16 MiB
-# of tables both ways.  A whole table, at most 2**MAX_PERMUTATION_WIDTH
-# entries, always fits.
-MAX_FUSED_ENTRIES = 1 << 17
-
-# One NOT per wire a fused circuit can have, and per bit i of a byte lane the
-# translation of a delta slice's digits to one byte per state with bit i set
-# where the wire changed.
-_NOT = tuple(ReversibleGate("not", (w,)) for w in range(MAX_EXHAUSTIVE_WIDTH))
+# Per bit i of a byte lane, the translation of a delta slice's digits to one
+# byte per state with bit i set where the wire changed.
 _CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8))
 
 
-def _deltas(run: list, wires: list, width: int) -> array:
-    """The XOR that ``run`` applies at every pattern of ``wires``, listed
-    lowest bit first: item p is the delta at the pattern whose bit i sets
-    wires[i], packed the same way.  ``_run_wires`` runs the run on all
-    patterns at once, with the counting wires of ``kernel`` on ``wires``;
-    each wire's changes are read off its binary digits by
-    ``bytes.translate``, eight wires to a byte lane, two lanes an item."""
-    size = 1 << len(wires)
-    before = [0] * width
-    for w, count in zip(wires, _counting_wires(size)):
-        before[w] = count
-    after = _run_wires(run, before[:], (1 << size) - 1)
+def _deltas(gates: Sequence[ReversibleGate], width: int) -> array:
+    """The XOR that ``gates`` apply at every state of ``width`` wires: item x
+    is ``y ^ x`` for the image y of x.  ``_run_wires`` runs the gates on all
+    states at once, with the counting wires of ``kernel``; each wire's
+    changes are read off its binary digits by ``bytes.translate``, eight
+    wires to a byte lane, two lanes an item."""
+    size = 1 << width
+    before = _counting_wires(size)  # state bit 0 first; wire 0 is the top bit
+    after = _run_wires(gates, list(before[::-1]), (1 << size) - 1)[::-1]
     lanes = [0, 0]
-    for i, w in enumerate(wires):
-        digits = format(before[w] ^ after[w], f"0{size}b").encode()
-        lanes[i >> 3] |= int.from_bytes(digits.translate(_CHANGED[i & 7]), "big")
+    for bit, (b, a) in enumerate(zip(before, after)):
+        digits = format(b ^ a, f"0{size}b").encode()
+        lanes[bit >> 3] |= int.from_bytes(digits.translate(_CHANGED[bit & 7]), "big")
     items = bytearray(2 * size)
     low = 0 if sys.byteorder == "little" else 1  # the low lane's byte in an item
     items[low::2] = lanes[0].to_bytes(size, "little")
@@ -153,74 +122,22 @@ def _deltas(run: list, wires: list, width: int) -> array:
     return array("H", items)
 
 
-def _fuse(gates: Iterable[ReversibleGate], width: int) -> Optional[tuple]:
-    """The gates as ``(forward, backward, flips)`` on the integer encoding,
-    or None when the tables would hold more than ``MAX_FUSED_ENTRIES``
-    entries, counted from the runs' masks before any table is filled.
-
-    A not only toggles its wire in ``flips``, the nots not yet applied, which
-    ``eval_int`` XORs in last.  Every other gate runs between the pending
-    nots on its own wires.  ``forward`` holds one ``(mask, table)`` pair per
-    run of consecutive such gates, and the run reads ``x ^= table[x &
-    mask]``: ``table`` maps every pattern p of ``x & mask`` to the XOR d the
-    run applies, as ``_deltas`` fills it.  At most ``MAX_PERMUTATION_WIDTH``
-    wires, every such gate joins one run whose mask is every wire, and its
-    table is an ``array`` indexed by the state; the backward table is the
-    run reversed, filled the same way.  Wider, a run is maximal on at most
-    ``_FUSE_WIDTH`` wires and its table a dict; the run maps p to p ^ d, so
-    the backward table maps p ^ d to the same d.  ``backward`` lists the
-    runs in reverse.  No more tables than non-not gates."""
-    top = width - 1
-    whole = width <= MAX_PERMUTATION_WIDTH
-    runs = []  # [mask, gates]
-    flips = 0
-    for g in gates:
-        if g.kind == "not":
-            flips ^= 1 << top - g.wires[0]
-            continue
-        mask = (1 << width) - 1 if whole else sum(1 << top - w for w in g.wires)
-        nots = [_NOT[w] for w in g.wires if flips >> top - w & 1]
-        if runs and (whole or (runs[-1][0] | mask).bit_count() <= _FUSE_WIDTH):
-            runs[-1][0] |= mask
-            runs[-1][1] += [*nots, g, *nots]
-        else:
-            runs.append([mask, [*nots, g, *nots]])
-    if sum(1 << mask.bit_count() for mask, _ in runs) > MAX_FUSED_ENTRIES:
-        return None
-    forward, backward = [], []
-    for mask, run in runs:
-        wires = [top - p for p in range(width) if mask >> p & 1]  # lowest bit first
-        deltas = _deltas(run, wires, width)
-        if whole:
-            forward.append((mask, deltas))
-            backward.append((mask, _deltas(run[::-1], wires, width)))
-            continue
-        keys = _patterns(mask)
-        deltas = [keys[c] for c in deltas]
-        forward.append((mask, dict(zip(keys, deltas))))
-        backward.append((mask, {p ^ d: d for p, d in zip(keys, deltas)}))
-    return tuple(forward), tuple(reversed(backward)), flips
-
-
 @dataclass(frozen=True)
 class ReversibleCircuit:
-    """A circuit of ``width`` wires.  Circuits of at most
-    ``MAX_EXHAUSTIVE_WIDTH`` wires carry lookup tables, forward and
-    backward, and their nots as one XOR mask, which ``_fuse`` fills from
-    ``_run_wires`` at construction and keeps outside the compared fields:
-    up to ``MAX_PERMUTATION_WIDTH`` wires one table of the whole map, above
-    that one table per run of gates on at most ``_FUSE_WIDTH`` wires.
-    Wider circuits carry none, so a huge width never turns a short gate line into
-    huge masks.  Nor does a circuit whose tables would hold more than
-    ``MAX_FUSED_ENTRIES`` entries, so a long gate list builds no huge
-    tables."""
+    """A circuit of ``width`` wires.  One of at most
+    ``MAX_PERMUTATION_WIDTH`` wires carries one table of its whole map each
+    way, nots included, which ``_deltas`` fills from ``_run_wires`` at
+    construction and keeps outside the compared fields: an ``array`` of
+    deltas indexed by the state, at most 4096 entries whatever the gate
+    count.  A wider circuit carries none and runs its wire list, so neither
+    a huge width nor a long gate list builds huge tables."""
 
     width: int
     gates: Tuple[ReversibleGate, ...]
 
-    # (forward tables, backward tables, flips) or None, set per instance at
-    # widths <= MAX_EXHAUSTIVE_WIDTH
-    _fused = None
+    # (mask, forward deltas, backward deltas) or None, set per instance at
+    # widths <= MAX_PERMUTATION_WIDTH
+    _table = None
 
     def __post_init__(self) -> None:
         if self.width < 0:
@@ -228,39 +145,34 @@ class ReversibleCircuit:
         for g in self.gates:
             if max(g.wires, default=-1) >= self.width:
                 raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
-        if self.width <= MAX_EXHAUSTIVE_WIDTH:
-            object.__setattr__(self, "_fused", _fuse(self.gates, self.width))
+        if self.width <= MAX_PERMUTATION_WIDTH:
+            table = ((1 << self.width) - 1, _deltas(self.gates, self.width),
+                     _deltas(self.gates[::-1], self.width))
+            object.__setattr__(self, "_table", table)
 
     def eval_int(self, value: int) -> int:
         """The circuit on the integer encoding of one state; bits above the
-        width (and a negative int's sign) pass through.  A circuit with
-        tables takes one lookup per table, one in all up to
-        ``MAX_PERMUTATION_WIDTH`` wires, and XORs its nots in last; one
-        without runs its wire list."""
-        if self._fused is not None:
-            forward, _, flips = self._fused
-            for mask, table in forward:
-                value ^= table[value & mask]
-            return value ^ flips
+        width (and a negative int's sign) pass through.  A circuit with a
+        table takes one lookup; one without runs its wire list."""
+        if self._table is not None:
+            mask, forward, _ = self._table
+            return value ^ forward[value & mask]
         wires = _run_wires(self.gates, _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 
     def eval_int_reversed(self, value: int) -> int:
-        """The inverse of ``eval_int``: the nots first, then the inverse
-        tables in reverse order, or the wire list reversed."""
-        if self._fused is not None:
-            _, backward, flips = self._fused
-            value ^= flips
-            for mask, table in backward:
-                value ^= table[value & mask]
-            return value
+        """The inverse of ``eval_int``: one lookup in the backward table, or
+        the wire list reversed."""
+        if self._table is not None:
+            mask, _, backward = self._table
+            return value ^ backward[value & mask]
         wires = _run_wires(reversed(self.gates), _unpack(value, self.width))
         return _pack_bits(wires, value >> self.width)
 
     def table_sizes(self) -> List[int]:
-        """The entry count of each forward table, in run order; none on the
-        wire list."""
-        return [] if self._fused is None else [len(table) for _, table in self._fused[0]]
+        """The entry count of the forward table, ``[2**width]``; ``[]`` on
+        the wire list."""
+        return [] if self._table is None else [len(self._table[1])]
 
     def as_bijection(self, label: str = "") -> Bijection:
         return Bijection(

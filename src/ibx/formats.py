@@ -48,9 +48,10 @@ class FormatError(ValueError):
 # turns every input into a wire.  Lifts of desk-scale boolean circuits reach
 # a few hundred wires.
 MAX_WIRES = 1 << 16
-# The most gate lines a circuit document may hold, checked the same way: a
-# circuit of 13 to 20 wires builds about 2 KiB of lookup tables a gate (one
-# of at most 12 wires builds one whole table of at most 16 KiB, both ways).
+# The most gate lines a circuit document may hold, checked the same way, so
+# the parse and a wire-list step stay bounded.  The tables do not need it: a
+# circuit of at most 12 wires builds one whole table of at most 16 KiB, both
+# ways, whatever its gate count, and a wider one builds none.
 MAX_GATES = 1 << 16
 
 

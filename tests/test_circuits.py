@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibx import circuits
 from ibx.circuits import (
     CLASSICAL_ARITY,
     GATE_ARITY,
     CircuitError,
     ClassicalCircuit,
     ClassicalGate,
-    _FUSE_WIDTH,
     MAX_PERMUTATION_WIDTH,
     _pack_bits,
     _run_wires,
@@ -189,13 +187,14 @@ def test_every_circuit_of_up_to_three_gates_on_three_wires_matches_the_wire_rule
             assert [c.eval_int_reversed(y) for y in ys] == states, gs
 
 
-@pytest.mark.parametrize("width", range(13, MAX_EXHAUSTIVE_WIDTH + 2))
+@pytest.mark.parametrize("width", range(MAX_PERMUTATION_WIDTH, MAX_EXHAUSTIVE_WIDTH + 2))
 def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
-    """Circuits are lowered to tables up to MAX_EXHAUSTIVE_WIDTH wires."""
+    """Circuits are lowered to one table up to MAX_PERMUTATION_WIDTH wires."""
     c = _every_kind_circuit(rng, width, 80, 0.3)
     undo = invert_circuit(c)
-    # the widest circuit with tables carries them; one wire wider carries none
-    assert (set(vars(c)) > {"width", "gates"}) == (width <= MAX_EXHAUSTIVE_WIDTH)
+    # the widest circuit with a table carries it; one wire wider carries none
+    assert (set(vars(c)) > {"width", "gates"}) == (width <= MAX_PERMUTATION_WIDTH)
+    assert c.table_sizes() == ([1 << width] if width <= MAX_PERMUTATION_WIDTH else [])
     for v in (rng.randrange(1 << width) for _ in range(200)):
         y, back = _eval_by_wires(c, v), _eval_by_wires(undo, v)
         assert (c.eval_int(v), c.eval_int_reversed(v)) == (y, back)
@@ -208,46 +207,8 @@ def test_scalar_evaluation_on_both_sides_of_the_lowering_cap(rng, width):
         assert int(c.eval_int_reversed(np.int64(v))) == back
 
 
-def _blocks_circuit(rng, width, span, blocks, not_share):
-    """``blocks`` blocks of ``span`` gates, each block on exactly ``span``
-    wires, its first gate on a wire outside the block before it; a
-    ``not_share`` of nots on any wire between them."""
-    gates, before = [], set()
-    for _ in range(blocks):
-        fresh = rng.choice([w for w in range(width) if w not in before])
-        ws = [fresh] + rng.sample([w for w in range(width) if w != fresh], span - 1)
-        for i in range(span):
-            kind = rng.choice(["swap", "cnot", "toffoli", "fredkin"])
-            wires = [ws[(i + j) % span] for j in range(GATE_ARITY[kind])]
-            rng.shuffle(wires)
-            gates.append(gate(kind, *wires))
-            while rng.random() < not_share:
-                gates.append(gate("not", rng.randrange(width)))
-        before = set(ws)
-    return ReversibleCircuit(width, tuple(gates))
-
-
 def _sample_states(rng, width):
     return range(1 << width) if width <= 12 else [rng.randrange(1 << width) for _ in range(300)]
-
-
-@pytest.mark.parametrize("span", [_FUSE_WIDTH, _FUSE_WIDTH + 1])
-@pytest.mark.parametrize("width", [MAX_PERMUTATION_WIDTH + 1, 16, MAX_EXHAUSTIVE_WIDTH])
-def test_fused_runs_split_at_the_fuse_width(rng, width, span):
-    """Blocks on exactly the fuse width fill one table each; blocks on one
-    wire more split inside.  Either way the tables match the wire rule."""
-    blocks = 6
-    c = _blocks_circuit(rng, width, span, blocks, 0.3)
-    forward, backward, _ = c._fused
-    masks = [mask for mask, _ in forward]
-    if span == _FUSE_WIDTH:
-        assert len(masks) == blocks and {m.bit_count() for m in masks} == {_FUSE_WIDTH}
-    else:
-        assert len(masks) > blocks and max(m.bit_count() for m in masks) <= _FUSE_WIDTH
-    undo = invert_circuit(c)
-    for v in _sample_states(rng, width):
-        assert c.eval_int(v) == _eval_by_wires(c, v)
-        assert c.eval_int_reversed(v) == _eval_by_wires(undo, v)
 
 
 @pytest.mark.parametrize("width", [1, 3, 7, 12, 16, MAX_EXHAUSTIVE_WIDTH])
@@ -262,41 +223,18 @@ def test_fused_edge_circuits_match_the_wire_rule(rng, width):
         if arity <= width:
             cases.append(ReversibleCircuit(width, (gate(kind, *rng.sample(range(width), arity)),)))
     for c in cases:
-        forward, backward, _ = c._fused
-        assert len(forward) == len(backward) == sum(g.kind != "not" for g in c.gates)
         undo = invert_circuit(c)
         for v in _sample_states(rng, width):
             assert c.eval_int(v) == _eval_by_wires(c, v), c
             assert c.eval_int_reversed(v) == _eval_by_wires(undo, v), c
 
 
-def test_fused_tables_are_bounded_by_the_fuse_width_and_the_gate_count(rng):
-    """At most 2**_FUSE_WIDTH entries a table and no more tables than
-    non-not gates, so the tables grow linearly in the gate count; each run
-    is maximal, so two neighbouring tables never fit in one."""
-    cases = [
-        _every_kind_circuit(rng, MAX_EXHAUSTIVE_WIDTH, 3000, 0.2),
-        _every_kind_circuit(rng, MAX_PERMUTATION_WIDTH + 1, 500, 0.0),
-        _blocks_circuit(rng, MAX_EXHAUSTIVE_WIDTH, _FUSE_WIDTH + 1, 50, 0.0),
-        ReversibleCircuit(6, tuple(gate("toffoli", *rng.sample(range(6), 3)) for _ in range(200))),
-    ]
-    for c in cases:
-        forward, backward, _ = c._fused
-        assert len(forward) == len(backward) <= sum(g.kind != "not" for g in c.gates)
-        for (mask, table), (back_mask, back_table) in zip(forward, reversed(backward)):
-            assert back_mask == mask and len(table) == len(back_table) == 1 << mask.bit_count()
-            assert mask.bit_count() <= _FUSE_WIDTH
-        for (m1, _), (m2, _) in zip(forward, forward[1:]):
-            assert (m1 | m2).bit_count() > _FUSE_WIDTH
-    assert len(cases[-1]._fused[0]) == 1  # six wires: one table for the whole circuit
-
-
 @pytest.mark.parametrize("width", range(MAX_PERMUTATION_WIDTH + 1))
 def test_narrow_circuits_step_by_one_whole_table(rng, width):
-    """Up to MAX_PERMUTATION_WIDTH wires, a circuit with a gate other than
-    not has one table each way: an array of 16-bit deltas, indexed by the
-    state.  On every state both ways equal ``_run_wires``, and bits above
-    the width and a negative int's sign pass through."""
+    """Up to MAX_PERMUTATION_WIDTH wires, every circuit, the empty and the
+    nots-only ones too, has one table each way: an array of 16-bit deltas,
+    indexed by the state.  On every state both ways equal ``_run_wires``,
+    and bits above the width and a negative int's sign pass through."""
     cases = [
         ReversibleCircuit(width, ()),
         ReversibleCircuit(width, tuple(gate("not", rng.randrange(width)) for _ in range(9 if width else 0))),
@@ -304,13 +242,11 @@ def test_narrow_circuits_step_by_one_whole_table(rng, width):
         _every_kind_circuit(rng, width, 60, 0.1),
     ]
     for c in cases:
-        forward, backward, _ = c._fused
-        tables = int(any(g.kind != "not" for g in c.gates))
-        assert len(forward) == len(backward) == tables
-        assert c.table_sizes() == [1 << width] * tables
-        for mask, table in forward + backward:
-            assert mask == (1 << width) - 1
-            assert isinstance(table, array) and table.itemsize == 2 and len(table) == 1 << width
+        mask, forward, backward = c._table
+        assert mask == (1 << width) - 1
+        assert c.table_sizes() == [1 << width]
+        for table in (forward, backward):
+            assert isinstance(table, array) and table.typecode == "H" and len(table) == 1 << width
         for v in range(1 << width):
             y = _pack_bits(_run_wires(c.gates, _unpack(v, width)))
             back = _pack_bits(_run_wires(c.gates[::-1], _unpack(v, width)))
@@ -327,24 +263,6 @@ def test_wide_circuits_carry_no_tables():
         c = ReversibleCircuit(width, (gate("fredkin", 0, top // 2, top), gate("not", top)))
         assert set(vars(c)) == {"width", "gates"}
         assert c.eval_int(0) == 1 and c.eval_int_reversed(1) == 0
-
-
-def test_fused_entries_are_capped_before_any_table_is_filled(rng, monkeypatch):
-    """A circuit whose tables would hold more than ``MAX_FUSED_ENTRIES``
-    entries carries none, and fills none, and runs its wire list; at the cap
-    it is fused.  Both sides equal ``_run_wires`` both ways."""
-    c = _every_kind_circuit(rng, 12, 80, 0.2)
-    entries = sum(len(table) for _, table in c._fused[0])
-    for cap in (entries, entries - 1):
-        monkeypatch.setattr(circuits, "MAX_FUSED_ENTRIES", cap)
-        if cap < entries:  # an over-cap circuit fills no table
-            monkeypatch.setattr(circuits, "_run_wires", None)
-        d = ReversibleCircuit(c.width, c.gates)
-        monkeypatch.undo()
-        assert (d._fused is None) == (cap < entries)
-        for v in range(1 << 12):
-            want = _pack_bits(_run_wires(d.gates, _unpack(v, 12)))
-            assert d.eval_int(v) == want and d.eval_int_reversed(want) == v
 
 
 def test_evaluation_leaves_circuit_values_alone(rng, make_circuit):

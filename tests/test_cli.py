@@ -685,10 +685,9 @@ def test_report_emits_json(tmp_path, capsys):
     assert {"ibx.circuits", "ibx.formats"} <= set(report["loaded"])
 
 
-@pytest.mark.parametrize("width, tables, entries", [(8, 1, 256), (16, 2, 32 + 16), (24, 0, 0)])
+@pytest.mark.parametrize("width, tables, entries", [(8, 1, 256), (12, 1, 4096), (13, 0, 0)])
 def test_circuit_report_counts_tables(tmp_path, capsys, width, tables, entries):
-    """One whole table up to 12 wires; above, one table per run of gates
-    on at most 6 wires (wires 0-4, then 5-7 and 1); above 20 wires none."""
+    """One whole table up to 12 wires; above that none, on the wire list."""
     path = tmp_path / "c.rc"
     path.write_text(f"wires {width}\nnot 0\ntoffoli 0 1 2\ncnot 3 4\nfredkin 5 6 7\nswap 1 7\n")
     state = ["--input", "1" * width]
@@ -979,7 +978,7 @@ def test_widest_circuit_document_parses_in_bounded_memory(tmp_path):
 
 
 def test_a_circuit_document_over_the_gate_cap_is_one_error_line(tmp_path):
-    # 20 wires: every gate would build lookup tables
+    # one gate line over the cap, rejected before any gate is built
     lines = ["wires 20"] + [f"cnot {i % 19} 19" for i in range(formats.MAX_GATES + 1)]
     (tmp_path / "long.rc").write_text("\n".join(lines) + "\n")
     done = run_fresh(["-m", "ibx.cli", "circuit", "parity", "--file", "long.rc"], tmp_path,
@@ -988,6 +987,23 @@ def test_a_circuit_document_over_the_gate_cap_is_one_error_line(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
     assert "gates exceed the cap of 65536" in done.stderr
+
+
+@pytest.mark.parametrize("width, tables, entries", [(20, 0, 0), (12, 1, 4096)])
+def test_a_circuit_document_at_the_gate_cap_runs_in_bounded_memory(tmp_path, width, tables, entries):
+    # exactly MAX_GATES gate lines: above 12 wires the wire list and no
+    # table, up to 12 wires one table of 2**width entries each way
+    top = width - 1
+    lines = [f"wires {width}"] + [f"toffoli {i % top} {(i + 5) % top} {top}"
+                                  for i in range(formats.MAX_GATES)]
+    (tmp_path / "long.rc").write_text("\n".join(lines) + "\n")
+    done = run_fresh(["-m", "ibx.cli", "circuit", "iterate", "--file", "long.rc",
+                      "--input", "1" * width, "--n", "10", "--report"], tmp_path,
+                     preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.strip()) == width
+    counts = json.loads(done.stderr)["step_counts"]
+    assert (counts["tables"], counts["table_entries"]) == (tables, entries)
 
 
 def test_a_circuit_over_the_plb_stage_cap_is_one_error_line(tmp_path):
