@@ -7,16 +7,16 @@ form, i.e. the most significant bit.  Wire i therefore lives at bit position
 involution, so a circuit is inverted by reversing its gate list.
 ``_run_wires`` is the one statement of what a gate does to a state: it runs
 a list with one value per wire, a bit for one state or a Python int whose
-bit j is the wire at state j of many (bit-slicing).  ``kernel.images`` reads
-a circuit's images from slices, and the lift checks run a chunk of states so.
-A reversible circuit of at most ``MAX_PERMUTATION_WIDTH`` wires is also
-compiled once, at construction, to one table of its whole map each way, an
-``array`` of deltas on the integer encoding, filled by running its gates on
-every state as slices; a single Python int then takes one lookup.  A wider
+bit j is the wire at state j of many (bit-slicing).  The exhaustive check's
+round trip and the lift checks run a chunk of states so.  A reversible
+circuit of at most ``MAX_PERMUTATION_WIDTH`` wires is also compiled once, at
+construction, to one table of its whole map each way, an ``array`` of deltas
+on the integer encoding, filled by running its gates on every state as
+slices; a single Python int then takes one lookup, and its permutation, the
+one image reader of a circuit, is read off the forward table.  A wider
 circuit runs its wire list.  Boolean circuits evaluate single states on a
-list of bits.  Whole-state tables, state slices and cycles come from
-``kernel``; numpy is imported only by the functions that tabulate the whole
-state space.
+list of bits.  State slices and cycles come from ``kernel``; the module is
+pure Python.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from operator import xor
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     _counting_wires, _DIGITS, _VALUES, images, iterate_bijection, state_slices)
+                     _counting_wires, _DIGITS, _VALUES, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -206,12 +207,13 @@ def iterate_circuit(circuit: ReversibleCircuit, n: int, a: Bitstring) -> Bitstri
 
 
 def permutation_of(circuit: ReversibleCircuit) -> List[int]:
-    """The permutation of [0, 2**w) the circuit realizes; capped at w <= 12."""
+    """The circuit's permutation of [0, 2**w), off its forward table; capped at w <= 12."""
     if circuit.width > MAX_PERMUTATION_WIDTH:
         raise CircuitError(
             f"width {circuit.width} exceeds permutation tabulation cap {MAX_PERMUTATION_WIDTH}"
         )
-    return list(images(circuit.as_bijection()))
+    forward = circuit._table[1]
+    return list(map(xor, range(len(forward)), forward))
 
 
 def parity(perm: Sequence[int]) -> str:
@@ -225,10 +227,10 @@ def circuit_parity(circuit: ReversibleCircuit) -> str:
     its own permutation on 2**(w - m) copies, an even number, so it is even;
     no gate touches more than MAX_GATE_ARITY wires, so every circuit wider
     than that is even, without evaluating a state.  Narrower circuits count
-    the cycles of their at most 8 images, read one by one without numpy."""
+    the cycles of their ``permutation_of``, at most 8 images."""
     if circuit.width > MAX_GATE_ARITY:
         return "even"
-    return parity([circuit.eval_int(x) for x in range(1 << circuit.width)])
+    return parity(permutation_of(circuit))
 
 
 def negation_map(width: int) -> Bijection:

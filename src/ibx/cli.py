@@ -113,6 +113,8 @@ MAX_LEAF_BITS = 62
 MAX_GAP_COUNT = 1 << 20
 MAX_GAP_SWEEP = 256
 
+MAX_ERROR_CHARS = 200  # characters an error line keeps: a message may quote a token of any length
+
 
 def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
     """Reject a size argument above its cap before anything is built."""
@@ -742,7 +744,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload = _HANDLERS[args.command](args, run)
     except (ValueError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc)[:MAX_ERROR_CHARS]}", file=sys.stderr)
         return 1
     report = run.report
     report.payload = payload

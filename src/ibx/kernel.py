@@ -22,20 +22,18 @@ Conventions used across the package:
   integer encoding.  They must be total: encodings that fall outside the
   intended domain map to themselves.
 * ``images`` yields f's images in input order as Python ints, lazily:
-  f.forward over the inputs, or for a map with ``sliced`` evaluators
-  (circuits) one chunk of ``state_slices``, the one whole-state
-  enumerator, per call, transposed with numpy, the module's only numpy
-  code.  ``check_bijection_exhaustive`` is one pass over ``images``,
-  unless a round trip through the map's sliced evaluators already proves
-  it a bijection, so a failure costs only the inputs or chunks up to it,
-  and a scalar map is checked without numpy.
+  f.forward over the inputs, for every map, in pure Python.
+  ``check_bijection_exhaustive`` is one pass over ``images``, unless a
+  round trip through the map's sliced evaluators over ``state_slices``,
+  the one whole-state enumerator, already proves it a bijection, so a
+  failure costs that round trip, if any, and the inputs up to the
+  failing one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
@@ -155,9 +153,10 @@ class Bijection:
     they map to themselves, keeping the map total on all 2**width values.
     ``sliced`` optionally holds (forward, backward) on S states at once, as
     ``state_slices`` gives them: ``(wires, ones) -> wires``, with ones =
-    2**S - 1.  ``leap`` is an optional signed leap (see ``iterate_map``)
-    over ``forward`` and ``backward`` runs.  These fields state what the
-    evaluators can do; results are the same either way.
+    2**S - 1, for a round trip that can prove a bijection; images, and so
+    failures, come from ``forward``.  ``leap`` is an optional signed leap
+    (see ``iterate_map``) over ``forward`` and ``backward`` runs.  These
+    fields state what the evaluators can do; results are the same either way.
     """
 
     width: int
@@ -325,7 +324,7 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     after forward on each chunk of ``state_slices`` and compares the result
     with the chunk's own wires.  On a finite set a left inverse proves a
     bijection, so when every chunk comes back the check passes at once.
-    Otherwise the pass reads ``images`` up to the first failing input.
+    Otherwise the pass calls f.forward on each input up to the first failing one.
     """
     _check_cap(f.width)
     if f.backward is not None and f.sliced and _round_trips(f):
@@ -357,8 +356,8 @@ def _check_cap(width: int) -> None:
 def _round_trips(f: Bijection) -> bool:
     """Whether f's sliced backward undoes its sliced forward on every chunk
     of ``state_slices``, with the forward wires ``width`` ints that hold
-    only the chunk's states, so the table ``images`` would fill from them
-    holds the same map."""
+    only the chunk's states: a bit outside them is no state's image, so a
+    round trip through it proves nothing."""
     forward, backward = f.sliced
     for states, wires in state_slices(f.width):
         ones = (1 << len(states)) - 1
@@ -396,29 +395,11 @@ def state_slices(k: int):
 
 
 def images(f: Bijection) -> Iterator[int]:
-    """f.forward on every state 0 .. 2**width - 1, in order, as an iterator
-    of Python ints, for widths up to ``MAX_EXHAUSTIVE_WIDTH`` (checked at
-    the call): f.forward on each input, or f's sliced forward on one chunk
-    of ``state_slices`` at a time, as the iterator reaches the chunk."""
+    """f.forward on every state 0 .. 2**width - 1, in order, as a lazy
+    iterator of Python ints, for widths up to ``MAX_EXHAUSTIVE_WIDTH``
+    (checked at the call)."""
     _check_cap(f.width)
-    if f.sliced is None:
-        return map(f.forward, range(1 << f.width))
-    return chain.from_iterable(_chunk_images(f.sliced[0], f.width))
-
-
-def _chunk_images(forward: Callable, width: int) -> Iterator[List[int]]:
-    """The images of each chunk of ``state_slices``: the forward wires
-    transposed into states by numpy, one byte-per-bit row a wire."""
-    import numpy as np
-
-    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
-    for states, wires in state_slices(width):
-        count = len(states)
-        nbytes = (count + 7) // 8
-        raw = b"".join(w.to_bytes(nbytes, "little") for w in forward(wires, (1 << count) - 1))
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(width, nbytes), axis=1,
-                             count=count, bitorder="little")
-        yield (weights @ bits).tolist()
+    return map(f.forward, range(1 << f.width))
 
 
 def identity(width: int) -> Bijection:

@@ -131,8 +131,9 @@ def _eval_by_wires(c, v):
 
 
 def test_sliced_eval_matches_scalar_eval_and_wire_semantics(rng):
-    """The tables filled from the sliced evaluators, both ways, against the
-    scalar evaluators and the one-state wire rule."""
+    """The whole-map tables, which ``_deltas`` fills from sliced runs of the
+    gates, both ways, read by ``eval_int``, ``permutation_of`` and
+    ``images``, against the one-state wire rule."""
     for width in range(13):
         kinds = [k for k, a in GATE_ARITY.items() if a <= width]
         gates = []

@@ -758,7 +758,7 @@ def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None, timeout=120):
 # The cli benchmark workload's array-free commands and the other ca and
 # lift commands, on small inputs.  None loads numpy (only `verify all`
 # does), not even the parity of a 3-wire circuit, which reads its 8 images
-# one by one.
+# off its table.
 STARTUP_COMMANDS = {
     "iet_solve_n1": ["iet", "solve", "--file", "t.iet", "--i", "6", "--n", "1"],
     "iet_solve_n1e20": ["iet", "solve", "--file", "t.iet", "--i", "2", "--n", str(10**20)],
@@ -876,6 +876,9 @@ def test_documents_declaring_huge_sizes_are_one_error_line(tmp_path, argv, docum
 
 AND_GATE = "inputs 2\nand 2 0 1\noutputs 2\n"
 PHASE_2_GRID = "bbm 4 4 2\n....\n....\n....\n....\n"
+# numbers too long to parse, which the error message quotes
+HUGE_WIRE = "wires 3\nnot " + "9" * 100_000 + "\n"
+HUGE_PLB_HEADER = "plb " + "9" * 5001 + "\n"
 # ROADMAP item 6's rotation of N = 10**12 written with a one-point -1 piece:
 # no power path takes it, so plb iterate walks every step
 FLIPPED_ROTATION = """plb 1000000000000
@@ -896,6 +899,7 @@ piece 618033988749 1000000000000 1 -618033988749
         (["reduce", "oracle", "--fn", "increment", "--width", "3", "--input", "101", "--count", "-1"],
          None, "error: --count must be nonnegative, got -1"),
         (["circuit", "eval", "--input", "012"], "wires 3\nnot 0\n", "not a binary numeral"),
+        (["circuit", "eval", "--input", "101"], HUGE_WIRE, "error: not: '999"),
         (["circuit", "iterate", "--input", "1", "--n", "3"], "wires 2\nnot 0\n",
          "input width 1 does not match bijection width 2"),
         (["circuit", "invert"], "wires 3\ncnot 0\n", "cnot takes 2 wires"),
@@ -918,6 +922,7 @@ piece 618033988749 1000000000000 1 -618033988749
         (["ca", "dimredux-verify", "--n", "1"], "bbm 2 2 0\n..\n..\n", "circumference"),
         (["ca", "strobe-demo", "--t", "3", "--n", "1", "--ring", "0"], None, "at least one cell"),
         (["plb", "validate"], FIG_IET, "expected 'plb N'"),
+        (["plb", "validate"], HUGE_PLB_HEADER, "error: plb header: '999"),
         (["plb", "apply", "--x", "4"], "plb 4\npiece 0 4 1 0\n", "4 outside [0,4)"),
         (["plb", "iterate", "--x", "-1", "--n", "1"], "plb 4\npiece 0 4 1 0\n", "-1 outside [0,4)"),
         (["plb", "compose", "--files", "doc.txt"], FIG_IET, "expected 'plb N'"),
@@ -936,21 +941,23 @@ piece 618033988749 1000000000000 1 -618033988749
         ),
     ],
     ids=["count-cubic-0", "second-cycle-cubic-0", "one-vertex-cycle", "sweep-0", "sweep-minus-1",
-         "oracle-count-minus-1", "circuit-eval-digit-2", "circuit-iterate-width",
-         "circuit-invert-arity", "circuit-parity-arity", "plb-from-circuit-arity",
+         "oracle-count-minus-1", "circuit-eval-digit-2", "circuit-eval-huge-wire",
+         "circuit-iterate-width", "circuit-invert-arity", "circuit-parity-arity", "plb-from-circuit-arity",
          "lift-bennett-width", "lift-exact-not-square", "summation-bad-constant",
          "clock-cat-0", "leaf-walk-k-0", "leaf-compile-too-long", "leaf-compile-too-short",
          "second-cycle-loop-edge", "count-no-edge", "bbm-run-phase-2", "bbm-reverse-phase-2",
          "dimredux-run-2x2",
-         "dimredux-verify-2x2", "strobe-ring-0", "plb-validate-iet", "plb-apply-at-n",
+         "dimredux-verify-2x2", "strobe-ring-0", "plb-validate-iet", "plb-validate-huge-header",
+         "plb-apply-at-n",
          "plb-iterate-minus-1", "plb-compose-iet", "riffle-1", "rotate-low-1", "iet-build-plb",
          "iet-solve-at-n", "three-gap-count-minus-1", "plb-iterate-walk-hang"],
 )
 def test_degenerate_inputs_are_one_error_line(tmp_path, argv, document, message):
     # one degenerate input per subcommand but verify all: an empty graph, a
     # one-vertex cycle, a bad digit, width or gate, a size below its floor,
-    # a point outside the map, a document of the wrong kind; each child
-    # must answer within seconds
+    # a point outside the map, a document of the wrong kind, a number too
+    # long to parse; each child must answer within seconds, on one error
+    # line of bounded length
     if document == "k4":
         document = formats.write_cubic(graphs.complete_graph_k4())
     if document is not None:
@@ -961,6 +968,7 @@ def test_degenerate_inputs_are_one_error_line(tmp_path, argv, document, message)
     assert done.returncode == 1 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert len(done.stderr) <= len("error: \n") + cli.MAX_ERROR_CHARS
     assert message in done.stderr
 
 
@@ -1074,7 +1082,7 @@ assert "numpy" not in sys.modules, "numpy imported"
 
 def test_orders_and_parity_run_without_numpy(tmp_path):
     code = """
-import sys
+import random, sys
 from ibx import circuits, kernel, plb
 assert plb.permutation_order(plb.riffle(13)) == 12
 assert circuits.parity([1, 0, 2]) == "odd"
@@ -1088,6 +1096,17 @@ assert list(kernel.images(cat)) == [cat.forward(v) for v in range(64)]
 halve = kernel.Bijection(3, lambda v: v // 2)
 zero, one = kernel.Bitstring(0, 3), kernel.Bitstring(1, 3)
 assert kernel.check_bijection_exhaustive(halve) == kernel.BijectionCheck(False, (zero, one), "collision")
+rng = random.Random(12)
+kinds = rng.choices(list(circuits.GATE_ARITY), k=50)
+c = circuits.ReversibleCircuit(12, tuple(
+    circuits.gate(k, *rng.sample(range(12), circuits.GATE_ARITY[k])) for k in kinds))
+perm = circuits.permutation_of(c)
+assert perm == [c.eval_int(v) for v in range(1 << 12)]
+assert list(kernel.images(c.as_bijection())) == perm
+clear_low = lambda wires, ones: wires[:-1] + [0]
+keep = lambda wires, ones: wires
+low = kernel.Bijection(13, lambda v: v & ~1, lambda v: v, sliced=(clear_low, keep))
+assert kernel.check_bijection_exhaustive(low).reason == "collision"
 assert "numpy" not in sys.modules
 """
     done = run_fresh(["-c", code], tmp_path)

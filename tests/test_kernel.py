@@ -549,9 +549,7 @@ def test_check_catches_broken_backward():
 @pytest.mark.parametrize("shift", [4, -1])
 def test_check_backward_escape_is_an_inverse_failure(shift):
     """A backward value outside [0, 2**width) is reported, not raised, with
-    the witness (x, x), by the check and by the reference walk.  Only the
-    Python pass meets one: sliced maps put out w wires, which cannot
-    carry an escape."""
+    the witness (x, x), by the check and by the reference walk."""
     want = BijectionCheck(False, (Bitstring(0, 2), Bitstring(0, 2)), "inverse")
     f = Bijection(2, lambda v: v, lambda v: v + shift, "escape-back")
     assert check_bijection_exhaustive(f) == reference_walk(f) == want
@@ -804,9 +802,9 @@ def test_builtins_are_bijective():
 @pytest.mark.parametrize("fault", ["escape", "collision", "inverse"])
 def test_chunked_table_matches_the_python_pass_past_the_first_chunk(rng, fault):
     """A fault planted in a later chunk of a 13-bit map gives the same
-    result whether the table is filled chunk by chunk from slices or in
-    one Python pass.  An escape has no sliced form, so it is checked on
-    the Python pass alone."""
+    result with sliced evaluators, whose round trip fails and leaves the
+    check to the pass over the scalar images, as without them.  An
+    escape has no sliced form, so it is checked on the scalar map alone."""
     width = 13
     size = 1 << width
     for at in (STATE_CHUNK, STATE_CHUNK + 1, rng.randrange(STATE_CHUNK, size), size - 1):
@@ -846,17 +844,18 @@ def test_a_passing_sliced_check_builds_no_table(rng, monkeypatch):
 
 def test_a_round_trip_through_wires_outside_the_chunk_is_no_pass():
     # forward sets a bit above the chunk's 8 states and backward clears it:
-    # the pair round-trips, but no table holds such an image, so the check
-    # takes the table path, which rejects the wire as it always has
+    # the pair round-trips, but that bit is no state's image, so the round
+    # trip proves nothing and the pass over the colliding scalar forward
+    # reports the collision
     def fwd(wires, ones):
         return [wires[0] | ones + 1] + wires[1:]
 
     def back(wires, ones):
         return [wires[0] & ones] + wires[1:]
 
-    f = Bijection(3, lambda v: v, lambda v: v, "stray", sliced=(fwd, back))
-    with pytest.raises(OverflowError):
-        check_bijection_exhaustive(f)
+    f = Bijection(3, lambda v: v & ~1, lambda v: v, "stray", sliced=(fwd, back))
+    check = check_bijection_exhaustive(f)
+    assert check == reference_walk(f) and not check.ok
 
 
 def test_state_slices_hold_every_state_bit_by_bit():
@@ -888,19 +887,22 @@ def test_sliced_maps_are_asked_one_chunk_at_a_time():
 def test_a_failing_sliced_check_reads_only_up_to_its_failing_chunk():
     """A 14-bit sliced map whose forward clears bit 0 collides at input 1,
     in chunk 0 of four, and its identity backward is no inverse: the round
-    trip fails on chunk 0, and the pass over the images stops in it, so
-    the sliced forward is asked for chunk 0 twice and for no other chunk."""
-    asked = []
+    trip fails on chunk 0, so the sliced forward is asked for chunk 0 once
+    and for no other chunk, and the pass over the scalar images stops at
+    input 1, after at most two calls of the scalar forward."""
+    asked, called = [], []
 
     def clear_low(wires, ones):
         asked.append(tuple(wires[:2]))  # bits 13 and 12: the chunk's own
         return wires[:-1] + [0]
 
     keep = lambda wires, ones: wires  # noqa: E731
-    f = Bijection(14, lambda v: v & ~1, lambda v: v, "clear-low", sliced=(clear_low, keep))
+    f = Bijection(14, lambda v: called.append(v) or v & ~1, lambda v: v, "clear-low",
+                  sliced=(clear_low, keep))
     want = BijectionCheck(False, (Bitstring(0, 14), Bitstring(1, 14)), "collision")
-    assert check_bijection_exhaustive(f) == reference_walk(f) == want
-    assert asked == [(0, 0), (0, 0)]
+    assert check_bijection_exhaustive(f) == want
+    assert asked == [(0, 0)] and len(called) <= 2
+    assert reference_walk(f) == want
 
 
 def test_exhaustive_check_of_a_20_wire_circuit_stays_in_bounded_memory():
