@@ -508,8 +508,8 @@ def _verify_reductions(rng: random.Random) -> None:
         )
         if got != kernel.iterate(f, n, x):
             raise ValueError("clocked schedule disagrees with direct iteration")
-    # a count near 2**40 on a map with no power of its own: the oracle clock
-    # leaps each run of ticks, walking only the start's cycle of the map
+    # a count near 2**40: the oracle clock leaps each run of ticks, the
+    # active one by the cat map's own power
     cat = kernel.cat_map(5)
     sched, direct = _one_oracle_gate(
         cat, (1 << 40) - rng.randrange(1, 1 << 10), kernel.Bitstring(rng.randrange(64), cat.width)
@@ -540,19 +540,19 @@ def _verify_lollipop(rng: random.Random) -> None:
 
 
 def _verify_ca(rng: random.Random) -> None:
-    from . import ca
+    from . import ca, formats
 
-    cells = [[0] * 16 for _ in range(16)]
-    cells[4][4] = 1
-    g0 = ca.MargolusGrid(cells)
+    # grids read from text, as ``ca bbm-run`` reads them, so no numpy loads
+    rows = ["." * 16] * 16
+    rows[4] = "....#" + "." * 11
+    g0 = formats.parse_grid("\n".join(["bbm 16 16 0", *rows]))
     g = ca.simulate_bbm(g0, 20)
     if g.live_count() != 1:
         raise ValueError("single ball did not survive")
     if ca.simulate_bbm(g, -20) != g0:
         raise ValueError("reverse run did not recover the start")
-    grid = ca.MargolusGrid(
-        [[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]
-    )
+    rows = ["".join(".#"[rng.randint(0, 1)] for _ in range(4)) for _ in range(4)]
+    grid = formats.parse_grid("\n".join(["bbm 4 4 0", *rows]))
     auto = ca.dim_redux_compile(ca.bbm_rule(), 4, 8)
     if not ca.dim_redux_verify(auto, grid, 3):
         raise ValueError("1D replay diverged")

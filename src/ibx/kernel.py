@@ -4,8 +4,9 @@ and the whole-state-space evaluator.
 ``iterate_map`` is the package's one n-step engine, a single loop that
 every stepper, from circuits to block automata, runs through in either
 direction; a map that ticks a counter hands it one signed leap over those
-runs, a closed-form power its ``power_leap``, and any orbit shape ends
-the loop within a small multiple of tail + cycle moves.  ``iterate`` is
+runs, a closed-form power its ``power_leap`` (``power`` is the one square
+and multiply), and any orbit shape ends the loop within a small multiple
+of tail + cycle moves.  ``iterate`` is
 the literal loop it is tested against.  ``images`` is the one pass over
 the whole state space, ``cycle_lengths`` the one cycle reader, and
 ``inverse_table`` the one check and inverse of a permutation table.
@@ -260,6 +261,18 @@ def power_leap(power: Callable[[T, int], T]) -> Leap:
     return lambda y, r: (power(y, r), abs(r))
 
 
+def power(compose: Callable[[T, T], T], identity: T, f: T, n: int) -> T:
+    """f composed with itself n >= 0 times, by square and multiply: at most
+    2 * n.bit_length() calls of the associative ``compose``.  The package's
+    closed-form powers (affine maps mod M, the cat map's matrix) run here."""
+    out = identity
+    while n:
+        if n & 1:
+            out = compose(f, out)
+        f, n = compose(f, f), n >> 1
+    return out
+
+
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
     """f applied n times to x (f's backward map -n times when n < 0),
     leaping where f declares leaps."""
@@ -454,13 +467,27 @@ def cat_map(n: int) -> Bijection:
 
     (x, y) -> ((2x + y) mod n, (x + y) mod n).  A pair is packed into
     2*ceil(log2 n) bits with x in the high half; pairs with a coordinate
-    at n or above are fixed points.
+    at n or above are fixed points.  Its power, the matrix ((2, 1), (1, 1))
+    or its inverse ((1, -1), (-1, 2)) raised mod n by ``power``, leaps every
+    remaining step at once (``power_leap``).
     """
     if n < 1:
         raise ValueError("modulus must be positive")
     half = max(n - 1, 0).bit_length()
     width = 2 * half
     mask = (1 << half) - 1
+
+    def times(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
+        # 2x2 matrices mod n, as (top left, top right, bottom left, bottom right)
+        return ((p[0] * q[0] + p[1] * q[2]) % n, (p[0] * q[1] + p[1] * q[3]) % n,
+                (p[2] * q[0] + p[3] * q[2]) % n, (p[2] * q[1] + p[3] * q[3]) % n)
+
+    def cat_power(v: int, r: int) -> int:
+        x, y = v >> half, v & mask
+        if x >= n or y >= n:
+            return v
+        a, b, c, d = power(times, (1, 0, 0, 1), (2, 1, 1, 1) if r > 0 else (1, -1, -1, 2), abs(r))
+        return (((a * x + b * y) % n) << half) | ((c * x + d * y) % n)
 
     def fwd(v: int) -> int:
         x, y = v >> half, v & mask
@@ -474,7 +501,7 @@ def cat_map(n: int) -> Bijection:
             return v
         return (((x - y) % n) << half) | ((2 * y - x) % n)
 
-    return Bijection(width, fwd, back, label=f"cat/{n}")
+    return Bijection(width, fwd, back, label=f"cat/{n}", leap=power_leap(cat_power))
 
 
 def cat_pack(n: int, x: int, y: int) -> Bitstring:

@@ -14,7 +14,7 @@ Powers and orders take one of three paths.  An interval exchange answers
 from its induction (``ibx.iet``).  An affine map, x -> (a*x + b) mod M on
 [0, M) with every point of [M, N) fixed (every riffle and circular shift),
 is read off its pieces in O(k) and answers from its description: powers
-by square-and-multiply on (a, b) mod M, the order from the multiplicative
+by ``kernel.power`` on (a, b) mod M, the order from the multiplicative
 order of a.  ``power_path`` alone picks the path of a power, which the
 kernel engine takes as one leap, or walks; an order tabulates the images.
 
@@ -32,7 +32,7 @@ from functools import partial
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .kernel import cycle_lengths, iterate_map, power_leap
+from .kernel import cycle_lengths, iterate_map, power, power_leap
 
 if TYPE_CHECKING:
     from .circuits import ReversibleCircuit
@@ -309,19 +309,15 @@ def _affine_form(ps: Tuple[Piece, ...], domain: int) -> Optional[Tuple[int, int,
 
 def _affine_power(form: Tuple[int, int, int], x: int, n: int) -> int:
     """T^n(x) for the form (a, b, M): x at or above M, else (a'*x + b') mod M
-    with (a', b') the pair raised by square and multiply (inverse if n < 0)."""
+    with (a', b') the pair raised by ``kernel.power``, the 1x1 case of its
+    affine powers (inverse if n < 0)."""
     a, b, m = form
     if x >= m:
         return x
     if n < 0:
         a = pow(a, -1, m)
         b, n = -a * b % m, -n
-    pa, pb = 1 % m, 0
-    while n:
-        if n & 1:
-            pa, pb = a * pa % m, (a * pb + b) % m
-        a, b = a * a % m, (a * b + b) % m
-        n >>= 1
+    pa, pb = power(lambda p, q: (p[0] * q[0] % m, (p[0] * q[1] + p[1]) % m), (1 % m, 0), (a, b), n)
     return (pa * x + pb) % m
 
 

@@ -18,13 +18,13 @@ which keeps every map total.  ClockedCodec lays out the (c1, c2, payload
 word) bits; ``_clocked`` alone reads, guards and packs the hands, and each
 compiler's move unpacks its own fields.  A move's word is packed
 unchecked; a move that applies an outside map checks that map's image
-where it enters the state.
+where it enters the state.  Both clocked compilers run their outside map
+f^j by one rule, ``_power_of``, under one cap on the tables it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -177,9 +177,34 @@ def run_schedule(schedule: Schedule) -> Bitstring:
     return schedule.extract(final)
 
 
-MAX_CLOCK_WIDTH = 8
-# widest oracle without a backward evaluator, whose inverse is tabulated
+# widest forward-only map either clocked compiler runs, from a table of its images
 MAX_ORACLE_TABLE_WIDTH = 16
+
+
+def _power_of(f: Bijection) -> Optional[Callable[[int, int], int]]:
+    """f^j(y) for signed j, as both clocked compilers run f: by
+    ``kernel.iterate_map``, every image checked by ``_image``, on f's own
+    forward, backward and leap when f declares a backward (trusted to be
+    its inverse), else on the one table ``from_permutation`` builds of a
+    forward-only f's images, up to ``MAX_ORACLE_TABLE_WIDTH`` bits
+    (ReductionError past it, before anything is built); None when that
+    table is no permutation."""
+    k = f.width
+    if f.backward is None:
+        if k > MAX_ORACLE_TABLE_WIDTH:
+            raise ReductionError(f"forward-only oracle is wider than the table cap {MAX_ORACLE_TABLE_WIDTH}")
+        try:
+            f = from_permutation(images(f), k)
+        except ValueError:
+            return None
+
+    def step(t: int) -> int:
+        return _image(f.forward(t), k)
+
+    def back(t: int) -> int:
+        return _image(f.backward(t), k)
+
+    return lambda y, j: _image(iterate_map(step, j, y, back, f.leap), k)
 
 
 def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
@@ -244,28 +269,26 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     the a field holds f applied n times.  The stash tick raises ValueError,
     in either direction, when f(a) does not fit in k bits.
 
-    g's move (see ``_clocked``) takes every whole little-hand cycle left at
-    once: from (c1, 0, a, 0, 0) with r steps left and j = |r| // M >= 1, a
-    becomes f^j(a) (f^-j(a) when r < 0) and ``_clocked`` moves c1 by
-    j mod (n + 1), j * M steps either way; the move is keyed by c2 = 0
-    forward and by c2 = M - 1, the tick a step back undoes, backward.  The
-    first such move fills f's table from ``kernel.images``, as the oracle
-    compiler does, and ``kernel.from_permutation`` certifies it a
-    permutation and inverts it, so a forward-only f runs backward too;
-    f^±j(a) is ``kernel.iterate_map`` on those tables, which stops at a's
-    first return, so it costs at most twice a's cycle length in lookups,
-    whatever j.  Anywhere else, or when f is not a permutation, or an image
-    leaves k bits, the move is one tick of the rule above, raising where
-    the walk raises.  So run_schedule costs one tabulation of f and one
-    move, at any n.
+    g's move (see ``_clocked``) runs f^j by ``_power_of``, as the oracle
+    compiler does.  With that power it takes every whole little-hand cycle
+    left at once: from (c1, 0, a, 0, 0) with r steps left and
+    j = |r| // M >= 1, a becomes f^j(a) (f^-j(a) when r < 0) and
+    ``_clocked`` moves c1 by j mod (n + 1), j * M steps either way; the
+    move is keyed by c2 = 0 forward and by c2 = M - 1, the tick a step back
+    undoes, backward.  In a sweep it runs c straight to the firing
+    candidate f^-1(b) or to the sweep's end, whichever comes first within
+    |r|, and takes the firing tick alone, either way.  Every other tick,
+    and every tick of a forward-only f that is no permutation, is one tick
+    of the rule above, raising where the walk raises.  So a move costs O(1)
+    calls of f's power (one leap for the stock maps), and any run is a
+    handful of moves at any n and k.
     """
     k = f.width
-    if k > MAX_CLOCK_WIDTH:
-        raise ReductionError(f"width {k} exceeds clock cap {MAX_CLOCK_WIDTH}")
     if x.width != k:
         raise WidthMismatchError("input width does not match bijection width")
     if n < 0:
         raise ReductionError("iteration count must be nonnegative")
+    power = _power_of(f)
     size = 1 << k
     mask = size - 1
     m_small = size + 3
@@ -274,33 +297,27 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     sweep_end = size + 2
     k2 = 2 * k
 
-    @lru_cache(maxsize=None)
-    def tabulated() -> Optional[Bijection]:
-        # f on its tables, or None when f is no permutation of k bits
-        try:
-            return from_permutation(images(f), k)
-        except ValueError:
-            return None
-
     def move(c1: int, c2: int, word: int, r: int) -> Tuple[int, int]:
-        # word = a << 2k | b << k | c; first every whole little-hand cycle
-        # left, from b = c = 0 at a cycle's edge, else one tick
-        cycles = abs(r) // m_small
-        edge = c2 == (0 if r > 0 else m_small - 1) and not word & (1 << k2) - 1
-        if cycles and edge and (t := tabulated()) is not None:
-            a = iterate_map(t.forward, cycles if r > 0 else -cycles, word >> k2, t.backward)
-            return a << k2, cycles * m_small
+        # word = a << 2k | b << k | c; d is the direction of the run
+        b, c, d = word >> k & mask, word & mask, 1 if r > 0 else -1
+        if power is not None:
+            cycles = abs(r) // m_small
+            if cycles and c2 == (0 if r > 0 else m_small - 1) and not b | c:  # at a cycle's edge
+                return power(word >> k2, d * cycles) << k2, cycles * m_small
+            if 1 < c2 < sweep_end:  # the ticks before the firing candidate f^-1(b) fire nothing
+                fire = power(b, -1)
+                j = min((fire - c if r > 0 else c - 1 - fire) & mask, sweep_end - c2 if r > 0 else c2 - 1, abs(r))
+                if j:
+                    return word - c | (c + d * j) & mask, j
         if c2 == 0:
             return word ^ _image(f.forward(word >> k2), k) << k, 1
         if c2 == 1:
-            return word ^ (word >> k & mask) << k2, 1
+            return word ^ b << k2, 1
         if c2 < sweep_end:
-            c = word & mask
-            if r < 0:
-                c = (c - 1) & mask
-            if f.forward(c) == word >> k & mask:
+            c = c - (r < 0) & mask
+            if f.forward(c) == b:
                 word ^= c << k2
-            return word >> k << k | (c if r < 0 else (c + 1) & mask), 1
+            return word >> k << k | (c + (r > 0)) & mask, 1
         return word ^ (word >> k2) << k, 1  # c2 == sweep_end, the last little-hand value
 
     g = _clocked(codec, move, f"clock[{f.label}]")
@@ -406,9 +423,11 @@ def compile_oracle_circuit(
     place, ``circuits._pack_bits`` the bits.  The oracle's width must
     equal every oracle gate's s wires (WidthMismatchError, before anything
     is built), and a move raises ValueError when the oracle, either way,
-    returns a value that does not fit in its width.  An oracle with no
-    backward evaluator is inverted from a table of its images, up to
-    ``MAX_ORACLE_TABLE_WIDTH`` bits (ReductionError before anything is built).
+    returns a value that does not fit in its width.  g runs by
+    ``_power_of``, the clock compiler's rule: a declared backward is trusted
+    to be g's inverse, and a forward-only g is tabulated up to
+    ``MAX_ORACLE_TABLE_WIDTH`` bits and must be a permutation (ReductionError
+    before anything is built).
 
     h's move (see ``_clocked``) takes a gate's firing tick c2 = 0 alone,
     its own inverse, and every other run of ticks that act alike at once,
@@ -416,12 +435,12 @@ def compile_oracle_circuit(
     >= 1 at a boolean gate, c2 above an oracle gate's count as its n wires
     read now) run forward to the wrap and back to the run's first tick.
     An oracle gate's active run c2 = 1..count takes t to g^j(t), or g^-j(t)
-    backward: ``kernel.iterate_map`` on g with every image checked, taking
-    g's own leaps when it declares them (the stock maps) and otherwise
-    stopping at t's first return, so a move costs at most about twice t's
-    cycle length in calls of g, raises where the walk raises, and costs no
-    more calls than the walk.  A run of the whole schedule is then at most
-    three moves a gate and one for the spare slot, at any count.
+    backward, by that power: g's own leaps when it declares them (the stock
+    maps), and otherwise a walk that stops at t's first return, so a move
+    costs at most about twice t's cycle length in calls of g, raises where
+    the walk raises, and costs no more calls than the walk.  A run of the
+    whole schedule is then at most three moves a gate and one for the spare
+    slot, at any count.
     """
     from .circuits import _BOOL_FN, _pack_bits, _unpack
 
@@ -430,17 +449,15 @@ def compile_oracle_circuit(
     for g in oc.gates:
         if isinstance(g, OracleGate) and len(g.s_wires) != g_oracle.width:
             raise WidthMismatchError("oracle width does not match s wires")
-    if g_oracle.backward is None and g_oracle.width > MAX_ORACLE_TABLE_WIDTH:
-        raise ReductionError(f"forward-only oracle is wider than the table cap {MAX_ORACLE_TABLE_WIDTH}")
+    power = _power_of(g_oracle)
+    if power is None:
+        raise ReductionError("forward-only oracle is not a permutation")
     wires = oc.all_wires()
     w_count = len(wires)
     place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector
     m_small = oc.max_oracle_count() + 1
     m_big = len(oc.gates) + 1
     codec = ClockedCodec(m_big, m_small, (w_count,))
-
-    backward_oracle = g_oracle.backward or from_permutation(images(g_oracle), g_oracle.width).backward
-    width = g_oracle.width
 
     def read(vec: int, ws: Sequence[int]) -> int:
         bits = _unpack(vec, w_count)
@@ -451,12 +468,6 @@ def compile_oracle_circuit(
         for w, bit in zip(ws, _unpack(value, len(ws))):
             bits[place[w]] = bit
         return _pack_bits(bits)
-
-    def fwd(t: int) -> int:
-        return _image(g_oracle.forward(t), width)
-
-    def back(t: int) -> int:
-        return _image(backward_oracle(t), width)
 
     def move(c1: int, c2: int, vec: int, r: int) -> Tuple[int, int]:
         # ticks lo..hi of big-hand value c1, c2 among them, act alike: t := g(t)
@@ -475,8 +486,7 @@ def compile_oracle_circuit(
         j = min(hi - c2 + 1 if r > 0 else c2 - lo + 1, abs(r))
         if active is None:
             return vec, j
-        t = iterate_map(fwd, j if r > 0 else -j, read(vec, active.t_wires), back, g_oracle.leap)
-        return write(vec, active.t_wires, _image(t, width)), j
+        return write(vec, active.t_wires, power(read(vec, active.t_wires), j if r > 0 else -j)), j
 
     h = _clocked(codec, move, "oracle-clock")
     vec0 = write(0, range(oc.inputs), x.value)

@@ -1,12 +1,13 @@
 """Shared fixtures: a deterministic RNG and random-object builders."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from ibx import circuits
 from ibx.graphs import ImplicitFamily
-from ibx.kernel import Bitstring
+from ibx.kernel import Bitstring, iterate_bijection
 from ibx.plb import validate_plb
 
 
@@ -111,3 +112,11 @@ def logged(moves, step, back, leap, ticks=False):
         return hop
 
     return literal(step), literal(back), logged_leap
+
+
+def logged_run(g, steps, start):
+    """The bijection g run ``steps`` ticks from start, and the engine moves
+    it took: "step" for a literal step, and the tick count of each leap."""
+    moves = []
+    step, back, leap = logged(moves, g.forward, g.backward, g.leap, ticks=True)
+    return iterate_bijection(replace(g, forward=step, backward=back, leap=leap), steps, start), moves

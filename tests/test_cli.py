@@ -493,6 +493,44 @@ def test_reduce_clock_leaps_every_cycle_of_a_huge_n_at_once(tmp_path):
     assert done.stdout.strip() == format((x + 37 * n) % 256, "08b")
 
 
+def _cat_power(m, n, x, y):
+    """The cat map's n-th power at (x, y) mod m as an 80-bit numeral: its
+    matrix raised bit by bit, written out apart from the package's."""
+    def times(p, q):
+        return tuple(sum(p[2 * i + t] * q[2 * t + j] for t in range(2)) % m for i in range(2) for j in range(2))
+
+    mat, out = (2, 1, 1, 1), (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            out = times(mat, out)
+        mat, n = times(mat, mat), n >> 1
+    a, b, c, d = out
+    return format((a * x + b * y) % m << 40 | (c * x + d * y) % m, "080b")
+
+
+WIDE_N, CAT_M = 10**20 + 7, 10**12 + 39
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["reduce", "clock", "--fn", "add:37", "--width", "4096", "--x", "0" * 4095 + "1"],
+         format((1 + 37 * WIDE_N) % (1 << 4096), "04096b")),
+        (["reduce", "clock", "--fn", "rotl", "--width", "64", "--x", "0" * 63 + "1"],
+         format(1 << WIDE_N % 64, "064b")),
+        (["reduce", "clock", "--fn", f"cat:{CAT_M}", "--x", "0" * 79 + "1"], _cat_power(CAT_M, WIDE_N, 0, 1)),
+        (["reduce", "oracle", "--fn", f"cat:{CAT_M}", "--input", "0" * 79 + "1"], _cat_power(CAT_M, WIDE_N, 0, 1)),
+    ],
+    ids=["clock-add-4096", "clock-rotl-64", "clock-cat-80", "oracle-cat-80"],
+)
+def test_reduce_runs_wide_maps_by_their_own_power(tmp_path, argv, want):
+    # the clock has no width cap of its own: each run is a handful of leaps
+    count = ["--count" if argv[1] == "oracle" else "--n", str(WIDE_N)]
+    done = run_fresh(["-m", "ibx.cli", *argv, *count], tmp_path, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want
+
+
 def test_reduce_oracle_leaps_a_huge_count(tmp_path):
     # the walk takes 2**68 ticks here
     n = 10**20
@@ -755,10 +793,10 @@ def run_fresh(args, cwd, stdout=subprocess.PIPE, preexec_fn=None, timeout=120):
     )
 
 
-# The cli benchmark workload's array-free commands and the other ca and
-# lift commands, on small inputs.  None loads numpy (only `verify all`
-# does), not even the parity of a 3-wire circuit, which reads its 8 images
-# off its table.
+# The cli benchmark workload's commands and the other ca and lift commands,
+# on small inputs.  None loads numpy, not even `verify all`, whose ca suite
+# reads its grids from text, or the parity of a 3-wire circuit, which reads
+# its 8 images off its table.
 STARTUP_COMMANDS = {
     "iet_solve_n1": ["iet", "solve", "--file", "t.iet", "--i", "6", "--n", "1"],
     "iet_solve_n1e20": ["iet", "solve", "--file", "t.iet", "--i", "2", "--n", str(10**20)],
@@ -783,6 +821,7 @@ STARTUP_COMMANDS = {
     "plb_iterate_riffle": ["plb", "iterate", "--file", "riffle.plb", "--x", "5", "--n", str(10**20 + 7)],
     "plb_iterate_exchange": ["plb", "iterate", "--file", "t.plb", "--x", "2", "--n", str(-(10**20 + 7))],
     "plb_iterate_compiled": ["plb", "iterate", "--file", "c.plb", "--x", "5", "--n", "700"],
+    "verify_all": ["verify", "all"],
 }
 
 

@@ -393,8 +393,11 @@ def _dim_redux_ring(r):
 
 
 def _clock(r):
+    # f a forward-only table, run on its table, or a map that declares its
+    # own backward and leap, run on them
     k = r.randint(1, 3)
-    f = Bijection(k, r.sample(range(1 << k), 1 << k).__getitem__, None, "forward-only")
+    f = r.choice([Bijection(k, r.sample(range(1 << k), 1 << k).__getitem__, None, "forward-only"),
+                  add_const(k, r.randrange(1 << k))])
     s = compile_iteration_to_invertible(f, r.randint(0, 4), Bitstring(r.randrange(1 << k), k))
     return _bijection_row(s.g, _walked(s.g.forward, s.start.value, r.randrange(3 << k)))
 
@@ -440,6 +443,12 @@ def _rotate_left(r):
     return _bijection_row(rotate_left(w), r.randrange(1 << w))
 
 
+def _cat(r):
+    # any modulus, the pairs with a coordinate at or above it included
+    f = cat_map(r.randint(1, 40))
+    return _bijection_row(f, r.randrange(1 << f.width))
+
+
 def _plb_row(t, x):
     leap = power_leap(power_path(t)[0])
     return partial(apply_plb, t), partial(iterate_plb, t), x, leap, partial(apply_plb_inverse, t)
@@ -472,7 +481,7 @@ def _orbit(step, x):
 
 
 PACKAGE_LEAPS = [_leaf_walk, _leaf_ring, _dim_redux_ring, _clock, _sweep, _oracle_clock, _add_const,
-                 _rotate_left, _exchange, _affine]
+                 _rotate_left, _cat, _exchange, _affine]
 
 
 def _family_id(family):
@@ -775,6 +784,30 @@ def test_stock_maps_leap_whole_powers_at_any_width():
         assert iterate_bijection(f, n, x).value == want, f.label
         assert iterate_bijection(f, -n, Bitstring(want, 256)) == x, f.label
         assert iterate_bijection(f.inverse(), n, Bitstring(want, 256)) == x, f.label
+
+
+def test_power_is_square_and_multiply():
+    calls = []
+
+    def times(a, b):
+        calls.append(1)
+        return a * b
+
+    for n in range(70):
+        calls.clear()
+        assert kernel.power(times, 1, 3, n) == 3**n
+        assert len(calls) <= 2 * n.bit_length()
+
+
+def test_cat_map_leaps_at_a_wide_modulus():
+    # an 80-bit torus, whose orbits the walk would never finish: the leap
+    # runs back to its start, and splits as f^(n+1) = f o f^n = f^n o f
+    f, n = cat_map(10**12 + 39), 10**20 + 7
+    x = cat_pack(10**12 + 39, 12345, 10**12 + 38)
+    y = iterate_bijection(f, n, x)
+    assert iterate_bijection(f, -n, y) == x
+    assert iterate_bijection(f, n + 1, x) == f.apply(y) == iterate_bijection(f, n, f.apply(x))
+    assert iterate_bijection(f, 2 * n, x) == iterate_bijection(f, n, y)
 
 
 def test_from_permutation_swap():

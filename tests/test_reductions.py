@@ -1,7 +1,5 @@
 """Sweep-summation and clocked compilers, oracle circuits and their compiler."""
 
-from dataclasses import replace
-
 import pytest
 
 from ibx.circuits import CircuitError, ClassicalCircuit, ClassicalGate
@@ -21,7 +19,6 @@ from ibx.kernel import (
     unpack_fields,
 )
 from ibx.reductions import (
-    MAX_CLOCK_WIDTH,
     MAX_ORACLE_TABLE_WIDTH,
     ClockedState,
     OracleCircuit,
@@ -35,7 +32,7 @@ from ibx.reductions import (
     run_schedule,
 )
 
-from conftest import assert_leaps_are_walks, logged
+from conftest import assert_leaps_are_walks, logged_run
 
 
 def test_sweep_identity_returns_input():
@@ -216,6 +213,57 @@ def test_clock_answers_a_huge_n_in_one_leap(rng):
     assert run_schedule(compile_iteration_to_invertible(f, n, y)) == iterate_bijection(f, n, y)
 
 
+@pytest.mark.parametrize("k", [64, 4096])
+@pytest.mark.parametrize("make", [lambda k: add_const(k, 37), rotate_left])
+def test_clock_runs_a_wide_map_by_its_own_power(make, k, rng):
+    n = 10**20 + 7
+    f, x = make(k), Bitstring(rng.getrandbits(k), k)
+    s = compile_iteration_to_invertible(f, n, x)
+    assert run_schedule(s) == iterate_bijection(f, n, x)
+    final = iterate_bijection(s.g, s.total_iterations, s.start)
+    assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
+
+
+def _clock_runs(rng, total):
+    """Tick counts that end in a little-hand cycle or past the schedule:
+    the whole schedule, 5 short and 5 over, random counts, each either way."""
+    counts = [total, total - 5, total + 5, rng.randrange(total), rng.randrange(3 * total), rng.randrange(97)]
+    return counts + [-c for c in counts]
+
+
+@pytest.mark.parametrize("n", [3, 10**20 + 7])
+def test_clock_runs_are_a_fixed_number_of_moves(n, rng):
+    """At 64 bits a run from the start, or back from where it ended, is at
+    most 6 engine moves: the whole cycles at once, then the stash and the
+    xor tick, the sweep's run to the firing candidate, its firing tick and
+    the run after it (a clear tick would end the cycle), whatever n."""
+    k = 64
+    for f in (add_const(k, 37), rotate_left(k)):
+        s = compile_iteration_to_invertible(f, n, Bitstring(rng.getrandbits(k), k))
+        for steps in _clock_runs(rng, s.total_iterations):
+            end, moves = logged_run(s.g, steps, s.start)
+            assert len(moves) <= 6, (f.label, steps, moves)
+            back, moves = logged_run(s.g, -steps, end)
+            assert back == s.start and len(moves) <= 6, (f.label, steps, moves)
+
+
+def test_clock_runs_equal_the_literal_walk(rng):
+    # forward-only tables and maps that declare their backward, from the
+    # start and from any state, off the cycle edges included
+    for k in range(1, 7):
+        table = rng.sample(range(1 << k), 1 << k)
+        back = [table.index(v) for v in range(1 << k)]
+        maps = [Bijection(k, table.__getitem__, None, "forward-only"), Bijection(k, table.__getitem__,
+                back.__getitem__), add_const(k, rng.randrange(1 << k)), rotate_left(k)]
+        for f in maps:
+            s = compile_iteration_to_invertible(f, rng.randint(1, 3), Bitstring(rng.randrange(1 << k), k))
+            starts = [s.start] + [Bitstring(rng.randrange(1 << s.g.width), s.g.width) for _ in range(2)]
+            for start in starts:
+                for steps in _clock_runs(rng, s.total_iterations):
+                    got, want = _literal_runs(s.g, start, steps)
+                    assert got == want, (k, f.label, start, steps)
+
+
 @pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v + 1 if v < 6 else 99])
 def test_clock_walks_when_f_is_no_permutation_of_its_width(fn):
     # f collides, or sends an input the run never stashes outside 3 bits
@@ -237,9 +285,11 @@ def test_clock_raises_where_the_walk_raises_when_an_image_escapes():
 
 
 def test_clock_width_cap():
-    wide = Bijection(MAX_CLOCK_WIDTH + 1, lambda v: v, None, "wide")
-    with pytest.raises(ReductionError):
-        compile_iteration_to_invertible(wide, 1, Bitstring(0, MAX_CLOCK_WIDTH + 1))
+    # the one table cap: a forward-only map one bit past it is refused
+    w = MAX_ORACLE_TABLE_WIDTH + 1
+    wide = Bijection(w, lambda v: v, None, "wide")
+    with pytest.raises(ReductionError, match=f"table cap {w - 1}"):
+        compile_iteration_to_invertible(wide, 1, Bitstring(0, w))
 
 
 def test_schedule_guards():
@@ -461,11 +511,9 @@ def _one_gate(f, count, s):
 
 
 def _engine_moves(schedule):
-    """run_schedule's answer and the engine moves it took: "step" for a
-    literal step, and the tick count of each leap taken."""
-    g, moves = schedule.g, []
-    step, back, leap = logged(moves, g.forward, g.backward, g.leap, ticks=True)
-    return run_schedule(replace(schedule, g=replace(g, forward=step, backward=back, leap=leap))), moves
+    """run_schedule's answer and the engine moves it took."""
+    final, moves = logged_run(schedule.g, schedule.total_iterations, schedule.start)
+    return schedule.extract(final), moves
 
 
 def test_sweep_leaps_equal_the_literal_walk(rng):
