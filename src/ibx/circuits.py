@@ -31,7 +31,7 @@ from operator import xor
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     _counting_wires, _DIGITS, _VALUES, iterate_bijection, state_slices)
+                     _DIGITS, _VALUES, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -106,14 +106,14 @@ _CHANGED = tuple(bytes.maketrans(b"01", bytes((0, 1 << i))) for i in range(8))
 def _deltas(gates: Sequence[ReversibleGate], width: int) -> array:
     """The XOR that ``gates`` apply at every state of ``width`` wires: item x
     is ``y ^ x`` for the image y of x.  ``_run_wires`` runs the gates on all
-    states at once, with the counting wires of ``kernel``; each wire's
+    states at once, the one chunk of ``kernel.state_slices``; each wire's
     changes are read off its binary digits by ``bytes.translate``, eight
     wires to a byte lane, two lanes an item."""
     size = 1 << width
-    before = _counting_wires(size)  # state bit 0 first; wire 0 is the top bit
-    after = _run_wires(gates, list(before[::-1]), (1 << size) - 1)[::-1]
+    (_, before), = state_slices(width)  # wire 0, the top state bit, first
+    after = _run_wires(gates, list(before), (1 << size) - 1)
     lanes = [0, 0]
-    for bit, (b, a) in enumerate(zip(before, after)):
+    for bit, (b, a) in enumerate(zip(before[::-1], after[::-1])):
         digits = format(b ^ a, f"0{size}b").encode()
         lanes[bit >> 3] |= int.from_bytes(digits.translate(_CHANGED[bit & 7]), "big")
     items = bytearray(2 * size)

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from .kernel import Bijection, Bitstring, pack_fields, unpack_fields
+from .kernel import Bijection, Bitstring, one_move, pack_fields, unpack_fields
 
 
 class FamilyError(ValueError):
@@ -193,7 +193,9 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
     run costs about one walk of the path.  The step back, and a run back,
     is R . run . R, where the involution R sends (n, v, w) to
     (-n mod 2**k, v, w) when n != 0 and (0, v, w) to (0, w, v), counting a
-    wait down and turning a walker round.
+    wait down and turning a walker round.  That signed move always answers,
+    so ``kernel.one_move`` builds the map from it, the step and step back
+    its moves of 1 and -1.
     """
     if k <= 0:
         raise GraphError("vertex width must be positive")
@@ -246,9 +248,7 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
         y, j = run(reverse(x), -r)
         return reverse(y), j
 
-    return Bijection(
-        3 * k, lambda x: run(x, 1)[0], lambda x: leap(x, -1)[0], label=f"leaf-walk[{k}]", leap=leap,
-    )
+    return one_move(3 * k, leap, f"leaf-walk[{k}]")
 
 
 def random_path_instance(

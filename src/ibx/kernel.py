@@ -6,10 +6,12 @@ every stepper, from circuits to block automata, runs through in either
 direction; a map that ticks a counter hands it one signed leap over those
 runs, a closed-form power its ``power_leap`` (``power`` is the one square
 and multiply), and any orbit shape ends the loop within a small multiple
-of tail + cycle moves.  ``iterate`` is
-the literal loop it is tested against.  ``images`` is the one pass over
-the whole state space, ``cycle_lengths`` the one cycle reader, and
-``inverse_table`` the one check and inverse of a permutation table.
+of tail + cycle moves.  ``one_move`` builds a map whose leap always
+answers, its step and step back the moves of 1 and -1: so each stock map
+states only its power.  ``iterate`` is the literal loop it is tested
+against.  ``images`` is the one pass over the whole state space,
+``cycle_lengths`` the one cycle reader, and ``inverse_table`` the one
+check and inverse of a permutation table.
 
 Conventions used across the package:
 
@@ -262,15 +264,25 @@ def power_leap(power: Callable[[T, int], T]) -> Leap:
 
 
 def power(compose: Callable[[T, T], T], identity: T, f: T, n: int) -> T:
-    """f composed with itself n >= 0 times, by square and multiply: at most
-    2 * n.bit_length() calls of the associative ``compose``.  The package's
+    """f composed with itself n >= 0 times, by square and multiply: for n
+    of b bits, b - 1 squarings and one associative ``compose`` per set bit
+    past the first, never with ``identity`` (n = 0's answer).  The package's
     closed-form powers (affine maps mod M, the cat map's matrix) run here."""
-    out = identity
+    out = None
     while n:
         if n & 1:
-            out = compose(f, out)
-        f, n = compose(f, f), n >> 1
-    return out
+            out = f if out is None else compose(f, out)
+        n >>= 1
+        if n:
+            f = compose(f, f)
+    return identity if out is None else out
+
+
+def one_move(width: int, move: Callable[[int, int], Tuple[int, int]], label: str) -> Bijection:
+    """The bijection whose leap ``move`` always answers: its step and step
+    back are its moves of 1 and -1, so each direction is stated once, in
+    the move, and the engine never calls either."""
+    return Bijection(width, lambda v: move(v, 1)[0], lambda v: move(v, -1)[0], label=label, leap=move)
 
 
 def iterate_bijection(f: Bijection, n: int, x: Bitstring) -> Bitstring:
@@ -425,20 +437,17 @@ def increment(width: int) -> Bijection:
 
 
 def add_const(width: int, c: int) -> Bijection:
-    """x + c modulo 2**width; its power x -> x + n*c leaps every remaining
-    step at once (``power_leap``)."""
+    """x + c modulo 2**width, one move (``one_move``): its power
+    x -> x + n*c leaps every remaining step at once (``power_leap``)."""
     mask = (1 << width) - 1
     c &= mask
-    return Bijection(
-        width, lambda x: (x + c) & mask, lambda x: (x - c) & mask,
-        label=f"add{c:#x}/{width}", leap=power_leap(lambda x, n: (x + n * c) & mask),
-    )
+    return one_move(width, power_leap(lambda x, n: (x + n * c) & mask), f"add{c:#x}/{width}")
 
 
 def rotate_left(width: int) -> Bijection:
-    """Circular shift of the bit pattern toward the most significant end;
-    its power, a rotation by n mod width, leaps every remaining step at
-    once (``power_leap``)."""
+    """Circular shift of the bit pattern toward the most significant end,
+    one move (``one_move``): its power, a rotation by n mod width, leaps
+    every remaining step at once (``power_leap``)."""
     if width == 0:
         return identity(0)
     mask = (1 << width) - 1
@@ -447,9 +456,7 @@ def rotate_left(width: int) -> Bijection:
         r %= width
         return ((x << r) & mask) | (x >> (width - r))
 
-    return Bijection(
-        width, lambda x: rotl(x, 1), lambda x: rotl(x, -1), label=f"rotl/{width}", leap=power_leap(rotl),
-    )
+    return one_move(width, power_leap(rotl), f"rotl/{width}")
 
 
 def from_permutation(perm: Iterable[int], width: int, label: str = "") -> Bijection:
@@ -467,14 +474,13 @@ def cat_map(n: int) -> Bijection:
 
     (x, y) -> ((2x + y) mod n, (x + y) mod n).  A pair is packed into
     2*ceil(log2 n) bits with x in the high half; pairs with a coordinate
-    at n or above are fixed points.  Its power, the matrix ((2, 1), (1, 1))
-    or its inverse ((1, -1), (-1, 2)) raised mod n by ``power``, leaps every
-    remaining step at once (``power_leap``).
+    at n or above are fixed points.  One move (``one_move``): its power,
+    the matrix ((2, 1), (1, 1)) or its inverse ((1, -1), (-1, 2)) raised
+    mod n by ``power``, leaps every remaining step at once (``power_leap``).
     """
     if n < 1:
         raise ValueError("modulus must be positive")
     half = max(n - 1, 0).bit_length()
-    width = 2 * half
     mask = (1 << half) - 1
 
     def times(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -489,19 +495,7 @@ def cat_map(n: int) -> Bijection:
         a, b, c, d = power(times, (1, 0, 0, 1), (2, 1, 1, 1) if r > 0 else (1, -1, -1, 2), abs(r))
         return (((a * x + b * y) % n) << half) | ((c * x + d * y) % n)
 
-    def fwd(v: int) -> int:
-        x, y = v >> half, v & mask
-        if x >= n or y >= n:
-            return v
-        return (((2 * x + y) % n) << half) | ((x + y) % n)
-
-    def back(v: int) -> int:
-        x, y = v >> half, v & mask
-        if x >= n or y >= n:
-            return v
-        return (((x - y) % n) << half) | ((2 * y - x) % n)
-
-    return Bijection(width, fwd, back, label=f"cat/{n}", leap=power_leap(cat_power))
+    return one_move(2 * half, power_leap(cat_power), f"cat/{n}")
 
 
 def cat_pack(n: int, x: int, y: int) -> Bitstring:

@@ -6,9 +6,10 @@ exactly that many steps from the start and extracting yields the answer.
 
 Every map here is one signed move, ``move(state, r) -> (state', j)``
 with 1 <= j <= |r|: the state exactly j ticks on (r > 0) or back (r < 0).
-The move is the map's leap (see ``kernel.iterate_map``), and its step and
-step back are the moves of 1 and -1, so the engine never calls a step and
-each tick rule is written once.
+The move is the map's leap (see ``kernel.iterate_map``), and
+``kernel.one_move`` builds the map from it, with its step and step back
+the moves of 1 and -1, so the engine never calls a step and each tick
+rule is written once.
 
 The clocked maps share a discipline: a wide counter c1 and a narrow
 counter c2 are packed in front of one payload word, each tick advances c2,
@@ -35,6 +36,7 @@ from .kernel import (
     images,
     iterate_bijection,
     iterate_map,
+    one_move,
     pack_fields,
     unpack_fields,
 )
@@ -119,7 +121,7 @@ def _clocked(codec: ClockedCodec, move: ClockMove, label: str) -> Bijection:
     Its move decodes the hands, calls ``move(c1, c2, word, r)`` with the
     hands of the first tick applied (r > 0) or undone (r < 0), and packs
     the word with the hands moved by the result's j ticks, c2 carrying into
-    c1 on wraparound.  Its step and step back are the moves of 1 and -1.  A
+    c1 on wraparound; ``kernel.one_move`` builds the map from it.  A
     state whose counters are out of range is a fixed point: it moves all
     |r| ticks at once, so the engine ends such a run in one move.
     """
@@ -138,13 +140,7 @@ def _clocked(codec: ClockedCodec, move: ClockMove, label: str) -> Bijection:
         c1, c2 = divmod((t + j if r > 0 else t + 1 - j) % period, m_small)
         return c1 << s1 | c2 << s2 | word, j
 
-    return _one_move(codec.width, hop, label)
-
-
-def _one_move(width: int, move: Callable[[int, int], Tuple[int, int]], label: str) -> Bijection:
-    """The bijection whose leap is ``move`` and whose step and step back
-    are its moves of 1 and -1."""
-    return Bijection(width, lambda v: move(v, 1)[0], lambda v: move(v, -1)[0], label=label, leap=move)
+    return one_move(codec.width, hop, label)
 
 
 def _clocked_schedule(
@@ -241,7 +237,7 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
             return (a + d * j & mask) << k | b, j
         return (a + d & mask) << k | (b + d * _image(f.forward(target), k)) & mask, 1
 
-    g = _one_move(2 * k, move, f"sweep-sum[{f.label}]")
+    g = one_move(2 * k, move, f"sweep-sum[{f.label}]")
 
     def extract(final: Bitstring) -> Bitstring:
         return Bitstring(final.value & mask, k)

@@ -431,22 +431,56 @@ def _oracle_clock(r):
     return _bijection_row(s.g, r.randrange(1 << s.g.width))
 
 
+def _closed_form_row(f, x, step, back):
+    # f's power and leap, judged against a step and step back written here:
+    # f's own are its leap of 1 and -1
+    _, power, x, leap, _ = _bijection_row(f, x)
+    return step, power, x, leap, back
+
+
+def _add_forms(w, c):
+    mask = (1 << w) - 1
+    return (lambda v: (v + c) & mask), (lambda v: (v - c) & mask)
+
+
+def _rotl_forms(w):
+    mask = (1 << w) - 1
+    return (lambda v: (v << 1 | v >> w - 1) & mask), (lambda v: v >> 1 | (v & 1) << w - 1)
+
+
+def _cat_forms(n):
+    # (2x + y, x + y) forward and (x - y, 2y - x) back, mod n; a pair with a
+    # coordinate at or above n is fixed
+    half = max(n - 1, 0).bit_length()
+
+    def matrix(a, b, c, d):
+        def move(v):
+            x, y = v >> half, v & (1 << half) - 1
+            return v if x >= n or y >= n else (a * x + b * y) % n << half | (c * x + d * y) % n
+
+        return move
+
+    return matrix(2, 1, 1, 1), matrix(1, -1, -1, 2)
+
+
 def _add_const(r):
     # increment, or any constant, negative and wider than the map included
     w = r.randint(1, 9)
-    f = r.choice([increment(w), add_const(w, r.randrange(-(2 << w), 2 << w))])
-    return _bijection_row(f, r.randrange(1 << w))
+    c = r.randrange(-(2 << w), 2 << w)
+    f, c = r.choice([(increment(w), 1), (add_const(w, c), c)])
+    return _closed_form_row(f, r.randrange(1 << w), *_add_forms(w, c))
 
 
 def _rotate_left(r):
     w = r.randint(1, 9)
-    return _bijection_row(rotate_left(w), r.randrange(1 << w))
+    return _closed_form_row(rotate_left(w), r.randrange(1 << w), *_rotl_forms(w))
 
 
 def _cat(r):
     # any modulus, the pairs with a coordinate at or above it included
-    f = cat_map(r.randint(1, 40))
-    return _bijection_row(f, r.randrange(1 << f.width))
+    n = r.randint(1, 40)
+    f = cat_map(n)
+    return _closed_form_row(f, r.randrange(1 << f.width), *_cat_forms(n))
 
 
 def _plb_row(t, x):
@@ -787,16 +821,30 @@ def test_stock_maps_leap_whole_powers_at_any_width():
 
 
 def test_power_is_square_and_multiply():
-    calls = []
+    # n of b bits, p of them set: exactly b - 1 squarings and p - 1
+    # products, none with the identity, which only n = 0 returns
+    one, m, calls = object(), 10**9 + 7, []
 
     def times(a, b):
+        assert a is not one and b is not one
         calls.append(1)
-        return a * b
+        return a * b % m
 
-    for n in range(70):
+    for n in [*range(70), 10**20 + 7]:
         calls.clear()
-        assert kernel.power(times, 1, 3, n) == 3**n
-        assert len(calls) <= 2 * n.bit_length()
+        got = kernel.power(times, one, 3, n)
+        assert got is one if n == 0 else got == pow(3, n, m)
+        assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0), n
+
+
+def test_stock_maps_step_by_their_closed_forms():
+    # every state, at widths up to 9 and cat moduli up to 40
+    cases = [(add_const(w, c), _add_forms(w, c)) for w in range(1, 10) for c in (1, 37, -5, 3 << w)]
+    cases += [(rotate_left(w), _rotl_forms(w)) for w in range(1, 10)]
+    cases += [(cat_map(n), _cat_forms(n)) for n in range(1, 41)]
+    for f, (step, back) in cases:
+        for v in range(1 << f.width):
+            assert (f.forward(v), f.backward(v)) == (step(v), back(v)), (f.label, v)
 
 
 def test_cat_map_leaps_at_a_wide_modulus():

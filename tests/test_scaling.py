@@ -1,15 +1,21 @@
-"""Description-scaling contracts: exact counts of what each reduction
-calls, across widths and counts whose state spaces run from 4 to 2**4096
-states.  A count that grew with the state space fails here at once, and
-counts are exact, so host speed cannot move them.  Each bound was fixed
-from a probe of the code it judges, with its margin stated beside it.
+"""Description-scaling contracts: counts of what the reductions, the
+stock maps and the piecewise maps' powers call or build, across widths,
+counts and domains whose state spaces run from 4 to 2**4096 states.  A
+count that grew with the state space fails here at once, and counts are
+exact, or bounds in the size of the description, so host speed cannot
+move them.  Each bound was fixed from a probe of the code it judges, with
+its margin stated beside it.
 """
 
 from dataclasses import replace
+from itertools import pairwise
 
 import pytest
 
-from ibx.kernel import Bitstring, add_const, iterate_bijection, pack_fields, rotate_left
+import ibx.plb as plb
+from ibx.graphs import leaf_to_bijection, random_path_instance, solve_leaf_walk
+from ibx.iet import induction
+from ibx.kernel import Bitstring, add_const, cat_map, iterate_bijection, pack_fields, rotate_left
 from ibx.reductions import (
     OracleCircuit,
     OracleGate,
@@ -90,3 +96,81 @@ def test_oracle_clock_is_three_moves_a_gate_at_a_huge_count(gates):
     final, moves = logged_run(s.g, s.total_iterations, s.start)
     assert s.extract(final) == eval_oracle_circuit(oc, f, x)
     assert len(moves) == 3 * gates + 1
+
+
+BIG = 10**20 + 7
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda k=k: add_const(k, 37) for k in (8, 64, 4096)),
+    *(lambda k=k: rotate_left(k) for k in (8, 64, 4096)),
+    *(lambda n=n: cat_map(n) for n in (5, 10**6 + 3, 10**12 + 39)),
+], ids=lambda make: make().label)
+def test_stock_maps_take_any_count_in_one_leap(make, rng):
+    # probe: one call of the leap and none of forward or backward, either
+    # way; no margin
+    f, calls = _counted(make())
+    x = Bitstring(rng.getrandbits(f.width), f.width)
+    for n in (BIG, -BIG):
+        calls.clear()
+        y = iterate_bijection(f, n, x)
+        assert calls == ["leap"], (n, calls)
+        assert iterate_bijection(make(), -n, y) == x
+
+
+@pytest.mark.parametrize("cards", [10**3, 10**6, 10**12])
+def test_riffle_powers_apply_no_piece(cards, rng, monkeypatch):
+    # probe: 0 calls of apply_plb or apply_plb_inverse, either way; a riffle
+    # of an even deck is x -> 2x mod (N - 1), its last card fixed
+    t = plb.riffle(cards)
+    calls = []
+    for name in ("apply_plb", "apply_plb_inverse"):
+        monkeypatch.setattr(plb, name, lambda *a, name=name: calls.append(name))
+    x = rng.randrange(cards - 1)
+    for n in (BIG, -BIG):
+        assert plb.iterate_plb(t, n, x) == x * pow(2, n, cards - 1) % (cards - 1)
+    assert calls == []
+
+
+def _exchange(rng, n, k):
+    """An exchange of k pieces on [0, n), its cuts drawn by ``randrange``,
+    since ``random.sample`` of a range past 2**63 overflows."""
+    cuts = set()
+    while len(cuts) < k - 1:
+        cuts.add(rng.randrange(1, n))
+    segs = list(pairwise([0, *sorted(cuts), n]))
+    rng.shuffle(segs)
+    pieces, out = [], 0
+    for lo, hi in segs:
+        pieces.append((lo, hi, out - lo))
+        out += hi - lo
+    return plb.interval_exchange(n, pieces)
+
+
+@pytest.mark.parametrize("k", [4, 16, 64])
+@pytest.mark.parametrize("points", [10**3, 10**6, 10**12, 10**24])
+def test_exchange_induction_grows_with_the_digits_of_n(k, points, rng):
+    # probe: at most 1.29 k (digits + 1) ops, about 2100 at k = 64 and
+    # N = 10**24; the bound allows 2 k (digits + 1)
+    for _ in range(3):
+        assert len(induction(_exchange(rng, points, k))) <= 2 * k * (len(str(points)) + 1)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 48, 62])
+def test_leaf_compile_asks_each_vertex_once(k, rng):
+    # probe: 64 oracle calls on a 64-vertex path (the start edge's two
+    # vertices, then each vertex stepped onto) and two engine moves, the
+    # walk of 63 steps onto the far leaf and the wait; no margin
+    inst = random_path_instance(k, rng, length=64)
+    ask, calls = inst.family.neighbors, []
+    start = inst.start.value << k | ask(inst.instance, inst.start)[0].value
+
+    def neighbors(g, v):
+        calls.append(v)
+        return ask(g, v)
+
+    f = leaf_to_bijection(replace(inst.family, neighbors=neighbors), inst.instance, k)
+    final, moves = logged_run(f, 1 << k, Bitstring(start, 3 * k))
+    assert final.value >> k & (1 << k) - 1 == solve_leaf_walk(inst).value
+    assert len(calls) == 64
+    assert moves == [63, (1 << k) - 63]
