@@ -355,12 +355,7 @@ def prism_graph(m: int) -> CubicGraph:
     """Two m-cycles joined by a perfect matching (m >= 3)."""
     if m < 3:
         raise GraphError("prism needs cycles of length at least 3")
-    edges = []
-    for i in range(m):
-        edges.append((i, (i + 1) % m))
-        edges.append((m + i, m + (i + 1) % m))
-        edges.append((i, m + i))
-    return cubic_graph(2 * m, edges)
+    return generalized_petersen(m, 1)
 
 
 def generalized_petersen(n: int, step: int) -> CubicGraph:
@@ -392,10 +387,6 @@ class LollipopState:
     """
 
     path: Tuple[int, ...]
-
-    @property
-    def fixed_edge(self) -> Tuple[int, int]:
-        return (self.path[0], self.path[1])
 
     def validate(self, g: CubicGraph) -> None:
         n = g.vertex_count

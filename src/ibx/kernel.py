@@ -35,6 +35,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
@@ -349,27 +350,26 @@ def check_bijection_exhaustive(f: Bijection) -> BijectionCheck:
     after forward on each chunk of ``state_slices`` and compares the result
     with the chunk's own wires.  On a finite set a left inverse proves a
     bijection, so when every chunk comes back the check passes at once.
-    Otherwise the pass calls f.forward on each input up to the first failing one.
+    Otherwise the pass calls f.forward on each input up to the first failing
+    one; an ``array('I')`` keeps each image's first owner, 4 bytes a state.
     """
     _check_cap(f.width)
     if f.backward is not None and f.sliced and _round_trips(f):
         return BijectionCheck(True)
     size, backward = 1 << f.width, f.backward
-    ys = []  # the images read so far: a collision's first owner is ys.index of its image
+    owner = array("I", [0]) * size  # 1 + the first input seen to map to y, 0 while none has
 
     def failure(a: int, b: int, reason: str) -> BijectionCheck:
         return BijectionCheck(False, (Bitstring(a, f.width), Bitstring(b, f.width)), reason)
 
-    seen = bytearray(size)
-    for x, y in enumerate(images(f)):
+    for n, y in enumerate(images(f), 1):  # n inputs read, the last x = n - 1
         if not 0 <= y < size:
-            return failure(x, x, "escape")
-        if seen[y]:
-            return failure(ys.index(y), x, "collision")
-        seen[y] = 1
-        ys.append(y)
-        if backward is not None and (back := backward(y)) != x:
-            return failure(x, back if 0 <= back < size else x, "inverse")
+            return failure(n - 1, n - 1, "escape")
+        if owner[y]:
+            return failure(owner[y] - 1, n - 1, "collision")
+        owner[y] = n
+        if backward is not None and (back := backward(y)) != n - 1:
+            return failure(n - 1, back if 0 <= back < size else n - 1, "inverse")
     return BijectionCheck(True)
 
 

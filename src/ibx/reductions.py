@@ -177,22 +177,22 @@ def run_schedule(schedule: Schedule) -> Bitstring:
 MAX_ORACLE_TABLE_WIDTH = 16
 
 
-def _power_of(f: Bijection) -> Optional[Callable[[int, int], int]]:
+def _power_of(f: Bijection) -> Callable[[int, int], int]:
     """f^j(y) for signed j, as both clocked compilers run f: by
     ``kernel.iterate_map``, every image checked by ``_image``, on f's own
     forward, backward and leap when f declares a backward (trusted to be
     its inverse), else on the one table ``from_permutation`` builds of a
-    forward-only f's images, up to ``MAX_ORACLE_TABLE_WIDTH`` bits
-    (ReductionError past it, before anything is built); None when that
-    table is no permutation."""
+    forward-only f's images, up to ``MAX_ORACLE_TABLE_WIDTH`` bits.  Both
+    compilers' one precondition: ReductionError, before anything is built,
+    for a forward-only f past that cap or whose table is no permutation."""
     k = f.width
     if f.backward is None:
         if k > MAX_ORACLE_TABLE_WIDTH:
             raise ReductionError(f"forward-only oracle is wider than the table cap {MAX_ORACLE_TABLE_WIDTH}")
         try:
             f = from_permutation(images(f), k)
-        except ValueError:
-            return None
+        except ValueError as e:
+            raise ReductionError("forward-only oracle is not a permutation") from e
 
     def step(t: int) -> int:
         return _image(f.forward(t), k)
@@ -248,7 +248,8 @@ def inversion_by_iteration(f: Bijection, x: Bitstring) -> Schedule:
 def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Schedule:
     """Compile "apply f n times to x" into iterating one invertible map.
 
-    f may be handed over forward-only; the compiled g is still invertible.
+    f may be handed over forward-only if it is a permutation of its k bits
+    (else ReductionError, by ``_power_of``); the compiled g is invertible.
     g acts on states (c1, c2, a, b, c) whose payload word is
     a << 2k | b << k | c.  One full little-hand cycle of M = 2**k + 3 steps
     advances a by one application of f:
@@ -273,11 +274,11 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     move is keyed by c2 = 0 forward and by c2 = M - 1, the tick a step back
     undoes, backward.  In a sweep it runs c straight to the firing
     candidate f^-1(b) or to the sweep's end, whichever comes first within
-    |r|, and takes the firing tick alone, either way.  Every other tick,
-    and every tick of a forward-only f that is no permutation, is one tick
-    of the rule above, raising where the walk raises.  So a move costs O(1)
-    calls of f's power (one leap for the stock maps), and any run is a
-    handful of moves at any n and k.
+    |r|, and takes the firing tick alone, a ^= f^-1(b), either way: no sweep
+    tick calls f.  The stash, xor and clear ticks are one tick of the rule
+    above each, raising where the walk raises.  So a move costs O(1) calls
+    of f's power (one leap for the stock maps), and any run is a handful of
+    moves at any n and k.
     """
     k = f.width
     if x.width != k:
@@ -296,25 +297,21 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     def move(c1: int, c2: int, word: int, r: int) -> Tuple[int, int]:
         # word = a << 2k | b << k | c; d is the direction of the run
         b, c, d = word >> k & mask, word & mask, 1 if r > 0 else -1
-        if power is not None:
-            cycles = abs(r) // m_small
-            if cycles and c2 == (0 if r > 0 else m_small - 1) and not b | c:  # at a cycle's edge
-                return power(word >> k2, d * cycles) << k2, cycles * m_small
-            if 1 < c2 < sweep_end:  # the ticks before the firing candidate f^-1(b) fire nothing
-                fire = power(b, -1)
-                j = min((fire - c if r > 0 else c - 1 - fire) & mask, sweep_end - c2 if r > 0 else c2 - 1, abs(r))
-                if j:
-                    return word - c | (c + d * j) & mask, j
+        cycles = abs(r) // m_small
+        if cycles and c2 == (0 if r > 0 else m_small - 1) and not b | c:  # at a cycle's edge
+            return power(word >> k2, d * cycles) << k2, cycles * m_small
         if c2 == 0:
             return word ^ _image(f.forward(word >> k2), k) << k, 1
         if c2 == 1:
             return word ^ b << k2, 1
-        if c2 < sweep_end:
-            c = c - (r < 0) & mask
-            if f.forward(c) == b:
-                word ^= c << k2
-            return word >> k << k | (c + (r > 0)) & mask, 1
-        return word ^ (word >> k2) << k, 1  # c2 == sweep_end, the last little-hand value
+        if c2 == sweep_end:  # the last little-hand value
+            return word ^ (word >> k2) << k, 1
+        # a sweep tick: those before the firing candidate f^-1(b) fire nothing
+        fire = power(b, -1)
+        j = min((fire - c if r > 0 else c - 1 - fire) & mask, sweep_end - c2 if r > 0 else c2 - 1, abs(r))
+        if not j:  # the firing tick
+            word, j = word ^ fire << k2, 1
+        return word - c | (c + d * j) & mask, j
 
     g = _clocked(codec, move, f"clock[{f.label}]")
     return _clocked_schedule(g, codec, n * m_small, (x.value, 0, 0), lambda p: Bitstring(p[0], k))
@@ -420,10 +417,10 @@ def compile_oracle_circuit(
     equal every oracle gate's s wires (WidthMismatchError, before anything
     is built), and a move raises ValueError when the oracle, either way,
     returns a value that does not fit in its width.  g runs by
-    ``_power_of``, the clock compiler's rule: a declared backward is trusted
-    to be g's inverse, and a forward-only g is tabulated up to
-    ``MAX_ORACLE_TABLE_WIDTH`` bits and must be a permutation (ReductionError
-    before anything is built).
+    ``_power_of``, the clock compiler's rule and precondition: a declared
+    backward is trusted to be g's inverse, and a forward-only g is
+    tabulated up to ``MAX_ORACLE_TABLE_WIDTH`` bits and must be a
+    permutation (ReductionError before anything is built).
 
     h's move (see ``_clocked``) takes a gate's firing tick c2 = 0 alone,
     its own inverse, and every other run of ticks that act alike at once,
@@ -446,8 +443,6 @@ def compile_oracle_circuit(
         if isinstance(g, OracleGate) and len(g.s_wires) != g_oracle.width:
             raise WidthMismatchError("oracle width does not match s wires")
     power = _power_of(g_oracle)
-    if power is None:
-        raise ReductionError("forward-only oracle is not a permutation")
     wires = oc.all_wires()
     w_count = len(wires)
     place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector

@@ -138,7 +138,8 @@ def test_sweep_image_outside_the_width_raises():
 
 @pytest.mark.parametrize("fn", [lambda v: v + 8, lambda v: -1])
 def test_clock_stash_checks_the_image_both_ways(fn):
-    f = Bijection(3, fn)
+    # a declared backward gets past the table check, so the stash itself checks
+    f = Bijection(3, fn, lambda v: v)
     s = compile_iteration_to_invertible(f, 2, Bitstring(1, 3))
     with pytest.raises(ValueError, match="out of range for width 3"):
         run_schedule(s)
@@ -264,19 +265,17 @@ def test_clock_runs_equal_the_literal_walk(rng):
                     assert got == want, (k, f.label, start, steps)
 
 
-@pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v + 1 if v < 6 else 99])
-def test_clock_walks_when_f_is_no_permutation_of_its_width(fn):
-    # f collides, or sends an input the run never stashes outside 3 bits
-    f = Bijection(3, fn, None, "not a permutation")
-    for n in (1, 4):
-        s = compile_iteration_to_invertible(f, n, Bitstring(0, 3))
-        for steps in (s.total_iterations, s.total_iterations + 20):
-            got, want = _literal_runs(s.g, s.start, steps)
-            assert got == want
+@pytest.mark.parametrize("fn", [lambda v: v // 2, lambda v: v + 1 if v < 6 else 99, lambda v: 0])
+def test_clock_refuses_a_forward_only_f_that_is_no_permutation(fn):
+    # f collides, or sends an input outside 3 bits: refused before any schedule
+    f = Bijection(3, fn, None, "no permutation of 3 bits")
+    for n in (0, 1, 4):
+        with pytest.raises(ReductionError, match="not a permutation"):
+            compile_iteration_to_invertible(f, n, Bitstring(0, 3))
 
 
 def test_clock_raises_where_the_walk_raises_when_an_image_escapes():
-    f = Bijection(3, lambda v: v + 1, None, "escapes at 7")
+    f = Bijection(3, lambda v: v + 1, lambda v: v - 1, "escapes at 7")
     s = compile_iteration_to_invertible(f, 5, Bitstring(4, 3))
     with pytest.raises(ValueError, match="value 8 out of range for width 3"):
         iterate(s.g, s.total_iterations, s.start)

@@ -1,10 +1,10 @@
 """Description-scaling contracts: counts of what the reductions, the
-stock maps and the piecewise maps' powers call or build, across widths,
-counts and domains whose state spaces run from 4 to 2**4096 states.  A
-count that grew with the state space fails here at once, and counts are
-exact, or bounds in the size of the description, so host speed cannot
-move them.  Each bound was fixed from a probe of the code it judges, with
-its margin stated beside it.
+stock maps, circuits and the piecewise maps' powers call or build, across
+widths, counts and domains whose state spaces run from 2 to 2**4096
+states.  A count that grew with the state space fails here at once, and
+counts are exact, or bounds in the size of the description, so host speed
+cannot move them.  Each bound was fixed from a probe of the code it
+judges, with its margin stated beside it.
 """
 
 from dataclasses import replace
@@ -13,6 +13,7 @@ from itertools import pairwise
 import pytest
 
 import ibx.plb as plb
+from ibx.circuits import ReversibleCircuit, gate, iterate_circuit
 from ibx.graphs import leaf_to_bijection, random_path_instance, solve_leaf_walk
 from ibx.iet import induction
 from ibx.kernel import Bitstring, add_const, cat_map, iterate_bijection, pack_fields, rotate_left
@@ -26,7 +27,7 @@ from ibx.reductions import (
     run_schedule,
 )
 
-from conftest import logged_run
+from conftest import affine_plb, logged_run
 
 N = 10**20
 
@@ -49,8 +50,8 @@ def _counted(f):
 
 # Probe: a run of the whole schedule called f once (its leap), and runs of
 # total - 5, total + 5 back, and random counts either way called it at most
-# 6 times (the whole cycles, the stash, and the sweep's inverse lookups and
-# firing tick); the bound allows 2 more.
+# 5 times (the whole cycles, the stash, and the sweep's inverse lookups, the
+# firing tick's among them); the bound allows 3 more.
 CLOCK_RUN_CALLS = 8
 
 
@@ -118,17 +119,63 @@ def test_stock_maps_take_any_count_in_one_leap(make, rng):
         assert iterate_bijection(make(), -n, y) == x
 
 
+def _piece_calls(monkeypatch):
+    """A list that ``plb.apply_plb`` and ``apply_plb_inverse``, patched,
+    append their name to when called."""
+    calls = []
+    for name in ("apply_plb", "apply_plb_inverse"):
+        monkeypatch.setattr(plb, name, lambda *a, name=name: calls.append(name))
+    return calls
+
+
 @pytest.mark.parametrize("cards", [10**3, 10**6, 10**12])
 def test_riffle_powers_apply_no_piece(cards, rng, monkeypatch):
     # probe: 0 calls of apply_plb or apply_plb_inverse, either way; a riffle
     # of an even deck is x -> 2x mod (N - 1), its last card fixed
     t = plb.riffle(cards)
-    calls = []
-    for name in ("apply_plb", "apply_plb_inverse"):
-        monkeypatch.setattr(plb, name, lambda *a, name=name: calls.append(name))
+    calls = _piece_calls(monkeypatch)
     x = rng.randrange(cards - 1)
     for n in (BIG, -BIG):
         assert plb.iterate_plb(t, n, x) == x * pow(2, n, cards - 1) % (cards - 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [8, 64, 4096])
+def test_circular_shift_powers_apply_no_piece(k, rng, monkeypatch):
+    # probe: 0 calls of apply_plb or apply_plb_inverse, either way; a
+    # circular shift of k bits is x -> 2x mod (2**k - 1), its top point fixed
+    t, m = plb.circular_shift(k), (1 << k) - 1
+    calls = _piece_calls(monkeypatch)
+    x = rng.randrange(m)
+    for n in (BIG, -BIG):
+        assert plb.iterate_plb(t, n, x) == x * pow(2, n, m) % m
+        assert plb.iterate_plb(t, n, m) == m
+    assert calls == []
+
+
+def _affine_closed_form(a, b, m, n, x):
+    """x -> (a*x + b) mod m applied n times (its inverse -n times), by
+    squaring the pair (a, b)."""
+    if n < 0:
+        a = pow(a, -1, m)
+        b, n = -a * b % m, -n
+    while n:
+        if n & 1:
+            x = (a * x + b) % m
+        a, b, n = a * a % m, (a * b + b) % m, n >> 1
+    return x
+
+
+@pytest.mark.parametrize("a, b, m, domain", [(-3, 4, 11, 13), (-2, 7, 1001, 1003), (-101, 5, 10**4 + 1, 10**4 + 4)])
+def test_negative_multiplier_affine_powers_apply_no_piece(a, b, m, domain, rng, monkeypatch):
+    # probe: 0 calls of apply_plb or apply_plb_inverse, either way, on a
+    # point of the body and one of the fixed tail; no margin
+    t = affine_plb(a, b, m, domain)
+    calls = _piece_calls(monkeypatch)
+    x = rng.randrange(m)
+    for n in (BIG, -BIG):
+        assert plb.iterate_plb(t, n, x) == _affine_closed_form(a, b, m, n, x)
+        assert plb.iterate_plb(t, n, domain - 1) == domain - 1
     assert calls == []
 
 
@@ -174,3 +221,24 @@ def test_leaf_compile_asks_each_vertex_once(k, rng):
     assert final.value >> k & (1 << k) - 1 == solve_leaf_walk(inst).value
     assert len(calls) == 64
     assert moves == [63, (1 << k) - 63]
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_circuit_powers_stop_within_two_orbit_lengths(width, rng, make_circuit, monkeypatch):
+    # probe: at most 1.99 L calls of eval_int or eval_int_reversed at
+    # ±(10**20 + 7), L the start's orbit length, over 5 random circuits of
+    # up to 40 gates a width; the bound, 2 L, is the engine's for a
+    # bijection, so no margin
+    forward, calls = ReversibleCircuit.eval_int, []
+    for name in ("eval_int", "eval_int_reversed"):
+        evaluate = getattr(ReversibleCircuit, name)
+        monkeypatch.setattr(ReversibleCircuit, name, lambda c, v, evaluate=evaluate: calls.append(v) or evaluate(c, v))
+    for _ in range(5):
+        c = make_circuit(rng, width, 40) if width > 1 else ReversibleCircuit(1, (gate("not", 0),) * rng.randint(0, 1))
+        orbit = [rng.randrange(1 << width)]
+        while (y := forward(c, orbit[-1])) != orbit[0]:
+            orbit.append(y)
+        for n in (BIG, -BIG):
+            calls.clear()
+            assert iterate_circuit(c, n, Bitstring(orbit[0], width)).value == orbit[n % len(orbit)]
+            assert len(calls) < 2 * len(orbit), (width, n, len(orbit), len(calls))
