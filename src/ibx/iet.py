@@ -63,8 +63,7 @@ Point = Tuple[int, int]
 Run = Tuple[int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Corner points in counterclockwise order."""
 
     vertices: Tuple[Point, Point, Point]
@@ -86,8 +85,7 @@ class Port(NamedTuple):
     aligned: bool
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A glued edge of the surface.
 
     Boundary identifications are resolved before edges are interned, so
@@ -100,8 +98,7 @@ class Edge:
     ports: Tuple[Port, Port]
 
 
-@dataclass(frozen=True)
-class TriangulatedSurface:
+class TriangulatedSurface(NamedTuple):
     triangles: Tuple[Triangle, ...]
     edges: Tuple[Edge, ...]
     # side_edges[t][i] = edge id of triangle t's side i
@@ -120,22 +117,26 @@ class Crossing(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """A closed component of the traced curve.
 
     orbit lists its central crossings in trace order, one every period
-    triangle steps, and central_positions gives each one's place in it.
+    triangle steps; the two define the arc, and the rest is read off them.
     """
 
     orbit: Tuple[int, ...]
-    central_positions: Dict[int, int]
     period: int
 
     @property
     def length(self) -> int:
         """Triangle steps once around the closed curve."""
         return self.period * len(self.orbit)
+
+    @property
+    def central_positions(self) -> Dict[int, int]:
+        """Each central crossing's place in orbit, built on each read in
+        O(orbit)."""
+        return {j: pos for pos, j in enumerate(self.orbit)}
 
 
 @dataclass
@@ -147,6 +148,8 @@ class IetSurface:
     returns is the traced first-return map: sorted runs (lo, hi, off)
     sending central crossing i in [lo, hi) to i + off, proven equal to the
     exchange.  Power queries run on the exchange, never on a surface.
+    arc_of memoizes each crossing's arc in _arcs, and splits returns once
+    into the run starts and offsets it bisects, kept in _return_runs.
     """
 
     transform: PiecewiseLinearBijection
@@ -157,6 +160,7 @@ class IetSurface:
     period: int = 0
     returns: Tuple[Tuple[int, int, int], ...] = ()
     _arcs: Dict[int, Arc] = field(default_factory=dict, repr=False)
+    _return_runs: Optional[Tuple[List[int], List[int]]] = field(default=None, repr=False)
 
     @property
     def width(self) -> int:
@@ -453,24 +457,29 @@ def trace_step(su: IetSurface, crossing: Crossing, entering: int) -> Tuple[Cross
 
 
 def arc_of(su: IetSurface, i: int) -> Arc:
-    """The closed curve component through central crossing i, memoized.
+    """The closed curve component through central crossing i, memoized:
+    every member of the orbit maps to the same Arc.
 
     Walks i's orbit on the traced first-return map, one bisection per orbit
-    point, so it costs O(orbit * log runs).  The arc's length is d times
+    point, so it costs O(orbit * log runs); the run starts and offsets are
+    split out of returns once per surface.  The arc's length is d times
     the size of that orbit.
     """
     if not 0 <= i < su.width:
         raise IetError(f"point {i} outside [0, {su.width})")
-    if i in su._arcs:
-        return su._arcs[i]
-    los, _, offs = zip(*su.returns)
-    orbit, j = [], i
-    while not orbit or j != i:
+    arcs = su._arcs
+    if i in arcs:
+        return arcs[i]
+    if su._return_runs is None:
+        su._return_runs = [r[0] for r in su.returns], [r[2] for r in su.returns]
+    los, offs = su._return_runs
+    orbit, j = [i], i + offs[bisect_right(los, i) - 1]
+    while j != i:
         orbit.append(j)
         j += offs[bisect_right(los, j) - 1]
-    arc = Arc(tuple(orbit), {j: pos for pos, j in enumerate(orbit)}, su.period)
+    arc = Arc(tuple(orbit), su.period)
     for member in orbit:
-        su._arcs[member] = arc
+        arcs[member] = arc
     return arc
 
 

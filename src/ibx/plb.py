@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import cycle_lengths, iterate_map, power, power_leap
 
@@ -109,8 +109,7 @@ class PiecewiseLinearBijection:
         object.__setattr__(self, "_los", [p.lo for p in self.pieces])
 
 
-@dataclass(frozen=True)
-class ProgressionHit:
+class ProgressionHit(NamedTuple):
     residue: int
     modulus: int
 

@@ -420,7 +420,9 @@ def compile_oracle_circuit(
     ``_power_of``, the clock compiler's rule and precondition: a declared
     backward is trusted to be g's inverse, and a forward-only g is
     tabulated up to ``MAX_ORACLE_TABLE_WIDTH`` bits and must be a
-    permutation (ReductionError before anything is built).
+    permutation (ReductionError before anything is built).  A circuit with
+    no oracle gate never calls g, so g is then neither tabulated nor
+    checked.
 
     h's move (see ``_clocked``) takes a gate's firing tick c2 = 0 alone,
     its own inverse, and every other run of ticks that act alike at once,
@@ -442,7 +444,7 @@ def compile_oracle_circuit(
     for g in oc.gates:
         if isinstance(g, OracleGate) and len(g.s_wires) != g_oracle.width:
             raise WidthMismatchError("oracle width does not match s wires")
-    power = _power_of(g_oracle)
+    power = _power_of(g_oracle) if any(isinstance(g, OracleGate) for g in oc.gates) else None
     wires = oc.all_wires()
     w_count = len(wires)
     place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector

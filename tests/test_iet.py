@@ -520,6 +520,26 @@ def test_arc_lists_the_orbit_in_trace_order():
     assert arc.period == su.period
 
 
+def test_arcs_match_the_literal_walk_at_every_point(rng):
+    for t in oracle_exchanges(rng, 20):
+        su = build_surface(t)
+        covered = set()
+        for x in range(t.domain):
+            if x in covered:
+                continue
+            # x is the first point asked of its orbit, so the arc starts there
+            arc = arc_of(su, x)
+            assert arc.orbit == tuple(orbit_of(t, x)), (t.pieces, x)
+            nxt = arc.orbit[1:] + arc.orbit[:1]
+            assert all(apply_plb(t, y) == z for y, z in zip(arc.orbit, nxt))
+            assert arc.period == su.period
+            assert arc.length == su.period * len(arc.orbit)
+            assert arc.central_positions == {y: pos for pos, y in enumerate(arc.orbit)}
+            assert all(arc_of(su, y) is arc for y in arc.orbit)
+            covered.update(arc.orbit)
+        assert covered == set(range(t.domain))
+
+
 def test_agreement_check_rejects_a_different_exchange():
     su = build_surface(rotation(16, 5))
     su.transform = rotation(16, 3)

@@ -434,6 +434,15 @@ def test_oracle_compiler_rejects_a_forward_only_oracle_that_is_not_injective():
         compile_oracle_circuit(oc, g, Bitstring(0, 4))
 
 
+def test_oracle_compiler_leaves_an_uncalled_oracle_alone():
+    # no gate calls g, so g is not tabulated, and its collisions do not matter
+    g = Bijection(2, lambda v: 0, None, "constant")
+    oc = OracleCircuit(2, (ClassicalGate("and", 2, (0, 1)),), (2,))
+    x = Bitstring.from_text("11")
+    assert eval_oracle_circuit(oc, g, x) == Bitstring(1, 1)
+    assert run_schedule(compile_oracle_circuit(oc, g, x)) == Bitstring(1, 1)
+
+
 # Three inputs; the oracle gate reads its count off wire 0 and s off wires
 # 1, 2, and writes t onto the fresh wires 3, 4.
 TWO_WIRE_ORACLE = OracleCircuit(3, (OracleGate((0,), (1, 2), (3, 4)),), (3, 4))
