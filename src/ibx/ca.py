@@ -342,36 +342,31 @@ def margolus_step(
 
     ``threads`` has no effect.  A step is a few dozen whole-plane operations
     on Python ints, which hold the interpreter lock, so a thread pool could
-    only add its start-up; the parameter stays while perfbench's traced
-    ``threads2`` measurement passes it."""
+    only add its start-up; the parameter stays only while perfbench's traced
+    ``threads2`` measurement passes it.  Nothing else takes ``threads``."""
     return _blocked(grid, rule, False)
 
 
-def margolus_step_back(
-    grid: MargolusGrid, rule: MargolusRule, threads: int = 1
-) -> MargolusGrid:
-    """Undo one margolus_step (``threads`` has no effect)."""
+def margolus_step_back(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:
+    """Undo one margolus_step."""
     return _blocked(grid, rule, True)
 
 
 def _simulate(
-    grid: MargolusGrid, n: int, rule: Optional[MargolusRule], step: Callable, back: Callable, *args
+    grid: MargolusGrid, n: int, rule: Optional[MargolusRule], step: Callable, back: Callable
 ) -> MargolusGrid:
     """``n`` steps of ``step`` (negative ``n`` runs ``back``), with the
     billiard-ball rule when ``rule`` is None."""
     r = rule if rule is not None else bbm_rule()
-    return iterate_map(lambda g: step(g, r, *args), n, grid, lambda g: back(g, r, *args))
+    return iterate_map(lambda g: step(g, r), n, grid, lambda g: back(g, r))
 
 
 def simulate_bbm(
-    grid: MargolusGrid,
-    n: int,
-    rule: Optional[MargolusRule] = None,
-    threads: int = 1,
+    grid: MargolusGrid, n: int, rule: Optional[MargolusRule] = None
 ) -> MargolusGrid:
     """Run ``n`` toroidal steps (negative ``n`` runs backwards), one
-    margolus_step call per step; ``threads`` has no effect."""
-    return _simulate(grid, n, rule, margolus_step, margolus_step_back, threads)
+    margolus_step call per step."""
+    return _simulate(grid, n, rule, margolus_step, margolus_step_back)
 
 
 def margolus_step_helical(grid: MargolusGrid, rule: MargolusRule) -> MargolusGrid:

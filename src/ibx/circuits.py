@@ -175,12 +175,12 @@ class ReversibleCircuit:
         the wire list."""
         return [] if self._table is None else [len(self._table[1])]
 
-    def as_bijection(self, label: str = "") -> Bijection:
+    def as_bijection(self) -> Bijection:
         return Bijection(
             self.width,
             self.eval_int,
             self.eval_int_reversed,
-            label=label or "circuit",
+            label="circuit",
             sliced=(partial(_run_wires, self.gates), partial(_run_wires, self.gates[::-1])),
         )
 

@@ -8,8 +8,10 @@ carried out, 2 for usage errors (argparse's own convention).
 ``--report`` emits a JSON run report on standard error: its schema
 version, the echoed command, a digest per input file, the payload, step
 counters, seconds per phase, wall time, and the ``ibx`` modules (and
-numpy) the run loaded.  ``--seed`` feeds every randomized harness, so runs
-are repeatable.
+numpy) the run loaded.  ``--seed``, taken only by ``leaf walk``, ``leaf
+compile`` and ``verify all``, makes their random inputs repeatable.  Every
+compiled schedule runs through one path that checks its answer against the
+command's direct one.
 
 Each handler imports the modules it dispatches to, so a command loads only
 the layers it uses, and numpy only when it builds arrays.
@@ -138,7 +140,7 @@ def _cmd_circuit(args, run: _Run) -> str:
     if args.action == "eval":
         return circuits.eval_reversible(c, _bits(args.input)).to_text()
     if args.action == "iterate":
-        run.count("iterations", args.n)
+        run.count("iterations", abs(args.n))
         # the literal loop: perfbench's child-timeout test needs a large --n to run long
         return kernel.iterate(c.as_bijection(), args.n, _bits(args.input)).to_text()
     if c.width > circuits.MAX_GATE_ARITY:
@@ -172,31 +174,42 @@ def _cmd_lift(args, run: _Run) -> str:
 # reduce
 
 
-def _cmd_reduce(args, run: _Run) -> str:
+def _compiled(sched, direct: kernel.Bitstring, run: Optional[_Run] = None) -> kernel.Bitstring:
+    """The answer of the compiled schedule ``sched``, its iterations counted
+    on ``run``; ReductionError when it differs from ``direct``, the answer
+    the command computes without the schedule."""
     from . import reductions
 
-    f = _named_bijection(args.fn, args.width)
-    if args.action == "summation":
-        sched = reductions.inversion_by_iteration(f, _bits(args.x))
+    if run is not None:
         run.count("iterations", sched.total_iterations)
-        return reductions.run_schedule(sched).to_text()
-    if args.action == "clock":
-        sched = reductions.compile_iteration_to_invertible(f, args.n, _bits(args.x))
-        run.count("iterations", sched.total_iterations)
-        return reductions.run_schedule(sched).to_text()
-    if args.count < 0:
-        raise ValueError(f"--count must be nonnegative, got {args.count}")
-    s = _bits(args.input)
-    if s.width != f.width:
-        raise ValueError("--input width must match the map width")
-    sched, direct = _one_oracle_gate(f, args.count, s)
-    run.count("iterations", sched.total_iterations)
     compiled = reductions.run_schedule(sched)
     if compiled != direct:
         raise reductions.ReductionError(
             f"compiled schedule gives {compiled.to_text()}, direct evaluation {direct.to_text()}"
         )
-    return compiled.to_text()
+    return compiled
+
+
+def _cmd_reduce(args, run: _Run) -> str:
+    from . import reductions
+
+    f = _named_bijection(args.fn, args.width)
+    if args.action == "summation":
+        x = _bits(args.x)
+        sched = reductions.inversion_by_iteration(f, x)
+        direct = kernel.Bitstring(f.forward(x.value), f.width)
+    elif args.action == "clock":
+        x = _bits(args.x)
+        sched = reductions.compile_iteration_to_invertible(f, args.n, x)
+        direct = kernel.iterate_bijection(f, args.n, x)
+    else:
+        if args.count < 0:
+            raise ValueError(f"--count must be nonnegative, got {args.count}")
+        s = _bits(args.input)
+        if s.width != f.width:
+            raise ValueError("--input width must match the map width")
+        sched, direct = _one_oracle_gate(f, args.count, s)
+    return _compiled(sched, direct, run).to_text()
 
 
 def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
@@ -225,19 +238,20 @@ def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
 # leaf
 
 
-def _iterated_leaf(inst, k: int) -> int:
-    """Compile the leaf walk of a ``graphs.LeafInstance`` into one
-    bijection, iterate it 2**k steps from the start leaf's edge and read the
-    v field: the far leaf."""
-    from . import graphs
+def _iterated_leaf(inst, k: int):
+    """The leaf walk of a ``graphs.LeafInstance`` compiled into one
+    bijection, as a ``reductions.Schedule``: 2**k steps from the start
+    leaf's edge, then the v field, the far leaf."""
+    from . import graphs, reductions
 
     f = graphs.leaf_to_bijection(inst.family, inst.instance, k)
     nbr = inst.family.query(inst.instance, inst.start)[0]
     state = kernel.Bitstring(
         kernel.pack_fields([(0, k), (inst.start.value, k), (nbr.value, k)]), 3 * k
     )
-    final = kernel.iterate_bijection(f, 1 << k, state)
-    return kernel.unpack_fields(final.value, (k, k, k))[1]
+    return reductions.Schedule(
+        f, 1 << k, state, lambda final: kernel.Bitstring(kernel.unpack_fields(final.value, (k, k, k))[1], k)
+    )
 
 
 def _cmd_leaf(args, run: _Run) -> str:
@@ -250,13 +264,7 @@ def _cmd_leaf(args, run: _Run) -> str:
     far = graphs.solve_leaf_walk(inst)
     if args.action == "walk":
         return far.to_text()
-    run.count("iterations", 1 << args.k)
-    v = _iterated_leaf(inst, args.k)
-    if v != far.value:
-        raise graphs.FamilyError(
-            f"iterated walker sits at {v}, direct walk found {far.value}"
-        )
-    return kernel.Bitstring(v, args.k).to_text()
+    return _compiled(_iterated_leaf(inst, args.k), far, run).to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +305,13 @@ def _cmd_ca(args, run: _Run) -> str:
         grid = formats.parse_grid(run.read(args.file))
         h, w = grid.shape
         auto = ca.dim_redux_compile(ca.bbm_rule(), c=w, p=h * w // 2)
+        run.count("steps", abs(args.n) * auto.t)
         if args.action == "dimredux-verify":
-            run.count("steps", args.n * auto.t)
             if not ca.dim_redux_verify(auto, grid, args.n):
                 raise ca.CaError("1D replay diverged from the 2D automaton")
             return f"ok {args.n} blocked steps replayed"
         cfg = auto.embed(grid, grid.phase)
         cfg = ca.simulate_1d(auto, cfg, args.n * auto.t)
-        run.count("steps", args.n * auto.t)
         out = auto.extract(cfg, grid.phase + args.n)
         return formats.write_grid(out).rstrip("\n")
     # strobe-demo
@@ -356,7 +363,7 @@ def _cmd_plb(args, run: _Run) -> str:
     if args.action == "apply":
         return str((plb.apply_plb_inverse if args.inverse else plb.apply_plb)(t, args.x))
     if args.action == "iterate":
-        run.count("iterations", args.n)
+        run.count("iterations", abs(args.n))
         answer = plb.iterate_plb(t, args.n, args.x)
         for name, size in plb.power_path(t)[1].items():  # none on a walk
             run.count(name, size)
@@ -499,31 +506,22 @@ def _verify_reductions(rng: random.Random) -> None:
     f = kernel.increment(4)
     for _ in range(4):
         x = kernel.Bitstring(rng.randrange(16), 4)
-        got = reductions.run_schedule(reductions.inversion_by_iteration(f, x))
-        if got.value != f.forward(x.value):
-            raise ValueError("summation schedule disagrees with the map")
+        _compiled(reductions.inversion_by_iteration(f, x), kernel.Bitstring(f.forward(x.value), 4))
         n = rng.randint(0, 9)
-        got = reductions.run_schedule(
-            reductions.compile_iteration_to_invertible(f, n, x)
-        )
-        if got != kernel.iterate(f, n, x):
-            raise ValueError("clocked schedule disagrees with direct iteration")
+        _compiled(reductions.compile_iteration_to_invertible(f, n, x), kernel.iterate(f, n, x))
     # a count near 2**40: the oracle clock leaps each run of ticks, the
     # active one by the cat map's own power
     cat = kernel.cat_map(5)
-    sched, direct = _one_oracle_gate(
+    _compiled(*_one_oracle_gate(
         cat, (1 << 40) - rng.randrange(1, 1 << 10), kernel.Bitstring(rng.randrange(64), cat.width)
-    )
-    if reductions.run_schedule(sched) != direct:
-        raise ValueError("oracle schedule disagrees with the direct evaluation")
+    ))
 
 
 def _verify_leaf(rng: random.Random) -> None:
     from . import graphs
 
     inst = graphs.random_path_instance(6, rng)
-    if _iterated_leaf(inst, 6) != graphs.solve_leaf_walk(inst).value:
-        raise ValueError("leaf bijection did not deliver the far leaf")
+    _compiled(_iterated_leaf(inst, 6), graphs.solve_leaf_walk(inst))
 
 
 def _verify_lollipop(rng: random.Random) -> None:
@@ -613,7 +611,6 @@ def _cmd_verify(args, run: _Run) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="harness RNG seed")
     common.add_argument("--report", action="store_true", help="JSON run report on stderr")
 
     top = argparse.ArgumentParser(prog="ibx", description=__doc__)
@@ -659,6 +656,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("leaf").add_subparsers(dest="action", required=True)
     for name in ("walk", "compile"):
         p = leaf_parser(g, name)
+        p.add_argument("--seed", type=int, default=0, help="RNG seed of the random path")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--length", type=int)
 
@@ -714,7 +712,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=int, help="check every modulus up to this bound")
 
     g = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    leaf_parser(g, "all")
+    leaf_parser(g, "all").add_argument("--seed", type=int, default=0, help="RNG seed of the checks")
 
     return top
 

@@ -459,14 +459,14 @@ def rotate_left(width: int) -> Bijection:
     return one_move(width, power_leap(rotl), f"rotl/{width}")
 
 
-def from_permutation(perm: Iterable[int], width: int, label: str = "") -> Bijection:
+def from_permutation(perm: Iterable[int], width: int) -> Bijection:
     """Bijection from an explicit permutation table of [0, 2**width), given
     as any iterable of its entries in order."""
     table = tuple(perm)
     if len(table) != 1 << width:
         raise ValueError(f"table has {len(table)} entries, not {1 << width}")
     inv = inverse_table(table)
-    return Bijection(width, lambda x: table[x], lambda x: inv[x], label=label or f"perm/{width}")
+    return Bijection(width, lambda x: table[x], lambda x: inv[x], label=f"perm/{width}")
 
 
 def cat_map(n: int) -> Bijection:

@@ -7,15 +7,22 @@ are pinned by the module tests, so these focus on plumbing: files in,
 payload out, exit codes, the JSON report.
 """
 
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibx import ca, circuits, cli, formats, graphs, iet, kernel, plb
 
@@ -699,6 +706,90 @@ def test_verify_all(capsys):
     assert all(line.endswith(" ok") for line in lines)
 
 
+# Every subcommand; only the three that draw random inputs take --seed.
+SUBCOMMANDS = {
+    "circuit": ["eval", "invert", "iterate", "parity"],
+    "lift": ["bennett", "exact"],
+    "reduce": ["summation", "clock", "oracle"],
+    "leaf": ["walk", "compile"],
+    "lollipop": ["second-cycle", "count"],
+    "ca": ["bbm-run", "bbm-reverse", "dimredux-run", "dimredux-verify", "strobe-demo"],
+    "plb": ["validate", "apply", "iterate", "compose", "riffle", "rotate", "from-circuit"],
+    "iet": ["build", "solve", "three-gap"],
+    "verify": ["all"],
+}
+SEEDED = {("leaf", "walk"), ("leaf", "compile"), ("verify", "all")}
+
+
+@pytest.mark.parametrize(
+    "group, action", [(g, a) for g, actions in SUBCOMMANDS.items() for a in actions]
+)
+def test_only_the_randomized_commands_take_seed(group, action, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([group, action, "--help"])
+    assert exit_info.value.code == 0
+    assert ("--seed" in capsys.readouterr().out) == ((group, action) in SEEDED)
+
+
+def test_seed_on_a_command_without_randomness_is_a_usage_error():
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["plb", "riffle", "--n", "5", "--seed", "3"])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["circuit", "iterate", "--file", "c.rc", "--input", "101"],
+    ["plb", "iterate", "--file", "riffle.plb", "--x", "5"],
+    ["ca", "dimredux-run", "--file", "ball.grid"],
+    ["ca", "dimredux-verify", "--file", "ball.grid"],
+])
+def test_report_counts_a_negative_n_by_its_size(argv, tmp_path, capsys, monkeypatch):
+    (tmp_path / "c.rc").write_text("wires 3\nnot 0\ncnot 0 2\ntoffoli 0 1 2\n")
+    (tmp_path / "riffle.plb").write_text(formats.write_plb(13, plb.riffle(13).pieces))
+    ball_grid(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    counts = []
+    for n in ("2", "-2"):
+        rc, _, err = run_cli(capsys, *argv, "--n", n, "--report")
+        assert rc == 0, err
+        counts.append(json.loads(err)["step_counts"])
+    assert counts[0] == counts[1]
+    assert min(counts[1].values()) > 0, counts[1]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_examples():
+    """README's ``t.iet`` document, and each ``$ ibx`` line of its
+    command-line block as arguments with the output lines that follow."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```text\n(.*?)^```", fh.read(), re.S | re.M)
+    doc = next(b for b in blocks if b.startswith("iet "))
+    examples = []
+    for line in next(b for b in blocks if b.startswith("$ ibx ")).splitlines():
+        if line.startswith("$ ibx "):
+            examples.append((shlex.split(line)[2:], []))
+        else:
+            examples[-1][1].append(line + "\n")
+    return doc, [(argv, "".join(out)) for argv, out in examples]
+
+
+README_IET, README_EXAMPLES = readme_examples()
+
+
+def test_readme_shows_the_figure_exchange():
+    assert README_IET == FIG_IET
+    assert len(README_EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("argv, want", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_example(argv, want, tmp_path, capsys, monkeypatch):
+    (tmp_path / "t.iet").write_text(README_IET)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 def test_report_emits_json(tmp_path, capsys):
     path = tmp_path / "c.rc"
     path.write_text("wires 3\nswap 0 1\n")
@@ -1163,3 +1254,76 @@ def test_console_script_installed(tmp_path):
     )
     assert done.returncode == 0
     assert done.stdout.strip() == "10"
+
+
+# ---------------------------------------------------------------------------
+# compiled answers against references built from the inputs alone
+
+
+def run_quiet(*argv):
+    """cli.main in process, its streams captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def stock_maps(draw):
+    """A stock map's CLI flags, its width and its forward map, written from
+    the map's definition."""
+    kind = draw(st.sampled_from(["identity", "increment", "rotl", "add", "cat"]))
+    if kind == "cat":
+        n = draw(st.integers(2, 16))
+        half = (n - 1).bit_length()
+
+        def cat(v):
+            x, y = v >> half, v & ((1 << half) - 1)
+            if x >= n or y >= n:
+                return v
+            return (2 * x + y) % n << half | (x + y) % n
+
+        return ["--fn", f"cat:{n}"], 2 * half, cat
+    w = draw(st.integers(1, 8))
+    mask = (1 << w) - 1
+    flags = ["--width", str(w)]
+    if kind == "identity":
+        return ["--fn", "identity", *flags], w, lambda x: x
+    if kind == "increment":
+        return ["--fn", "increment", *flags], w, lambda x: (x + 1) & mask
+    if kind == "rotl":
+        return ["--fn", "rotl", *flags], w, lambda x: (x << 1 | x >> (w - 1)) & mask
+    c = draw(st.integers(-300, 300))
+    return ["--fn", f"add:{c}", *flags], w, lambda x: (x + c) & mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(stock_maps(), st.data())
+def test_reduce_answers_equal_the_maps_written_from_their_definitions(stock, data):
+    flags, w, f = stock
+    x = data.draw(st.integers(0, (1 << w) - 1))
+    orbit = [x]
+    while f(orbit[-1]) != x:
+        orbit.append(f(orbit[-1]))
+    length = len(orbit)  # the start's return time
+    n = data.draw(st.sampled_from([0, 1, length, length + 1, 10**20 + 7]))
+    n *= data.draw(st.sampled_from([1, -1]))
+    text = format(x, f"0{w}b")
+    assert run_quiet("reduce", "summation", *flags, "--x", text) == (0, format(f(x), f"0{w}b") + "\n", "")
+    for action, args in (("clock", ["--x", text, "--n", str(n)]),
+                         ("oracle", ["--input", text, "--count", str(n)])):
+        rc, out, err = run_quiet("reduce", action, *flags, *args)
+        if n < 0:  # both counts must be nonnegative
+            assert (rc, out) == (1, "") and err.startswith("error:"), (action, err)
+        else:
+            assert (rc, out, err) == (0, format(orbit[n % length], f"0{w}b") + "\n", ""), action
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**64), st.data())
+def test_leaf_commands_land_on_the_far_end_of_the_seeded_path(k, seed, data):
+    length = data.draw(st.integers(2, min(1 << k, 64)))
+    far = random.Random(seed).sample(range(2**k), length)[-1]
+    for action in ("walk", "compile"):
+        argv = ["leaf", action, "--k", str(k), "--length", str(length), "--seed", str(seed)]
+        assert run_quiet(*argv) == (0, format(far, f"0{k}b") + "\n", ""), action
