@@ -38,14 +38,14 @@ _EXPORTS = {
     ),
     "graphs": (
         "CubicGraph", "ImplicitFamily", "LeafInstance", "LollipopState",
-        "leaf_to_bijection", "lollipop_family", "lollipop_instance",
+        "leaf_schedule", "leaf_to_bijection", "lollipop_family", "lollipop_instance",
         "second_hamiltonian", "solve_leaf_walk",
     ),
     "ca": (
         "DimReduxAutomaton", "MargolusGrid", "MargolusRule", "bbm_rule",
-        "dim_redux_compile", "dim_redux_verify", "margolus_step", "margolus_step_back",
-        "margolus_step_helical", "margolus_step_back_helical", "simulate_bbm",
-        "simulate_helical", "strobe_wrap", "toy_counter_strobe",
+        "dim_redux_compile", "dim_redux_run", "dim_redux_verify", "margolus_step",
+        "margolus_step_back", "margolus_step_helical", "margolus_step_back_helical",
+        "simulate_bbm", "simulate_helical", "strobe_wrap", "toy_counter_strobe",
     ),
     "plb": (
         "Piece", "PiecewiseLinearBijection", "apply_plb",

@@ -35,7 +35,8 @@ only to build a grid from an array and to read ``cells``.
 
 The 1D side pins one geometry: ring cell x covers grid column x mod c and
 row pair x // c, its two data tracks holding the upper and lower row, so
-the reference 2D simulation has helical vertical connections.
+the reference 2D simulation has helical vertical connections.  dim_redux_run
+replays a grid of either phase on the ring.
 """
 
 from __future__ import annotations
@@ -809,17 +810,19 @@ def simulate_1d(automaton, cfg: TrackedConfig1D, n: int) -> TrackedConfig1D:
     return TrackedConfig1D._from_tracks(out.tracks, cfg.step + n)
 
 
-def dim_redux_verify(
-    automaton: DimReduxAutomaton, grid: MargolusGrid, n: int
-) -> bool:
-    """Drive both simulations and compare bit-exactly.
+def dim_redux_run(automaton: DimReduxAutomaton, grid: MargolusGrid, n: int) -> MargolusGrid:
+    """``grid`` after n 2D steps (negative n steps back), replayed on the
+    ring: embedded at its own phase, n*t ring steps, then extracted."""
+    cfg = simulate_1d(automaton, automaton.embed(grid, grid.phase), n * automaton.t)
+    return automaton.extract(cfg, grid.phase + n)
+
+
+def dim_redux_verify(automaton: DimReduxAutomaton, grid: MargolusGrid, n: int) -> bool:
+    """Whether dim_redux_run equals simulate_helical, bit-exactly.
 
     The 2D reference uses helical vertical connections; the ring cannot
     keep a level horizontal wrap, because sliding tracks preserve strip
     distance and the level wrap would need same-row cells a full row
     apart to become adjacent.
     """
-    cfg = automaton.embed(grid, 0)
-    cfg = simulate_1d(automaton, cfg, n * automaton.t)
-    g2 = simulate_helical(grid, n, automaton.rule)
-    return cfg == automaton.embed(g2, n)
+    return dim_redux_run(automaton, grid, n) == simulate_helical(grid, n, automaton.rule)

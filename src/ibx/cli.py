@@ -9,9 +9,9 @@ carried out, 2 for usage errors (argparse's own convention).
 version, the echoed command, a digest per input file, the payload, step
 counters, seconds per phase, wall time, and the ``ibx`` modules (and
 numpy) the run loaded.  ``--seed``, taken only by ``leaf walk``, ``leaf
-compile`` and ``verify all``, makes their random inputs repeatable.  Every
-compiled schedule runs through one path that checks its answer against the
-command's direct one.
+compile`` and ``verify all``, makes their random inputs repeatable.  Each
+answer is one library call, with no state layout in a handler, and every
+compiled schedule's answer is checked against the command's direct one.
 
 Each handler imports the modules it dispatches to, so a command loads only
 the layers it uses, and numpy only when it builds arrays.
@@ -238,22 +238,6 @@ def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
 # leaf
 
 
-def _iterated_leaf(inst, k: int):
-    """The leaf walk of a ``graphs.LeafInstance`` compiled into one
-    bijection, as a ``reductions.Schedule``: 2**k steps from the start
-    leaf's edge, then the v field, the far leaf."""
-    from . import graphs, reductions
-
-    f = graphs.leaf_to_bijection(inst.family, inst.instance, k)
-    nbr = inst.family.query(inst.instance, inst.start)[0]
-    state = kernel.Bitstring(
-        kernel.pack_fields([(0, k), (inst.start.value, k), (nbr.value, k)]), 3 * k
-    )
-    return reductions.Schedule(
-        f, 1 << k, state, lambda final: kernel.Bitstring(kernel.unpack_fields(final.value, (k, k, k))[1], k)
-    )
-
-
 def _cmd_leaf(args, run: _Run) -> str:
     from . import graphs
 
@@ -264,7 +248,7 @@ def _cmd_leaf(args, run: _Run) -> str:
     far = graphs.solve_leaf_walk(inst)
     if args.action == "walk":
         return far.to_text()
-    return _compiled(_iterated_leaf(inst, args.k), far, run).to_text()
+    return _compiled(graphs.leaf_schedule(inst), far, run).to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +283,17 @@ def _cmd_ca(args, run: _Run) -> str:
         grid = formats.parse_grid(run.read(args.file))
         n = args.n if args.action == "bbm-run" else -args.n
         run.count("steps", abs(n))
-        out = ca.simulate_bbm(grid, n)
-        return formats.write_grid(out).rstrip("\n")
+        return formats.write_grid(ca.simulate_bbm(grid, n)).rstrip("\n")
     if args.action in ("dimredux-run", "dimredux-verify"):
         grid = formats.parse_grid(run.read(args.file))
         h, w = grid.shape
         auto = ca.dim_redux_compile(ca.bbm_rule(), c=w, p=h * w // 2)
         run.count("steps", abs(args.n) * auto.t)
-        if args.action == "dimredux-verify":
-            if not ca.dim_redux_verify(auto, grid, args.n):
-                raise ca.CaError("1D replay diverged from the 2D automaton")
-            return f"ok {args.n} blocked steps replayed"
-        cfg = auto.embed(grid, grid.phase)
-        cfg = ca.simulate_1d(auto, cfg, args.n * auto.t)
-        out = auto.extract(cfg, grid.phase + args.n)
-        return formats.write_grid(out).rstrip("\n")
+        if args.action == "dimredux-run":
+            return formats.write_grid(ca.dim_redux_run(auto, grid, args.n)).rstrip("\n")
+        if not ca.dim_redux_verify(auto, grid, args.n):
+            raise ca.CaError("1D replay diverged from the 2D automaton")
+        return f"ok {args.n} blocked steps replayed"
     # strobe-demo
     if args.n < 0:
         raise ca.CaError(f"--n must be nonnegative, got {args.n}")
@@ -421,10 +401,9 @@ def _cmd_iet(args, run: _Run) -> str:
     domain, triples = formats.parse_iet(run.read(args.file))
     t = plb.interval_exchange(domain, triples)
     if args.action == "solve":
-        answer = iet.iet_orbit_solve(t, args.i, args.n)
         run.count("induction_ops", len(iet.induction(t)))
-        run.count("orbit_length", iet.orbit_size(t, args.i))
-        return str(answer)
+        run.count("orbit_length", iet.orbit_size(t, args.i))  # iet's range error, not plb's
+        return str(plb.iterate_plb(t, args.n, args.i))
     su = iet.build_surface(t)
     run.count("triangles", len(su.surface.triangles))
     run.count("period", su.period)
@@ -521,7 +500,7 @@ def _verify_leaf(rng: random.Random) -> None:
     from . import graphs
 
     inst = graphs.random_path_instance(6, rng)
-    _compiled(_iterated_leaf(inst, 6), graphs.solve_leaf_walk(inst))
+    _compiled(graphs.leaf_schedule(inst), graphs.solve_leaf_walk(inst))
 
 
 def _verify_lollipop(rng: random.Random) -> None:
@@ -550,7 +529,7 @@ def _verify_ca(rng: random.Random) -> None:
     if ca.simulate_bbm(g, -20) != g0:
         raise ValueError("reverse run did not recover the start")
     rows = ["".join(".#"[rng.randint(0, 1)] for _ in range(4)) for _ in range(4)]
-    grid = formats.parse_grid("\n".join(["bbm 4 4 0", *rows]))
+    grid = formats.parse_grid("\n".join([f"bbm 4 4 {rng.randint(0, 1)}", *rows]))
     auto = ca.dim_redux_compile(ca.bbm_rule(), 4, 8)
     if not ca.dim_redux_verify(auto, grid, 3):
         raise ValueError("1D replay diverged")
@@ -576,7 +555,7 @@ def _verify_iet(rng: random.Random) -> None:
     t = plb.interval_exchange(15, [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)])
     su = iet.build_surface(t)
     for x, y in ((0, 11), (4, 0), (6, 10), (7, 2)):
-        if iet.iet_orbit_solve(t, x, 1, surface=su) != y:
+        if plb.iterate_plb(t, 1, x) != y or y not in iet.arc_of(su, x).orbit:
             raise ValueError(f"exchange maps {x} wrongly")
     if _three_gap_worst(60) > 3:
         raise ValueError("three-gap bound violated")

@@ -5,7 +5,7 @@ An implicit family answers neighbor queries about an exponentially large
 graph; the only promises are that every vertex has at most two neighbors and
 that adjacency is symmetric.  Walking from a degree-one vertex to the other
 end of its path component is the basic search problem here, and
-leaf_to_bijection repackages that walk as iterating a single bijection.
+leaf_schedule repackages that walk as iterating leaf_to_bijection's map.
 
 The lollipop machinery instantiates the same shape on an explicit cubic
 graph whose implicit vertices are Hamiltonian paths: second_hamiltonian
@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from .kernel import Bijection, Bitstring, one_move, pack_fields, unpack_fields
+
+if TYPE_CHECKING:
+    from .reductions import Schedule
 
 
 class FamilyError(ValueError):
@@ -249,6 +252,21 @@ def leaf_to_bijection(family: ImplicitFamily, instance: Bitstring, k: int) -> Bi
         return reverse(y), j
 
     return one_move(3 * k, leap, f"leaf-walk[{k}]")
+
+
+def leaf_schedule(inst: LeafInstance) -> Schedule:
+    """The leaf walk as a ``reductions.Schedule``: leaf_to_bijection's map
+    run 2**k steps from (0, start, its neighbor), answered by the v field,
+    the far leaf.  FamilyError when the start is not a leaf of the oracle."""
+    from .reductions import Schedule
+
+    k = inst.start.width
+    nbrs = inst.family.query(inst.instance, inst.start)
+    if nbrs is None or len(nbrs) != 1:
+        raise FamilyError("start vertex is not a leaf: its neighbor query failed or named other than one")
+    f = leaf_to_bijection(inst.family, inst.instance, k)
+    state = Bitstring(pack_fields([(0, k), (inst.start.value, k), (nbrs[0].value, k)]), 3 * k)
+    return Schedule(f, 1 << k, state, lambda final: Bitstring(unpack_fields(final.value, (k, k, k))[1], k))
 
 
 def random_path_instance(

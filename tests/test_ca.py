@@ -19,6 +19,7 @@ from ibx.ca import (
     bbm_rule,
     counter_parts,
     dim_redux_compile,
+    dim_redux_run,
     dim_redux_verify,
     identity_rule,
     margolus_step,
@@ -803,6 +804,18 @@ def test_dim_redux_random_rule(rng):
     auto = dim_redux_compile(rule, 6, 24)
     grid = grid_of(random_cells(rng, 8, 6))
     assert dim_redux_verify(auto, grid, 7)
+
+
+@pytest.mark.parametrize("phase", [0, 1])
+def test_dim_redux_run_equals_the_helical_simulation_from_either_phase(rng, phase):
+    # sides of 4 and 6, whose helical orbits are short enough for a huge n
+    # to cost milliseconds on both sides
+    for _ in range(100):
+        h, w = rng.choice([4, 6]), rng.choice([4, 6])
+        auto = dim_redux_compile(bbm_rule(), w, h * w // 2)
+        grid = grid_of(random_cells(rng, h, w), phase)
+        for n in (0, 1, -1, 5, -5, 10**20 + 7):
+            assert dim_redux_run(auto, grid, n) == simulate_helical(grid, n), (h, w, n)
 
 
 def assert_python_int_tracks(cfg):

@@ -292,6 +292,19 @@ def test_ca_dimredux_verify(tmp_path, capsys):
     assert out.strip() == "ok 3 blocked steps replayed"
 
 
+PHASE_1_GRID = "bbm 4 4 1\n#...\n..#.\n.#..\n...#\n"
+
+
+def test_ca_dimredux_verify_takes_a_phase_1_grid(tmp_path, capsys):
+    path = tmp_path / "g.grid"
+    path.write_text(PHASE_1_GRID)
+    rc, out, err = run_cli(capsys, "ca", "dimredux-verify", "--file", str(path), "--n", "3")
+    assert (rc, out, err) == (0, "ok 3 blocked steps replayed\n", "")
+    rc, out, _ = run_cli(capsys, "ca", "dimredux-run", "--file", str(path), "--n", "3")
+    want = ca.simulate_helical(formats.parse_grid(PHASE_1_GRID), 3, ca.bbm_rule())
+    assert (rc, out) == (0, formats.write_grid(want))
+
+
 def test_ca_strobe_demo(capsys):
     rc, out, _ = run_cli(capsys, "ca", "strobe-demo", "--t", "3", "--n", "9")
     assert rc == 0
@@ -1327,3 +1340,171 @@ def test_leaf_commands_land_on_the_far_end_of_the_seeded_path(k, seed, data):
     for action in ("walk", "compile"):
         argv = ["leaf", action, "--k", str(k), "--length", str(length), "--seed", str(seed)]
         assert run_quiet(*argv) == (0, format(far, f"0{k}b") + "\n", ""), action
+
+
+# ---------------------------------------------------------------------------
+# rerouted answers against references written from the documents alone
+
+
+def scan_apply(pieces, x):
+    """The image of x under a ``piece lo hi mult off`` list, by a scan."""
+    for lo, hi, mult, off in pieces:
+        if lo <= x < hi:
+            return mult * x + off
+    raise AssertionError(f"{x} in no piece")
+
+
+@st.composite
+def exchange_documents(draw, flips=False):
+    """N and the blocks of [0, N) put down in a drawn order, each a piece
+    (lo, hi, mult, off), listed in domain order; with ``flips`` some are
+    put down reversed (mult -1)."""
+    n = draw(st.integers(1, 600))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 7)))) if n > 1 else []
+    blocks = list(zip([0, *cuts], [*cuts, n]))
+    order = draw(st.permutations(range(len(blocks))))
+    starts, at = {}, 0
+    for b in order:
+        starts[b], at = at, at + blocks[b][1] - blocks[b][0]
+    pieces = []
+    for b, (lo, hi) in enumerate(blocks):
+        if flips and draw(st.booleans()):
+            pieces.append((lo, hi, -1, starts[b] + hi - 1))
+        else:
+            pieces.append((lo, hi, 1, starts[b] - lo))
+    return n, pieces
+
+
+@st.composite
+def riffle_documents(draw):
+    """The perfect riffle of N cards, written from its definition."""
+    n = draw(st.integers(2, 600))
+    half = (n + 1) // 2
+    return n, [(0, half, 2, 0), (half, n, 2, 1 - n if n % 2 == 0 else -n)]
+
+
+def scanned_power(pieces, x, data):
+    """A drawn count n in {0, ±1, ±L, ±(L+1), ±(10**20 + 7)}, L the orbit
+    length of x, and x's n-th image, read off the scanned orbit."""
+    orbit = [x]
+    while scan_apply(pieces, orbit[-1]) != x:
+        orbit.append(scan_apply(pieces, orbit[-1]))
+    size = len(orbit)
+    n = data.draw(st.sampled_from([0, 1, size, size + 1, 10**20 + 7]))
+    n *= data.draw(st.sampled_from([1, -1]))
+    return n, orbit[n % size]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exchange_documents(), exchange_documents(flips=True), riffle_documents()), st.data())
+def test_plb_iterate_equals_a_piece_scan(tmp_path_factory, doc, data):
+    n_points, pieces = doc
+    path = tmp_path_factory.mktemp("plb") / "t.plb"
+    path.write_text(f"plb {n_points}\n" + "".join(f"piece {lo} {hi} {m} {o}\n" for lo, hi, m, o in pieces))
+    x = data.draw(st.integers(0, n_points - 1))
+    n, want = scanned_power(pieces, x, data)
+    argv = ["plb", "iterate", "--file", str(path), "--x", str(x), "--n", str(n)]
+    assert run_quiet(*argv) == (0, f"{want}\n", "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_documents(), st.data())
+def test_iet_solve_equals_a_piece_scan(tmp_path_factory, doc, data):
+    n_points, pieces = doc
+    path = tmp_path_factory.mktemp("iet") / "t.iet"
+    path.write_text(f"iet {n_points}\n" + "".join(f"piece {lo} {hi} {o}\n" for lo, hi, _, o in pieces))
+    i = data.draw(st.integers(0, n_points - 1))
+    n, want = scanned_power(pieces, i, data)
+    assert run_quiet("iet", "solve", "--file", str(path), "--i", str(i), "--n", str(n)) == (0, f"{want}\n", "")
+
+
+def billiard_block(tl, tr, bl, br):
+    """The billiard-ball rule on one block: a lone ball crosses to the
+    opposite corner, a diagonal pair turns into the other diagonal, every
+    other block stays."""
+    if tl + tr + bl + br == 1:
+        return br, bl, tr, tl
+    if (tl, tr, bl, br) in ((1, 0, 0, 1), (0, 1, 1, 0)):
+        return 1 - tl, 1 - tr, 1 - bl, 1 - br
+    return tl, tr, bl, br
+
+
+def torus_blocks(h, w, phase):
+    """The (tl, tr, bl, br) cells of each block anchored at ``phase``,
+    wrapping level at the right edge and the bottom."""
+    for r in range(phase, h, 2):
+        for c in range(phase, w, 2):
+            yield (r, c), (r, (c + 1) % w), ((r + 1) % h, c), ((r + 1) % h, (c + 1) % w)
+
+
+def helical_blocks(h, w, phase):
+    """The blocks anchored at ``phase`` when the row pairs are one strip
+    (position u = pair * w + column, the upper row's cells on track 0, the
+    lower row's on track 1): an even block is the strip's square at an even
+    u; an odd block takes track 1 at u, u + 1 over track 0 at u + w,
+    u + w + 1, u odd, so a block past the right edge descends a row pair."""
+    size = h * w // 2
+
+    def cell(track, u):
+        u %= size
+        return 2 * (u // w) + track, u % w
+
+    for u in range(phase, size, 2):
+        if phase == 0:
+            yield cell(0, u), cell(0, u + 1), cell(1, u), cell(1, u + 1)
+        else:
+            yield cell(1, u), cell(1, u + 1), cell(0, u + w), cell(0, u + w + 1)
+
+
+def billiard_run(cells, phase, n, blocks):
+    """n blocked updates of the billiard-ball rule (|n| undone for n < 0),
+    cell by cell over ``blocks(h, w, anchor)``.  The rule is its own
+    inverse, so a step back is the rule on the blocks the step forward
+    used, the ones anchored at the other phase."""
+    h, w = len(cells), len(cells[0])
+    for _ in range(abs(n)):
+        anchor = phase if n > 0 else 1 - phase
+        out = [row[:] for row in cells]
+        for block in blocks(h, w, anchor):
+            for (r, c), v in zip(block, billiard_block(*(cells[r][c] for r, c in block))):
+                out[r][c] = v
+        cells, phase = out, 1 - phase
+    return cells, phase
+
+
+def grid_text(cells, phase):
+    rows = ("".join(".#"[v] for v in row) for row in cells)
+    return f"bbm {len(cells[0])} {len(cells)} {phase}\n" + "".join(f"{row}\n" for row in rows)
+
+
+@st.composite
+def grids(draw, least):
+    """A grid of even sides from ``least`` to 8 and its phase."""
+    h, w = (draw(st.sampled_from(range(least, 9, 2))) for _ in range(2))
+    cells = [[draw(st.integers(0, 1)) for _ in range(w)] for _ in range(h)]
+    return cells, draw(st.integers(0, 1))
+
+
+def write_grid_file(tmp_path_factory, cells, phase):
+    path = tmp_path_factory.mktemp("ca") / "g.grid"
+    path.write_text(grid_text(cells, phase))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(2), st.integers(-20, 20))
+def test_bbm_commands_equal_a_cell_by_cell_torus_update(tmp_path_factory, grid, n):
+    path = write_grid_file(tmp_path_factory, *grid)
+    want = grid_text(*billiard_run(*grid, n, torus_blocks))
+    assert run_quiet("ca", "bbm-run", "--file", path, "--n", str(n)) == (0, want, "")
+    assert run_quiet("ca", "bbm-reverse", "--file", path, "--n", str(-n)) == (0, want, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids(4), st.integers(-20, 20))
+def test_dimredux_commands_equal_a_cell_by_cell_helical_update(tmp_path_factory, grid, n):
+    path = write_grid_file(tmp_path_factory, *grid)
+    want = grid_text(*billiard_run(*grid, n, helical_blocks))
+    assert run_quiet("ca", "dimredux-run", "--file", path, "--n", str(n)) == (0, want, "")
+    ok = f"ok {n} blocked steps replayed\n"
+    assert run_quiet("ca", "dimredux-verify", "--file", path, "--n", str(n)) == (0, ok, "")

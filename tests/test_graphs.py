@@ -21,6 +21,7 @@ from ibx.graphs import (
     cubic_graph,
     generalized_petersen,
     hamiltonian_cycles_through_edge,
+    leaf_schedule,
     leaf_to_bijection,
     lollipop_family,
     lollipop_instance,
@@ -39,6 +40,7 @@ from ibx.kernel import (
     pack_fields,
     unpack_fields,
 )
+from ibx.reductions import run_schedule
 
 from conftest import logged, ring_family
 
@@ -257,6 +259,26 @@ def test_random_path_instance_round_trip(rng):
         )
         final = iterate_bijection(f, 1 << k, start)
         assert (final.value >> k) & ((1 << k) - 1) == far.value
+
+
+def test_leaf_schedule_starts_on_the_start_edge_and_answers_the_far_leaf(rng):
+    for _ in range(20):
+        k = rng.randint(1, 10)
+        inst = random_path_instance(k, rng)
+        sched = leaf_schedule(inst)
+        nbr = inst.family.query(inst.instance, inst.start)[0]
+        assert sched.start == Bitstring(pack_fields([(0, k), (inst.start.value, k), (nbr.value, k)]), 3 * k)
+        assert sched.total_iterations == 1 << k
+        assert run_schedule(sched) == solve_leaf_walk(inst)
+
+
+@pytest.mark.parametrize("answer", [None, [], [Bitstring(2, 3), Bitstring(6, 3)], [Bitstring(2, 4)]])
+def test_leaf_schedule_refuses_a_start_that_is_not_a_leaf(answer):
+    # a failed query, an isolated start, a start inside the path and an
+    # answer of the wrong width
+    inst = LeafInstance(ImplicitFamily(lambda g, v: answer), Bitstring(0, 1), Bitstring(5, 3))
+    with pytest.raises(FamilyError, match="start vertex is not a leaf"):
+        leaf_schedule(inst)
 
 
 def test_cubic_builders_validate():
