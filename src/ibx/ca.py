@@ -42,9 +42,8 @@ replays a grid of either phase on the ring.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import _DIGITS, _VALUES, inverse_table, iterate_map
 
@@ -53,15 +52,19 @@ class CaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MargolusRule:
-    """Permutation table of the 16 block states."""
-
+class _RuleFields(NamedTuple):
     table: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.table) != 16 or any(not 0 <= v < 16 for v in self.table):
+
+class MargolusRule(_RuleFields):
+    """Permutation table of the 16 block states, checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, table: Tuple[int, ...]) -> "MargolusRule":
+        if len(table) != 16 or any(not 0 <= v < 16 for v in table):
             raise CaError("rule table must list 16 block states")
+        return tuple.__new__(cls, (table,))
 
     def inverse(self) -> "MargolusRule":
         try:
@@ -500,8 +503,7 @@ def band_shift_step(cfg: TrackedConfig1D, reverse: bool = False) -> TrackedConfi
 # Strobe wrapper: a six-track ring whose lit condition fires every t steps.
 
 
-@dataclass(frozen=True)
-class StrobeParts:
+class StrobeParts(NamedTuple):
     """Pluggable half-cell dynamics: a bijection on [0, size) driving the
     top counters, plus the firing predicate."""
 
@@ -564,8 +566,7 @@ def _swap_pair(tracks: list, here: int, there: int) -> None:
     tracks[here], tracks[there] = tuple(left), tuple(right)
 
 
-@dataclass(frozen=True)
-class StrobeAutomaton:
+class StrobeAutomaton(NamedTuple):
     """Six tracks: (top_l, top_c, top_r, bot_l, bot_c, bot_r).
 
     The side tracks carry a singleton alphabet here but the partition swaps
@@ -637,8 +638,13 @@ def toy_counter_strobe(t: int) -> StrobeAutomaton:
 # Dimension reduction: a Margolus automaton on a ring.
 
 
-@dataclass(frozen=True)
-class DimReduxAutomaton:
+class _DimReduxFields(NamedTuple):
+    rule: MargolusRule
+    c: int
+    p: int
+
+
+class DimReduxAutomaton(_DimReduxFields):
     """1D automaton replaying a 2D Margolus rule, one blocked update every
     t = c/2 + 1 steps.
 
@@ -656,20 +662,20 @@ class DimReduxAutomaton:
     ``leap`` (see ``kernel.iterate_map``) takes a whole period of t steps
     from a lit config, forward or back: the t - 1 band shifts compose into
     one shift by t - 1, so simulate_1d costs one blocked update, one
-    shift and one check per period either way.
+    shift and one check per period either way.  The fields are checked
+    at construction.
     """
 
-    rule: MargolusRule
-    c: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c < 4 or self.c % 2:
+    def __new__(cls, rule: MargolusRule, c: int, p: int) -> "DimReduxAutomaton":
+        if c < 4 or c % 2:
             raise CaError("circumference must be even and at least 4")
-        if self.p <= self.c or self.p % self.c:
+        if p <= c or p % c:
             raise CaError("ring length must be a proper multiple of c")
-        if not rule_is_bijective(self.rule):
+        if not rule_is_bijective(rule):
             raise CaError("2D rule must be bijective")
+        return tuple.__new__(cls, (rule, c, p))
 
     @property
     def t(self) -> int:

@@ -25,13 +25,12 @@ import itertools
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from operator import xor
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .kernel import (MAX_EXHAUSTIVE_WIDTH, Bijection, Bitstring, WidthMismatchError, cycle_lengths,
-                     _DIGITS, _VALUES, iterate_bijection, state_slices)
+                     _DIGITS, _Frozen, _VALUES, iterate_bijection, state_slices)
 
 GATE_ARITY = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3, "fredkin": 3}
 MAX_GATE_ARITY = max(GATE_ARITY.values())
@@ -45,28 +44,31 @@ class CircuitError(ValueError):
     """Malformed circuit description."""
 
 
-@dataclass(frozen=True)
-class ReversibleGate:
+class _GateFields(NamedTuple):
+    kind: str
+    wires: Tuple[int, ...]
+
+
+class ReversibleGate(_GateFields):
     """One gate application; ``wires`` are distinct wire indices.
 
     Semantics: not a -> flip a; swap a b; cnot c t -> flip t if c;
     toffoli c1 c2 t -> flip t if c1 and c2; fredkin c a b -> swap a,b if c.
+    Checked at construction.
     """
 
-    kind: str
-    wires: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_ARITY:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        if len(self.wires) != GATE_ARITY[self.kind]:
-            raise CircuitError(
-                f"{self.kind} takes {GATE_ARITY[self.kind]} wires, got {len(self.wires)}"
-            )
-        if len(set(self.wires)) != len(self.wires):
-            raise CircuitError(f"{self.kind} wires must be distinct, got {self.wires}")
-        if any(w < 0 for w in self.wires):
+    def __new__(cls, kind: str, wires: Tuple[int, ...]) -> "ReversibleGate":
+        if kind not in GATE_ARITY:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        if len(wires) != GATE_ARITY[kind]:
+            raise CircuitError(f"{kind} takes {GATE_ARITY[kind]} wires, got {len(wires)}")
+        if len(set(wires)) != len(wires):
+            raise CircuitError(f"{kind} wires must be distinct, got {wires}")
+        if any(w < 0 for w in wires):
             raise CircuitError("wire indices must be nonnegative")
+        return tuple.__new__(cls, (kind, wires))
 
 
 def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
@@ -76,9 +78,7 @@ def _run_wires(gates: Iterable[ReversibleGate], v: list, ones=1) -> list:
     whose every state is 1: 1 for a bit, 2**S - 1 for a slice.  Every
     evaluator of a reversible gate runs here: wide circuits on one state,
     whole-state tables, lifts and their checks, and the tables of ``_deltas``."""
-    for g in gates:
-        w = g.wires
-        kind = g.kind
+    for kind, w in gates:
         if kind == "not":
             v[w[0]] ^= ones
         elif kind == "cnot":
@@ -123,8 +123,7 @@ def _deltas(gates: Sequence[ReversibleGate], width: int) -> array:
     return array("H", items)
 
 
-@dataclass(frozen=True)
-class ReversibleCircuit:
+class ReversibleCircuit(_Frozen):
     """A circuit of ``width`` wires.  One of at most
     ``MAX_PERMUTATION_WIDTH`` wires carries one table of its whole map each
     way, nots included, which ``_deltas`` fills from ``_run_wires`` at
@@ -133,6 +132,7 @@ class ReversibleCircuit:
     count.  A wider circuit carries none and runs its wire list, so neither
     a huge width nor a long gate list builds huge tables."""
 
+    _fields = ("width", "gates")
     width: int
     gates: Tuple[ReversibleGate, ...]
 
@@ -140,15 +140,16 @@ class ReversibleCircuit:
     # widths <= MAX_PERMUTATION_WIDTH
     _table = None
 
-    def __post_init__(self) -> None:
-        if self.width < 0:
+    def __init__(self, width: int, gates: Tuple[ReversibleGate, ...]) -> None:
+        if width < 0:
             raise CircuitError("width must be nonnegative")
-        for g in self.gates:
-            if max(g.wires, default=-1) >= self.width:
-                raise CircuitError(f"gate {g} references a wire beyond width {self.width}")
-        if self.width <= MAX_PERMUTATION_WIDTH:
-            table = ((1 << self.width) - 1, _deltas(self.gates, self.width),
-                     _deltas(self.gates[::-1], self.width))
+        for g in gates:
+            if max(g.wires, default=-1) >= width:
+                raise CircuitError(f"gate {g} references a wire beyond width {width}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "gates", gates)
+        if width <= MAX_PERMUTATION_WIDTH:
+            table = ((1 << width) - 1, _deltas(gates, width), _deltas(gates[::-1], width))
             object.__setattr__(self, "_table", table)
 
     def eval_int(self, value: int) -> int:
@@ -255,17 +256,23 @@ def negation_map(width: int) -> Bijection:
 CLASSICAL_ARITY = {"and": 2, "or": 2, "xor": 2, "not": 1, "copy": 1}
 
 
-@dataclass(frozen=True)
-class ClassicalGate:
+class _ClassicalGateFields(NamedTuple):
     kind: str
     out: int
     args: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in CLASSICAL_ARITY:
-            raise CircuitError(f"unknown boolean gate {self.kind!r}")
-        if len(self.args) != CLASSICAL_ARITY[self.kind]:
-            raise CircuitError(f"{self.kind} takes {CLASSICAL_ARITY[self.kind]} arguments")
+
+class ClassicalGate(_ClassicalGateFields):
+    """One boolean gate writing wire ``out``, checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, out: int, args: Tuple[int, ...]) -> "ClassicalGate":
+        if kind not in CLASSICAL_ARITY:
+            raise CircuitError(f"unknown boolean gate {kind!r}")
+        if len(args) != CLASSICAL_ARITY[kind]:
+            raise CircuitError(f"{kind} takes {CLASSICAL_ARITY[kind]} arguments")
+        return tuple.__new__(cls, (kind, out, args))
 
     @property
     def reads(self) -> Tuple[int, ...]:
@@ -296,20 +303,26 @@ def _check_wiring(inputs: int, gates: Sequence, outputs: Sequence[int], error: t
             raise error(f"output names undefined wire {w}")
 
 
-@dataclass(frozen=True)
-class ClassicalCircuit:
-    """Acyclic boolean circuit: wires [0, inputs) are inputs, each gate
-    writes one fresh wire, and ``outputs`` lists the designated result wires
-    in text order (first listed is the most significant output bit)."""
-
+class _ClassicalCircuitFields(NamedTuple):
     inputs: int
     gates: Tuple[ClassicalGate, ...]
     outputs: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.inputs < 0:
+
+class ClassicalCircuit(_ClassicalCircuitFields):
+    """Acyclic boolean circuit: wires [0, inputs) are inputs, each gate
+    writes one fresh wire, and ``outputs`` lists the designated result wires
+    in text order (first listed is the most significant output bit).  The
+    wiring is checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, inputs: int, gates: Tuple[ClassicalGate, ...],
+                outputs: Tuple[int, ...]) -> "ClassicalCircuit":
+        if inputs < 0:
             raise CircuitError("input count must be nonnegative")
-        _check_wiring(self.inputs, self.gates, self.outputs, CircuitError)
+        _check_wiring(inputs, gates, outputs, CircuitError)
+        return tuple.__new__(cls, (inputs, gates, outputs))
 
     @property
     def gate_wires(self) -> Tuple[int, ...]:
@@ -342,9 +355,9 @@ def _eval_classical(circuit: ClassicalCircuit, inputs: list, ones=1) -> list:
     """The output wires for a list of input wires (bits or slices, with
     ``ones`` as in ``_run_wires``)."""
     values = dict(enumerate(inputs))
-    for g in circuit.gates:
-        args = [values[a] for a in g.args]
-        values[g.out] = args[0] ^ ones if g.kind == "not" else _BOOL_FN[g.kind](*args)
+    for kind, out, reads in circuit.gates:
+        args = [values[a] for a in reads]
+        values[out] = args[0] ^ ones if kind == "not" else _BOOL_FN[kind](*args)
     return [values[w] for w in circuit.outputs]
 
 
@@ -364,8 +377,7 @@ def eval_classical(circuit: ClassicalCircuit, x: Bitstring) -> Bitstring:
     return Bitstring(_pack_bits(outputs), len(outputs))
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(NamedTuple):
     """A reversible embedding of a boolean computation.
 
     The circuit acts on ``pad_len`` leading zero wires followed by the

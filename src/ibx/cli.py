@@ -14,36 +14,42 @@ answer is one library call, with no state layout in a handler, and every
 compiled schedule's answer is checked against the command's direct one.
 
 Each handler imports the modules it dispatches to, so a command loads only
-the layers it uses, and numpy only when it builds arrays.
+the layers it uses, and numpy only when it builds arrays.  Start-up pays
+only for what the command runs: no module imports ``dataclasses``, a
+command builds only its own group's parser (the whole tree when the first
+argument names no group), and ``hashlib`` loads when an input file is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    import random
 
 from . import kernel
 
 __all__ = ["main", "RunReport"]
 
 
-@dataclass
 class RunReport:
-    command: List[str]
-    input_digests: Dict[str, str] = field(default_factory=dict)
-    payload: str = ""
-    step_counts: Dict[str, int] = field(default_factory=dict)
-    phases_s: Dict[str, float] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    loaded: List[str] = field(default_factory=list)
-    schema: int = 1
+    """The ``--report`` record: ``json.dumps(report.__dict__)`` writes its
+    fields in the order set here."""
+
+    def __init__(self, command: List[str]) -> None:
+        self.command = command
+        self.input_digests: Dict[str, str] = {}
+        self.payload = ""
+        self.step_counts: Dict[str, int] = {}
+        self.phases_s: Dict[str, float] = {}
+        self.wall_time_s = 0.0
+        self.loaded: List[str] = []
+        self.schema = 1
 
 
 def _loaded_modules() -> List[str]:
@@ -61,6 +67,8 @@ class _Run:
         self.report = RunReport(command=list(argv))
 
     def read(self, path: str) -> str:
+        import hashlib
+
         with open(path, "rb") as fh:
             data = fh.read()
         self.report.input_digests[path] = hashlib.sha256(data).hexdigest()[:12]
@@ -239,6 +247,8 @@ def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
 
 
 def _cmd_leaf(args, run: _Run) -> str:
+    import random
+
     from . import graphs
 
     _check_cap("--k", args.k, MAX_LEAF_BITS)
@@ -575,6 +585,8 @@ _SUITES = [
 
 
 def _cmd_verify(args, run: _Run) -> str:
+    import random
+
     lines = []
     for name, suite in _SUITES:
         started = time.monotonic()
@@ -588,110 +600,120 @@ def _cmd_verify(args, run: _Run) -> str:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command tree; with ``only`` naming a group, that group's
+    subparsers alone, since a command line names its group first.  That
+    tree parses the group's command lines as the whole tree does, and its
+    top usage line still lists every group."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", action="store_true", help="JSON run report on stderr")
 
     top = argparse.ArgumentParser(prog="ibx", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+    every = "{" + ",".join(_HANDLERS) + "}" if only is not None else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=every)
+
+    def group(name: str):
+        if only in (None, name):
+            return sub.add_parser(name).add_subparsers(dest="action", required=True)
+        return None
 
     def leaf_parser(group, name: str, **kw):
         p = group.add_parser(name, parents=[common], **kw)
         p.set_defaults(action=name)
         return p
 
-    g = sub.add_parser("circuit").add_subparsers(dest="action", required=True)
-    for name in ("eval", "invert", "iterate", "parity"):
-        p = leaf_parser(g, name)
+    if g := group("circuit"):
+        for name in ("eval", "invert", "iterate", "parity"):
+            p = leaf_parser(g, name)
+            p.add_argument("--file", required=True)
+            if name in ("eval", "iterate"):
+                p.add_argument("--input", required=True)
+            if name == "iterate":
+                p.add_argument("--n", type=int, required=True)
+
+    if g := group("lift"):
+        p = leaf_parser(g, "bennett")
         p.add_argument("--file", required=True)
-        if name in ("eval", "iterate"):
-            p.add_argument("--input", required=True)
-        if name == "iterate":
-            p.add_argument("--n", type=int, required=True)
-
-    g = sub.add_parser("lift").add_subparsers(dest="action", required=True)
-    p = leaf_parser(g, "bennett")
-    p.add_argument("--file", required=True)
-    p.add_argument("--input")
-    p = leaf_parser(g, "exact")
-    p.add_argument("--file", required=True)
-    p.add_argument("--inverse-file", required=True)
-    p.add_argument("--input")
-
-    g = sub.add_parser("reduce").add_subparsers(dest="action", required=True)
-    for name in ("summation", "clock", "oracle"):
-        p = leaf_parser(g, name)
-        p.add_argument("--fn", required=True, help="identity|increment|rotl|add:<c>|cat:<n>")
-        p.add_argument("--width", type=int)
-        if name == "summation":
-            p.add_argument("--x", required=True)
-        elif name == "clock":
-            p.add_argument("--x", required=True)
-            p.add_argument("--n", type=int, required=True)
-        else:
-            p.add_argument("--count", type=int, required=True)
-            p.add_argument("--input", required=True)
-
-    g = sub.add_parser("leaf").add_subparsers(dest="action", required=True)
-    for name in ("walk", "compile"):
-        p = leaf_parser(g, name)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed of the random path")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--length", type=int)
-
-    g = sub.add_parser("lollipop").add_subparsers(dest="action", required=True)
-    p = leaf_parser(g, "second-cycle")
-    p.add_argument("--file", required=True)
-    p.add_argument("--cycle", required=True, help="vertices, space separated")
-    p.add_argument("--edge", type=int, nargs=2)
-    p.add_argument("--orientation", type=int, default=0, choices=(0, 1))
-    p = leaf_parser(g, "count")
-    p.add_argument("--file", required=True)
-    p.add_argument("--edge", type=int, nargs=2)
-
-    g = sub.add_parser("ca").add_subparsers(dest="action", required=True)
-    for name in ("bbm-run", "bbm-reverse", "dimredux-run", "dimredux-verify"):
-        p = leaf_parser(g, name)
+        p.add_argument("--input")
+        p = leaf_parser(g, "exact")
         p.add_argument("--file", required=True)
+        p.add_argument("--inverse-file", required=True)
+        p.add_argument("--input")
+
+    if g := group("reduce"):
+        for name in ("summation", "clock", "oracle"):
+            p = leaf_parser(g, name)
+            p.add_argument("--fn", required=True, help="identity|increment|rotl|add:<c>|cat:<n>")
+            p.add_argument("--width", type=int)
+            if name == "summation":
+                p.add_argument("--x", required=True)
+            elif name == "clock":
+                p.add_argument("--x", required=True)
+                p.add_argument("--n", type=int, required=True)
+            else:
+                p.add_argument("--count", type=int, required=True)
+                p.add_argument("--input", required=True)
+
+    if g := group("leaf"):
+        for name in ("walk", "compile"):
+            p = leaf_parser(g, name)
+            p.add_argument("--seed", type=int, default=0, help="RNG seed of the random path")
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--length", type=int)
+
+    if g := group("lollipop"):
+        p = leaf_parser(g, "second-cycle")
+        p.add_argument("--file", required=True)
+        p.add_argument("--cycle", required=True, help="vertices, space separated")
+        p.add_argument("--edge", type=int, nargs=2)
+        p.add_argument("--orientation", type=int, default=0, choices=(0, 1))
+        p = leaf_parser(g, "count")
+        p.add_argument("--file", required=True)
+        p.add_argument("--edge", type=int, nargs=2)
+
+    if g := group("ca"):
+        for name in ("bbm-run", "bbm-reverse", "dimredux-run", "dimredux-verify"):
+            p = leaf_parser(g, name)
+            p.add_argument("--file", required=True)
+            p.add_argument("--n", type=int, required=True)
+        p = leaf_parser(g, "strobe-demo")
+        p.add_argument("--t", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-    p = leaf_parser(g, "strobe-demo")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ring", type=int, default=8)
+        p.add_argument("--ring", type=int, default=8)
 
-    g = sub.add_parser("plb").add_subparsers(dest="action", required=True)
-    for name in ("validate", "apply", "iterate", "from-circuit"):
-        p = leaf_parser(g, name)
+    if g := group("plb"):
+        for name in ("validate", "apply", "iterate", "from-circuit"):
+            p = leaf_parser(g, name)
+            p.add_argument("--file", required=True)
+            if name == "apply":
+                p.add_argument("--x", type=int, required=True)
+                p.add_argument("--inverse", action="store_true")
+            if name == "iterate":
+                p.add_argument("--x", type=int, required=True)
+                p.add_argument("--n", type=int, required=True)
+        p = leaf_parser(g, "compose")
+        p.add_argument("--files", nargs="+", required=True)
+        p = leaf_parser(g, "riffle")
+        p.add_argument("--n", type=int, required=True)
+        p = leaf_parser(g, "rotate")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--low", action="store_true", help="rotate below the top bit")
+
+    if g := group("iet"):
+        p = leaf_parser(g, "build")
         p.add_argument("--file", required=True)
-        if name == "apply":
-            p.add_argument("--x", type=int, required=True)
-            p.add_argument("--inverse", action="store_true")
-        if name == "iterate":
-            p.add_argument("--x", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
-    p = leaf_parser(g, "compose")
-    p.add_argument("--files", nargs="+", required=True)
-    p = leaf_parser(g, "riffle")
-    p.add_argument("--n", type=int, required=True)
-    p = leaf_parser(g, "rotate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--low", action="store_true", help="rotate below the top bit")
+        p = leaf_parser(g, "solve")
+        p.add_argument("--file", required=True)
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p = leaf_parser(g, "three-gap")
+        p.add_argument("--modulus", type=int)
+        p.add_argument("--step", type=int)
+        p.add_argument("--count", type=int)
+        p.add_argument("--sweep", type=int, help="check every modulus up to this bound")
 
-    g = sub.add_parser("iet").add_subparsers(dest="action", required=True)
-    p = leaf_parser(g, "build")
-    p.add_argument("--file", required=True)
-    p = leaf_parser(g, "solve")
-    p.add_argument("--file", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = leaf_parser(g, "three-gap")
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--step", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--sweep", type=int, help="check every modulus up to this bound")
-
-    g = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    leaf_parser(g, "all").add_argument("--seed", type=int, default=0, help="RNG seed of the checks")
+    if g := group("verify"):
+        leaf_parser(g, "all").add_argument("--seed", type=int, default=0, help="RNG seed of the checks")
 
     return top
 
@@ -711,7 +733,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     args = parser.parse_args(argv)
     if args.command == "iet" and args.action == "three-gap":
         if args.sweep is None and None in (args.modulus, args.step, args.count):

@@ -16,10 +16,9 @@ LollipopState.validate is the one test of whether a state is valid.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
-from .kernel import Bijection, Bitstring, one_move, pack_fields, unpack_fields
+from .kernel import Bijection, Bitstring, _Frozen, one_move, pack_fields, unpack_fields
 
 if TYPE_CHECKING:
     from .reductions import Schedule
@@ -65,8 +64,7 @@ def _screen(out: Any, v: int, k: int) -> _Nbrs:
     return (a.value, b.value)
 
 
-@dataclass(frozen=True)
-class ImplicitFamily:
+class ImplicitFamily(NamedTuple):
     """Neighbor oracle for a family of graphs with maximum degree two.
 
     ``neighbors(G, v)`` returns the ordered neighbor list of v in the graph
@@ -91,8 +89,7 @@ class ImplicitFamily:
         return None if _screen(out, v.value, v.width) is None else list(out)
 
 
-@dataclass(frozen=True)
-class LeafInstance:
+class LeafInstance(NamedTuple):
     family: ImplicitFamily
     instance: Bitstring
     start: Bitstring
@@ -308,20 +305,23 @@ def random_path_instance(
 # Explicit cubic graphs and the lollipop state space.
 
 
-@dataclass(frozen=True)
-class CubicGraph:
+class CubicGraph(_Frozen):
+    """A connected 3-regular graph on vertices [0, vertex_count), checked
+    at construction, with its sorted adjacency kept in ``_adj``."""
+
+    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges: Tuple[Tuple[int, int], ...]) -> None:
+        n = vertex_count
         if n < 1:
             raise GraphError(f"a cubic graph needs at least one vertex, got {n}")
         # 3n/2 edges, checked before anything of size n is allocated
-        if 2 * len(self.edges) != 3 * n:
-            raise GraphError(f"graph is not 3-regular: {len(self.edges)} edges on {n} vertices")
+        if 2 * len(edges) != 3 * n:
+            raise GraphError(f"graph is not 3-regular: {len(edges)} edges on {n} vertices")
         seen = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e} out of range")
@@ -332,13 +332,12 @@ class CubicGraph:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
         lists: List[List[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             lists[u].append(v)
             lists[v].append(u)
         if any(len(a) != 3 for a in lists):
             raise GraphError("graph is not 3-regular")
         adj = tuple(tuple(sorted(a)) for a in lists)
-        object.__setattr__(self, "_adj", adj)
         reached = {0}
         frontier = deque([0])
         while frontier:
@@ -349,6 +348,9 @@ class CubicGraph:
                     frontier.append(v)
         if len(reached) != n:
             raise GraphError("graph is not connected")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", adj)
 
     def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
         return self._adj
@@ -396,8 +398,7 @@ def cube_graph() -> CubicGraph:
     return prism_graph(4)
 
 
-@dataclass(frozen=True)
-class LollipopState:
+class LollipopState(NamedTuple):
     """A Hamiltonian path whose first edge is the pinned oriented edge.
 
     path[0] is the fixed start vertex and (path[0], path[1]) the fixed

@@ -38,10 +38,10 @@ left-to-right, with vertical edges bottom-to-top.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .kernel import _Frozen
 from .plb import PiecewiseLinearBijection, _certify, is_exchange
 
 __all__ = [
@@ -139,8 +139,7 @@ class Arc(NamedTuple):
         return {j: pos for pos, j in enumerate(self.orbit)}
 
 
-@dataclass
-class IetSurface:
+class IetSurface(_Frozen):
     """A built surface together with its tracing bookkeeping.
 
     period is the uniform number of trace steps between consecutive
@@ -148,19 +147,34 @@ class IetSurface:
     returns is the traced first-return map: sorted runs (lo, hi, off)
     sending central crossing i in [lo, hi) to i + off, proven equal to the
     exchange.  Power queries run on the exchange, never on a surface.
-    arc_of memoizes each crossing's arc in _arcs, and splits returns once
-    into the run starts and offsets it bisects, kept in _return_runs.
+    arc_of memoizes each crossing's arc in _arcs, and bisects the run
+    starts and offsets that construction splits out of returns, kept in
+    _return_runs.
     """
 
+    _fields = ("transform", "surface", "central", "up_port", "stripes", "period", "returns")
     transform: PiecewiseLinearBijection
     surface: TriangulatedSurface
     central: int
     up_port: int
     stripes: int
-    period: int = 0
-    returns: Tuple[Tuple[int, int, int], ...] = ()
-    _arcs: Dict[int, Arc] = field(default_factory=dict, repr=False)
-    _return_runs: Optional[Tuple[List[int], List[int]]] = field(default=None, repr=False)
+    period: int
+    returns: Tuple[Tuple[int, int, int], ...]
+
+    def __init__(
+        self,
+        transform: PiecewiseLinearBijection,
+        surface: TriangulatedSurface,
+        central: int,
+        up_port: int,
+        stripes: int,
+        period: int = 0,
+        returns: Tuple[Tuple[int, int, int], ...] = (),
+    ) -> None:
+        for name, value in zip(self._fields, (transform, surface, central, up_port, stripes, period, returns)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_arcs", {})
+        object.__setattr__(self, "_return_runs", ([r[0] for r in returns], [r[2] for r in returns]))
 
     @property
     def width(self) -> int:
@@ -332,7 +346,7 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
     )
 
     su = IetSurface(t, surface, central, up_port, stripes)
-    su.period, su.returns = _trace_returns(su)
+    su = IetSurface(t, surface, central, up_port, stripes, *_trace_returns(su))
     _check_trace_agreement(su)
     return su
 
@@ -470,8 +484,6 @@ def arc_of(su: IetSurface, i: int) -> Arc:
     arcs = su._arcs
     if i in arcs:
         return arcs[i]
-    if su._return_runs is None:
-        su._return_runs = [r[0] for r in su.returns], [r[2] for r in su.returns]
     los, offs = su._return_runs
     orbit, j = [i], i + offs[bisect_right(los, i) - 1]
     while j != i:

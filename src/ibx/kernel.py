@@ -31,14 +31,19 @@ Conventions used across the package:
   the one whole-state enumerator, already proves it a bijection, so a
   failure costs that round trip, if any, and the inputs up to the
   failing one.
+* No module imports ``dataclasses``.  A plain record is a
+  ``typing.NamedTuple``; one that checks its fields is a NamedTuple
+  subclass that checks them in ``__new__``, which ``_make`` and
+  ``_replace`` skip, so package code calls neither on it; one that keeps
+  caches beside its fields is a ``_Frozen`` class, and ``Bitstring`` is
+  a slotted class.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 MAX_EXHAUSTIVE_WIDTH = 20
 
@@ -57,8 +62,8 @@ class Bitstring:
     """Immutable fixed-width bit vector backed by an int.
 
     ``value`` holds the bits with index 0 least significant; ``width`` may be
-    zero (the unique empty string).  A slotted class rather than a frozen
-    dataclass, because leaf walks and schedules build one per step.
+    zero (the unique empty string).  A slotted class rather than a tuple,
+    because leaf walks and schedules build one per step and read its fields.
     """
 
     __slots__ = ("value", "width")
@@ -122,6 +127,37 @@ _set_value = Bitstring.value.__set__  # type: ignore[attr-defined]
 _set_width = Bitstring.width.__set__  # type: ignore[attr-defined]
 
 
+class _Frozen:
+    """Base of the immutable records that keep caches in their own
+    ``__dict__`` beside their fields (a circuit's tables, a map's piece
+    starts).  The fields named in ``_fields`` are compared, hashed and
+    shown in the repr; nothing else is.  Only ``object.__setattr__`` sets
+    an attribute, as the constructor and the caches do."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
 def pack_fields(fields: Sequence[Tuple[int, int]]) -> int:
     """Pack (value, width) pairs into one int, first field most significant."""
     acc = 0
@@ -148,8 +184,7 @@ def unpack_fields(value: int, widths: Sequence[int]) -> Tuple[int, ...]:
 Leap = Callable[[T, int], Optional[Tuple[T, int]]]
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(NamedTuple):
     """A total invertible map on k-bit strings.
 
     ``forward`` and the optional ``backward`` act on the integer encoding.
@@ -186,8 +221,8 @@ class Bijection:
         if self.backward is None:
             raise ValueError("cannot invert without a backward evaluator")
         leap = self.leap
-        return replace(
-            self, forward=self.backward, backward=self.forward, label=f"inv({self.label})",
+        return self._replace(
+            forward=self.backward, backward=self.forward, label=f"inv({self.label})",
             sliced=self.sliced and self.sliced[::-1], leap=leap and (lambda y, r: leap(y, -r)),
         )
 
@@ -329,8 +364,7 @@ def inverse_table(perm: Sequence[int]) -> Tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class BijectionCheck:
+class BijectionCheck(NamedTuple):
     ok: bool
     witness: Optional[Tuple[Bitstring, Bitstring]] = None
     reason: str = ""
@@ -433,7 +467,7 @@ def identity(width: int) -> Bijection:
 
 def increment(width: int) -> Bijection:
     """x + 1 modulo 2**width."""
-    return replace(add_const(width, 1), label=f"increment/{width}")
+    return add_const(width, 1)._replace(label=f"increment/{width}")
 
 
 def add_const(width: int, c: int) -> Bijection:

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .kernel import cycle_lengths, iterate_map, power, power_leap
+from .kernel import _Frozen, cycle_lengths, iterate_map, power, power_leap
 
 if TYPE_CHECKING:
     from .circuits import ReversibleCircuit
@@ -70,18 +69,25 @@ class PlbValidationError(PlbError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Piece:
+class _PieceFields(NamedTuple):
     lo: int
     hi: int
     mult: int
     off: int
 
-    def __post_init__(self) -> None:
-        if self.lo >= self.hi:
-            raise PlbValidationError("malformed", (self,), "empty interval")
-        if self.mult == 0:
-            raise PlbValidationError("malformed", (self,), "zero multiplier")
+
+class Piece(_PieceFields):
+    """x -> mult * x + off on [lo, hi), checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int, mult: int, off: int) -> "Piece":
+        piece = tuple.__new__(cls, (lo, hi, mult, off))
+        if lo >= hi:
+            raise PlbValidationError("malformed", (piece,), "empty interval")
+        if mult == 0:
+            raise PlbValidationError("malformed", (piece,), "zero multiplier")
+        return piece
 
     def apply(self, x: int) -> int:
         return self.mult * x + self.off
@@ -92,21 +98,23 @@ class Piece:
         return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearBijection:
+class PiecewiseLinearBijection(_Frozen):
     """Syntactically well-formed description; run validate_plb to certify
-    that it is actually a bijection.  Pieces are kept sorted by lo."""
+    that it is actually a bijection.  Pieces are kept sorted by lo, their
+    starts in ``_los``; the image index and the affine form are memoized
+    beside them."""
 
+    _fields = ("domain", "pieces")
     domain: int
     pieces: Tuple[Piece, ...]
 
-    def __post_init__(self) -> None:
-        if self.domain <= 0:
+    def __init__(self, domain: int, pieces: Sequence[Piece]) -> None:
+        if domain <= 0:
             raise PlbValidationError("malformed", (), "empty domain")
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: p.lo))
-        )
-        object.__setattr__(self, "_los", [p.lo for p in self.pieces])
+        pieces = tuple(sorted(pieces, key=lambda p: p.lo))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_los", [p.lo for p in pieces])
 
 
 class ProgressionHit(NamedTuple):
@@ -208,11 +216,10 @@ def interval_exchange(
 def apply_plb(t: PiecewiseLinearBijection, x: int) -> int:
     if not 0 <= x < t.domain:
         raise PlbError(f"{x} outside [0,{t.domain})")
-    i = bisect_right(t._los, x) - 1
-    p = t.pieces[i]
-    if not p.lo <= x < p.hi:
+    lo, hi, mult, off = t.pieces[bisect_right(t._los, x) - 1]
+    if not lo <= x < hi:
         raise PlbError(f"{x} falls in a coverage gap")
-    return p.apply(x)
+    return mult * x + off
 
 
 def _image_index(t: PiecewiseLinearBijection) -> Tuple[list, list, list]:
@@ -245,9 +252,9 @@ def apply_plb_inverse(t: PiecewiseLinearBijection, y: int) -> int:
     starts, reach, order = _image_index(t)
     k = bisect_right(starts, y) - 1
     while k >= 0 and reach[k] >= y:
-        p = t.pieces[order[k]]
-        q, r = divmod(y - p.off, p.mult)
-        if not r and p.lo <= q < p.hi:
+        lo, hi, mult, off = t.pieces[order[k]]
+        q, r = divmod(y - off, mult)
+        if not r and lo <= q < hi:
             return q
         k -= 1
     raise PlbError(f"{y} has no preimage; description is not bijective")
@@ -438,8 +445,7 @@ def low_rotation(k: int) -> PiecewiseLinearBijection:
     )
 
 
-@dataclass(frozen=True)
-class PlbProgram:
+class PlbProgram(NamedTuple):
     """Stage list on a shared domain plus its compose_lift fusion.
 
     Iterating ``lifted`` len(stages) times from x < domain applies the
@@ -486,8 +492,7 @@ def compose_lift(stages: Sequence[PiecewiseLinearBijection]) -> PlbProgram:
     return PlbProgram(n, tuple(stages), validate_plb(k * n, lifted_pieces))
 
 
-@dataclass(frozen=True)
-class BitPermutation:
+class BitPermutation(NamedTuple):
     """Stage lists moving a chosen bit set to the top of the word and back.
 
     Applying the ``forward`` stages left to right sends the bit originally

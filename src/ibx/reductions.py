@@ -25,8 +25,7 @@ f^j by one rule, ``_power_of``, under one cap on the tables it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import (
     Bijection,
@@ -46,15 +45,13 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClockedState:
+class ClockedState(NamedTuple):
     c1: int
     c2: int
     payload: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClockedCodec:
+class ClockedCodec(NamedTuple):
     """Bit layout of (c1, c2, payload word) states, c1 most significant.
 
     The counters take the fewest bits that hold modulus-1; the payload word
@@ -91,22 +88,34 @@ class ClockedCodec:
         return ClockedState(c1, c2, tuple(payload))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A compiled iteration job.  The clocked compilers set ``codec`` to
-    their state layout, so callers can decode intermediate states."""
-
+class _ScheduleFields(NamedTuple):
     g: Bijection
     total_iterations: int
     start: Bitstring
     extract: Callable[[Bitstring], Bitstring]
     codec: Optional[ClockedCodec] = None
 
-    def __post_init__(self) -> None:
-        if self.total_iterations < 0:
+
+class Schedule(_ScheduleFields):
+    """A compiled iteration job.  The clocked compilers set ``codec`` to
+    their state layout, so callers can decode intermediate states.  The
+    count and the start's width are checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        g: Bijection,
+        total_iterations: int,
+        start: Bitstring,
+        extract: Callable[[Bitstring], Bitstring],
+        codec: Optional[ClockedCodec] = None,
+    ) -> "Schedule":
+        if total_iterations < 0:
             raise ReductionError("iteration total must be nonnegative")
-        if self.start.width != self.g.width:
+        if start.width != g.width:
             raise WidthMismatchError("schedule start width does not match its bijection")
+        return tuple.__new__(cls, (g, total_iterations, start, extract, codec))
 
 
 # move(c1, c2, payload word, r) -> (word', j), 1 <= j <= |r|: the word
@@ -321,8 +330,7 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
 # Oracle circuits: boolean circuits with extra gates that iterate a bijection.
 
 
-@dataclass(frozen=True)
-class OracleGate:
+class OracleGate(NamedTuple):
     """t := g^(n)(s), where n is read off the n_wires as a binary numeral
     (first listed wire most significant) and s, t have the oracle's width."""
 
@@ -339,28 +347,33 @@ class OracleGate:
         return self.t_wires
 
 
-@dataclass(frozen=True)
-class OracleCircuit:
-    """A boolean circuit (see circuits.ClassicalCircuit) whose gates may
-    also be oracle gates; the same wiring rule applies to both kinds, and
-    an oracle gate writes as many t wires as it reads s wires."""
-
+class _OracleCircuitFields(NamedTuple):
     inputs: int
     gates: Tuple[object, ...]  # ClassicalGate | OracleGate, in dependency order
     outputs: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class OracleCircuit(_OracleCircuitFields):
+    """A boolean circuit (see circuits.ClassicalCircuit) whose gates may
+    also be oracle gates; the same wiring rule applies to both kinds, and
+    an oracle gate writes as many t wires as it reads s wires.  Checked at
+    construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, inputs: int, gates: Tuple[object, ...], outputs: Tuple[int, ...]) -> "OracleCircuit":
         from .circuits import ClassicalGate, _check_wiring
 
-        for g in self.gates:
+        for g in gates:
             if not isinstance(g, (ClassicalGate, OracleGate)):
                 raise ReductionError(f"unknown gate object {g!r}")
-        _check_wiring(self.inputs, self.gates, self.outputs, ReductionError)
-        for g in self.gates:
+        _check_wiring(inputs, gates, outputs, ReductionError)
+        for g in gates:
             if isinstance(g, OracleGate) and len(g.t_wires) != len(g.s_wires):
                 raise ReductionError(
                     f"oracle gate has {len(g.s_wires)} s wires but {len(g.t_wires)} t wires"
                 )
+        return tuple.__new__(cls, (inputs, gates, outputs))
 
     def all_wires(self) -> List[int]:
         wires = set(range(self.inputs))

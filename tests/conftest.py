@@ -1,7 +1,6 @@
 """Shared fixtures: a deterministic RNG and random-object builders."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -119,4 +118,4 @@ def logged_run(g, steps, start):
     it took: "step" for a literal step, and the tick count of each leap."""
     moves = []
     step, back, leap = logged(moves, g.forward, g.backward, g.leap, ticks=True)
-    return iterate_bijection(replace(g, forward=step, backward=back, leap=leap), steps, start), moves
+    return iterate_bijection(g._replace(forward=step, backward=back, leap=leap), steps, start), moves

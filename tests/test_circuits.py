@@ -1,6 +1,5 @@
 """Reversible gate sets, parity, boolean circuits, and the two lifts."""
 
-import dataclasses
 import itertools
 import random
 from array import array
@@ -528,7 +527,7 @@ def test_verify_lift_on_a_lift_wider_than_62_wires(rng, make_circuit):
     # The last gate clears a scratch wire; flipping an output wire instead
     # changes every answer.
     gates = lift.circuit.gates[:-1] + (gate("not", lift.out_wires[-1]),)
-    broken = dataclasses.replace(lift, circuit=ReversibleCircuit(lift.circuit.width, gates))
+    broken = lift._replace(circuit=ReversibleCircuit(lift.circuit.width, gates))
     assert not verify_lift(broken, cf)
 
 
@@ -619,7 +618,7 @@ def test_sliced_lift_checks_equal_the_scalar_loop(r):
     lifts = [bennett_lift(cf)] + ([lift] if lift else [])
     for good in lifts:
         # one gate more, on a random wire, breaks some answers or none
-        broken = dataclasses.replace(good, circuit=ReversibleCircuit(
+        broken = good._replace(circuit=ReversibleCircuit(
             good.circuit.width, good.circuit.gates + (gate("not", r.randrange(good.circuit.width)),)))
         for candidate in (good, broken):
             assert verify_lift(candidate, cf) == scalar_verify_lift(candidate, cf)

@@ -803,6 +803,45 @@ def test_readme_example(argv, want, tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (0, want, "")
 
 
+# A command line builds only its group's parser; that parser must read
+# every command line of the group as the whole tree does.
+
+
+def parse_exit(parser, argv, capsys):
+    """What ``parser`` prints and exits with on argv."""
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "group, action", [(g, a) for g, actions in SUBCOMMANDS.items() for a in actions]
+)
+def test_one_group_parser_prints_the_whole_trees_help(group, action, capsys):
+    for argv in ([group, "--help"], [group, action, "--help"]):
+        whole = parse_exit(cli._build_parser(), argv, capsys)
+        assert whole[0] == 0 and whole[1]
+        assert parse_exit(cli._build_parser(group), argv, capsys) == whole
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in README_EXAMPLES], ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_one_group_parser_reads_each_readme_example_as_the_whole_tree(argv, capsys):
+    assert cli._build_parser(argv[0]).parse_args(argv) == cli._build_parser().parse_args(argv)
+    # a usage error in the group's tree still shows every group on the usage line
+    bad = argv + ["--no-such-flag"]
+    whole = parse_exit(cli._build_parser(), bad, capsys)
+    assert whole[0] == 2 and "{" + ",".join(SUBCOMMANDS) + "}" in whole[2]
+    assert parse_exit(cli._build_parser(argv[0]), bad, capsys) == whole
+
+
+def test_top_help_lists_every_group(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+
 def test_report_emits_json(tmp_path, capsys):
     path = tmp_path / "c.rc"
     path.write_text("wires 3\nswap 0 1\n")
@@ -876,10 +915,12 @@ def test_circuit_parity_huge_width_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_unknown_subcommand_exits_2():
+def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["frobnicate"])
     assert exit_info.value.code == 2
+    choices = ", ".join(f"'{group}'" for group in SUBCOMMANDS)
+    assert f"invalid choice: 'frobnicate' (choose from {choices})" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1223,6 +1264,34 @@ assert "numpy" not in sys.modules, "numpy imported"
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_every_layer_loads_no_dataclasses_or_inspect(tmp_path):
+    # importing dataclasses (and with it inspect) costs every command
+    # milliseconds of start-up that no record needs
+    code = """
+import sys
+before = set(sys.modules)
+import ibx.cli, ibx.ca, ibx.circuits, ibx.formats, ibx.graphs, ibx.iet, ibx.kernel, ibx.plb, ibx.reductions
+loaded = set(sys.modules) - before
+assert not {"dataclasses", "inspect"} & loaded, sorted(loaded)
+"""
+    done = run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_command_that_reads_no_file_loads_no_hashlib(tmp_path):
+    # the digest of --report's input files is the only use of hashlib
+    code = """
+import sys
+before = set(sys.modules)
+from ibx import cli
+assert cli.main(["plb", "riffle", "--n", "13"]) == 0
+assert "hashlib" not in set(sys.modules) - before
+"""
+    done = run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "plb 13\npiece 0 7 2 0\npiece 7 13 2 -13\n"
+
+
 def test_orders_and_parity_run_without_numpy(tmp_path):
     code = """
 import random, sys
@@ -1395,15 +1464,32 @@ def scanned_power(pieces, x, data):
     return n, orbit[n % size]
 
 
+def write_plb_file(tmp_path_factory, n_points, pieces):
+    path = tmp_path_factory.mktemp("plb") / "t.plb"
+    path.write_text(f"plb {n_points}\n" + "".join(f"piece {lo} {hi} {m} {o}\n" for lo, hi, m, o in pieces))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exchange_documents(), exchange_documents(flips=True), riffle_documents()), st.data())
+def test_plb_apply_and_its_inverse_equal_a_piece_scan(tmp_path_factory, doc, data):
+    n_points, pieces = doc
+    path = write_plb_file(tmp_path_factory, n_points, pieces)
+    x, y = (data.draw(st.integers(0, n_points - 1)) for _ in range(2))
+    preimages = [v for v in range(n_points) if scan_apply(pieces, v) == y]
+    assert len(preimages) == 1
+    assert run_quiet("plb", "apply", "--file", path, "--x", str(x)) == (0, f"{scan_apply(pieces, x)}\n", "")
+    assert run_quiet("plb", "apply", "--file", path, "--x", str(y), "--inverse") == (0, f"{preimages[0]}\n", "")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(exchange_documents(), exchange_documents(flips=True), riffle_documents()), st.data())
 def test_plb_iterate_equals_a_piece_scan(tmp_path_factory, doc, data):
     n_points, pieces = doc
-    path = tmp_path_factory.mktemp("plb") / "t.plb"
-    path.write_text(f"plb {n_points}\n" + "".join(f"piece {lo} {hi} {m} {o}\n" for lo, hi, m, o in pieces))
+    path = write_plb_file(tmp_path_factory, n_points, pieces)
     x = data.draw(st.integers(0, n_points - 1))
     n, want = scanned_power(pieces, x, data)
-    argv = ["plb", "iterate", "--file", str(path), "--x", str(x), "--n", str(n)]
+    argv = ["plb", "iterate", "--file", path, "--x", str(x), "--n", str(n)]
     assert run_quiet(*argv) == (0, f"{want}\n", "")
 
 
@@ -1508,3 +1594,64 @@ def test_dimredux_commands_equal_a_cell_by_cell_helical_update(tmp_path_factory,
     assert run_quiet("ca", "dimredux-run", "--file", path, "--n", str(n)) == (0, want, "")
     ok = f"ok {n} blocked steps replayed\n"
     assert run_quiet("ca", "dimredux-verify", "--file", path, "--n", str(n)) == (0, ok, "")
+
+
+# ---------------------------------------------------------------------------
+# circuit answers against a gate-by-gate interpreter written here
+
+
+def run_gate_lines(lines, w, x):
+    """The w-bit state x after the gate lines ``kind wire ...``, one gate at
+    a time on a list of bits, wire 0 the leftmost bit of the numeral."""
+    bits = [int(b) for b in format(x, f"0{w}b")]
+    for kind, *wires in (line.split() for line in lines):
+        a = [int(t) for t in wires]
+        if kind == "not":
+            bits[a[0]] ^= 1
+        elif kind == "swap":
+            bits[a[0]], bits[a[1]] = bits[a[1]], bits[a[0]]
+        elif kind == "cnot":
+            bits[a[1]] ^= bits[a[0]]
+        elif kind == "toffoli":
+            bits[a[2]] ^= bits[a[0]] & bits[a[1]]
+        elif bits[a[0]]:  # fredkin
+            bits[a[1]], bits[a[2]] = bits[a[2]], bits[a[1]]
+    return int("".join(map(str, bits)), 2)
+
+
+@st.composite
+def circuit_documents(draw):
+    """A width of 1 to 8 wires and up to 12 gate lines on distinct wires."""
+    w = draw(st.integers(1, 8))
+    kinds = [k for k, arity in circuits.GATE_ARITY.items() if arity <= w]
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        wires = draw(st.permutations(range(w)))[: circuits.GATE_ARITY[kind]]
+        lines.append(" ".join([kind, *map(str, wires)]))
+    return w, lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit_documents(), st.data())
+def test_circuit_commands_equal_a_gate_by_gate_interpreter(tmp_path_factory, doc, data):
+    w, lines = doc
+    path = tmp_path_factory.mktemp("rc") / "c.rc"
+    path.write_text(f"wires {w}\n" + "".join(f"{line}\n" for line in lines))
+    table = [run_gate_lines(lines, w, v) for v in range(1 << w)]
+    back = {y: v for v, y in enumerate(table)}
+    x = data.draw(st.integers(0, (1 << w) - 1))
+    text = format(x, f"0{w}b")
+    assert run_quiet("circuit", "eval", "--file", str(path), "--input", text) == (
+        0, format(table[x], f"0{w}b") + "\n", "")
+    rc, out, err = run_quiet("circuit", "invert", "--file", str(path))
+    header, *inverse = out.splitlines()
+    assert (rc, err, header) == (0, "", f"wires {w}")
+    assert [run_gate_lines(inverse, w, y) for y in table] == list(range(1 << w))
+    # iterate runs the literal loop, so |n| stays near the orbit lengths
+    n = data.draw(st.integers(-(2 ** (w + 1)), 2 ** (w + 1)))
+    y = x
+    for _ in range(abs(n)):
+        y = table[y] if n > 0 else back[y]
+    argv = ["circuit", "iterate", "--file", str(path), "--input", text, "--n", str(n)]
+    assert run_quiet(*argv) == (0, format(y, f"0{w}b") + "\n", "")

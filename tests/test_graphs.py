@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -207,7 +206,7 @@ def _walk_instances():
         for orientation in (0, 1):
             inst, _ = lollipop_instance(graph, cycle, (cycle[i], cycle[(i + 1) % len(cycle)]), orientation)
             yield inst
-            yield replace(inst, start=Bitstring(rng.getrandbits(inst.start.width), inst.start.width))
+            yield inst._replace(start=Bitstring(rng.getrandbits(inst.start.width), inst.start.width))
     yield LeafInstance(asymmetric_family(), g, Bitstring(0, 2))
     for answer in (*MALFORMED_ANSWERS.values(), lambda _, v: ()):
         yield LeafInstance(ImplicitFamily(answer), g, Bitstring(0, 3))
@@ -534,7 +533,7 @@ def test_leaf_walk_asks_each_vertex_once(k, length):
     counter, moves = [0], []
     f = leaf_to_bijection(path_family(ids, k, counter), Bitstring(0, 1), k)
     step, back, leap = logged(moves, f.forward, f.backward, f.leap, ticks=True)
-    f = replace(f, forward=step, backward=back, leap=leap)
+    f = f._replace(forward=step, backward=back, leap=leap)
     start = Bitstring((ids[0] << k) | ids[1], 3 * k)
     end = iterate_bijection(f, 1 << k, start)
     assert (end.value >> k) & ((1 << k) - 1) == ids[-1]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ibx.iet import (
     Crossing,
     IetError,
+    IetSurface,
     _check_trace_agreement,
     _induce,
     _trace_run,
@@ -542,7 +543,7 @@ def test_arcs_match_the_literal_walk_at_every_point(rng):
 
 def test_agreement_check_rejects_a_different_exchange():
     su = build_surface(rotation(16, 5))
-    su.transform = rotation(16, 3)
+    su = IetSurface(rotation(16, 3), su.surface, su.central, su.up_port, su.stripes, su.period, su.returns)
     with pytest.raises(IetError, match=r"trace maps \d+ to \d+, exchange maps it to \d+"):
         _check_trace_agreement(su)
 

@@ -6,7 +6,6 @@ import pickle
 import random
 import tracemalloc
 from array import array
-from dataclasses import replace
 from functools import partial
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -320,7 +319,7 @@ def test_backward_runs_leap_as_forward_runs_do():
     final = run_schedule(Schedule(s.g, s.total_iterations, s.start, lambda b: b))
     g, moves = s.g.inverse(), []
     step, back, leap = logged(moves, g.forward, g.backward, g.leap)
-    back_run = Schedule(replace(g, forward=step, backward=back, leap=leap), s.total_iterations, final, lambda b: b)
+    back_run = Schedule(g._replace(forward=step, backward=back, leap=leap), s.total_iterations, final, lambda b: b)
     assert run_schedule(back_run) == s.start
     assert moves == ["leap"]
     auto = dim_redux_compile(bbm_rule(), 4, 8)
@@ -650,7 +649,7 @@ def _both_checks(f):
     """check_bijection_exhaustive on a sliced map, and the reference walk
     on the same map without its sliced evaluators, whose own check (one
     Python pass) must agree with the walk."""
-    scalar = replace(f, sliced=None)
+    scalar = f._replace(sliced=None)
     assert f.sliced
     slow = reference_walk(scalar)
     assert check_bijection_exhaustive(scalar) == slow

@@ -7,7 +7,6 @@ cannot move them.  Each bound was fixed from a probe of the code it
 judges, with its margin stated beside it.
 """
 
-from dataclasses import replace
 from itertools import pairwise
 
 import pytest
@@ -44,8 +43,8 @@ def _counted(f):
 
         return fn and call
 
-    return replace(f, forward=counting(f.forward, "forward"), backward=counting(f.backward, "backward"),
-                   leap=counting(f.leap, "leap")), calls
+    return f._replace(forward=counting(f.forward, "forward"), backward=counting(f.backward, "backward"),
+                      leap=counting(f.leap, "leap")), calls
 
 
 # Probe: a run of the whole schedule called f once (its leap), and runs of
@@ -216,7 +215,7 @@ def test_leaf_compile_asks_each_vertex_once(k, rng):
         calls.append(v)
         return ask(g, v)
 
-    f = leaf_to_bijection(replace(inst.family, neighbors=neighbors), inst.instance, k)
+    f = leaf_to_bijection(inst.family._replace(neighbors=neighbors), inst.instance, k)
     final, moves = logged_run(f, 1 << k, Bitstring(start, 3 * k))
     assert final.value >> k & (1 << k) - 1 == solve_leaf_walk(inst).value
     assert len(calls) == 64
