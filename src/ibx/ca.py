@@ -45,7 +45,7 @@ import operator
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .kernel import _DIGITS, _VALUES, inverse_table, iterate_map
+from .kernel import _DIGITS, _VALUES, _Frozen, inverse_table, iterate_map
 
 
 class CaError(ValueError):
@@ -108,7 +108,7 @@ def random_bijective_rule(rng) -> MargolusRule:
     return MargolusRule(tuple(perm))
 
 
-class MargolusGrid:
+class MargolusGrid(_Frozen):
     """An immutable grid of 0/1 cells and its phase, held as four bit planes
     (see the module docstring).
 
@@ -149,12 +149,6 @@ class MargolusGrid:
         grid = object.__new__(cls)
         _init_grid(grid, planes, phase, shape, None)
         return grid
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return MargolusGrid._from_planes, (self.planes, self.shape, self.phase)
@@ -612,22 +606,18 @@ class StrobeAutomaton(NamedTuple):
         return self._advance(cfg, -1)
 
 
-def strobe_wrap(
-    parts: StrobeParts, t: int, pattern: Tuple[int, int] = (0, 1)
-) -> StrobeAutomaton:
+def strobe_wrap(parts: StrobeParts, t: int) -> StrobeAutomaton:
     """Wrap per-cell dynamics into the six-track strobe automaton.
 
-    With counter_parts(t) and the default seed, a uniform ring is lit at
-    exactly the multiples of t (every step when t = 1, where the seed
-    collapses to (0, 0))."""
+    The seed is (0, 1), or (0, 0) when t = 1; with counter_parts(t) a
+    uniform ring is then lit at exactly the multiples of t (every step
+    when t = 1)."""
     if t < 1:
         raise CaError("period must be at least 1")
-    a, b = pattern
-    if t == 1:
-        a = b = 0
-    if not (0 <= a < parts.size and 0 <= b < parts.size):
+    seed = (0, 0) if t == 1 else (0, 1)
+    if max(seed) >= parts.size:
         raise CaError("seed outside the counter alphabet")
-    return StrobeAutomaton(parts, t, (a, b))
+    return StrobeAutomaton(parts, t, seed)
 
 
 def toy_counter_strobe(t: int) -> StrobeAutomaton:

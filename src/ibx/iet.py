@@ -168,8 +168,8 @@ class IetSurface(_Frozen):
         central: int,
         up_port: int,
         stripes: int,
-        period: int = 0,
-        returns: Tuple[Tuple[int, int, int], ...] = (),
+        period: int,
+        returns: Tuple[Tuple[int, int, int], ...],
     ) -> None:
         for name, value in zip(self._fields, (transform, surface, central, up_port, stripes, period, returns)):
             object.__setattr__(self, name, value)
@@ -345,29 +345,32 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
         if any(v[1] > 0 for v in triangles[p.triangle].vertices)
     )
 
-    su = IetSurface(t, surface, central, up_port, stripes)
-    su = IetSurface(t, surface, central, up_port, stripes, *_trace_returns(su))
+    period, returns = _trace_returns(surface, central, up_port, n, stripes)
+    su = IetSurface(t, surface, central, up_port, stripes, period, returns)
     _check_trace_agreement(su)
     return su
 
 
-def _trace_returns(su: IetSurface) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
-    """Trace the central edge upward as one run until it returns.
+def _trace_returns(
+    surface: TriangulatedSurface, central: int, up_port: int, n: int, stripes: int
+) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """Trace the n crossings of the central edge upward, entering by
+    up_port, as one run until it returns.
 
     The step count d at which the first part lands on the central edge is
     the period; every part must land there at that step, entering upward,
     and in the same order as it left.  Returns d and the return runs.
     """
-    runs = [(su.central, su.up_port, 0, su.width, 1, 0)]
-    for period in range(1, 40 * su.stripes + 41):
-        runs = [part for run in runs for part in _trace_run(su, run)]
-        if any(run[0] == su.central for run in runs):
+    runs = [(central, up_port, 0, n, 1, 0)]
+    for period in range(1, 40 * stripes + 41):
+        runs = [part for run in runs for part in _trace_run(surface, run)]
+        if any(run[0] == central for run in runs):
             break
     else:
         raise IetError("trace failed to return to the central edge")
     returns = []
     for edge, port, a, b, s, o in sorted(runs, key=lambda run: run[2]):
-        if edge != su.central or port != su.up_port:
+        if edge != central or port != up_port:
             raise IetError(f"nonuniform period at crossing {a}")
         if s != 1 and b - a > 1:
             raise IetError(f"trace reverses crossings {a} to {b - 1}")
@@ -423,7 +426,7 @@ def validate_normal_coords(
     return tuple(corners)
 
 
-def _trace_run(su: IetSurface, run: Run) -> List[Run]:
+def _trace_run(surface: TriangulatedSurface, run: Run) -> List[Run]:
     """Advance a run of crossings through one triangle.
 
     Inside the triangle the a(v) arcs nearest a corner v pair up
@@ -433,11 +436,11 @@ def _trace_run(su: IetSurface, run: Run) -> List[Run]:
     run splits once, at that corner count, into at most two runs.
     """
     edge_id, port, a, b, s, o = run
-    edges = su.surface.edges
+    edges = surface.edges
     tri, side, aligned = edges[edge_id].ports[port]
     if not aligned:  # flip to p = s * i + o, the position along the side
         s, o = -s, edges[edge_id].crossings - 1 - o
-    counts = su.surface.side_counts[tri]
+    counts = surface.side_counts[tri]
     at_start = (counts[side - 1] + counts[side] - counts[(side + 1) % 3]) // 2
     cut = at_start - o if s > 0 else o - at_start + 1
     lower, upper = (a, min(b, cut)), (max(a, cut), b)
@@ -447,7 +450,7 @@ def _trace_run(su: IetSurface, run: Run) -> List[Run]:
     for (lo, hi), (out_side, count) in zip(parts, exits):
         if lo >= hi:
             continue
-        out_id = su.surface.side_edges[tri][out_side]
+        out_id = surface.side_edges[tri][out_side]
         out_edge = edges[out_id]
         out_port = 0 if out_edge.ports[0][:2] == (tri, out_side) else 1
         # q = count - 1 - p along the exit side, then into edge orientation
@@ -466,7 +469,7 @@ def trace_step(su: IetSurface, crossing: Crossing, entering: int) -> Tuple[Cross
     from the result with the opposite port undoes the step.
     """
     run = (crossing.edge, entering, 0, 1, 1, crossing.index)
-    ((edge, port, _, _, _, index),) = _trace_run(su, run)
+    ((edge, port, _, _, _, index),) = _trace_run(su.surface, run)
     return Crossing(edge, index), port
 
 

@@ -36,7 +36,7 @@ Conventions used across the package:
   subclass that checks them in ``__new__``, which ``_make`` and
   ``_replace`` skip, so package code calls neither on it; one that keeps
   caches beside its fields is a ``_Frozen`` class, and ``Bitstring`` is
-  a slotted class.
+  a slotted ``_Frozen`` class.
 """
 
 from __future__ import annotations
@@ -58,7 +58,43 @@ class WidthMismatchError(ValueError):
     """Raised when a value's width does not match the operation's width."""
 
 
-class Bitstring:
+class _Frozen:
+    """The one assignment guard of the package's immutable records.  Only
+    ``object.__setattr__`` sets an attribute, as constructors and caches
+    do.  A subclass that keeps caches in its own ``__dict__`` beside its
+    fields (a circuit's tables, a map's piece starts) names the fields in
+    ``_fields``: they are compared, hashed and shown in the repr, nothing
+    else is.  A slotted subclass (``Bitstring``, ``ca.MargolusGrid``) has
+    no ``__dict__`` and keeps its own equality, hash and repr: ``_key``
+    builds a tuple through a generator, and the engine compares such
+    values on every step."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Bitstring(_Frozen):
     """Immutable fixed-width bit vector backed by an int.
 
     ``value`` holds the bits with index 0 least significant; ``width`` may be
@@ -77,12 +113,6 @@ class Bitstring:
             raise ValueError(f"value {value} out of range for width {width}")
         _set_value(self, value)
         _set_width(self, width)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Bitstring:
@@ -125,37 +155,6 @@ class Bitstring:
 
 _set_value = Bitstring.value.__set__  # type: ignore[attr-defined]
 _set_width = Bitstring.width.__set__  # type: ignore[attr-defined]
-
-
-class _Frozen:
-    """Base of the immutable records that keep caches in their own
-    ``__dict__`` beside their fields (a circuit's tables, a map's piece
-    starts).  The fields named in ``_fields`` are compared, hashed and
-    shown in the repr; nothing else is.  Only ``object.__setattr__`` sets
-    an attribute, as the constructor and the caches do."""
-
-    _fields: Tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({shown})"
 
 
 def pack_fields(fields: Sequence[Tuple[int, int]]) -> int:

@@ -15,12 +15,13 @@ The clocked maps share a discipline: a wide counter c1 and a narrow
 counter c2 are packed in front of one payload word, each tick advances c2,
 carrying into c1 on wraparound, and maps the word keyed by the hands the
 tick began with.  States whose counters are out of range are fixed points,
-which keeps every map total.  ClockedCodec lays out the (c1, c2, payload
-word) bits; ``_clocked`` alone reads, guards and packs the hands, and each
-compiler's move unpacks its own fields.  A move's word is packed
-unchecked; a move that applies an outside map checks that map's image
-where it enters the state.  Both clocked compilers run their outside map
-f^j by one rule, ``_power_of``, under one cap on the tables it builds.
+which keeps every map total.  ``_clocked`` alone lays out the (c1, c2,
+payload word) bits, reads, guards and packs the hands, and builds the
+schedule; each compiler's move unpacks its own fields of the word.  A
+move's word is packed unchecked; a move that applies an outside map
+checks that map's image where it enters the state.  Both clocked
+compilers run their outside map f^j by one rule, ``_power_of``, under one
+cap on the tables it builds.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .kernel import (
     iterate_bijection,
     iterate_map,
     one_move,
-    pack_fields,
-    unpack_fields,
 )
 
 
@@ -45,61 +44,16 @@ class ReductionError(ValueError):
     pass
 
 
-class ClockedState(NamedTuple):
-    c1: int
-    c2: int
-    payload: Tuple[int, ...]
-
-
-class ClockedCodec(NamedTuple):
-    """Bit layout of (c1, c2, payload word) states, c1 most significant.
-
-    The counters take the fewest bits that hold modulus-1; the payload word
-    is the low ``sum(payload_widths)`` bits.  A clocked move reads only c1,
-    c2 and the word.  ``encode`` and ``decode`` go through the kernel's
-    pack_fields/unpack_fields and split the word into the payload fields,
-    first field most significant: decode gives None when a counter is at or
-    beyond its modulus, and encode raises ValueError for a field that does
-    not fit its width.
-    """
-
-    m_big: int
-    m_small: int
-    payload_widths: Tuple[int, ...]
-
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        w1 = max(1, (self.m_big - 1).bit_length())
-        w2 = max(1, (self.m_small - 1).bit_length())
-        return (w1, w2) + self.payload_widths
-
-    @property
-    def width(self) -> int:
-        return sum(self.widths)
-
-    def encode(self, state: ClockedState) -> int:
-        fields = (state.c1, state.c2) + state.payload
-        return pack_fields(list(zip(fields, self.widths, strict=True)))
-
-    def decode(self, value: int) -> Optional[ClockedState]:
-        c1, c2, *payload = unpack_fields(value, self.widths)
-        if c1 >= self.m_big or c2 >= self.m_small:
-            return None
-        return ClockedState(c1, c2, tuple(payload))
-
-
 class _ScheduleFields(NamedTuple):
     g: Bijection
     total_iterations: int
     start: Bitstring
     extract: Callable[[Bitstring], Bitstring]
-    codec: Optional[ClockedCodec] = None
 
 
 class Schedule(_ScheduleFields):
-    """A compiled iteration job.  The clocked compilers set ``codec`` to
-    their state layout, so callers can decode intermediate states.  The
-    count and the start's width are checked at construction."""
+    """A compiled iteration job.  The count and the start's width are
+    checked at construction."""
 
     __slots__ = ()
 
@@ -109,13 +63,12 @@ class Schedule(_ScheduleFields):
         total_iterations: int,
         start: Bitstring,
         extract: Callable[[Bitstring], Bitstring],
-        codec: Optional[ClockedCodec] = None,
     ) -> "Schedule":
         if total_iterations < 0:
             raise ReductionError("iteration total must be nonnegative")
         if start.width != g.width:
             raise WidthMismatchError("schedule start width does not match its bijection")
-        return tuple.__new__(cls, (g, total_iterations, start, extract, codec))
+        return tuple.__new__(cls, (g, total_iterations, start, extract))
 
 
 # move(c1, c2, payload word, r) -> (word', j), 1 <= j <= |r|: the word
@@ -124,49 +77,56 @@ class Schedule(_ScheduleFields):
 ClockMove = Callable[[int, int, int, int], Tuple[int, int]]
 
 
-def _clocked(codec: ClockedCodec, move: ClockMove, label: str) -> Bijection:
-    """The clocked bijection over ``codec``'s states, one signed move.
+def _clocked(
+    m_big: int,
+    m_small: int,
+    word_width: int,
+    move: ClockMove,
+    label: str,
+    total: int,
+    word: int,
+    answer: Callable[[int], Bitstring],
+) -> Schedule:
+    """The clocked schedule: ``total`` ticks from hands (0, 0) over
+    ``word``, answered by ``answer`` of the final word.
 
-    Its move decodes the hands, calls ``move(c1, c2, word, r)`` with the
-    hands of the first tick applied (r > 0) or undone (r < 0), and packs
-    the word with the hands moved by the result's j ticks, c2 carrying into
-    c1 on wraparound; ``kernel.one_move`` builds the map from it.  A
-    state whose counters are out of range is a fixed point: it moves all
-    |r| ticks at once, so the engine ends such a run in one move.
+    A state is (c1 | c2 | word), c1 most significant: c1 < m_big and
+    c2 < m_small in the fewest bits that hold m_big - 1 and m_small - 1,
+    the word in the low ``word_width`` bits.  The map's one move reads the
+    hands, calls ``move(c1, c2, word, r)`` with the hands of the first tick
+    applied (r > 0) or undone (r < 0), and packs the word with the hands
+    moved by the result's j ticks, c2 carrying into c1 on wraparound;
+    ``kernel.one_move`` builds the map from it.  A state whose counters
+    are out of range is a fixed point: it moves all |r| ticks at once, so
+    the engine ends such a run in one move.  A final state out of range
+    raises ReductionError.
     """
-    m_big, m_small, period = codec.m_big, codec.m_small, codec.m_big * codec.m_small
-    w2 = codec.widths[1]
-    s2 = sum(codec.payload_widths)
-    s1 = s2 + w2
-    m2, word_mask = (1 << w2) - 1, (1 << s2) - 1
+    period = m_big * m_small
+    w2 = max(1, (m_small - 1).bit_length())
+    s1 = word_width + w2
+    width = s1 + max(1, (m_big - 1).bit_length())
+    m2, word_mask = (1 << w2) - 1, (1 << word_width) - 1
+
+    def hands(v: int) -> Optional[int]:
+        # the ticks c1 * m_small + c2 that v's hands read, None out of range
+        c1, c2 = v >> s1, v >> word_width & m2
+        return None if c1 >= m_big or c2 >= m_small else c1 * m_small + c2
 
     def hop(v: int, r: int) -> Tuple[int, int]:
-        c1, c2 = v >> s1, v >> s2 & m2
-        if c1 >= m_big or c2 >= m_small:
+        t = hands(v)
+        if t is None:
             return v, abs(r)
-        t = (c1 * m_small + c2 - (r < 0)) % period  # the first tick applied or undone
+        t = (t - (r < 0)) % period  # the first tick applied or undone
         word, j = move(*divmod(t, m_small), v & word_mask, r)
         c1, c2 = divmod((t + j if r > 0 else t + 1 - j) % period, m_small)
-        return c1 << s1 | c2 << s2 | word, j
-
-    return one_move(codec.width, hop, label)
-
-
-def _clocked_schedule(
-    g: Bijection, codec: ClockedCodec, total: int, payload: Tuple[int, ...], answer: Callable
-) -> Schedule:
-    """Run g ``total`` ticks from hands (0, 0) over ``payload``; the answer
-    is ``answer`` of the final payload, and a final state whose counters
-    are out of range raises ReductionError."""
+        return c1 << s1 | c2 << word_width | word, j
 
     def extract(final: Bitstring) -> Bitstring:
-        st = codec.decode(final.value)
-        if st is None:
+        if hands(final.value) is None:
             raise ReductionError("final state decodes out of range")
-        return answer(st.payload)
+        return answer(final.value & word_mask)
 
-    start = Bitstring(codec.encode(ClockedState(0, 0, payload)), codec.width)
-    return Schedule(g, total, start, extract, codec=codec)
+    return Schedule(one_move(width, hop, label), total, Bitstring(word, width), extract)
 
 
 def _image(y: int, width: int) -> int:
@@ -299,7 +259,6 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
     mask = size - 1
     m_small = size + 3
     m_big = n + 1
-    codec = ClockedCodec(m_big, m_small, (k, k, k))
     sweep_end = size + 2
     k2 = 2 * k
 
@@ -322,8 +281,8 @@ def compile_iteration_to_invertible(f: Bijection, n: int, x: Bitstring) -> Sched
             word, j = word ^ fire << k2, 1
         return word - c | (c + d * j) & mask, j
 
-    g = _clocked(codec, move, f"clock[{f.label}]")
-    return _clocked_schedule(g, codec, n * m_small, (x.value, 0, 0), lambda p: Bitstring(p[0], k))
+    label, answer = f"clock[{f.label}]", lambda word: Bitstring(word >> k2, k)
+    return _clocked(m_big, m_small, 3 * k, move, label, n * m_small, x.value << k2, answer)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +422,6 @@ def compile_oracle_circuit(
     place = {w: i for i, w in enumerate(wires)}  # the place in the unpacked vector
     m_small = oc.max_oracle_count() + 1
     m_big = len(oc.gates) + 1
-    codec = ClockedCodec(m_big, m_small, (w_count,))
 
     def read(vec: int, ws: Sequence[int]) -> int:
         bits = _unpack(vec, w_count)
@@ -494,8 +452,5 @@ def compile_oracle_circuit(
             return vec, j
         return write(vec, active.t_wires, power(read(vec, active.t_wires), j if r > 0 else -j)), j
 
-    h = _clocked(codec, move, "oracle-clock")
-    vec0 = write(0, range(oc.inputs), x.value)
-    return _clocked_schedule(
-        h, codec, m_big * m_small, (vec0,), lambda p: Bitstring(read(p[0], oc.outputs), len(oc.outputs))
-    )
+    vec0, answer = write(0, range(oc.inputs), x.value), lambda vec: Bitstring(read(vec, oc.outputs), len(oc.outputs))
+    return _clocked(m_big, m_small, w_count, move, "oracle-clock", m_big * m_small, vec0, answer)

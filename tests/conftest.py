@@ -1,12 +1,13 @@
 """Shared fixtures: a deterministic RNG and random-object builders."""
 
 import random
+from typing import NamedTuple, Tuple
 
 import pytest
 
 from ibx import circuits
 from ibx.graphs import ImplicitFamily
-from ibx.kernel import Bitstring, iterate_bijection
+from ibx.kernel import Bitstring, iterate_bijection, pack_fields, unpack_fields
 from ibx.plb import validate_plb
 
 
@@ -119,3 +120,51 @@ def logged_run(g, steps, start):
     moves = []
     step, back, leap = logged(moves, g.forward, g.backward, g.leap, ticks=True)
     return iterate_bijection(g._replace(forward=step, backward=back, leap=leap), steps, start), moves
+
+
+# ---------------------------------------------------------------------------
+# The clocked compilers' state layout as their docstrings state it, packed
+# by the kernel's pack_fields/unpack_fields at widths computed here.
+
+
+class ClockedState(NamedTuple):
+    c1: int
+    c2: int
+    payload: Tuple[int, ...]
+
+
+class ClockedLayout(NamedTuple):
+    """(c1, c2, payload fields) states, c1 most significant: the counters
+    in the fewest bits that hold modulus - 1, first payload field next."""
+
+    m_big: int
+    m_small: int
+    payload_widths: Tuple[int, ...]
+
+
+def clock_layout(n, k):
+    """compile_iteration_to_invertible's, for n applications of a k-bit f."""
+    return ClockedLayout(n + 1, (1 << k) + 3, (k, k, k))
+
+
+def oracle_layout(oc):
+    """compile_oracle_circuit's, for the oracle circuit oc."""
+    return ClockedLayout(len(oc.gates) + 1, oc.max_oracle_count() + 1, (len(oc.all_wires()),))
+
+
+def ref_widths(layout):
+    w1 = max(1, (layout.m_big - 1).bit_length())
+    w2 = max(1, (layout.m_small - 1).bit_length())
+    return (w1, w2) + layout.payload_widths
+
+
+def ref_decode(layout, v):
+    """v's ClockedState, or None when a counter is at or past its modulus."""
+    c1, c2, *payload = unpack_fields(v, ref_widths(layout))
+    if c1 >= layout.m_big or c2 >= layout.m_small:
+        return None
+    return ClockedState(c1, c2, tuple(payload))
+
+
+def ref_encode(layout, st):
+    return pack_fields(list(zip((st.c1, st.c2) + st.payload, ref_widths(layout))))

@@ -766,8 +766,10 @@ def test_strobe_rejects_counters_outside_the_alphabet():
 
 
 def test_strobe_bad_seed_rejected():
-    with pytest.raises(CaError):
-        strobe_wrap(counter_parts(3), 3, pattern=(0, 5))
+    # a one-value alphabet holds no seed counter 1
+    one_value = StrobeParts(1, lambda a: a, lambda a: a, lambda a: a == 0)
+    with pytest.raises(CaError, match="seed outside the counter alphabet"):
+        strobe_wrap(one_value, 2)
     with pytest.raises(CaError):
         strobe_wrap(counter_parts(3), 0)
 

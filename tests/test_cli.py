@@ -21,7 +21,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ibx import ca, circuits, cli, formats, graphs, iet, kernel, plb
@@ -793,7 +793,7 @@ README_IET, README_EXAMPLES = readme_examples()
 
 def test_readme_shows_the_figure_exchange():
     assert README_IET == FIG_IET
-    assert len(README_EXAMPLES) >= 6
+    assert len(README_EXAMPLES) >= 8
 
 
 @pytest.mark.parametrize("argv, want", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
@@ -1655,3 +1655,197 @@ def test_circuit_commands_equal_a_gate_by_gate_interpreter(tmp_path_factory, doc
         y = table[y] if n > 0 else back[y]
     argv = ["circuit", "iterate", "--file", str(path), "--input", text, "--n", str(n)]
     assert run_quiet(*argv) == (0, format(y, f"0{w}b") + "\n", "")
+
+
+# ---------------------------------------------------------------------------
+# lift answers against a bit-by-bit interpreter of the boolean document
+
+
+def run_boolean_lines(lines, inputs, x):
+    """The wire values after the gate lines ``kind out arg ...`` of a
+    boolean document, one gate at a time, from the input numeral x (wire 0
+    its leftmost bit)."""
+    values = dict(enumerate(int(b) for b in format(x, f"0{inputs}b")))
+    for kind, out, *args in (line.split() for line in lines):
+        a = [values[int(t)] for t in args]
+        if kind == "and":
+            values[int(out)] = a[0] & a[1]
+        elif kind == "or":
+            values[int(out)] = a[0] | a[1]
+        elif kind == "xor":
+            values[int(out)] = a[0] ^ a[1]
+        elif kind == "not":
+            values[int(out)] = 1 - a[0]
+        else:  # copy
+            values[int(out)] = a[0]
+    return values
+
+
+def boolean_document(inputs, lines, outputs):
+    return f"inputs {inputs}\n" + "".join(f"{line}\n" for line in lines) + f"outputs {' '.join(map(str, outputs))}\n"
+
+
+@st.composite
+def boolean_documents(draw):
+    """1 to 6 inputs, up to 10 gates writing fresh wires in any order of
+    ids, and 1 to 6 outputs among the defined wires."""
+    k = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 10))
+    fresh = draw(st.permutations(range(k, k + 2 * count)))[:count]
+    defined, lines = list(range(k)), []
+    for out in fresh:
+        kind = draw(st.sampled_from(["and", "or", "xor", "not", "copy"]))
+        arity = 1 if kind in ("not", "copy") else 2
+        args = [draw(st.sampled_from(defined)) for _ in range(arity)]
+        lines.append(" ".join(map(str, [kind, out, *args])))
+        defined.append(out)
+    outputs = draw(st.lists(st.sampled_from(defined), min_size=1, max_size=6))
+    return k, lines, outputs
+
+
+def boolean_lines_of(k, gates):
+    """Boolean gate lines computing the reversible gates ``(kind, wires)``
+    on k wires, and the wires that end up holding the k results."""
+    current, lines = list(range(k)), []
+    for kind, wires in gates:
+        if kind == "swap":
+            a, b = wires
+            current[a], current[b] = current[b], current[a]
+            continue
+        *controls, target = [current[w] for w in wires]
+        if kind == "toffoli":  # the and of the controls on a wire of its own
+            lines.append(f"and {k + len(lines)} {controls[0]} {controls[1]}")
+            controls = [k + len(lines) - 1]
+        out = k + len(lines)
+        lines.append(f"xor {out} {controls[0]} {target}" if controls else f"not {out} {target}")
+        current[wires[-1]] = out
+    return lines, current
+
+
+@st.composite
+def bijection_documents(draw):
+    """A k-bit bijection and its inverse as boolean documents: a list of
+    reversible not/cnot/toffoli/swap gates written out gate by gate, once
+    in order and once reversed."""
+    k = draw(st.integers(1, 6))
+    arity = {"not": 1, "swap": 2, "cnot": 2, "toffoli": 3}
+    kinds = [kind for kind, a in arity.items() if a <= k]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        gates.append((kind, draw(st.permutations(range(k)))[: arity[kind]]))
+    forward, inverse = boolean_lines_of(k, gates), boolean_lines_of(k, gates[::-1])
+    return k, forward, inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(boolean_documents(), st.data())
+def test_lift_bennett_equals_a_bit_by_bit_interpreter(tmp_path_factory, doc, data):
+    k, lines, outputs = doc
+    path = tmp_path_factory.mktemp("lift") / "f.bc"
+    path.write_text(boolean_document(k, lines, outputs))
+    x = data.draw(st.integers(0, (1 << k) - 1))
+    values = run_boolean_lines(lines, k, x)
+    want = "".join(str(values[w]) for w in outputs) + "\n"
+    argv = ["lift", "bennett", "--file", str(path), "--input", format(x, f"0{k}b")]
+    assert run_quiet(*argv) == (0, want, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(bijection_documents(), st.data())
+def test_lift_exact_equals_a_bit_by_bit_interpreter(tmp_path_factory, doc, data):
+    k, (lines, outputs), (inverse_lines, inverse_outputs) = doc
+    folder = tmp_path_factory.mktemp("lift")
+    (folder / "f.bc").write_text(boolean_document(k, lines, outputs))
+    (folder / "g.bc").write_text(boolean_document(k, inverse_lines, inverse_outputs))
+    x = data.draw(st.integers(0, (1 << k) - 1))
+    values = run_boolean_lines(lines, k, x)
+    want = "".join(str(values[w]) for w in outputs) + "\n"
+    for action, extra in (("exact", ["--inverse-file", str(folder / "g.bc")]), ("bennett", [])):
+        argv = ["lift", action, "--file", str(folder / "f.bc"), *extra, "--input", format(x, f"0{k}b")]
+        assert run_quiet(*argv) == (0, want, ""), action
+
+
+# ---------------------------------------------------------------------------
+# lollipop answers against brute-force Hamiltonian cycles
+
+
+@st.composite
+def hamiltonian_cubic_documents(draw):
+    """A cubic graph on 4 to 12 vertices around a Hamiltonian cycle: the
+    cycle's edges and a perfect matching of chords, in any order and
+    direction."""
+    n = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    cycle = draw(st.permutations(range(n)))
+    ring = [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+    on_ring = {frozenset(e) for e in ring}
+    left, chords = list(range(n)), []
+    while left:
+        u = left.pop(0)
+        options = [v for v in left if frozenset((u, v)) not in on_ring]
+        assume(options)
+        v = draw(st.sampled_from(options))
+        left.remove(v)
+        chords.append((u, v))
+    edges = [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(ring + chords))]
+    return n, tuple(cycle), edges
+
+
+def brute_force_cycles(n, edges):
+    """Every Hamiltonian cycle, as the set of its edges, by a depth-first
+    search over the simple paths from vertex 0."""
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    cycles = set()
+
+    def extend(path):
+        if len(path) == n:
+            if 0 in adj[path[-1]]:
+                cycles.add(frozenset(map(frozenset, zip(path, path[1:] + path[:1]))))
+            return
+        for v in adj[path[-1]]:
+            if v not in path:
+                extend(path + [v])
+
+    extend([0])
+    return cycles
+
+
+def write_cubic_file(tmp_path_factory, n, edges):
+    path = tmp_path_factory.mktemp("cubic") / "g.cubic"
+    path.write_text(f"cubic {n}\n" + "".join(f"edge {u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hamiltonian_cubic_documents(), st.data())
+def test_lollipop_count_equals_brute_force_cycles(tmp_path_factory, doc, data):
+    n, _, edges = doc
+    path = write_cubic_file(tmp_path_factory, n, edges)
+    cycles = brute_force_cycles(n, edges)
+    counts = [sum(frozenset(e) in c for c in cycles) for e in edges]
+    want = "".join(f"{u} {v} {c}\n" for (u, v), c in zip(edges, counts))
+    assert run_quiet("lollipop", "count", "--file", path) == (0, want, "")
+    (u, v), c = data.draw(st.sampled_from(list(zip(edges, counts))))
+    assert run_quiet("lollipop", "count", "--file", path, "--edge", str(u), str(v)) == (0, f"{u} {v} {c}\n", "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hamiltonian_cubic_documents(), st.data())
+def test_lollipop_second_cycle_is_another_brute_force_cycle(tmp_path_factory, doc, data):
+    n, cycle, edges = doc
+    path = write_cubic_file(tmp_path_factory, n, edges)
+    i = data.draw(st.integers(0, n - 1))
+    edge = (cycle[i], cycle[(i + 1) % n])[:: data.draw(st.sampled_from([1, -1]))]
+    orientation = data.draw(st.sampled_from([0, 1]))
+    argv = ["lollipop", "second-cycle", "--file", path, "--cycle", " ".join(map(str, cycle)),
+            "--edge", *map(str, edge), "--orientation", str(orientation)]
+    rc, out, err = run_quiet(*argv)
+    assert (rc, err) == (0, "")
+    other = tuple(int(t) for t in out.split())
+    found = frozenset(map(frozenset, zip(other, other[1:] + other[:1])))
+    given_cycle = frozenset(map(frozenset, zip(cycle, cycle[1:] + cycle[:1])))
+    assert len(other) == n and found in brute_force_cycles(n, edges) and found != given_cycle
+    assert other[:2] == (edge[::-1] if orientation else edge)

@@ -390,7 +390,7 @@ def test_trace_run_matches_point_tracer_on_whole_edges(rng):
             c = edge.crossings
             for port in (0, 1):
                 for a, b, s, o in ((0, c, 1, 0), (0, c, -1, c - 1), (5, c + 5, 1, -5)):
-                    parts = _trace_run(su, (e, port, a, b, s, o))
+                    parts = _trace_run(su.surface, (e, port, a, b, s, o))
                     covered = []
                     for out_e, out_port, lo, hi, qs, qo in parts:
                         covered.extend(range(lo, hi))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ibx import kernel
 from ibx.ca import MargolusGrid, bbm_rule, dim_redux_compile, simulate_1d
 from ibx.circuits import ClassicalGate, parity
-from ibx.graphs import leaf_to_bijection, random_path_instance
+from ibx.graphs import complete_graph_k4, leaf_to_bijection, random_path_instance
 from ibx.kernel import (
     STATE_CHUNK,
     Bijection,
@@ -58,7 +58,6 @@ from ibx.plb import (
     riffle,
 )
 from ibx.reductions import (
-    ClockedState,
     OracleCircuit,
     OracleGate,
     Schedule,
@@ -69,11 +68,14 @@ from ibx.reductions import (
 )
 
 from conftest import (
+    ClockedState,
     affine_plb,
     assert_leaps_are_walks,
+    clock_layout,
     logged,
     random_pieces,
     random_reversible_circuit,
+    ref_encode,
     ring_family,
 )
 
@@ -117,6 +119,38 @@ def test_bitstring_is_immutable_hashable_and_copyable():
         Bitstring(0, -1)
     with pytest.raises(ValueError, match="value 8 out of range for width 3"):
         Bitstring(8, 3)
+
+
+def _figure_surface():
+    from ibx.iet import build_surface
+
+    return build_surface(interval_exchange(15, [(0, 4, 11), (4, 6, -4), (6, 7, 4), (7, 15, -5)]))
+
+
+FROZEN_RECORDS = [
+    (lambda: Bitstring(5, 3), "width", True),
+    (lambda: MargolusGrid([[0, 1], [1, 0]]), "phase", True),
+    (lambda: random_reversible_circuit(random.Random(0), 4, 5), "gates", False),
+    (lambda: riffle(13), "domain", False),
+    (lambda: complete_graph_k4(), "edges", False),
+    (_figure_surface, "period", False),
+]
+
+
+@pytest.mark.parametrize("make, field, slotted", FROZEN_RECORDS, ids=[
+    "Bitstring", "MargolusGrid", "ReversibleCircuit", "PiecewiseLinearBijection", "CubicGraph", "IetSurface"])
+def test_immutable_records_share_one_assignment_guard(make, field, slotted):
+    record = make()
+    cls = type(record)
+    assert cls.__setattr__ is kernel._Frozen.__setattr__ and cls.__delattr__ is kernel._Frozen.__delattr__
+    assert hasattr(record, "__dict__") is not slotted
+    before = getattr(record, field)
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert getattr(record, field) is before
 
 
 @given(st.integers(min_value=1, max_value=64).flatmap(
@@ -304,7 +338,7 @@ def test_engine_rejects_a_leap_outside_its_contract():
 
 def test_the_inverse_leaps_with_the_count_negated():
     s = compile_iteration_to_invertible(add_const(3, 5), 4, Bitstring(6, 3))
-    idle = [s.codec.encode(ClockedState(c1, 0, (a, 0, 0))) for c1 in range(5) for a in range(8)]
+    idle = [ref_encode(clock_layout(4, 3), ClockedState(c1, 0, (a, 0, 0))) for c1 in range(5) for a in range(8)]
     for f, states in ((add_const(5, 11), range(32)), (rotate_left(7), range(128)), (s.g, idle)):
         g = f.inverse()
         for y in states:

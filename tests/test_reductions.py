@@ -20,7 +20,6 @@ from ibx.kernel import (
 )
 from ibx.reductions import (
     MAX_ORACLE_TABLE_WIDTH,
-    ClockedState,
     OracleCircuit,
     OracleGate,
     ReductionError,
@@ -32,7 +31,16 @@ from ibx.reductions import (
     run_schedule,
 )
 
-from conftest import assert_leaps_are_walks, logged_run
+from conftest import (
+    ClockedState,
+    assert_leaps_are_walks,
+    clock_layout,
+    logged_run,
+    oracle_layout,
+    ref_decode,
+    ref_encode,
+    ref_widths,
+)
 
 
 def test_sweep_identity_returns_input():
@@ -109,12 +117,8 @@ def test_clock_matches_direct_iteration(rng):
 
 def test_clock_out_of_range_codes_are_fixed():
     s = compile_iteration_to_invertible(increment(2), 2, Bitstring(0, 2))
-    fixed = [
-        v
-        for v in range(1 << s.g.width)
-        if s.codec.decode(v) is None
-    ]
-    assert fixed, "codec leaves no slack, test needs a different width"
+    fixed = [v for v in range(1 << s.g.width) if ref_decode(clock_layout(2, 2), v) is None]
+    assert fixed, "layout leaves no slack, test needs a different width"
     for v in fixed[:16]:
         assert s.g.forward(v) == v
         assert s.g.backward(v) == v
@@ -144,7 +148,7 @@ def test_clock_stash_checks_the_image_both_ways(fn):
     with pytest.raises(ValueError, match="out of range for width 3"):
         run_schedule(s)
     # The state one step past the stash: stepping back undoes the stash.
-    after_stash = s.codec.encode(ClockedState(0, 1, (1, 0, 0)))
+    after_stash = ref_encode(clock_layout(2, 3), ClockedState(0, 1, (1, 0, 0)))
     with pytest.raises(ValueError, match="out of range for width 3"):
         s.g.backward(after_stash)
 
@@ -190,7 +194,7 @@ def test_clock_leaps_take_every_whole_little_hand_cycle_left(rng):
         g, m = s.g, (1 << k) + 3
         for c1 in range(n + 1):
             for a in rng.sample(range(1 << k), min(1 << k, 6)):
-                v = s.codec.encode(ClockedState(c1, 0, (a, 0, 0)))
+                v = ref_encode(clock_layout(n, k), ClockedState(c1, 0, (a, 0, 0)))
                 assert g.leap(v, m - 1) == (g.forward(v), 1) and g.leap(v, 1 - m) == (g.backward(v), 1)
                 for j, extra in ((1, 0), (2, m - 1), (n + 3, m // 2)):
                     start = Bitstring(v, g.width)
@@ -568,7 +572,7 @@ def test_oracle_clock_leaps_equal_the_literal_walk(rng):
         for f in _oracle_maps(rng, k):
             x = Bitstring(rng.randrange(1 << oc.inputs), oc.inputs)
             s = compile_oracle_circuit(oc, f, x)
-            g, m, total = s.g, s.codec.m_small, s.total_iterations
+            g, m, total = s.g, oracle_layout(oc).m_small, s.total_iterations
             for v in range(1 << g.width):  # every state, off-contract counters included
                 assert_leaps_are_walks(g.leap, g.forward, g.backward, v, (1, 2, m, total))
             for v in [s.start.value] + rng.sample(range(1 << g.width), 6):
@@ -587,7 +591,7 @@ def test_oracle_clock_answers_a_huge_count_in_four_moves(rng):
         answer, moves = _engine_moves(s)
         s_in = Bitstring(x.value & (1 << f.width) - 1, f.width)
         assert answer == eval_oracle_circuit(oc, f, x) == iterate_bijection(f, n, s_in)
-        m = s.codec.m_small
+        m = oracle_layout(oc).m_small
         assert moves == [1, n, m - 1 - n, m], f.label
         final = iterate_bijection(s.g, s.total_iterations, s.start)
         assert iterate_bijection(s.g, -s.total_iterations, final) == s.start
@@ -683,48 +687,31 @@ def test_all_wires_are_the_inputs_reads_and_writes():
 
 
 # ---------------------------------------------------------------------------
-# The clocked steps against a literal reference: the fields unpacked and
-# packed by the kernel's pack_fields/unpack_fields at widths computed here,
-# one ClockedState per step, and the payload rule written out again.
+# The clocked steps against a literal reference: the layout the compilers'
+# docstrings state (see conftest), one ClockedState per step, and the
+# payload rule written out again.
 
 
-def _ref_widths(codec):
-    w1 = max(1, (codec.m_big - 1).bit_length())
-    w2 = max(1, (codec.m_small - 1).bit_length())
-    return (w1, w2) + codec.payload_widths
-
-
-def _ref_decode(codec, v):
-    c1, c2, *payload = unpack_fields(v, _ref_widths(codec))
-    if c1 >= codec.m_big or c2 >= codec.m_small:
-        return None
-    return ClockedState(c1, c2, tuple(payload))
-
-
-def _ref_encode(codec, st):
-    return pack_fields(list(zip((st.c1, st.c2) + st.payload, _ref_widths(codec))))
-
-
-def _ref_clocked(codec, act):
+def _ref_clocked(layout, act):
     def fwd(v):
-        st = _ref_decode(codec, v)
+        st = ref_decode(layout, v)
         if st is None:
             return v
         payload = act(st.c1, st.c2, st.payload, False)
         c1, c2 = st.c1, st.c2 + 1
-        if c2 == codec.m_small:
-            c1, c2 = (c1 + 1) % codec.m_big, 0
-        return _ref_encode(codec, ClockedState(c1, c2, payload))
+        if c2 == layout.m_small:
+            c1, c2 = (c1 + 1) % layout.m_big, 0
+        return ref_encode(layout, ClockedState(c1, c2, payload))
 
     def back(v):
-        st = _ref_decode(codec, v)
+        st = ref_decode(layout, v)
         if st is None:
             return v
         c1, c2 = st.c1, st.c2 - 1
         if c2 < 0:
-            c1, c2 = (c1 - 1) % codec.m_big, codec.m_small - 1
+            c1, c2 = (c1 - 1) % layout.m_big, layout.m_small - 1
         payload = act(c1, c2, st.payload, True)
-        return _ref_encode(codec, ClockedState(c1, c2, payload))
+        return ref_encode(layout, ClockedState(c1, c2, payload))
 
     return fwd, back
 
@@ -802,22 +789,16 @@ def _ref_oracle_act(oc, g):
     return act
 
 
-def _assert_matches_reference(s, act):
-    """Compare every state of the codec's width; returns how many of them
-    have a counter out of range."""
-    codec = s.codec
-    assert codec.widths == _ref_widths(codec)
-    assert codec.width == sum(_ref_widths(codec)) == s.g.width
-    ref_fwd, ref_back = _ref_clocked(codec, act)
+def _assert_matches_reference(s, layout, act):
+    """Compare every state of the layout's width; returns how many of
+    them have a counter out of range."""
+    assert sum(ref_widths(layout)) == s.g.width
+    ref_fwd, ref_back = _ref_clocked(layout, act)
     out_of_range = 0
-    for v in range(1 << codec.width):
-        st = _ref_decode(codec, v)
-        assert codec.decode(v) == st
-        if st is None:
+    for v in range(1 << s.g.width):
+        if ref_decode(layout, v) is None:
             out_of_range += 1
             assert s.g.forward(v) == v and s.g.backward(v) == v
-        else:
-            assert codec.encode(st) == v
         y = s.g.forward(v)
         assert y == ref_fwd(v)
         assert s.g.backward(v) == ref_back(v)
@@ -836,34 +817,26 @@ def _assert_matches_reference(s, act):
 )
 def test_clock_steps_match_the_literal_reference(f, n, x):
     s = compile_iteration_to_invertible(f, n, Bitstring(x, f.width))
-    assert _assert_matches_reference(s, _ref_clock_act(f)) > 0
+    assert _assert_matches_reference(s, clock_layout(n, f.width), _ref_clock_act(f)) > 0
 
 
 @pytest.mark.parametrize("oc, k", SMALL_ORACLE_CIRCUITS)
 def test_oracle_steps_match_the_literal_reference(oc, k):
     g = increment(k)
     s = compile_oracle_circuit(oc, g, Bitstring(1, oc.inputs))
-    assert _assert_matches_reference(s, _ref_oracle_act(oc, g)) > 0
+    assert _assert_matches_reference(s, oracle_layout(oc), _ref_oracle_act(oc, g)) > 0
 
 
 def test_states_off_the_clock_move_every_tick_at_once():
     oc, k = SMALL_ORACLE_CIRCUITS[0]
     clock = compile_iteration_to_invertible(increment(2), 5, Bitstring(0, 2))
     oracle = compile_oracle_circuit(oc, increment(k), Bitstring(1, oc.inputs))
-    for s in (clock, oracle):
-        off = [v for v in range(1 << s.g.width) if s.codec.decode(v) is None]
+    for s, layout in ((clock, clock_layout(5, 2)), (oracle, oracle_layout(oc))):
+        off = [v for v in range(1 << s.g.width) if ref_decode(layout, v) is None]
         assert off
         for v in off:
             for r in (1, -1, 7, -7, 10**20):
                 assert s.g.leap(v, r) == (v, abs(r))
-
-
-def test_codec_join_rejects_fields_that_do_not_fit():
-    s = compile_iteration_to_invertible(increment(2), 3, Bitstring(0, 2))
-    with pytest.raises(ValueError):
-        s.codec.encode(ClockedState(0, 0, (4, 0, 0)))
-    with pytest.raises(ValueError):
-        s.codec.encode(ClockedState(4, 0, (0, 0, 0)))
 
 
 def test_sweep_steps_match_the_literal_reference():
