@@ -54,7 +54,6 @@ _EXPORTS = {
     ),
     "iet": (
         "IetSurface", "arc_of", "build_surface", "iet_orbit_solve", "three_gap_check",
-        "trace_step",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -82,10 +82,6 @@ def rule_is_bijective(rule: MargolusRule) -> bool:
     return True
 
 
-def identity_rule() -> MargolusRule:
-    return MargolusRule(tuple(range(16)))
-
-
 def bbm_rule() -> MargolusRule:
     """Billiard-ball collision rule: lone live cells jump to the opposite
     corner, diagonal pairs complement the block, everything else is inert."""
@@ -482,15 +478,6 @@ def _band_shift(tracks: Sequence, d: int) -> tuple:
     top, bottom, *rest = tracks
     d %= len(top)
     return (top[len(top) - d:] + top[:len(top) - d], bottom[d:] + bottom[:d], *rest)
-
-
-def band_shift_step(cfg: TrackedConfig1D, reverse: bool = False) -> TrackedConfig1D:
-    """Slide the top track one cell rightward and the bottom track one cell
-    leftward around the ring (other tracks stay)."""
-    if len(cfg.tracks) < 2:
-        raise CaError("a band shift needs a top and a bottom track")
-    d = -1 if reverse else 1
-    return TrackedConfig1D._from_tracks(_band_shift(cfg.tracks, d), cfg.step + d)
 
 
 # ---------------------------------------------------------------------------

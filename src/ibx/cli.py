@@ -392,9 +392,9 @@ def _three_gap_worst(bound: int) -> int:
 
 
 def _cmd_iet(args, run: _Run) -> str:
-    from . import formats, iet, plb
-
     if args.action == "three-gap":
+        from . import iet
+
         if args.sweep is not None:
             if args.sweep < 1:
                 raise ValueError(f"--sweep {args.sweep} is below 1")
@@ -408,12 +408,16 @@ def _cmd_iet(args, run: _Run) -> str:
         if len(gaps) > 3:
             raise iet.IetError(f"found {len(gaps)} distinct gaps: {gaps}")
         return " ".join(map(str, gaps))
+    from . import formats, plb
+
     domain, triples = formats.parse_iet(run.read(args.file))
     t = plb.interval_exchange(domain, triples)
-    if args.action == "solve":
-        run.count("induction_ops", len(iet.induction(t)))
-        run.count("orbit_length", iet.orbit_size(t, args.i))  # iet's range error, not plb's
+    if args.action == "solve":  # the surface layer is never loaded
+        run.count("induction_ops", len(plb.induction(t)))
+        run.count("orbit_length", plb.orbit_size(t, args.i))  # the induction's range error, not apply_plb's
         return str(plb.iterate_plb(t, args.n, args.i))
+    from . import iet
+
     su = iet.build_surface(t)
     run.count("triangles", len(su.surface.triangles))
     run.count("period", su.period)

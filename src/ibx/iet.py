@@ -20,14 +20,9 @@ it as at most two runs.  Tracing the central edge as one run for a period d
 costs O(k * d) whatever N is and yields the first-return map as a few
 translated runs.
 
-That return map is the exchange itself, so powers skip the surface: they
-come from Rauzy-Veech induction with Zorich acceleration (Rauzy 1979;
-Zorich 1996) on the exchange's own lengths, memoized on it.  Each op cuts
-a block from the right end of the domain and stacks it onto towers over
-what is left, so a run of same-type Rauzy steps is one division and a
-rotation reduces to Euclid.  A fixed piece of length L and height h holds
-L orbits of length h.  A query walks its point up to its tower and back
-down at the target level: O(ops * k), O(log N) ops in practice, any n.
+That return map is the exchange itself, so powers skip the surface:
+``iet_orbit_solve`` answers from the exchange's own induction, which lives
+beside ``plb.power_path``, and only checks its arguments here.
 
 Coordinates: x is doubled (``x2 = 2 * x``) so that all triangulation
 vertices sit at odd x2 while the traced verticals sit at even x2; rows are
@@ -42,13 +37,13 @@ from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import _Frozen
-from .plb import PiecewiseLinearBijection, _certify, is_exchange
+from .plb import PiecewiseLinearBijection, _certify, _exchange_power, is_exchange
 
 __all__ = [
     "IetError", "Point", "Triangle", "Port", "Edge", "TriangulatedSurface",
-    "Crossing", "Arc", "IetSurface", "build_surface", "normal_coords_vertical",
-    "validate_normal_coords", "trace_step", "arc_of", "induction", "orbit_size",
-    "cycle_type", "iet_orbit_solve", "three_gap_check", "three_gap_max_distinct",
+    "Arc", "IetSurface", "build_surface", "normal_coords_vertical",
+    "validate_normal_coords", "arc_of", "iet_orbit_solve", "three_gap_check",
+    "three_gap_max_distinct",
 ]
 
 
@@ -107,16 +102,6 @@ class TriangulatedSurface(NamedTuple):
     side_counts: Tuple[Tuple[int, int, int], ...]
 
 
-class Crossing(NamedTuple):
-    """One intersection of the traced curve with an edge.
-
-    index counts along the edge's canonical orientation, 0-based.
-    """
-
-    edge: int
-    index: int
-
-
 class Arc(NamedTuple):
     """A closed component of the traced curve.
 
@@ -131,12 +116,6 @@ class Arc(NamedTuple):
     def length(self) -> int:
         """Triangle steps once around the closed curve."""
         return self.period * len(self.orbit)
-
-    @property
-    def central_positions(self) -> Dict[int, int]:
-        """Each central crossing's place in orbit, built on each read in
-        O(orbit)."""
-        return {j: pos for pos, j in enumerate(self.orbit)}
 
 
 class IetSurface(_Frozen):
@@ -181,11 +160,15 @@ class IetSurface(_Frozen):
         return self.transform.domain
 
 
-def _as_exchange(transform: PiecewiseLinearBijection) -> PiecewiseLinearBijection:
-    """The map, certified; induction on a non-bijection need not end."""
+def _check_exchange(transform: PiecewiseLinearBijection) -> None:
+    """Refuse a map with a scaling piece: it has no surface or induction."""
     if not is_exchange(transform):
         raise IetError("not an interval exchange: some piece scales")
-    return _certify(transform)
+
+
+def _check_point(i: int, width: int) -> None:
+    if not 0 <= i < width:
+        raise IetError(f"point {i} outside [0, {width})")
 
 
 def _thinned_levels(interior: List[int], stripes: int) -> List[List[int]]:
@@ -284,7 +267,8 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
     period), and the resulting first-return map must equal the exchange
     exactly.  Both checks cost O(k * d), not O(N).
     """
-    t = _as_exchange(transform)
+    _check_exchange(transform)
+    t = _certify(transform)
     n = t.domain
     n2 = 2 * n
     k = len(t.pieces)
@@ -461,18 +445,6 @@ def _trace_run(surface: TriangulatedSurface, run: Run) -> List[Run]:
     return out
 
 
-def trace_step(su: IetSurface, crossing: Crossing, entering: int) -> Tuple[Crossing, int]:
-    """Advance one crossing through one triangle: a run of one point.
-
-    entering names the port of the crossing's edge about to be entered.
-    Returns the next crossing and the port to enter after it.  Stepping
-    from the result with the opposite port undoes the step.
-    """
-    run = (crossing.edge, entering, 0, 1, 1, crossing.index)
-    ((edge, port, _, _, _, index),) = _trace_run(su.surface, run)
-    return Crossing(edge, index), port
-
-
 def arc_of(su: IetSurface, i: int) -> Arc:
     """The closed curve component through central crossing i, memoized:
     every member of the orbit maps to the same Arc.
@@ -482,8 +454,7 @@ def arc_of(su: IetSurface, i: int) -> Arc:
     split out of returns once per surface.  The arc's length is d times
     the size of that orbit.
     """
-    if not 0 <= i < su.width:
-        raise IetError(f"point {i} outside [0, {su.width})")
+    _check_point(i, su.width)
     arcs = su._arcs
     if i in arcs:
         return arcs[i]
@@ -498,172 +469,21 @@ def arc_of(su: IetSurface, i: int) -> Arc:
     return arc
 
 
-# Kinds of induction op.
-_TOP, _BOTTOM, _FINISH = 0, 1, 2
-
-
-class InductionOp(NamedTuple):
-    """One accelerated Rauzy-Veech step on the stage domain [0, end).
-
-    The winner is the last piece of the domain (a top op) or the piece
-    whose image is last (a bottom op); the losers are the pieces after it
-    in the other order, of total length shift.  Cutting losers from the
-    right end, cyclically while they fit into the winner, removes
-    [end - cut, end): each removed point is stacked onto the tower of a
-    point that stays.  A finish op removes a fixed piece of length cut,
-    which holds cut orbits of length height.
-    """
-
-    kind: int
-    end: int
-    cut: int
-    shift: int
-    # the winner's tower height, or the finished tower's
-    height: int
-    # (lo, hi, off, height) before the op of each loser a top op cut
-    losers: Tuple[Tuple[int, int, int, int], ...]
-
-
-def _induce(runs: Sequence[Tuple[int, int, int]], end: int) -> Tuple[InductionOp, ...]:
-    """Induce an exchange, given as translated runs tiling [0, end), to nothing.
-
-    Each piece is [lo, length, off, height]: its points are the bases of
-    towers of that height, and off carries a base to the next base up.
-    Each op costs one division and O(k log k) work.
-    """
-    pieces: List[List[int]] = []
-    for lo, hi, off in runs:
-        if pieces and pieces[-1][2] == off and pieces[-1][0] + pieces[-1][1] == lo:
-            pieces[-1][1] += hi - lo
-        else:
-            pieces.append([lo, hi - lo, off, 1])
-    ops: List[InductionOp] = []
-    while pieces:
-        last = max(pieces, key=lambda p: p[0])
-        last_image = max(pieces, key=lambda p: p[0] + p[2])
-        if last is last_image:  # translated by 0: a fixed piece
-            ops.append(InductionOp(_FINISH, end, last[1], 0, last[3], ()))
-            pieces.remove(last)
-            end -= last[1]
-            continue
-        if last[1] >= last_image[1]:
-            kind, win = _TOP, last
-            losers = sorted(
-                (p for p in pieces if p[0] + p[2] > win[0] + win[2]),
-                key=lambda p: p[0] + p[2], reverse=True,
-            )
-        else:
-            kind, win = _BOTTOM, last_image
-            losers = sorted((p for p in pieces if p[0] > win[0]), key=lambda p: p[0], reverse=True)
-        shift = sum(p[1] for p in losers)
-        laps, rest = divmod(win[1], shift)
-        times = [laps] * len(losers)
-        for j, p in enumerate(losers):  # the last lap cuts while losers fit
-            if p[1] > rest:
-                break
-            rest -= p[1]
-            times[j] += 1
-        cut = win[1] - rest
-        cut_losers = [(p, m) for p, m in zip(losers, times) if m]
-        tail = tuple((p[0], p[0] + p[1], p[2], p[3]) for p, _ in cut_losers if kind == _TOP)
-        ops.append(InductionOp(kind, end, cut, shift, win[3], tail))
-        for p, m in cut_losers:
-            if kind == _TOP:  # its image moves down the winner's image
-                p[2] -= m * shift
-            else:  # its domain moves down the winner's domain
-                p[0] -= m * shift
-                p[2] += m * shift
-            p[3] += m * win[3]
-        win[1] = rest
-        if not rest:
-            pieces.remove(win)
-        end -= cut
-    return tuple(ops)
-
-
-def induction(t: PiecewiseLinearBijection) -> Tuple[InductionOp, ...]:
-    """The induction of an exchange's own pieces, memoized on it."""
-    ops = t.__dict__.get("_induction")
-    if ops is None:
-        ops = _induce([(p.lo, p.hi, p.off) for p in _as_exchange(t).pieces], t.domain)
-        object.__setattr__(t, "_induction", ops)
-    return ops
-
-
-def _locate(t: PiecewiseLinearBijection, x: int) -> Tuple[Tuple[InductionOp, ...], int, int, int]:
-    """Walk x up through t's induction to the finish op whose tower holds
-    it: the ops, that op's index, the tower's base y and x = T^l(y)'s level l."""
-    if not 0 <= x < t.domain:
-        raise IetError(f"point {x} outside [0, {t.domain})")
-    ops = induction(t)
-    level = 0
-    for index, (kind, end, cut, shift, height, losers) in enumerate(ops):
-        if x < end - cut:
-            continue
-        if kind == _FINISH:
-            return ops, index, x, level
-        if kind == _TOP:
-            laps = (end - 1 - x) // shift  # winner steps down from the losers' images
-            x += laps * shift
-            for lo, hi, off, h in losers:
-                if lo <= x - off < hi:
-                    x -= off
-                    level += laps * height + h
-                    break
-        else:
-            laps = (x - end + cut) // shift + 1  # winner steps down to a point kept
-            x -= laps * shift
-            level += laps * height
-    raise IetError(f"induction left point {x} in no tower")
-
-
-def orbit_size(t: PiecewiseLinearBijection, i: int) -> int:
-    """Length of the orbit of i: the height of the tower that holds it."""
-    ops, index, _, _ = _locate(t, i)
-    return ops[index].height
-
-
-def cycle_type(t: PiecewiseLinearBijection) -> Dict[int, int]:
-    """Orbit length -> number of orbits of that length, off the towers."""
-    counts: Dict[int, int] = {}
-    for op in induction(t):
-        if op.kind == _FINISH:
-            counts[op.height] = counts.get(op.height, 0) + op.cut
-    return counts
-
-
-def _power(t: PiecewiseLinearBijection, i: int, n: int) -> int:
-    """T^n(i): i up through the ops to its tower (base y, level l, height
-    H), then y's level (l + n) mod H walked back down to stage 0."""
-    ops, index, y, level = _locate(t, i)
-    level = (level + n) % ops[index].height
-    for kind, end, cut, shift, height, losers in reversed(ops[:index]):
-        if kind == _TOP:
-            for lo, hi, off, h in losers:
-                if lo <= y < hi:
-                    if level >= h:
-                        laps = (level - h) // height
-                        y += off - laps * shift
-                        level -= h + laps * height
-                    break
-        elif kind == _BOTTOM and y >= end - cut - shift:
-            laps = min(level // height, (end - 1 - y) // shift)
-            y += laps * shift
-            level -= laps * height
-    return y
-
-
 def iet_orbit_solve(
     transform: PiecewiseLinearBijection, i: int, n: int, surface: Optional[IetSurface] = None
 ) -> int:
     """The n-th iterate of i under an interval exchange, n of any sign,
-    from the exchange's memoized induction.  A surface, if passed, must
-    have been built for this exchange; it is checked, then unused.
+    from the exchange's memoized induction in ``ibx.plb``.  A surface, if
+    passed, must have been built for this exchange; it is checked, then
+    unused.  A different exchange's surface, a point out of range and a
+    map that is not an exchange are refused here, as IetErrors.
     """
     built = surface.transform if surface is not None else transform
     if (built.domain, built.pieces) != (transform.domain, transform.pieces):
         raise IetError("surface built for a different exchange")
-    return _power(transform, i, n)
+    _check_point(i, transform.domain)
+    _check_exchange(transform)
+    return _exchange_power(transform, i, n)
 
 
 def three_gap_check(modulus: int, step: int, count: int) -> Tuple[int, ...]:

@@ -531,16 +531,6 @@ def cat_map(n: int) -> Bijection:
     return one_move(2 * half, power_leap(cat_power), f"cat/{n}")
 
 
-def cat_pack(n: int, x: int, y: int) -> Bitstring:
-    half = max(n - 1, 0).bit_length()
-    return Bitstring((x << half) | y, 2 * half)
-
-
-def cat_unpack(n: int, bs: Bitstring) -> Tuple[int, int]:
-    half = max(n - 1, 0).bit_length()
-    return bs.value >> half, bs.value & ((1 << half) - 1)
-
-
 def builtin_bijections() -> list[Bijection]:
     """Small stable of stock maps used by the self-check suites."""
     return [

@@ -11,12 +11,22 @@ mult*y + off = x inside the unique piece whose image progression contains x
 is exact integer arithmetic.
 
 Powers and orders take one of three paths.  An interval exchange answers
-from its induction (``ibx.iet``).  An affine map, x -> (a*x + b) mod M on
-[0, M) with every point of [M, N) fixed (every riffle and circular shift),
-is read off its pieces in O(k) and answers from its description: powers
-by ``kernel.power`` on (a, b) mod M, the order from the multiplicative
-order of a.  ``power_path`` alone picks the path of a power, which the
-kernel engine takes as one leap, or walks; an order tabulates the images.
+from its induction.  An affine map, x -> (a*x + b) mod M on [0, M) with
+every point of [M, N) fixed (every riffle and circular shift), is read off
+its pieces in O(k) and answers from its description: powers by
+``kernel.power`` on (a, b) mod M, the order from the multiplicative order
+of a.  ``power_path`` alone picks the path of a power, which the kernel
+engine takes as one leap, or walks; an order tabulates the images.
+
+The induction is Rauzy-Veech induction with Zorich acceleration (Rauzy
+1979; Zorich 1996) on the exchange's own lengths, memoized on it.  Each op
+cuts a block from the right end of the domain and stacks it onto towers
+over what is left, so a run of same-type Rauzy steps is one division and a
+rotation reduces to Euclid.  A fixed piece of length L and height h holds
+L orbits of length h.  A query walks its point up to its tower and back
+down at the target level: O(ops * k), O(log N) ops in practice, any n.
+``ibx.iet``'s traced surface proves the exchange is its curve's
+first-return map; nothing here needs the surface.
 
 The compilers at the bottom turn reversible circuits into single PLBs whose
 iteration replays the circuit, built from two four-piece rotation primitives
@@ -352,14 +362,170 @@ def _multiplicative_order(a: int, m: int) -> int:
     return n
 
 
+# Kinds of exchange induction op.
+_TOP, _BOTTOM, _FINISH = 0, 1, 2
+
+
+class InductionOp(NamedTuple):
+    """One accelerated Rauzy-Veech step on the stage domain [0, end).
+
+    The winner is the last piece of the domain (a top op) or the piece
+    whose image is last (a bottom op); the losers are the pieces after it
+    in the other order, of total length shift.  Cutting losers from the
+    right end, cyclically while they fit into the winner, removes
+    [end - cut, end): each removed point is stacked onto the tower of a
+    point that stays.  A finish op removes a fixed piece of length cut,
+    which holds cut orbits of length height.
+    """
+
+    kind: int
+    end: int
+    cut: int
+    shift: int
+    # the winner's tower height, or the finished tower's
+    height: int
+    # (lo, hi, off, height) before the op of each loser a top op cut
+    losers: Tuple[Tuple[int, int, int, int], ...]
+
+
+def _induce(runs: Sequence[Tuple[int, int, int]], end: int) -> Tuple[InductionOp, ...]:
+    """Induce an exchange, given as translated runs tiling [0, end), to nothing.
+
+    Each piece is [lo, length, off, height]: its points are the bases of
+    towers of that height, and off carries a base to the next base up.
+    Each op costs one division and O(k log k) work.
+    """
+    pieces: List[List[int]] = []
+    for lo, hi, off in runs:
+        if pieces and pieces[-1][2] == off and pieces[-1][0] + pieces[-1][1] == lo:
+            pieces[-1][1] += hi - lo
+        else:
+            pieces.append([lo, hi - lo, off, 1])
+    ops: List[InductionOp] = []
+    while pieces:
+        last = max(pieces, key=lambda p: p[0])
+        last_image = max(pieces, key=lambda p: p[0] + p[2])
+        if last is last_image:  # translated by 0: a fixed piece
+            ops.append(InductionOp(_FINISH, end, last[1], 0, last[3], ()))
+            pieces.remove(last)
+            end -= last[1]
+            continue
+        if last[1] >= last_image[1]:
+            kind, win = _TOP, last
+            losers = sorted(
+                (p for p in pieces if p[0] + p[2] > win[0] + win[2]),
+                key=lambda p: p[0] + p[2], reverse=True,
+            )
+        else:
+            kind, win = _BOTTOM, last_image
+            losers = sorted((p for p in pieces if p[0] > win[0]), key=lambda p: p[0], reverse=True)
+        shift = sum(p[1] for p in losers)
+        laps, rest = divmod(win[1], shift)
+        times = [laps] * len(losers)
+        for j, p in enumerate(losers):  # the last lap cuts while losers fit
+            if p[1] > rest:
+                break
+            rest -= p[1]
+            times[j] += 1
+        cut = win[1] - rest
+        cut_losers = [(p, m) for p, m in zip(losers, times) if m]
+        tail = tuple((p[0], p[0] + p[1], p[2], p[3]) for p, _ in cut_losers if kind == _TOP)
+        ops.append(InductionOp(kind, end, cut, shift, win[3], tail))
+        for p, m in cut_losers:
+            if kind == _TOP:  # its image moves down the winner's image
+                p[2] -= m * shift
+            else:  # its domain moves down the winner's domain
+                p[0] -= m * shift
+                p[2] += m * shift
+            p[3] += m * win[3]
+        win[1] = rest
+        if not rest:
+            pieces.remove(win)
+        end -= cut
+    return tuple(ops)
+
+
+def induction(t: PiecewiseLinearBijection) -> Tuple[InductionOp, ...]:
+    """The induction of an exchange's own pieces, memoized on it.  The map
+    is certified first: induction on a non-bijection need not end."""
+    ops = t.__dict__.get("_induction")
+    if ops is None:
+        if not is_exchange(t):
+            raise PlbError("not an interval exchange: some piece scales")
+        ops = _induce([(p.lo, p.hi, p.off) for p in _certify(t).pieces], t.domain)
+        object.__setattr__(t, "_induction", ops)
+    return ops
+
+
+def _locate(t: PiecewiseLinearBijection, x: int) -> Tuple[Tuple[InductionOp, ...], int, int, int]:
+    """Walk x up through t's induction to the finish op whose tower holds
+    it: the ops, that op's index, the tower's base y and x = T^l(y)'s level l."""
+    if not 0 <= x < t.domain:
+        raise PlbError(f"point {x} outside [0, {t.domain})")
+    ops = induction(t)
+    level = 0
+    for index, (kind, end, cut, shift, height, losers) in enumerate(ops):
+        if x < end - cut:
+            continue
+        if kind == _FINISH:
+            return ops, index, x, level
+        if kind == _TOP:
+            laps = (end - 1 - x) // shift  # winner steps down from the losers' images
+            x += laps * shift
+            for lo, hi, off, h in losers:
+                if lo <= x - off < hi:
+                    x -= off
+                    level += laps * height + h
+                    break
+        else:
+            laps = (x - end + cut) // shift + 1  # winner steps down to a point kept
+            x -= laps * shift
+            level += laps * height
+    raise PlbError(f"induction left point {x} in no tower")
+
+
+def orbit_size(t: PiecewiseLinearBijection, i: int) -> int:
+    """Length of the orbit of i: the height of the tower that holds it."""
+    ops, index, _, _ = _locate(t, i)
+    return ops[index].height
+
+
+def cycle_type(t: PiecewiseLinearBijection) -> Dict[int, int]:
+    """Orbit length -> number of orbits of that length, off the towers."""
+    counts: Dict[int, int] = {}
+    for op in induction(t):
+        if op.kind == _FINISH:
+            counts[op.height] = counts.get(op.height, 0) + op.cut
+    return counts
+
+
+def _exchange_power(t: PiecewiseLinearBijection, i: int, n: int) -> int:
+    """T^n(i): i up through the ops to its tower (base y, level l, height
+    H), then y's level (l + n) mod H walked back down to stage 0."""
+    ops, index, y, level = _locate(t, i)
+    level = (level + n) % ops[index].height
+    for kind, end, cut, shift, height, losers in reversed(ops[:index]):
+        if kind == _TOP:
+            for lo, hi, off, h in losers:
+                if lo <= y < hi:
+                    if level >= h:
+                        laps = (level - h) // height
+                        y += off - laps * shift
+                        level -= h + laps * height
+                    break
+        elif kind == _BOTTOM and y >= end - cut - shift:
+            laps = min(level // height, (end - 1 - y) // shift)
+            y += laps * shift
+            level -= laps * height
+    return y
+
+
 def power_path(t: PiecewiseLinearBijection) -> Tuple[Optional[Callable[[int, int], int]], Dict[str, int]]:
     """How T answers powers, decided here only: a signed power(x, n) = T^n(x)
-    from an exchange's induction (``ibx.iet``) or an ``affine_form``, at any
-    n and N, and the sizes it reads; (None, {}) for a map that walks."""
+    from an exchange's ``induction`` or an ``affine_form``, at any n and N,
+    and the sizes it reads; (None, {}) for a map that walks."""
     if is_exchange(t):
-        from .iet import _power, induction
-
-        return partial(_power, t), {"induction_ops": len(induction(t))}
+        return partial(_exchange_power, t), {"induction_ops": len(induction(t))}
     form = affine_form(t)
     if form is None:
         return None, {}
@@ -388,8 +554,6 @@ def permutation_order(t: PiecewiseLinearBijection) -> int:
     that it raises PlbError.
     """
     if is_exchange(t):
-        from .iet import cycle_type
-
         return lcm(*cycle_type(t))
     form = affine_form(t)
     if form is not None and form[2] <= MAX_AFFINE_ORDER_MODULUS:

@@ -14,14 +14,13 @@ from ibx.ca import (
     StrobeParts,
     TrackedConfig1D,
     _cell_luts,
+    _band_shift,
     _track_digits,
-    band_shift_step,
     bbm_rule,
     counter_parts,
     dim_redux_compile,
     dim_redux_run,
     dim_redux_verify,
-    identity_rule,
     margolus_step,
     margolus_step_back,
     margolus_step_back_helical,
@@ -37,6 +36,9 @@ from ibx.ca import (
 
 
 # -- reference implementations the library is measured against ------------
+
+
+IDENTITY_RULE = MargolusRule(tuple(range(16)))
 
 
 def derived_bbm_table():
@@ -272,7 +274,7 @@ def test_bbm_rule_is_a_bijective_involution():
 
 
 def test_identity_rule_bijective():
-    assert rule_is_bijective(identity_rule())
+    assert rule_is_bijective(IDENTITY_RULE)
 
 
 def test_clear_rule_rejected():
@@ -409,7 +411,7 @@ def every_block_code_grid(phase):
 
 
 def kernel_rules(rng):
-    return [bbm_rule(), identity_rule()] + [random_bijective_rule(rng) for _ in range(24)]
+    return [bbm_rule(), IDENTITY_RULE] + [random_bijective_rule(rng) for _ in range(24)]
 
 
 def assert_steps_match_the_references(cells, rule, phase):
@@ -469,7 +471,7 @@ def test_plane_kernel_matches_the_row_pair_kernel(rng, shape, helical):
         else (margolus_step, margolus_step_back)
     seam = 2 if helical else 0
     h, w = shape
-    rules = [identity_rule(), bbm_rule()] + [random_bijective_rule(rng) for _ in range(3)]
+    rules = [IDENTITY_RULE, bbm_rule()] + [random_bijective_rule(rng) for _ in range(3)]
     grids = [np.ones(shape, np.uint8)]
     grids += [np.array(random_cells(rng, h, w), np.uint8) for _ in range(2)]
     for rule in rules:
@@ -639,44 +641,35 @@ def test_helical_round_trip(rng):
 
 
 # -- band shifts ---------------------------------------------------------
+# ``_band_shift`` is the slide DimReduxAutomaton's steps run: track 0 (top)
+# moves d cells rightward, track 1 (bottom) d cells leftward.
 
 
 def test_band_shift_singleton_ring():
-    cfg = TrackedConfig1D(((1, 0),), 0)
-    assert band_shift_step(cfg).cells == cfg.cells
+    tracks = ((1,), (0,))
+    assert _band_shift(tracks, 1) == tracks
 
 
 def test_band_shift_moves_top_right_bottom_left():
-    cells = [(0, 0)] * 5
-    cells[0] = (1, 0)
-    cells[2] = (0, 1)
-    cfg = TrackedConfig1D(tuple(cells), 0)
-    out = band_shift_step(cfg)
-    assert out.cells[1][0] == 1 and sum(c[0] for c in out.cells) == 1
-    assert out.cells[1][1] == 1 and sum(c[1] for c in out.cells) == 1
+    top, bottom, rest = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (1, 1, 0, 1, 0)
+    assert _band_shift((top, bottom, rest), 1) == ((0, 1, 0, 0, 0), (0, 1, 0, 0, 0), rest)
+    # strips of digits slide as the tuples do
+    assert _band_shift(("10000", "00100"), 1) == ("01000", "01000")
 
 
 def test_band_shift_full_rotation(rng):
     p = 6
-    cells = tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(p))
-    cfg = TrackedConfig1D(cells, 0)
-    out = cfg
+    tracks = tuple(tuple(rng.randint(0, 1) for _ in range(p)) for _ in range(2))
+    out = tracks
     for _ in range(p):
-        out = band_shift_step(out)
-    assert out.cells == cells
+        out = _band_shift(out, 1)
+    assert out == tracks
+    assert _band_shift(tracks, p + 2) == _band_shift(tracks, 2)
 
 
 def test_band_shift_reverse_undoes(rng):
-    cells = tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(8))
-    cfg = TrackedConfig1D(cells, 0)
-    assert band_shift_step(band_shift_step(cfg), reverse=True).cells == cells
-
-
-def test_band_shift_needs_two_tracks():
-    for cells in (((1,), (0,)), ((1,),)):
-        for reverse in (False, True):
-            with pytest.raises(CaError, match="^a band shift needs a top and a bottom track$"):
-                band_shift_step(TrackedConfig1D(cells), reverse)
+    tracks = tuple(tuple(rng.randint(0, 1) for _ in range(8)) for _ in range(2))
+    assert _band_shift(_band_shift(tracks, 1), -1) == tracks
 
 
 # -- strobe --------------------------------------------------------------

@@ -579,7 +579,7 @@ def test_plb_iterate_reports_the_path_that_answered(tmp_path, capsys):
     rotation = plb.interval_exchange(15, [(0, 11, 4), (11, 15, -11)])
     maps = {
         "affine": (plb.riffle(14), {"affine_modulus": 13}),
-        "exchange": (rotation, {"induction_ops": len(iet.induction(rotation))}),
+        "exchange": (rotation, {"induction_ops": len(plb.induction(rotation))}),
         "walk": (compiled, {}),
     }
     for name, (t, extra) in maps.items():
@@ -682,7 +682,7 @@ def test_iet_report_counts_surface_sizes(tmp_path, capsys):
     assert rc == 0
     # solve builds no surface: it reports the induction it ran and the orbit
     assert json.loads(err)["step_counts"] == {
-        "induction_ops": len(iet.induction(t)),
+        "induction_ops": len(plb.induction(t)),
         "orbit_length": len(iet.arc_of(su, 6).orbit),
     }
 
@@ -992,6 +992,11 @@ def test_only_array_commands_load_numpy(name, tmp_path):
         assert not {"ibx.circuits", "ibx.graphs"} & set(loaded), loaded
     if name == "reduce_clock":
         assert "ibx.circuits" not in loaded, loaded
+    # an exchange's powers live in plb, so only the surface commands load iet
+    if name.startswith(("iet_solve", "plb_")):
+        assert "ibx.iet" not in loaded, loaded
+    if name == "iet_build":
+        assert "ibx.iet" in loaded, loaded
 
 
 def test_closed_stdout_is_one_error_line(tmp_path):

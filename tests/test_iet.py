@@ -5,32 +5,39 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import accumulate
 from math import gcd, lcm
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibx.iet import (
-    Crossing,
     IetError,
     IetSurface,
     _check_trace_agreement,
-    _induce,
     _trace_run,
     arc_of,
     build_surface,
-    cycle_type,
     iet_orbit_solve,
-    induction,
     normal_coords_vertical,
-    orbit_size,
     three_gap_check,
     three_gap_max_distinct,
-    trace_step,
     validate_normal_coords,
 )
 from ibx.kernel import cycle_lengths
-from ibx.plb import apply_plb, apply_plb_inverse, interval_exchange, iterate_plb, permutation_order
+from ibx.plb import (
+    PlbError,
+    _induce,
+    apply_plb,
+    apply_plb_inverse,
+    cycle_type,
+    induction,
+    interval_exchange,
+    iterate_plb,
+    orbit_size,
+    permutation_order,
+    riffle,
+)
 
 from conftest import random_pieces
 
@@ -80,7 +87,7 @@ def test_rotation_orbit_structure_single_cycle():
     su = build_surface(t)
     arc = arc_of(su, 0)
     # gcd(5, 16) = 1: one orbit, so one arc holds all 16 central crossings.
-    assert len(arc.central_positions) == 16
+    assert len(arc.orbit) == 16
     assert arc.length == 16 * su.period
     assert arc_of(su, 9) is arc
 
@@ -92,7 +99,7 @@ def test_rotation_orbit_structure_four_cycles():
     assert len(arcs) == 4
     for i in range(16):
         arc = arc_of(su, i)
-        assert len(arc.central_positions) == 4
+        assert len(arc.orbit) == 4
         assert arc.length == 4 * su.period
 
 
@@ -157,6 +164,19 @@ def test_surface_rejects_out_of_range_points():
     with pytest.raises(IetError, match="different exchange"):
         iet_orbit_solve(rotation(9, 2), 0, 1, surface=build_surface(rotation(9, 4)))
     assert iet_orbit_solve(rotation(9, 2), 0, 1, surface=build_surface(rotation(9, 2))) == 2
+
+
+def test_solve_raises_iet_errors_and_the_induction_plb_errors():
+    t = rotation(8, 3)
+    with pytest.raises(IetError, match=r"^point 8 outside \[0, 8\)$"):
+        iet_orbit_solve(t, 8, 1)
+    for refused in (lambda: iet_orbit_solve(riffle(13), 0, 1), lambda: build_surface(riffle(13))):
+        with pytest.raises(IetError, match="^not an interval exchange: some piece scales$"):
+            refused()
+    with pytest.raises(PlbError, match=r"^point 8 outside \[0, 8\)$"):
+        orbit_size(t, 8)
+    with pytest.raises(PlbError, match="^not an interval exchange: some piece scales$"):
+        induction(riffle(13))
 
 
 def test_vertical_coords_are_normal():
@@ -303,6 +323,14 @@ def test_euclid_three_gap_at_huge_modulus():
 # Run-length tracing against the point tracer it replaced.
 
 
+class Crossing(NamedTuple):
+    """One intersection of the traced curve with an edge; index counts
+    along the edge's canonical orientation, 0-based."""
+
+    edge: int
+    index: int
+
+
 def point_trace_step(su, crossing, entering):
     """The per-point triangle rule, kept literally as the oracle."""
     edge = su.surface.edges[crossing.edge]
@@ -377,8 +405,10 @@ def test_run_tracer_matches_point_tracer(rng):
         for e, edge in enumerate(su.surface.edges):
             for port in (0, 1):
                 for index in range(edge.crossings):
-                    state = (Crossing(e, index), port)
-                    assert trace_step(su, *state) == point_trace_step(su, *state)
+                    # a run of one point through one triangle
+                    ((out_e, out_port, _, _, _, out_index),) = _trace_run(su.surface, (e, port, 0, 1, 1, index))
+                    want = point_trace_step(su, Crossing(e, index), port)
+                    assert (Crossing(out_e, out_index), out_port) == want
 
 
 def test_trace_run_matches_point_tracer_on_whole_edges(rng):
@@ -517,7 +547,6 @@ def test_arc_lists_the_orbit_in_trace_order():
     su = build_surface(t)
     arc = arc_of(su, 3)
     assert arc.orbit == (3, 7, 11, 15)
-    assert arc.central_positions == {3: 0, 7: 1, 11: 2, 15: 3}
     assert arc.period == su.period
 
 
@@ -535,7 +564,6 @@ def test_arcs_match_the_literal_walk_at_every_point(rng):
             assert all(apply_plb(t, y) == z for y, z in zip(arc.orbit, nxt))
             assert arc.period == su.period
             assert arc.length == su.period * len(arc.orbit)
-            assert arc.central_positions == {y: pos for pos, y in enumerate(arc.orbit)}
             assert all(arc_of(su, y) is arc for y in arc.orbit)
             covered.update(arc.orbit)
         assert covered == set(range(t.domain))

@@ -14,7 +14,6 @@ import pytest
 import ibx.plb as plb
 from ibx.circuits import ReversibleCircuit, gate, iterate_circuit
 from ibx.graphs import leaf_to_bijection, random_path_instance, solve_leaf_walk
-from ibx.iet import induction
 from ibx.kernel import Bitstring, add_const, cat_map, iterate_bijection, pack_fields, rotate_left
 from ibx.reductions import (
     OracleCircuit,
@@ -199,7 +198,7 @@ def test_exchange_induction_grows_with_the_digits_of_n(k, points, rng):
     # probe: at most 1.29 k (digits + 1) ops, about 2100 at k = 64 and
     # N = 10**24; the bound allows 2 k (digits + 1)
     for _ in range(3):
-        assert len(induction(_exchange(rng, points, k))) <= 2 * k * (len(str(points)) + 1)
+        assert len(plb.induction(_exchange(rng, points, k))) <= 2 * k * (len(str(points)) + 1)
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 48, 62])
