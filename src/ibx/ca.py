@@ -74,14 +74,6 @@ class MargolusRule(_RuleFields):
         return MargolusRule(inv)
 
 
-def rule_is_bijective(rule: MargolusRule) -> bool:
-    try:
-        rule.inverse()
-    except CaError:
-        return False
-    return True
-
-
 def bbm_rule() -> MargolusRule:
     """Billiard-ball collision rule: lone live cells jump to the opposite
     corner, diagonal pairs complement the block, everything else is inert."""
@@ -650,8 +642,10 @@ class DimReduxAutomaton(_DimReduxFields):
             raise CaError("circumference must be even and at least 4")
         if p <= c or p % c:
             raise CaError("ring length must be a proper multiple of c")
-        if not rule_is_bijective(rule):
-            raise CaError("2D rule must be bijective")
+        try:
+            rule.inverse()
+        except CaError:
+            raise CaError("2D rule must be bijective") from None
         return tuple.__new__(cls, (rule, c, p))
 
     @property

@@ -38,8 +38,9 @@ __all__ = ["main", "RunReport"]
 
 
 class RunReport:
-    """The ``--report`` record: ``json.dumps(report.__dict__)`` writes its
-    fields in the order set here."""
+    """The ``--report`` record, threaded through one invocation:
+    ``json.dumps(report.__dict__)`` writes its fields in the order set
+    here."""
 
     def __init__(self, command: List[str]) -> None:
         self.command = command
@@ -51,6 +52,17 @@ class RunReport:
         self.loaded: List[str] = []
         self.schema = 1
 
+    def read(self, path: str) -> str:
+        import hashlib
+
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.input_digests[path] = hashlib.sha256(data).hexdigest()[:12]
+        return data.decode("utf-8")
+
+    def count(self, name: str, value: int) -> None:
+        self.step_counts[name] = value
+
 
 def _loaded_modules() -> List[str]:
     """The ibx modules imported so far, and numpy if it is."""
@@ -58,24 +70,6 @@ def _loaded_modules() -> List[str]:
     if "numpy" in sys.modules:
         names.append("numpy")
     return sorted(names)
-
-
-class _Run:
-    """Mutable context threaded through one invocation."""
-
-    def __init__(self, argv: Sequence[str]) -> None:
-        self.report = RunReport(command=list(argv))
-
-    def read(self, path: str) -> str:
-        import hashlib
-
-        with open(path, "rb") as fh:
-            data = fh.read()
-        self.report.input_digests[path] = hashlib.sha256(data).hexdigest()[:12]
-        return data.decode("utf-8")
-
-    def count(self, name: str, value: int) -> None:
-        self.report.step_counts[name] = value
 
 
 def _named_bijection(name: str, width: Optional[int]) -> kernel.Bijection:
@@ -136,7 +130,7 @@ def _check_cap(flag: str, value: Optional[int], cap: int) -> None:
 # circuit
 
 
-def _cmd_circuit(args, run: _Run) -> str:
+def _cmd_circuit(args, run: RunReport) -> str:
     from . import circuits, formats
 
     c = formats.parse_circuit(run.read(args.file))
@@ -162,7 +156,7 @@ def _cmd_circuit(args, run: _Run) -> str:
 # lift
 
 
-def _cmd_lift(args, run: _Run) -> str:
+def _cmd_lift(args, run: RunReport) -> str:
     from . import circuits, formats
 
     cf = formats.parse_classical(run.read(args.file))
@@ -182,7 +176,7 @@ def _cmd_lift(args, run: _Run) -> str:
 # reduce
 
 
-def _compiled(sched, direct: kernel.Bitstring, run: Optional[_Run] = None) -> kernel.Bitstring:
+def _compiled(sched, direct: kernel.Bitstring, run: Optional[RunReport] = None) -> kernel.Bitstring:
     """The answer of the compiled schedule ``sched``, its iterations counted
     on ``run``; ReductionError when it differs from ``direct``, the answer
     the command computes without the schedule."""
@@ -198,7 +192,7 @@ def _compiled(sched, direct: kernel.Bitstring, run: Optional[_Run] = None) -> ke
     return compiled
 
 
-def _cmd_reduce(args, run: _Run) -> str:
+def _cmd_reduce(args, run: RunReport) -> str:
     from . import reductions
 
     f = _named_bijection(args.fn, args.width)
@@ -246,7 +240,7 @@ def _one_oracle_gate(f: kernel.Bijection, count: int, s: kernel.Bitstring):
 # leaf
 
 
-def _cmd_leaf(args, run: _Run) -> str:
+def _cmd_leaf(args, run: RunReport) -> str:
     import random
 
     from . import graphs
@@ -265,7 +259,7 @@ def _cmd_leaf(args, run: _Run) -> str:
 # lollipop
 
 
-def _cmd_lollipop(args, run: _Run) -> str:
+def _cmd_lollipop(args, run: RunReport) -> str:
     from . import formats, graphs
 
     g = formats.parse_cubic(run.read(args.file))
@@ -286,7 +280,7 @@ def _cmd_lollipop(args, run: _Run) -> str:
 # ca
 
 
-def _cmd_ca(args, run: _Run) -> str:
+def _cmd_ca(args, run: RunReport) -> str:
     from . import ca, formats
 
     if args.action in ("bbm-run", "bbm-reverse"):
@@ -340,7 +334,7 @@ def _strobe_lit_steps(t: int, n: int, ring: int) -> List[int]:
 # plb
 
 
-def _cmd_plb(args, run: _Run) -> str:
+def _cmd_plb(args, run: RunReport) -> str:
     from . import formats, plb
 
     def load(path: str) -> plb.PiecewiseLinearBijection:
@@ -359,11 +353,10 @@ def _cmd_plb(args, run: _Run) -> str:
             run.count(name, size)
         return str(answer)
     if args.action == "compose":
-        prog = plb.compose_lift([load(path) for path in args.files])
-        head = f"# {len(prog.stages)} stages on [0, {prog.domain})"
-        return head + "\n" + formats.write_plb(
-            prog.lifted.domain, prog.lifted.pieces
-        ).rstrip("\n")
+        stages = [load(path) for path in args.files]
+        lifted = plb.compose_lift(stages)
+        head = f"# {len(stages)} stages on [0, {stages[0].domain})"
+        return head + "\n" + formats.write_plb(lifted.domain, lifted.pieces).rstrip("\n")
     if args.action == "riffle":
         t = plb.riffle(args.n)
         return formats.write_plb(t.domain, t.pieces).rstrip("\n")
@@ -391,7 +384,7 @@ def _three_gap_worst(bound: int) -> int:
     return max(iet.three_gap_max_distinct(m, step, m) for m, step in pairs)
 
 
-def _cmd_iet(args, run: _Run) -> str:
+def _cmd_iet(args, run: RunReport) -> str:
     if args.action == "three-gap":
         from . import iet
 
@@ -588,14 +581,14 @@ _SUITES = [
 ]
 
 
-def _cmd_verify(args, run: _Run) -> str:
+def _cmd_verify(args, run: RunReport) -> str:
     import random
 
     lines = []
     for name, suite in _SUITES:
         started = time.monotonic()
         suite(random.Random(args.seed))
-        run.report.phases_s[name] = round(time.monotonic() - started, 6)
+        run.phases_s[name] = round(time.monotonic() - started, 6)
         lines.append(f"{name} ok")
     return "\n".join(lines)
 
@@ -742,14 +735,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "iet" and args.action == "three-gap":
         if args.sweep is None and None in (args.modulus, args.step, args.count):
             parser.error("three-gap needs --modulus/--step/--count or --sweep")
-    run = _Run(argv)
+    report = RunReport(argv)
     started = time.monotonic()
     try:
-        payload = _HANDLERS[args.command](args, run)
+        payload = _HANDLERS[args.command](args, report)
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {str(exc)[:MAX_ERROR_CHARS]}", file=sys.stderr)
         return 1
-    report = run.report
     report.payload = payload
     report.wall_time_s = round(time.monotonic() - started, 6)
     report.phases_s = report.phases_s or {"run": report.wall_time_s}

@@ -41,9 +41,8 @@ from .plb import PiecewiseLinearBijection, _certify, _exchange_power, is_exchang
 
 __all__ = [
     "IetError", "Point", "Triangle", "Port", "Edge", "TriangulatedSurface",
-    "Arc", "IetSurface", "build_surface", "normal_coords_vertical",
-    "validate_normal_coords", "arc_of", "iet_orbit_solve", "three_gap_check",
-    "three_gap_max_distinct",
+    "Arc", "IetSurface", "build_surface", "validate_normal_coords", "arc_of",
+    "iet_orbit_solve", "three_gap_check", "three_gap_max_distinct",
 ]
 
 
@@ -161,7 +160,8 @@ class IetSurface(_Frozen):
 
 
 def _check_exchange(transform: PiecewiseLinearBijection) -> None:
-    """Refuse a map with a scaling piece: it has no surface or induction."""
+    """Refuse a map with a piece that is no translation, a one-point piece
+    included: the surface reads each piece's offset as its shift."""
     if not is_exchange(transform):
         raise IetError("not an interval exchange: some piece scales")
 
@@ -318,7 +318,7 @@ def build_surface(transform: PiecewiseLinearBijection) -> IetSurface:
     )
     side_counts = tuple(tuple(edges[e].crossings for e in trio) for trio in side_edges)
     surface = TriangulatedSurface(tuple(triangles), tuple(edges), side_edges, side_counts)
-    validate_normal_coords(surface, normal_coords_vertical(surface))
+    validate_normal_coords(surface, [e.crossings for e in edges])
 
     central_key = ((-1, 0), (n2 - 1, 0))
     central = next((i for i, e in enumerate(edges) if e.key == central_key), None)
@@ -376,12 +376,6 @@ def _check_trace_agreement(su: IetSurface) -> None:
             if p.off != off:
                 i = max(lo, p.lo)
                 raise IetError(f"trace maps {i} to {i + off}, exchange maps it to {i + p.off}")
-
-
-def normal_coords_vertical(surface: TriangulatedSurface) -> Tuple[int, ...]:
-    """Crossing count of each edge with the union of integer verticals:
-    the ``crossings`` each edge was built with."""
-    return tuple(e.crossings for e in surface.edges)
 
 
 def validate_normal_coords(

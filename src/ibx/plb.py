@@ -11,7 +11,8 @@ mult*y + off = x inside the unique piece whose image progression contains x
 is exact integer arithmetic.
 
 Powers and orders take one of three paths.  An interval exchange answers
-from its induction.  An affine map, x -> (a*x + b) mod M on [0, M) with
+from its induction, which reads a one-point piece as the translation it is,
+whatever its multiplier.  An affine map, x -> (a*x + b) mod M on [0, M) with
 every point of [M, N) fixed (every riffle and circular shift), is read off
 its pieces in O(k) and answers from its description: powers by
 ``kernel.power`` on (a, b) mod M, the order from the multiplicative order
@@ -275,6 +276,13 @@ def is_exchange(t: PiecewiseLinearBijection) -> bool:
     return all(p.mult == 1 for p in t.pieces)
 
 
+def _translates(t: PiecewiseLinearBijection) -> bool:
+    """Every piece moves its points by the one amount apply(lo) - lo: a
+    translation, or a single point whatever its multiplier.  The induction
+    takes such a map as an exchange; ``is_exchange`` may still fail."""
+    return all(p.mult == 1 or p.hi - p.lo == 1 for p in t.pieces)
+
+
 def affine_form(t: PiecewiseLinearBijection) -> Optional[Tuple[int, int, int]]:
     """(a, b, M) when T is x -> (a*x + b) mod M on [0, M) and fixes every
     point of [M, N), with a != 1 and gcd(a, M) = 1; None otherwise.
@@ -446,13 +454,14 @@ def _induce(runs: Sequence[Tuple[int, int, int]], end: int) -> Tuple[InductionOp
 
 
 def induction(t: PiecewiseLinearBijection) -> Tuple[InductionOp, ...]:
-    """The induction of an exchange's own pieces, memoized on it.  The map
-    is certified first: induction on a non-bijection need not end."""
+    """The induction of an exchange's own pieces, memoized on it, each
+    piece the run (lo, hi, apply(lo) - lo).  The map is certified first:
+    induction on a non-bijection need not end."""
     ops = t.__dict__.get("_induction")
     if ops is None:
-        if not is_exchange(t):
+        if not _translates(t):
             raise PlbError("not an interval exchange: some piece scales")
-        ops = _induce([(p.lo, p.hi, p.off) for p in _certify(t).pieces], t.domain)
+        ops = _induce([(p.lo, p.hi, p.apply(p.lo) - p.lo) for p in _certify(t).pieces], t.domain)
         object.__setattr__(t, "_induction", ops)
     return ops
 
@@ -524,7 +533,7 @@ def power_path(t: PiecewiseLinearBijection) -> Tuple[Optional[Callable[[int, int
     """How T answers powers, decided here only: a signed power(x, n) = T^n(x)
     from an exchange's ``induction`` or an ``affine_form``, at any n and N,
     and the sizes it reads; (None, {}) for a map that walks."""
-    if is_exchange(t):
+    if _translates(t):
         return partial(_exchange_power, t), {"induction_ops": len(induction(t))}
     form = affine_form(t)
     if form is None:
@@ -545,15 +554,16 @@ def iterate_plb(t: PiecewiseLinearBijection, n: int, x: int) -> int:
 def permutation_order(t: PiecewiseLinearBijection) -> int:
     """Multiplicative order of the map.
 
-    An interval exchange takes the lcm of its tower heights, at any N.  An
-    affine map (``affine_form``) with M up to ``MAX_AFFINE_ORDER_MODULUS``
-    is n0 * M / gcd(c, M), at any N, with n0 the order of a mod M and c the
+    An interval exchange, one-point pieces of any multiplier included,
+    takes the lcm of its tower heights, at any N.  An affine map
+    (``affine_form``) with M up to ``MAX_AFFINE_ORDER_MODULUS`` is
+    n0 * M / gcd(c, M), at any N, with n0 the order of a mod M and c the
     offset of T^n0, a translation.  Any other map, up to N =
     ``MAX_ORDER_TABLE``, tabulates its images in an int64 array, one range
     per piece, and reads the table's cycles with ``cycle_lengths``; above
     that it raises PlbError.
     """
-    if is_exchange(t):
+    if _translates(t):
         return lcm(*cycle_type(t))
     form = affine_form(t)
     if form is not None and form[2] <= MAX_AFFINE_ORDER_MODULUS:
@@ -609,30 +619,8 @@ def low_rotation(k: int) -> PiecewiseLinearBijection:
     )
 
 
-class PlbProgram(NamedTuple):
-    """Stage list on a shared domain plus its compose_lift fusion.
-
-    Iterating ``lifted`` len(stages) times from x < domain applies the
-    stages left to right and returns to the base block.
-    """
-
-    domain: int
-    stages: Tuple[PiecewiseLinearBijection, ...]
-    lifted: PiecewiseLinearBijection
-
-    def apply_stages(self, x: int) -> int:
-        for t in self.stages:
-            x = apply_plb(t, x)
-        return x
-
-    def apply_stages_inverse(self, x: int) -> int:
-        for t in reversed(self.stages):
-            x = apply_plb_inverse(t, x)
-        return x
-
-
-def compose_lift(stages: Sequence[PiecewiseLinearBijection]) -> PlbProgram:
-    """Fuse stages T_1..T_k on [0,n) into one PLB on [0, k*n).
+def compose_lift(stages: Sequence[PiecewiseLinearBijection]) -> PiecewiseLinearBijection:
+    """Fuse stages T_1..T_k on [0,n) into one certified PLB on [0, k*n).
 
     Block i-1 holds the translated pieces of T_i with images landing in
     block i, the last stage wrapping back to block 0, so the k-th iterate
@@ -653,27 +641,18 @@ def compose_lift(stages: Sequence[PiecewiseLinearBijection]) -> PlbProgram:
             lifted_pieces.append(
                 (p.lo + base, p.hi + base, p.mult, p.off - p.mult * base + bump)
             )
-    return PlbProgram(n, tuple(stages), validate_plb(k * n, lifted_pieces))
+    return validate_plb(k * n, lifted_pieces)
 
 
-class BitPermutation(NamedTuple):
-    """Stage lists moving a chosen bit set to the top of the word and back.
-
-    Applying the ``forward`` stages left to right sends the bit originally
-    at position b to position placement[b]; the ``inverse`` stages undo
-    them.  The induction fixes no canonical order inside the top block, so
-    consult placement rather than assume one.
-    """
-
-    width: int
-    moved: Tuple[int, ...]
-    forward: Tuple[PiecewiseLinearBijection, ...]
-    inverse: Tuple[PiecewiseLinearBijection, ...]
-    placement: Tuple[int, ...]
+_Stages = Tuple[PiecewiseLinearBijection, ...]
 
 
-def bit_permute(positions: Iterable[int], k: int) -> BitPermutation:
-    """Stages sending the given bit positions to the k-|C| .. k-1 block.
+def bit_permute(positions: Iterable[int], k: int) -> Tuple[_Stages, _Stages, Tuple[int, ...]]:
+    """Stages sending the given bit positions to the k-|C| .. k-1 block:
+    (forward, inverse, placement).  Applying the forward stages left to
+    right sends the bit at position b to position placement[b], and the
+    inverse stages undo them.  No order inside the top block is canonical,
+    so read placement rather than assume one.
 
     Induction on |C|: park one element on the most significant bit with
     full rotations, then herd the rest to the top of the remaining k-1 bit
@@ -702,7 +681,7 @@ def _bit_permute(
     k: int,
     full: PiecewiseLinearBijection,
     low: Optional[PiecewiseLinearBijection],
-) -> BitPermutation:
+) -> Tuple[_Stages, _Stages, Tuple[int, ...]]:
     """bit_permute on checked, sorted positions, with the primitives given."""
     placement = list(range(k))
     fwd: List[PiecewiseLinearBijection] = []
@@ -716,7 +695,7 @@ def _bit_permute(
             if j and placement[b] < k - 1:
                 placement[b] = (placement[b] + j) % (k - 1)
         rev[:0] = [low] * ((k - 1 - j) % (k - 1) if j else 0) + [full] * ((k - r) % k)
-    return BitPermutation(k, moved, tuple(fwd), tuple(rev), tuple(placement))
+    return tuple(fwd), tuple(rev), tuple(placement)
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +727,10 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
     stages: List[PiecewiseLinearBijection] = []
     for g in circuit.gates:
         c_positions = tuple(k - 1 - w for w in g.wires)
-        perm = _bit_permute(tuple(sorted(c_positions)), k, full, low)
+        forward, inverse, placement = _bit_permute(tuple(sorted(c_positions)), k, full, low)
         c = len(c_positions)
         base = k - c
-        local = [perm.placement[p] - base for p in c_positions]
+        local = [placement[p] - base for p in c_positions]
         if any(not 0 <= b < c for b in local):
             raise PlbError("bit permutation failed to reach the top block")
         # The gate alone on its c-bit block, local bit b on wire c-1-b.
@@ -763,9 +742,9 @@ def circuit_to_plb(circuit: ReversibleCircuit) -> Tuple[PiecewiseLinearBijection
             (i * block, (i + 1) * block, 1, (table[i] - i) * block)
             for i in range(1 << c)
         ]
-        stages += perm.forward
+        stages += forward
         stages.append(plb(n, block_pieces))
-        stages += perm.inverse
+        stages += inverse
         if len(stages) > MAX_CIRCUIT_PLB_STAGES:
             raise PlbError(f"circuit compiles to more than {MAX_CIRCUIT_PLB_STAGES} stages")
-    return compose_lift(stages).lifted, len(stages)
+    return compose_lift(stages), len(stages)

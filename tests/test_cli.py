@@ -1068,13 +1068,36 @@ PHASE_2_GRID = "bbm 4 4 2\n....\n....\n....\n....\n"
 # numbers too long to parse, which the error message quotes
 HUGE_WIRE = "wires 3\nnot " + "9" * 100_000 + "\n"
 HUGE_PLB_HEADER = "plb " + "9" * 5001 + "\n"
-# ROADMAP item 6's rotation of N = 10**12 written with a one-point -1 piece:
-# no power path takes it, so plb iterate walks every step
-FLIPPED_ROTATION = """plb 1000000000000
+# ROADMAP item 6's rotation of N = 10**12 by 381966011251, written with a
+# one-point -1 piece, which moves its point as a translation would
+ONE_POINT_ROTATION = """plb 1000000000000
 piece 0 1 -1 381966011251
 piece 1 618033988749 1 381966011251
 piece 618033988749 1000000000000 1 -618033988749
 """
+# the same rotation with its first two points swapped by a two-point -1
+# piece: no power path takes it, so plb iterate walks every step
+FLIPPED_ROTATION = """plb 1000000000000
+piece 0 2 -1 381966011252
+piece 2 618033988749 1 381966011251
+piece 618033988749 1000000000000 1 -618033988749
+"""
+
+
+def test_plb_iterate_takes_a_one_point_flip_as_a_translation(tmp_path):
+    (tmp_path / "doc.txt").write_text(ONE_POINT_ROTATION)
+    n = 10**20 + 7
+    done = run_fresh(["-m", "ibx.cli", "plb", "iterate", "--file", "doc.txt", "--x", "5", "--n", str(n),
+                      "--report"], tmp_path, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{(5 + n * 381966011251) % 10**12}\n" == "673762078762\n"
+    assert json.loads(done.stderr)["step_counts"] == {"iterations": n, "induction_ops": 38}
+    # the surface layer still takes only translations
+    t = plb.validate_plb(*formats.parse_plb(ONE_POINT_ROTATION))
+    with pytest.raises(iet.IetError, match="^not an interval exchange: some piece scales$"):
+        iet.build_surface(t)
+    with pytest.raises(iet.IetError, match="^not an interval exchange: some piece scales$"):
+        iet.iet_orbit_solve(t, 5, n)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from ibx.iet import (
     arc_of,
     build_surface,
     iet_orbit_solve,
-    normal_coords_vertical,
     three_gap_check,
     three_gap_max_distinct,
     validate_normal_coords,
@@ -181,7 +180,7 @@ def test_solve_raises_iet_errors_and_the_induction_plb_errors():
 
 def test_vertical_coords_are_normal():
     su = build_surface(fig_exchange())
-    coords = normal_coords_vertical(su.surface)
+    coords = tuple(e.crossings for e in su.surface.edges)
     # an edge spanning [a, b] in doubled x meets (b - a) / 2 integer verticals
     assert coords == tuple(abs(e.key[1][0] - e.key[0][0]) // 2 for e in su.surface.edges)
     corners = validate_normal_coords(su.surface, coords)

@@ -1060,7 +1060,8 @@ def test_cycle_reader_matches_the_literal_walk(rng):
         assert cycle_lengths(array("q", table)) == want
         assert parity(table) == ("even" if (n - len(want)) % 2 == 0 else "odd")
         if n:
-            # one reflected point per piece, so the table path, not the exchange's
+            # one reflected point per piece, which the order reads as a
+            # translation: the exchange's towers, not the table
             t = PiecewiseLinearBijection(n, tuple(Piece(x, x + 1, -1, y + x) for x, y in enumerate(table)))
             assert permutation_order(t) == lcm(*want)
             parities.add(parity(table))

@@ -22,10 +22,12 @@ from ibx.plb import (
     compose_lift,
     identity_plb,
     interval_exchange,
+    is_exchange,
     iterate_plb,
     low_rotation,
     permutation_order,
     plb,
+    power_path,
     progression_intersect,
     riffle,
     validate_plb,
@@ -287,6 +289,34 @@ def test_random_affine_maps_match_the_walk(rng):
     assert found > 250
 
 
+def one_point_flipped_exchange(rng, n):
+    """A random exchange of [0, n), cut on both sides of a few points, each
+    one-point piece then written x -> -x + 2*lo + off: the same move."""
+    cuts = set(rng.sample(range(1, n), rng.randint(0, min(6, n - 1))))
+    for u in rng.sample(range(n), rng.randint(1, min(3, n))):
+        cuts |= {u, u + 1}
+    bounds = sorted(cuts | {0, n})
+    pieces, out = [], 0
+    for lo, hi in rng.sample(list(zip(bounds, bounds[1:])), len(bounds) - 1):
+        off = out - lo
+        pieces.append((lo, hi, -1, 2 * lo + off) if hi - lo == 1 else (lo, hi, 1, off))
+        out += hi - lo
+    return validate_plb(n, pieces)
+
+
+def test_one_point_flips_take_the_induction(rng):
+    for _ in range(150):
+        t = one_point_flipped_exchange(rng, rng.randint(1, 600))
+        assert not is_exchange(t)
+        assert power_path(t)[0] is not None
+        assert permutation_order(t) == reference_order(t)
+        for x in {0, t.domain - 1, rng.randrange(t.domain)}:
+            length = orbit_length(t, x)
+            for n in (0, 1, length, 10**20 + 7):
+                for signed in (n, -n):
+                    assert iterate_plb(t, signed, x) == literal_power(t, signed % length, x), (t.pieces, x, signed)
+
+
 def test_affine_form_reads_negative_multipliers():
     t = affine_plb(-3, 4, 11, 13)
     assert affine_form(t) == (-3, 4, 11)
@@ -418,75 +448,74 @@ def test_low_rotation_fixes_top_bit():
         assert y == top | (((low << 1) | (low >> 2)) & 7)
 
 
-def test_compose_lift_single_stage_is_a_copy():
-    stage = riffle(13)
-    prog = compose_lift([stage])
-    assert prog.lifted.domain == 13
-    for x in range(13):
-        assert apply_plb(prog.lifted, x) == apply_plb(stage, x)
-
-
-def test_compose_lift_two_rotations():
-    stage = circular_shift(3)
-    prog = compose_lift([stage, stage])
-    assert prog.lifted.domain == 16
-    for x in range(8):
-        twice = apply_plb(stage, apply_plb(stage, x))
-        assert iterate_plb(prog.lifted, 2, x) == twice
-        assert prog.apply_stages(x) == twice
-
-
-def test_compose_lift_double_riffle():
-    stage = riffle(13)
-    prog = compose_lift([stage, stage])
-    for x in range(13):
-        assert iterate_plb(prog.lifted, 2, x) == apply_plb(stage, apply_plb(stage, x))
-
-
-def test_compose_lift_mixed_stage_round_trip(rng):
-    stages = [riffle(16), circular_shift(4), low_rotation(4)]
-    prog = compose_lift(stages)
-    for x in range(16):
-        want = x
-        for s in stages:
-            want = apply_plb(s, want)
-        assert iterate_plb(prog.lifted, 3, x) == want
-        assert prog.apply_stages_inverse(want) == x
-
-
 def apply_stages(stages, x):
     for t in stages:
         x = apply_plb(t, x)
     return x
 
 
+def test_compose_lift_single_stage_is_a_copy():
+    stage = riffle(13)
+    lifted = compose_lift([stage])
+    assert lifted.domain == 13
+    for x in range(13):
+        assert apply_plb(lifted, x) == apply_plb(stage, x)
+
+
+def test_compose_lift_two_rotations():
+    stage = circular_shift(3)
+    lifted = compose_lift([stage, stage])
+    assert lifted.domain == 16
+    for x in range(8):
+        twice = apply_plb(stage, apply_plb(stage, x))
+        assert iterate_plb(lifted, 2, x) == twice
+        assert apply_stages([stage, stage], x) == twice
+
+
+def test_compose_lift_double_riffle():
+    stage = riffle(13)
+    lifted = compose_lift([stage, stage])
+    for x in range(13):
+        assert iterate_plb(lifted, 2, x) == apply_plb(stage, apply_plb(stage, x))
+
+
+def test_compose_lift_mixed_stage_round_trip(rng):
+    stages = [riffle(16), circular_shift(4), low_rotation(4)]
+    lifted = compose_lift(stages)
+    for x in range(16):
+        want = apply_stages(stages, x)
+        assert iterate_plb(lifted, 3, x) == want
+        assert iterate_plb(lifted, -3, want) == x
+
+
 def test_bit_permute_empty_and_top():
     for positions in ((), (2,)):
-        bp = bit_permute(positions, 3)
+        forward, inverse, _ = bit_permute(positions, 3)
+        assert forward == inverse == ()
         for x in range(8):
-            assert apply_stages(bp.forward, x) == x
+            assert apply_stages(forward, x) == x
 
 
 def test_bit_permute_lifts_bit_zero():
-    bp = bit_permute([0], 3)
-    assert bp.placement[0] == 2
+    forward, inverse, placement = bit_permute([0], 3)
+    assert placement[0] == 2
     for x in range(8):
-        y = apply_stages(bp.forward, x)
+        y = apply_stages(forward, x)
         for src in range(3):
-            assert (y >> bp.placement[src]) & 1 == (x >> src) & 1
-        assert apply_stages(bp.inverse, y) == x
+            assert (y >> placement[src]) & 1 == (x >> src) & 1
+        assert apply_stages(inverse, y) == x
 
 
 def test_bit_permute_pair(rng):
     k = 5
-    bp = bit_permute([0, 3], k)
+    forward, _, placement = bit_permute([0, 3], k)
     top = {k - 1, k - 2}
-    assert {bp.placement[0], bp.placement[3]} == top
+    assert {placement[0], placement[3]} == top
     for _ in range(20):
         x = rng.randrange(1 << k)
-        y = apply_stages(bp.forward, x)
+        y = apply_stages(forward, x)
         for src in range(k):
-            assert (y >> bp.placement[src]) & 1 == (x >> src) & 1
+            assert (y >> placement[src]) & 1 == (x >> src) & 1
 
 
 def test_circuit_to_plb_empty_circuit():
